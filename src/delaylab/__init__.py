@@ -28,8 +28,10 @@ from .dmc import (
     LN2,
 )
 from .optimize import (
+    E0Solution,
     Search1DResult,
     maximize_concave_1d,
+    maximize_e0,
     maximize_over_simplex,
     minimize_over_channels,
 )

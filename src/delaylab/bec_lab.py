@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based per-stream generator: reproducible and order-independent."""
@@ -261,6 +261,7 @@ def queue_law_chisquare(samples: np.ndarray, beta: float,
         b += 1
     counts = np.array([(s == i).sum() for i in range(b)] + [(s >= b).sum()], dtype=float)
     expected = np.array([n * kappa * x**i for i in range(b)] + [n * x**b])
+    from scipy import stats  # deferred: the CLI never needs scipy
     stat, pvalue = stats.chisquare(counts, expected)
     return float(stat), float(pvalue)
 
@@ -302,6 +303,7 @@ def union_bound_exact(beta: float, rate_bits: float, i: int, d: int) -> float:
         raise ValueError("need i >= 1 and d >= 1")
     k = np.arange(1, i + 1)
     n_k = d + math.ceil(i / rate_bits) - np.ceil(k / rate_bits).astype(np.int64)
+    from scipy import stats  # deferred: the CLI never needs scipy
     total = stats.binom.cdf(i - k, n_k, 1.0 - beta).sum()
     return float(min(1.0, total))
 

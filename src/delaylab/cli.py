@@ -1,7 +1,8 @@
 """Command-line front door: channel ingestion, bound tables and curves,
 simulations, and figure-data reproduction.
 
-Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown target.
+Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown target,
+5 a numerical solver hit its iteration cap (the message carries its residual).
 Environment: FDL_SEED overrides --seed, FDL_THREADS caps sim parallelism.
 All diagnostics go to stderr; stdout carries only requested tables.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bec_lab, ncl_scheme, queue_model
-from .dmc import LN2, Dmc, bits_from_nats, nats_from_bits
+from .dmc import LN2, ConvergenceError, Dmc, bits_from_nats, nats_from_bits
 from .dmc import _block_is_symmetric  # declared-partition verification
 from .exponents import (
     KNOWN_BOUNDS,
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNKNOWN = 4
+EXIT_SOLVER = 5
 
 
 class CliError(Exception):
@@ -227,10 +229,10 @@ def _summary_json(path: Path, payload: dict) -> None:
 def _fit_payload(fit: bec_lab.DelayExponentFit) -> dict:
     return {
         "exponent": None if math.isinf(fit.slope) else fit.slope,
-        "unbounded": fit.unbounded,
+        "unbounded": bool(fit.unbounded),
         "ci": [None if math.isnan(fit.ci_low) else fit.ci_low,
                None if math.isnan(fit.ci_high) else fit.ci_high],
-        "widened_ci": fit.widened_ci,
+        "widened_ci": bool(fit.widened_ci),
         "d_grid": [float(d) for d in fit.d_values],
         "miss_probs": [float(p) for p in fit.miss_probs],
         "miss_counts": [int(c) for c in fit.miss_counts],
@@ -611,6 +613,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"delaylab: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        print(f"delaylab: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -43,8 +43,9 @@ def bits_from_nats(rate_nats: float) -> float:
 class Dmc:
     """A discrete memoryless channel: ``rows[x, y] = P(Y=y | X=x)``.
 
-    Rows must sum to one within 1e-12 and both alphabets must have at least
-    two letters.  Instances are immutable and safe to share across threads.
+    Entries must be finite, rows must sum to one within 1e-12 and both
+    alphabets must have at least two letters.  Instances are immutable and
+    safe to share across threads.
     """
 
     rows: np.ndarray
@@ -56,6 +57,8 @@ class Dmc:
             raise ValueError("channel matrix must be two-dimensional")
         if rows.shape[0] < 2 or rows.shape[1] < 2:
             raise ValueError("need at least two inputs and two outputs")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("transition probabilities must be finite")
         if np.any(rows < -ROW_SUM_TOL) or np.any(rows > 1 + ROW_SUM_TOL):
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):

@@ -28,7 +28,7 @@ from .dmc import (
     uniform_input,
     validate_distribution,
 )
-from .optimize import maximize_concave_1d, maximize_over_simplex, minimize_over_channels
+from .optimize import maximize_concave_1d, maximize_e0, minimize_over_channels
 
 RHO_MAX = 64.0
 
@@ -75,18 +75,21 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
 def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.ndarray]:
     """E0(rho) = max_q E0(rho, q) with an achieving input distribution.
 
-    Output-symmetric channels take the uniform-input fast path; otherwise the
-    simplex search runs (E0 is concave in q).
+    Output-symmetric channels take the uniform-input fast path.  Otherwise
+    ``optimize.maximize_e0`` runs: safeguarded Newton steps on the convex
+    F(q) = exp(-E0(rho, q)) with an Arimoto fallback, stopped once its
+    Hoelder certificate puts the value within 1e-12 of the maximum, or
+    within the solver's roundoff floor max(8 |Y|, 1+rho) (1+rho) eps where
+    that is larger (beyond rho = 64, or for more than 8 outputs); it raises
+    ``ConvergenceError`` with the certificate gap when it cannot.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0 or _symmetric(p):
         q = uniform_input(p.input_size)
         return gallager_e0(p, rho, q, fortify_k), q
-    q, val = maximize_over_simplex(
-        lambda qq: gallager_e0(p, rho, qq), p.input_size, tol=1e-12
-    )
-    return val + rho * _fortification_rate(fortify_k), q
+    q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+    return gallager_e0(p, rho, q, fortify_k), q
 
 
 def e0_derivative(p: Dmc, rho: float, q=None, fortify_k: int | None = None,
@@ -551,10 +554,15 @@ def viterbi_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCur
 def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
     """One point of the two-stream achievable region:
     E'(rho) = (1/E0(rho) + 1/E0(1))^{-1}, R(rho) = E'(rho)/rho."""
+    return _timesharing_point(e0_max(p, rho, fortify_k)[0],
+                              e0_max(p, 1.0, fortify_k)[0], rho)
+
+
+def _timesharing_point(e_rho: float, e_one: float, rho: float) -> tuple[float, float]:
+    """(R, E') of ``timesharing_exponent`` from E0(rho) and E0(1); sweeps
+    over rho solve E0(1) once and call this."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    e_rho = e0_max(p, rho, fortify_k)[0]
-    e_one = e0_max(p, 1.0, fortify_k)[0]
     e_prime = 1.0 / (1.0 / e_rho + 1.0 / e_one)
     return e_prime / rho, e_prime
 
@@ -568,7 +576,8 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 
 
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> ExponentCurve:
-    pts = [timesharing_exponent(p, rho, fortify_k)
+    e_one = e0_max(p, 1.0, fortify_k)[0]
+    pts = [_timesharing_point(e0_max(p, rho, fortify_k)[0], e_one, rho)
            for rho in sorted(rho_grid, reverse=True)]
     return ExponentCurve(
         kind="timesharing",
@@ -692,13 +701,18 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None,
         cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
         if r >= cap_p:
             return 0.0
+        e_one = e0_max(p, 1.0, fortify_k)[0]
+
+        def point(rho):
+            return _timesharing_point(e0_max(p, rho, fortify_k)[0], e_one, rho)
+
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if timesharing_exponent(p, mid, fortify_k)[0] > r:
+            if point(mid)[0] > r:
                 lo = mid
             else:
                 hi = mid
-        return timesharing_exponent(p, 0.5 * (lo + hi), fortify_k)[1]
+        return point(0.5 * (lo + hi))[1]
     raise KeyError(f"unknown bound name: {name}")
 
 

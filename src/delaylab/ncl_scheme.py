@@ -21,7 +21,7 @@ import numpy as np
 
 from .bec_lab import DelayExponentFit, substream
 from .dmc import LN2, Dmc
-from .exponents import bec_focusing_exponent_bits, e0_max, timesharing_exponent
+from .exponents import _timesharing_point, bec_focusing_exponent_bits, e0_max
 from .queue_model import QueueConfig, ServiceTimeModel, simulate_point_queue
 
 EXACT_TINY_MAX_BLOCK_USES = 24
@@ -345,16 +345,16 @@ def two_stream_split(p: Dmc, rate: float, rho_max: float = 64.0) -> TwoStreamSpl
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
     if rate <= 0:
         raise ValueError("rate must be positive")
+    e0_one = e0_max(p, 1.0)[0]
     lo, hi = 1e-9, rho_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if timesharing_exponent(p, mid)[0] > rate:
+        if _timesharing_point(e0_max(p, mid)[0], e0_one, mid)[0] > rate:
             lo = mid
         else:
             hi = mid
     rho = 0.5 * (lo + hi)
     e0_rho = e0_max(p, rho)[0]
-    e0_one = e0_max(p, 1.0)[0]
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,
                           e0_rho=e0_rho, e0_one=e0_one)

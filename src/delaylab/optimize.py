@@ -1,8 +1,12 @@
-"""The three numerical searches the bounds engine needs.
+"""The numerical searches the bounds engine needs.
 
 1. golden-section maximization of a concave function on an interval,
-2. maximization of a concave function over the input simplex,
-3. multi-start penalized minimization over small channel matrices
+2. maximization of a concave function over the input simplex (cyclic
+   pairwise line searches, for any concave objective),
+3. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
+   safeguarded Newton steps on the input simplex with an Arimoto fallback,
+   stopped by a Hoelder certificate on the distance to the maximum,
+4. multi-start penalized minimization over small channel matrices
    (the inner search of the Haroutunian bound).
 
 All searches are deterministic given their seed.
@@ -18,6 +22,9 @@ import numpy as np
 from .dmc import Dmc, ConvergenceError, uniform_input
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = float(np.finfo(float).eps)
+E0_TOL = 1e-12  # certified distance of maximize_e0's value to the maximum
+E0_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,198 @@ def maximize_over_simplex(f, dim: int, tol: float = 1e-9,
         if improved <= tol:
             return q, val
     raise ConvergenceError("simplex search cycle cap exceeded", improved)
+
+
+@dataclass(frozen=True)
+class E0Solution:
+    """max_q E0(rho, q): an input distribution, its E0 and a certified gap.
+
+    ``gap`` bounds max_q E0(rho, q) - ``value`` from above.
+    """
+    q: np.ndarray
+    value: float
+    gap: float
+    iterations: int
+
+
+class _E0State:
+    """F(q) = sum_y a_y^(1+rho) with a = q W, and beta = W b, at one q.
+
+    The certificate vector b is a^rho on the outputs the support of q
+    reaches.  On the others a^rho is 0, but the Hoelder bound holds for any
+    b >= 0, so b_y there is the largest value whose share of the dual norm
+    sum_y b_y^((1+rho)/rho) is ``pad`` / (rho n0) for each of the n0 such
+    outputs; that costs at most ``pad`` of gap.  Without it a zero input
+    that would be given astronomically small mass at the optimum (rho
+    near 0, where a^rho jumps from 0 to about 1) could never be certified.
+
+    Everything is scaled by powers of max_y a_y so that a^rho cannot
+    underflow at large rho: ``beta`` and ``f`` hold beta / amax^rho and
+    F / amax^rho, which keeps their ratio exact; ``log_f`` is ln F.
+    """
+
+    def __init__(self, q: np.ndarray, w: np.ndarray, rho: float, pad: float):
+        self.q, self.w, self.rho, self.pad = q, w, rho, pad
+        a = q @ w
+        self.amax = float(a.max())
+        self.u = a / self.amax
+        self.u_rho = self.u ** rho
+        f_hat = self.f_hat = float(self.u @ self.u_rho)
+        self.f = self.amax * f_hat
+        self.log_f = (1.0 + rho) * math.log(self.amax) + math.log(f_hat)
+        self.pad_gap = 0.0
+        b = self.u_rho
+        unreached = self.u == 0
+        if unreached.any():
+            share = pad / (rho * int(unreached.sum()))
+            b = np.where(unreached, (share * f_hat) ** (rho / (1.0 + rho)), b)
+            self.pad_gap = rho * math.log1p(pad / rho)
+        self.beta = w @ b
+
+    def at(self, q: np.ndarray) -> _E0State:
+        return _E0State(q, self.w, self.rho, self.pad)
+
+    def gap(self) -> float:
+        bmin = float(self.beta.min())
+        if not bmin > 0:
+            return math.inf
+        return (1.0 + self.rho) * math.log(self.f / bmin) + self.pad_gap
+
+
+def _e0_newton_direction(st: _E0State):
+    """Newton direction on the free inputs; None when fewer than two are free
+    or the solve is not finite.
+
+    The free inputs are the support of q plus the zero inputs with
+    beta_x < F (they want mass); an entering input the step would push
+    negative is dropped and the system re-solved.  The Hessian is that of
+    F^kappa with kappa = 1 - (rho/(1+rho))^2, which lies between F's and
+    that of the norm F^(1/(1+rho)): it is rho W diag(a^(rho-1)) W^T less a
+    rank-one term.  The norm's homogeneity keeps the steps long at large
+    rho, where F behaves like a single power; the rank-one term is scaled
+    so that the curvature along the radial direction stays positive.
+    """
+    q, beta, w, rho = st.q, st.beta, st.w, st.rho
+    free = (q > 0) | (beta < st.f)
+    pos = st.u > 0
+    curv = st.u_rho[pos] / st.u[pos]
+    while True:
+        idx = np.flatnonzero(free)
+        k = len(idx)
+        if k < 2:
+            return None
+        wf = w[np.ix_(idx, pos)]
+        bf = beta[idx]
+        hess = (rho / st.amax) * ((wf * curv) @ wf.T
+                                  - (rho / (1.0 + rho)) * np.outer(bf, bf) / st.f_hat)
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = hess
+        # a relative ridge keeps duplicate or dependent rows solvable
+        kkt[np.arange(k), np.arange(k)] += 1e-12 * abs(np.trace(hess)) / k
+        kkt[:k, k] = 1.0
+        kkt[k, :k] = 1.0
+        rhs = np.zeros(k + 1)
+        rhs[:k] = -bf
+        try:
+            d = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        blocked = (q[idx] == 0) & (d <= 0)
+        if blocked.any():
+            free[idx[blocked]] = False
+            continue
+        if not np.all(np.isfinite(d)):
+            return None
+        if not bf @ d < 0:  # not a descent direction: use the projected gradient
+            d = bf.mean() - bf
+        return idx, d
+
+
+def _e0_line_search(st: _E0State, idx, d, slack: float, halvings: int) -> _E0State | None:
+    """First of t, t/2, t/4, ... whose point does not raise ln F by more
+    than ``slack`` and lowers it by at least 1e-4 of the first-order
+    prediction; t is the ratio-test step that keeps q >= 0."""
+    q = st.q
+    qi = q[idx]
+    slope = (1.0 + st.rho) * float(st.beta[idx] @ d) / st.f
+    shrink = d < 0
+    t, block = 1.0, -1
+    if shrink.any():
+        ratios = -qi[shrink] / d[shrink]
+        j = int(np.argmin(ratios))
+        if ratios[j] < 1.0:
+            t, block = float(ratios[j]), int(idx[shrink][j])
+    for half in range(halvings + 1):
+        qn = q.copy()
+        qn[idx] = qi + t * d
+        if half == 0 and block >= 0:
+            qn[block] = 0.0  # the blocking input leaves the support exactly
+        np.maximum(qn, 0.0, out=qn)
+        qn /= qn.sum()
+        trial = st.at(qn)
+        if trial.log_f <= st.log_f + slack + 1e-4 * t * slope:
+            return trial
+        t *= 0.5
+    return None
+
+
+def maximize_e0(rows, rho: float) -> E0Solution:
+    """Certified max_q E0(rho, q) for a channel matrix ``rows`` and rho > 0.
+
+    Minimizes the convex F(q) = sum_y a_y^(1+rho), a = q W with
+    W = P^(1/(1+rho)) on the outputs with a nonzero column, so that
+    E0(rho, q) = -ln F(q) (Gallager 1965).  Each iteration:
+
+    * a Newton step on the free inputs (``_e0_newton_direction``) bordered
+      by sum(d) = 0, cut by a ratio test that keeps q on the simplex and
+      halved until F does not rise by more than a roundoff slack
+      proportional to (1+rho) |Y| eps;
+    * failing that, when the smallest beta_x belongs to an input with no
+      mass, a step toward that vertex (F decreases along it to first order);
+    * otherwise Arimoto's monotone multiplicative step
+      q_x <- q_x beta_x^(-1/rho) / normalizer (Arimoto 1976).
+
+    It stops once the Hoelder certificate
+        gap = (1+rho) ln(F / min_x beta_x),  beta = W a^rho,
+    which bounds max_q E0 - E0(rho, q) from above, is at most ``E0_TOL``
+    (raised to the roundoff floor max(8 |Y|, 1+rho) (1+rho) eps when that
+    is larger: it stays below 1e-12 for rho <= 64 only while |Y| <= 8),
+    and raises ``ConvergenceError`` carrying the gap after ``E0_MAX_ITER``
+    iterations.
+    """
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    rows = np.asarray(rows, dtype=float)
+    nx = rows.shape[0]
+    w = rows[:, rows.any(axis=0)] ** (1.0 / (1.0 + rho))
+    slack = 4.0 * (1.0 + rho) * w.shape[1] * EPS
+    tol = max(E0_TOL, 2.0 * slack, (1.0 + rho) ** 2 * EPS)
+    st = _E0State(uniform_input(nx), w, rho, pad=tol / 4.0)
+    gap = st.gap()
+    it = 0
+    while gap > tol:
+        if it == E0_MAX_ITER:
+            raise ConvergenceError("E0 solver iteration cap exceeded", gap)
+        it += 1
+        step = _e0_newton_direction(st)
+        trial = None
+        if step is not None:
+            trial = _e0_line_search(st, *step, slack=slack, halvings=10)
+        x = int(np.argmin(st.beta))
+        if trial is None and st.q[x] == 0:
+            # F may grow like t^(1+rho) along the way in (an output only x
+            # reaches), so the mass that lowers F can be tiny: halve far
+            trial = _e0_line_search(st, np.arange(nx), np.eye(nx)[x] - st.q,
+                                    slack=slack, halvings=60)
+        if trial is None:
+            support = st.q > 0
+            log_beta = np.log(st.beta[support])
+            qn = np.zeros(nx)
+            qn[support] = st.q[support] * np.exp(-(log_beta - log_beta.min()) / rho)
+            trial = st.at(qn / qn.sum())
+        st = trial
+        gap = st.gap()
+    return E0Solution(q=st.q, value=-st.log_f, gap=gap, iterations=it)
 
 
 def _lexicographic_key(g: Dmc) -> tuple:

@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaylab import cli
-from delaylab.dmc import LN2
+from delaylab import cli, exponents
+from delaylab.dmc import LN2, ConvergenceError
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
 
@@ -43,6 +45,26 @@ class TestChannelParsing:
         assert run(["bounds", bad, "--rate", "0.1", "--bounds", "esp"]) == 2
         assert "delaylab" in capsys.readouterr().err
 
+    def test_non_finite_matrix_rejected(self, tmp_path, capsys):
+        for token in ("NaN", '"nan"', "Infinity"):
+            bad = tmp_path / "bad.json"
+            bad.write_text('{"matrix": [[%s, 1.0], [0.5, 0.5]]}' % token)
+            with pytest.raises(cli.CliError) as err:
+                cli.load_channel(str(bad))
+            assert err.value.code == cli.EXIT_PARSE
+            assert run(["bounds", bad, "--rate", "0.1", "--bounds", "esp"]) == cli.EXIT_PARSE
+            assert "finite" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import delaylab.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestBounds:
     def test_table_values(self, capsys):
@@ -62,6 +84,18 @@ class TestBounds:
     def test_infeasible_rate_exit3(self, capsys):
         assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.99",
                     "--bounds", "burnashev"]) == 3
+
+    def test_solver_cap_exit5(self, capsys, monkeypatch):
+        def capped(rows, rho):
+            raise ConvergenceError("E0 solver iteration cap exceeded", 2.5e-7)
+
+        monkeypatch.setattr(exponents, "maximize_e0", capped)
+        assert run(["bounds", CHANNELS / "z05.json", "--rate", "0.1",
+                    "--bounds", "esp"]) == cli.EXIT_SOLVER == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == \
+            "delaylab: E0 solver iteration cap exceeded (residual 2.500e-07)"
 
 
 class TestCurve:
@@ -109,6 +143,16 @@ class TestSim:
                (tmp_path / "b/summary.json").read_bytes()
         assert (tmp_path / "a/trace.csv").read_bytes() == \
                (tmp_path / "b/trace.csv").read_bytes()
+
+    def test_summary_flags_are_json_booleans(self, tmp_path):
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4,
+                                   "rate_bits": 0.5, "horizon": 50_000,
+                                   "d_grid": [8, 12, 16]}))
+        assert run(["sim", "bec", cfg, "--seed", "7", "--out", tmp_path / "s"]) == 0
+        fit = json.loads((tmp_path / "s/summary.json").read_text())["fit"]
+        assert type(fit["widened_ci"]) is bool
+        assert type(fit["unbounded"]) is bool
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "f.json"

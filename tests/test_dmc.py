@@ -24,6 +24,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             dmc.Dmc(np.array([[1.5, -0.5], [0.5, 0.5]]))
 
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                dmc.Dmc(np.array([[bad, 1.0], [0.5, 0.5]]))
+
     def test_alphabets_at_least_two(self):
         with pytest.raises(ValueError):
             dmc.Dmc(np.array([[1.0], [1.0]]))

@@ -259,6 +259,14 @@ class TestViterbiAlias:
 
 
 class TestTimesharing:
+    def test_inversion_value_pinned(self, bsc002):
+        # E0(1) is solved once per inversion and reused across the bisection;
+        # the value is the one the per-step recomputation gave
+        assert ex.bound_at_rate(bsc002, "timesharing", 0.3) == 0.17980898214036065
+        point = ex._timesharing_point(ex.e0_max(bsc002, 0.7)[0],
+                                      ex.e0_max(bsc002, 1.0)[0], 0.7)
+        assert point == ex.timesharing_exponent(bsc002, 0.7)
+
     def test_rho_one_halves_e0(self, bsc002):
         rate, e = ex.timesharing_exponent(bsc002, 1.0)
         assert e == pytest.approx(0.4462871026 / 2, abs=1e-9)

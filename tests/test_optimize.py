@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delaylab import dmc, optimize
+from delaylab import dmc, exponents as ex, optimize
 from delaylab.exponents import channel_capacity_fast, gallager_e0, sphere_packing
 
 
@@ -151,3 +151,151 @@ class TestMinimizeOverChannels:
     def test_dims_cap(self):
         with pytest.raises(ValueError):
             optimize.minimize_over_channels(lambda g: 0.0, lambda g: True, (5, 2))
+
+
+# seeded random channels from 2x2 to 4x4: dense and with zero entries,
+# including |X| > |Y|
+AGREEMENT_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 3), (4, 4)]
+AGREEMENT_RHOS = (1e-4, 0.05, 0.3, 1.0, 3.0, 12.0, 64.0)
+
+
+def _agreement_channels():
+    rng = np.random.default_rng(2024)
+    out = []
+    for nx, ny in AGREEMENT_SHAPES:
+        for sparse in (False, True):
+            rows = rng.dirichlet(np.full(ny, 0.7), size=nx)
+            if sparse:
+                rows[rng.random((nx, ny)) < 0.3] = 0.0
+                rows[np.arange(nx), rng.integers(ny, size=nx)] += 0.05
+                rows /= rows.sum(axis=1, keepdims=True)
+            out.append(dmc.Dmc(rows))
+    return out
+
+
+def _golden_e0_two_inputs(p, rho):
+    """Independent oracle for two inputs: a dense scan of E0(rho, (s, 1-s))
+    over s, then golden-section refinement around the best grid point."""
+    w = p.rows ** (1.0 / (1.0 + rho))
+
+    def e0(s):
+        return -math.log(float(((s * w[0] + (1.0 - s) * w[1]) ** (1.0 + rho)).sum()))
+
+    grid = np.linspace(0.0, 1.0, 2001)
+    i = int(np.argmax([e0(s) for s in grid]))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    while b - a > 1e-13:
+        x1, x2 = b - g * (b - a), a + g * (b - a)
+        if e0(x1) >= e0(x2):
+            b = x2
+        else:
+            a = x1
+    return max(e0(a), e0(b), e0(grid[i]))
+
+
+class TestMaximizeE0:
+    def test_agrees_with_simplex_search(self):
+        for p in _agreement_channels():
+            for rho in AGREEMENT_RHOS:
+                sol = optimize.maximize_e0(p.rows, rho)
+                assert sol.gap <= 1e-12, (p.rows.tolist(), rho, sol.gap)
+                assert sol.value == pytest.approx(gallager_e0(p, rho, sol.q), abs=1e-13)
+                try:
+                    _, seed_val = optimize.maximize_over_simplex(
+                        lambda q: gallager_e0(p, rho, q), p.input_size, tol=1e-12)
+                except dmc.ConvergenceError:
+                    continue
+                assert sol.value >= seed_val - 1e-12, (p.rows.tolist(), rho)
+                assert sol.value == pytest.approx(seed_val, abs=1e-10)
+                if p.input_size == 2:
+                    golden = _golden_e0_two_inputs(p, rho)
+                    assert sol.value >= golden - 1e-12, (p.rows.tolist(), rho)
+                    assert sol.value == pytest.approx(golden, abs=1e-10)
+
+    def test_certifies_where_the_simplex_search_cycles(self):
+        # the pairwise simplex search hits its cycle cap here at rho = 12
+        # and 64 (residuals 1.3e-9 and 4.1e-5)
+        p = dmc.Dmc([[0, .58, .42, 0], [.026, 0, 0, .974],
+                     [.67, 0, .33, 0], [0, .64, 0, .36]])
+        for rho in (12.0, 64.0):
+            sol = optimize.maximize_e0(p.rows, rho)
+            assert sol.gap <= 1e-12
+            val, q = ex.e0_max(p, rho)
+            assert val == gallager_e0(p, rho, q)
+            assert val >= sol.value - 1e-15
+
+    def test_gap_bounds_distance_to_maximum(self, z05, monkeypatch):
+        # with no iterations allowed the solver reports the certificate of
+        # the uniform input, which must bound its distance to the maximum
+        for p in [z05] + _agreement_channels()[::3]:
+            uniform = np.full(p.input_size, 1.0 / p.input_size)
+            for rho in (0.05, 3.0, 64.0):
+                best = optimize.maximize_e0(p.rows, rho).value
+                try:
+                    with monkeypatch.context() as m:
+                        m.setattr(optimize, "E0_MAX_ITER", 0)
+                        optimize.maximize_e0(p.rows, rho)
+                except dmc.ConvergenceError as err:
+                    gap = err.residual
+                else:
+                    gap = 1e-12  # the uniform input is already certified
+                assert best - gallager_e0(p, rho, uniform) <= gap + 1e-13
+
+    def test_roundoff_floor_on_many_outputs(self):
+        # with 9 outputs the roundoff floor max(8|Y|, 1+rho)(1+rho) eps
+        # passes 1e-12 at rho = 64; below it the tolerance stays 1e-12
+        rng = np.random.default_rng(9)
+        p = dmc.Dmc(rng.dirichlet(np.ones(9), size=2))
+        for rho, bound in ((12.0, 1e-12), (64.0, 72 * 65 * optimize.EPS)):
+            sol = optimize.maximize_e0(p.rows, rho)
+            assert sol.gap <= bound
+            assert sol.value >= _golden_e0_two_inputs(p, rho) - bound
+
+    def test_degenerate_channels(self):
+        # duplicate rows, a noiseless channel with repeated inputs, identical rows
+        cases = [([[0, 1], [0, 1], [0, 1], [1, 0]], math.log(2.0)),
+                 ([[0.3, 0.7], [0.3, 0.7]], 0.0)]
+        for rows, per_rho in cases:
+            for rho in (1e-4, 1.0, 64.0):
+                sol = optimize.maximize_e0(np.array(rows, float), rho)
+                assert sol.gap <= 1e-12
+                assert sol.value == pytest.approx(rho * per_rho, abs=1e-12)
+
+    def test_inputs_entering_from_zero_mass(self):
+        # at rho = 1e-4 input 1 is optimal with mass far below 1e-16 (output 1
+        # is reached by it alone); at rho = 0.3 input 3 re-enters the support
+        # with mass ~1e-5 after a Newton step has set it to zero
+        cases = [([[0, 0, 1], [.5271707410687287, .014953744283268513, .45787551464800264],
+                   [1, 0, 0], [0, 0, 1]], 1e-4),
+                 ([[0, .11384963333447726, .8861503666655227, 0],
+                   [0, .001764964635375549, .834000516495793, .16423451886883147],
+                   [0, 1, 0, 0],
+                   [.08042429940045788, .8603360509659732, .025029018337561423,
+                    .034210631296007606]], 0.3)]
+        for rows, rho in cases:
+            p = dmc.Dmc(rows)
+            sol = optimize.maximize_e0(p.rows, rho)
+            assert sol.gap <= 1e-12
+            _, seed_val = optimize.maximize_over_simplex(
+                lambda q: gallager_e0(p, rho, q), p.input_size, tol=1e-12)
+            assert sol.value >= seed_val - 1e-12
+            assert sol.value == pytest.approx(seed_val, abs=1e-10)
+
+    def test_arimoto_fallback_alone_converges(self, z05, monkeypatch):
+        # with every Newton step refused the solver runs Arimoto's monotone
+        # iteration only, which must reach the same certified maximum
+        asym3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
+        cases = [(z05, 0.3), (z05, 3.0), (asym3, 0.3)]
+        newton = [optimize.maximize_e0(p.rows, rho).value for p, rho in cases]
+        monkeypatch.setattr(optimize, "_e0_newton_direction", lambda st: None)
+        monkeypatch.setattr(optimize, "E0_MAX_ITER", 5000)
+        for (p, rho), expected in zip(cases, newton):
+            sol = optimize.maximize_e0(p.rows, rho)
+            assert sol.iterations > 20
+            assert sol.gap <= 1e-12
+            assert sol.value == pytest.approx(expected, abs=1e-12)
+
+    def test_rho_must_be_positive(self, z05):
+        with pytest.raises(ValueError):
+            optimize.maximize_e0(z05.rows, 0.0)
