@@ -34,8 +34,14 @@ cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=11)
 fifo = bl.simulate_fifo(cfg)
 parity = bl.simulate_causal_parity_nofeedback(cfg)
 
-same = np.array_equal(parity.extra["deficit"], fifo.series()["queue_len"])
-print(f"parity-code deficit equals FIFO queue pathwise: {same}")
+# the parity decoder frees its whole group exactly when the FIFO backlog
+# empties, so both backlogs vanish at the same instants
+empty_fifo = fifo.series()["queue_len"] == 0
+empty_parity = parity.series()["queue_len"] == 0
+print("parity backlog empties exactly when the FIFO queue does: "
+      f"{np.array_equal(empty_fifo, empty_parity)}")
+print("no bit decodes earlier without feedback: "
+      f"{bool(np.all(parity.decode_times >= fifo.decode_times))}")
 
 pi = bl.birth_death_stationary(0.4, kmax=8)
 samples = bl.stationary_queue_samples(fifo)

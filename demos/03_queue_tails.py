@@ -38,7 +38,8 @@ for label, svc, m in cases:
     top = max(3 * m, int(14 / max(bound, 0.1)))
     fit = qm.measured_tail_exponent(tr, range(m + 1, top, max(1, m // 2)))
     print(f"{label}")
-    print(f"    guaranteed {bound:.4f} nats/unit, measured {fit.slope:.4f}")
+    print(f"    guaranteed {bound:.4f} nats/unit, measured {fit.slope:.4f} "
+          f"(CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}])")
 
 print("\nno-slack edge: m = offset + 1 pushes the reduced rate to the "
       f"unit-capacity boundary -> bound = "

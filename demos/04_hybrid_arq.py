@@ -45,7 +45,8 @@ print(f"selected: n={prm.n}, c={prm.c}, l={prm.l}, k={prm.k}, "
 tr = ncl.simulate_ncl_bound_driven(prm, 400_000, seed=2)
 fit = tr.measure_exponent(ncl.default_delay_grid(prm, 6), min_misses=30)
 print(f"guaranteed exponent {ncl.queueing_exponent_bound(prm):.4f} nats/use, "
-      f"measured {fit.slope:.4f}  (the 0.44-at-0.37 operating point)")
+      f"measured {fit.slope:.4f} (CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}])  "
+      "(the 0.44-at-0.37 operating point)")
 
 print("\n=== two-stream split for channels with no error-free bits ===")
 split = ncl.two_stream_split(bsc, 0.2231435)

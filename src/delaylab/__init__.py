@@ -65,6 +65,7 @@ from .bec_lab import (
     simulate_causal_parity_nofeedback,
     birth_death_stationary,
     union_bound_exact,
+    fit_delay_exponent,
     measure_delay_exponent,
     miss_probability,
     queue_seen_by_arrivals,

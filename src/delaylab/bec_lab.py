@@ -13,6 +13,12 @@ Under this accounting the rate-1/2 FIFO queue embedded at arrival epochs is
 the birth-death chain with birth beta^2 and death (1-beta)^2, and the
 stationary probability of missing deadline d is (beta/(1-beta))^d exactly,
 matching the closed-form analysis.
+
+Both schemes run on one erasure pattern per seed, and the parity code is read
+off the FIFO run: its decoder frees a group exactly when the FIFO backlog
+empties.  Every measured exponent, here and in the queue and hybrid-ARQ
+modules, comes from ``fit_delay_exponent``: the slope of -ln P(delay > d)
+against d with a block-bootstrap confidence interval.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ class SimTrace:
     arrival_times: np.ndarray
     decode_times: np.ndarray
     meta: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
 
     @property
     def n_bits(self) -> int:
@@ -142,41 +147,24 @@ def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
 
     The encoder streams parities of everything it has seen; the decoder
     resolves the whole outstanding group at once as soon as it holds as many
-    unerased parities as there are undecoded symbols.  Simulated directly
-    from the per-use erasure pattern (the same one ``simulate_fifo`` consumes
-    for this seed), tracking the undecoded-symbol count and the parity
-    deficit; the deficit series is stored under ``extra["deficit"]``.
+    unerased parities as there are undecoded symbols.  On the erasure pattern
+    ``simulate_fifo`` consumes for this seed, that parity deficit is the FIFO
+    backlog, so a group resolves exactly when a FIFO busy period ends: bit i
+    closes one when bit i+1 arrives no earlier than bit i's FIFO decode time,
+    and every bit of the period decodes at the FIFO decode time of its last
+    bit.  The run is derived from the FIFO trace, not re-simulated.
     """
-    z = _erasure_pattern(cfg)
-    a = _arrival_times(cfg.rate_bits, cfg.horizon)
-    arrival_mark = np.zeros(cfg.horizon + 1, dtype=np.int32)
-    np.add.at(arrival_mark, a, 1)
-    dt = np.full(len(a), np.inf)
-    deficit = np.zeros(cfg.horizon + 1, dtype=np.int32)
-    undecoded = np.zeros(cfg.horizon + 1, dtype=np.int32)
-    u = 0        # symbols in the current ambiguous group
-    credit = 0   # unerased parities held against that group
-    g0 = 0       # index of the first undecoded bit
-    zl = z.tolist()
-    al = arrival_mark.tolist()
-    for t in range(1, cfg.horizon + 1):
-        if u - credit > 0 and zl[t]:
-            credit += 1
-            if credit == u:
-                dt[g0:g0 + u] = t  # the renewal frees the whole group
-                g0 += u
-                u = 0
-                credit = 0
-        u += al[t]
-        deficit[t] = u - credit
-        undecoded[t] = u
+    fifo = simulate_fifo(cfg)
+    a, d = fifo.arrival_times, fifo.decode_times
+    # the last bit closes the final (possibly unfinished) period
+    ends = np.flatnonzero(np.append(a[1:] >= d[:-1], True))
+    last = ends[np.searchsorted(ends, np.arange(len(a)))]
     return SimTrace(
         scheme="bec_parity_nofeedback",
         horizon=cfg.horizon,
         arrival_times=a,
-        decode_times=dt,
-        meta={"beta": cfg.beta, "rate_bits": cfg.rate_bits, "seed": cfg.seed},
-        extra={"deficit": deficit[1:], "undecoded_symbols": undecoded[1:]},
+        decode_times=d[last],
+        meta=fifo.meta,
     )
 
 
@@ -202,30 +190,6 @@ def birth_death_stationary(beta: float, kmax: int = 64) -> np.ndarray:
         raise ValueError("chain is positive recurrent only for beta < 1/2")
     x = (beta / (1.0 - beta)) ** 2
     return (1.0 - x) * x ** np.arange(kmax + 1)
-
-
-def birth_death_tail(beta: float, d: float) -> float:
-    """Stationary miss probability at delay d: (beta/(1-beta))^d."""
-    if not 0 < beta < 0.5:
-        raise ValueError("chain is positive recurrent only for beta < 1/2")
-    return (beta / (1.0 - beta)) ** d
-
-
-def birth_death_numeric(beta: float, kmax: int = 400, sweeps: int = 200_000,
-                        tol: float = 1e-14) -> np.ndarray:
-    """Stationary law by power iteration of the truncated chain (test oracle)."""
-    p_up, p_dn = beta**2, (1 - beta) ** 2
-    v = np.zeros(kmax + 1)
-    v[0] = 1.0
-    for _ in range(sweeps):
-        w = np.zeros_like(v)
-        w[0] = v[0] * (1 - p_up) + v[1] * p_dn
-        w[1:-1] = v[:-2] * p_up + v[1:-1] * (1 - p_up - p_dn) + v[2:] * p_dn
-        w[-1] = v[-1] * (1 - p_dn) + v[-2] * p_up
-        if np.abs(w - v).sum() < tol:
-            return w
-        v = w
-    return v
 
 
 def burn_in_steps(beta: float) -> int:
@@ -321,45 +285,46 @@ class DelayExponentFit:
     widened_ci: bool = False
 
 
-def measure_delay_exponent(traces, d_grid, min_misses: int = 100,
-                           n_boot: int = 200, seed: int = 0) -> DelayExponentFit:
-    """Regression estimate of the delay exponent from one or more traces.
+def _miss_counts(sorted_delays: np.ndarray, d) -> np.ndarray:
+    """Number of delays above each deadline in ``d``, by binary search."""
+    return len(sorted_delays) - np.searchsorted(sorted_delays, d, side="right")
 
-    Keeps grid points with at least ``min_misses`` misses (flagging a widened
-    confidence interval when fewer than 3 survive), and bootstraps over
-    contiguous bit blocks to get a CI that respects the serial correlation.
-    With no misses anywhere the exponent is unbounded by the data.
+
+def _slope(d: np.ndarray, p: np.ndarray) -> float:
+    """Least-squares slope of -ln p against d."""
+    a = np.vstack([d, np.ones_like(d)]).T
+    sol, *_ = np.linalg.lstsq(a, -np.log(p), rcond=None)
+    return sol[0]
+
+
+def fit_delay_exponent(delays, d_grid, min_misses: int, n_boot: int = 200,
+                       seed: int = 0) -> DelayExponentFit:
+    """Delay exponent of a sample of delays: the slope of -ln P(delay > d).
+
+    Keeps the deadlines with at least ``min_misses`` misses, flagging a
+    widened confidence interval when fewer than 3 survive, and falls back to
+    every deadline with a miss when fewer than 2 do.  The CI bootstraps over
+    contiguous blocks of the sample, in its given order, to respect the
+    serial correlation of nearby delays.  Infinite delays miss every
+    deadline.  With no misses anywhere the exponent is unbounded by the data;
+    with misses at a single deadline it is undetermined (slope and CI NaN).
     """
-    if isinstance(traces, SimTrace):
-        traces = [traces]
+    delays = np.asarray(delays)
     d_grid = np.asarray(sorted(d_grid), dtype=float)
-    chunks = []
-    for t in traces:
-        burn = burn_in_steps(t.meta["beta"]) if "beta" in t.meta else 0
-        start = int(np.searchsorted(t.arrival_times, burn))
-        # censor bits whose largest deadline lies beyond the horizon
-        stop = int(np.searchsorted(t.arrival_times, t.horizon - d_grid[-1],
-                                   side="right"))
-        chunks.append(t.delays()[start:stop])
-    delays = np.concatenate(chunks)  # inf delays (undecoded) miss every d
-    counts = np.array([(delays > d).sum() for d in d_grid])
+    counts = _miss_counts(np.sort(delays), d_grid)
     probs = counts / len(delays)
     if counts.sum() == 0:
         return DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
                                 counts, unbounded=True)
     keep = counts >= min_misses
-    widened = keep.sum() < 3
+    widened = bool(keep.sum() < 3)
     if keep.sum() < 2:
         keep = counts > 0
     dd, pp = d_grid[keep], probs[keep]
-
-    def fit(dv, pv):
-        y = -np.log(pv)
-        a = np.vstack([dv, np.ones_like(dv)]).T
-        sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-        return sol[0]
-
-    slope = fit(dd, pp)
+    if len(dd) < 2:
+        return DelayExponentFit(math.nan, math.nan, math.nan, dd, pp,
+                                counts[keep], widened_ci=True)
+    slope = _slope(dd, pp)
     rng = substream(seed, 999)
     block = max(1000, len(delays) // 200)
     n_blocks = len(delays) // block
@@ -367,11 +332,11 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100,
     # per-block miss counts once, then bootstrapping is just index sums
     block_counts = np.stack([(trimmed > d).sum(axis=1) for d in dd], axis=1)
     boots = []
-    for _ in range(n_boot):
+    for _ in range(n_boot if n_blocks else 0):
         picks = rng.integers(0, n_blocks, n_blocks)
         pv = block_counts[picks].sum(axis=0) / (n_blocks * block)
         if np.all(pv > 0):
-            boots.append(fit(dd, pv))
+            boots.append(_slope(dd, pv))
     if boots:
         lo, hi = np.percentile(boots, [2.5, 97.5])
     else:
@@ -379,3 +344,23 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100,
         widened = True
     return DelayExponentFit(float(slope), float(lo), float(hi), dd, pp,
                             counts[keep], widened_ci=widened)
+
+
+def measure_delay_exponent(traces, d_grid, min_misses: int = 100,
+                           n_boot: int = 200, seed: int = 0) -> DelayExponentFit:
+    """``fit_delay_exponent`` over the steady-state delays of one or more traces.
+
+    Each trace drops its burn-in prefix and censors the bits whose largest
+    deadline lies beyond its horizon; the remaining delays are pooled.
+    """
+    if isinstance(traces, SimTrace):
+        traces = [traces]
+    d_max = float(max(d_grid))
+    chunks = []
+    for t in traces:
+        burn = burn_in_steps(t.meta["beta"]) if "beta" in t.meta else 0
+        start = int(np.searchsorted(t.arrival_times, burn))
+        stop = int(np.searchsorted(t.arrival_times, t.horizon - d_max, side="right"))
+        chunks.append(t.delays()[start:stop])
+    return fit_delay_exponent(np.concatenate(chunks), d_grid, min_misses,
+                              n_boot, seed)

@@ -226,12 +226,15 @@ def _summary_json(path: Path, payload: dict) -> None:
                                default=float) + "\n")
 
 
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if math.isfinite(x) else None
+
+
 def _fit_payload(fit: bec_lab.DelayExponentFit) -> dict:
     return {
-        "exponent": None if math.isinf(fit.slope) else fit.slope,
+        "exponent": _finite_or_none(fit.slope),
         "unbounded": bool(fit.unbounded),
-        "ci": [None if math.isnan(fit.ci_low) else fit.ci_low,
-               None if math.isnan(fit.ci_high) else fit.ci_high],
+        "ci": [_finite_or_none(fit.ci_low), _finite_or_none(fit.ci_high)],
         "widened_ci": bool(fit.widened_ci),
         "d_grid": [float(d) for d in fit.d_values],
         "miss_probs": [float(p) for p in fit.miss_probs],
@@ -293,14 +296,9 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
 
     traces = _run_trials(one, trials)
     delays = np.concatenate([tr.delays()[100:] for tr in traces])
-    counts = np.array([(delays > d).sum() for d in d_grid])
-    probs = counts / len(delays)
-    keep = counts >= 10
-    if keep.sum() >= 2:
-        sol = np.polyfit(np.asarray(d_grid, float)[keep], -np.log(probs[keep]), 1)
-        slope = float(sol[0])
-    else:
-        slope = math.inf
+    fit = bec_lab.fit_delay_exponent(delays, d_grid, min_misses=50)
+    # the summary reports every deadline, not only the fitted ones
+    counts = bec_lab._miss_counts(np.sort(delays), np.asarray(d_grid, float))
     bound = (queue_model.tail_exponent_bound(m, svc)
              if m > svc.offset else None)
     rows = [list(zip(tr.arrival_times.tolist(), tr.completion_times.tolist(),
@@ -309,17 +307,21 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
                      ["trial", "arrival", "completion", "service"], rows)
     return {
         "sim": "queue",
-        "fit": {"exponent": None if math.isinf(slope) else slope,
+        "fit": {"exponent": _finite_or_none(fit.slope),
                 "d_grid": list(map(float, d_grid)),
-                "miss_probs": probs.tolist(), "miss_counts": counts.tolist()},
+                "miss_probs": (counts / len(delays)).tolist(),
+                "miss_counts": counts.tolist()},
         "tail_exponent_bound": bound,
     }
 
 
 def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
     mode = config.get("mode", "bound_driven")
-    channel = Dmc(np.array(config["channel"]["matrix"]),
-                  name=config["channel"].get("name", "channel"))
+    try:
+        channel = Dmc(np.array(config["channel"]["matrix"]),
+                      name=config["channel"].get("name", "channel"))
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, f"bad channel: {exc}")
     rate = float(config["rate"])
     k = int(config.get("k", 10))
     try:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dmc import (
     LN2,
+    ConvergenceError,
     Dmc,
     c1 as _c1,
     capacity,
@@ -148,8 +149,11 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
                    rho_max: float = RHO_MAX) -> float:
     """Sphere-packing exponent sup_{rho >= 0} [E0(rho) - rho R], in nats.
 
-    Returns +inf when the supremum diverges, which happens exactly for rates
-    below the zero-error feedback capacity.
+    Returns +inf exactly for rates below the zero-error feedback capacity,
+    where the supremum diverges.  Above it the maximizer can still lie far
+    beyond ``rho_max`` (at low rates), so the bracket grows fourfold while
+    the objective is still climbing at its edge; past 1e8 that raises
+    ``ConvergenceError`` with the climb over the bracket's last tenth.
     """
     if r < 0:
         raise ValueError("rate must be nonnegative")
@@ -160,11 +164,16 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     def bracket(rho):
         return e0_max(p, rho, fortify_k)[0] - rho * r
 
-    res = maximize_concave_1d(bracket, 0.0, rho_max, tol=1e-9)
-    # diverging supremum: still climbing at the edge of the rho range
-    if res.argmax > 0.98 * rho_max and bracket(rho_max) > bracket(0.9 * rho_max):
-        return math.inf
-    return max(0.0, res.value)
+    lo, hi = 0.0, rho_max
+    while True:
+        res = maximize_concave_1d(bracket, lo, hi, tol=1e-9)
+        if res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
+            return max(0.0, res.value)
+        if hi >= 1e8:
+            raise ConvergenceError("sphere-packing maximizer beyond rho = 1e8",
+                                   bracket(hi) - bracket(0.9 * hi))
+        # concavity puts the maximizer beyond 0.9 hi
+        lo, hi = 0.9 * hi, 4.0 * hi
 
 
 def random_coding_list(p: Dmc, r: float, list_size: int = 1,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bec_lab import DelayExponentFit, substream
+from .bec_lab import (DelayExponentFit, _miss_counts, _slope, fit_delay_exponent,
+                      substream)
 from .dmc import LN2, Dmc
 from .exponents import _timesharing_point, bec_focusing_exponent_bits, e0_max
 from .queue_model import QueueConfig, ServiceTimeModel, simulate_point_queue
@@ -144,22 +145,8 @@ class NclTrace:
         return float((delays > d).mean())
 
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
-        delays = self.end_to_end()[10:]
-        d_grid = np.asarray(sorted(d_grid), dtype=float)
-        counts = np.array([(delays > d).sum() for d in d_grid])
-        probs = counts / len(delays)
-        if counts.sum() == 0:
-            return DelayExponentFit(math.inf, math.inf, math.inf, d_grid,
-                                    probs, counts, unbounded=True)
-        keep = counts >= min_misses
-        if keep.sum() < 2:
-            keep = counts > 0
-        y = -np.log(probs[keep])
-        a = np.vstack([d_grid[keep], np.ones(int(keep.sum()))]).T
-        sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-        return DelayExponentFit(float(sol[0]), math.nan, math.nan,
-                                d_grid[keep], probs[keep], counts[keep],
-                                widened_ci=bool(keep.sum() < 3))
+        """Delay exponent of the end-to-end delays after the first 10 blocks."""
+        return fit_delay_exponent(self.end_to_end()[10:], d_grid, min_misses)
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
@@ -387,7 +374,7 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     rho_sim = lo  # largest rho that leaves a rate_margin of slack
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
-    msg_delays = trace.end_to_end()[10:]
+    msg_delays = np.sort(trace.end_to_end()[10:])
     if d_grid is None:
         base = params.block_period / (1.0 - psi)
         d_grid = np.linspace(2 * base, 10 * base, 9)
@@ -397,16 +384,14 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     probs = []
     for d in d_grid:
         df = np.arange(0.0, d + step, step)
-        p_m = np.array([(msg_delays > (d - f) * (1.0 - psi)).mean() for f in df])
+        p_m = _miss_counts(msg_delays, (d - df) * (1.0 - psi)) / len(msg_delays)
         p_f = np.exp(-df * punc_exp)
         probs.append(min(1.0, float(np.sum(p_m * p_f))))
     probs = np.array(probs)
     keep = probs > 0
-    y = -np.log(probs[keep])
-    a = np.vstack([d_grid[keep], np.ones(int(keep.sum()))]).T
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    fit = DelayExponentFit(float(sol[0]), math.nan, math.nan, d_grid[keep],
-                           probs[keep], (probs[keep] * len(msg_delays)).astype(int))
+    fit = DelayExponentFit(float(_slope(d_grid[keep], probs[keep])), math.nan, math.nan,
+                           d_grid[keep], probs[keep],
+                           (probs[keep] * len(msg_delays)).astype(int))
     details = {"params": params, "rho_sim": rho_sim, "rate_margin": rate_margin,
                "punctuation_exponent": punc_exp}
     return fit, details

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bec_lab import DelayExponentFit, substream
+from .bec_lab import DelayExponentFit, fit_delay_exponent, substream
 from .dmc import LN2
 from .exponents import bec_focusing_exponent_bits
 
@@ -158,29 +158,9 @@ def tail_exponent_bound(m: int, svc: ServiceTimeModel) -> float:
     return bec_focusing_exponent_bits(svc.tail_beta, r2) * LN2
 
 
-def delay_tail(trace: QueueTrace, d_values, discard: int = 100) -> np.ndarray:
-    delays = trace.delays()[discard:]
-    return np.array([(delays > d).mean() for d in d_values])
-
-
 def measured_tail_exponent(trace: QueueTrace, d_grid, min_misses: int = 50) -> DelayExponentFit:
-    """Least-squares slope of -ln P(delay > d) over the grid (nats/time unit)."""
-    delays = trace.delays()[100:]
-    d_grid = np.asarray(sorted(d_grid), dtype=float)
-    counts = np.array([(delays > d).sum() for d in d_grid])
-    probs = counts / len(delays)
-    if counts.sum() == 0:
-        return DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
-                                counts, unbounded=True)
-    keep = counts >= min_misses
-    if keep.sum() < 2:
-        keep = counts > 0
-    y = -np.log(probs[keep])
-    a = np.vstack([d_grid[keep], np.ones(keep.sum())]).T
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return DelayExponentFit(float(sol[0]), math.nan, math.nan, d_grid[keep],
-                            probs[keep], counts[keep],
-                            widened_ci=bool(keep.sum() < 3))
+    """Delay-tail exponent (nats per time unit) after the first 100 messages."""
+    return fit_delay_exponent(trace.delays()[100:], d_grid, min_misses)
 
 
 @dataclass

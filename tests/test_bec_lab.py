@@ -1,10 +1,70 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaylab import bec_lab as bl
 from delaylab.dmc import LN2
+
+
+def birth_death_tail(beta: float, d: float) -> float:
+    """Stationary miss probability of the rate-1/2 queue at delay d."""
+    return (beta / (1.0 - beta)) ** d
+
+
+def birth_death_numeric(beta: float, kmax: int = 400, sweeps: int = 200_000,
+                        tol: float = 1e-14) -> np.ndarray:
+    """Stationary law by power iteration of the truncated chain."""
+    p_up, p_dn = beta**2, (1 - beta) ** 2
+    v = np.zeros(kmax + 1)
+    v[0] = 1.0
+    for _ in range(sweeps):
+        w = np.zeros_like(v)
+        w[0] = v[0] * (1 - p_up) + v[1] * p_dn
+        w[1:-1] = v[:-2] * p_up + v[1:-1] * (1 - p_up - p_dn) + v[2:] * p_dn
+        w[-1] = v[-1] * (1 - p_dn) + v[-2] * p_up
+        if np.abs(w - v).sum() < tol:
+            return w
+        v = w
+    return v
+
+
+def parity_loop(cfg: bl.BecConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The causal parity decoder one channel use at a time.
+
+    Returns the decode times and the parity deficit (undecoded symbols minus
+    unerased parities held against them) after each use.
+    """
+    z = bl._erasure_pattern(cfg)
+    a = bl._arrival_times(cfg.rate_bits, cfg.horizon)
+    arrival_mark = np.zeros(cfg.horizon + 1, dtype=np.int32)
+    np.add.at(arrival_mark, a, 1)
+    dt = np.full(len(a), np.inf)
+    deficit = np.zeros(cfg.horizon + 1, dtype=np.int32)
+    u = 0        # symbols in the current ambiguous group
+    credit = 0   # unerased parities held against that group
+    g0 = 0       # index of the first undecoded bit
+    zl = z.tolist()
+    al = arrival_mark.tolist()
+    for t in range(1, cfg.horizon + 1):
+        if u - credit > 0 and zl[t]:
+            credit += 1
+            if credit == u:
+                dt[g0:g0 + u] = t  # the renewal frees the whole group
+                g0 += u
+                u = 0
+                credit = 0
+        u += al[t]
+        deficit[t] = u - credit
+    return dt, deficit[1:]
+
+
+def quiet_config(beta: float, rate_bits: float, horizon: int, seed: int) -> bl.BecConfig:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rates at or above capacity are legal here
+        return bl.BecConfig(beta, rate_bits, horizon, seed)
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +173,11 @@ class TestBirthDeath:
             pi = bl.birth_death_stationary(beta, kmax=400)
             for d in (4, 8, 12):
                 assert pi[d // 2:].sum() == pytest.approx(
-                    bl.birth_death_tail(beta, d), rel=1e-10)
+                    birth_death_tail(beta, d), rel=1e-10)
 
     def test_matches_power_iteration(self):
         pi = bl.birth_death_stationary(0.4, kmax=60)
-        num = bl.birth_death_numeric(0.4, kmax=400)
+        num = birth_death_numeric(0.4, kmax=400)
         assert np.allclose(pi[:20], num[:20], atol=1e-10)
 
     def test_transient_chain_rejected(self):
@@ -130,14 +190,39 @@ class TestParityCode:
         cfg = bl.BecConfig(beta=1e-12, rate_bits=0.5, horizon=20_000, seed=2)
         tr = bl.simulate_causal_parity_nofeedback(cfg)
         assert np.all(tr.delays() == 1)
-        assert tr.extra["undecoded_symbols"].max() <= 1
+        assert tr.series()["queue_len"].max() <= 1
 
     def test_deficit_equals_fifo_queue_pathwise(self):
         cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=500_000, seed=23)
+        dt, deficit = parity_loop(cfg)
         fifo = bl.simulate_fifo(cfg)
         parity = bl.simulate_causal_parity_nofeedback(cfg)
-        assert np.array_equal(parity.extra["deficit"],
-                              fifo.series()["queue_len"])
+        assert np.array_equal(parity.decode_times, dt)
+        assert np.array_equal(deficit, fifo.series()["queue_len"])
+
+    @pytest.mark.parametrize("beta,rate_bits", [(0.4, 0.5), (0.3, 0.6), (0.2, 0.37),
+                                                (0.4, 0.75)])
+    @pytest.mark.parametrize("horizon", [2, 3, 17, 1000, 200_003])
+    def test_matches_loop_oracle(self, beta, rate_bits, horizon):
+        cfg = quiet_config(beta, rate_bits, horizon, seed=23)
+        dt, deficit = parity_loop(cfg)
+        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        assert np.array_equal(parity.decode_times, dt)
+        # the parity deficit is the FIFO backlog, pathwise
+        assert np.array_equal(deficit, bl.simulate_fifo(cfg).series()["queue_len"])
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(beta=st.floats(0.02, 0.95), rate_bits=st.floats(0.05, 1.5),
+           horizon=st.integers(2, 3000), seed=st.integers(0, 2**31 - 1))
+    def test_parity_fifo_identity(self, beta, rate_bits, horizon, seed):
+        # rates up to 1.5 bits per use run well above capacity 1 - beta
+        cfg = quiet_config(beta, rate_bits, horizon, seed)
+        dt, deficit = parity_loop(cfg)
+        fifo = bl.simulate_fifo(cfg)
+        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        assert np.array_equal(parity.decode_times, dt)
+        assert np.array_equal(deficit, fifo.series()["queue_len"])
+        assert np.array_equal(parity.arrival_times, fifo.arrival_times)
 
     def test_feedback_free_miss_rate_worse(self):
         cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=29)
@@ -198,3 +283,35 @@ class TestDelayExponent:
         fit = bl.measure_delay_exponent(bl.simulate_fifo(cfg), [5, 10, 15])
         assert fit.unbounded
         assert fit.slope == math.inf
+
+
+class TestFitDelayExponent:
+    def test_sorted_counts_match_naive(self):
+        rng = np.random.default_rng(3)
+        delays = rng.geometric(0.3, 5_000).astype(float)
+        delays[rng.random(5_000) < 0.01] = np.inf
+        grid = np.array([0.0, 1.0, 2.5, 3.0, 7.0, 40.0, 1e9, np.inf])
+        counts = bl._miss_counts(np.sort(delays), grid)
+        assert counts.tolist() == [int((delays > d).sum()) for d in grid]
+
+    def test_single_deadline_with_misses_is_undetermined(self):
+        fifo = bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 200_000, 1))
+        fit = bl.measure_delay_exponent(fifo, [20, 28, 33, 43])
+        assert len(fit.d_values) == 1
+        assert math.isnan(fit.slope)
+        assert math.isnan(fit.ci_low) and math.isnan(fit.ci_high)
+        assert fit.widened_ci is True
+        assert not fit.unbounded
+
+    def test_flags_are_python_bools(self, fifo_run):
+        for grid in ([10, 12], range(10, 41, 2)):
+            fit = bl.measure_delay_exponent(fifo_run, grid)
+            assert type(fit.widened_ci) is bool
+            assert type(fit.unbounded) is bool
+        assert bl.measure_delay_exponent(fifo_run, [10, 12]).widened_ci is True
+
+    def test_sample_too_short_to_bootstrap(self):
+        delays = np.arange(1, 500) % 7
+        fit = bl.fit_delay_exponent(delays, [1, 2, 3], min_misses=10)
+        assert math.isfinite(fit.slope)
+        assert math.isnan(fit.ci_low) and fit.widened_ci is True

@@ -196,6 +196,48 @@ class TestSim:
         s = json.loads((tmp_path / "n/summary.json").read_text())
         assert s["committed_errors"] == 0
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # an exact-tiny run whose misses all fall below the grid has an
+        # unbounded fit; its exponent and CI are written as null
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({
+            "mode": "exact_tiny",
+            "channel": {"matrix": [[0.98, 0.02], [0.02, 0.98]]},
+            "rate": math.log(8) / 12, "rho": 1.0, "k": 3,
+            "n": 2, "c": 2, "l": 1, "n_messages": 8,
+            "horizon_blocks": 6000}))
+        assert run(["sim", "ncl", cfg, "--seed", "5", "--out", tmp_path / "n"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "n/summary.json").read_text()
+        fit = json.loads(text, parse_constant=reject)["fit"]
+        assert fit["unbounded"] is True
+        assert fit["exponent"] is None
+        assert fit["ci"] == [None, None]
+
+    def test_ncl_bad_channel_exit2(self, tmp_path, capsys):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({
+            "mode": "bound_driven", "channel": {"matrix": [[0.7, 0.2], [0.5, 0.5]]},
+            "rate": 0.2, "horizon_blocks": 1000}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_PARSE
+        assert "sum to 1" in capsys.readouterr().err
+
+    def test_queue_fit_reports_every_deadline(self, tmp_path):
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({
+            "service": {"kind": "offset_geometric", "offset": 2, "beta": 0.25},
+            "arrival_period": 5, "horizon": 100_000,
+            "d_grid": [15, 6, 9, 12, 18]}))
+        assert run(["sim", "queue", cfg, "--out", tmp_path / "q"]) == 0
+        fit = json.loads((tmp_path / "q/summary.json").read_text())["fit"]
+        assert set(fit) == {"exponent", "d_grid", "miss_probs", "miss_counts"}
+        assert fit["d_grid"] == [15.0, 6.0, 9.0, 12.0, 18.0]
+        counts = fit["miss_counts"]
+        assert counts[1] >= counts[2] >= counts[3] >= counts[0] >= counts[4]
+
     def test_bad_config_exit2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

@@ -20,6 +20,20 @@ def bec_esp(beta, rate_bits):
     return a * math.log(a / b) + (1 - a) * math.log((1 - a) / (1 - b))
 
 
+def bsc_esp(p, r):
+    """BSC sphere packing: D(delta || p) with delta in [p, 1/2] solving
+    h(delta) = ln2 - R, all in nats (bisection on the increasing entropy)."""
+    lo, hi = p, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if -mid * math.log(mid) - (1 - mid) * math.log(1 - mid) < LN2 - r:
+            lo = mid
+        else:
+            hi = mid
+    d = 0.5 * (lo + hi)
+    return d * math.log(d / p) + (1 - d) * math.log((1 - d) / (1 - p))
+
+
 def z_haroutunian_oracle(rate):
     """Independent construction for the Z(0.5) mimicking channel: the row for
     input 0 is pinned by absolute continuity, so G = Z(b) and the bound is
@@ -97,6 +111,26 @@ class TestSpherePacking:
 
     def test_zero_error_channel_infinite(self):
         assert ex.sphere_packing(dmc.identity_channel(2), 0.3) == math.inf
+
+    @pytest.mark.parametrize("p,r", [(0.02, 1e-4), (0.003, 1e-4), (0.02, 1e-7),
+                                     (0.02, 0.05), (0.02, 0.3)])
+    def test_bsc_matches_closed_form(self, p, r):
+        # at the low rates the maximizing rho lies beyond 64
+        assert ex.sphere_packing(dmc.bsc(p), r) == pytest.approx(bsc_esp(p, r), abs=1e-9)
+
+    def test_fortified_just_above_zero_error_capacity(self, bsc002):
+        # R - C_0,f = 3.4e-4 nats: finite, the plain bound at the shifted rate
+        r = 0.014201
+        assert ex.sphere_packing(bsc002, r, fortify_k=50) == pytest.approx(
+            bsc_esp(0.02, r - LN2 / 50), abs=1e-9)
+
+    def test_missed_divergence_raises(self, bsc002, monkeypatch):
+        # below C_0,f = ln2/50 the objective climbs linearly forever; with the
+        # C_0,f test fooled, the search must fail loudly instead of guessing
+        monkeypatch.setattr(ex, "zero_error_feedback_capacity", lambda p, k: 0.0)
+        with pytest.raises(dmc.ConvergenceError) as err:
+            ex.sphere_packing(bsc002, 0.005, fortify_k=50)
+        assert err.value.residual > 0
 
 
 class TestRandomCodingList:

@@ -126,6 +126,13 @@ class TestBoundDriven:
         fit = tr.measure_exponent(ncl.default_delay_grid(prm, 5), min_misses=20)
         assert abs(fit.slope - prm.e0) <= 0.15 * prm.e0
 
+    def test_fit_carries_finite_ci(self, bsc002):
+        prm = ncl.select_params(bsc002, rate=0.2, delta=0.05, k=10, rho=1.0)
+        tr = ncl.simulate_ncl_bound_driven(prm, 200_000, seed=4)
+        fit = tr.measure_exponent(ncl.default_delay_grid(prm), min_misses=30)
+        assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
+        assert fit.ci_low <= fit.slope <= fit.ci_high
+
     def test_fig12_anchor_rate_037(self, bsc002):
         # an achievable fixed-delay exponent of at least 0.9 * 0.44 at 0.37 nats
         prm = ncl.select_params(bsc002, rate=0.37, delta=0.05, k=10, rho=1.0)

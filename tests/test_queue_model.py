@@ -90,6 +90,24 @@ class TestSimulation:
         assert abs(fit.slope - math.log(1.5)) <= 0.1 * math.log(1.5)
 
 
+class TestMeasuredExponent:
+    def test_fit_carries_finite_ci(self):
+        svc = qm.offset_geometric_service(2, 0.25)
+        tr = qm.simulate_point_queue(qm.QueueConfig(5, 400_000, seed=3), svc)
+        fit = qm.measured_tail_exponent(tr, [6, 9, 12, 15, 18])
+        assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
+        assert fit.ci_low <= fit.slope <= fit.ci_high
+        assert type(fit.widened_ci) is bool
+
+    def test_single_deadline_with_misses_is_undetermined(self):
+        svc = qm.offset_geometric_service(2, 0.25)
+        tr = qm.simulate_point_queue(qm.QueueConfig(5, 2_000, seed=0), svc)
+        fit = qm.measured_tail_exponent(tr, [6, 9, 12, 15, 18])
+        assert fit.d_values.tolist() == [6.0]
+        assert math.isnan(fit.slope) and math.isnan(fit.ci_high)
+        assert fit.widened_ci is True
+
+
 class TestTailExponentBound:
     def test_reduces_to_half_rate_erasure_case(self):
         assert qm.tail_exponent_bound(2, qm.geometric_service(0.4)) == pytest.approx(
