@@ -32,6 +32,7 @@ from .dmc import (
 from .optimize import maximize_concave_1d, maximize_e0, minimize_over_channels
 
 RHO_MAX = 64.0
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 _symmetry_cache: dict[str, bool | None] = {}
 _capacity_cache: dict[str, tuple[float, np.ndarray]] = {}
@@ -61,7 +62,11 @@ def _fortification_rate(fortify_k) -> float:
 
 
 def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
-    """Gallager function E0(rho, q) = -ln sum_y (sum_x q_x p(y|x)^{1/(1+rho)})^{1+rho}."""
+    """Gallager function E0(rho, q) = -ln sum_y (sum_x q_x p(y|x)^{1/(1+rho)})^{1+rho}.
+
+    When the outer sum underflows (large rho on rows that share no output),
+    it is summed in the log domain, scaled by the largest inner term.
+    """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     q = validate_distribution(q, p.input_size)
@@ -69,7 +74,13 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
         base = 0.0
     else:
         inner = (q[:, None] * p.rows ** (1.0 / (1.0 + rho))).sum(axis=0)
-        base = -math.log(float((inner ** (1.0 + rho)).sum()))
+        total = float((inner ** (1.0 + rho)).sum())
+        if total >= _TINY:
+            base = -math.log(total)
+        else:
+            top = float(inner.max())
+            base = -(1.0 + rho) * math.log(top) - math.log(
+                float(((inner / top) ** (1.0 + rho)).sum()))
     return base + rho * _fortification_rate(fortify_k)
 
 
@@ -199,66 +210,113 @@ def _info_binary_rows(row0: list, row1: list, s: float) -> float:
     total = 0.0
     t = 1.0 - s
     for a, b in zip(row0, row1):
-        o = s * a + t * b
-        if s > 0.0 and a > 0.0:
-            total += s * a * log(a / o)
-        if t > 0.0 and b > 0.0:
-            total += t * b * log(b / o)
+        sa, tb = s * a, t * b
+        o = sa + tb
+        if o < _TINY:  # a / o could overflow; split the logarithm
+            log_o = log(o) if o > 0.0 else 0.0
+            if sa > 0.0:
+                total += sa * (log(a) - log_o)
+            if tb > 0.0:
+                total += tb * (log(b) - log_o)
+            continue
+        if sa > 0.0:
+            total += sa * log(a / o)
+        if tb > 0.0:
+            total += tb * log(b / o)
     return total
 
 
-_GOLD = 0.6180339887498949
+def _info_slope(row0: list, row1: list, s: float) -> tuple[float, float]:
+    """(I'(s), I''(s)) of ``_info_binary_rows``: D(row0 || o) - D(row1 || o)
+    and -sum_y (a - b)^2 / o with o = s row0 + (1-s) row1.  At an end where
+    o vanishes on an output only one row reaches, I' is +-inf."""
+    log = math.log
+    slope = curv = 0.0
+    t = 1.0 - s
+    for a, b in zip(row0, row1):
+        o = s * a + t * b
+        if o <= 0.0:
+            if a != b:
+                return (math.inf if a > b else -math.inf), -math.inf
+            continue
+        log_o = log(o)
+        if a > 0.0:
+            slope += a * (log(a) - log_o)
+        if b > 0.0:
+            slope -= b * (log(b) - log_o)
+        curv -= (a - b) ** 2 / o
+    return slope, curv
 
 
-def _capacity_binary(rows, xtol: float = 1e-9) -> float:
-    """Golden-section capacity of a two-input channel (I is concave in s)."""
-    row0, row1 = rows[0].tolist(), rows[1].tolist()
-    a, b = 0.0, 1.0
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1 = _info_binary_rows(row0, row1, x1)
-    f2 = _info_binary_rows(row0, row1, x2)
-    while b - a > xtol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = _info_binary_rows(row0, row1, x1)
+def _max_info_binary(row0: list, row1: list, lo: float, hi: float) -> float:
+    """max of the concave I((s, 1-s), rows) over lo <= s <= hi, for a
+    two-input channel.
+
+    An end where I' already points out of the interval is the maximizer.
+    Otherwise I' changes sign inside, and safeguarded Newton steps on I'
+    shrink the bracket around its root: a step that leaves the bracket, or
+    is longer than half the previous step, is replaced by bisection.
+    Stops once a step is at most 1e-15 (I is flat to second order there);
+    raises ``ConvergenceError`` with the bracket width after 200 steps.
+    """
+    if _info_slope(row0, row1, lo)[0] <= 0.0:
+        return _info_binary_rows(row0, row1, lo)
+    if _info_slope(row0, row1, hi)[0] >= 0.0:
+        return _info_binary_rows(row0, row1, hi)
+    s = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    for _ in range(200):
+        slope, curv = _info_slope(row0, row1, s)
+        if slope == 0.0:
+            break
+        if slope > 0.0:
+            lo = s
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = _info_binary_rows(row0, row1, x2)
-    return max(f1, f2)
+            hi = s
+        step_old, step = step, (-slope / curv if curv < 0.0 else math.inf)
+        if not (lo < s + step < hi and abs(2.0 * step) <= abs(step_old)):
+            step = 0.5 * (lo + hi) - s
+        s += step
+        if abs(step) <= 1e-15:
+            break
+    else:
+        raise ConvergenceError("two-input mutual information search did not converge",
+                               hi - lo)
+    return _info_binary_rows(row0, row1, s)
 
 
 def channel_capacity_fast(g: Dmc) -> float:
     """Capacity of a small channel, tuned for the inner loop of channel searches.
 
-    Two-input channels use a certified golden-section search on the concave
-    scalar mutual information; larger alphabets fall back to the certified
+    Two-input channels maximize the concave scalar mutual information over
+    s in [0, 1] with ``_max_info_binary``'s safeguarded Newton iteration on
+    I'(s); larger alphabets fall back to the certified
     alternating-maximization iteration.
     """
     if g.input_size == 2:
-        return _capacity_binary(g.rows)
+        return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
     return capacity(g, tol=1e-9)[0]
 
 
-def _max_info_over_superlevel(p: Dmc, g: Dmc, r: float) -> float:
-    """max { I(q, G) : I(q, P) >= r }; -inf when the superlevel set is empty.
+def _superlevel_interval(p: Dmc, r: float):
+    """The superlevel set {q : I(q, P) >= r} that the tilde search maximizes
+    I(q, G) over; it depends on P and r only, so a search solves it once.
 
-    Exact for two-input channels (the superlevel set of the concave I(., P)
-    is an interval found by bisection); larger alphabets use a seeded sample
-    of the simplex with local pairwise refinement.
+    Two inputs: I((s, 1-s), P) is concave in s, so the set is an interval
+    [s_lo, s_hi], returned as a pair, with ends found by bisection from the
+    maximizer; None when the set is empty.  More inputs: the rows of a seeded
+    sample of 512 Dirichlet(1) points of the simplex that lie in the set (an
+    array with no rows when none does).
     """
-    if g.input_size == 2:
+    if p.input_size == 2:
         prow0, prow1 = p.rows[0].tolist(), p.rows[1].tolist()
-        grow0, grow1 = g.rows[0].tolist(), g.rows[1].tolist()
 
         def info_p(s):
             return _info_binary_rows(prow0, prow1, s)
 
         top = maximize_concave_1d(info_p, 0.0, 1.0, tol=1e-11)
         if top.value < r:
-            return -math.inf
+            return None
         lo, hi = 0.0, top.argmax
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -274,21 +332,26 @@ def _max_info_over_superlevel(p: Dmc, g: Dmc, r: float) -> float:
                 lo = mid
             else:
                 hi = mid
-        s_hi = lo
-        if s_hi <= s_lo:
-            s_hi = s_lo
-        res = maximize_concave_1d(
-            lambda s: _info_binary_rows(grow0, grow1, s),
-            s_lo, max(s_hi, s_lo + 1e-12), tol=1e-11,
-        )
-        return res.value
+        return s_lo, max(lo, s_lo)
     rng = np.random.default_rng(0)
-    best = -math.inf
-    for _ in range(512):
-        q = rng.dirichlet(np.ones(p.input_size))
-        if mutual_information(p, q) >= r:
-            best = max(best, mutual_information(g, q))
-    return best
+    samples = rng.dirichlet(np.ones(p.input_size), size=512)
+    return samples[[mutual_information(p, q) >= r for q in samples]]
+
+
+def _max_info_over_superlevel(g: Dmc, level) -> float:
+    """max { I(q, G) : I(q, P) >= r } over the set ``_superlevel_interval(p, r)``
+    returned; -inf when that set is empty.
+
+    Exact for two-input channels: ``_max_info_binary`` maximizes the concave
+    I(., G) over the interval.  Larger alphabets take the best of the sampled
+    points in the set, with no refinement, so the value can fall short of
+    the true maximum.
+    """
+    if g.input_size == 2:
+        if level is None:
+            return -math.inf
+        return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), *level)
+    return max((mutual_information(g, q) for q in level), default=-math.inf)
 
 
 def haroutunian(p: Dmc, r: float, variant: str = "standard",
@@ -341,8 +404,10 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
         def constraint_excess(g: Dmc) -> float:
             return max(0.0, channel_capacity_fast(g) - r)
     else:
+        level = _superlevel_interval(p, r)
+
         def constraint_excess(g: Dmc) -> float:
-            return max(0.0, _max_info_over_superlevel(p, g, r) - r)
+            return max(0.0, _max_info_over_superlevel(g, level) - r)
 
     def feasible(g: Dmc) -> bool:
         return constraint_excess(g) <= 1e-9

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaylab import dmc, exponents as ex
 from delaylab.dmc import LN2
@@ -44,6 +45,88 @@ def z_haroutunian_oracle(rate):
     return math.log(2) + b * math.log(b) + (1 - b) * math.log(1 - b)
 
 
+GOLD = 0.6180339887498949
+
+
+def golden_max_info(row0, row1, lo=0.0, hi=1.0, xtol=1e-9):
+    """Golden-section maximum of the concave I((s, 1-s), rows) over [lo, hi],
+    with the ends of the interval as candidates too: the oracle for the
+    Newton solver ``_max_info_binary``."""
+    def info(s):
+        return ex._info_binary_rows(row0, row1, s)
+
+    a, b = lo, hi
+    x1 = b - GOLD * (b - a)
+    x2 = a + GOLD * (b - a)
+    f1, f2 = info(x1), info(x2)
+    while b - a > xtol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLD * (b - a)
+            f1 = info(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLD * (b - a)
+            f2 = info(x2)
+    return max(f1, f2, info(lo), info(hi))
+
+
+@st.composite
+def two_input_rows(draw):
+    """Two rows over 2 to 4 outputs, with zero entries; the second row is
+    random, a copy of the first (capacity 0) or noiseless."""
+    ny = draw(st.integers(2, 4))
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                       min_size=ny, max_size=ny).filter(lambda w: sum(w) > 0)
+
+    def row():
+        w = draw(weights)
+        return [x / sum(w) for x in w]
+
+    row0 = row()
+    kind = draw(st.sampled_from(("random", "identical", "noiseless")))
+    if kind == "identical":
+        row1 = list(row0)
+    elif kind == "noiseless":
+        y = draw(st.integers(0, ny - 1))
+        row1 = [float(i == y) for i in range(ny)]
+    else:
+        row1 = row()
+    return row0, row1
+
+
+class TestMaxInfoBinary:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(rows=two_input_rows(),
+           ends=st.one_of(st.just((0.0, 1.0)),
+                          st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    def test_agrees_with_golden_section(self, rows, ends):
+        lo, hi = sorted(ends)
+        got = ex._max_info_binary(*rows, lo, hi)
+        assert got == pytest.approx(golden_max_info(*rows, lo, hi), abs=1e-14)
+
+    def test_endpoint_maximum_is_exact(self, z05):
+        # Z(0.5) has its capacity-achieving s = P(input 0) = 0.6
+        row0, row1 = z05.rows[0].tolist(), z05.rows[1].tolist()
+        assert ex._max_info_binary(row0, row1, 0.1, 0.3) == ex._info_binary_rows(row0, row1, 0.3)
+        assert ex._max_info_binary(row0, row1, 0.8, 1.0) == ex._info_binary_rows(row0, row1, 0.8)
+        assert ex._max_info_binary(row0, row1, 0.5, 0.5) == ex._info_binary_rows(row0, row1, 0.5)
+
+    def test_subnormal_end_stays_finite(self):
+        # I = h(s) on the noiseless channel; a / o overflowed to inf here
+        s = 1e-310
+        assert ex._max_info_binary([0.0, 1.0], [1.0, 0.0], 0.0, s) == pytest.approx(
+            -s * math.log(s), rel=2e-3)
+
+    def test_capacity_closed_forms(self, bsc002, bec04, z05):
+        assert ex.channel_capacity_fast(bsc002) == pytest.approx(
+            LN2 + 0.02 * math.log(0.02) + 0.98 * math.log(0.98), abs=1e-15)
+        assert ex.channel_capacity_fast(bec04) == pytest.approx(0.6 * LN2, abs=1e-15)
+        assert ex.channel_capacity_fast(z05) == pytest.approx(math.log(1.25), abs=1e-15)
+        assert ex.channel_capacity_fast(dmc.identity_channel(2)) == pytest.approx(LN2, abs=1e-15)
+        assert ex.channel_capacity_fast(dmc.Dmc([[0.3, 0.7], [0.3, 0.7]])) == 0.0
+
+
 class TestGallagerE0:
     def test_zero_rho_is_exactly_zero(self, random_channels):
         for ch in random_channels[:5]:
@@ -73,6 +156,15 @@ class TestGallagerE0:
     def test_negative_rho_rejected(self, bsc002):
         with pytest.raises(ValueError):
             ex.gallager_e0(bsc002, -0.5, [0.5, 0.5])
+
+    def test_underflowing_sum_stays_finite(self):
+        # identity channel: E0(rho, uniform) = rho ln2; the sum 2^-rho
+        # leaves the normal range at rho = 1022
+        ch = dmc.identity_channel(2)
+        for rho in (1000.0, 1022.5, 1100.0, 5000.0):
+            assert ex.gallager_e0(ch, rho, [0.5, 0.5]) == pytest.approx(rho * LN2, rel=1e-14)
+        assert ex.gallager_e0(dmc.identity_channel(3), 5000, [0.2, 0.3, 0.5]) == pytest.approx(
+            -5001 * math.log(0.5), rel=1e-14)
 
 
 class TestE0Max:
@@ -123,6 +215,13 @@ class TestSpherePacking:
         r = 0.014201
         assert ex.sphere_packing(bsc002, r, fortify_k=50) == pytest.approx(
             bsc_esp(0.02, r - LN2 / 50), abs=1e-9)
+
+    def test_missed_divergence_on_disjoint_rows_raises(self, monkeypatch):
+        # E0 = rho ln2 grows past the float range of its sum; the search must
+        # reach its bracket cap instead of failing on log(0)
+        monkeypatch.setattr(ex, "zero_error_feedback_capacity", lambda p, k: 0.0)
+        with pytest.raises(dmc.ConvergenceError):
+            ex.sphere_packing(dmc.identity_channel(2), 0.3)
 
     def test_missed_divergence_raises(self, bsc002, monkeypatch):
         # below C_0,f = ln2/50 the objective climbs linearly forever; with the
@@ -180,6 +279,35 @@ class TestHaroutunian:
 
     def test_above_capacity_zero(self, z05):
         assert ex.haroutunian(z05, 0.5) == 0.0
+
+    # values the golden-section two-input search gave; the Newton solver
+    # must reproduce them to 1e-12
+    Z05_PINNED = {
+        ("standard", 0.03): 0.415669716052841,
+        ("standard", 0.115): 0.09729268288873305,
+        ("standard", 0.20): 0.003652035926267602,
+        ("tilde", 0.03): 0.415669716052841,
+        ("tilde", 0.115): 0.09729268288873286,
+        ("tilde", 0.20): 0.0036520359262675467,
+    }
+
+    @pytest.mark.parametrize("variant, r", sorted(Z05_PINNED))
+    def test_z_channel_values_pinned(self, z05, variant, r):
+        assert ex.haroutunian(z05, r, variant) == pytest.approx(
+            self.Z05_PINNED[variant, r], abs=1e-12)
+
+    def test_tilde_solves_superlevel_interval_once(self, z05, monkeypatch):
+        calls = []
+        solve = ex._superlevel_interval
+
+        def counted(p, r):
+            calls.append(r)
+            return solve(p, r)
+
+        monkeypatch.setattr(ex, "_superlevel_interval", counted)
+        monkeypatch.setattr(ex, "_haroutunian_cache", {})
+        ex.haroutunian(z05, 0.1, "tilde", restarts=4)
+        assert calls == [0.1]
 
     def test_tilde_no_worse_than_standard(self, z05):
         for r in (0.08, 0.14):
