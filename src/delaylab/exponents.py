@@ -25,11 +25,15 @@ from .dmc import (
     c1 as _c1,
     capacity,
     is_output_symmetric,
-    mutual_information,
     uniform_input,
     validate_distribution,
 )
-from .optimize import maximize_concave_1d, maximize_e0, minimize_over_channels
+from .optimize import (
+    decreasing_root,
+    maximize_concave_1d,
+    maximize_e0,
+    minimize_over_channels,
+)
 
 RHO_MAX = 64.0
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -104,22 +108,53 @@ def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.
     return gallager_e0(p, rho, q, fortify_k), q
 
 
-def e0_derivative(p: Dmc, rho: float, q=None, fortify_k: int | None = None,
-                  h: float | None = None) -> float:
-    """Central-difference dE0/drho at ``rho``, holding ``q`` fixed.
+def e0_slope(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
+    """The exact partial derivative dE0(rho, q)/drho at fixed ``q``.
 
-    Defaults to the E0(rho)-achieving distribution; the step follows
-    h = 1e-4 * max(1, rho), and the stencil is clipped at rho = 0.
+    With a = q P^(1/(1+rho)) and a' its rho-derivative it is
+        -sum_y a_y^(1+rho) [ln a_y + (1+rho) a'_y / a_y] / sum_y a_y^(1+rho)
+    plus ln2/k under fortification, where (1+rho) a' = -q (W ln W) with
+    W = P^(1/(1+rho)).  At rho = 0 it is I(q, P).  By the envelope theorem
+    it is also d max_q E0/drho at a maximizing q (Arimoto 1976).  The
+    weights a^(1+rho) / sum a^(1+rho) are formed from a / max(a), so they
+    cannot underflow together at large rho.
     """
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    q = validate_distribution(q, p.input_size)
+    return _unfortified_slope(p.rows, rho, q) + _fortification_rate(fortify_k)
+
+
+def _unfortified_slope(rows: np.ndarray, rho: float, q: np.ndarray) -> float:
+    """``e0_slope`` without fortification, for a validated ``q``."""
+    w = rows ** (1.0 / (1.0 + rho))
+    w_log_w = w * np.log(w, where=w > 0, out=np.zeros_like(w))
+    a = q @ w
+    reached = a > 0
+    a = a[reached]
+    weights = (a / a.max()) ** (1.0 + rho)
+    terms = np.log(a) - (q @ w_log_w)[reached] / a
+    return -float(weights @ terms) / float(weights.sum())
+
+
+def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, float]:
+    """(max_q E0(rho), its rho-derivative by ``e0_slope`` at ``e0_max``'s
+    input).  At rho = 0 the derivative is the capacity: ``e0_max`` returns
+    the uniform input there, which need not achieve it."""
+    e0, q = e0_max(p, rho, fortify_k)
+    if rho == 0:
+        slope = _cached_capacity(p)[0]
+    else:
+        slope = _unfortified_slope(p.rows, rho, q)
+    return e0, slope + _fortification_rate(fortify_k)
+
+
+def e0_derivative(p: Dmc, rho: float, q=None, fortify_k: int | None = None) -> float:
+    """dE0/drho at ``rho``, holding ``q`` fixed (``e0_slope``); ``q`` defaults
+    to the E0(rho)-achieving distribution."""
     if q is None:
         q = e0_max(p, max(rho, 1e-9))[1]
-    if h is None:
-        h = 1e-4 * max(1.0, rho)
-    lo = max(0.0, rho - h)
-    hi = rho + h
-    flo = gallager_e0(p, lo, q, fortify_k)
-    fhi = gallager_e0(p, hi, q, fortify_k)
-    return (fhi - flo) / (hi - lo)
+    return e0_slope(p, rho, q, fortify_k)
 
 
 def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
@@ -165,6 +200,10 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     beyond ``rho_max`` (at low rates), so the bracket grows fourfold while
     the objective is still climbing at its edge; past 1e8 that raises
     ``ConvergenceError`` with the climb over the bracket's last tenth.
+    Inside a bracket the maximizer is the root of the slope dE0/drho - R
+    (``maximize_concave_1d`` with ``slope``).  The expansion test compares
+    values, not the sign of the slope: at R = 0 the slope stays positive
+    (about 1e-16) at any rho, while the values stop climbing.
     """
     if r < 0:
         raise ValueError("rate must be nonnegative")
@@ -175,9 +214,12 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     def bracket(rho):
         return e0_max(p, rho, fortify_k)[0] - rho * r
 
+    def slope(rho):
+        return _e0_and_slope(p, rho, fortify_k)[1] - r
+
     lo, hi = 0.0, rho_max
     while True:
-        res = maximize_concave_1d(bracket, lo, hi, tol=1e-9)
+        res = maximize_concave_1d(bracket, lo, hi, tol=1e-9, slope=slope)
         if res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
             return max(0.0, res.value)
         if hi >= 1e8:
@@ -200,6 +242,7 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
     res = maximize_concave_1d(
         lambda rho: e0_max(p, rho, fortify_k)[0] - rho * r,
         0.0, float(list_size), tol=1e-10,
+        slope=lambda rho: _e0_and_slope(p, rho, fortify_k)[1] - r,
     )
     return max(0.0, res.value)
 
@@ -298,6 +341,18 @@ def channel_capacity_fast(g: Dmc) -> float:
     return capacity(g, tol=1e-9)[0]
 
 
+def _info_of_inputs(rows: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """I(q, rows) for every row q of ``qs`` at once, with the elementwise
+    arithmetic of ``dmc.mutual_information`` (only the summation order
+    differs): one matrix product gives every output law."""
+    out = qs @ rows
+    joint = qs[:, :, None] * rows[None, :, :]
+    active = joint > 0
+    ratio = np.ones_like(joint)
+    np.divide(rows[None, :, :], out[:, None, :], out=ratio, where=active)
+    return np.sum(joint * np.log(ratio), axis=(1, 2))
+
+
 def _superlevel_interval(p: Dmc, r: float):
     """The superlevel set {q : I(q, P) >= r} that the tilde search maximizes
     I(q, G) over; it depends on P and r only, so a search solves it once.
@@ -335,7 +390,7 @@ def _superlevel_interval(p: Dmc, r: float):
         return s_lo, max(lo, s_lo)
     rng = np.random.default_rng(0)
     samples = rng.dirichlet(np.ones(p.input_size), size=512)
-    return samples[[mutual_information(p, q) >= r for q in samples]]
+    return samples[_info_of_inputs(p.rows, samples) >= r]
 
 
 def _max_info_over_superlevel(g: Dmc, level) -> float:
@@ -351,7 +406,9 @@ def _max_info_over_superlevel(g: Dmc, level) -> float:
         if level is None:
             return -math.inf
         return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), *level)
-    return max((mutual_information(g, q) for q in level), default=-math.inf)
+    if len(level) == 0:
+        return -math.inf
+    return float(_info_of_inputs(g.rows, level).max())
 
 
 def haroutunian(p: Dmc, r: float, variant: str = "standard",
@@ -458,6 +515,23 @@ def burnashev_bound(p: Dmc, r_bar: float) -> float:
     return max(0.0, coeff * (1.0 - r_bar / cap_p))
 
 
+def _rate_crossing(p: Dmc, r: float, fortify_k: int | None,
+                   lo: float, hi: float) -> tuple[float, float]:
+    """``decreasing_root``'s bracket around the eta in [lo, hi] where
+    E0(eta)/eta, which decreases from C to C_{0,f}, falls to r.
+
+    The root is that of the concave E0(eta) - r eta, which is positive
+    before it and negative after: Newton steps from its right converge
+    monotonically, and far out, where E0 saturates, the first step lands
+    near E0(inf)/r.
+    """
+    def excess(eta):
+        e0, slope = _e0_and_slope(p, eta, fortify_k)
+        return e0 - r * eta, slope - r
+
+    return decreasing_root(excess, lo, hi)
+
+
 def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None,
                         rho_max: float = RHO_MAX) -> float:
     """Solve E0(eta)/eta = r for eta; E0(eta)/eta decreases from C to C_{0,f}.
@@ -465,16 +539,10 @@ def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None,
     The bracket grows past ``rho_max`` when the solution lies beyond it,
     which happens at low rates (eta = E_a / R is unbounded as R drops).
     """
-    hi = rho_max
+    lo, hi = 1e-9, rho_max
     while e0_max(p, hi, fortify_k)[0] / hi > r and hi < 1e8:
-        hi *= 4.0
-    lo = 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if e0_max(p, mid, fortify_k)[0] / mid > r:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = hi, 4.0 * hi
+    lo, hi = _rate_crossing(p, r, fortify_k, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -571,8 +639,9 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     """Sampled parametric focusing bound for output-symmetric channels.
 
     For each eta: rate = E0(eta)/eta, exponent = E0(eta), and the optimal
-    past/future split lambda* = (dE0/drho at eta) / rate by central
-    differences.  Raises for channels without a verified symmetry partition.
+    past/future split lambda* = (dE0/drho at eta) / rate, with the exact
+    slope of ``e0_slope``.  Raises for channels without a verified symmetry
+    partition.
     """
     if not _symmetric(p):
         raise ValueError("parametric form requires an output-symmetric channel; "
@@ -623,6 +692,25 @@ def viterbi_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCur
     base = focusing_curve(p, eta_grid, fortify_k)
     return ExponentCurve(kind="viterbi_alias", samples=base.samples,
                          channel_digest=base.channel_digest, meta=dict(base.meta))
+
+
+def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None,
+                     rho_max: float = RHO_MAX) -> tuple[float, float]:
+    """(rho, E0(1)): the rho in (1e-9, ``rho_max``) where the two-stream rate
+    E'(rho)/rho falls to r, the midpoint of ``decreasing_root``'s bracket (a
+    root outside the interval gives its nearer end).  E0(1) is solved once.
+    As in ``_rate_crossing`` the root is taken on the concave E'(rho) - r rho.
+    """
+    e_one = e0_max(p, 1.0, fortify_k)[0]
+
+    def excess(rho):
+        e0, slope = _e0_and_slope(p, rho, fortify_k)
+        e_prime = _timesharing_point(e0, e_one, rho)[1]
+        # dE'/drho = E0'(rho) (E0(1) / (E0(1) + E0(rho)))^2
+        return e_prime - r * rho, slope * (e_one / (e_one + e0)) ** 2 - r
+
+    lo, hi = decreasing_root(excess, 1e-9, rho_max)
+    return 0.5 * (lo + hi), e_one
 
 
 def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
@@ -685,10 +773,10 @@ def bec_focusing_point_bits(beta: float, eta: float) -> tuple[float, float]:
 def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
     """Fixed-delay exponent of a BEC at ``rate_bits``, in base-2 units.
 
-    Inverts the parametric form by bisection; the rate map is decreasing in
-    eta from 1 - beta down to 0, and the bracket grows adaptively (eta scales
-    like log2(1/beta) / rate for small beta).  Returns +inf for nonpositive
-    rates and 0 at or above capacity.
+    Inverts the parametric form with ``decreasing_root``; the rate map is
+    decreasing in eta from 1 - beta down to 0, and the bracket grows
+    adaptively (eta scales like log2(1/beta) / rate for small beta).
+    Returns +inf for nonpositive rates and 0 at or above capacity.
     """
     if not 0 < beta < 1:
         raise ValueError("erasure probability must lie in (0, 1)")
@@ -696,18 +784,19 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
         return math.inf
     if rate_bits >= 1.0 - beta:
         return 0.0
-    hi = 64.0
+
+    def excess(eta):  # concave, as in ``_rate_crossing``
+        e_bits = bec_focusing_point_bits(beta, eta)[1]
+        # dE/deta = (1 - beta) / (1 - beta + beta 2^eta), in a form that
+        # cannot overflow at large eta
+        tail = (1.0 - beta) * 2.0**-eta
+        return e_bits - rate_bits * eta, tail / (beta + tail) - rate_bits
+
+    lo, hi = 1e-12, 64.0
     while bec_focusing_point_bits(beta, hi)[0] > rate_bits and hi < 1e9:
-        hi *= 4.0
-    lo = 1e-12
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if bec_focusing_point_bits(beta, mid)[0] > rate_bits:
-            lo = mid
-        else:
-            hi = mid
-    eta = 0.5 * (lo + hi)
-    return eta * rate_bits
+        lo, hi = hi, 4.0 * hi
+    lo, hi = decreasing_root(excess, lo, hi)
+    return 0.5 * (lo + hi) * rate_bits
 
 
 def bec_anytime_capacity(beta: float, alpha_bits: float) -> float:
@@ -771,22 +860,11 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None,
         # parametric curves inverted at a single rate
         if name == "viterbi":
             return focusing_bound(p, r, fortify_k, restarts=restarts, seed=seed)
-        lo, hi = 1e-9, RHO_MAX
         cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
         if r >= cap_p:
             return 0.0
-        e_one = e0_max(p, 1.0, fortify_k)[0]
-
-        def point(rho):
-            return _timesharing_point(e0_max(p, rho, fortify_k)[0], e_one, rho)
-
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if point(mid)[0] > r:
-                lo = mid
-            else:
-                hi = mid
-        return point(0.5 * (lo + hi))[1]
+        rho, e_one = _timesharing_rho(p, r, fortify_k)
+        return _timesharing_point(e0_max(p, rho, fortify_k)[0], e_one, rho)[1]
     raise KeyError(f"unknown bound name: {name}")
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .bec_lab import (DelayExponentFit, _miss_counts, _slope, fit_delay_exponent,
                       substream)
 from .dmc import LN2, Dmc
-from .exponents import _timesharing_point, bec_focusing_exponent_bits, e0_max
+from .exponents import (_rate_crossing, _timesharing_rho, bec_focusing_exponent_bits,
+                         e0_max)
 from .queue_model import QueueConfig, ServiceTimeModel, simulate_point_queue
 
 EXACT_TINY_MAX_BLOCK_USES = 24
@@ -332,15 +333,7 @@ def two_stream_split(p: Dmc, rate: float, rho_max: float = 64.0) -> TwoStreamSpl
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    e0_one = e0_max(p, 1.0)[0]
-    lo, hi = 1e-9, rho_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _timesharing_point(e0_max(p, mid)[0], e0_one, mid)[0] > rate:
-            lo = mid
-        else:
-            hi = mid
-    rho = 0.5 * (lo + hi)
+    rho, e0_one = _timesharing_rho(p, rate, None, rho_max)
     e0_rho = e0_max(p, rho)[0]
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,
@@ -364,14 +357,8 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     """
     psi = split.psi
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
-    lo, hi = 1e-9, split.rho
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if e0_max(p, mid)[0] / mid > rate_msg / (1.0 - rate_margin):
-            lo = mid
-        else:
-            hi = mid
-    rho_sim = lo  # largest rho that leaves a rate_margin of slack
+    # largest rho that leaves a rate_margin of slack
+    rho_sim = _rate_crossing(p, rate_msg / (1.0 - rate_margin), None, 1e-9, split.rho)[0]
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
     msg_delays = np.sort(trace.end_to_end()[10:])

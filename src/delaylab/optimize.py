@@ -1,12 +1,15 @@
 """The numerical searches the bounds engine needs.
 
-1. golden-section maximization of a concave function on an interval,
-2. maximization of a concave function over the input simplex (cyclic
+1. maximization of a concave function on an interval: golden section, or
+   an Illinois root find on its slope when the slope is known,
+2. the bracketed safeguarded Newton root finder for decreasing functions
+   (``decreasing_root``) that every rho inversion of the bounds runs,
+3. maximization of a concave function over the input simplex (cyclic
    pairwise line searches, for any concave objective),
-3. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
+4. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
    safeguarded Newton steps on the input simplex with an Arimoto fallback,
    stopped by a Hoelder certificate on the distance to the maximum,
-4. multi-start penalized minimization over small channel matrices
+5. multi-start penalized minimization over small channel matrices
    (the inner search of the Haroutunian bound).
 
 All searches are deterministic given their seed.
@@ -25,6 +28,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = float(np.finfo(float).eps)
 E0_TOL = 1e-12  # certified distance of maximize_e0's value to the maximum
 E0_MAX_ITER = 500
+ROOT_MAX_ITER = 200  # enough for pure bisection from 1e9 down to the ulp of 1e-12
+NEWTON_NEAR = 2.0**-26  # relative Newton correction below which f is roundoff
 
 
 @dataclass(frozen=True)
@@ -35,14 +40,25 @@ class Search1DResult:
 
 
 def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
-                        max_iter: int = 500) -> Search1DResult:
-    """Golden-section maximization of a concave ``f`` on [lo, hi].
+                        max_iter: int = 500, slope=None) -> Search1DResult:
+    """Maximize a concave ``f`` on [lo, hi].
 
-    Ties between plateau points resolve to the smallest maximizer: when the
-    two probe values are equal the right part of the interval is discarded.
+    Without ``slope``: golden section.  Ties between plateau points resolve
+    to the smallest maximizer: when the two probe values are equal the right
+    part of the interval is discarded.
+
+    With ``slope`` (the derivative of f, nonincreasing): an end where the
+    slope already points out of the interval is the maximizer (lo when
+    slope(lo) <= 0).  Otherwise an Illinois root find on the slope shrinks
+    the bracket to at most ``tol`` (or two ulps, where that is wider), and f
+    is evaluated once, at the last point; past ``max_iter`` slope
+    evaluations it raises ``ConvergenceError`` with the bracket width.
+    ``iterations`` counts the slope evaluations inside the bracket.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
+    if slope is not None:
+        return _maximize_by_slope(f, slope, float(lo), float(hi), tol, max_iter)
     a, b = float(lo), float(hi)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -65,6 +81,83 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     best_v = max(v for _, v in finite)
     best_x = min(x for x, v in finite if v >= best_v - 1e-15)
     return Search1DResult(argmax=best_x, value=best_v, iterations=it)
+
+
+def _maximize_by_slope(f, slope, a: float, b: float, tol: float,
+                       max_iter: int) -> Search1DResult:
+    """The slope path of ``maximize_concave_1d``: regula falsi on the slope
+    g with the Illinois rule (the g value kept at an end that survives two
+    steps in a row is halved, so both ends keep moving)."""
+    ga = slope(a)
+    if ga <= 0.0:
+        return Search1DResult(argmax=a, value=f(a), iterations=0)
+    gb = slope(b)
+    if gb >= 0.0:
+        return Search1DResult(argmax=b, value=f(b), iterations=0)
+    x, side, it = a, 0, 0
+    while b - a > max(tol, 2.0 * math.ulp(b)):
+        if it == max_iter:
+            raise ConvergenceError("slope root find iteration cap exceeded", b - a)
+        it += 1
+        x = b - gb * (b - a) / (gb - ga)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        gx = slope(x)
+        if gx > 0.0:
+            a, ga = x, gx
+            if side == 1:
+                gb *= 0.5
+            side = 1
+        elif gx < 0.0:
+            b, gb = x, gx
+            if side == -1:
+                ga *= 0.5
+            side = -1
+        else:
+            break
+    return Search1DResult(argmax=x, value=f(x), iterations=it)
+
+
+def decreasing_root(f, lo: float, hi: float,
+                    max_iter: int = ROOT_MAX_ITER) -> tuple[float, float]:
+    """A bracket lo < hi at most 4 ulps wide with f(lo) > 0 >= f(hi), for a
+    function that is positive before its root and not after (decreasing,
+    or concave through zero).
+
+    ``f(x)`` returns the pair (f(x), f'(x)); the ends are not evaluated, so
+    when f does not change sign inside, the bracket closes on the end the
+    sign points to.  Each step is a Newton step from the latest point,
+    pushed one ulp past the root it predicts so that the bracket closes
+    from both sides.  Once the Newton correction is below sqrt(eps) of x,
+    the next one is at roundoff level, so f's sign there is noise: the push
+    doubles for every such step in a row that does not cross.  A step that
+    leaves the bracket, or (before that) is longer than half the previous
+    step, or comes from a slope that is not finite and negative, is
+    replaced by bisection.  Raises ``ConvergenceError`` with the bracket
+    width after ``max_iter`` evaluations.
+    """
+    lo, hi = float(lo), float(hi)
+    x = 0.5 * (lo + hi)
+    step_old = hi - lo
+    side, push = 0, math.ulp(x)
+    for _ in range(max_iter):
+        value, deriv = f(x)
+        crossed = (value > 0.0) != (side > 0)
+        if value > 0.0:
+            lo, side = x, 1
+        else:
+            hi, side = x, -1
+        if hi - lo <= 4.0 * math.ulp(hi):
+            return lo, hi
+        newton = -value / deriv if -math.inf < deriv < 0.0 else math.nan
+        near = abs(newton) <= NEWTON_NEAR * abs(x)
+        push = 2.0 * push if near and not crossed else math.ulp(x)
+        step = newton + side * push
+        if not (lo < x + step < hi and (near or abs(step) <= 0.5 * abs(step_old))):
+            step = 0.5 * (lo + hi) - x
+        step_old = step
+        x += step
+    raise ConvergenceError("root finder iteration cap exceeded", hi - lo)
 
 
 def _pair_directions(dim: int) -> list[tuple[int, int]]:

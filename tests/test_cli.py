@@ -247,17 +247,63 @@ class TestSim:
         assert run(["sim", "bec", cfg2, "--out", tmp_path / "y"]) == 2
 
 
+# The MANIFEST.json of every figure: each key's JSON type; a dict schema
+# lists the nested keys, a one-item list the type of every element.  Types
+# are matched exactly, so a boolean passes only where the schema says bool
+# (and is then a JSON true/false), and "figure" must be an int.
+MANIFEST_SCHEMAS = {
+    4: {"channel": str, "curves": [str], "figure": int, "rate_grid_nats": [(float, int)]},
+    6: {"channel": str, "curves": [str], "figure": int, "lambdas": [float]},
+    7: {"channel": str, "curves": [str], "figure": int, "note": str},
+    8: {"capacity_slopes": {"focusing": float, "timesharing": float}, "channel": str,
+        "curves": [str], "figure": int},
+    9: {"channel": str, "curves": [str], "figure": int, "ultimate_limit_nats": float},
+    12: {"anchor": {"achievable_exponent": float, "rate_nats": float}, "channel": str,
+         "curves": [str], "figure": int, "note": str},
+    13: {"channel": str, "figure": int, "files": [str], "quantity": str},
+    14: {"channel": str, "curves": [str], "figure": int},
+    16: {"channel": str, "figure": int, "note": str, "schemes": [[int]]},
+}
+
+
+def schema_mismatches(value, schema, where="MANIFEST"):
+    if isinstance(schema, dict):
+        if type(value) is not dict or value.keys() != schema.keys():
+            return [f"{where}: keys {sorted(value) if type(value) is dict else value!r}"]
+        return [m for k, sub in schema.items()
+                for m in schema_mismatches(value[k], sub, f"{where}.{k}")]
+    if isinstance(schema, list):
+        if type(value) is not list:
+            return [f"{where}: {value!r} is not a list"]
+        return [m for i, v in enumerate(value)
+                for m in schema_mismatches(v, schema[0], f"{where}[{i}]")]
+    types = schema if isinstance(schema, tuple) else (schema,)
+    return [] if type(value) in types else [f"{where}: {value!r} is not {types}"]
+
+
 class TestFigures:
     def test_unknown_figure_exit4(self, tmp_path):
         assert run(["figure", "99", "--out-dir", tmp_path]) == 4
 
+    def test_every_figure_has_a_manifest_schema(self):
+        assert MANIFEST_SCHEMAS.keys() == cli.FIGURES.keys()
+
+    @pytest.mark.parametrize("fig", sorted(set(MANIFEST_SCHEMAS) - {4}))
+    def test_manifest_schema(self, fig, tmp_path):
+        assert run(["figure", fig, "--out-dir", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        assert schema_mismatches(manifest, MANIFEST_SCHEMAS[fig]) == []
+        assert manifest["figure"] == fig
+
     def test_figure_4_shows_strict_gap(self, tmp_path):
+        # the slowest figure: its manifest schema is checked here
         assert run(["figure", "4", "--out-dir", tmp_path]) == 0
         rows = list(csv.DictReader(open(tmp_path / "zchannel_bounds.csv")))
         gaps = [float(r["haroutunian"]) - float(r["esp"]) for r in rows]
         assert max(gaps) >= 1e-3
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
         assert manifest["figure"] == 4
+        assert schema_mismatches(manifest, MANIFEST_SCHEMAS[4]) == []
 
     def test_figure_6_curve_family(self, tmp_path):
         assert run(["figure", "6", "--out-dir", tmp_path]) == 0

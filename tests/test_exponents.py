@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delaylab import dmc, exponents as ex
 from delaylab.dmc import LN2
+from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
+                     golden_erl, golden_esp)
 
 HALF_BIT = 0.5 * LN2
 
@@ -188,6 +190,43 @@ class TestE0Max:
             assert d == pytest.approx(c, abs=1e-4)
 
 
+class TestE0Slope:
+    def test_matches_central_difference(self, random_channels):
+        rng = np.random.default_rng(12)
+        for ch in random_channels:
+            q = rng.dirichlet(np.ones(ch.input_size))
+            for rho in (0.01, 0.3, 1.0, 5.0, 40.0):
+                h = 1e-5 * rho
+                fd = (ex.gallager_e0(ch, rho + h, q) - ex.gallager_e0(ch, rho - h, q)) / (2 * h)
+                assert ex.e0_slope(ch, rho, q) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_capacity_at_zero_with_the_capacity_achieving_input(self, bsc002, bec04, z05,
+                                                               random_channels):
+        for ch in [bsc002, bec04, z05] + random_channels:
+            c, q = dmc.capacity(ch)
+            assert ex.e0_slope(ch, 0.0, q) == pytest.approx(c, abs=1e-9)
+            assert ex.e0_slope(ch, 0.0, q) == pytest.approx(
+                dmc.mutual_information(ch, q), abs=1e-15)
+
+    def test_envelope_slope_of_the_maximum(self, z05):
+        # d max_q E0 / drho is the partial slope at the maximizing q
+        for rho in (0.1, 1.0, 6.0):
+            h = 1e-5 * rho
+            fd = (ex.e0_max(z05, rho + h)[0] - ex.e0_max(z05, rho - h)[0]) / (2 * h)
+            assert ex.e0_slope(z05, rho, ex.e0_max(z05, rho)[1]) == pytest.approx(fd, rel=1e-6)
+
+    def test_fortification_and_large_rho(self, bsc002):
+        q = [0.5, 0.5]
+        assert ex.e0_slope(bsc002, 2.0, q, fortify_k=50) == pytest.approx(
+            ex.e0_slope(bsc002, 2.0, q) + LN2 / 50, abs=1e-15)
+        # E0 = rho ln2 on the identity channel, whose sum underflows at large rho
+        for rho in (1.0, 2000.0, 1e6):
+            assert ex.e0_slope(dmc.identity_channel(2), rho, q) == pytest.approx(LN2, rel=1e-12)
+
+    def test_e0_derivative_is_the_slope(self, bec04):
+        assert ex.e0_derivative(bec04, 1.3) == ex.e0_slope(bec04, 1.3, [0.5, 0.5])
+
+
 class TestSpherePacking:
     def test_bec_half_bit(self, bec04):
         assert ex.sphere_packing(bec04, HALF_BIT) == pytest.approx(0.020410997260, abs=1e-6)
@@ -230,6 +269,136 @@ class TestSpherePacking:
         with pytest.raises(dmc.ConvergenceError) as err:
             ex.sphere_packing(bsc002, 0.005, fortify_k=50)
         assert err.value.residual > 0
+
+
+@st.composite
+def small_channels(draw):
+    """2x2 to 3x3 channels: random rows with entries of at least 0.01, or
+    circulant rows (output-symmetric, zero entries allowed)."""
+    nx = draw(st.integers(2, 3))
+    circulant = draw(st.booleans())
+    ny = nx if circulant else draw(st.integers(2, 3))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0)) if circulant else st.floats(0.01, 1.0)
+
+    def row():
+        w = draw(st.lists(entry, min_size=ny, max_size=ny).filter(lambda w: sum(w) > 0))
+        return [x / sum(w) for x in w]
+
+    if circulant:
+        first = row()
+        return dmc.Dmc([first[-i:] + first[:-i] for i in range(nx)])
+    return dmc.Dmc([row() for _ in range(nx)])
+
+
+# Near capacity the exponents are differences of O(1e-2) terms, so roundoff
+# puts either solver about 1e-16 from a 40-digit reference value: compare
+# with a relative tolerance and this absolute floor
+ORACLE_ABS = 1e-15
+
+
+def root_roundoff(ch, r, value, timesharing=False):
+    """How far roundoff can move E = R x, where x solves E0(x) - R x = 0
+    (E'(x) - R x = 0 for time sharing): E0 sums (1+x)-th powers, so its
+    error is about (1+x) eps, and that moves the root by the error over the
+    slope of the difference.  At low rates on weak channels the slope is
+    tiny and any two solvers may end anywhere in that band."""
+    x = value / r
+    e0, slope = ex._e0_and_slope(ch, x, None)
+    if timesharing:
+        e_one = ex.e0_max(ch, 1.0)[0]
+        slope *= (e_one / (e_one + e0)) ** 2
+    return 8.0 * r * (1.0 + x) * np.finfo(float).eps / abs(slope - r)
+
+
+class TestRhoSolversAgainstOracles:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(ch=small_channels(), frac=st.floats(0.01, 0.99), list_size=st.sampled_from((1, 4)))
+    # a capacity of 1.7e-6, where Blahut-Arimoto needs more than 100 000
+    # steps for its 1e-10 certificate; a low rate on a weak channel, where
+    # the focusing root is determined only to about 5e-12
+    @example(ch=dmc.Dmc([[0.97709924, 0.02290076], [0.97765363, 0.02234637]]),
+             frac=0.5, list_size=1)
+    @example(ch=dmc.bsc(7 / 15), frac=0.01171875, list_size=1)
+    def test_match_oracles_and_orderings(self, ch, frac, list_size):
+        # rates below a capacity of 1e-3 are outside the property's domain
+        assume(dmc.capacity(ch, tol=1e-6)[0] > 1e-3)
+        r = frac * ex._cached_capacity(ch)[0]
+
+        def check(solver, oracle, *args, inversion=None):
+            # a search that reaches its bracket cap must do so in both
+            try:
+                want = oracle(ch, r, *args)
+            except dmc.ConvergenceError:
+                with pytest.raises(dmc.ConvergenceError):
+                    solver(ch, r, *args)
+                return math.inf
+            got = solver(ch, r, *args)
+            if got != want:
+                band = ORACLE_ABS
+                if inversion is not None:
+                    band = max(band, root_roundoff(ch, r, want, inversion == "timesharing"))
+                assert got == pytest.approx(want, rel=1e-12, abs=band)
+            return got
+
+        esp = check(ex.sphere_packing, golden_esp)
+        er = check(ex.random_coding_list, golden_erl, 1)
+        erl = check(ex.random_coding_list, golden_erl, list_size)
+        ts = check(lambda p, rate: ex.bound_at_rate(p, "timesharing", rate), bisect_timesharing,
+                   inversion="timesharing")
+        assert er <= erl + 1e-12
+        assert erl <= esp + 1e-12
+        if ex._symmetric(ch):
+            focusing = check(ex.focusing_bound, bisect_focusing, inversion="focusing")
+            assert ts <= focusing + 1e-12
+
+    @pytest.mark.parametrize("fortify_k", [None, 50])
+    def test_bsc_curves_match_oracles(self, bsc002, fortify_k):
+        cap = ex._cached_capacity(bsc002)[0] + ex._fortification_rate(fortify_k)
+        for r in np.linspace(1e-4, cap, 25)[:-1]:
+            r = float(r)
+            for got, want in ((ex.sphere_packing(bsc002, r, fortify_k),
+                               golden_esp(bsc002, r, fortify_k)),
+                              (ex.focusing_bound(bsc002, r, fortify_k),
+                               bisect_focusing(bsc002, r, fortify_k)),
+                              (ex.bound_at_rate(bsc002, "timesharing", r, fortify_k),
+                               bisect_timesharing(bsc002, r, fortify_k))):
+                assert got == want or got == pytest.approx(want, rel=1e-12, abs=ORACLE_ABS)
+
+    def test_bec_focusing_inversion_matches_bisection(self):
+        for beta in (0.01, 0.25, 0.4, 0.8):
+            for frac in np.linspace(0.01, 0.99, 25):
+                rate = float(frac) * (1.0 - beta)
+                assert ex.bec_focusing_exponent_bits(beta, rate) == pytest.approx(
+                    bisect_bec_focusing_bits(beta, rate), rel=1e-12)
+
+
+class TestRhoWorkCounters:
+    """E0 solves per point; the bisections and golden sections these
+    solvers replaced took 201, 202 and 56."""
+
+    @pytest.fixture
+    def e0_calls(self, monkeypatch):
+        calls = []
+        solve = ex.e0_max
+
+        def counted(p, rho, fortify_k=None):
+            calls.append(rho)
+            return solve(p, rho, fortify_k)
+
+        monkeypatch.setattr(ex, "e0_max", counted)
+        return calls
+
+    def test_focusing(self, bsc002, e0_calls):
+        ex.focusing_bound(bsc002, 0.3)
+        assert len(e0_calls) <= 15
+
+    def test_timesharing(self, bsc002, e0_calls):
+        ex.bound_at_rate(bsc002, "timesharing", 0.3)
+        assert len(e0_calls) <= 20
+
+    def test_sphere_packing(self, bsc002, e0_calls):
+        ex.sphere_packing(bsc002, 0.3)
+        assert len(e0_calls) <= 25
 
 
 class TestRandomCodingList:
@@ -308,6 +477,28 @@ class TestHaroutunian:
         monkeypatch.setattr(ex, "_haroutunian_cache", {})
         ex.haroutunian(z05, 0.1, "tilde", restarts=4)
         assert calls == [0.1]
+
+    def test_sampled_information_matches_per_sample_loop(self):
+        # the tilde search on more than two inputs scores every sampled input
+        # at once; the per-sample mutual_information loop is the oracle
+        rng = np.random.default_rng(6)
+        for nx, ny in ((3, 3), (3, 2), (4, 4), (4, 3)):
+            rows = rng.dirichlet(np.ones(ny), size=nx)
+            rows[rng.random((nx, ny)) < 0.25] = 0.0
+            rows[:, 0] += 0.01
+            g = dmc.Dmc(rows / rows.sum(axis=1, keepdims=True))
+            qs = rng.dirichlet(np.ones(nx), size=64)
+            qs[:8, 0] = 0.0
+            qs /= qs.sum(axis=1, keepdims=True)
+            loop = [dmc.mutual_information(g, q) for q in qs]
+            assert ex._info_of_inputs(g.rows, qs) == pytest.approx(loop, abs=1e-15)
+
+    def test_tilde_three_inputs_pinned(self, monkeypatch):
+        # the value the per-sample loop gave (196 s then, about 2 s now)
+        monkeypatch.setattr(ex, "_haroutunian_cache", {})
+        asym3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
+        assert ex.haroutunian(asym3, 0.08, "tilde", restarts=2) == pytest.approx(
+            0.24044232147434463, abs=1e-15)
 
     def test_tilde_no_worse_than_standard(self, z05):
         for r in (0.08, 0.14):
@@ -422,9 +613,11 @@ class TestViterbiAlias:
 
 class TestTimesharing:
     def test_inversion_value_pinned(self, bsc002):
-        # E0(1) is solved once per inversion and reused across the bisection;
-        # the value is the one the per-step recomputation gave
-        assert ex.bound_at_rate(bsc002, "timesharing", 0.3) == 0.17980898214036065
+        # E0(1) is solved once per inversion; the value is the one the
+        # per-step recomputation and the 200-step bisection gave, to within
+        # the ulps over which the rate's comparison with 0.3 is roundoff
+        assert ex.bound_at_rate(bsc002, "timesharing", 0.3) == pytest.approx(
+            0.17980898214036065, rel=1e-15)
         point = ex._timesharing_point(ex.e0_max(bsc002, 0.7)[0],
                                       ex.e0_max(bsc002, 1.0)[0], 0.7)
         assert point == ex.timesharing_exponent(bsc002, 0.7)

@@ -48,6 +48,95 @@ class TestMaximizeConcave1d:
             optimize.maximize_concave_1d(lambda x: -math.inf, 0.0, 1.0)
 
 
+class TestMaximizeBySlope:
+    def test_random_concave_quadratics_agree_with_golden_section(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            a = rng.uniform(0.1, 5.0)
+            b = rng.uniform(-1.0, 6.0)
+            c = rng.uniform(-2.0, 2.0)
+            f = lambda x: -a * (x - b) ** 2 + c
+            golden = optimize.maximize_concave_1d(f, 0.0, 5.0, tol=1e-10)
+            res = optimize.maximize_concave_1d(f, 0.0, 5.0, tol=1e-10,
+                                               slope=lambda x: -2.0 * a * (x - b))
+            assert res.value == pytest.approx(golden.value, abs=1e-15)
+            assert res.argmax == pytest.approx(min(max(b, 0.0), 5.0), abs=1e-10)
+
+    def test_gallager_objective_needs_few_evaluations(self, bsc002):
+        q = np.array([0.5, 0.5])
+        f = lambda rho: gallager_e0(bsc002, rho, q) - 0.3 * rho
+        golden = optimize.maximize_concave_1d(f, 0.0, 64.0, tol=1e-9)
+        res = optimize.maximize_concave_1d(
+            f, 0.0, 64.0, tol=1e-9, slope=lambda rho: ex.e0_slope(bsc002, rho, q) - 0.3)
+        assert res.value == pytest.approx(golden.value, rel=1e-14)
+        assert 0 < res.iterations <= 20 < golden.iterations
+
+    def test_slope_pointing_out_picks_the_end(self):
+        res = optimize.maximize_concave_1d(lambda x: 1.0, 0.25, 9.0, slope=lambda x: 0.0)
+        assert (res.argmax, res.value, res.iterations) == (0.25, 1.0, 0)
+        res = optimize.maximize_concave_1d(lambda x: x, 0.25, 9.0, slope=lambda x: 1.0)
+        assert (res.argmax, res.value, res.iterations) == (9.0, 9.0, 0)
+
+    def test_iteration_cap_raises_with_bracket_width(self):
+        # a slope with a triple root slows regula falsi to a crawl
+        with pytest.raises(dmc.ConvergenceError) as err:
+            optimize.maximize_concave_1d(lambda x: -(x - 1.0) ** 4, 0.0, 3.0, tol=1e-12,
+                                         max_iter=3, slope=lambda x: -4.0 * (x - 1.0) ** 3)
+        assert 1e-12 < err.value.residual < 3.0
+
+
+class TestDecreasingRoot:
+    @staticmethod
+    def newton_pair(f, df):
+        return lambda x: (f(x), df(x))
+
+    def test_brackets_the_root_within_four_ulps(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            root = rng.uniform(0.01, 50.0)
+            k = rng.uniform(0.1, 10.0)
+            # decreasing, concave through zero, and convex cases
+            for f, df in ((lambda x: k * (root - x), lambda x: -k),
+                          (lambda x: math.log(root / x), lambda x: -1.0 / x),
+                          (lambda x: root**3 - x**3, lambda x: -3.0 * x**2)):
+                lo, hi = optimize.decreasing_root(self.newton_pair(f, df), 1e-9, 64.0)
+                assert f(lo) > 0.0 >= f(hi)
+                assert hi - lo <= 4.0 * math.ulp(hi)
+                assert lo <= root * (1 + 1e-14) and hi >= root * (1 - 1e-14)
+
+    def test_agrees_with_bisection(self):
+        from oracles import bisect
+        f = lambda x: math.exp(-x) - 0.3 * x
+        lo, hi = optimize.decreasing_root(lambda x: (f(x), -math.exp(-x) - 0.3), 0.0, 10.0)
+        b_lo, b_hi = bisect(lambda x: f(x) > 0.0, 0.0, 10.0, 200)
+        assert b_lo - 4.0 * math.ulp(b_hi) <= lo <= hi <= b_hi + 4.0 * math.ulp(b_hi)
+
+    def test_few_evaluations_and_bisection_without_slope(self):
+        calls = []
+
+        def f(x, slope=True):
+            calls.append(x)
+            return 2.0 - x * x, (-2.0 * x if slope else math.nan)
+
+        optimize.decreasing_root(f, 0.0, 64.0)
+        assert len(calls) <= 15
+        calls.clear()
+        optimize.decreasing_root(lambda x: f(x, slope=False), 0.0, 64.0)
+        assert 40 < len(calls) < 60  # pure bisection
+
+    def test_no_sign_change_closes_on_an_end(self):
+        lo, hi = optimize.decreasing_root(lambda x: (1.0, -1.0), 0.5, 2.0)
+        assert hi == 2.0 and hi - lo <= 4.0 * math.ulp(2.0)
+        lo, hi = optimize.decreasing_root(lambda x: (-1.0, -1.0), 0.5, 2.0)
+        assert lo == 0.5 and hi - lo <= 4.0 * math.ulp(0.5)
+
+    def test_iteration_cap_raises_with_bracket_width(self):
+        with pytest.raises(dmc.ConvergenceError) as err:
+            optimize.decreasing_root(lambda x: (1.0 / 3.0 - x, math.nan), 0.0, 1.0,
+                                     max_iter=10)
+        assert err.value.residual == pytest.approx(2.0**-10)
+
+
 class TestMaximizeOverSimplex:
     def test_mutual_information_bsc(self, bsc002):
         q, val = optimize.maximize_over_simplex(
