@@ -24,6 +24,7 @@ from .dmc import (
     Dmc,
     c1 as _c1,
     capacity,
+    divergence_rows,
     is_output_symmetric,
     uniform_input,
     validate_distribution,
@@ -139,22 +140,19 @@ def _unfortified_slope(rows: np.ndarray, rho: float, q: np.ndarray) -> float:
 
 def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, float]:
     """(max_q E0(rho), its rho-derivative by ``e0_slope`` at ``e0_max``'s
-    input).  At rho = 0 the derivative is the capacity: ``e0_max`` returns
-    the uniform input there, which need not achieve it."""
+    input).  At rho = 0, where that derivative is the capacity but
+    ``e0_max`` returns the uniform input, which need not achieve it, the
+    slope is max_x D(P(.|x) || qP) at that input: an upper bound on the
+    capacity that equals it on output-symmetric channels.  The slope
+    searches use it only to test R against it, and R at or above it is at
+    or above capacity."""
     e0, q = e0_max(p, rho, fortify_k)
     if rho == 0:
-        slope = _cached_capacity(p)[0]
+        out = q @ p.rows
+        slope = max(divergence_rows(row, out) for row in p.rows)
     else:
         slope = _unfortified_slope(p.rows, rho, q)
     return e0, slope + _fortification_rate(fortify_k)
-
-
-def e0_derivative(p: Dmc, rho: float, q=None, fortify_k: int | None = None) -> float:
-    """dE0/drho at ``rho``, holding ``q`` fixed (``e0_slope``); ``q`` defaults
-    to the E0(rho)-achieving distribution."""
-    if q is None:
-        q = e0_max(p, max(rho, 1e-9))[1]
-    return e0_slope(p, rho, q, fortify_k)
 
 
 def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
@@ -203,7 +201,12 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     Inside a bracket the maximizer is the root of the slope dE0/drho - R
     (``maximize_concave_1d`` with ``slope``).  The expansion test compares
     values, not the sign of the slope: at R = 0 the slope stays positive
-    (about 1e-16) at any rho, while the values stop climbing.
+    (about 1e-16) at any rho, while the values stop climbing.  It also
+    stops when a bracket's maximum falls below the last one's, which the
+    new bracket contains: far out (at R = 0, where the supremum is the
+    limit of E0 at infinity) E0's roundoff, about (1+rho) eps, and its
+    certificate floor outgrow the climb.  The result is then the largest
+    value seen.
     """
     if r < 0:
         raise ValueError("rate must be nonnegative")
@@ -217,11 +220,13 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     def slope(rho):
         return _e0_and_slope(p, rho, fortify_k)[1] - r
 
-    lo, hi = 0.0, rho_max
+    lo, hi, best = 0.0, rho_max, -math.inf
     while True:
         res = maximize_concave_1d(bracket, lo, hi, tol=1e-9, slope=slope)
-        if res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
-            return max(0.0, res.value)
+        climbed = res.value > best
+        best = max(best, res.value)
+        if not climbed or res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
+            return max(0.0, best)
         if hi >= 1e8:
             raise ConvergenceError("sphere-packing maximizer beyond rho = 1e8",
                                    bracket(hi) - bracket(0.9 * hi))
@@ -653,7 +658,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
             raise ValueError("eta grid must be positive")
         e0 = gallager_e0(p, eta, q, fortify_k)
         rate = e0 / eta
-        slope = e0_derivative(p, eta, q, fortify_k)
+        slope = e0_slope(p, eta, q, fortify_k)
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
     return pts

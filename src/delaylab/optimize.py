@@ -1,9 +1,10 @@
 """The numerical searches the bounds engine needs.
 
 1. maximization of a concave function on an interval: golden section, or
-   an Illinois root find on its slope when the slope is known,
+   the root of its slope by ``decreasing_root`` when the slope is known,
 2. the bracketed safeguarded Newton root finder for decreasing functions
-   (``decreasing_root``) that every rho inversion of the bounds runs,
+   (``decreasing_root``, secant steps when no derivative is given) that
+   every rho solve of the bounds runs,
 3. maximization of a concave function over the input simplex (cyclic
    pairwise line searches, for any concave objective),
 4. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
@@ -43,23 +44,36 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
                         max_iter: int = 500, slope=None) -> Search1DResult:
     """Maximize a concave ``f`` on [lo, hi].
 
-    Without ``slope``: golden section.  Ties between plateau points resolve
-    to the smallest maximizer: when the two probe values are equal the right
-    part of the interval is discarded.
+    Without ``slope``: golden section to a bracket of ``tol``, at most
+    ``max_iter`` steps.  Ties between plateau points resolve to the
+    smallest maximizer: when the two probe values are equal the right part
+    of the interval is discarded.
 
     With ``slope`` (the derivative of f, nonincreasing): an end where the
     slope already points out of the interval is the maximizer (lo when
-    slope(lo) <= 0).  Otherwise an Illinois root find on the slope shrinks
-    the bracket to at most ``tol`` (or two ulps, where that is wider), and f
-    is evaluated once, at the last point; past ``max_iter`` slope
-    evaluations it raises ``ConvergenceError`` with the bracket width.
-    ``iterations`` counts the slope evaluations inside the bracket.
+    slope(lo) <= 0).  Otherwise ``decreasing_root`` closes a bracket of
+    ``tol`` around the root of the slope (secant steps, as no second
+    derivative is given; its own cap replaces ``max_iter``), and f is
+    evaluated once, at the bracket's midpoint.  ``iterations`` counts the
+    slope evaluations inside the bracket.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if slope is not None:
-        return _maximize_by_slope(f, slope, float(lo), float(hi), tol, max_iter)
     a, b = float(lo), float(hi)
+    if slope is not None:
+        if slope(a) <= 0.0:
+            return Search1DResult(argmax=a, value=f(a), iterations=0)
+        if slope(b) >= 0.0:
+            return Search1DResult(argmax=b, value=f(b), iterations=0)
+        calls = []
+
+        def slope_only(x):
+            calls.append(x)
+            return slope(x), math.nan
+
+        a, b = decreasing_root(slope_only, a, b, tol)
+        x = 0.5 * (a + b)
+        return Search1DResult(argmax=x, value=f(x), iterations=len(calls))
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -83,72 +97,42 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     return Search1DResult(argmax=best_x, value=best_v, iterations=it)
 
 
-def _maximize_by_slope(f, slope, a: float, b: float, tol: float,
-                       max_iter: int) -> Search1DResult:
-    """The slope path of ``maximize_concave_1d``: regula falsi on the slope
-    g with the Illinois rule (the g value kept at an end that survives two
-    steps in a row is halved, so both ends keep moving)."""
-    ga = slope(a)
-    if ga <= 0.0:
-        return Search1DResult(argmax=a, value=f(a), iterations=0)
-    gb = slope(b)
-    if gb >= 0.0:
-        return Search1DResult(argmax=b, value=f(b), iterations=0)
-    x, side, it = a, 0, 0
-    while b - a > max(tol, 2.0 * math.ulp(b)):
-        if it == max_iter:
-            raise ConvergenceError("slope root find iteration cap exceeded", b - a)
-        it += 1
-        x = b - gb * (b - a) / (gb - ga)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        gx = slope(x)
-        if gx > 0.0:
-            a, ga = x, gx
-            if side == 1:
-                gb *= 0.5
-            side = 1
-        elif gx < 0.0:
-            b, gb = x, gx
-            if side == -1:
-                ga *= 0.5
-            side = -1
-        else:
-            break
-    return Search1DResult(argmax=x, value=f(x), iterations=it)
+def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
+    """A bracket lo < hi at most ``tol`` or 4 ulps wide, whichever is wider,
+    with f(lo) > 0 >= f(hi), for a function that is positive before its
+    root and not after (decreasing, or concave through zero).
 
-
-def decreasing_root(f, lo: float, hi: float,
-                    max_iter: int = ROOT_MAX_ITER) -> tuple[float, float]:
-    """A bracket lo < hi at most 4 ulps wide with f(lo) > 0 >= f(hi), for a
-    function that is positive before its root and not after (decreasing,
-    or concave through zero).
-
-    ``f(x)`` returns the pair (f(x), f'(x)); the ends are not evaluated, so
-    when f does not change sign inside, the bracket closes on the end the
-    sign points to.  Each step is a Newton step from the latest point,
-    pushed one ulp past the root it predicts so that the bracket closes
-    from both sides.  Once the Newton correction is below sqrt(eps) of x,
-    the next one is at roundoff level, so f's sign there is noise: the push
-    doubles for every such step in a row that does not cross.  A step that
-    leaves the bracket, or (before that) is longer than half the previous
-    step, or comes from a slope that is not finite and negative, is
-    replaced by bisection.  Raises ``ConvergenceError`` with the bracket
-    width after ``max_iter`` evaluations.
+    ``f(x)`` returns the pair (f(x), f'(x)), with f'(x) = nan when the
+    derivative is not known: the secant slope through the previous point
+    stands in for it.  The ends are not evaluated, so when f does not
+    change sign inside, the bracket closes on the end the sign points to.
+    Each step is a Newton step from the latest point, pushed one ulp past
+    the root it predicts so that the bracket closes from both sides.  Once
+    the Newton correction is below sqrt(eps) of x, the next one is at
+    roundoff level, so f's sign there is noise: the push doubles for every
+    such step in a row that does not cross.  A step that leaves the
+    bracket, or (before that) is longer than half the previous step, or
+    comes from a slope that is not finite and negative, is replaced by
+    bisection.  Raises ``ConvergenceError`` with the bracket width after
+    ``ROOT_MAX_ITER`` evaluations.
     """
     lo, hi = float(lo), float(hi)
     x = 0.5 * (lo + hi)
     step_old = hi - lo
     side, push = 0, math.ulp(x)
-    for _ in range(max_iter):
+    x_old = value_old = math.nan
+    for _ in range(ROOT_MAX_ITER):
         value, deriv = f(x)
         crossed = (value > 0.0) != (side > 0)
         if value > 0.0:
             lo, side = x, 1
         else:
             hi, side = x, -1
-        if hi - lo <= 4.0 * math.ulp(hi):
+        if hi - lo <= max(tol, 4.0 * math.ulp(hi)):
             return lo, hi
+        if math.isnan(deriv):
+            deriv = (value - value_old) / (x - x_old)
+        x_old, value_old = x, value
         newton = -value / deriv if -math.inf < deriv < 0.0 else math.nan
         near = abs(newton) <= NEWTON_NEAR * abs(x)
         push = 2.0 * push if near and not crossed else math.ulp(x)

@@ -77,11 +77,11 @@ class TestMaximizeBySlope:
         res = optimize.maximize_concave_1d(lambda x: x, 0.25, 9.0, slope=lambda x: 1.0)
         assert (res.argmax, res.value, res.iterations) == (9.0, 9.0, 0)
 
-    def test_iteration_cap_raises_with_bracket_width(self):
-        # a slope with a triple root slows regula falsi to a crawl
+    def test_iteration_cap_raises_with_bracket_width(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ROOT_MAX_ITER", 3)
         with pytest.raises(dmc.ConvergenceError) as err:
-            optimize.maximize_concave_1d(lambda x: -(x - 1.0) ** 4, 0.0, 3.0, tol=1e-12,
-                                         max_iter=3, slope=lambda x: -4.0 * (x - 1.0) ** 3)
+            optimize.maximize_concave_1d(lambda x: -(x - 1.0) ** 4, 0.0, 3.0,
+                                         slope=lambda x: -4.0 * (x - 1.0) ** 3)
         assert 1e-12 < err.value.residual < 3.0
 
 
@@ -111,7 +111,7 @@ class TestDecreasingRoot:
         b_lo, b_hi = bisect(lambda x: f(x) > 0.0, 0.0, 10.0, 200)
         assert b_lo - 4.0 * math.ulp(b_hi) <= lo <= hi <= b_hi + 4.0 * math.ulp(b_hi)
 
-    def test_few_evaluations_and_bisection_without_slope(self):
+    def test_few_evaluations_with_and_without_slope(self):
         calls = []
 
         def f(x, slope=True):
@@ -121,8 +121,23 @@ class TestDecreasingRoot:
         optimize.decreasing_root(f, 0.0, 64.0)
         assert len(calls) <= 15
         calls.clear()
-        optimize.decreasing_root(lambda x: f(x, slope=False), 0.0, 64.0)
-        assert 40 < len(calls) < 60  # pure bisection
+        lo, hi = optimize.decreasing_root(lambda x: f(x, slope=False), 0.0, 64.0)
+        assert lo <= math.sqrt(2.0) <= hi and hi - lo <= 4.0 * math.ulp(hi)
+        assert len(calls) <= 20  # secant steps; bisection alone takes over 50
+
+    def test_tolerance_stops_at_a_wider_bracket(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 2.0 - x * x, math.nan
+
+        lo, hi = optimize.decreasing_root(f, 0.0, 64.0, tol=1e-6)
+        assert lo <= math.sqrt(2.0) <= hi and hi - lo <= 1e-6
+        wide = len(calls)
+        calls.clear()
+        optimize.decreasing_root(f, 0.0, 64.0)
+        assert wide < len(calls)
 
     def test_no_sign_change_closes_on_an_end(self):
         lo, hi = optimize.decreasing_root(lambda x: (1.0, -1.0), 0.5, 2.0)
@@ -130,11 +145,12 @@ class TestDecreasingRoot:
         lo, hi = optimize.decreasing_root(lambda x: (-1.0, -1.0), 0.5, 2.0)
         assert lo == 0.5 and hi - lo <= 4.0 * math.ulp(0.5)
 
-    def test_iteration_cap_raises_with_bracket_width(self):
+    def test_iteration_cap_raises_with_bracket_width(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ROOT_MAX_ITER", 2)
+        # two bisections (no slope, no previous point yet): 0.5, then 0.25
         with pytest.raises(dmc.ConvergenceError) as err:
-            optimize.decreasing_root(lambda x: (1.0 / 3.0 - x, math.nan), 0.0, 1.0,
-                                     max_iter=10)
-        assert err.value.residual == pytest.approx(2.0**-10)
+            optimize.decreasing_root(lambda x: (1.0 / 3.0 - x, math.nan), 0.0, 1.0)
+        assert err.value.residual == 0.25
 
 
 class TestMaximizeOverSimplex:
