@@ -212,13 +212,28 @@ def _run_trials(fn, trials: int):
         return list(pool.map(fn, range(trials)))
 
 
-def _write_trace_csv(path: Path, header: list[str], rows_by_trial) -> None:
+# rows formatted per write: bounds the value tuple and the string built from it
+TRACE_CHUNK_ROWS = 1 << 16
+
+
+def _write_trace_csv(path: Path, header: list[str], columns_by_trial) -> None:
+    """Write ``header``, then one row "trial,v1,v2,..." per index of each
+    trial's equal-length numpy columns: integer columns as %d, float columns
+    through ``_fmt``.  Each chunk of rows is one %-format of a repeated line."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for trial, rows in enumerate(rows_by_trial):
-            for row in rows:
-                fh.write(f"{trial}," + ",".join(_fmt(v) if isinstance(v, float)
-                                                else str(v) for v in row) + "\n")
+        for trial, columns in enumerate(columns_by_trial):
+            floats = [col.dtype.kind == "f" for col in columns]
+            width = len(columns)
+            line = f"{trial}," + ",".join("%s" if f else "%d" for f in floats) + "\n"
+            rows = len(columns[0])
+            for start in range(0, rows, TRACE_CHUNK_ROWS):
+                stop = min(start + TRACE_CHUNK_ROWS, rows)
+                values = [None] * ((stop - start) * width)
+                for j, (col, is_float) in enumerate(zip(columns, floats)):
+                    part = col[start:stop].tolist()
+                    values[j::width] = [_fmt(v) for v in part] if is_float else part
+                fh.write((line * (stop - start)) % tuple(values))
 
 
 def _summary_json(path: Path, payload: dict) -> None:
@@ -259,15 +274,10 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
 
     traces = _run_trials(one, trials)
     fit = bec_lab.measure_delay_exponent(traces, d_grid)
-    rows_by_trial = []
-    for tr in traces:
-        s = tr.series(stride)
-        rows_by_trial.append(list(zip(
-            s["time"].tolist(), s["arrivals_cum"].tolist(),
-            s["decoded_cum"].tolist(), s["queue_len"].tolist())))
-    _write_trace_csv(out / "trace.csv",
-                     ["trial", "time", "arrivals_cum", "decoded_cum", "queue_len"],
-                     rows_by_trial)
+    names = ["time", "arrivals_cum", "decoded_cum", "queue_len"]
+    series = (tr.series(stride) for tr in traces)
+    _write_trace_csv(out / "trace.csv", ["trial"] + names,
+                     ([s[n] for n in names] for s in series))
     return {"sim": f"bec_{scheme}", "fit": _fit_payload(fit)}
 
 
@@ -301,10 +311,9 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
     counts = bec_lab._miss_counts(np.sort(delays), np.asarray(d_grid, float))
     bound = (queue_model.tail_exponent_bound(m, svc)
              if m > svc.offset else None)
-    rows = [list(zip(tr.arrival_times.tolist(), tr.completion_times.tolist(),
-                     tr.service_times.tolist())) for tr in traces]
-    _write_trace_csv(out / "trace.csv",
-                     ["trial", "arrival", "completion", "service"], rows)
+    _write_trace_csv(out / "trace.csv", ["trial", "arrival", "completion", "service"],
+                     [[tr.arrival_times, tr.completion_times, tr.service_times]
+                      for tr in traces])
     return {
         "sim": "queue",
         "fit": {"exponent": _finite_or_none(fit.slope),
@@ -355,11 +364,10 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
         raise CliError(EXIT_UNKNOWN, f"unknown ncl mode '{mode}'")
     d_grid = config.get("d_grid") or ncl_scheme.default_delay_grid(params).tolist()
     fit = trace.measure_exponent(d_grid, min_misses=int(config.get("min_misses", 30)))
-    rows = [list(zip(trace.arrival_times.tolist(), trace.service_starts.tolist(),
-                     trace.transmission_times.tolist(), trace.commit_times.tolist()))]
     _write_trace_csv(out / "trace.csv",
                      ["trial", "arrival", "service_start", "transmission", "commit"],
-                     rows)
+                     [[trace.arrival_times, trace.service_starts,
+                       trace.transmission_times, trace.commit_times]])
     return {
         "sim": f"ncl_{mode}",
         "fit": _fit_payload(fit),

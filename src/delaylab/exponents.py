@@ -701,11 +701,16 @@ def viterbi_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCur
 
 def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None,
                      rho_max: float = RHO_MAX) -> tuple[float, float]:
-    """(rho, E0(1)): the rho in (1e-9, ``rho_max``) where the two-stream rate
-    E'(rho)/rho falls to r, the midpoint of ``decreasing_root``'s bracket (a
-    root outside the interval gives its nearer end).  E0(1) is solved once.
-    As in ``_rate_crossing`` the root is taken on the concave E'(rho) - r rho.
+    """(rho, E0(1)): the rho where the two-stream rate E'(rho)/rho falls to
+    r > 0, the midpoint of ``decreasing_root``'s bracket (a root below 1e-9
+    gives that end).  The bracket is (1e-9, ``rho_max``), or at low rates,
+    when the rate at ``rho_max`` is still above r, (``rho_max``, E0(1)/r):
+    E'(rho) < E0(1), so the rate is below r from E0(1)/r on.  E0(1) is
+    solved once.  As in ``_rate_crossing`` the root is taken on the concave
+    E'(rho) - r rho.
     """
+    if r <= 0:
+        raise ValueError("rate must be positive")
     e_one = e0_max(p, 1.0, fortify_k)[0]
 
     def excess(rho):
@@ -714,7 +719,11 @@ def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None,
         # dE'/drho = E0'(rho) (E0(1) / (E0(1) + E0(rho)))^2
         return e_prime - r * rho, slope * (e_one / (e_one + e0)) ** 2 - r
 
-    lo, hi = decreasing_root(excess, 1e-9, rho_max)
+    lo, hi = 1e-9, rho_max
+    # the first test spares an E0 solve: it is implied by the second
+    if r * rho_max < e_one and excess(rho_max)[0] > 0:
+        lo, hi = rho_max, e_one / r
+    lo, hi = decreasing_root(excess, lo, hi)
     return 0.5 * (lo + hi), e_one
 
 

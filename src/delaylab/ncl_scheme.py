@@ -151,8 +151,11 @@ class NclTrace:
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
-    """Chunk-aligned deadline grid starting at the smallest possible
-    end-to-end delay; decayed tails are only resolvable on this spacing."""
+    """Chunk-aligned deadline grid starting at the smallest end-to-end delay
+    of the bound-driven law, block_period + (ceil(t~) + 1) ck + l k, where a
+    block takes at least ceil(t~) + 1 chunks; decayed tails are only
+    resolvable on this spacing.  ``simulate_ncl_exact_tiny`` blocks can
+    commit after a single chunk, so their delays can fall below the start."""
     base = (params.block_period + (math.ceil(params.t_tilde) + 1) * params.ck
             + params.l * params.k)
     return base + params.ck * np.arange(points, dtype=np.int64)

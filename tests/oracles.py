@@ -1,16 +1,20 @@
-"""The rho solvers the bounds used before the slope-driven ones, kept as test
-oracles: golden section on E0(rho) - rho R for the sphere-packing and
-list-decoding exponents, and fixed-count bisections for the focusing,
-time-sharing and erasure-channel inversions.
+"""Implementations the program replaced, kept as test oracles.
 
-The bisections stop once lo and hi are adjacent floats: when the root lies
-inside the bracket, every later step re-evaluates lo or hi and changes
-nothing, so the result is the one the fixed 200- or 300-step loops returned.
+The rho solvers the bounds used before the slope-driven ones: golden section
+on E0(rho) - rho R for the sphere-packing and list-decoding exponents, and
+fixed-count bisections for the focusing, time-sharing and erasure-channel
+inversions.  The bisections stop once lo and hi are adjacent floats: when
+the root lies inside the bracket, every later step re-evaluates lo or hi and
+changes nothing, so the result is the one the fixed 200- or 300-step loops
+returned.
+
+The simulation trace writer that formatted one value at a time.
 """
 
 import math
 
 from delaylab import exponents as ex
+from delaylab.cli import _fmt
 from delaylab.dmc import ConvergenceError
 from delaylab.optimize import maximize_concave_1d
 
@@ -72,7 +76,7 @@ def bisect_focusing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
 
 def bisect_timesharing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
     """The two-stream exponent at rate R: E'(rho)/rho = R by bisection on
-    [1e-9, rho_max]."""
+    [1e-9, hi] after the fourfold expansion of hi."""
     if r >= ex._cached_capacity(p)[0] + ex._fortification_rate(fortify_k):
         return 0.0
     e_one = ex.e0_max(p, 1.0, fortify_k)[0]
@@ -80,7 +84,10 @@ def bisect_timesharing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
     def point(rho):
         return ex._timesharing_point(ex.e0_max(p, rho, fortify_k)[0], e_one, rho)
 
-    lo, hi = bisect(lambda rho: point(rho)[0] > r, 1e-9, rho_max, 200)
+    hi = rho_max
+    while point(hi)[0] > r and hi < 1e8:
+        hi *= 4.0
+    lo, hi = bisect(lambda rho: point(rho)[0] > r, 1e-9, hi, 200)
     return point(0.5 * (lo + hi))[1]
 
 
@@ -96,3 +103,14 @@ def bisect_bec_focusing_bits(beta, rate_bits):
     lo, hi = bisect(lambda eta: ex.bec_focusing_point_bits(beta, eta)[0] > rate_bits,
                     1e-12, hi, 300)
     return 0.5 * (lo + hi) * rate_bits
+
+
+def row_loop_trace_csv(path, header, rows_by_trial):
+    """``cli._write_trace_csv`` as a loop over rows of Python values: floats
+    through ``cli._fmt``, everything else through ``str``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for trial, rows in enumerate(rows_by_trial):
+            for row in rows:
+                fh.write(f"{trial}," + ",".join(_fmt(v) if isinstance(v, float)
+                                                else str(v) for v in row) + "\n")

@@ -10,6 +10,7 @@ import pytest
 
 from delaylab import cli, exponents
 from delaylab.dmc import LN2, ConvergenceError
+from oracles import row_loop_trace_csv
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
 
@@ -130,6 +131,41 @@ class TestCurve:
         assert len(payload["rate_nats"]) == 4
 
 
+def trace_columns(case):
+    """Per-trial numpy columns for one trace-writer case."""
+    rng = np.random.default_rng(11)
+    chunk = cli.TRACE_CHUNK_ROWS
+
+    def ints(n):
+        return rng.integers(-2**62, 2**62, n)
+
+    def floats(n):
+        special = [0.1, 1e16, 5e-324, math.inf, -math.inf, math.nan, -0.0, 1 / 3]
+        return np.resize(np.array(special), n) * rng.choice([1.0, -1.0], n)
+
+    if case == "int64":
+        return [[ints(1000), ints(1000), np.arange(1000, dtype=np.int64)]]
+    if case == "float":
+        return [[floats(1000), ints(1000), floats(1000)]]
+    if case == "trials_one_empty":
+        return [[ints(n), floats(n)] for n in (5, 0, 7, 3)]
+    rows = chunk + {"chunk_minus_1": -1, "chunk": 0, "chunk_plus_1": 1}[case]
+    return [[ints(rows), floats(rows)], [floats(rows), ints(rows)]]
+
+
+class TestTraceWriter:
+    @pytest.mark.parametrize("case", ["int64", "float", "trials_one_empty",
+                                      "chunk_minus_1", "chunk", "chunk_plus_1"])
+    def test_matches_row_loop_oracle(self, tmp_path, case):
+        trials = trace_columns(case)
+        header = ["trial"] + [f"c{j}" for j in range(len(trials[0]))]
+        cli._write_trace_csv(tmp_path / "chunked.csv", header, trials)
+        row_loop_trace_csv(tmp_path / "oracle.csv", header,
+                           [list(zip(*(col.tolist() for col in cols))) for cols in trials])
+        assert (tmp_path / "chunked.csv").read_bytes() == \
+               (tmp_path / "oracle.csv").read_bytes()
+
+
 class TestSim:
     def test_bec_determinism(self, tmp_path):
         cfg = tmp_path / "f.json"
@@ -163,16 +199,24 @@ class TestSim:
         assert json.loads((tmp_path / "s/summary.json").read_text())["seed"] == 123
 
     def test_threads_do_not_change_summary(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "f.json"
-        cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4,
-                                   "rate_bits": 0.5, "horizon": 50_000,
-                                   "trials": 4, "d_grid": [8, 12]}))
-        monkeypatch.setenv("FDL_THREADS", "4")
-        run(["sim", "bec", cfg, "--seed", "3", "--out", tmp_path / "mt"])
-        monkeypatch.setenv("FDL_THREADS", "1")
-        run(["sim", "bec", cfg, "--seed", "3", "--out", tmp_path / "st"])
-        assert (tmp_path / "mt/summary.json").read_bytes() == \
-               (tmp_path / "st/summary.json").read_bytes()
+        # trace.csv as well: trials are written in trial order
+        configs = {
+            "bec": {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5,
+                    "horizon": 50_000, "trials": 4, "d_grid": [8, 12]},
+            "queue": {"service": {"kind": "offset_geometric", "offset": 2, "beta": 0.25},
+                      "arrival_period": 5, "horizon": 20_000, "trials": 4,
+                      "d_grid": [6, 9, 12]},
+        }
+        for kind, config in configs.items():
+            cfg = tmp_path / f"{kind}.json"
+            cfg.write_text(json.dumps(config))
+            for threads in ("4", "1"):
+                monkeypatch.setenv("FDL_THREADS", threads)
+                assert run(["sim", kind, cfg, "--seed", "3",
+                            "--out", tmp_path / f"{kind}{threads}"]) == 0
+            for name in ("summary.json", "trace.csv"):
+                assert (tmp_path / f"{kind}4" / name).read_bytes() == \
+                       (tmp_path / f"{kind}1" / name).read_bytes()
 
     def test_queue_summary_respects_bound(self, tmp_path):
         cfg = tmp_path / "q.json"

@@ -420,6 +420,11 @@ class TestRhoWorkCounters:
         ex.bound_at_rate(bsc002, "timesharing", 0.3)
         assert len(e0_calls) <= 20
 
+    def test_timesharing_low_rate(self, bsc002, e0_calls):
+        # the root lies near rho = 3300, beyond rho = 64
+        ex.bound_at_rate(bsc002, "timesharing", 1e-4)
+        assert len(e0_calls) <= 20
+
     def test_sphere_packing(self, bsc002, e0_calls):
         ex.sphere_packing(bsc002, 0.3)
         assert len(e0_calls) <= 25
@@ -645,6 +650,15 @@ class TestTimesharing:
         point = ex._timesharing_point(ex.e0_max(bsc002, 0.7)[0],
                                       ex.e0_max(bsc002, 1.0)[0], 0.7)
         assert point == ex.timesharing_exponent(bsc002, 0.7)
+
+    def test_low_rate_inversion_reaches_the_rate(self, bsc002):
+        # the rate at rho = 64 is 0.0051, so the root lies beyond it
+        rho, _ = ex._timesharing_rho(bsc002, 1e-4, None)
+        rate, e = ex.timesharing_exponent(bsc002, rho)
+        assert rate == pytest.approx(1e-4, rel=1e-9)
+        assert ex.bound_at_rate(bsc002, "timesharing", 1e-4) == pytest.approx(e, rel=1e-12)
+        with pytest.raises(ValueError):
+            ex.bound_at_rate(bsc002, "timesharing", 0.0)
 
     def test_rho_one_halves_e0(self, bsc002):
         rate, e = ex.timesharing_exponent(bsc002, 1.0)
