@@ -28,11 +28,13 @@ from .dmc import (
     LN2,
 )
 from .optimize import (
+    ConvexSolution,
     E0Solution,
     Search1DResult,
     maximize_concave_1d,
     maximize_e0,
     maximize_over_simplex,
+    minimize_convex_on_simplex,
     minimize_over_channels,
 )
 from .exponents import (
@@ -43,6 +45,7 @@ from .exponents import (
     sphere_packing,
     random_coding_list,
     haroutunian,
+    divergence_rate,
     zero_error_feedback_capacity,
     burnashev_bound,
     focusing_bound,

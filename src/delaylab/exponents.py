@@ -33,6 +33,7 @@ from .optimize import (
     decreasing_root,
     maximize_concave_1d,
     maximize_e0,
+    minimize_convex_on_simplex,
     minimize_over_channels,
 )
 
@@ -41,7 +42,6 @@ _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 _symmetry_cache: dict[str, bool | None] = {}
 _capacity_cache: dict[str, tuple[float, np.ndarray]] = {}
-_haroutunian_cache: dict[tuple, float] = {}
 
 
 def _symmetric(p: Dmc) -> bool:
@@ -166,35 +166,60 @@ def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
     return (f2 - 2 * f1 + f0) / h**2
 
 
-def zero_error_feedback_capacity(p: Dmc, fortify_k: int | None = None,
-                                 rho_max: float = RHO_MAX) -> float:
-    """C_{0,f} = lim_{rho->inf} E0(rho)/rho, in nats.
+def divergence_rate(p: Dmc, fortify_k: int | None = None) -> float:
+    """R_inf = lim_{rho->inf} E0(rho)/rho, in nats: the rate below which the
+    sphere-packing, Haroutunian and focusing exponents are infinite.
 
-    Combinatorial pre-check: when every pair of input rows shares an output
-    with positive probability under both, E0 stays bounded and the limit is 0.
-    Otherwise the limit is evaluated numerically at escalating rho with a
-    Richardson step to cancel the O(1/rho) term.
+    As rho grows, P^(1/(1+rho)) tends to the support indicator, so
+    R_inf = -ln max_{q_Y} min_x q_Y(T_x) with T_x = supp P(.|x), which by
+    the minimax theorem is -ln min_{q_X} max_y q_X({x : P(y|x) > 0}); plus
+    ln2/k under fortification.  It is exactly 0 when one output is reached
+    by every input.  Otherwise the piecewise-linear game is solved by
+    ``minimize_convex_on_simplex`` on max_x -q_Y(T_x), whose subgradient is
+    minus the indicator of the worst T_x; the value is within the solver's
+    certified gap (1e-13 in q_Y(T_x)) of the game's.
     """
     shift = _fortification_rate(fortify_k)
+    reached = p.rows > 0
+    if reached.all(axis=0).any():
+        return shift
+    masks = reached.astype(float)
+
+    def oracle(q):
+        covered = masks @ q
+        x = int(np.argmin(covered))
+        return -float(covered[x]), -masks[x]
+
+    best = minimize_convex_on_simplex(oracle, p.output_size).value
+    return -math.log(-best) + shift
+
+
+def zero_error_feedback_capacity(p: Dmc, fortify_k: int | None = None) -> float:
+    """Shannon's zero-error capacity with feedback C_{0,f}, in nats.
+
+    It is 0 when every pair of inputs shares an output with positive
+    probability (no message can then be sent without error), and
+    ``divergence_rate`` otherwise (Shannon 1956); under fortification ln2/k
+    is added in both cases.  It can lie below the divergence rate: on the
+    circulant [[.653,.347,0],[0,.653,.347],[.347,0,.653]] every pair shares
+    an output, so C_{0,f} = 0, while R_inf = ln 1.5.
+    """
     nx = p.input_size
     shared = all(
         np.any((p.rows[x] > 0) & (p.rows[xp] > 0))
         for x in range(nx) for xp in range(x + 1, nx)
     )
     if shared:
-        return shift
-    r1 = rho_max / 2.0
-    f1 = e0_max(p, r1)[0] / r1
-    f2 = e0_max(p, rho_max)[0] / rho_max
-    return max(0.0, 2 * f2 - f1) + shift
+        return _fortification_rate(fortify_k)
+    return divergence_rate(p, fortify_k)
 
 
 def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
                    rho_max: float = RHO_MAX) -> float:
     """Sphere-packing exponent sup_{rho >= 0} [E0(rho) - rho R], in nats.
 
-    Returns +inf exactly for rates below the zero-error feedback capacity,
-    where the supremum diverges.  Above it the maximizer can still lie far
+    Returns +inf exactly for rates below ``divergence_rate``, where the
+    supremum diverges.  Above it the maximizer can still lie far
     beyond ``rho_max`` (at low rates), so the bracket grows fourfold while
     the objective is still climbing at its edge; past 1e8 that raises
     ``ConvergenceError`` with the climb over the bracket's last tenth.
@@ -210,8 +235,7 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     """
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    c0f = zero_error_feedback_capacity(p, fortify_k)
-    if r < c0f - 1e-12:
+    if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
 
     def bracket(rho):
@@ -339,7 +363,8 @@ def channel_capacity_fast(g: Dmc) -> float:
     Two-input channels maximize the concave scalar mutual information over
     s in [0, 1] with ``_max_info_binary``'s safeguarded Newton iteration on
     I'(s); larger alphabets fall back to the certified
-    alternating-maximization iteration.
+    alternating-maximization iteration.  No bound calls it; the benchmark's
+    tracer binds it by name.
     """
     if g.input_size == 2:
         return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
@@ -416,36 +441,116 @@ def _max_info_over_superlevel(g: Dmc, level) -> float:
     return float(_info_of_inputs(g.rows, level).max())
 
 
-def haroutunian(p: Dmc, r: float, variant: str = "standard",
-                restarts: int = 64, seed: int = 0,
-                use_symmetry_fast_path: bool = True) -> float:
-    """Haroutunian block exponent with feedback.
+def _tilted_row(log_p: list, log_q: list, r: float):
+    """e_x(q, R) = min {D(v || P_x) : D(v || q) <= R} for one row, on its
+    support T_x, from the logs of P_x and q there; (e_x, rho, v), or None
+    when q(T_x) <= e^-R, where the minimum is infinite or not attained.
 
-    standard: min over {G : C(G) <= R} of max_x D(G(.|x) || P(.|x)).
-    tilde:    the mimicking constraint is relaxed to
-              max {I(q,G) : I(q,P) >= R} <= R, which can only lower the value.
-
-    For channels with a verified output-symmetry partition the standard
-    variant equals the sphere-packing bound and that fast path is taken
-    unless disabled.  Candidate channels G are restricted to the support
-    pattern of P, where the divergence objective is finite.
+    The minimizer is the tilted row v_t ∝ P_x^(1-t) q^t, t = rho / (1+rho),
+    the exponential family of s = ln(q / P_x): with A(t) = ln sum P^(1-t) q^t
+    and E_t, Var_t the mean and variance of s under v_t,
+        D(v_t || q) = -(1-t) E_t - A(t),   dD(v_t || q)/dt = -(1-t) Var_t,
+        D(v_t || P_x) = t E_t - A(t).
+    D(v_t || q) decreases from D(P_x || q) at t = 0 to -ln q(T_x) at t = 1,
+    so t is 0 when D(P_x || q) <= R and otherwise the root of
+    D(v_t || q) = R, found by ``decreasing_root`` with that slope.  This is
+    the Lagrangian sup_{rho >= 0} -(1+rho) ln sum P_x^(1/(1+rho))
+    q^(rho/(1+rho)) - rho R, whose rho-slope is D(v_rho || q) - R.
     """
-    if variant not in ("standard", "tilde"):
-        raise ValueError("variant must be 'standard' or 'tilde'")
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
-    cap_p = _cached_capacity(p)[0]
-    if r >= cap_p:
-        return 0.0
-    if r < zero_error_feedback_capacity(p) - 1e-12:
-        return math.inf
-    if variant == "standard" and use_symmetry_fast_path and _symmetric(p):
-        return sphere_packing(p, r)
+    s = [b - a for a, b in zip(log_p, log_q)]
+    p_row = [math.exp(a) for a in log_p]
+    if -sum(pv * sv for pv, sv in zip(p_row, s)) <= r:
+        return 0.0, 0.0, p_row
+    top = max(log_q)
+    if -(top + math.log(sum(math.exp(b - top) for b in log_q))) >= r:
+        return None
 
-    key = (p.digest(), round(r, 12), variant, restarts, seed)
-    if key in _haroutunian_cache:
-        return _haroutunian_cache[key]
+    def tilt(t):
+        w = [a + t * sv for a, sv in zip(log_p, s)]
+        top = max(w)
+        e = [math.exp(x - top) for x in w]
+        z = sum(e)
+        v = [x / z for x in e]
+        mean = sum(vy * sv for vy, sv in zip(v, s))
+        return v, mean, top + math.log(z)
 
+    def excess(t):
+        v, mean, log_z = tilt(t)
+        var = sum(vy * (sv - mean) ** 2 for vy, sv in zip(v, s))
+        return -(1.0 - t) * mean - log_z - r, -(1.0 - t) * var
+
+    t = decreasing_root(excess, 0.0, 1.0)[1]  # the side with D(v || q) <= R
+    v, mean, log_z = tilt(t)
+    return t * mean - log_z, t / (1.0 - t), v
+
+
+def _haroutunian_oracle(p: Dmc, r: float):
+    """(value, subgradient) oracle of E+(q) = max_x e_x(q, R) on the output
+    simplex for ``minimize_convex_on_simplex``.  Each e_x is convex in q (a
+    partial minimum of a jointly convex program), with gradient
+    -rho_x v_x(y) / q(y) on T_x by the envelope theorem.  Where
+    q(T_x) <= e^-R for some x the oracle returns that constraint's cut,
+    -1 on T_x."""
+    supports = p.row_supports()
+    log_rows = [np.log(p.rows[x, t]).tolist() for x, t in enumerate(supports)]
+
+    def oracle(q):
+        log_q = np.log(q)
+        worst = None
+        for t, log_p in zip(supports, log_rows):
+            res = _tilted_row(log_p, log_q[t].tolist(), r)
+            if res is None:
+                cut = np.zeros(len(q))
+                cut[t] = -1.0
+                return math.inf, cut
+            if worst is None or res[0] > worst[0]:
+                worst = res + (t,)
+        value, rho, v, t = worst
+        grad = np.zeros(len(q))
+        grad[t] = -rho * np.asarray(v) / q[t]
+        return value, grad
+
+    return oracle
+
+
+def _haroutunian_convex(p: Dmc, r: float) -> float:
+    """The standard Haroutunian exponent E+(R) as a convex program over the
+    output law, for R >= R_inf.
+
+    C(V) = min_q max_x D(V_x || q) (Csiszar-Koerner; Gallager Thm 4.5.1),
+    so C(V) <= R exactly when some q has D(V_x || q) <= R for every x, and
+    the rows decouple once q is fixed:
+        E+(R) = min_q max_x e_x(q, R),  e_x = min {D(v || P_x) : D(v || q) <= R},
+    solved by ``minimize_convex_on_simplex`` with ``_haroutunian_oracle``;
+    its domain is {q : q(T_x) >= e^-R for all x}.  The result is within
+    the solver's certified gap (1e-13) of E+, or it raises
+    ``ConvergenceError`` with that gap.
+
+    At R = 0 that domain has no interior: C(V) = 0 forces equal rows, so
+    E+(0) = min over q on the face F of outputs every input reaches of
+    max_x D(q || P_x) (gradient ln(q / P_x) + 1), which is max_x -ln P_x(y)
+    when F = {y}.
+    """
+    if r > 0:
+        return minimize_convex_on_simplex(_haroutunian_oracle(p, r),
+                                          p.output_size).value
+    log_face = np.log(p.rows[:, np.all(p.rows > 0, axis=0)])
+    if log_face.shape[1] == 1:
+        return float(-log_face.min())
+
+    def oracle(q):
+        log_q = np.log(q)
+        div = (q * (log_q - log_face)).sum(axis=1)
+        x = int(np.argmax(div))
+        return float(div[x]), log_q - log_face[x] + 1.0
+
+    return minimize_convex_on_simplex(oracle, log_face.shape[1]).value
+
+
+def _tilde_search(p: Dmc, r: float, restarts: int, seed: int) -> float:
+    """The multi-start channel search of the tilde variant: min over G on
+    P's support pattern of max_x D(G_x || P_x), subject to
+    max {I(q, G) : I(q, P) >= R} <= R + 1e-9."""
     prows = [row.tolist() for row in p.rows]
     log = math.log
 
@@ -462,14 +567,10 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
                 worst = d
         return worst
 
-    if variant == "standard":
-        def constraint_excess(g: Dmc) -> float:
-            return max(0.0, channel_capacity_fast(g) - r)
-    else:
-        level = _superlevel_interval(p, r)
+    level = _superlevel_interval(p, r)
 
-        def constraint_excess(g: Dmc) -> float:
-            return max(0.0, _max_info_over_superlevel(g, level) - r)
+    def constraint_excess(g: Dmc) -> float:
+        return max(0.0, _max_info_over_superlevel(g, level) - r)
 
     def feasible(g: Dmc) -> bool:
         return constraint_excess(g) <= 1e-9
@@ -500,13 +601,49 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
                 lo = mid
         return Dmc((1 - hi) * g.rows + hi * flat)
 
-    g, val = minimize_over_channels(
+    return minimize_over_channels(
         objective, feasible, (p.input_size, p.output_size),
         restarts=restarts, seed=seed, penalty=penalty,
-        row_supports=p.row_supports(), repair=repair,
-    )
-    _haroutunian_cache[key] = val
-    return val
+        row_supports=supports, repair=repair,
+    )[1]
+
+
+def haroutunian(p: Dmc, r: float, variant: str = "standard",
+                restarts: int = 64, seed: int = 0,
+                use_symmetry_fast_path: bool = True) -> float:
+    """Haroutunian block exponent with feedback.
+
+    standard: E+(R) = min over {V : C(V) <= R} of max_x D(V(.|x) || P(.|x)),
+              solved as a convex program over the output law
+              (``_haroutunian_convex``), certified within 1e-13.
+    tilde:    the mimicking constraint is relaxed to
+              max {I(q,G) : I(q,P) >= R} <= R, which can only lower the
+              value; the multi-start channel search ``_tilde_search``
+              (``restarts`` starts from ``seed``; these two apply to tilde
+              only) gives an upper estimate, and the standard optimum is
+              feasible for tilde, so the result is the smaller of that
+              estimate and E+.
+
+    +inf below ``divergence_rate``.  Above capacity the convex program
+    meets an output law with every D(P_x || q) <= R, where its value and
+    subgradient are 0, so it returns exactly 0 without a capacity solve;
+    the tilde search is then skipped.  For channels with a verified
+    output-symmetry partition E+ equals the sphere-packing bound and that
+    fast path is taken unless disabled.
+    """
+    if variant not in ("standard", "tilde"):
+        raise ValueError("variant must be 'standard' or 'tilde'")
+    if r < 0:
+        raise ValueError("rate must be nonnegative")
+    if r < divergence_rate(p) - 1e-12:
+        return math.inf
+    if use_symmetry_fast_path and _symmetric(p):
+        standard = sphere_packing(p, r)
+    else:
+        standard = _haroutunian_convex(p, r)
+    if variant == "standard" or standard == 0.0:
+        return standard
+    return min(_tilde_search(p, r, restarts, seed), standard)
 
 
 def burnashev_bound(p: Dmc, r_bar: float) -> float:
@@ -552,21 +689,23 @@ def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None,
 
 
 def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
-                   restarts: int = 64, seed: int = 0,
                    lambda_grid: int = 200, force_general: bool = False) -> float:
     """Uncertainty-focusing bound E_a(R) = inf_{0 <= lambda < 1} E+(lambda R)/(1 - lambda).
 
     Symmetric channels (where E+ = E_sp) go through the parametric form:
     solve E0(eta)/eta = R, then E_a = E0(eta) = eta R.  The general path
-    minimizes over a lambda grid with golden refinement, caching the
-    Haroutunian searches per lambda R.
+    minimizes over a lambda grid with golden refinement; each E+(lambda R)
+    is the standard ``haroutunian`` exponent, a convex program over the
+    output law solved within a certified gap of 1e-13 (milliseconds per
+    rate on two outputs), cached per lambda R.  +inf below
+    ``divergence_rate``.
     """
     if r <= 0:
         raise ValueError("rate must be positive")
     cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
     if r >= cap_p:
         return 0.0
-    if r < zero_error_feedback_capacity(p, fortify_k) - 1e-12:
+    if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
     if _symmetric(p) and not force_general:
         eta = _solve_eta_for_rate(p, r, fortify_k)
@@ -580,7 +719,7 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     def eplus(rate: float) -> float:
         k = round(rate, 12)
         if k not in cache:
-            cache[k] = haroutunian(p, rate, restarts=restarts, seed=seed)
+            cache[k] = haroutunian(p, rate)
         return cache[k]
 
     def score(lam: float) -> float:
@@ -855,7 +994,8 @@ def bec_lowrate_floor(beta: float, r: float) -> tuple[float, float]:
 def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None,
                   restarts: int = 64, seed: int = 0) -> float:
     """Evaluate one named bound at a rate in nats.  Names: esp, er, er<L>,
-    haroutunian, tilde, burnashev, focusing, viterbi, timesharing."""
+    haroutunian, tilde, burnashev, focusing, viterbi, timesharing.
+    ``restarts`` and ``seed`` reach the tilde channel search only."""
     if name == "esp":
         return sphere_packing(p, r, fortify_k)
     if name == "er":
@@ -863,17 +1003,17 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None,
     if name.startswith("er") and name[2:].isdigit():
         return random_coding_list(p, r, int(name[2:]), fortify_k)
     if name == "haroutunian":
-        return haroutunian(p, r, "standard", restarts=restarts, seed=seed)
+        return haroutunian(p, r)
     if name == "tilde":
         return haroutunian(p, r, "tilde", restarts=restarts, seed=seed)
     if name == "burnashev":
         return burnashev_bound(p, r)
     if name == "focusing":
-        return focusing_bound(p, r, fortify_k, restarts=restarts, seed=seed)
+        return focusing_bound(p, r, fortify_k)
     if name in ("viterbi", "timesharing"):
         # parametric curves inverted at a single rate
         if name == "viterbi":
-            return focusing_bound(p, r, fortify_k, restarts=restarts, seed=seed)
+            return focusing_bound(p, r, fortify_k)
         cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
         if r >= cap_p:
             return 0.0

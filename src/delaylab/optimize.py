@@ -10,8 +10,12 @@
 4. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
    safeguarded Newton steps on the input simplex with an Arimoto fallback,
    stopped by a Hoelder certificate on the distance to the maximum,
-5. multi-start penalized minimization over small channel matrices
-   (the inner search of the Haroutunian bound).
+5. minimization of a convex function over the probability simplex from a
+   (value, subgradient) oracle (``minimize_convex_on_simplex``): central-cut
+   ellipsoid steps, bisection in one dimension, stopped by a certified gap
+   (the standard Haroutunian exponent and the divergence threshold),
+6. multi-start penalized minimization over small channel matrices
+   (the search of the tilde Haroutunian bound).
 
 All searches are deterministic given their seed.
 """
@@ -31,6 +35,7 @@ E0_TOL = 1e-12  # certified distance of maximize_e0's value to the maximum
 E0_MAX_ITER = 500
 ROOT_MAX_ITER = 200  # enough for pure bisection from 1e9 down to the ulp of 1e-12
 NEWTON_NEAR = 2.0**-26  # relative Newton correction below which f is roundoff
+CONVEX_TOL = 1e-13  # certified gap of minimize_convex_on_simplex
 
 
 @dataclass(frozen=True)
@@ -377,6 +382,76 @@ def maximize_e0(rows, rho: float) -> E0Solution:
         st = trial
         gap = st.gap()
     return E0Solution(q=st.q, value=-st.log_f, gap=gap, iterations=it)
+
+
+@dataclass(frozen=True)
+class ConvexSolution:
+    """min of a convex function over the simplex: the best point found, its
+    value, and ``gap``, a certified upper bound on ``value`` - minimum."""
+    q: np.ndarray
+    value: float
+    gap: float
+    iterations: int
+
+
+def minimize_convex_on_simplex(oracle, dim: int, tol: float = CONVEX_TOL,
+                               max_iter: int | None = None) -> ConvexSolution:
+    """Minimize a convex f over the probability simplex of dimension ``dim``.
+
+    ``oracle(q)`` is called at points q with positive coordinates summing to
+    one.  It returns (f(q), g) with g a subgradient of f at q, or, when q
+    violates a convex constraint c <= 0 of f's domain, (inf, h) with h the
+    gradient of c at q; g and h have ``dim`` entries.  The search runs on the
+    first ``dim`` - 1 coordinates: central-cut ellipsoid steps from the ball
+    of radius 1 about the barycentre, which holds the simplex, and bisection
+    of [0, 1] in one dimension.  A center with a coordinate <= 0 is cut by
+    that coordinate.  Every cut keeps the minimizer inside the ellipsoid
+    E_k = {c_k + P_k^(1/2) u : |u| <= 1}, so each feasible center certifies
+        min f >= f(c_k) - ||g_k||_{P_k},  ||g||_P = sqrt(g^T P g),
+    and ``gap`` is the best value less the largest of these bounds.  Stops
+    once the gap is at most ``tol``; raises ``ConvergenceError`` with the gap
+    (inf when no center was feasible) after ``max_iter`` iterations, by
+    default 100 m (m + 1) + 100 in m = ``dim`` - 1 dimensions (the ellipsoid's
+    width shrinks by about exp(-1 / (2 m (m + 1))) per step).
+    """
+    m = dim - 1
+    if m < 1:
+        raise ValueError("need a simplex of dimension at least 2")
+    cap = 100 * m * (m + 1) + 100 if max_iter is None else max_iter
+    center = np.full(m, 1.0 / dim)
+    shape = np.full((1, 1), 0.25) if m == 1 else np.eye(m)
+    best, best_q, lower = math.inf, None, -math.inf
+    for it in range(1, cap + 1):
+        q = np.append(center, 1.0 - center.sum())
+        y = int(np.argmin(q))
+        if q[y] <= 0.0:
+            value, g = math.inf, -np.eye(dim)[y]
+        else:
+            value, g = oracle(q)
+        g = np.asarray(g, dtype=float)
+        g = g[:-1] - g[-1]
+        pg = shape @ g
+        norm = math.sqrt(max(float(g @ pg), 0.0))
+        if value < math.inf:
+            if value < best:
+                best, best_q = value, q
+            lower = max(lower, value - norm)
+            if best - lower <= tol:
+                return ConvexSolution(q=best_q, value=best, gap=best - lower,
+                                      iterations=it)
+        if not norm > 0.0:
+            raise ConvergenceError("cut with no direction at an infeasible point",
+                                   best - lower if best < math.inf else math.inf)
+        pg /= norm
+        if m == 1:  # bisection: keep the half the cut points to
+            center = center - 0.5 * pg
+            shape = 0.25 * shape
+        else:
+            center = center - pg / (m + 1)
+            shape = (m * m / (m * m - 1.0)) * (shape - (2.0 / (m + 1)) * np.outer(pg, pg))
+            shape = 0.5 * (shape + shape.T)
+    raise ConvergenceError("convex simplex search iteration cap exceeded",
+                           best - lower if best < math.inf else math.inf)
 
 
 def _lexicographic_key(g: Dmc) -> tuple:

@@ -9,9 +9,15 @@ changes nothing, so the result is the one the fixed 200- or 300-step loops
 returned.
 
 The simulation trace writer that formatted one value at a time.
+
+Independent references for the standard Haroutunian exponent: 50-digit
+mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
+over the output law.
 """
 
 import math
+
+import numpy as np
 
 from delaylab import exponents as ex
 from delaylab.cli import _fmt
@@ -35,7 +41,7 @@ def bisect(above, lo, hi, steps):
 def golden_esp(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
     """sup_rho [E0(rho) - rho R] by golden section, with the fourfold
     bracket expansion of ``exponents.sphere_packing``."""
-    if r < ex.zero_error_feedback_capacity(p, fortify_k) - 1e-12:
+    if r < ex.divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
 
     def bracket(rho):
@@ -65,7 +71,7 @@ def bisect_focusing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
     cap = ex._cached_capacity(p)[0] + ex._fortification_rate(fortify_k)
     if r >= cap:
         return 0.0
-    if r < ex.zero_error_feedback_capacity(p, fortify_k) - 1e-12:
+    if r < ex.divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
     hi = rho_max
     while ex.e0_max(p, hi, fortify_k)[0] / hi > r and hi < 1e8:
@@ -114,3 +120,94 @@ def row_loop_trace_csv(path, header, rows_by_trial):
             for row in rows:
                 fh.write(f"{trial}," + ",".join(_fmt(v) if isinstance(v, float)
                                                 else str(v) for v in row) + "\n")
+
+
+def z05_haroutunian_mp(rate, form):
+    """E+(R) of Z(0.5) to 50 digits, as an mpmath number.
+
+    ``form`` "primal": the mimicking channel keeps row 0 by absolute
+    continuity, so it is Z(b), and E+ = ln 2 - H(b) at the b in (1/2, 1)
+    with C(Z(b)) = ln(1 + (1-b) b^(b/(1-b))) = R.
+    ``form`` "dual": e_1(q, R) at the output law q = (e^-R, 1 - e^-R), where
+    the constraint q_0 >= e^-R of row 0 is active; the tilted row
+    v ∝ (1/2)^(1-t) q^t ∝ q^t has D(v || q) = R, and E+ = ln 2 - H(v).
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r = mp.mpf(rate)
+
+        def neg_entropy(b):
+            return b * mp.log(b) + (1 - b) * mp.log(1 - b)
+
+        if form == "primal":
+            def excess(b):
+                return mp.log(1 + (1 - b) * b ** (b / (1 - b))) - r
+            b = mp.findroot(excess, (mp.mpf("0.5") + mp.mpf(10) ** -40,
+                                     1 - mp.mpf(10) ** -40), solver="anderson")
+            return mp.log(2) + neg_entropy(b)
+        q0 = mp.exp(-r)
+        q1 = 1 - q0
+
+        def tilted(t):
+            return q0 ** t / (q0 ** t + q1 ** t)
+
+        def excess(t):
+            v = tilted(t)
+            return v * mp.log(v / q0) + (1 - v) * mp.log((1 - v) / q1) - r
+        t = mp.findroot(excess, (mp.mpf(0), mp.mpf(1)), solver="anderson")
+        return mp.log(2) + neg_entropy(tilted(t))
+
+
+def _row_exponent_scipy(prow, q, r):
+    """sup_{rho >= 0} -(1+rho) ln sum_{y in T} P(y)^(1/(1+rho)) q(y)^(rho/(1+rho)) - rho R
+    for one row P with support T, by brentq on its rho-derivative
+    D(v_rho || q) - R after doubling the bracket; +inf when q(T) < e^-R."""
+    from scipy.optimize import brentq
+
+    t = prow > 0
+    p, q = prow[t], q[t]
+    if -math.log(q.sum()) >= r:
+        return math.inf
+
+    def value(rho):
+        a = 1.0 / (1.0 + rho)
+        return -(1.0 + rho) * math.log(np.sum(p ** a * q ** (1.0 - a))) - rho * r
+
+    def slope(rho):
+        a = 1.0 / (1.0 + rho)
+        v = p ** a * q ** (1.0 - a)
+        v /= v.sum()
+        return float(np.sum(v * np.log(v / q))) - r
+
+    if slope(0.0) <= 0.0:
+        return 0.0
+    hi = 1.0
+    while slope(hi) > 0.0:
+        hi *= 2.0
+    return value(brentq(slope, 0.0, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps))
+
+
+def nelder_mead_haroutunian(p, r):
+    """min_q max_x e_x(q, R) over the output simplex by scipy Nelder-Mead on
+    the first |Y| - 1 coordinates (+inf outside the simplex), restarted from
+    its own result until the value stops improving."""
+    from scipy.optimize import minimize
+
+    rows = np.asarray(p.rows)
+
+    def objective(z):
+        q = np.append(z, 1.0 - z.sum())
+        if q.min() <= 0.0:
+            return math.inf
+        return max(_row_exponent_scipy(row, q, r) for row in rows)
+
+    z = np.full(rows.shape[1] - 1, 1.0 / rows.shape[1])
+    best = objective(z)
+    for _ in range(20):
+        res = minimize(objective, z, method="Nelder-Mead",
+                       options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 4000})
+        if not res.fun < best - 1e-16:
+            break
+        z, best = res.x, res.fun
+    return best

@@ -86,6 +86,18 @@ class TestBounds:
         assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.99",
                     "--bounds", "burnashev"]) == 3
 
+    def test_three_input_haroutunian(self, tmp_path, capsys):
+        # the standard Haroutunian exponent of a 3x3 channel without output
+        # symmetry: the convex program over the output law, at or above esp
+        path = tmp_path / "asym3.json"
+        path.write_text(json.dumps({"name": "asym3", "matrix": [
+            [0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]]}))
+        assert run(["bounds", path, "--rate", "0.1", "--bounds", "esp,haroutunian"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        esp, har = (float(row["value_nats"]) for row in rows)
+        assert har == pytest.approx(0.02953012574062, abs=1e-10)
+        assert esp <= har
+
     def test_solver_cap_exit5(self, capsys, monkeypatch):
         def capped(rows, rho):
             raise ConvergenceError("E0 solver iteration cap exceeded", 2.5e-7)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from delaylab import dmc, exponents as ex
+from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
 from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
-                     golden_erl, golden_esp)
+                     golden_erl, golden_esp, nelder_mead_haroutunian,
+                     z05_haroutunian_mp)
 
 HALF_BIT = 0.5 * LN2
 
@@ -255,14 +256,14 @@ class TestSpherePacking:
     def test_missed_divergence_on_disjoint_rows_raises(self, monkeypatch):
         # E0 = rho ln2 grows past the float range of its sum; the search must
         # reach its bracket cap instead of failing on log(0)
-        monkeypatch.setattr(ex, "zero_error_feedback_capacity", lambda p, k: 0.0)
+        monkeypatch.setattr(ex, "divergence_rate", lambda p, k: 0.0)
         with pytest.raises(dmc.ConvergenceError):
             ex.sphere_packing(dmc.identity_channel(2), 0.3)
 
     def test_missed_divergence_raises(self, bsc002, monkeypatch):
-        # below C_0,f = ln2/50 the objective climbs linearly forever; with the
-        # C_0,f test fooled, the search must fail loudly instead of guessing
-        monkeypatch.setattr(ex, "zero_error_feedback_capacity", lambda p, k: 0.0)
+        # below R_inf = ln2/50 the objective climbs linearly forever; with the
+        # R_inf test fooled, the search must fail loudly instead of guessing
+        monkeypatch.setattr(ex, "divergence_rate", lambda p, k: 0.0)
         with pytest.raises(dmc.ConvergenceError) as err:
             ex.sphere_packing(bsc002, 0.005, fortify_k=50)
         assert err.value.residual > 0
@@ -478,12 +479,15 @@ class TestHaroutunian:
     def test_above_capacity_zero(self, z05):
         assert ex.haroutunian(z05, 0.5) == 0.0
 
-    # values the golden-section two-input search gave; the Newton solver
-    # must reproduce them to 1e-12
+    # standard: the 50-digit references of oracles.z05_haroutunian_mp,
+    # which the convex program must meet to 1e-12; tilde: the values the
+    # golden-section two-input search gave, which the Newton solver must
+    # reproduce to 1e-12 (each lies below the standard value, so the
+    # minimum with it is the search's own)
     Z05_PINNED = {
-        ("standard", 0.03): 0.415669716052841,
-        ("standard", 0.115): 0.09729268288873305,
-        ("standard", 0.20): 0.003652035926267602,
+        ("standard", 0.03): 0.41566972237431041407,
+        ("standard", 0.115): 0.097292684948362622215,
+        ("standard", 0.20): 0.0036520362494887374884,
         ("tilde", 0.03): 0.415669716052841,
         ("tilde", 0.115): 0.09729268288873286,
         ("tilde", 0.20): 0.0036520359262675467,
@@ -494,6 +498,45 @@ class TestHaroutunian:
         assert ex.haroutunian(z05, r, variant) == pytest.approx(
             self.Z05_PINNED[variant, r], abs=1e-12)
 
+    @pytest.mark.parametrize("r", (0.03, 0.115, 0.20))
+    def test_z_channel_pins_match_mpmath_oracle(self, r):
+        # at the decimal rate; the double nearest it moves E+ by < 3e-17
+        primal = z05_haroutunian_mp(str(r), "primal")
+        dual = z05_haroutunian_mp(str(r), "dual")
+        assert abs(primal - dual) < 1e-25
+        assert float(primal) == pytest.approx(self.Z05_PINNED["standard", r], abs=1e-17)
+
+    def test_rate_zero_on_the_common_output_face(self, z05):
+        # C(V) = 0 forces equal rows on the outputs every input reaches:
+        # on Z(0.5) only output 0, so E+(0) = -ln P(0|1) = ln 2 exactly
+        assert ex.haroutunian(z05, 0.0) == LN2
+        # a two-output face {0, 1}: the max of D(q || (.6, .2)) and
+        # D(q || (.2, .6)) is least at q = (1/2, 1/2) by symmetry
+        ch = dmc.Dmc([[0.6, 0.2, 0.2, 0.0], [0.2, 0.6, 0.0, 0.2]])
+        want = 0.5 * math.log(0.5 / 0.6) + 0.5 * math.log(0.5 / 0.2)
+        assert ex.haroutunian(ch, 0.0, use_symmetry_fast_path=False) == pytest.approx(
+            want, abs=1e-12)
+
+    ASYM3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
+    ASYM3_STANDARD = {0.05: 0.07337363456548, 0.08: 0.04314021602811,
+                      0.10: 0.02953012574062, 0.20: 0.00086008572198}
+
+    @pytest.mark.parametrize("r", sorted(ASYM3_STANDARD))
+    def test_three_inputs_match_nelder_mead_oracle(self, r):
+        got = ex.haroutunian(self.ASYM3, r)
+        assert got == pytest.approx(self.ASYM3_STANDARD[r], abs=1e-10)
+        assert got == pytest.approx(nelder_mead_haroutunian(self.ASYM3, r), abs=1e-10)
+        assert got >= ex.sphere_packing(self.ASYM3, r)
+
+    def test_convex_solve_certifies_its_gap(self, z05):
+        for ch in (z05, self.ASYM3):
+            sol = optimize.minimize_convex_on_simplex(ex._haroutunian_oracle(ch, 0.1),
+                                                      ch.output_size)
+            assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
+            assert sol.value == ex.haroutunian(ch, 0.1)
+            if ch is z05:  # the optimum sits on the domain's boundary q_0 = e^-R
+                assert sol.q[0] == pytest.approx(math.exp(-0.1), abs=1e-12)
+
     def test_tilde_solves_superlevel_interval_once(self, z05, monkeypatch):
         calls = []
         solve = ex._superlevel_interval
@@ -503,7 +546,6 @@ class TestHaroutunian:
             return solve(p, r)
 
         monkeypatch.setattr(ex, "_superlevel_interval", counted)
-        monkeypatch.setattr(ex, "_haroutunian_cache", {})
         ex.haroutunian(z05, 0.1, "tilde", restarts=4)
         assert calls == [0.1]
 
@@ -522,12 +564,13 @@ class TestHaroutunian:
             loop = [dmc.mutual_information(g, q) for q in qs]
             assert ex._info_of_inputs(g.rows, qs) == pytest.approx(loop, abs=1e-15)
 
-    def test_tilde_three_inputs_pinned(self, monkeypatch):
-        # the value the per-sample loop gave (196 s then, about 2 s now)
-        monkeypatch.setattr(ex, "_haroutunian_cache", {})
-        asym3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
-        assert ex.haroutunian(asym3, 0.08, "tilde", restarts=2) == pytest.approx(
+    def test_tilde_three_inputs_pinned(self):
+        # the search's own value, which the per-sample loop gave (196 s
+        # then, about 2 s now), lies above E+; tilde is the smaller of the two
+        assert ex._tilde_search(self.ASYM3, 0.08, restarts=2, seed=0) == pytest.approx(
             0.24044232147434463, abs=1e-15)
+        assert ex.haroutunian(self.ASYM3, 0.08, "tilde", restarts=2) == \
+            ex.haroutunian(self.ASYM3, 0.08)
 
     def test_tilde_no_worse_than_standard(self, z05):
         for r in (0.08, 0.14):
@@ -553,6 +596,63 @@ class TestZeroErrorFeedbackCapacity:
         ])
         ch = dmc.Dmc(rows)
         assert ex.zero_error_feedback_capacity(ch) >= LN2 - 1e-3
+
+
+CIRCULANT = dmc.Dmc([[0.653, 0.347, 0.0], [0.0, 0.653, 0.347], [0.347, 0.0, 0.653]])
+
+
+class TestDivergenceRate:
+    def test_exact_zero_with_a_common_output(self, bsc002, bec04, z05):
+        for ch in (bsc002, bec04, z05, TestHaroutunian.ASYM3):
+            assert ex.divergence_rate(ch) == 0.0
+        assert ex.divergence_rate(bsc002, 50) == LN2 / 50
+
+    def test_games_without_a_common_output(self):
+        # max_q min_x q(T_x): 1/2 on the identity, 2/3 on the circulant,
+        # 1/3 with a noisy third input on its own outputs
+        assert ex.divergence_rate(dmc.identity_channel(2)) == pytest.approx(LN2, abs=1e-12)
+        assert ex.divergence_rate(CIRCULANT) == pytest.approx(math.log(1.5), abs=1e-12)
+        rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
+        assert ex.divergence_rate(dmc.Dmc(rows)) == pytest.approx(math.log(3), abs=1e-12)
+
+    def test_circulant_shares_outputs_pairwise(self):
+        # every pair of inputs shares an output, so Shannon's C_0,f is 0
+        # while the exponents diverge up to R_inf = ln 1.5
+        assert ex.zero_error_feedback_capacity(CIRCULANT) == 0.0
+
+    def test_circulant_infinite_below_and_finite_above(self):
+        for r in (0.3, 0.42):
+            values = (ex.focusing_bound(CIRCULANT, r), ex.sphere_packing(CIRCULANT, r),
+                      ex.haroutunian(CIRCULANT, r),
+                      ex.haroutunian(CIRCULANT, r, use_symmetry_fast_path=False))
+            if r < math.log(1.5):
+                assert values == (math.inf,) * 4
+            else:
+                assert all(0 < v < math.inf for v in values)
+                assert values[3] == pytest.approx(values[1], abs=1e-9)
+
+
+class TestHaroutunianProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(ch=small_channels(), frac=st.floats(0.02, 0.98))
+    def test_sphere_packing_below_and_equal_on_symmetric(self, ch, frac):
+        cap = dmc.capacity(ch, tol=1e-6)[0]  # a lower bound within 1e-6
+        assume(cap > 1e-3)  # the domain of TestRhoSolversAgainstOracles
+        r = frac * cap
+        esp = ex.sphere_packing(ch, r)
+        eplus = ex.haroutunian(ch, r, use_symmetry_fast_path=False)
+        assert esp <= eplus + 1e-12
+        if ex._symmetric(ch):
+            assert eplus == pytest.approx(esp, abs=1e-9)
+
+    def test_z_channel_orderings(self, z05):
+        for r in (0.05, 0.1, 0.15):
+            esp = ex.sphere_packing(z05, r)
+            har = ex.haroutunian(z05, r)
+            focusing = ex.focusing_bound(z05, r)
+            timesharing = ex.bound_at_rate(z05, "timesharing", r)
+            assert esp <= har <= focusing
+            assert timesharing <= focusing
 
 
 class TestBurnashev:

@@ -189,6 +189,66 @@ class TestMaximizeOverSimplex:
         assert val >= best - 1e-4
 
 
+class TestMinimizeConvexOnSimplex:
+    @staticmethod
+    def capacity_oracle(p):
+        """C(P) = min_q max_x D(P_x || q); the gradient of D(P_x || q) in q
+        is -P_x / q."""
+        rows = np.asarray(p.rows)
+
+        def oracle(q):
+            div = [dmc.divergence_rows(row, q) for row in rows]
+            x = int(np.argmax(div))
+            return div[x], -rows[x] / q
+        return oracle
+
+    @pytest.mark.parametrize("rows", [
+        [[0.98, 0.02], [0.02, 0.98]],
+        [[1.0, 0.0], [0.5, 0.5]],
+        [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]],
+        [[0.6, 0.1, 0.2, 0.1], [0.1, 0.5, 0.1, 0.3], [0.2, 0.2, 0.5, 0.1]],
+    ])
+    def test_capacity_min_max_form(self, rows):
+        p = dmc.Dmc(rows)
+        sol = optimize.minimize_convex_on_simplex(self.capacity_oracle(p), p.output_size)
+        assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
+        assert sol.value == pytest.approx(dmc.capacity(p, tol=1e-12)[0], abs=1e-11)
+        assert sol.q.sum() == pytest.approx(1.0, abs=1e-15) and sol.q.min() > 0
+
+    def test_constraint_cuts_hold_the_minimizer(self):
+        # min of q_0 + 2 q_1 subject to q_1 >= 0.4: 0.8 at q = (0, 0.4, 0.6)
+        def oracle(q):
+            if q[1] < 0.4:
+                return math.inf, np.array([0.0, -1.0, 0.0])
+            return q[0] + 2.0 * q[1], np.array([1.0, 2.0, 0.0])
+
+        sol = optimize.minimize_convex_on_simplex(oracle, 3)
+        assert sol.value == pytest.approx(0.8, abs=1e-12)
+        assert sol.value - sol.gap <= 0.8 <= sol.value
+
+    def test_one_dimension_is_bisection(self):
+        sol = optimize.minimize_convex_on_simplex(
+            lambda q: (abs(q[0] - 0.3), np.array([math.copysign(1.0, q[0] - 0.3), 0.0])), 2)
+        # the interval halves at every step: about log2(1e13) of them
+        assert sol.iterations <= 50
+        assert sol.value <= optimize.CONVEX_TOL
+
+    def test_cap_raises_with_the_gap(self):
+        oracle = self.capacity_oracle(dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3],
+                                               [0.25, 0.15, 0.6]]))
+        with pytest.raises(dmc.ConvergenceError) as err:
+            optimize.minimize_convex_on_simplex(oracle, 3, max_iter=5)
+        assert 0.0 < err.value.residual < math.inf
+
+    def test_empty_domain_raises_with_infinite_gap(self):
+        def oracle(q):  # q_0 >= 2 never holds on the simplex
+            return math.inf, np.array([-1.0, 0.0, 0.0])
+
+        with pytest.raises(dmc.ConvergenceError) as err:
+            optimize.minimize_convex_on_simplex(oracle, 3)
+        assert err.value.residual == math.inf
+
+
 class TestMinimizeOverChannels:
     def test_capacity_constrained_matches_sphere_packing(self, bsc002):
         # E+ search on an output-symmetric channel must land on E_sp (oracle
