@@ -3,7 +3,7 @@ simulations, and figure-data reproduction.
 
 Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown target,
 5 a numerical solver hit its iteration cap (the message carries its residual).
-Environment: FDL_SEED overrides --seed, FDL_THREADS caps sim parallelism.
+Environment: FDL_SEED overrides sim's --seed, FDL_THREADS caps sim parallelism.
 All diagnostics go to stderr; stdout carries only requested tables.
 """
 
@@ -401,12 +401,12 @@ def cmd_sim(args) -> int:
 # figure data
 # ---------------------------------------------------------------------------
 
-def _figure_4(out: Path, seed: int) -> dict:
+def _figure_4(out: Path) -> dict:
     from .dmc import z_channel
     ch = z_channel(0.5)
     rates = np.linspace(0.02, 0.21, 20)
     esp = [sphere_packing(ch, r) for r in rates]
-    har = [bound_at_rate(ch, "haroutunian", float(r), seed=seed) for r in rates]
+    har = [bound_at_rate(ch, "haroutunian", float(r)) for r in rates]
     _write_curve_csv(out / "zchannel_bounds.csv", rates,
                      {"esp": esp, "haroutunian": har})
     return {"channel": "Z(0.5)", "curves": ["esp", "haroutunian"],
@@ -419,7 +419,7 @@ def _bsc_rate_grid(p: float, points: int = 60) -> np.ndarray:
     return np.linspace(cap / 50, cap * 0.995, points)
 
 
-def _figure_6(out: Path, seed: int) -> dict:
+def _figure_6(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
     rates = _bsc_rate_grid(0.02)
@@ -437,7 +437,7 @@ def _figure_6(out: Path, seed: int) -> dict:
             "lambdas": [1 / 8, 1 / 2, 7 / 8]}
 
 
-def _figure_7(out: Path, seed: int) -> dict:
+def _figure_7(out: Path) -> dict:
     from .dmc import bsc, capacity
     ch = bsc(0.003)
     cap = capacity(ch)[0]
@@ -451,7 +451,7 @@ def _figure_7(out: Path, seed: int) -> dict:
             "note": "high-rate regime; the curves cross"}
 
 
-def _figure_8(out: Path, seed: int) -> dict:
+def _figure_8(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
     rates = _bsc_rate_grid(0.02)
@@ -469,7 +469,7 @@ def _figure_8(out: Path, seed: int) -> dict:
             }}
 
 
-def _figure_9(out: Path, seed: int) -> dict:
+def _figure_9(out: Path) -> dict:
     from .dmc import bec
     ch = bec(0.4)
     rates = np.linspace(0.02, 0.41, 40)
@@ -482,7 +482,7 @@ def _figure_9(out: Path, seed: int) -> dict:
             "ultimate_limit_nats": -math.log(0.4)}
 
 
-def _figure_12(out: Path, seed: int) -> dict:
+def _figure_12(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
     rates = _bsc_rate_grid(0.02)
@@ -510,7 +510,7 @@ def _lambda_ratio_curve(ch: Dmc, fortify_k, etas) -> tuple[list, list]:
     return rates, ratio_db
 
 
-def _figure_13(out: Path, seed: int) -> dict:
+def _figure_13(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
     etas = np.geomspace(0.02, 30.0, 60)
@@ -524,7 +524,7 @@ def _figure_13(out: Path, seed: int) -> dict:
             "quantity": "10 log10((1-lambda*)/lambda*)"}
 
 
-def _figure_14(out: Path, seed: int) -> dict:
+def _figure_14(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.60, 60)
@@ -539,7 +539,7 @@ def _figure_14(out: Path, seed: int) -> dict:
     return {"channel": "BSC(0.02) and 1/50-fortified", "curves": list(cols)}
 
 
-def _figure_16(out: Path, seed: int) -> dict:
+def _figure_16(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.43, 22)
@@ -566,7 +566,7 @@ def cmd_figure(args) -> int:
                        f"unknown figure id {args.id}; known: {sorted(FIGURES)}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = FIGURES[args.id](out, _resolve_seed(args))
+    manifest = FIGURES[args.id](out)
     manifest["figure"] = args.id
     _summary_json(out / "MANIFEST.json", manifest)
     return EXIT_OK
@@ -608,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("figure", help="reproduce one figure's curve data")
     f.add_argument("id", type=int)
     f.add_argument("--out-dir", required=True)
-    f.add_argument("--seed", type=int, default=0)
     f.set_defaults(fn=cmd_figure)
     return ap
 

@@ -444,7 +444,8 @@ def _max_info_over_superlevel(g: Dmc, level) -> float:
 def _tilted_row(log_p: list, log_q: list, r: float):
     """e_x(q, R) = min {D(v || P_x) : D(v || q) <= R} for one row, on its
     support T_x, from the logs of P_x and q there; (e_x, rho, v), or None
-    when q(T_x) <= e^-R, where the minimum is infinite or not attained.
+    when q(T_x) <= e^-R (to roundoff), where the minimum is infinite or
+    attained only as rho -> inf.
 
     The minimizer is the tilted row v_t ∝ P_x^(1-t) q^t, t = rho / (1+rho),
     the exponential family of s = ln(q / P_x): with A(t) = ln sum P^(1-t) q^t
@@ -480,6 +481,8 @@ def _tilted_row(log_p: list, log_q: list, r: float):
         return -(1.0 - t) * mean - log_z - r, -(1.0 - t) * var
 
     t = decreasing_root(excess, 0.0, 1.0)[1]  # the side with D(v || q) <= R
+    if t == 1.0:  # -ln q(T_x) is R to roundoff: rho and the gradient blow up
+        return None
     v, mean, log_z = tilt(t)
     return t * mean - log_z, t / (1.0 - t), v
 
@@ -513,9 +516,9 @@ def _haroutunian_oracle(p: Dmc, r: float):
     return oracle
 
 
-def _haroutunian_convex(p: Dmc, r: float) -> float:
+def _haroutunian_convex(p: Dmc, r: float, r_inf: float) -> float:
     """The standard Haroutunian exponent E+(R) as a convex program over the
-    output law, for R >= R_inf.
+    output law, for R at or above R_inf = ``divergence_rate(p)``.
 
     C(V) = min_q max_x D(V_x || q) (Csiszar-Koerner; Gallager Thm 4.5.1),
     so C(V) <= R exactly when some q has D(V_x || q) <= R for every x, and
@@ -526,12 +529,21 @@ def _haroutunian_convex(p: Dmc, r: float) -> float:
     the solver's certified gap (1e-13) of E+, or it raises
     ``ConvergenceError`` with that gap.
 
-    At R = 0 that domain has no interior: C(V) = 0 forces equal rows, so
-    E+(0) = min over q on the face F of outputs every input reaches of
-    max_x D(q || P_x) (gradient ln(q / P_x) + 1), which is max_x -ln P_x(y)
-    when F = {y}.
+    That domain shrinks to the game's optimal face {q : min_x q(T_x) =
+    e^-R_inf} as R falls to R_inf, where it has no interior.  Rates within
+    1e-15 of R_inf = 0 are therefore solved at R = 0: C(V) = 0 forces equal
+    rows, so E+(0) = min over q on the face F of outputs every input
+    reaches of max_x D(q || P_x) (gradient ln(q / P_x) + 1), which is
+    max_x -ln P_x(y) when F = {y}; E+ moves by about 1e-13 over that
+    window.  Within 1e-12 of R_inf > 0 (the accuracy of ``divergence_rate``)
+    the value is 0 when the capacity is at most R + 1e-10 (E+ is quadratic
+    in C - R below capacity); otherwise the solver's search for an
+    interior point decides, and it raises with an infinite gap when it
+    finds none.
     """
-    if r > 0:
+    if r_inf > 0.0 and r < r_inf + 1e-12 and _cached_capacity(p)[0] <= r + 1e-10:
+        return 0.0
+    if r_inf > 0.0 or r >= 1e-15:
         return minimize_convex_on_simplex(_haroutunian_oracle(p, r),
                                           p.output_size).value
     log_face = np.log(p.rows[:, np.all(p.rows > 0, axis=0)])
@@ -626,8 +638,9 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
 
     +inf below ``divergence_rate``.  Above capacity the convex program
     meets an output law with every D(P_x || q) <= R, where its value and
-    subgradient are 0, so it returns exactly 0 without a capacity solve;
-    the tilde search is then skipped.  For channels with a verified
+    subgradient are 0, so it returns 0 without a capacity solve (a value
+    within the 1e-13 gap when R is within about that of C); the tilde
+    search is skipped when E+ is exactly 0.  For channels with a verified
     output-symmetry partition E+ equals the sphere-packing bound and that
     fast path is taken unless disabled.
     """
@@ -635,12 +648,13 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
         raise ValueError("variant must be 'standard' or 'tilde'")
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    if r < divergence_rate(p) - 1e-12:
+    r_inf = divergence_rate(p)
+    if r < r_inf - 1e-12:
         return math.inf
     if use_symmetry_fast_path and _symmetric(p):
         standard = sphere_packing(p, r)
     else:
-        standard = _haroutunian_convex(p, r)
+        standard = _haroutunian_convex(p, r, r_inf)
     if variant == "standard" or standard == 0.0:
         return standard
     return min(_tilde_search(p, r, restarts, seed), standard)

@@ -36,6 +36,7 @@ E0_MAX_ITER = 500
 ROOT_MAX_ITER = 200  # enough for pure bisection from 1e9 down to the ulp of 1e-12
 NEWTON_NEAR = 2.0**-26  # relative Newton correction below which f is roundoff
 CONVEX_TOL = 1e-13  # certified gap of minimize_convex_on_simplex
+CONVEX_ITER_FACTOR = 100  # its cap, times m (m + 1) + 1 in m dimensions
 
 
 @dataclass(frozen=True)
@@ -394,8 +395,7 @@ class ConvexSolution:
     iterations: int
 
 
-def minimize_convex_on_simplex(oracle, dim: int, tol: float = CONVEX_TOL,
-                               max_iter: int | None = None) -> ConvexSolution:
+def minimize_convex_on_simplex(oracle, dim: int) -> ConvexSolution:
     """Minimize a convex f over the probability simplex of dimension ``dim``.
 
     ``oracle(q)`` is called at points q with positive coordinates summing to
@@ -406,22 +406,28 @@ def minimize_convex_on_simplex(oracle, dim: int, tol: float = CONVEX_TOL,
     of radius 1 about the barycentre, which holds the simplex, and bisection
     of [0, 1] in one dimension.  A center with a coordinate <= 0 is cut by
     that coordinate.  Every cut keeps the minimizer inside the ellipsoid
-    E_k = {c_k + P_k^(1/2) u : |u| <= 1}, so each feasible center certifies
-        min f >= f(c_k) - ||g_k||_{P_k},  ||g||_P = sqrt(g^T P g),
-    and ``gap`` is the best value less the largest of these bounds.  Stops
-    once the gap is at most ``tol``; raises ``ConvergenceError`` with the gap
-    (inf when no center was feasible) after ``max_iter`` iterations, by
-    default 100 m (m + 1) + 100 in m = ``dim`` - 1 dimensions (the ellipsoid's
-    width shrinks by about exp(-1 / (2 m (m + 1))) per step).
+    E_k = {c_k + B_k u : |u| <= 1}, so each feasible center certifies
+        min f >= f(c_k) - |B_k^T g_k|,
+    and ``gap`` is the best value less the largest of these bounds.  The
+    ellipsoid is kept as the factor B_k, updated by a rank-one correction in
+    its own whitened coordinates, so it stays positive definite when the
+    domain is a thin slab (a width of 1e-10 next to 1 makes P_k = B_k B_k^T
+    too ill-conditioned to update directly).  Stops once the gap is at most
+    ``CONVEX_TOL``; raises ``ConvergenceError`` with the gap (inf when no
+    center was feasible) after ``CONVEX_ITER_FACTOR`` (m (m + 1) + 1)
+    iterations in m = ``dim`` - 1 dimensions (the ellipsoid's width shrinks
+    by about exp(-1 / (2 m (m + 1))) per step).
     """
     m = dim - 1
     if m < 1:
         raise ValueError("need a simplex of dimension at least 2")
-    cap = 100 * m * (m + 1) + 100 if max_iter is None else max_iter
     center = np.full(m, 1.0 / dim)
-    shape = np.full((1, 1), 0.25) if m == 1 else np.eye(m)
+    factor = np.full((1, 1), 0.5) if m == 1 else np.eye(m)
+    # P <- m^2/(m^2-1) (P - 2/(m+1) P g g^T P / g^T P g), as B <- s B (I - c u u^T)
+    scale = 1.0 if m == 1 else m / math.sqrt(m * m - 1.0)
+    shrink = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
     best, best_q, lower = math.inf, None, -math.inf
-    for it in range(1, cap + 1):
+    for it in range(1, CONVEX_ITER_FACTOR * (m * (m + 1) + 1) + 1):
         q = np.append(center, 1.0 - center.sum())
         y = int(np.argmin(q))
         if q[y] <= 0.0:
@@ -430,26 +436,27 @@ def minimize_convex_on_simplex(oracle, dim: int, tol: float = CONVEX_TOL,
             value, g = oracle(q)
         g = np.asarray(g, dtype=float)
         g = g[:-1] - g[-1]
-        pg = shape @ g
-        norm = math.sqrt(max(float(g @ pg), 0.0))
+        w = factor.T @ g
+        norm = math.sqrt(float(w @ w))
         if value < math.inf:
             if value < best:
                 best, best_q = value, q
             lower = max(lower, value - norm)
-            if best - lower <= tol:
+            if best - lower <= CONVEX_TOL:
                 return ConvexSolution(q=best_q, value=best, gap=best - lower,
                                       iterations=it)
         if not norm > 0.0:
-            raise ConvergenceError("cut with no direction at an infeasible point",
+            raise ConvergenceError("cut with no direction (a zero cut, or the "
+                                   "ellipsoid has collapsed onto a point)",
                                    best - lower if best < math.inf else math.inf)
-        pg /= norm
+        u = w / norm
+        step = factor @ u
         if m == 1:  # bisection: keep the half the cut points to
-            center = center - 0.5 * pg
-            shape = 0.25 * shape
+            center = center - 0.5 * step
+            factor = 0.5 * factor
         else:
-            center = center - pg / (m + 1)
-            shape = (m * m / (m * m - 1.0)) * (shape - (2.0 / (m + 1)) * np.outer(pg, pg))
-            shape = 0.5 * (shape + shape.T)
+            center = center - step / (m + 1)
+            factor = scale * (factor - shrink * np.outer(step, u))
     raise ConvergenceError("convex simplex search iteration cap exceeded",
                            best - lower if best < math.inf else math.inf)
 

@@ -98,6 +98,16 @@ class TestBounds:
         assert har == pytest.approx(0.02953012574062, abs=1e-10)
         assert esp <= har
 
+    def test_haroutunian_at_a_divergence_rate_equal_to_capacity(self, tmp_path, capsys):
+        # R_inf = C = ln 2 = 1 bit: E+ is 0 there, though the convex
+        # program's domain has no interior
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"name": "split", "matrix": [
+            [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]}))
+        assert run(["bounds", path, "--rate", "1", "--bits", "--bounds", "haroutunian"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert float(rows[0]["value_nats"]) == 0.0
+
     def test_solver_cap_exit5(self, capsys, monkeypatch):
         def capped(rows, rho):
             raise ConvergenceError("E0 solver iteration cap exceeded", 2.5e-7)

@@ -631,6 +631,41 @@ class TestDivergenceRate:
                 assert all(0 < v < math.inf for v in values)
                 assert values[3] == pytest.approx(values[1], abs=1e-9)
 
+    def test_haroutunian_zero_where_the_divergence_rate_is_capacity(self):
+        # disjoint-support rows: R_inf = C = ln 2, and at R_inf the domain
+        # {q : q(T_x) >= 1/2} is the segment q_0 = 1/2, with no interior
+        ch = dmc.Dmc([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        assert not ex._symmetric(ch)
+        for d in (-1e-13, 0.0, 1e-16, 1e-13):
+            assert ex.haroutunian(ch, LN2 + d) == 0.0
+        assert ex.haroutunian(ch, LN2 - 1e-11) == math.inf
+
+    def test_haroutunian_rises_to_its_value_at_a_positive_divergence_rate(self):
+        # R_inf = ln 1.5 with the face {uniform}, where row 0 is forced to
+        # (1/2, 1/2): E+(R_inf) = D((1/2, 1/2) || (0.8, 0.2)) = ln 1.25,
+        # approached from below like sqrt(R - R_inf)
+        ch = dmc.Dmc([[0.8, 0.2, 0.0], [0.0, 0.7, 0.3], [0.4, 0.0, 0.6]])
+        values = [ex.haroutunian(ch, math.log(1.5) + d) for d in (1e-6, 1e-9, 1e-12)]
+        assert values == sorted(values)
+        for d, v in zip((1e-6, 1e-9, 1e-12), values):
+            assert 0.0 < math.log(1.25) - v < 2.0 * math.sqrt(d)
+
+    @pytest.mark.parametrize("rows, e_zero", [
+        ([[0.5, 0.5, 0.0], [0.3, 0.0, 0.7]], -math.log(0.3)),
+        ([[0.5, 0.3, 0.2, 0.0], [0.3, 0.0, 0.2, 0.5], [0.0, 0.6, 0.4, 0.0]],
+         -math.log(0.2)),
+    ])
+    def test_haroutunian_in_the_thin_slab_above_rate_zero(self, rows, e_zero):
+        # R_inf = 0 on one common output: for small R the domain is a slab
+        # about 1 - e^-R wide around that vertex; within 1e-15 of 0 the
+        # face value E+(0) = max_x -ln P_x(y) is returned
+        ch = dmc.Dmc(rows)
+        rates = (0.0, 1e-16, 1e-15, 1e-13, 1e-10)
+        values = [ex.haroutunian(ch, r) for r in rates]
+        assert values[0] == values[1] == pytest.approx(e_zero, abs=1e-15)
+        assert values == sorted(values, reverse=True)
+        assert values[0] - values[-1] < 1e-7
+
 
 class TestHaroutunianProperties:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)

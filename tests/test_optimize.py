@@ -233,11 +233,24 @@ class TestMinimizeConvexOnSimplex:
         assert sol.iterations <= 50
         assert sol.value <= optimize.CONVEX_TOL
 
-    def test_cap_raises_with_the_gap(self):
+    def test_thin_slab_domain(self):
+        # min |q_0 - 0.3| subject to q_2 <= 1e-10: the ellipsoid must narrow
+        # to the slab's width without losing positive definiteness
+        def oracle(q):
+            if q[2] > 1e-10:
+                return math.inf, np.array([0.0, 0.0, 1.0])
+            return abs(q[0] - 0.3), np.array([math.copysign(1.0, q[0] - 0.3), 0.0, 0.0])
+
+        sol = optimize.minimize_convex_on_simplex(oracle, 3)
+        assert 0.0 <= sol.value <= sol.gap <= optimize.CONVEX_TOL
+        assert sol.q[2] <= 1e-10
+
+    def test_cap_raises_with_the_gap(self, monkeypatch):
         oracle = self.capacity_oracle(dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3],
                                                [0.25, 0.15, 0.6]]))
+        monkeypatch.setattr(optimize, "CONVEX_ITER_FACTOR", 1)  # 7 steps in 2-D
         with pytest.raises(dmc.ConvergenceError) as err:
-            optimize.minimize_convex_on_simplex(oracle, 3, max_iter=5)
+            optimize.minimize_convex_on_simplex(oracle, 3)
         assert 0.0 < err.value.residual < math.inf
 
     def test_empty_domain_raises_with_infinite_gap(self):
