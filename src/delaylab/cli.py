@@ -117,7 +117,7 @@ def cmd_bounds(args) -> int:
     rows = []
     for name in names:
         try:
-            val = bound_at_rate(channel, name, rate_nats, fortify_k, seed=args.seed)
+            val = bound_at_rate(channel, name, rate_nats, fortify_k)
         except ValueError as exc:
             raise CliError(EXIT_INFEASIBLE, f"{name}: {exc}")
         rows.append((name, val))
@@ -158,8 +158,7 @@ def cmd_curve(args) -> int:
         vals = []
         for r in rates:
             try:
-                vals.append(bound_at_rate(channel, name, float(r), fortify_k,
-                                          seed=args.seed))
+                vals.append(bound_at_rate(channel, name, float(r), fortify_k))
             except ValueError as exc:
                 raise CliError(EXIT_INFEASIBLE, f"{name} at rate {r}: {exc}")
         columns[name] = vals
@@ -584,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     unit.add_argument("--bits", action="store_true", help="rate given in bits")
     unit.add_argument("--nats", action="store_true", help="rate given in nats (default)")
     b.add_argument("--bounds", required=True, help="comma list, e.g. esp,focusing,er4")
-    b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=cmd_bounds)
 
     c = sub.add_parser("curve", help="sample bounds over a grid into a file")
@@ -595,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bits", action="store_true")
     c.add_argument("--out", required=True)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_curve)
 
     s = sub.add_parser("sim", help="run a simulator from a config file")

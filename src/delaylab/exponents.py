@@ -34,7 +34,6 @@ from .optimize import (
     maximize_concave_1d,
     maximize_e0,
     minimize_convex_on_simplex,
-    minimize_over_channels,
 )
 
 RHO_MAX = 64.0
@@ -358,7 +357,7 @@ def _max_info_binary(row0: list, row1: list, lo: float, hi: float) -> float:
 
 
 def channel_capacity_fast(g: Dmc) -> float:
-    """Capacity of a small channel, tuned for the inner loop of channel searches.
+    """Capacity of a small channel.
 
     Two-input channels maximize the concave scalar mutual information over
     s in [0, 1] with ``_max_info_binary``'s safeguarded Newton iteration on
@@ -369,76 +368,6 @@ def channel_capacity_fast(g: Dmc) -> float:
     if g.input_size == 2:
         return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
     return capacity(g, tol=1e-9)[0]
-
-
-def _info_of_inputs(rows: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """I(q, rows) for every row q of ``qs`` at once, with the elementwise
-    arithmetic of ``dmc.mutual_information`` (only the summation order
-    differs): one matrix product gives every output law."""
-    out = qs @ rows
-    joint = qs[:, :, None] * rows[None, :, :]
-    active = joint > 0
-    ratio = np.ones_like(joint)
-    np.divide(rows[None, :, :], out[:, None, :], out=ratio, where=active)
-    return np.sum(joint * np.log(ratio), axis=(1, 2))
-
-
-def _superlevel_interval(p: Dmc, r: float):
-    """The superlevel set {q : I(q, P) >= r} that the tilde search maximizes
-    I(q, G) over; it depends on P and r only, so a search solves it once.
-
-    Two inputs: I((s, 1-s), P) is concave in s, so the set is an interval
-    [s_lo, s_hi], returned as a pair, with ends found by bisection from the
-    maximizer; None when the set is empty.  More inputs: the rows of a seeded
-    sample of 512 Dirichlet(1) points of the simplex that lie in the set (an
-    array with no rows when none does).
-    """
-    if p.input_size == 2:
-        prow0, prow1 = p.rows[0].tolist(), p.rows[1].tolist()
-
-        def info_p(s):
-            return _info_binary_rows(prow0, prow1, s)
-
-        top = maximize_concave_1d(info_p, 0.0, 1.0, tol=1e-11)
-        if top.value < r:
-            return None
-        lo, hi = 0.0, top.argmax
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if info_p(mid) >= r:
-                hi = mid
-            else:
-                lo = mid
-        s_lo = hi
-        lo, hi = top.argmax, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if info_p(mid) >= r:
-                lo = mid
-            else:
-                hi = mid
-        return s_lo, max(lo, s_lo)
-    rng = np.random.default_rng(0)
-    samples = rng.dirichlet(np.ones(p.input_size), size=512)
-    return samples[_info_of_inputs(p.rows, samples) >= r]
-
-
-def _max_info_over_superlevel(g: Dmc, level) -> float:
-    """max { I(q, G) : I(q, P) >= r } over the set ``_superlevel_interval(p, r)``
-    returned; -inf when that set is empty.
-
-    Exact for two-input channels: ``_max_info_binary`` maximizes the concave
-    I(., G) over the interval.  Larger alphabets take the best of the sampled
-    points in the set, with no refinement, so the value can fall short of
-    the true maximum.
-    """
-    if g.input_size == 2:
-        if level is None:
-            return -math.inf
-        return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), *level)
-    if len(level) == 0:
-        return -math.inf
-    return float(_info_of_inputs(g.rows, level).max())
 
 
 def _tilted_row(log_p: list, log_q: list, r: float):
@@ -559,69 +488,77 @@ def _haroutunian_convex(p: Dmc, r: float, r_inf: float) -> float:
     return minimize_convex_on_simplex(oracle, log_face.shape[1]).value
 
 
-def _tilde_search(p: Dmc, r: float, restarts: int, seed: int) -> float:
-    """The multi-start channel search of the tilde variant: min over G on
-    P's support pattern of max_x D(G_x || P_x), subject to
-    max {I(q, G) : I(q, P) >= R} <= R + 1e-9."""
-    prows = [row.tolist() for row in p.rows]
-    log = math.log
+def _tilde_oracle(p: Dmc, r: float):
+    """(value, gradient) oracle of the tilde program F(z) = max_x e_x(o, R_x)
+    on the doubled output simplex z = ((1-lam) o, lam o') of 2 |Y| letters,
+    for ``minimize_convex_on_simplex``; e_x is ``_tilted_row`` with the row
+    budget R_x = (R - lam D(P_x || o')) / (1-lam).
 
-    def objective(g: Dmc) -> float:
-        worst = 0.0
-        for grow, prow in zip(g.rows.tolist(), prows):
-            d = 0.0
-            for gv, pv in zip(grow, prow):
-                if gv > 0.0:
-                    if pv == 0.0:
-                        return math.inf
-                    d += gv * log(gv / pv)
-            if d > worst:
-                worst = d
-        return worst
-
-    level = _superlevel_interval(p, r)
-
-    def constraint_excess(g: Dmc) -> float:
-        return max(0.0, _max_info_over_superlevel(g, level) - r)
-
-    def feasible(g: Dmc) -> bool:
-        return constraint_excess(g) <= 1e-9
-
-    def penalty(g: Dmc) -> float:
-        return constraint_excess(g) ** 2
-
-    # lowest-capacity channel that respects the support pattern: point rows
-    # at the output letter shared by the most inputs
+    With nu = rho_x / (1-lam) the gradient of the worst row is, by the
+    envelope theorem, nu (D(v_x || o) + 1 - v_x / o) on the o-block, where
+    D(v_x || o) = R_x at a positive rho_x, and nu (D(P_x || o') + 1 - P_x / o')
+    on the o'-block.  Where ``_tilted_row`` finds no feasible tilt it returns
+    the cut of the convex constraint (1-lam)(-ln o(T_x)) + lam D(P_x || o')
+    <= R: -ln o(T_x) + 1 - 1_{T_x} / o(T_x) on the o-block, the same
+    o'-block with nu = 1."""
+    ny = p.output_size
     supports = p.row_supports()
-    common = max(range(p.output_size),
-                 key=lambda y: sum(y in s for s in supports))
-    flat = np.zeros_like(p.rows)
-    for x, s in enumerate(supports):
-        flat[x, common if common in s else s[0]] = 1.0
+    rows = [p.rows[x, t] for x, t in enumerate(supports)]
+    log_rows = [np.log(row) for row in rows]
 
-    def repair(g: Dmc) -> Dmc:
-        # shrink toward the minimal-capacity channel until the constraint holds
-        lo, hi = 0.0, 1.0
-        if not feasible(Dmc(flat)):
-            return g  # nothing to shrink toward; leave for the feasibility check
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            trial = Dmc((1 - mid) * g.rows + mid * flat)
-            if feasible(trial):
-                hi = mid
-            else:
-                lo = mid
-        return Dmc((1 - hi) * g.rows + hi * flat)
+    def gradient(t, row, div, o2, o_part, o_on_t):
+        g = np.empty(2 * ny)
+        g[:ny] = o_part
+        g[t] -= o_on_t
+        g[ny:] = div + 1.0
+        g[ny + t] -= row / o2[t]
+        return g
 
-    return minimize_over_channels(
-        objective, feasible, (p.input_size, p.output_size),
-        restarts=restarts, seed=seed, penalty=penalty,
-        row_supports=supports, repair=repair,
-    )[1]
+    def oracle(z):
+        s = float(z[:ny].sum())
+        lam = 1.0 - s
+        o, o2 = z[:ny] / s, z[ny:] / float(z[ny:].sum())
+        log_o, log_o2 = np.log(o), np.log(o2)
+        worst = None
+        for t, row, log_p in zip(supports, rows, log_rows):
+            div = float(row @ (log_p - log_o2[t]))  # D(P_x || o')
+            r_x = (r - lam * div) / s
+            res = _tilted_row(log_p.tolist(), log_o[t].tolist(), r_x)
+            if res is None:
+                mass = float(o[t].sum())
+                return math.inf, gradient(t, row, div, o2, 1.0 - math.log(mass),
+                                          1.0 / mass)
+            if worst is None or res[0] > worst[0]:
+                worst = res + (t, row, div, r_x)
+        value, rho, v, t, row, div, r_x = worst
+        return value, (rho / s) * gradient(t, row, div, o2, r_x + 1.0,
+                                           np.asarray(v) / o[t])
+
+    return oracle
+
+
+def _haroutunian_tilde(p: Dmc, r: float) -> float:
+    """The tilde program on the doubled output simplex, within its certified
+    gap (1e-13), or ``ConvergenceError`` with that gap.
+
+    Tilde asks only max {I(q, G) : q in S} <= R, S = {q : I(q, P) >= R}.
+    For R < C(P) Slater's condition holds on S, so that is
+    max_q I(q, G) + mu (I(q, P) - R) <= R for some mu >= 0; capacity's
+    min-max form I(q, G) = min_o sum_x q_x D(G_x || o) and Sion's minimax
+    theorem turn it into: some lam = mu / (1+mu) in [0, 1) and output laws
+    o, o' give (1-lam) D(G_x || o) + lam D(P_x || o') <= R for every x.
+    The rows then decouple as in ``_haroutunian_convex``, with the budget
+    R_x of ``_tilde_oracle``; the face lam = 0 is that program.  F is not
+    convex in z, but (1-lam) F is, as the perspective of the same program
+    in (o, mu o'), where it is jointly convex: F is passed as that ratio
+    with divisor 1-lam, the o-block's mass.
+    """
+    ny = p.output_size
+    divisor = np.concatenate([np.ones(ny), np.zeros(ny)])
+    return minimize_convex_on_simplex(_tilde_oracle(p, r), 2 * ny, divisor).value
 
 
 def haroutunian(p: Dmc, r: float, variant: str = "standard",
-                restarts: int = 64, seed: int = 0,
                 use_symmetry_fast_path: bool = True) -> float:
     """Haroutunian block exponent with feedback.
 
@@ -630,19 +567,21 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
               (``_haroutunian_convex``), certified within 1e-13.
     tilde:    the mimicking constraint is relaxed to
               max {I(q,G) : I(q,P) >= R} <= R, which can only lower the
-              value; the multi-start channel search ``_tilde_search``
-              (``restarts`` starts from ``seed``; these two apply to tilde
-              only) gives an upper estimate, and the standard optimum is
-              feasible for tilde, so the result is the smaller of that
-              estimate and E+.
+              value; solved as a program on the doubled output simplex
+              of (1-lam) o and lam o' (``_haroutunian_tilde``), certified
+              within 1e-13.  The result is the smaller of its value and
+              E+, so tilde <= E+ holds exactly.  Below R = 1e-15 it is
+              E+, exactly so at R = 0, where S is every input law (the
+              window of the standard program's R = 0 face solve).
 
     +inf below ``divergence_rate``.  Above capacity the convex program
     meets an output law with every D(P_x || q) <= R, where its value and
     subgradient are 0, so it returns 0 without a capacity solve (a value
-    within the 1e-13 gap when R is within about that of C); the tilde
-    search is skipped when E+ is exactly 0.  For channels with a verified
+    within the 1e-13 gap when R is within about that of C); tilde is 0
+    wherever E+ is exactly 0.  For channels with a verified
     output-symmetry partition E+ equals the sphere-packing bound and that
-    fast path is taken unless disabled.
+    fast path is taken unless disabled.  Either program raises
+    ``ConvergenceError`` with its gap when it cannot certify its value.
     """
     if variant not in ("standard", "tilde"):
         raise ValueError("variant must be 'standard' or 'tilde'")
@@ -655,9 +594,9 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
         standard = sphere_packing(p, r)
     else:
         standard = _haroutunian_convex(p, r, r_inf)
-    if variant == "standard" or standard == 0.0:
+    if variant == "standard" or standard == 0.0 or r < 1e-15:
         return standard
-    return min(_tilde_search(p, r, restarts, seed), standard)
+    return float(min(_haroutunian_tilde(p, r), standard))
 
 
 def burnashev_bound(p: Dmc, r_bar: float) -> float:
@@ -692,11 +631,15 @@ def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None,
                         rho_max: float = RHO_MAX) -> float:
     """Solve E0(eta)/eta = r for eta; E0(eta)/eta decreases from C to C_{0,f}.
 
-    The bracket grows past ``rho_max`` when the solution lies beyond it,
-    which happens at low rates (eta = E_a / R is unbounded as R drops).
+    The bracket grows fourfold past ``rho_max`` when the solution lies
+    beyond it, which happens at low rates (eta = E_a / R is unbounded as R
+    drops).  Past 1e8 that raises ``ConvergenceError`` with the residual
+    E0(hi)/hi - r, rather than return the bracket's end.
     """
     lo, hi = 1e-9, rho_max
-    while e0_max(p, hi, fortify_k)[0] / hi > r and hi < 1e8:
+    while (residual := e0_max(p, hi, fortify_k)[0] / hi - r) > 0:
+        if hi >= 1e8:
+            raise ConvergenceError("focusing rate root beyond eta = 1e8", residual)
         lo, hi = hi, 4.0 * hi
     lo, hi = _rate_crossing(p, r, fortify_k, lo, hi)
     return 0.5 * (lo + hi)
@@ -707,7 +650,9 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     """Uncertainty-focusing bound E_a(R) = inf_{0 <= lambda < 1} E+(lambda R)/(1 - lambda).
 
     Symmetric channels (where E+ = E_sp) go through the parametric form:
-    solve E0(eta)/eta = R, then E_a = E0(eta) = eta R.  The general path
+    solve E0(eta)/eta = R, then E_a = E0(eta) = eta R; where that root lies
+    beyond eta = 1e8 (R below about E_a / 1e8) it raises
+    ``ConvergenceError``.  The general path
     minimizes over a lambda grid with golden refinement; each E+(lambda R)
     is the standard ``haroutunian`` exponent, a convex program over the
     output law solved within a certified gap of 1e-13 (milliseconds per
@@ -1005,11 +950,11 @@ def bec_lowrate_floor(beta: float, r: float) -> tuple[float, float]:
 # rate-sampled curves for the CLI
 # ---------------------------------------------------------------------------
 
-def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None,
-                  restarts: int = 64, seed: int = 0) -> float:
+def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> float:
     """Evaluate one named bound at a rate in nats.  Names: esp, er, er<L>,
-    haroutunian, tilde, burnashev, focusing, viterbi, timesharing.
-    ``restarts`` and ``seed`` reach the tilde channel search only."""
+    haroutunian, tilde, burnashev, focusing, viterbi, timesharing.  Both
+    Haroutunian exponents are certified programs over output laws (see
+    ``haroutunian``); no bound depends on a seed."""
     if name == "esp":
         return sphere_packing(p, r, fortify_k)
     if name == "er":
@@ -1019,7 +964,7 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None,
     if name == "haroutunian":
         return haroutunian(p, r)
     if name == "tilde":
-        return haroutunian(p, r, "tilde", restarts=restarts, seed=seed)
+        return haroutunian(p, r, "tilde")
     if name == "burnashev":
         return burnashev_bound(p, r)
     if name == "focusing":

@@ -13,9 +13,11 @@
 5. minimization of a convex function over the probability simplex from a
    (value, subgradient) oracle (``minimize_convex_on_simplex``): central-cut
    ellipsoid steps, bisection in one dimension, stopped by a certified gap
-   (the standard Haroutunian exponent and the divergence threshold),
-6. multi-start penalized minimization over small channel matrices
-   (the search of the tilde Haroutunian bound).
+   (both Haroutunian exponents and the divergence threshold); it also takes
+   the ratio of a convex function to a positive linear one, which is
+   quasiconvex (the tilde Haroutunian exponent),
+6. multi-start penalized minimization over small channel matrices, which no
+   bound calls (the benchmark's tracer binds it by name).
 
 All searches are deterministic given their seed.
 """
@@ -395,7 +397,7 @@ class ConvexSolution:
     iterations: int
 
 
-def minimize_convex_on_simplex(oracle, dim: int) -> ConvexSolution:
+def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution:
     """Minimize a convex f over the probability simplex of dimension ``dim``.
 
     ``oracle(q)`` is called at points q with positive coordinates summing to
@@ -417,6 +419,16 @@ def minimize_convex_on_simplex(oracle, dim: int) -> ConvexSolution:
     center was feasible) after ``CONVEX_ITER_FACTOR`` (m (m + 1) + 1)
     iterations in m = ``dim`` - 1 dimensions (the ellipsoid's width shrinks
     by about exp(-1 / (2 m (m + 1))) per step).
+
+    With ``divisor``, a nonnegative vector e, f need not be convex: it is
+    f = h / s with h convex and s(q) = e . q positive on the domain, and g
+    is f's gradient.  Such an f is quasiconvex, so the cut through a center
+    still keeps its sublevel set, and the minimizer, in the ellipsoid.  The
+    bound becomes min f >= f(c_k) - |B_k^T g_k| / (1 - |B_k^T e| / s(c_k))
+    (no bound while |B_k^T e| >= s(c_k)): h - t s is convex with
+    subgradient s(c_k) g_k + (f(c_k) - t) e, so it stays >= 0 on E_k for
+    every t up to that value, and f = h / s >= t there.  The correction
+    fades as the ellipsoid shrinks.
     """
     m = dim - 1
     if m < 1:
@@ -427,6 +439,9 @@ def minimize_convex_on_simplex(oracle, dim: int) -> ConvexSolution:
     scale = 1.0 if m == 1 else m / math.sqrt(m * m - 1.0)
     shrink = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
     best, best_q, lower = math.inf, None, -math.inf
+    if divisor is not None:
+        divisor = np.asarray(divisor, dtype=float)
+        divisor_dir = divisor[:-1] - divisor[-1]
     for it in range(1, CONVEX_ITER_FACTOR * (m * (m + 1) + 1) + 1):
         q = np.append(center, 1.0 - center.sum())
         y = int(np.argmin(q))
@@ -441,7 +456,11 @@ def minimize_convex_on_simplex(oracle, dim: int) -> ConvexSolution:
         if value < math.inf:
             if value < best:
                 best, best_q = value, q
-            lower = max(lower, value - norm)
+            slack = norm
+            if divisor is not None:
+                spread = float(np.linalg.norm(factor.T @ divisor_dir)) / float(divisor @ q)
+                slack = norm / (1.0 - spread) if spread < 1.0 else math.inf
+            lower = max(lower, value - slack)
             if best - lower <= CONVEX_TOL:
                 return ConvexSolution(q=best_q, value=best, gap=best - lower,
                                       iterations=it)

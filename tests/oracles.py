@@ -12,7 +12,8 @@ The simulation trace writer that formatted one value at a time.
 
 Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
-over the output law.
+over the output law.  For the tilde variant on Z channels, a bisection on
+the mimicking channel's crossover.
 """
 
 import math
@@ -211,3 +212,49 @@ def nelder_mead_haroutunian(p, r):
             break
         z, best = res.x, res.fun
     return best
+
+
+def z_information_mp(s, g):
+    """I((s, 1-s), Z(g)) of the Z channel [[1, 0], [g, 1-g]], in mpmath."""
+    import mpmath as mp
+
+    def h(a):
+        return -sum(x * mp.log(x) for x in (a, 1 - a) if x > 0)
+
+    return h(s + (1 - s) * g) - (1 - s) * h(g)
+
+
+def z_tilde_bisection(g0, rate, s_lo, s_hi, steps=120):
+    """The tilde Haroutunian exponent of Z(g0), given S = [s_lo, s_hi], the
+    input laws (s, 1-s) with I(s, Z(g0)) >= R, in mpmath.
+
+    A mimicking channel keeps row 0 = (1, 0), by absolute continuity, so it
+    is Z(g), at divergence D((g, 1-g) || (g0, 1-g0)).  Z(g) is Z(g') followed
+    by Z((g - g') / (1 - g')) for g > g', so it is degraded in g: every
+    I(s, Z(g)) falls as g grows, and so does their maximum over S, while
+    for g < g0 that maximum exceeds max_S I(s, Z(g0)) >= R.  Tilde is
+    therefore the divergence at the smallest g >= g0 with
+    max_{s in S} I(s, Z(g)) <= R, found by bisection.  The maximum over S of
+    the concave I(., Z(g)) clamps its stationary point
+    s* = (y* - g) / (1 - g), y* = 1 / (1 + e^(-h(g) / (1-g))), to S.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        g0, r = mp.mpf(g0), mp.mpf(rate)
+        s_lo, s_hi = mp.mpf(s_lo), mp.mpf(s_hi)
+
+        def max_info(g):
+            hg = -(g * mp.log(g) + (1 - g) * mp.log(1 - g))
+            y = 1 / (1 + mp.exp(-hg / (1 - g)))
+            s = min(max((y - g) / (1 - g), s_lo), s_hi)
+            return z_information_mp(s, g)
+
+        lo, hi = g0, mp.mpf(1) - mp.mpf(10) ** -30
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            if max_info(mid) <= r:
+                hi = mid
+            else:
+                lo = mid
+        return hi * mp.log(hi / g0) + (1 - hi) * mp.log((1 - hi) / (1 - g0))

@@ -71,11 +71,11 @@ def test_criterion_4_symmetric_equality_and_z_gap(bsc002, bec04, z05):
             worst_sym = max(worst_sym, gap)
     # non-vacuous spot checks: force the channel search past the fast path
     for ch, r in ((bsc002, 0.3), (bec04, HALF_BIT)):
-        gap = abs(ex.haroutunian(ch, r, use_symmetry_fast_path=False, restarts=24)
+        gap = abs(ex.haroutunian(ch, r, use_symmetry_fast_path=False)
                   - ex.sphere_packing(ch, r))
         worst_sym = max(worst_sym, gap)
     # strict gap for the asymmetric Z-channel at mid rates
-    z_gaps = [ex.haroutunian(z05, r, restarts=24) - ex.sphere_packing(z05, r)
+    z_gaps = [ex.haroutunian(z05, r) - ex.sphere_packing(z05, r)
               for r in (0.08, 0.12)]
     ok = worst_sym <= 1e-3 and max(z_gaps) >= 1e-3
     report("criterion 4", ok,

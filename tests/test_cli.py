@@ -108,6 +108,23 @@ class TestBounds:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert float(rows[0]["value_nats"]) == 0.0
 
+    def test_tilde_at_most_haroutunian_in_every_row(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert run(["curve", CHANNELS / "z05.json", "--bounds", "haroutunian,tilde",
+                    "--rate-grid", "0.0:0.4:6", "--out", out]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 6
+        for row in rows:
+            assert float(row["tilde"]) <= float(row["haroutunian"])
+
+    def test_seed_option_removed(self):
+        # no bound depends on a seed; only sim takes --seed
+        for argv in (["bounds", CHANNELS / "z05.json", "--rate", "0.1", "--bounds", "tilde"],
+                     ["curve", CHANNELS / "z05.json", "--bounds", "tilde", "--out", "x.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--seed", "1"])
+            assert exc.value.code == cli.EXIT_PARSE
+
     def test_solver_cap_exit5(self, capsys, monkeypatch):
         def capped(rows, rho):
             raise ConvergenceError("E0 solver iteration cap exceeded", 2.5e-7)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
 from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
                      golden_erl, golden_esp, nelder_mead_haroutunian,
-                     z05_haroutunian_mp)
+                     z05_haroutunian_mp, z_information_mp, z_tilde_bisection)
 
 HALF_BIT = 0.5 * LN2
 
@@ -462,35 +463,32 @@ class TestHaroutunian:
                     ex.sphere_packing(ch, r), abs=1e-12)
 
     def test_search_agrees_with_esp_on_symmetric(self, bsc002):
-        val = ex.haroutunian(bsc002, 0.3, use_symmetry_fast_path=False,
-                             restarts=24)
+        val = ex.haroutunian(bsc002, 0.3, use_symmetry_fast_path=False)
         assert val == pytest.approx(ex.sphere_packing(bsc002, 0.3), abs=1e-3)
 
     def test_z_channel_matches_pinned_row_oracle(self, z05):
         for r in (0.05, 0.10, 0.15):
-            got = ex.haroutunian(z05, r, restarts=24)
+            got = ex.haroutunian(z05, r)
             assert got == pytest.approx(z_haroutunian_oracle(r), abs=1e-4)
 
     def test_z_channel_strict_gap(self, z05):
         r = 0.10
-        gap = ex.haroutunian(z05, r, restarts=24) - ex.sphere_packing(z05, r)
+        gap = ex.haroutunian(z05, r) - ex.sphere_packing(z05, r)
         assert gap >= 1e-3
 
     def test_above_capacity_zero(self, z05):
         assert ex.haroutunian(z05, 0.5) == 0.0
 
-    # standard: the 50-digit references of oracles.z05_haroutunian_mp,
-    # which the convex program must meet to 1e-12; tilde: the values the
-    # golden-section two-input search gave, which the Newton solver must
-    # reproduce to 1e-12 (each lies below the standard value, so the
-    # minimum with it is the search's own)
+    # the 50-digit references of oracles.z05_haroutunian_mp, which both
+    # programs must meet to 1e-12: on Z(0.5) the tilde relaxation does not
+    # lower the exponent (oracles.z_tilde_bisection agrees)
     Z05_PINNED = {
         ("standard", 0.03): 0.41566972237431041407,
         ("standard", 0.115): 0.097292684948362622215,
         ("standard", 0.20): 0.0036520362494887374884,
-        ("tilde", 0.03): 0.415669716052841,
-        ("tilde", 0.115): 0.09729268288873286,
-        ("tilde", 0.20): 0.0036520359262675467,
+        ("tilde", 0.03): 0.41566972237431041407,
+        ("tilde", 0.115): 0.097292684948362622215,
+        ("tilde", 0.20): 0.0036520362494887374884,
     }
 
     @pytest.mark.parametrize("variant, r", sorted(Z05_PINNED))
@@ -537,46 +535,86 @@ class TestHaroutunian:
             if ch is z05:  # the optimum sits on the domain's boundary q_0 = e^-R
                 assert sol.q[0] == pytest.approx(math.exp(-0.1), abs=1e-12)
 
-    def test_tilde_solves_superlevel_interval_once(self, z05, monkeypatch):
-        calls = []
-        solve = ex._superlevel_interval
-
-        def counted(p, r):
-            calls.append(r)
-            return solve(p, r)
-
-        monkeypatch.setattr(ex, "_superlevel_interval", counted)
-        ex.haroutunian(z05, 0.1, "tilde", restarts=4)
-        assert calls == [0.1]
-
-    def test_sampled_information_matches_per_sample_loop(self):
-        # the tilde search on more than two inputs scores every sampled input
-        # at once; the per-sample mutual_information loop is the oracle
-        rng = np.random.default_rng(6)
-        for nx, ny in ((3, 3), (3, 2), (4, 4), (4, 3)):
-            rows = rng.dirichlet(np.ones(ny), size=nx)
-            rows[rng.random((nx, ny)) < 0.25] = 0.0
-            rows[:, 0] += 0.01
-            g = dmc.Dmc(rows / rows.sum(axis=1, keepdims=True))
-            qs = rng.dirichlet(np.ones(nx), size=64)
-            qs[:8, 0] = 0.0
-            qs /= qs.sum(axis=1, keepdims=True)
-            loop = [dmc.mutual_information(g, q) for q in qs]
-            assert ex._info_of_inputs(g.rows, qs) == pytest.approx(loop, abs=1e-15)
-
     def test_tilde_three_inputs_pinned(self):
-        # the search's own value, which the per-sample loop gave (196 s
-        # then, about 2 s now), lies above E+; tilde is the smaller of the two
-        assert ex._tilde_search(self.ASYM3, 0.08, restarts=2, seed=0) == pytest.approx(
-            0.24044232147434463, abs=1e-15)
-        assert ex.haroutunian(self.ASYM3, 0.08, "tilde", restarts=2) == \
-            ex.haroutunian(self.ASYM3, 0.08)
+        # the relaxation does not lower E+ on this channel either
+        for r in (0.05, 0.08, 0.10):
+            assert ex.haroutunian(self.ASYM3, r, "tilde") == pytest.approx(
+                self.ASYM3_STANDARD[r], abs=1e-12)
 
     def test_tilde_no_worse_than_standard(self, z05):
         for r in (0.08, 0.14):
-            tilde = ex.haroutunian(z05, r, variant="tilde", restarts=16)
-            standard = ex.haroutunian(z05, r, variant="standard", restarts=16)
-            assert tilde <= standard + 1e-3
+            tilde = ex.haroutunian(z05, r, variant="tilde")
+            standard = ex.haroutunian(z05, r, variant="standard")
+            assert type(tilde) is float
+            assert tilde <= standard
+
+    @staticmethod
+    def z05_superlevel(rate):
+        """S = [s_lo, s_hi], the s with I((s, 1-s), Z(0.5)) >= R: the ends of
+        the concave information's superlevel set, bisected on either side of
+        its maximizer s = 3/5 to 40 digits."""
+        import mpmath as mp
+
+        with mp.workdps(40):
+            r, half = mp.mpf(rate), mp.mpf("0.5")
+
+            def end(inside, outside):
+                for _ in range(140):
+                    mid = (inside + outside) / 2
+                    if z_information_mp(mid, half) >= r:
+                        inside = mid
+                    else:
+                        outside = mid
+                return inside
+
+            top = mp.mpf(3) / 5
+            return end(top, mp.mpf(0)), end(top, mp.mpf(1))
+
+    @pytest.mark.parametrize("r", (0.03, 0.115, 0.20))
+    def test_z_channel_tilde_matches_bisection_oracle(self, z05, r):
+        s_lo, s_hi = self.z05_superlevel(str(r))
+        want = z_tilde_bisection("0.5", str(r), s_lo, s_hi)
+        assert ex.haroutunian(z05, r, "tilde") == pytest.approx(float(want), abs=1e-12)
+
+    def test_tilde_at_rate_zero_is_the_standard_exponent(self, z05):
+        for r in (0.0, 5e-16):
+            assert ex.haroutunian(z05, r, "tilde") == ex.haroutunian(z05, r)
+
+    def test_tilde_face_lambda_zero_is_the_standard_program(self, z05):
+        # with o'-block mass 1e-12 the row budgets are R to 1e-11, so the
+        # doubled oracle's value is the standard oracle's at o
+        laws = ((z05, ([0.95, 0.05], [0.92, 0.08], [0.99, 0.01])),
+                (self.ASYM3, ([0.4, 0.35, 0.25], [0.2, 0.3, 0.5], [0.6, 0.3, 0.1])))
+        for ch, outputs in laws:
+            ny = ch.output_size
+            tilde, standard = ex._tilde_oracle(ch, 0.1), ex._haroutunian_oracle(ch, 0.1)
+            for o in map(np.array, outputs):
+                z = np.concatenate([(1.0 - 1e-12) * o, 1e-12 * np.full(ny, 1.0 / ny)])
+                want, got = standard(o)[0], tilde(z)[0]
+                assert math.isfinite(want)
+                assert got == pytest.approx(want, abs=1e-10)
+
+    def test_tilde_objective_is_a_convex_ratio(self):
+        # F is not convex on the doubled simplex (its gradient's tangent
+        # plane rises above it), while (1 - lam) F is: the reason the solver
+        # certifies F as a ratio
+        ch = dmc.Dmc([[0.9, 0.1], [0.3, 0.7]])
+        oracle = ex._tilde_oracle(ch, 0.2)
+        block = np.array([1.0, 1.0, 0.0, 0.0])
+        rng = np.random.default_rng(2)
+        worst_f = worst_h = -math.inf
+        for _ in range(400):
+            pts = rng.dirichlet(np.full(4, 0.7), size=2)
+            pts[:, 2:] *= rng.uniform(0.0, 1.0, size=(2, 1))
+            z1, z2 = pts / pts.sum(axis=1, keepdims=True)
+            (f1, g1), (f2, _) = oracle(z1), oracle(z2)
+            if not (math.isfinite(f1) and math.isfinite(f2)):
+                continue
+            s1, s2 = block @ z1, block @ z2
+            worst_f = max(worst_f, f1 + g1 @ (z2 - z1) - f2)
+            worst_h = max(worst_h, s1 * f1 + (s1 * g1 + f1 * block) @ (z2 - z1) - s2 * f2)
+        assert worst_f > 1e-2
+        assert worst_h <= 1e-12
 
 
 class TestZeroErrorFeedbackCapacity:
@@ -680,6 +718,30 @@ class TestHaroutunianProperties:
         if ex._symmetric(ch):
             assert eplus == pytest.approx(esp, abs=1e-9)
 
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(ch=small_channels(), frac=st.floats(0.02, 0.9), step=st.floats(0.01, 0.1))
+    def test_tilde_certified_below_standard_and_nonincreasing(self, ch, frac, step):
+        cap = dmc.capacity(ch, tol=1e-6)[0]
+        assume(cap > 1e-3)
+        r = frac * cap
+        assume(r > ex.divergence_rate(ch) + 1e-6)
+        solved = []
+
+        def recorded(*args):
+            solved.append(optimize.minimize_convex_on_simplex(*args))
+            return solved[-1]
+
+        with mock.patch.object(ex, "minimize_convex_on_simplex", recorded):
+            tilde = ex.haroutunian(ch, r, "tilde", use_symmetry_fast_path=False)
+        eplus = ex.haroutunian(ch, r, use_symmetry_fast_path=False)
+        sol = solved[-1]  # the doubled program, solved after E+
+        assert len(sol.q) == 2 * ch.output_size
+        assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
+        assert tilde == min(sol.value, eplus)
+        assert tilde <= eplus
+        later = ex.haroutunian(ch, r + step * cap, "tilde", use_symmetry_fast_path=False)
+        assert later <= tilde + optimize.CONVEX_TOL
+
     def test_z_channel_orderings(self, z05):
         for r in (0.05, 0.1, 0.15):
             esp = ex.sphere_packing(z05, r)
@@ -723,6 +785,16 @@ class TestFocusingBound:
         for r in np.linspace(0.02, 0.98 * c, 50):
             assert ex.focusing_bound(bsc002, float(r)) >= ex.sphere_packing(
                 bsc002, float(r)) - 1e-9
+
+    def test_low_rate_inversion_raises_rather_than_saturate(self, bsc002):
+        # E_a rises to the Bhattacharyya value 1.27296568 as R falls to 0;
+        # below about R = 1e-8 the root E_a / R lies beyond eta = 1e8, where
+        # the bracket's end once came back as the root (0.26844 at 1e-9)
+        values = [ex.focusing_bound(bsc002, r) for r in (1e-6, 1e-7, 1e-8)]
+        assert values == sorted(values)
+        assert values[-1] <= 1.27296568
+        with pytest.raises(dmc.ConvergenceError):
+            ex.focusing_bound(bsc002, 1e-9)
 
     def test_general_lambda_path_agrees_with_parametric(self, bsc002):
         for r in (0.2, 0.4):

@@ -226,6 +226,22 @@ class TestMinimizeConvexOnSimplex:
         assert sol.value == pytest.approx(0.8, abs=1e-12)
         assert sol.value - sol.gap <= 0.8 <= sol.value
 
+    def test_quasiconvex_ratio_with_a_divisor(self):
+        # (q_0 + 3 q_1 + 2 q_2) / (q_0 + q_1 + q_2 / 2) subject to q_1 >= 0.4:
+        # linear-fractional, so least at a vertex of the domain, 1.8 at
+        # (0.6, 0.4, 0); its gradient is (c - f e) / (e . q)
+        c, e = np.array([1.0, 3.0, 2.0]), np.array([1.0, 1.0, 0.5])
+
+        def oracle(q):
+            if q[1] < 0.4:
+                return math.inf, np.array([0.0, -1.0, 0.0])
+            f = float(c @ q) / float(e @ q)
+            return f, (c - f * e) / float(e @ q)
+
+        sol = optimize.minimize_convex_on_simplex(oracle, 3, divisor=e)
+        assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
+        assert sol.value - sol.gap <= 1.8 <= sol.value
+
     def test_one_dimension_is_bisection(self):
         sol = optimize.minimize_convex_on_simplex(
             lambda q: (abs(q[0] - 0.3), np.array([math.copysign(1.0, q[0] - 0.3), 0.0])), 2)
