@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,10 @@ class Dmc:
 
     Entries must be finite, rows must sum to one within 1e-12 and both
     alphabets must have at least two letters.  Instances are immutable and
-    safe to share across threads.
+    safe to share across threads.  The facts the bounds read off the rows
+    (``symmetric``, ``uniform``, ``capacity_solution``, ``support``) are
+    computed on first use and kept on the instance, read-only: a channel
+    built again from the same rows computes them again.
     """
 
     rows: np.ndarray
@@ -75,15 +79,42 @@ class Dmc:
     def output_size(self) -> int:
         return self.rows.shape[1]
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """True when ``is_output_symmetric`` verifies an output-symmetry
+        partition; False when there is none or the search is out of range."""
+        return is_output_symmetric(self) is True
+
+    @cached_property
+    def uniform(self) -> np.ndarray:
+        """The uniform input distribution, a valid input by construction."""
+        q = uniform_input(self.input_size)
+        q.flags.writeable = False
+        return q
+
+    @cached_property
+    def capacity_solution(self) -> tuple[float, np.ndarray]:
+        """``capacity(self)``: the certified capacity and an achieving input."""
+        value, q = capacity(self)
+        q.flags.writeable = False
+        return value, q
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The mask ``rows > 0``."""
+        mask = self.rows > 0
+        mask.flags.writeable = False
+        return mask
+
     def digest(self) -> str:
-        """Stable content hash, used to key caches and label curves."""
+        """Stable content hash, used to label curves."""
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.rows).tobytes())
         h.update(str(self.rows.shape).encode())
         return h.hexdigest()[:16]
 
     def row_supports(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.rows[x] > 0) for x in range(self.input_size)]
+        return [np.flatnonzero(mask) for mask in self.support]
 
     def __repr__(self):
         label = self.name or f"{self.input_size}x{self.output_size}"

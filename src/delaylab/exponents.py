@@ -25,8 +25,6 @@ from .dmc import (
     c1 as _c1,
     capacity,
     divergence_rows,
-    is_output_symmetric,
-    uniform_input,
     validate_distribution,
 )
 from .optimize import (
@@ -39,22 +37,13 @@ from .optimize import (
 RHO_MAX = 64.0
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
-_symmetry_cache: dict[str, bool | None] = {}
-_capacity_cache: dict[str, tuple[float, np.ndarray]] = {}
-
 
 def _symmetric(p: Dmc) -> bool:
-    key = p.digest()
-    if key not in _symmetry_cache:
-        _symmetry_cache[key] = is_output_symmetric(p)
-    return _symmetry_cache[key] is True
+    return p.symmetric
 
 
 def _cached_capacity(p: Dmc) -> tuple[float, np.ndarray]:
-    key = p.digest()
-    if key not in _capacity_cache:
-        _capacity_cache[key] = capacity(p)
-    return _capacity_cache[key]
+    return p.capacity_solution
 
 
 def _fortification_rate(fortify_k) -> float:
@@ -74,18 +63,34 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     q = validate_distribution(q, p.input_size)
+    return _e0_kernel(p.rows, rho, q)[0] + rho * _fortification_rate(fortify_k)
+
+
+def _e0_kernel(rows: np.ndarray, rho: float, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """(E0(rho, q) without fortification, W = P^(1/(1+rho))) for a rho >= 0
+    and a validated ``q``: the one E0 formula, which every E0 evaluation of
+    this module runs once (``gallager_e0``, ``e0_max``, ``_e0_and_slope``).
+    W is returned for ``_slope_from_w``."""
+    w = rows ** (1.0 / (1.0 + rho))
     if rho == 0:
-        base = 0.0
-    else:
-        inner = (q[:, None] * p.rows ** (1.0 / (1.0 + rho))).sum(axis=0)
-        total = float((inner ** (1.0 + rho)).sum())
-        if total >= _TINY:
-            base = -math.log(total)
-        else:
-            top = float(inner.max())
-            base = -(1.0 + rho) * math.log(top) - math.log(
-                float(((inner / top) ** (1.0 + rho)).sum()))
-    return base + rho * _fortification_rate(fortify_k)
+        return 0.0, w
+    inner = (q[:, None] * w).sum(axis=0)
+    total = float((inner ** (1.0 + rho)).sum())
+    if total >= _TINY:
+        return -math.log(total), w
+    top = float(inner.max())
+    return -(1.0 + rho) * math.log(top) - math.log(
+        float(((inner / top) ** (1.0 + rho)).sum())), w
+
+
+def _e0_input(p: Dmc, rho: float) -> np.ndarray:
+    """``e0_max``'s input: the channel's uniform input at rho = 0 and on
+    output-symmetric channels, ``maximize_e0``'s otherwise."""
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    if rho == 0 or _symmetric(p):
+        return p.uniform
+    return validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
 
 
 def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.ndarray]:
@@ -97,14 +102,10 @@ def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.
     Hoelder certificate puts the value within 1e-12 of the maximum, or
     within the solver's roundoff floor max(8 |Y|, 1+rho) (1+rho) eps where
     that is larger (beyond rho = 64, or for more than 8 outputs); it raises
-    ``ConvergenceError`` with the certificate gap when it cannot.
+    ``ConvergenceError`` with the certificate gap when it cannot.  The
+    uniform input returned is the channel's read-only ``Dmc.uniform``.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0 or _symmetric(p):
-        q = uniform_input(p.input_size)
-        return gallager_e0(p, rho, q, fortify_k), q
-    q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+    q = _e0_input(p, rho)
     return gallager_e0(p, rho, q, fortify_k), q
 
 
@@ -122,13 +123,16 @@ def e0_slope(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     q = validate_distribution(q, p.input_size)
-    return _unfortified_slope(p.rows, rho, q) + _fortification_rate(fortify_k)
+    w = p.rows ** (1.0 / (1.0 + rho))
+    return _slope_from_w(w, p.support, rho, q) + _fortification_rate(fortify_k)
 
 
-def _unfortified_slope(rows: np.ndarray, rho: float, q: np.ndarray) -> float:
-    """``e0_slope`` without fortification, for a validated ``q``."""
-    w = rows ** (1.0 / (1.0 + rho))
-    w_log_w = w * np.log(w, where=w > 0, out=np.zeros_like(w))
+def _slope_from_w(w: np.ndarray, support: np.ndarray, rho: float, q: np.ndarray) -> float:
+    """``e0_slope`` without fortification, from W = P^(1/(1+rho)) and the
+    channel's ``support`` mask, for a validated ``q``.  W > 0 exactly where
+    P > 0: P^s >= P for s = 1/(1+rho) in (0, 1], so no positive entry
+    underflows."""
+    w_log_w = w * np.log(w, where=support, out=np.zeros(w.shape))
     a = q @ w
     reached = a > 0
     a = a[reached]
@@ -144,14 +148,16 @@ def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, flo
     slope is max_x D(P(.|x) || qP) at that input: an upper bound on the
     capacity that equals it on output-symmetric channels.  The slope
     searches use it only to test R against it, and R at or above it is at
-    or above capacity."""
-    e0, q = e0_max(p, rho, fortify_k)
+    or above capacity.  E0 and the slope share one W = P^(1/(1+rho))."""
+    q = _e0_input(p, rho)
+    e0, w = _e0_kernel(p.rows, rho, q)
+    shift = _fortification_rate(fortify_k)
     if rho == 0:
         out = q @ p.rows
         slope = max(divergence_rows(row, out) for row in p.rows)
     else:
-        slope = _unfortified_slope(p.rows, rho, q)
-    return e0, slope + _fortification_rate(fortify_k)
+        slope = _slope_from_w(w, p.support, rho, q)
+    return e0 + rho * shift, slope + shift
 
 
 def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
@@ -179,7 +185,7 @@ def divergence_rate(p: Dmc, fortify_k: int | None = None) -> float:
     certified gap (1e-13 in q_Y(T_x)) of the game's.
     """
     shift = _fortification_rate(fortify_k)
-    reached = p.rows > 0
+    reached = p.support
     if reached.all(axis=0).any():
         return shift
     masks = reached.astype(float)
@@ -204,8 +210,9 @@ def zero_error_feedback_capacity(p: Dmc, fortify_k: int | None = None) -> float:
     an output, so C_{0,f} = 0, while R_inf = ln 1.5.
     """
     nx = p.input_size
+    reached = p.support
     shared = all(
-        np.any((p.rows[x] > 0) & (p.rows[xp] > 0))
+        np.any(reached[x] & reached[xp])
         for x in range(nx) for xp in range(x + 1, nx)
     )
     if shared:
@@ -749,14 +756,12 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     if not _symmetric(p):
         raise ValueError("parametric form requires an output-symmetric channel; "
                          "use focusing_bound instead")
-    q = uniform_input(p.input_size)
     pts = []
     for eta in sorted(eta_grid, reverse=True):  # descending eta = increasing rate
         if eta <= 0:
             raise ValueError("eta grid must be positive")
-        e0 = gallager_e0(p, eta, q, fortify_k)
+        e0, slope = _e0_and_slope(p, eta, fortify_k)
         rate = e0 / eta
-        slope = e0_slope(p, eta, q, fortify_k)
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
     return pts
@@ -887,8 +892,10 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
 
     Inverts the parametric form with ``decreasing_root``; the rate map is
     decreasing in eta from 1 - beta down to 0, and the bracket grows
-    adaptively (eta scales like log2(1/beta) / rate for small beta).
-    Returns +inf for nonpositive rates and 0 at or above capacity.
+    fourfold from eta = 64 (eta scales like log2(1/beta) / rate at low
+    rates).  Past 1e9 that raises ``ConvergenceError`` with the residual
+    R'(hi) - rate, rather than return the bracket's end.  Returns +inf for
+    nonpositive rates and 0 at or above capacity.
     """
     if not 0 < beta < 1:
         raise ValueError("erasure probability must lie in (0, 1)")
@@ -905,7 +912,9 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
         return e_bits - rate_bits * eta, tail / (beta + tail) - rate_bits
 
     lo, hi = 1e-12, 64.0
-    while bec_focusing_point_bits(beta, hi)[0] > rate_bits and hi < 1e9:
+    while (residual := bec_focusing_point_bits(beta, hi)[0] - rate_bits) > 0:
+        if hi >= 1e9:
+            raise ConvergenceError("BEC focusing rate root beyond eta = 1e9", residual)
         lo, hi = hi, 4.0 * hi
     lo, hi = decreasing_root(excess, lo, hi)
     return 0.5 * (lo + hi) * rate_bits

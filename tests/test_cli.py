@@ -13,6 +13,7 @@ from delaylab.dmc import LN2, ConvergenceError
 from oracles import row_loop_trace_csv
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run(argv):
@@ -168,6 +169,18 @@ class TestCurve:
                     "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["rate_nats"]) == 4
+
+    @pytest.mark.parametrize("stem", ["bsc002", "bec04"])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, stem):
+        # tests/data/curve_<stem>.csv was written by this same command before
+        # the E0 kernel was shared between E0 and its slope: any byte that
+        # moves is a change of the behaviour contract
+        out = tmp_path / f"curve_{stem}.csv"
+        assert run(["curve", CHANNELS / f"{stem}.json", "--bounds",
+                    "esp,er,focusing,timesharing", "--rate-grid", "1e-4:0.5:12",
+                    "--out", out]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == (GOLDEN / f"curve_{stem}.csv").read_bytes()
 
 
 def trace_columns(case):

@@ -44,6 +44,48 @@ class TestValidation:
         assert bsc002.digest() != dmc.bsc(0.03).digest()
 
 
+FACTS = ("symmetric", "uniform", "capacity_solution", "support")
+
+
+class TestChannelFacts:
+    def test_facts_match_the_functions_they_cache(self, z05):
+        for ch in (dmc.bsc(0.02), dmc.bec(0.4), z05):
+            assert ch.symmetric is (dmc.is_output_symmetric(ch) is True)
+            assert np.array_equal(ch.uniform, np.full(ch.input_size, 1.0 / ch.input_size))
+            value, q = dmc.capacity(ch)
+            assert ch.capacity_solution[0] == value
+            assert np.array_equal(ch.capacity_solution[1], q)
+            assert np.array_equal(ch.support, ch.rows > 0)
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        ch = dmc.bsc(0.02)
+        calls = []
+        search = dmc.is_output_symmetric
+        monkeypatch.setattr(dmc, "is_output_symmetric",
+                            lambda p: calls.append(p) or search(p))
+        assert ch.symmetric and ch.symmetric
+        assert calls == [ch]
+        assert ch.uniform is ch.uniform
+        for array in (ch.uniform, ch.capacity_solution[1], ch.support):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_channels_with_different_rows_never_share_facts(self):
+        a, b, z = dmc.bsc(0.02), dmc.bsc(0.03), dmc.z_channel(0.02)
+        for ch in (a, b, z):
+            for name in FACTS:
+                getattr(ch, name)
+        assert a.capacity_solution[0] != b.capacity_solution[0]
+        assert a.symmetric and not z.symmetric
+        assert not np.array_equal(a.support, z.support)
+        for name in FACTS[1:]:  # the flag is a shared bool
+            assert vars(a)[name] is not vars(b)[name]
+        # a channel rebuilt from the same rows starts without facts
+        again = dmc.bsc(0.02)
+        assert not set(FACTS) & set(vars(again))
+        assert again.capacity_solution[1] is not a.capacity_solution[1]
+
+
 class TestMutualInformation:
     def test_bsc_closed_form(self, bsc002):
         # oracle: ln 2 - H(p)

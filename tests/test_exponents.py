@@ -226,6 +226,64 @@ class TestE0Slope:
             assert ex.e0_slope(dmc.identity_channel(2), rho, q) == pytest.approx(LN2, rel=1e-12)
 
 
+CIRCULANT3 = [[0.653, 0.347, 0.0], [0.0, 0.653, 0.347], [0.347, 0.0, 0.653]]
+KERNEL_RHOS = (1e-9, 0.5, 1.0, 64.0, 1e4, 1e8)
+
+
+@pytest.fixture
+def e0_calls(monkeypatch):
+    """The rho of every ``_e0_kernel`` run, in order."""
+    calls = []
+    kernel = ex._e0_kernel
+
+    def counted(rows, rho, q):
+        calls.append(rho)
+        return kernel(rows, rho, q)
+
+    monkeypatch.setattr(ex, "_e0_kernel", counted)
+    return calls
+
+
+class TestE0Kernel:
+    """``e0_max`` and ``_e0_and_slope`` run the same kernel as the public
+    ``gallager_e0`` and ``e0_slope``: their values are equal, not close."""
+
+    @pytest.fixture(params=["bsc002", "bec04", "circulant", "bsc002_fortified"])
+    def case(self, request, bsc002, bec04):
+        return {"bsc002": (bsc002, None), "bec04": (bec04, None),
+                "circulant": (dmc.Dmc(CIRCULANT3), None),
+                "bsc002_fortified": (bsc002, 50)}[request.param]
+
+    @pytest.mark.parametrize("rho", KERNEL_RHOS)
+    def test_shared_w_equals_the_public_functions(self, case, rho):
+        ch, k = case
+        assert ch.symmetric
+        e0, q = ex.e0_max(ch, rho, k)
+        assert q is ch.uniform
+        assert e0 == ex.gallager_e0(ch, rho, q, k)
+        assert ex._e0_and_slope(ch, rho, k) == (e0, ex.e0_slope(ch, rho, q, k))
+
+    def test_asymmetric_input_path(self, z05):
+        for rho in KERNEL_RHOS[:4]:
+            e0, q = ex.e0_max(z05, rho)
+            assert e0 == ex.gallager_e0(z05, rho, q)
+            assert ex._e0_and_slope(z05, rho, None) == (e0, ex.e0_slope(z05, rho, q))
+
+    def test_one_kernel_run_per_evaluation(self, bsc002, z05, e0_calls):
+        for ch in (bsc002, z05):
+            for rho in (0.0, 2.0):
+                ex.e0_max(ch, rho)
+                ex._e0_and_slope(ch, rho, None)
+                ex.gallager_e0(ch, rho, [0.5, 0.5])
+        assert e0_calls == [0.0] * 3 + [2.0] * 3 + [0.0] * 3 + [2.0] * 3
+
+    def test_negative_rho_rejected(self, bsc002):
+        for solve in (lambda: ex.e0_max(bsc002, -1.0),
+                      lambda: ex._e0_and_slope(bsc002, -1.0, None)):
+            with pytest.raises(ValueError):
+                solve()
+
+
 class TestSpherePacking:
     def test_bec_half_bit(self, bec04):
         assert ex.sphere_packing(bec04, HALF_BIT) == pytest.approx(0.020410997260, abs=1e-6)
@@ -399,37 +457,28 @@ class TestRhoSolversAgainstOracles:
 
 
 class TestRhoWorkCounters:
-    """E0 solves per point; the bisections and golden sections these
-    solvers replaced took 201, 202 and 56."""
-
-    @pytest.fixture
-    def e0_calls(self, monkeypatch):
-        calls = []
-        solve = ex.e0_max
-
-        def counted(p, rho, fortify_k=None):
-            calls.append(rho)
-            return solve(p, rho, fortify_k)
-
-        monkeypatch.setattr(ex, "e0_max", counted)
-        return calls
+    """E0 evaluations per point; the bisections and golden sections these
+    solvers replaced took 201, 202 and 56.  Every E0 evaluation runs
+    ``_e0_kernel`` once, whether it comes from ``e0_max``, ``gallager_e0``
+    or ``_e0_and_slope`` (``TestE0Kernel`` checks that), so the kernel's
+    calls count them all."""
 
     def test_focusing(self, bsc002, e0_calls):
         ex.focusing_bound(bsc002, 0.3)
-        assert len(e0_calls) <= 15
+        assert 0 < len(e0_calls) <= 15
 
     def test_timesharing(self, bsc002, e0_calls):
         ex.bound_at_rate(bsc002, "timesharing", 0.3)
-        assert len(e0_calls) <= 20
+        assert 0 < len(e0_calls) <= 20
 
     def test_timesharing_low_rate(self, bsc002, e0_calls):
         # the root lies near rho = 3300, beyond rho = 64
         ex.bound_at_rate(bsc002, "timesharing", 1e-4)
-        assert len(e0_calls) <= 20
+        assert 0 < len(e0_calls) <= 20
 
     def test_sphere_packing(self, bsc002, e0_calls):
         ex.sphere_packing(bsc002, 0.3)
-        assert len(e0_calls) <= 25
+        assert 0 < len(e0_calls) <= 25
 
 
 class TestRandomCodingList:
@@ -752,6 +801,48 @@ class TestHaroutunianProperties:
             assert timesharing <= focusing
 
 
+@st.composite
+def symmetric_rates(draw, family):
+    """An output-symmetric channel of ``family`` and three rates
+    r1 < r2 < r3 inside (R_inf, C), with r2 = (1-t) r1 + t r3: BSC(p),
+    BEC(beta), or a 3x3 circulant with first row (1-a, a b, a (1-b)), where
+    b = 0 puts zeros in the rows and R_inf = ln 1.5 (a <= 0.4 keeps
+    C - R_inf above 0.02).  Every draw is in the domain; nothing is
+    filtered."""
+    if family == "bsc":
+        ch = dmc.bsc(draw(st.floats(0.001, 0.3)))
+    elif family == "bec":
+        ch = dmc.bec(draw(st.floats(0.01, 0.9)))
+    else:
+        a = draw(st.floats(0.01, 0.4))
+        b = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+        first = [1.0 - a, a * b, a * (1.0 - b)]
+        ch = dmc.Dmc([first[-i:] + first[:-i] for i in range(3)])
+    f1 = draw(st.floats(0.02, 0.6))
+    f3 = draw(st.floats(f1 + 0.05, 0.98))
+    t = draw(st.floats(0.1, 0.9))
+    r_inf, cap = ex.divergence_rate(ch), ch.capacity_solution[0]
+    r1, r3 = r_inf + f1 * (cap - r_inf), r_inf + f3 * (cap - r_inf)
+    return ch, (r1, (1.0 - t) * r1 + t * r3, r3), t
+
+
+class TestSymmetricOrderingProperties:
+    @pytest.mark.parametrize("family", ["bsc", "bec", "circulant"])
+    def test_sphere_packing_below_focusing_nonincreasing_convex(self, family):
+        @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+        @given(case=symmetric_rates(family))
+        def check(case):
+            ch, rates, t = case
+            assert ch.symmetric
+            esp = [ex.sphere_packing(ch, r) for r in rates]
+            for r, e in zip(rates, esp):
+                assert e <= ex.focusing_bound(ch, r) + 1e-9
+            assert esp[0] >= esp[1] - 1e-12 and esp[1] >= esp[2] - 1e-12
+            assert esp[1] <= (1.0 - t) * esp[0] + t * esp[2] + 1e-9
+
+        check()
+
+
 class TestBurnashev:
     def test_bsc_composed_closed_forms(self, bsc002):
         c1 = (1 - 0.04) * math.log(0.98 / 0.02)
@@ -911,6 +1002,18 @@ class TestBecClosedForms:
     def test_unachievable_reliability_rejected(self):
         with pytest.raises(ValueError):
             ex.bec_anytime_capacity(0.4, -math.log2(0.4) + 0.01)
+
+    def test_low_rate_inversion_raises_rather_than_saturate(self):
+        # the exponent rises to log2(1/beta) = 1.3219281 as the rate falls;
+        # below about 1.2e-9 bits the root lies beyond eta = 1e9, where the
+        # bracket's end once came back as the root (1.0737418 at 1e-9 and
+        # 0.10737418 at 1e-10)
+        for rate in (1e-9, 1e-10):
+            with pytest.raises(dmc.ConvergenceError) as err:
+                ex.bec_focusing_exponent_bits(0.4, rate)
+            assert err.value.residual > 0
+        assert ex.bec_focusing_exponent_bits(0.4, 1e-6) == pytest.approx(
+            bisect_bec_focusing_bits(0.4, 1e-6), rel=1e-12)
 
     def test_lowrate_floor_values(self):
         e, rlim = ex.bec_lowrate_floor(1.0 / 16, 1.0)
