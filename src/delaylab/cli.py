@@ -27,9 +27,9 @@ from .exponents import (
     bound_at_rate,
     burnashev_bound,
     capacity_slope_focusing,
+    capacity_slope_timesharing,
     e0_max,
     sphere_packing,
-    timesharing_curve,
 )
 
 EXIT_OK = 0
@@ -412,16 +412,15 @@ def _figure_4(out: Path) -> dict:
             "rate_grid_nats": [float(rates[0]), float(rates[-1]), len(rates)]}
 
 
-def _bsc_rate_grid(p: float, points: int = 60) -> np.ndarray:
-    from .dmc import bsc, capacity
-    cap = capacity(bsc(p))[0]
+def _bsc_rate_grid(ch: Dmc, points: int = 60) -> np.ndarray:
+    cap = ch.capacity_solution[0]
     return np.linspace(cap / 50, cap * 0.995, points)
 
 
 def _figure_6(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
-    rates = _bsc_rate_grid(0.02)
+    rates = _bsc_rate_grid(ch)
     cols = {
         "esp": [sphere_packing(ch, r) for r in rates],
         "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
@@ -437,9 +436,9 @@ def _figure_6(out: Path) -> dict:
 
 
 def _figure_7(out: Path) -> dict:
-    from .dmc import bsc, capacity
+    from .dmc import bsc
     ch = bsc(0.003)
-    cap = capacity(ch)[0]
+    cap = ch.capacity_solution[0]
     rates = np.linspace(0.55 * cap, 0.995 * cap, 40)
     cols = {
         "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
@@ -453,7 +452,7 @@ def _figure_7(out: Path) -> dict:
 def _figure_8(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
-    rates = _bsc_rate_grid(0.02)
+    rates = _bsc_rate_grid(ch)
     cols = {
         "esp": [sphere_packing(ch, r) for r in rates],
         "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
@@ -464,7 +463,7 @@ def _figure_8(out: Path) -> dict:
     return {"channel": "BSC(0.02)", "curves": list(cols),
             "capacity_slopes": {
                 "focusing": capacity_slope_focusing(ch),
-                "timesharing": float(timesharing_curve(ch, [0.05, 0.1]).meta["capacity_slope"]),
+                "timesharing": capacity_slope_timesharing(ch),
             }}
 
 
@@ -484,7 +483,7 @@ def _figure_9(out: Path) -> dict:
 def _figure_12(out: Path) -> dict:
     from .dmc import bsc
     ch = bsc(0.02)
-    rates = _bsc_rate_grid(0.02)
+    rates = _bsc_rate_grid(ch)
     e0_one = e0_max(ch, 1.0)[0]
     cols = {
         "esp": [sphere_packing(ch, r) for r in rates],

@@ -47,9 +47,9 @@ class Dmc:
     Entries must be finite, rows must sum to one within 1e-12 and both
     alphabets must have at least two letters.  Instances are immutable and
     safe to share across threads.  The facts the bounds read off the rows
-    (``symmetric``, ``uniform``, ``capacity_solution``, ``support``) are
-    computed on first use and kept on the instance, read-only: a channel
-    built again from the same rows computes them again.
+    (``symmetric``, ``uniform``, ``capacity_solution``, ``support``,
+    ``divergence_rate``) are computed on first use and kept read-only on the
+    instance: a channel built again from the same rows computes them again.
     """
 
     rows: np.ndarray
@@ -105,6 +105,27 @@ class Dmc:
         mask = self.rows > 0
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def divergence_rate(self) -> float:
+        """R_inf = lim_{rho->inf} E0(rho)/rho = -ln max_{q_Y} min_x q_Y(T_x),
+        T_x = supp P(.|x), in nats and without fortification (see
+        ``exponents.divergence_rate``): exactly 0 when one output is reached
+        by every input, otherwise the piecewise-linear game solved by
+        ``minimize_convex_on_simplex`` on max_x -q_Y(T_x), within its
+        certified gap (1e-13 in q_Y(T_x))."""
+        from .optimize import minimize_convex_on_simplex  # optimize imports dmc
+        if self.support.all(axis=0).any():
+            return 0.0
+        masks = self.support.astype(float)
+
+        def oracle(q):
+            covered = masks @ q
+            x = int(np.argmin(covered))
+            return -float(covered[x]), -masks[x]
+
+        best = minimize_convex_on_simplex(oracle, self.output_size).value
+        return -math.log(-best)
 
     def digest(self) -> str:
         """Stable content hash, used to label curves."""

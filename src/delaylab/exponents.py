@@ -38,14 +38,6 @@ RHO_MAX = 64.0
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
-def _symmetric(p: Dmc) -> bool:
-    return p.symmetric
-
-
-def _cached_capacity(p: Dmc) -> tuple[float, np.ndarray]:
-    return p.capacity_solution
-
-
 def _fortification_rate(fortify_k) -> float:
     if fortify_k is None:
         return 0.0
@@ -88,7 +80,7 @@ def _e0_input(p: Dmc, rho: float) -> np.ndarray:
     output-symmetric channels, ``maximize_e0``'s otherwise."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    if rho == 0 or _symmetric(p):
+    if rho == 0 or p.symmetric:
         return p.uniform
     return validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
 
@@ -164,7 +156,7 @@ def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
                                  h: float = 1e-3) -> float:
     """d^2 E0 / drho^2 at rho = 0 for fixed q (default: capacity-achieving)."""
     if q is None:
-        q = _cached_capacity(p)[1]
+        q = p.capacity_solution[1]
     f0 = gallager_e0(p, 0.0, q, fortify_k)
     f1 = gallager_e0(p, h, q, fortify_k)
     f2 = gallager_e0(p, 2 * h, q, fortify_k)
@@ -173,30 +165,11 @@ def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
 
 def divergence_rate(p: Dmc, fortify_k: int | None = None) -> float:
     """R_inf = lim_{rho->inf} E0(rho)/rho, in nats: the rate below which the
-    sphere-packing, Haroutunian and focusing exponents are infinite.
-
-    As rho grows, P^(1/(1+rho)) tends to the support indicator, so
-    R_inf = -ln max_{q_Y} min_x q_Y(T_x) with T_x = supp P(.|x), which by
-    the minimax theorem is -ln min_{q_X} max_y q_X({x : P(y|x) > 0}); plus
-    ln2/k under fortification.  It is exactly 0 when one output is reached
-    by every input.  Otherwise the piecewise-linear game is solved by
-    ``minimize_convex_on_simplex`` on max_x -q_Y(T_x), whose subgradient is
-    minus the indicator of the worst T_x; the value is within the solver's
-    certified gap (1e-13 in q_Y(T_x)) of the game's.
-    """
-    shift = _fortification_rate(fortify_k)
-    reached = p.support
-    if reached.all(axis=0).any():
-        return shift
-    masks = reached.astype(float)
-
-    def oracle(q):
-        covered = masks @ q
-        x = int(np.argmin(covered))
-        return -float(covered[x]), -masks[x]
-
-    best = minimize_convex_on_simplex(oracle, p.output_size).value
-    return -math.log(-best) + shift
+    sphere-packing, Haroutunian and focusing exponents are infinite.  As rho
+    grows, P^(1/(1+rho)) tends to the support indicator, which gives the
+    game of ``Dmc.divergence_rate``, solved once per channel; plus ln2/k
+    under fortification."""
+    return p.divergence_rate + _fortification_rate(fortify_k)
 
 
 def zero_error_feedback_capacity(p: Dmc, fortify_k: int | None = None) -> float:
@@ -220,13 +193,12 @@ def zero_error_feedback_capacity(p: Dmc, fortify_k: int | None = None) -> float:
     return divergence_rate(p, fortify_k)
 
 
-def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
-                   rho_max: float = RHO_MAX) -> float:
+def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     """Sphere-packing exponent sup_{rho >= 0} [E0(rho) - rho R], in nats.
 
     Returns +inf exactly for rates below ``divergence_rate``, where the
     supremum diverges.  Above it the maximizer can still lie far
-    beyond ``rho_max`` (at low rates), so the bracket grows fourfold while
+    beyond ``RHO_MAX`` (at low rates), so the bracket grows fourfold while
     the objective is still climbing at its edge; past 1e8 that raises
     ``ConvergenceError`` with the climb over the bracket's last tenth.
     Inside a bracket the maximizer is the root of the slope dE0/drho - R
@@ -250,7 +222,7 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None,
     def slope(rho):
         return _e0_and_slope(p, rho, fortify_k)[1] - r
 
-    lo, hi, best = 0.0, rho_max, -math.inf
+    lo, hi, best = 0.0, RHO_MAX, -math.inf
     while True:
         res = maximize_concave_1d(bracket, lo, hi, tol=1e-9, slope=slope)
         climbed = res.value > best
@@ -477,7 +449,7 @@ def _haroutunian_convex(p: Dmc, r: float, r_inf: float) -> float:
     interior point decides, and it raises with an infinite gap when it
     finds none.
     """
-    if r_inf > 0.0 and r < r_inf + 1e-12 and _cached_capacity(p)[0] <= r + 1e-10:
+    if r_inf > 0.0 and r < r_inf + 1e-12 and p.capacity_solution[0] <= r + 1e-10:
         return 0.0
     if r_inf > 0.0 or r >= 1e-15:
         return minimize_convex_on_simplex(_haroutunian_oracle(p, r),
@@ -597,7 +569,7 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
     r_inf = divergence_rate(p)
     if r < r_inf - 1e-12:
         return math.inf
-    if use_symmetry_fast_path and _symmetric(p):
+    if use_symmetry_fast_path and p.symmetric:
         standard = sphere_packing(p, r)
     else:
         standard = _haroutunian_convex(p, r, r_inf)
@@ -608,7 +580,7 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
 
 def burnashev_bound(p: Dmc, r_bar: float) -> float:
     """Variable-length feedback exponent C1 (1 - Rbar / C); +inf when C1 is."""
-    cap_p = _cached_capacity(p)[0]
+    cap_p = p.capacity_solution[0]
     if not 0 <= r_bar <= cap_p + 1e-12:
         raise ValueError("average rate must lie in [0, C]")
     coeff = _c1(p)
@@ -634,16 +606,15 @@ def _rate_crossing(p: Dmc, r: float, fortify_k: int | None,
     return decreasing_root(excess, lo, hi)
 
 
-def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None,
-                        rho_max: float = RHO_MAX) -> float:
+def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None) -> float:
     """Solve E0(eta)/eta = r for eta; E0(eta)/eta decreases from C to C_{0,f}.
 
-    The bracket grows fourfold past ``rho_max`` when the solution lies
+    The bracket grows fourfold past ``RHO_MAX`` when the solution lies
     beyond it, which happens at low rates (eta = E_a / R is unbounded as R
     drops).  Past 1e8 that raises ``ConvergenceError`` with the residual
     E0(hi)/hi - r, rather than return the bracket's end.
     """
-    lo, hi = 1e-9, rho_max
+    lo, hi = 1e-9, RHO_MAX
     while (residual := e0_max(p, hi, fortify_k)[0] / hi - r) > 0:
         if hi >= 1e8:
             raise ConvergenceError("focusing rate root beyond eta = 1e8", residual)
@@ -653,53 +624,51 @@ def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None,
 
 
 def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
-                   lambda_grid: int = 200, force_general: bool = False) -> float:
+                   force_general: bool = False) -> float:
     """Uncertainty-focusing bound E_a(R) = inf_{0 <= lambda < 1} E+(lambda R)/(1 - lambda).
 
     Symmetric channels (where E+ = E_sp) go through the parametric form:
     solve E0(eta)/eta = R, then E_a = E0(eta) = eta R; where that root lies
     beyond eta = 1e8 (R below about E_a / 1e8) it raises
-    ``ConvergenceError``.  The general path
-    minimizes over a lambda grid with golden refinement; each E+(lambda R)
-    is the standard ``haroutunian`` exponent, a convex program over the
-    output law solved within a certified gap of 1e-13 (milliseconds per
-    rate on two outputs), cached per lambda R.  +inf below
-    ``divergence_rate``.
+    ``ConvergenceError``.  +inf below ``divergence_rate``.
+
+    The general path runs one golden-section search, to a width of 1e-9,
+    on F(lambda) = E+(lambda R)/(1 - lambda), each E+ a standard
+    ``haroutunian`` program (about 50 per rate).  Its bracket holds the
+    minimizer lambda*: F is infinite below lo = (R_inf + 1e-12)/R, the
+    1e-12 being R_inf's accuracy (+inf when lo >= 1); and since E+ is
+    nonincreasing, E+(R)/(1 - lambda*) <= F(lambda*) <= F(lo), so lambda*
+    <= hi = 1 - E+(R)/F(lo) (F(lo) is the value when hi <= lo).  Golden
+    section loses nothing: E+ is convex in R, because C(V) and
+    max_x D(V_x || P_x) are convex in V, so every sublevel set
+    {lambda : E+(lambda R) <= t (1 - lambda)} is an interval, and F is flat
+    only at its minimum, since a convex E+ that meets the line t (1 - lambda)
+    on an interval lies above that line's extension everywhere.
     """
     if r <= 0:
         raise ValueError("rate must be positive")
-    cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
+    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     if r >= cap_p:
         return 0.0
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
-    if _symmetric(p) and not force_general:
+    if p.symmetric and not force_general:
         eta = _solve_eta_for_rate(p, r, fortify_k)
         return eta * r
 
     if fortify_k is not None:
         raise ValueError("fortified bounds require an output-symmetric base channel")
-
-    cache: dict[float, float] = {}
-
-    def eplus(rate: float) -> float:
-        k = round(rate, 12)
-        if k not in cache:
-            cache[k] = haroutunian(p, rate)
-        return cache[k]
-
-    def score(lam: float) -> float:
-        return eplus(lam * r) / (1.0 - lam)
-
-    lams = np.linspace(0.0, 1.0 - 1e-3, lambda_grid)
-    vals = [score(l) for l in lams]
-    i = int(np.argmin(vals))
-    lo = lams[max(0, i - 1)]
-    hi = lams[min(len(lams) - 1, i + 1)]
-    if hi > lo:
-        res = maximize_concave_1d(lambda l: -score(l), lo, hi, tol=1e-6)
-        return min(vals[i], -res.value)
-    return vals[i]
+    lo = (p.divergence_rate + 1e-12) / r if p.divergence_rate > 0.0 else 0.0
+    if lo >= 1.0:
+        return math.inf
+    e_lo, e_r = haroutunian(p, lo * r), haroutunian(p, r)
+    # 1 - E+(R)/F(lo) rounds to 1 when E+(R) is below eps F(lo), near capacity
+    hi = min(1.0 - (1.0 - lo) * e_r / e_lo, math.nextafter(1.0, 0.0)) if e_lo > 0 else lo
+    if hi <= lo:  # E+(R) >= E+(lo R) to roundoff
+        return e_lo / (1.0 - lo)
+    res = maximize_concave_1d(lambda lam: -haroutunian(p, lam * r) / (1.0 - lam),
+                              lo, hi, tol=1e-9)
+    return -res.value
 
 
 @dataclass(frozen=True)
@@ -753,7 +722,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     slope of ``e0_slope``.  Raises for channels without a verified symmetry
     partition.
     """
-    if not _symmetric(p):
+    if not p.symmetric:
         raise ValueError("parametric form requires an output-symmetric channel; "
                          "use focusing_bound instead")
     pts = []
@@ -769,7 +738,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
 
 def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
     """Slope of the parametric focusing curve at the capacity point: 2C / E0''(0)."""
-    cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
+    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     if abs(second) < 1e-12:
         return -math.inf
@@ -802,12 +771,11 @@ def viterbi_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCur
                          channel_digest=base.channel_digest, meta=dict(base.meta))
 
 
-def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None,
-                     rho_max: float = RHO_MAX) -> tuple[float, float]:
+def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None) -> tuple[float, float]:
     """(rho, E0(1)): the rho where the two-stream rate E'(rho)/rho falls to
     r > 0, the midpoint of ``decreasing_root``'s bracket (a root below 1e-9
-    gives that end).  The bracket is (1e-9, ``rho_max``), or at low rates,
-    when the rate at ``rho_max`` is still above r, (``rho_max``, E0(1)/r):
+    gives that end).  The bracket is (1e-9, ``RHO_MAX``), or at low rates,
+    when the rate at ``RHO_MAX`` is still above r, (``RHO_MAX``, E0(1)/r):
     E'(rho) < E0(1), so the rate is below r from E0(1)/r on.  E0(1) is
     solved once.  As in ``_rate_crossing`` the root is taken on the concave
     E'(rho) - r rho.
@@ -822,10 +790,10 @@ def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None,
         # dE'/drho = E0'(rho) (E0(1) / (E0(1) + E0(rho)))^2
         return e_prime - r * rho, slope * (e_one / (e_one + e0)) ** 2 - r
 
-    lo, hi = 1e-9, rho_max
+    lo, hi = 1e-9, RHO_MAX
     # the first test spares an E0 solve: it is implied by the second
-    if r * rho_max < e_one and excess(rho_max)[0] > 0:
-        lo, hi = rho_max, e_one / r
+    if r * RHO_MAX < e_one and excess(RHO_MAX)[0] > 0:
+        lo, hi = RHO_MAX, e_one / r
     lo, hi = decreasing_root(excess, lo, hi)
     return 0.5 * (lo + hi), e_one
 
@@ -848,7 +816,7 @@ def _timesharing_point(e_rho: float, e_one: float, rho: float) -> tuple[float, f
 
 def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
     """Slope of the two-stream curve at (C, 0): -E0(1) / (C - E0(1) E0''(0) / 2C)."""
-    cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
+    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     e_one = e0_max(p, 1.0, fortify_k)[0]
     second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     return -e_one / (cap_p - e_one * second / (2.0 * cap_p))
@@ -872,18 +840,22 @@ def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> Exponen
 
 def bec_focusing_point_bits(beta: float, eta: float) -> tuple[float, float]:
     """Parametric fixed-delay point for a BEC, in bits:
-    E = eta - log2(1 + beta (2^eta - 1)), R' = E / eta."""
+    E = eta - log2(1 + beta (2^eta - 1)), R' = E / eta.
+
+    With g = eta + log2 beta, the log2 of beta 2^eta, E is computed as
+    -log2 beta - log1p((1-beta) 2^-g) / ln 2 once g > 40, from
+    1 + beta (2^eta - 1) = beta 2^eta (1 + (1-beta) 2^-g), and as
+    eta - log1p(beta expm1(eta ln 2)) / ln 2 below: neither form subtracts
+    two terms of the size of eta when E is much smaller."""
     if not 0 < beta < 1:
         raise ValueError("erasure probability must lie in (0, 1)")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    g = eta + math.log2(beta)  # log2 of beta 2^eta
+    g = eta + math.log2(beta)
     if g > 40.0:
-        # log-domain form: 1 + beta(2^eta - 1) = beta 2^eta (1 + (1-beta) 2^-g)
-        log_term = g + math.log1p((1.0 - beta) * 2.0**-g) / LN2
+        e_bits = -math.log2(beta) - math.log1p((1.0 - beta) * 2.0**-g) / LN2
     else:
-        log_term = math.log2(1.0 + beta * math.expm1(eta * LN2))
-    e_bits = eta - log_term
+        e_bits = eta - math.log1p(beta * math.expm1(eta * LN2)) / LN2
     return e_bits / eta, e_bits
 
 
@@ -982,7 +954,7 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
         # parametric curves inverted at a single rate
         if name == "viterbi":
             return focusing_bound(p, r, fortify_k)
-        cap_p = _cached_capacity(p)[0] + _fortification_rate(fortify_k)
+        cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
         if r >= cap_p:
             return 0.0
         rho, e_one = _timesharing_rho(p, r, fortify_k)

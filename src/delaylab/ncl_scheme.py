@@ -332,11 +332,11 @@ class TwoStreamSplit:
             raise ValueError("balance identity psi E0(1) = (1-psi) E0(rho) violated")
 
 
-def two_stream_split(p: Dmc, rate: float, rho_max: float = 64.0) -> TwoStreamSplit:
+def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    rho, e0_one = _timesharing_rho(p, rate, None, rho_max)
+    rho, e0_one = _timesharing_rho(p, rate, None)
     e0_rho = e0_max(p, rho)[0]
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,

@@ -415,10 +415,14 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
     its own whitened coordinates, so it stays positive definite when the
     domain is a thin slab (a width of 1e-10 next to 1 makes P_k = B_k B_k^T
     too ill-conditioned to update directly).  Stops once the gap is at most
-    ``CONVEX_TOL``; raises ``ConvergenceError`` with the gap (inf when no
-    center was feasible) after ``CONVEX_ITER_FACTOR`` (m (m + 1) + 1)
-    iterations in m = ``dim`` - 1 dimensions (the ellipsoid's width shrinks
-    by about exp(-1 / (2 m (m + 1))) per step).
+    ``CONVEX_TOL``.  After ``CONVEX_ITER_FACTOR`` (m (m + 1) + 1) iterations
+    in m = ``dim`` - 1 dimensions (the ellipsoid's width shrinks by about
+    exp(-1 / (2 m (m + 1))) per step) it returns if the gap is within the
+    roundoff floor 4 eps (|f(c)| + |g| |c|) at the best center c, which a
+    float center resolves no better (in thin domains with a steep f, E+ just
+    above R_inf, the ellipsoid stalls there), and raises
+    ``ConvergenceError`` with the gap otherwise (inf when no center was
+    feasible).
 
     With ``divisor``, a nonnegative vector e, f need not be convex: it is
     f = h / s with h convex and s(q) = e . q positive on the domain, and g
@@ -438,7 +442,7 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
     # P <- m^2/(m^2-1) (P - 2/(m+1) P g g^T P / g^T P g), as B <- s B (I - c u u^T)
     scale = 1.0 if m == 1 else m / math.sqrt(m * m - 1.0)
     shrink = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
-    best, best_q, lower = math.inf, None, -math.inf
+    best, best_q, lower, floor = math.inf, None, -math.inf, 0.0
     if divisor is not None:
         divisor = np.asarray(divisor, dtype=float)
         divisor_dir = divisor[:-1] - divisor[-1]
@@ -456,6 +460,7 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
         if value < math.inf:
             if value < best:
                 best, best_q = value, q
+                floor = 4.0 * EPS * (abs(value) + float(np.linalg.norm(g) * np.linalg.norm(q)))
             slack = norm
             if divisor is not None:
                 spread = float(np.linalg.norm(factor.T @ divisor_dir)) / float(divisor @ q)
@@ -476,6 +481,8 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
         else:
             center = center - step / (m + 1)
             factor = scale * (factor - shrink * np.outer(step, u))
+    if best - lower <= floor:
+        return ConvexSolution(q=best_q, value=best, gap=best - lower, iterations=it)
     raise ConvergenceError("convex simplex search iteration cap exceeded",
                            best - lower if best < math.inf else math.inf)
 

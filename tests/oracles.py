@@ -69,7 +69,7 @@ def golden_erl(p, r, list_size=1, fortify_k=None):
 def bisect_focusing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
     """The symmetric-channel focusing bound eta R, with E0(eta)/eta = R
     solved by bisection on [1e-9, hi] after the fourfold expansion of hi."""
-    cap = ex._cached_capacity(p)[0] + ex._fortification_rate(fortify_k)
+    cap = p.capacity_solution[0] + ex._fortification_rate(fortify_k)
     if r >= cap:
         return 0.0
     if r < ex.divergence_rate(p, fortify_k) - 1e-12:
@@ -84,7 +84,7 @@ def bisect_focusing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
 def bisect_timesharing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
     """The two-stream exponent at rate R: E'(rho)/rho = R by bisection on
     [1e-9, hi] after the fourfold expansion of hi."""
-    if r >= ex._cached_capacity(p)[0] + ex._fortification_rate(fortify_k):
+    if r >= p.capacity_solution[0] + ex._fortification_rate(fortify_k):
         return 0.0
     e_one = ex.e0_max(p, 1.0, fortify_k)[0]
 

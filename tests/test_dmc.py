@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delaylab import dmc
+from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
 
 
@@ -44,7 +44,8 @@ class TestValidation:
         assert bsc002.digest() != dmc.bsc(0.03).digest()
 
 
-FACTS = ("symmetric", "uniform", "capacity_solution", "support")
+FACTS = ("symmetric", "divergence_rate", "uniform", "capacity_solution", "support")
+CIRCULANT = [[0.653, 0.347, 0.0], [0.0, 0.653, 0.347], [0.347, 0.0, 0.653]]
 
 
 class TestChannelFacts:
@@ -56,6 +57,8 @@ class TestChannelFacts:
             assert ch.capacity_solution[0] == value
             assert np.array_equal(ch.capacity_solution[1], q)
             assert np.array_equal(ch.support, ch.rows > 0)
+            assert ch.divergence_rate == 0.0  # one output every input reaches
+        assert dmc.Dmc(CIRCULANT).divergence_rate == pytest.approx(math.log(1.5), abs=1e-12)
 
     def test_computed_once_and_read_only(self, monkeypatch):
         ch = dmc.bsc(0.02)
@@ -70,6 +73,19 @@ class TestChannelFacts:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_divergence_game_solved_once_per_channel(self, monkeypatch):
+        ch = dmc.Dmc(CIRCULANT)
+        calls = []
+        solver = optimize.minimize_convex_on_simplex
+        monkeypatch.setattr(optimize, "minimize_convex_on_simplex",
+                            lambda *args: calls.append(args) or solver(*args))
+        for r in (0.3, 0.42, 0.45):
+            ex.sphere_packing(ch, r)
+            ex.focusing_bound(ch, r)
+            ex.haroutunian(ch, r)
+        assert ex.divergence_rate(ch, 50) == ch.divergence_rate + LN2 / 50
+        assert len(calls) == 1
+
     def test_channels_with_different_rows_never_share_facts(self):
         a, b, z = dmc.bsc(0.02), dmc.bsc(0.03), dmc.z_channel(0.02)
         for ch in (a, b, z):
@@ -78,7 +94,7 @@ class TestChannelFacts:
         assert a.capacity_solution[0] != b.capacity_solution[0]
         assert a.symmetric and not z.symmetric
         assert not np.array_equal(a.support, z.support)
-        for name in FACTS[1:]:  # the flag is a shared bool
+        for name in FACTS[2:]:  # the flag and R_inf are immutable scalars
             assert vars(a)[name] is not vars(b)[name]
         # a channel rebuilt from the same rows starts without facts
         again = dmc.bsc(0.02)

@@ -376,7 +376,7 @@ class TestRhoSolversAgainstOracles:
     def test_match_oracles_and_orderings(self, ch, frac, list_size):
         # rates below a capacity of 1e-3 are outside the property's domain
         assume(dmc.capacity(ch, tol=1e-6)[0] > 1e-3)
-        r = frac * ex._cached_capacity(ch)[0]
+        r = frac * ch.capacity_solution[0]
 
         def check(solver, oracle, *args, inversion=None):
             # a search that reaches its bracket cap must do so in both
@@ -401,7 +401,7 @@ class TestRhoSolversAgainstOracles:
                    inversion="timesharing")
         assert er <= erl + 1e-12
         assert erl <= esp + 1e-12
-        if ex._symmetric(ch):
+        if ch.symmetric:
             focusing = check(ex.focusing_bound, bisect_focusing, inversion="focusing")
             assert ts <= focusing + 1e-12
 
@@ -437,7 +437,7 @@ class TestRhoSolversAgainstOracles:
 
     @pytest.mark.parametrize("fortify_k", [None, 50])
     def test_bsc_curves_match_oracles(self, bsc002, fortify_k):
-        cap = ex._cached_capacity(bsc002)[0] + ex._fortification_rate(fortify_k)
+        cap = bsc002.capacity_solution[0] + ex._fortification_rate(fortify_k)
         for r in np.linspace(1e-4, cap, 25)[:-1]:
             r = float(r)
             for got, want in ((ex.sphere_packing(bsc002, r, fortify_k),
@@ -722,7 +722,7 @@ class TestDivergenceRate:
         # disjoint-support rows: R_inf = C = ln 2, and at R_inf the domain
         # {q : q(T_x) >= 1/2} is the segment q_0 = 1/2, with no interior
         ch = dmc.Dmc([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-        assert not ex._symmetric(ch)
+        assert not ch.symmetric
         for d in (-1e-13, 0.0, 1e-16, 1e-13):
             assert ex.haroutunian(ch, LN2 + d) == 0.0
         assert ex.haroutunian(ch, LN2 - 1e-11) == math.inf
@@ -764,7 +764,7 @@ class TestHaroutunianProperties:
         esp = ex.sphere_packing(ch, r)
         eplus = ex.haroutunian(ch, r, use_symmetry_fast_path=False)
         assert esp <= eplus + 1e-12
-        if ex._symmetric(ch):
+        if ch.symmetric:
             assert eplus == pytest.approx(esp, abs=1e-9)
 
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
@@ -799,6 +799,42 @@ class TestHaroutunianProperties:
             timesharing = ex.bound_at_rate(z05, "timesharing", r)
             assert esp <= har <= focusing
             assert timesharing <= focusing
+
+
+@st.composite
+def asymmetric_binary_rates(draw):
+    """A 2x2 channel without output symmetry, [[1-a, a], [b, 1-b]] with
+    a < b <= 0.4 (a Z channel at a = 0), its rows in either order, and two
+    rates 0.05 C < r1 < r2 < 0.95 C.  a != b and a + b != 1 rule out output
+    symmetry, and 1 - a - b >= 0.2 keeps C above 0.02.  Every draw is in the
+    domain; nothing is filtered."""
+    a = draw(st.floats(0.0, 0.39))
+    b = draw(st.floats(a + 0.01, 0.4))
+    rows = [[1.0 - a, a], [b, 1.0 - b]]
+    if draw(st.booleans()):
+        rows.reverse()
+    ch = dmc.Dmc(rows)
+    f1 = draw(st.floats(0.05, 0.9, exclude_min=True))
+    f2 = draw(st.floats(f1 + 0.01, 0.95, exclude_max=True))
+    cap = ch.capacity_solution[0]
+    return ch, f1 * cap, f2 * cap
+
+
+class TestGeneralFocusingProperties:
+    # each general focusing point runs about 50 Haroutunian programs, 0.1 to
+    # 0.5 s on two outputs, so few examples fit a budget of about 5 s
+    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
+    @given(case=asymmetric_binary_rates())
+    def test_orderings_and_monotone_in_rate(self, case):
+        ch, r1, r2 = case
+        assert not ch.symmetric and ch.capacity_solution[0] > 1e-3
+        focusing = []
+        for r in (r1, r2):
+            esp, eplus = ex.sphere_packing(ch, r), ex.haroutunian(ch, r)
+            focusing.append(ex.focusing_bound(ch, r))
+            assert esp <= eplus + 1e-12
+            assert eplus <= focusing[-1] + 1e-12
+        assert focusing[1] <= focusing[0] + 1e-12
 
 
 @st.composite
@@ -888,11 +924,43 @@ class TestFocusingBound:
             ex.focusing_bound(bsc002, 1e-9)
 
     def test_general_lambda_path_agrees_with_parametric(self, bsc002):
-        for r in (0.2, 0.4):
-            general = ex.focusing_bound(bsc002, r, force_general=True,
-                                        lambda_grid=400)
-            parametric = ex.focusing_bound(bsc002, r)
-            assert general == pytest.approx(parametric, rel=2e-3)
+        cap = bsc002.capacity_solution[0]
+        for frac in (0.1, 0.3, 0.6, 0.9, 0.999):
+            general = ex.focusing_bound(bsc002, frac * cap, force_general=True)
+            parametric = ex.focusing_bound(bsc002, frac * cap)
+            assert general == pytest.approx(parametric, rel=1e-10)
+        # a lambda grid capped at 1 - 1e-3 returned 3.02 times the value here
+        general = ex.focusing_bound(bsc002, 0.9999 * cap, force_general=True)
+        assert general == pytest.approx(ex.focusing_bound(bsc002, 0.9999 * cap), rel=1e-7)
+
+    # the values of the 200-point lambda grid with golden refinement
+    Z05_GRID = {0.05: 0.6868438992849679, 0.1: 0.5926785876851622,
+                0.15: 0.3938517560031345, 0.2: 0.1323480757049226}
+
+    def test_general_path_programs_per_rate(self, z05):
+        calls = []
+        program = ex.haroutunian
+
+        def counted(*args):
+            calls.append(args)
+            return program(*args)
+
+        with mock.patch.object(ex, "haroutunian", counted):
+            for r, want in self.Z05_GRID.items():
+                calls.clear()
+                assert ex.focusing_bound(z05, r) == pytest.approx(want, rel=1e-11)
+                assert 0 < len(calls) <= 60  # the grid made 222
+
+    def test_general_path_just_above_a_positive_divergence_rate(self):
+        # R_inf = ln 1.5; at 1.0005 R_inf the minimizer sits about 6e-7
+        # above R_inf / R, where a grid capped at 1 - 1e-3 saw only +inf
+        ch = dmc.Dmc([[0.8, 0.2, 0.0], [0.0, 0.7, 0.3], [0.4, 0.0, 0.6]])
+        for factor in (1.0005, 1.01):
+            r = factor * math.log(1.5)
+            value = ex.focusing_bound(ch, r)
+            assert math.isfinite(value)
+            assert value >= ex.haroutunian(ch, r)
+        assert ex.focusing_bound(ch, math.log(1.5)) == math.inf
 
 
 class TestFocusingParametric:
@@ -1014,6 +1082,23 @@ class TestBecClosedForms:
             assert err.value.residual > 0
         assert ex.bec_focusing_exponent_bits(0.4, 1e-6) == pytest.approx(
             bisect_bec_focusing_bits(0.4, 1e-6), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1e-100, 1e-6, 0.05, 0.4, 0.9])
+    def test_focusing_point_matches_mpmath(self, beta):
+        # the log-domain branch once lost about ulp(eta): 1.6e-3 relative at
+        # beta = 0.9, eta = 1e9
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        for eta in np.geomspace(1e-12, 1e9, 64):
+            b, e = mp.mpf(beta), mp.mpf(float(eta))
+            want_e = e - mp.log(1 + b * (mp.power(2, e) - 1), 2)
+            rate, e_bits = ex.bec_focusing_point_bits(beta, float(eta))
+            assert e_bits == pytest.approx(float(want_e), rel=1e-13)
+            assert rate == pytest.approx(float(want_e / e), rel=1e-13)
+
+    def test_low_rate_exponent_below_its_supremum(self):
+        # log2(1/beta) bounds the exponent; it was once 3.9e-9 above at 1e-8
+        assert ex.bec_focusing_exponent_bits(0.4, 1e-8) <= math.log2(2.5)
 
     def test_lowrate_floor_values(self):
         e, rlim = ex.bec_lowrate_floor(1.0 / 16, 1.0)
