@@ -308,8 +308,11 @@ def fit_delay_exponent(delays, d_grid, min_misses: int, n_boot: int = 200,
     serial correlation of nearby delays.  Infinite delays miss every
     deadline.  With no misses anywhere the exponent is unbounded by the data;
     with misses at a single deadline it is undetermined (slope and CI NaN).
+    An empty sample raises ValueError.
     """
     delays = np.asarray(delays)
+    if delays.size == 0:
+        raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     d_grid = np.asarray(sorted(d_grid), dtype=float)
     counts = _miss_counts(np.sort(delays), d_grid)
     probs = counts / len(delays)

@@ -24,10 +24,11 @@ from .bec_lab import (DelayExponentFit, _miss_counts, _slope, fit_delay_exponent
 from .dmc import LN2, Dmc
 from .exponents import (_rate_crossing, _timesharing_rho, bec_focusing_exponent_bits,
                          e0_max)
-from .queue_model import QueueConfig, ServiceTimeModel, simulate_point_queue
+from .queue_model import QueueConfig, ServiceTimeModel, fifo_completions, simulate_point_queue
 
 EXACT_TINY_MAX_BLOCK_USES = 24
 EXACT_TINY_MAX_CODEWORDS = 4096
+EXACT_TINY_BATCH_DRAWS = 1 << 14  # uniforms per decode batch; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,6 @@ class NclTrace:
                  + self.termination)
         return bool(np.all(total == self.end_to_end()))
 
-    def miss_probability(self, d: float) -> float:
-        delays = self.end_to_end()[10:]
-        return float((delays > d).mean())
-
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
         """Delay exponent of the end-to-end delays after the first 10 blocks."""
         return fit_delay_exponent(self.end_to_end()[10:], d_grid, min_misses)
@@ -223,6 +220,13 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
 
     ``feedback_lag`` phi > 1 discards the last phi - 1 outputs of each chunk
     (both sides), trading rate for tolerance of delayed feedback.
+
+    Streams: ``substream(seed, 3)`` draws every block's true message below
+    the codebook size M.  Block j then reads only ``substream(seed, 4, j)``:
+    per chunk of u = ck - (phi - 1) used outputs, M u codebook uniforms
+    (hypothesis-major, mapped through q's CDF), then u channel uniforms.  So
+    blocks decode independently, in batches of ``EXACT_TINY_BATCH_DRAWS``
+    uniforms, and the FIFO queue runs afterwards on their service times.
     """
     if feedback_lag < 1 or feedback_lag >= params.ck:
         raise ValueError("feedback lag must satisfy 1 <= phi < ck")
@@ -232,59 +236,52 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     m_count = n_messages if n_messages is not None else max(2, round(math.exp(nck * params.rate)))
     if m_count > EXACT_TINY_MAX_CODEWORDS:
         raise ValueError(f"exact mode caps the codebook at {EXACT_TINY_MAX_CODEWORDS} messages")
+    if m_count < 2:
+        raise ValueError("exact mode needs a codebook of at least 2 messages")
 
     ck = params.ck
-    used_per_chunk = ck - (feedback_lag - 1)
+    used = ck - (feedback_lag - 1)  # outputs per chunk
+    draws = m_count * used + used   # uniforms per block and chunk
     list_size = 2**params.l
-    nx = p.input_size
     log_p = np.log(np.where(p.rows > 0, p.rows, 1e-300))
-    q = params.q
-    ny = p.output_size
     rows_cdf = np.cumsum(p.rows, axis=1)
+    q_cdf = np.cumsum(params.q)
+    q_cdf /= q_cdf[-1]
+
+    true_msgs = substream(seed, 3).integers(0, m_count, horizon_blocks)
+    chunks = np.zeros(horizon_blocks, dtype=np.int64)
+    committed_errors = 0
+    batch = max(1, EXACT_TINY_BATCH_DRAWS // draws)
+    for first in range(0, horizon_blocks, batch):
+        blocks = np.arange(first, min(first + batch, horizon_blocks))
+        rngs = [substream(seed, 4, j) for j in blocks.tolist()]
+        loglik = np.zeros((len(blocks), m_count))
+        while len(blocks):  # one chunk for every block still undecided
+            u = np.stack([rng.random(draws) for rng in rngs])
+            cw = q_cdf.searchsorted(u[:, :-used], side="right").reshape(-1, m_count, used)
+            truth = true_msgs[blocks]
+            x_true = cw[np.arange(len(blocks)), truth]
+            y = (u[:, -used:, None] > rows_cdf[x_true]).sum(axis=2)
+            loglik = loglik + log_p[cw, y[:, None, :]].sum(axis=2)
+            # a stable sort lists tied hypotheses in index order
+            listed = np.argsort(-loglik, axis=1, kind="stable")[:, :list_size]
+            hit = listed == truth[:, None]
+            done = hit.any(axis=1)
+            chunks[blocks] += 1
+            decoded = listed[done, hit[done].argmax(axis=1)]
+            committed_errors += int((decoded != truth[done]).sum())
+            blocks, loglik = blocks[~done], loglik[~done]
+            rngs = [rng for rng, finished in zip(rngs, done.tolist()) if not finished]
 
     arrivals = nck * np.arange(1, horizon_blocks + 1, dtype=np.int64)
-    starts = np.zeros(horizon_blocks, dtype=np.int64)
-    t_j = np.zeros(horizon_blocks, dtype=np.int64)
-    commits = np.zeros(horizon_blocks, dtype=np.int64)
-    committed_errors = 0
-    free_at = 0  # first channel use not yet claimed by an earlier block
-
-    msg_rng = substream(seed, 3)
-    true_msgs = msg_rng.integers(0, m_count, horizon_blocks)
-
-    for j in range(horizon_blocks):
-        rng = substream(seed, 4, j)  # per-block codebook and noise stream
-        start = max(arrivals[j], free_at)
-        loglik = np.zeros(m_count)
-        chunks = 0
-        truth = int(true_msgs[j])
-        while True:
-            chunks += 1
-            # fresh codeword symbols for every hypothesis over this chunk
-            cw = rng.choice(nx, size=(m_count, used_per_chunk), p=q)
-            x_true = cw[truth]
-            u = rng.random(used_per_chunk)
-            y = (u[:, None] > rows_cdf[x_true]).sum(axis=1)
-            loglik = loglik + log_p[cw, y].sum(axis=1)
-            order = np.lexsort((np.arange(m_count), -loglik))
-            if truth in order[:list_size]:
-                index_in_list = int(np.where(order[:list_size] == truth)[0][0])
-                break
-        t_j[j] = chunks * ck
-        confirm_time = start + t_j[j]
-        free_at = confirm_time
-        # l disambiguation bits ride the next l control slots at spacing k
-        commits[j] = confirm_time + params.l * params.k
-        decoded = int(order[:list_size][index_in_list])
-        if decoded != truth:
-            committed_errors += 1
-        starts[j] = start
-
+    t_j = chunks * ck
+    confirms = fifo_completions(arrivals, t_j)
     return NclTrace(
         arrival_times=arrivals,
-        service_starts=starts,
+        service_starts=confirms - t_j,
         transmission_times=t_j,
-        commit_times=commits,
+        # l disambiguation bits ride the next l control slots at spacing k
+        commit_times=confirms + params.l * params.k,
         assembly=nck,
         termination=params.l * params.k,
         committed_errors=committed_errors,

@@ -128,18 +128,21 @@ class QueueTrace:
         return self.completion_times - self.service_times - self.arrival_times
 
 
+def fifo_completions(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """FIFO completions C_i = max(a_i, C_{i-1}) + T_i from an idle start, as the
+    prefix maximum C_i = S_i + max_{k<=i} (a_k - S_{k-1}), S_i = T_1 + ... + T_i."""
+    csum = np.cumsum(service)
+    return csum + np.maximum.accumulate(arrivals - (csum - service))
+
+
 def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
-    """FIFO D/G/1 queue: message i arrives at i*m, completion follows
-    C_i = max(arrival_i, C_{i-1}) + T_i (prefix-maximum vectorization)."""
+    """FIFO D/G/1 queue: message i arrives at i*m and completes at
+    C_i = max(arrival_i, C_{i-1}) + T_i."""
     arrivals = cfg.arrival_period * np.arange(1, cfg.horizon + 1, dtype=np.int64)
     t = svc.sample(substream(cfg.seed, 1), cfg.horizon)
-    csum = np.cumsum(t)
-    # C_i = S_i + max_{k<=i} (a_k - S_{k-1})
-    head = arrivals - (csum - t)
-    completions = csum + np.maximum.accumulate(head)
     return QueueTrace(
         arrival_times=arrivals,
-        completion_times=completions,
+        completion_times=fifo_completions(arrivals, t),
         service_times=t,
         meta={"arrival_period": cfg.arrival_period, "seed": cfg.seed,
               "offset": svc.offset, "tail_beta": svc.tail_beta},

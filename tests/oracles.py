@@ -8,7 +8,8 @@ the root lies inside the bracket, every later step re-evaluates lo or hi and
 changes nothing, so the result is the one the fixed 200- or 300-step loops
 returned.
 
-The simulation trace writer that formatted one value at a time.
+The simulation trace writer that formatted one value at a time, and the
+exact-tiny (n, c, l) simulator that decoded and queued one block at a time.
 
 Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
@@ -21,8 +22,11 @@ import math
 import numpy as np
 
 from delaylab import exponents as ex
+from delaylab.bec_lab import substream
 from delaylab.cli import _fmt
 from delaylab.dmc import ConvergenceError
+from delaylab.ncl_scheme import (EXACT_TINY_MAX_BLOCK_USES, EXACT_TINY_MAX_CODEWORDS,
+                                 NclTrace)
 from delaylab.optimize import maximize_concave_1d
 
 
@@ -121,6 +125,80 @@ def row_loop_trace_csv(path, header, rows_by_trial):
             for row in rows:
                 fh.write(f"{trial}," + ",".join(_fmt(v) if isinstance(v, float)
                                                 else str(v) for v in row) + "\n")
+
+
+def loop_ncl_exact_tiny(p, params, horizon_blocks, seed=0, n_messages=None,
+                        feedback_lag=1):
+    """``ncl_scheme.simulate_ncl_exact_tiny`` as a loop over blocks: one
+    ``rng.choice`` codebook and one ``rng.random`` channel draw per chunk,
+    and the FIFO queue advanced block by block."""
+    if feedback_lag < 1 or feedback_lag >= params.ck:
+        raise ValueError("feedback lag must satisfy 1 <= phi < ck")
+    nck = params.block_period
+    if nck > EXACT_TINY_MAX_BLOCK_USES:
+        raise ValueError(f"exact mode caps block period at {EXACT_TINY_MAX_BLOCK_USES} uses")
+    m_count = n_messages if n_messages is not None else max(2, round(math.exp(nck * params.rate)))
+    if m_count > EXACT_TINY_MAX_CODEWORDS:
+        raise ValueError(f"exact mode caps the codebook at {EXACT_TINY_MAX_CODEWORDS} messages")
+
+    ck = params.ck
+    used_per_chunk = ck - (feedback_lag - 1)
+    list_size = 2**params.l
+    nx = p.input_size
+    log_p = np.log(np.where(p.rows > 0, p.rows, 1e-300))
+    q = params.q
+    rows_cdf = np.cumsum(p.rows, axis=1)
+
+    arrivals = nck * np.arange(1, horizon_blocks + 1, dtype=np.int64)
+    starts = np.zeros(horizon_blocks, dtype=np.int64)
+    t_j = np.zeros(horizon_blocks, dtype=np.int64)
+    commits = np.zeros(horizon_blocks, dtype=np.int64)
+    committed_errors = 0
+    free_at = 0  # first channel use not yet claimed by an earlier block
+
+    msg_rng = substream(seed, 3)
+    true_msgs = msg_rng.integers(0, m_count, horizon_blocks)
+
+    for j in range(horizon_blocks):
+        rng = substream(seed, 4, j)  # per-block codebook and noise stream
+        start = max(arrivals[j], free_at)
+        loglik = np.zeros(m_count)
+        chunks = 0
+        truth = int(true_msgs[j])
+        while True:
+            chunks += 1
+            # fresh codeword symbols for every hypothesis over this chunk
+            cw = rng.choice(nx, size=(m_count, used_per_chunk), p=q)
+            x_true = cw[truth]
+            u = rng.random(used_per_chunk)
+            y = (u[:, None] > rows_cdf[x_true]).sum(axis=1)
+            loglik = loglik + log_p[cw, y].sum(axis=1)
+            order = np.lexsort((np.arange(m_count), -loglik))
+            if truth in order[:list_size]:
+                index_in_list = int(np.where(order[:list_size] == truth)[0][0])
+                break
+        t_j[j] = chunks * ck
+        confirm_time = start + t_j[j]
+        free_at = confirm_time
+        # l disambiguation bits ride the next l control slots at spacing k
+        commits[j] = confirm_time + params.l * params.k
+        decoded = int(order[:list_size][index_in_list])
+        if decoded != truth:
+            committed_errors += 1
+        starts[j] = start
+
+    return NclTrace(
+        arrival_times=arrivals,
+        service_starts=starts,
+        transmission_times=t_j,
+        commit_times=commits,
+        assembly=nck,
+        termination=params.l * params.k,
+        committed_errors=committed_errors,
+        meta={"mode": "exact_tiny", "n_messages": m_count,
+              "rate_realized": math.log(m_count) / nck,
+              "feedback_lag": feedback_lag, "seed": seed},
+    )
 
 
 def z05_haroutunian_mp(rate, form):

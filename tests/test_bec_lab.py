@@ -310,6 +310,10 @@ class TestFitDelayExponent:
             assert type(fit.unbounded) is bool
         assert bl.measure_delay_exponent(fifo_run, [10, 12]).widened_ci is True
 
+    def test_empty_sample_raises(self):
+        with pytest.raises(ValueError, match="no delays left to fit"):
+            bl.fit_delay_exponent(np.array([], dtype=np.int64), [1, 2, 3], min_misses=10)
+
     def test_sample_too_short_to_bootstrap(self):
         delays = np.arange(1, 500) % 7
         fit = bl.fit_delay_exponent(delays, [1, 2, 3], min_misses=10)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -292,26 +293,57 @@ class TestSim:
         s = json.loads((tmp_path / "n/summary.json").read_text())
         assert s["committed_errors"] == 0
 
+    EXACT_TINY = {"mode": "exact_tiny",
+                  "channel": {"matrix": [[0.98, 0.02], [0.02, 0.98]]},
+                  "rate": math.log(8) / 12, "rho": 1.0, "k": 3,
+                  "n": 2, "c": 2, "l": 1, "n_messages": 8}
+
+    # sha256 of (trace.csv, summary.json), recorded from the block-by-block
+    # simulator, for 6,000 blocks of EXACT_TINY at each seed
+    EXACT_TINY_DIGESTS = {
+        5: ("aea8b7c85d4cc1cb19dee9efbe87fffcae8eee6aa550b9db13997ac538674900",
+            "ef04f504a4e01c1f745a49da8f9777bde02cf94bf46374285b1569ef727a520c"),
+        17: ("2d7ce4789d2e8a4eb6c7b5790e39bb51f50366a4f94190a0c6378c761c524ef5",
+             "27d9a1fefa351144206c15ca5cce94cd920b7a395e8cec794573859a32dc166e"),
+    }
+
     def test_summary_is_strict_json(self, tmp_path):
-        # an exact-tiny run whose misses all fall below the grid has an
-        # unbounded fit; its exponent and CI are written as null
+        # at seed 5 every miss falls below the grid, so the fit is unbounded
+        # and its exponent and CI are written as null
         cfg = tmp_path / "n.json"
-        cfg.write_text(json.dumps({
-            "mode": "exact_tiny",
-            "channel": {"matrix": [[0.98, 0.02], [0.02, 0.98]]},
-            "rate": math.log(8) / 12, "rho": 1.0, "k": 3,
-            "n": 2, "c": 2, "l": 1, "n_messages": 8,
-            "horizon_blocks": 6000}))
-        assert run(["sim", "ncl", cfg, "--seed", "5", "--out", tmp_path / "n"]) == 0
+        cfg.write_text(json.dumps({**self.EXACT_TINY, "horizon_blocks": 6000}))
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        text = (tmp_path / "n/summary.json").read_text()
-        fit = json.loads(text, parse_constant=reject)["fit"]
-        assert fit["unbounded"] is True
-        assert fit["exponent"] is None
-        assert fit["ci"] == [None, None]
+        for seed, digests in self.EXACT_TINY_DIGESTS.items():
+            out = tmp_path / f"n{seed}"
+            assert run(["sim", "ncl", cfg, "--seed", seed, "--out", out]) == 0
+            fit = json.loads((out / "summary.json").read_text(), parse_constant=reject)["fit"]
+            if seed == 5:
+                assert fit["unbounded"] is True
+                assert fit["exponent"] is None
+                assert fit["ci"] == [None, None]
+            for name, digest in zip(("trace.csv", "summary.json"), digests):
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["exact_tiny", "bound_driven"])
+    def test_run_inside_burn_in_exits_nonzero(self, tmp_path, capsys, mode):
+        # the fit drops the first 10 blocks, so 10 blocks leave nothing to fit
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.EXACT_TINY, "mode": mode, "horizon_blocks": 10}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
+        assert "no delays left to fit" in capsys.readouterr().err
+        assert not (tmp_path / "n/summary.json").exists()
+
+    @pytest.mark.parametrize("n_messages", [0, 1])
+    def test_codebook_below_two_messages_exits_nonzero(self, tmp_path, capsys, n_messages):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.EXACT_TINY, "n_messages": n_messages,
+                                   "horizon_blocks": 100}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
+        assert "at least 2 messages" in capsys.readouterr().err
+        assert not (tmp_path / "n/summary.json").exists()
 
     def test_ncl_bad_channel_exit2(self, tmp_path, capsys):
         cfg = tmp_path / "n.json"

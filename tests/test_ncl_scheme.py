@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from delaylab import dmc, ncl_scheme as ncl
 from delaylab.exponents import e0_max, gallager_e0
+from oracles import loop_ncl_exact_tiny
 
 E0_BSC_RHO1 = 0.4462871026284195  # ln2 - ln(1 + 2 sqrt(0.02 * 0.98))
 
@@ -107,6 +109,78 @@ class TestExactTiny:
         a = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 2_000, seed=11)
         b = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 2_000, seed=11)
         assert np.array_equal(a.transmission_times, b.transmission_times)
+
+
+def assert_same_trace(a, b):
+    for name in ("arrival_times", "service_starts", "transmission_times",
+                 "commit_times"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.committed_errors == b.committed_errors
+    assert a.meta == b.meta
+
+
+@st.composite
+def exact_tiny_cases(draw):
+    """A random 2-3-input channel with zero entries, an (n, c, l, k)
+    geometry within the exact-mode cap, a feedback lag, a codebook of at
+    most 64 messages (explicit or the default) and the number of blocks per
+    decode batch."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    weights = st.lists(st.integers(0, 4), min_size=ny, max_size=ny).filter(any)
+    rows = np.array([draw(weights) for _ in range(nx)], dtype=float)
+    p = dmc.Dmc(rows / rows.sum(axis=1, keepdims=True))
+    q = np.array(draw(st.lists(st.integers(1, 4), min_size=nx, max_size=nx)), dtype=float)
+    q /= q.sum()
+    l = draw(st.integers(0, 2))
+    c, n = draw(st.integers(l + 1, l + 2)), draw(st.integers(l + 1, l + 2))
+    k = draw(st.integers(1 if c > 1 else 2, ncl.EXACT_TINY_MAX_BLOCK_USES // (n * c)))
+    rho = float(2**l)
+    e0 = gallager_e0(p, rho, q)
+    assume(e0 > 1e-3)
+    ceiling = min(e0 / rho, math.log(64) / (n * c * k))
+    params = ncl.NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q,
+                           rate=draw(st.floats(0.05, 0.95)) * ceiling, e0=e0)
+    lag = draw(st.integers(1, params.ck - 1))
+    n_messages = draw(st.one_of(st.none(), st.integers(2, 12)))
+    return p, params, lag, n_messages, draw(st.integers(2, 5))
+
+
+class TestExactTinyMatchesLoop:
+    """The batched simulator against the block-by-block loop it replaced:
+    equal traces, error counts and metadata, bit for bit."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=exact_tiny_cases(), extra=st.sampled_from((-1, 0, 1)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_random_channels_and_geometries(self, case, extra, seed):
+        p, params, lag, n_messages, batch = case
+        m = n_messages or max(2, round(math.exp(params.block_period * params.rate)))
+        used = params.ck - (lag - 1)
+        horizon = batch + extra
+        with pytest.MonkeyPatch.context() as mp:
+            # a budget of exactly `batch` blocks, so horizons straddle it
+            mp.setattr(ncl, "EXACT_TINY_BATCH_DRAWS", batch * (m + 1) * used)
+            fast = ncl.simulate_ncl_exact_tiny(p, params, horizon, seed,
+                                               n_messages=n_messages, feedback_lag=lag)
+        slow = loop_ncl_exact_tiny(p, params, horizon, seed,
+                                   n_messages=n_messages, feedback_lag=lag)
+        assert_same_trace(fast, slow)
+
+    @pytest.mark.parametrize("extra", (-1, 0, 1))
+    def test_module_batch_boundary(self, bsc002, tiny_params, extra):
+        used = tiny_params.ck
+        batch = ncl.EXACT_TINY_BATCH_DRAWS // ((8 + 1) * used)
+        for lag in (1, 2):
+            fast = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, batch + extra, 3,
+                                               n_messages=8, feedback_lag=lag)
+            slow = loop_ncl_exact_tiny(bsc002, tiny_params, batch + extra, 3,
+                                       n_messages=8, feedback_lag=lag)
+            assert_same_trace(fast, slow)
+
+    def test_codebook_needs_two_messages(self, bsc002, tiny_params):
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 messages"):
+                ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 10, n_messages=m)
 
 
 class TestBoundDriven:
