@@ -2,7 +2,7 @@
 simulations, and figure-data reproduction.
 
 Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown target,
-5 a numerical solver hit its iteration cap (the message carries its residual).
+5 a solver hit its iteration cap or missed its certificate (message has the residual).
 Environment: FDL_SEED overrides sim's --seed, FDL_THREADS caps sim parallelism.
 All diagnostics go to stderr; stdout carries only requested tables.
 """

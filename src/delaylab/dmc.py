@@ -22,10 +22,11 @@ LN2 = math.log(2.0)
 
 ROW_SUM_TOL = 1e-12
 SYMMETRY_SEARCH_MAX_OUTPUTS = 8
+CAPACITY_TOL = 1e-12  # certified distance of capacity's value below C
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap; carries the last residual."""
+    """A solver hit its iteration cap or missed its certificate; carries the residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -94,7 +95,8 @@ class Dmc:
 
     @cached_property
     def capacity_solution(self) -> tuple[float, np.ndarray]:
-        """``capacity(self)``: the certified capacity and an achieving input."""
+        """``capacity(self)``: C, certified within ``CAPACITY_TOL`` below it, and an
+        achieving input (the uniform one on output-symmetric channels)."""
         value, q = capacity(self)
         q.flags.writeable = False
         return value, q
@@ -197,32 +199,51 @@ def mutual_information(p: Dmc, q) -> float:
     return float(np.sum((q[:, None] * rows)[active] * np.log(ratio[active])))
 
 
-def capacity(p: Dmc, tol: float = 1e-10, max_iter: int = 100_000) -> tuple[float, np.ndarray]:
-    """Channel capacity C(P) = max_q I(q, P) and an achieving distribution.
+def capacity(p: Dmc) -> tuple[float, np.ndarray]:
+    """C(P) = max_q I(q, P), certified within ``CAPACITY_TOL`` below C, and
+    an achieving input.
 
-    Blahut-Arimoto multiplicative updates with the certified stopping rule
-    C <= max_x D_x: the returned value is within ``tol`` of the true capacity.
+    Every output law o bounds C <= max_x D(P_x || o), with equality at the
+    minimizer o* (Csiszar and Koerner).  The uniform input q is returned when
+    that bound at o = qP is within the tolerance of I(q), as on
+    output-symmetric channels.  Otherwise ``minimize_convex_on_simplex``
+    finds o* on the outputs some input reaches, q* solves q P = o* with
+    q >= 0 on the rows within the tolerance of the maximum, and
+    ``ConvergenceError`` is raised unless the program's value less I(q*) is
+    within the tolerance.
     """
-    rows = p.rows
-    nx = p.input_size
-    q = uniform_input(nx)
-    mask = rows > 0
-    logrows = np.where(mask, np.log(np.where(mask, rows, 1.0)), 0.0)
-    residual = math.inf
-    for _ in range(max_iter):
-        out = q @ rows
-        with np.errstate(divide="ignore"):
-            logout = np.where(out > 0, np.log(np.where(out > 0, out, 1.0)), 0.0)
-        # D_x = D(P(.|x) || output marginal); finite because supp(out) covers supp(rows)
-        d = np.sum(np.where(mask, rows * (logrows - logout[None, :]), 0.0), axis=1)
-        lower = float(q @ d)
-        upper = float(d.max())
-        residual = upper - lower
-        if residual <= tol:
-            return lower, q
-        q = q * np.exp(d - upper)
-        q = q / q.sum()
-    raise ConvergenceError("capacity iteration cap exceeded", residual)
+    from .optimize import minimize_convex_on_simplex  # optimize imports dmc
+    rows, mask, reached = p.rows, p.support, p.support.any(axis=0)
+    logrows = np.log(np.where(mask, rows, 1.0))
+
+    def divergences(out):  # D(P_x || out) for every x
+        logout = np.log(np.where(out > 0, out, 1.0))
+        return np.sum(np.where(mask, rows * (logrows - logout), 0.0), axis=1)
+
+    q = uniform_input(p.input_size)
+    d = divergences(q @ rows)
+    lower = float(q @ d)
+    if float(d.max()) - lower <= CAPACITY_TOL:
+        return lower, q
+    rows, mask, logrows = rows[:, reached], mask[:, reached], logrows[:, reached]
+
+    def oracle(o):
+        d = divergences(o)
+        return float(d.max()), -rows[np.argmax(d)] / o
+
+    sol = minimize_convex_on_simplex(oracle, int(reached.sum()))
+    d = divergences(sol.q)
+    active = np.flatnonzero(d >= d.max() - CAPACITY_TOL)
+    # a row leaves while the least-squares solution gives it negative mass
+    while (w := np.linalg.lstsq(np.vstack([rows[active].T, np.ones(len(active))]),
+                                np.append(sol.q, 1.0), rcond=None)[0]).min() < 0.0:
+        active = np.delete(active, np.argmin(w))
+    q = np.zeros(p.input_size)
+    q[active] = w / w.sum()
+    value = mutual_information(p, q)
+    if sol.value - value > CAPACITY_TOL:
+        raise ConvergenceError("capacity certificate not met", sol.value - value)
+    return value, q
 
 
 def divergence_conditional(g: Dmc, p: Dmc, r) -> float:
@@ -253,15 +274,8 @@ def c1(p: Dmc) -> float:
 
     Infinite whenever some row has mass on an output another row misses.
     """
-    best = 0.0
-    for x in range(p.input_size):
-        for xp in range(p.input_size):
-            if x == xp:
-                continue
-            best = max(best, divergence_rows(p.rows[x], p.rows[xp]))
-            if best == math.inf:
-                return math.inf
-    return best
+    return max(0.0, *(divergence_rows(p.rows[x], p.rows[xp])
+                      for x in range(p.input_size) for xp in range(p.input_size) if x != xp))
 
 
 def _set_partitions(items: list[int]):

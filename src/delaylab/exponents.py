@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -182,13 +183,7 @@ def zero_error_feedback_capacity(p: Dmc, fortify_k: int | None = None) -> float:
     circulant [[.653,.347,0],[0,.653,.347],[.347,0,.653]] every pair shares
     an output, so C_{0,f} = 0, while R_inf = ln 1.5.
     """
-    nx = p.input_size
-    reached = p.support
-    shared = all(
-        np.any(reached[x] & reached[xp])
-        for x in range(nx) for xp in range(x + 1, nx)
-    )
-    if shared:
+    if (p.support @ p.support.T).all():  # every pair of rows shares an output
         return _fortification_rate(fortify_k)
     return divergence_rate(p, fortify_k)
 
@@ -340,13 +335,13 @@ def channel_capacity_fast(g: Dmc) -> float:
 
     Two-input channels maximize the concave scalar mutual information over
     s in [0, 1] with ``_max_info_binary``'s safeguarded Newton iteration on
-    I'(s); larger alphabets fall back to the certified
-    alternating-maximization iteration.  No bound calls it; the benchmark's
+    I'(s); larger alphabets fall back to ``capacity``, the certified
+    min-max program over output laws.  No bound calls it; the benchmark's
     tracer binds it by name.
     """
     if g.input_size == 2:
         return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
-    return capacity(g, tol=1e-9)[0]
+    return capacity(g)[0]
 
 
 def _tilted_row(log_p: list, log_q: list, r: float):
@@ -699,13 +694,10 @@ class ExponentCurve:
         if any(b <= a for a, b in zip(rates, rates[1:])):
             raise ValueError("curve rates must be strictly increasing")
         exps = [e for _, e in self.samples]
-        for a, b in zip(exps, exps[1:]):
-            if b > a + 1e-9:
-                raise ValueError("curve exponents must be nonincreasing in rate")
+        if any(b > a + 1e-9 for a, b in zip(exps, exps[1:])):
+            raise ValueError("curve exponents must be nonincreasing in rate")
         # clamp sub-tolerance wiggle so downstream consumers see a monotone curve
-        for i in range(1, len(exps)):
-            exps[i] = min(exps[i], exps[i - 1])
-        self.samples = list(zip(rates, exps))
+        self.samples = list(zip(rates, accumulate(exps, min)))
 
     def rates(self) -> np.ndarray:
         return np.array([r for r, _ in self.samples])
@@ -948,12 +940,9 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
         return haroutunian(p, r, "tilde")
     if name == "burnashev":
         return burnashev_bound(p, r)
-    if name == "focusing":
+    if name in ("focusing", "viterbi"):  # viterbi: the focusing curve's other reading
         return focusing_bound(p, r, fortify_k)
-    if name in ("viterbi", "timesharing"):
-        # parametric curves inverted at a single rate
-        if name == "viterbi":
-            return focusing_bound(p, r, fortify_k)
+    if name == "timesharing":  # the two-stream curve inverted at one rate
         cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
         if r >= cap_p:
             return 0.0

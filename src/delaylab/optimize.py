@@ -13,9 +13,9 @@
 5. minimization of a convex function over the probability simplex from a
    (value, subgradient) oracle (``minimize_convex_on_simplex``): central-cut
    ellipsoid steps, bisection in one dimension, stopped by a certified gap
-   (both Haroutunian exponents and the divergence threshold); it also takes
-   the ratio of a convex function to a positive linear one, which is
-   quasiconvex (the tilde Haroutunian exponent),
+   (the capacity, both Haroutunian exponents and the divergence
+   threshold); it also takes the ratio of a convex function to a positive
+   linear one, which is quasiconvex (the tilde Haroutunian exponent),
 6. multi-start penalized minimization over small channel matrices, which no
    bound calls (the benchmark's tracer binds it by name).
 
@@ -24,6 +24,7 @@ All searches are deterministic given their seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,10 +153,6 @@ def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, f
     raise ConvergenceError("root finder iteration cap exceeded", hi - lo)
 
 
-def _pair_directions(dim: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(dim) for j in range(dim) if i != j]
-
-
 def maximize_over_simplex(f, dim: int, tol: float = 1e-9,
                           max_cycles: int = 200) -> tuple[np.ndarray, float]:
     """Maximize a concave ``f`` over the probability simplex of dimension ``dim``.
@@ -174,7 +171,7 @@ def maximize_over_simplex(f, dim: int, tol: float = 1e-9,
     improved = math.inf
     for _ in range(max_cycles):
         improved = 0.0
-        for i, j in _pair_directions(dim):
+        for i, j in itertools.permutations(range(dim), 2):
             budget = q[i] + q[j]
             if budget <= 0:
                 continue

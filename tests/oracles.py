@@ -8,6 +8,9 @@ the root lies inside the bracket, every later step re-evaluates lo or hi and
 changes nothing, so the result is the one the fixed 200- or 300-step loops
 returned.
 
+Blahut-Arimoto's alternating maximization for the channel capacity, which
+the program replaced with the certified min-max program over output laws.
+
 The simulation trace writer that formatted one value at a time, and the
 exact-tiny (n, c, l) simulator that decoded and queued one block at a time.
 
@@ -114,6 +117,30 @@ def bisect_bec_focusing_bits(beta, rate_bits):
     lo, hi = bisect(lambda eta: ex.bec_focusing_point_bits(beta, eta)[0] > rate_bits,
                     1e-12, hi, 300)
     return 0.5 * (lo + hi) * rate_bits
+
+
+def blahut_arimoto(p, tol, max_iter=1_000_000):
+    """(I(q), q) with I(q) within ``tol`` below the capacity of ``p``:
+    multiplicative updates q_x <- q_x exp(D_x) / normalizer, with
+    D_x = D(P(.|x) || q P), stopped once max_x D_x - I(q) <= tol (max_x D_x
+    bounds C from above).  Raises ``ConvergenceError`` after ``max_iter``
+    updates."""
+    rows = p.rows
+    q = np.full(p.input_size, 1.0 / p.input_size)
+    mask = rows > 0
+    logrows = np.log(np.where(mask, rows, 1.0))
+    residual = math.inf
+    for _ in range(max_iter):
+        out = q @ rows
+        logout = np.log(np.where(out > 0, out, 1.0))
+        d = np.sum(np.where(mask, rows * (logrows - logout[None, :]), 0.0), axis=1)
+        lower, upper = float(q @ d), float(d.max())
+        residual = upper - lower
+        if residual <= tol:
+            return lower, q
+        q = q * np.exp(d - upper)
+        q = q / q.sum()
+    raise ConvergenceError("Blahut-Arimoto iteration cap exceeded", residual)
 
 
 def row_loop_trace_csv(path, header, rows_by_trial):

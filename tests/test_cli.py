@@ -62,8 +62,10 @@ class TestChannelParsing:
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
         src = Path(__file__).resolve().parent.parent / "src"
+        # Z(0.5) is not output-symmetric, so its capacity runs the min-max program
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import delaylab.cli; "
-                "print('scipy.stats' in sys.modules)")
+                "from delaylab.dmc import capacity, z_channel; capacity(z_channel(0.5)); "
+                "print(any(m.startswith('scipy') for m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
@@ -99,6 +101,17 @@ class TestBounds:
         esp, har = (float(row["value_nats"]) for row in rows)
         assert har == pytest.approx(0.02953012574062, abs=1e-10)
         assert esp <= har
+
+    def test_capacity_bounds_on_a_nearly_useless_channel(self, tmp_path, capsys):
+        # C = 1.74e-6 nats: the bounds that read the certified capacity
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps({"name": "weak", "matrix": [
+            [0.97709924, 0.02290076], [0.97765363, 0.02234637]]}))
+        assert run(["bounds", path, "--rate", "5e-7",
+                    "--bounds", "focusing,timesharing,burnashev"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["bound"] for row in rows] == ["focusing", "timesharing", "burnashev"]
+        assert all(0.0 < float(row["value_nats"]) < math.inf for row in rows)
 
     def test_haroutunian_at_a_divergence_rate_equal_to_capacity(self, tmp_path, capsys):
         # R_inf = C = ln 2 = 1 bit: E+ is 0 there, though the convex

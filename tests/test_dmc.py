@@ -5,6 +5,7 @@ import pytest
 
 from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
+from oracles import blahut_arimoto
 
 
 def binary_entropy(p):
@@ -46,6 +47,11 @@ class TestValidation:
 
 FACTS = ("symmetric", "divergence_rate", "uniform", "capacity_solution", "support")
 CIRCULANT = [[0.653, 0.347, 0.0], [0.0, 0.653, 0.347], [0.347, 0.0, 0.653]]
+# C = 1.74e-6, and a channel whose optimal input leaves input 2 unused
+NEARLY_USELESS = [[0.97709924, 0.02290076], [0.97765363, 0.02234637]]
+UNUSED_INPUT = [[0.38685779, 0.57187018, 0.04127203],
+                [0.29203981, 0.17266427, 0.53529592],
+                [0.57545348, 0.12775108, 0.29679544]]
 
 
 class TestChannelFacts:
@@ -143,12 +149,58 @@ class TestCapacity:
         assert c == 0.0
 
     def test_dominates_random_inputs(self, random_channels):
+        # C = I(q*) lies within 1e-12 below the true capacity, which bounds
+        # every I(q)
         rng = np.random.default_rng(0)
         for ch in random_channels[:4]:
-            c, _ = dmc.capacity(ch)
+            c, q_star = dmc.capacity(ch)
+            assert q_star.min() >= 0.0 and q_star.sum() == pytest.approx(1.0, abs=1e-15)
+            assert dmc.mutual_information(ch, q_star) == c
             for _ in range(250):
                 q = rng.dirichlet(np.ones(ch.input_size))
-                assert dmc.mutual_information(ch, q) <= c + 1e-9
+                assert dmc.mutual_information(ch, q) <= c + 1e-12
+
+    def test_matches_blahut_arimoto(self, bsc002, bec04, z05, random_channels):
+        asym3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
+        unreached = dmc.Dmc([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]])  # no input reaches output 2
+        for ch in [bsc002, bec04, z05, asym3, unreached, *random_channels]:
+            c, _ = dmc.capacity(ch)
+            assert c == pytest.approx(blahut_arimoto(ch, 1e-13)[0], abs=1e-12)
+
+    def test_output_symmetric_certified_at_the_uniform_input(self, bsc002, bec04):
+        # the first Blahut-Arimoto step, with the same expressions
+        for ch in (bsc002, bec04, dmc.Dmc(CIRCULANT)):
+            c, q = dmc.capacity(ch)
+            c_ba, q_ba = blahut_arimoto(ch, 1e-12, max_iter=1)
+            assert c == c_ba and np.array_equal(q, q_ba)
+            assert np.array_equal(q, ch.uniform)
+
+    def test_nearly_useless_channel(self):
+        ch = dmc.Dmc(NEARLY_USELESS)
+        c, q = dmc.capacity(ch)
+        assert c == pytest.approx(ex.channel_capacity_fast(ch), abs=1e-13)
+        assert dmc.mutual_information(ch, q) == c
+
+    def test_optimal_input_leaves_one_input_unused(self):
+        ch = dmc.Dmc(UNUSED_INPUT)
+        c, q = dmc.capacity(ch)
+        two = ex.channel_capacity_fast(dmc.Dmc(UNUSED_INPUT[:2]))
+        assert two == pytest.approx(0.1866961064598132, abs=1e-15)
+        assert c == pytest.approx(two, abs=1e-13)
+        assert q[2] < 1e-9
+
+    def test_certificate_failure_raises(self, monkeypatch, z05):
+        # a program value further than the tolerance above I(q*)
+        solver = optimize.minimize_convex_on_simplex
+
+        def loose(*args):
+            sol = solver(*args)
+            return optimize.ConvexSolution(q=sol.q, value=sol.value + 1e-9,
+                                           gap=sol.gap, iterations=sol.iterations)
+
+        monkeypatch.setattr(optimize, "minimize_convex_on_simplex", loose)
+        with pytest.raises(dmc.ConvergenceError):
+            dmc.capacity(z05)
 
 
 class TestDivergence:

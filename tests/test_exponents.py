@@ -367,6 +367,15 @@ def root_roundoff(ch, r, value, timesharing=False):
     return 8.0 * r * (1.0 + x) * np.finfo(float).eps / abs(slope - r)
 
 
+def assert_capacity_bounds_finite(ch, r):
+    """The bounds that read the certified capacity are finite and ordered."""
+    values = {name: ex.bound_at_rate(ch, name, r)
+              for name in ("focusing", "timesharing", "burnashev", "haroutunian")}
+    assert all(0.0 < v < math.inf for v in values.values()), values
+    assert values["haroutunian"] <= values["focusing"]
+    assert values["timesharing"] <= values["focusing"]
+
+
 class TestRhoSolversAgainstOracles:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(ch=small_channels(), frac=st.floats(0.01, 0.99), list_size=st.sampled_from((1, 4)))
@@ -375,7 +384,7 @@ class TestRhoSolversAgainstOracles:
     @example(ch=dmc.bsc(7 / 15), frac=0.01171875, list_size=1)
     def test_match_oracles_and_orderings(self, ch, frac, list_size):
         # rates below a capacity of 1e-3 are outside the property's domain
-        assume(dmc.capacity(ch, tol=1e-6)[0] > 1e-3)
+        assume(dmc.capacity(ch)[0] > 1e-3)
         r = frac * ch.capacity_solution[0]
 
         def check(solver, oracle, *args, inversion=None):
@@ -406,8 +415,8 @@ class TestRhoSolversAgainstOracles:
             assert ts <= focusing + 1e-12
 
     def test_nearly_useless_channel(self):
-        # C = 1.7e-6, which Blahut-Arimoto cannot certify to 1e-10 within its
-        # step cap: esp, er and erL never need the certified capacity
+        # C = 1.7e-6: esp, er and erL match their oracles down there, and the
+        # bounds that read the certified capacity stay finite
         ch = dmc.Dmc([[0.97709924, 0.02290076], [0.97765363, 0.02234637]])
         cap = ex.channel_capacity_fast(ch)
         for frac in (0.0, 0.3, 0.9, 1.1):
@@ -420,6 +429,15 @@ class TestRhoSolversAgainstOracles:
                 assert got == pytest.approx(want, rel=1e-12, abs=ORACLE_ABS)
         assert ex.sphere_packing(ch, 0.3 * cap) > 0.0
         assert ex.sphere_packing(ch, 1.1 * cap) == 0.0
+        assert_capacity_bounds_finite(ch, 0.3 * cap)
+
+    def test_channel_with_an_unused_input(self):
+        # the optimal input leaves input 2 unused; the general focusing
+        # path takes seconds per point, so one rate
+        ch = dmc.Dmc([[0.38685779, 0.57187018, 0.04127203],
+                      [0.29203981, 0.17266427, 0.53529592],
+                      [0.57545348, 0.12775108, 0.29679544]])
+        assert_capacity_bounds_finite(ch, 0.5 * ch.capacity_solution[0])
 
     @pytest.mark.parametrize("rows, limit, band", [
         ([[0.97709924, 0.02290076], [0.97765363, 0.02234637]], 1.7375444391504276e-06, 1e-10),
@@ -758,7 +776,7 @@ class TestHaroutunianProperties:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(ch=small_channels(), frac=st.floats(0.02, 0.98))
     def test_sphere_packing_below_and_equal_on_symmetric(self, ch, frac):
-        cap = dmc.capacity(ch, tol=1e-6)[0]  # a lower bound within 1e-6
+        cap = dmc.capacity(ch)[0]
         assume(cap > 1e-3)  # the domain of TestRhoSolversAgainstOracles
         r = frac * cap
         esp = ex.sphere_packing(ch, r)
@@ -770,7 +788,7 @@ class TestHaroutunianProperties:
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
     @given(ch=small_channels(), frac=st.floats(0.02, 0.9), step=st.floats(0.01, 0.1))
     def test_tilde_certified_below_standard_and_nonincreasing(self, ch, frac, step):
-        cap = dmc.capacity(ch, tol=1e-6)[0]
+        cap = dmc.capacity(ch)[0]
         assume(cap > 1e-3)
         r = frac * cap
         assume(r > ex.divergence_rate(ch) + 1e-6)
