@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .optimize import (
 )
 
 RHO_MAX = 64.0
+E0_STENCIL_STEP = 1e-3  # of e0_second_derivative_at_zero
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
@@ -153,11 +154,10 @@ def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, flo
     return e0 + rho * shift, slope + shift
 
 
-def e0_second_derivative_at_zero(p: Dmc, q=None, fortify_k: int | None = None,
-                                 h: float = 1e-3) -> float:
-    """d^2 E0 / drho^2 at rho = 0 for fixed q (default: capacity-achieving)."""
-    if q is None:
-        q = p.capacity_solution[1]
+def e0_second_derivative_at_zero(p: Dmc, fortify_k: int | None = None) -> float:
+    """d^2 E0 / drho^2 at rho = 0 for the capacity-achieving q, by the
+    forward stencil of step ``E0_STENCIL_STEP``."""
+    q, h = p.capacity_solution[1], E0_STENCIL_STEP
     f0 = gallager_e0(p, 0.0, q, fortify_k)
     f1 = gallager_e0(p, h, q, fortify_k)
     f2 = gallager_e0(p, 2 * h, q, fortify_k)
@@ -390,6 +390,28 @@ def _tilted_row(log_p: list, log_q: list, r: float):
     return t * mean - log_z, t / (1.0 - t), v
 
 
+def _row_logs(p: Dmc) -> list:
+    """(T_x, ln P_x on T_x as a list) for every row x: what ``_worst_row``
+    reads, computed once per oracle."""
+    return [(t, np.log(p.rows[x, t]).tolist()) for x, t in enumerate(p.row_supports())]
+
+
+def _worst_row(rows: list, log_o: np.ndarray, budgets):
+    """(x, (e_x, rho_x, v_x)) for the row with the largest ``_tilted_row``
+    value e_x(o, R_x), the first of them on ties, or (x, None) for the first
+    row with no feasible tilt; ``rows`` is ``_row_logs``, ``log_o`` is ln o
+    and ``budgets`` yields the R_x in row order.  The one row loop of the
+    Haroutunian, tilde and focusing oracles."""
+    worst = None
+    for x, ((t, log_p), r_x) in enumerate(zip(rows, budgets)):
+        res = _tilted_row(log_p, log_o[t].tolist(), r_x)
+        if res is None:
+            return x, None
+        if worst is None or res[0] > worst[1][0]:
+            worst = x, res
+    return worst
+
+
 def _haroutunian_oracle(p: Dmc, r: float):
     """(value, subgradient) oracle of E+(q) = max_x e_x(q, R) on the output
     simplex for ``minimize_convex_on_simplex``.  Each e_x is convex in q (a
@@ -397,22 +419,16 @@ def _haroutunian_oracle(p: Dmc, r: float):
     -rho_x v_x(y) / q(y) on T_x by the envelope theorem.  Where
     q(T_x) <= e^-R for some x the oracle returns that constraint's cut,
     -1 on T_x."""
-    supports = p.row_supports()
-    log_rows = [np.log(p.rows[x, t]).tolist() for x, t in enumerate(supports)]
+    rows = _row_logs(p)
 
     def oracle(q):
-        log_q = np.log(q)
-        worst = None
-        for t, log_p in zip(supports, log_rows):
-            res = _tilted_row(log_p, log_q[t].tolist(), r)
-            if res is None:
-                cut = np.zeros(len(q))
-                cut[t] = -1.0
-                return math.inf, cut
-            if worst is None or res[0] > worst[0]:
-                worst = res + (t,)
-        value, rho, v, t = worst
+        x, res = _worst_row(rows, np.log(q), repeat(r))
+        t = rows[x][0]
         grad = np.zeros(len(q))
+        if res is None:
+            grad[t] = -1.0
+            return math.inf, grad
+        value, rho, v = res
         grad[t] = -rho * np.asarray(v) / q[t]
         return value, grad
 
@@ -476,9 +492,9 @@ def _tilde_oracle(p: Dmc, r: float):
     <= R: -ln o(T_x) + 1 - 1_{T_x} / o(T_x) on the o-block, the same
     o'-block with nu = 1."""
     ny = p.output_size
-    supports = p.row_supports()
-    rows = [p.rows[x, t] for x, t in enumerate(supports)]
-    log_rows = [np.log(row) for row in rows]
+    rows = _row_logs(p)
+    p_rows = [p.rows[x, t] for x, (t, _) in enumerate(rows)]
+    log_rows = [np.asarray(log_p) for _, log_p in rows]
 
     def gradient(t, row, div, o2, o_part, o_on_t):
         g = np.empty(2 * ny)
@@ -493,19 +509,16 @@ def _tilde_oracle(p: Dmc, r: float):
         lam = 1.0 - s
         o, o2 = z[:ny] / s, z[ny:] / float(z[ny:].sum())
         log_o, log_o2 = np.log(o), np.log(o2)
-        worst = None
-        for t, row, log_p in zip(supports, rows, log_rows):
-            div = float(row @ (log_p - log_o2[t]))  # D(P_x || o')
-            r_x = (r - lam * div) / s
-            res = _tilted_row(log_p.tolist(), log_o[t].tolist(), r_x)
-            if res is None:
-                mass = float(o[t].sum())
-                return math.inf, gradient(t, row, div, o2, 1.0 - math.log(mass),
-                                          1.0 / mass)
-            if worst is None or res[0] > worst[0]:
-                worst = res + (t, row, div, r_x)
-        value, rho, v, t, row, div, r_x = worst
-        return value, (rho / s) * gradient(t, row, div, o2, r_x + 1.0,
+        divs = [float(row @ (log_p - log_o2[t]))  # D(P_x || o')
+                for (t, _), row, log_p in zip(rows, p_rows, log_rows)]
+        budgets = [(r - lam * div) / s for div in divs]
+        x, res = _worst_row(rows, log_o, budgets)
+        t, row, div = rows[x][0], p_rows[x], divs[x]
+        if res is None:
+            mass = float(o[t].sum())
+            return math.inf, gradient(t, row, div, o2, 1.0 - math.log(mass), 1.0 / mass)
+        value, rho, v = res
+        return value, (rho / s) * gradient(t, row, div, o2, budgets[x] + 1.0,
                                            np.asarray(v) / o[t])
 
     return oracle
@@ -618,6 +631,53 @@ def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None) -> float:
     return 0.5 * (lo + hi)
 
 
+def _focusing_oracle(p: Dmc, r: float):
+    """(value, gradient) oracle of the general focusing program on the
+    simplex of |Y| + 1 letters z = (u, 1) / (sum(u) + 1), for
+    ``minimize_convex_on_simplex`` with divisor z_last.
+
+    With mu = 1/(1-lambda) = sum(u), o = u / mu and G_x(o, rho) =
+    -(1+rho) ln sum_y P_x^(1/(1+rho)) o^(rho/(1+rho)), the Lagrangian of
+    ``_tilted_row``, E+(lambda R)/(1-lambda) is the minimum over o of
+        F(u) = max_x sup_rho [mu G_x(u / mu, rho) - rho R (mu - 1)]
+             = mu max_x e_x(o, lambda R),
+    each term the perspective of a function convex in o (G_x is -(1+rho)
+    times the log of a sum of concave powers of o) less a linear one, so F
+    is convex in u on {u >= 0, sum(u) >= 1}.  In z, F is the ratio of its
+    perspective z_last F(z_o / z_last), jointly convex, to z_last.  By the
+    envelope theorem, with (e, rho, v) the worst row's solve on T,
+        dF/du = e + rho (1 - v / o) - rho R / mu   (v = 0 off T),
+    and the gradient in z is (dF/du, -dF/du . u) / z_last.  Two cuts bound
+    the domain: z_last >= sum(z_o) (lambda < 0) by (-1, ..., -1, 1); a row
+    with o(T_x) <= e^-(lambda R) by the perspective of its constraint
+    c(u) = mu (-ln o(T_x)) - (mu - 1) R <= 0, that is (dc/du, c - dc/du . u)
+    with dc/du = 1 - ln o(T_x) - R - 1_{T_x} / o(T_x)."""
+    ny = p.output_size
+    rows = _row_logs(p)
+    below_zero = np.append(-np.ones(ny), 1.0)
+
+    def oracle(z):
+        mass, z_last = float(z[:ny].sum()), float(z[ny])
+        if z_last >= mass:
+            return math.inf, below_zero
+        mu = mass / z_last
+        o, u = z[:ny] / mass, z[:ny] / z_last
+        x, res = _worst_row(rows, np.log(o), repeat(r * (1.0 - 1.0 / mu)))
+        t = rows[x][0]
+        if res is None:
+            mass_t = float(o[t].sum())
+            log_mass = math.log(mass_t)
+            grad = np.full(ny, 1.0 - log_mass - r)
+            grad[t] -= 1.0 / mass_t
+            return math.inf, np.append(grad, -mu * log_mass - (mu - 1.0) * r - grad @ u)
+        e, rho, v = res
+        grad = np.full(ny, e + rho - rho * r / mu)
+        grad[t] -= rho * np.asarray(v) / o[t]
+        return mu * e, np.append(grad, -(grad @ u)) / z_last
+
+    return oracle
+
+
 def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
                    force_general: bool = False) -> float:
     """Uncertainty-focusing bound E_a(R) = inf_{0 <= lambda < 1} E+(lambda R)/(1 - lambda).
@@ -627,18 +687,13 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     beyond eta = 1e8 (R below about E_a / 1e8) it raises
     ``ConvergenceError``.  +inf below ``divergence_rate``.
 
-    The general path runs one golden-section search, to a width of 1e-9,
-    on F(lambda) = E+(lambda R)/(1 - lambda), each E+ a standard
-    ``haroutunian`` program (about 50 per rate).  Its bracket holds the
-    minimizer lambda*: F is infinite below lo = (R_inf + 1e-12)/R, the
-    1e-12 being R_inf's accuracy (+inf when lo >= 1); and since E+ is
-    nonincreasing, E+(R)/(1 - lambda*) <= F(lambda*) <= F(lo), so lambda*
-    <= hi = 1 - E+(R)/F(lo) (F(lo) is the value when hi <= lo).  Golden
-    section loses nothing: E+ is convex in R, because C(V) and
-    max_x D(V_x || P_x) are convex in V, so every sublevel set
-    {lambda : E+(lambda R) <= t (1 - lambda)} is an interval, and F is flat
-    only at its minimum, since a convex E+ that meets the line t (1 - lambda)
-    on an interval lies above that line's extension everywhere.
+    The general path (channels without output symmetry, or
+    ``force_general``) minimizes jointly over lambda and E+'s output law:
+    one quasiconvex program on |Y| + 1 letters (``_focusing_oracle``),
+    solved by ``minimize_convex_on_simplex`` within its certified gap
+    (1e-13), or ``ConvergenceError`` with that gap.  It is +inf up to
+    R_inf + 1e-12 when R_inf > 0, the 1e-12 being R_inf's accuracy: no
+    lambda < 1 then brings lambda R above R_inf.
     """
     if r <= 0:
         raise ValueError("rate must be positive")
@@ -653,17 +708,11 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
 
     if fortify_k is not None:
         raise ValueError("fortified bounds require an output-symmetric base channel")
-    lo = (p.divergence_rate + 1e-12) / r if p.divergence_rate > 0.0 else 0.0
-    if lo >= 1.0:
+    if p.divergence_rate > 0.0 and r <= p.divergence_rate + 1e-12:
         return math.inf
-    e_lo, e_r = haroutunian(p, lo * r), haroutunian(p, r)
-    # 1 - E+(R)/F(lo) rounds to 1 when E+(R) is below eps F(lo), near capacity
-    hi = min(1.0 - (1.0 - lo) * e_r / e_lo, math.nextafter(1.0, 0.0)) if e_lo > 0 else lo
-    if hi <= lo:  # E+(R) >= E+(lo R) to roundoff
-        return e_lo / (1.0 - lo)
-    res = maximize_concave_1d(lambda lam: -haroutunian(p, lam * r) / (1.0 - lam),
-                              lo, hi, tol=1e-9)
-    return -res.value
+    ny = p.output_size
+    return minimize_convex_on_simplex(_focusing_oracle(p, r), ny + 1,
+                                      divisor=np.eye(ny + 1)[ny]).value
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .queue_model import QueueConfig, ServiceTimeModel, fifo_completions, simula
 EXACT_TINY_MAX_BLOCK_USES = 24
 EXACT_TINY_MAX_CODEWORDS = 4096
 EXACT_TINY_BATCH_DRAWS = 1 << 14  # uniforms per decode batch; bounds its memory
+SCHEME_RHO_POINTS = 48  # rho grid of scheme_exponent_curve
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,11 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     list decode over all message hypotheses with lexicographic tie-breaking.
     The encoder mirrors the decoder through noiseless feedback and signals
     confirm/deny plus the l list-index bits over the error-free control
-    slots, so committed decisions are never wrong; the run reports
-    ``committed_errors`` to prove it.
+    slots, so committed decisions are never wrong.  ``committed_errors``
+    proves nothing about that: the decoded message is read from the list
+    at the true message's own position, so it is the true message and the
+    count is 0 by construction.  The tests that assert 0 guard only that
+    list bookkeeping.
 
     ``feedback_lag`` phi > 1 discards the last phi - 1 outputs of each chunk
     (both sides), trading rate for tolerance of delayed feedback.
@@ -385,13 +389,14 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
 
 
 def scheme_exponent_curve(p: Dmc, n: int, c: int, l: int, k: int,
-                          rate_grid, rho_points: int = 48) -> list[tuple[float, float]]:
+                          rate_grid) -> list[tuple[float, float]]:
     """Analytic guaranteed-exponent curve of a fixed (n, c, l) scheme.
 
     For each rate, maximizes the Corollary-driven end-to-end exponent over
-    the operating parameter rho in (0, 2^l]; zero where no rho leaves slack.
+    ``SCHEME_RHO_POINTS`` geometrically spaced values of the operating
+    parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.
     """
-    rhos = np.geomspace(1e-2, 2**l, rho_points)
+    rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS)
     table = [(float(rho), *e0_max(p, float(rho))) for rho in rhos]
     out = []
     for rate in sorted(rate_grid):

@@ -15,7 +15,8 @@
    ellipsoid steps, bisection in one dimension, stopped by a certified gap
    (the capacity, both Haroutunian exponents and the divergence
    threshold); it also takes the ratio of a convex function to a positive
-   linear one, which is quasiconvex (the tilde Haroutunian exponent),
+   linear one, which is quasiconvex (the tilde Haroutunian exponent and
+   the general focusing bound),
 6. multi-start penalized minimization over small channel matrices, which no
    bound calls (the benchmark's tracer binds it by name).
 
@@ -33,6 +34,7 @@ import numpy as np
 from .dmc import Dmc, ConvergenceError, uniform_input
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_MAX_ITER = 500  # golden-section steps of maximize_concave_1d
 EPS = float(np.finfo(float).eps)
 E0_TOL = 1e-12  # certified distance of maximize_e0's value to the maximum
 E0_MAX_ITER = 500
@@ -50,11 +52,11 @@ class Search1DResult:
 
 
 def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
-                        max_iter: int = 500, slope=None) -> Search1DResult:
+                        slope=None) -> Search1DResult:
     """Maximize a concave ``f`` on [lo, hi].
 
     Without ``slope``: golden section to a bracket of ``tol``, at most
-    ``max_iter`` steps.  Ties between plateau points resolve to the
+    ``GOLDEN_MAX_ITER`` steps.  Ties between plateau points resolve to the
     smallest maximizer: when the two probe values are equal the right part
     of the interval is discarded.
 
@@ -62,7 +64,7 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     slope already points out of the interval is the maximizer (lo when
     slope(lo) <= 0).  Otherwise ``decreasing_root`` closes a bracket of
     ``tol`` around the root of the slope (secant steps, as no second
-    derivative is given; its own cap replaces ``max_iter``), and f is
+    derivative is given; its own cap replaces ``GOLDEN_MAX_ITER``), and f is
     evaluated once, at the bracket's midpoint.  ``iterations`` counts the
     slope evaluations inside the bracket.
     """
@@ -87,7 +89,7 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     it = 0
-    while b - a > tol and it < max_iter:
+    while b - a > tol and it < GOLDEN_MAX_ITER:
         it += 1
         if f1 >= f2:  # keep the left interval on ties -> smallest maximizer
             b, x2, f2 = x2, x1, f1

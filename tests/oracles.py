@@ -8,6 +8,10 @@ the root lies inside the bracket, every later step re-evaluates lo or hi and
 changes nothing, so the result is the one the fixed 200- or 300-step loops
 returned.
 
+The general focusing bound's golden-section search over lambda, each probe a
+Haroutunian program, which the program replaced with one joint program over
+lambda and the output law.
+
 Blahut-Arimoto's alternating maximization for the channel capacity, which
 the program replaced with the certified min-max program over output laws.
 
@@ -103,6 +107,36 @@ def bisect_timesharing(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
         hi *= 4.0
     lo, hi = bisect(lambda rho: point(rho)[0] > r, 1e-9, hi, 200)
     return point(0.5 * (lo + hi))[1]
+
+
+def golden_focusing(p, r):
+    """The general focusing bound inf_lambda F(lambda), F(lambda) =
+    E+(lambda R)/(1 - lambda), by one golden-section search to a width of
+    1e-9, each E+ a standard ``haroutunian`` program (about 50 per rate).
+
+    The bracket holds the minimizer lambda*: F is infinite below
+    lo = (R_inf + 1e-12)/R (+inf when lo >= 1); and since E+ is
+    nonincreasing, E+(R)/(1 - lambda*) <= F(lo), so lambda* <= hi =
+    1 - E+(R)/F(lo) (F(lo) is the value when hi <= lo).  E+ is convex in R,
+    so F's sublevel sets are intervals and golden section loses nothing.
+    """
+    cap = p.capacity_solution[0]
+    if r >= cap:
+        return 0.0
+    r_inf = ex.divergence_rate(p)
+    if r < r_inf - 1e-12:
+        return math.inf
+    lo = (r_inf + 1e-12) / r if r_inf > 0.0 else 0.0
+    if lo >= 1.0:
+        return math.inf
+    e_lo, e_r = ex.haroutunian(p, lo * r), ex.haroutunian(p, r)
+    # 1 - E+(R)/F(lo) rounds to 1 when E+(R) is below eps F(lo), near capacity
+    hi = min(1.0 - (1.0 - lo) * e_r / e_lo, math.nextafter(1.0, 0.0)) if e_lo > 0 else lo
+    if hi <= lo:  # E+(R) >= E+(lo R) to roundoff
+        return e_lo / (1.0 - lo)
+    res = maximize_concave_1d(lambda lam: -ex.haroutunian(p, lam * r) / (1.0 - lam),
+                              lo, hi, tol=1e-9)
+    return -res.value
 
 
 def bisect_bec_focusing_bits(beta, rate_bits):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
 from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
-                     golden_erl, golden_esp, nelder_mead_haroutunian,
+                     golden_erl, golden_esp, golden_focusing, nelder_mead_haroutunian,
                      z05_haroutunian_mp, z_information_mp, z_tilde_bisection)
 
 HALF_BIT = 0.5 * LN2
@@ -432,8 +432,7 @@ class TestRhoSolversAgainstOracles:
         assert_capacity_bounds_finite(ch, 0.3 * cap)
 
     def test_channel_with_an_unused_input(self):
-        # the optimal input leaves input 2 unused; the general focusing
-        # path takes seconds per point, so one rate
+        # the optimal input leaves input 2 unused
         ch = dmc.Dmc([[0.38685779, 0.57187018, 0.04127203],
                       [0.29203981, 0.17266427, 0.53529592],
                       [0.57545348, 0.12775108, 0.29679544]])
@@ -838,21 +837,68 @@ def asymmetric_binary_rates(draw):
     return ch, f1 * cap, f2 * cap
 
 
+@st.composite
+def asymmetric_ternary_rates(draw):
+    """A 3x3 channel without output symmetry and with zero entries, rows
+    (1-a, 0, a), (b1, 1-b1-b2, b2) and (c0, c1, 1-c0-c1), and two rates
+    R_inf + f (C - R_inf) for 0.05 < f1 < f2 < 0.95.  Row 0 has a zero where
+    row 1 has none, so no partition of the outputs makes the rows
+    permutations of each other on every part.  a = c0 = 0 gives rows 0 and 2
+    disjoint supports and R_inf = ln 2; otherwise output 0 or 2 is reached
+    by every input and R_inf = 0.  Every draw is in the domain; nothing is
+    filtered."""
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4)))
+    b1, b2 = draw(st.floats(0.01, 0.2)), draw(st.floats(0.01, 0.2))
+    c0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+    c1 = draw(st.floats(0.0, 0.2))
+    ch = dmc.Dmc([[1.0 - a, 0.0, a], [b1, 1.0 - b1 - b2, b2], [c0, c1, 1.0 - c0 - c1]])
+    f1 = draw(st.floats(0.05, 0.9, exclude_min=True))
+    f2 = draw(st.floats(f1 + 0.01, 0.95, exclude_max=True))
+    r_inf, cap = ex.divergence_rate(ch), ch.capacity_solution[0]
+    return ch, r_inf + f1 * (cap - r_inf), r_inf + f2 * (cap - r_inf)
+
+
 class TestGeneralFocusingProperties:
-    # each general focusing point runs about 50 Haroutunian programs, 0.1 to
-    # 0.5 s on two outputs, so few examples fit a budget of about 5 s
-    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
-    @given(case=asymmetric_binary_rates())
-    def test_orderings_and_monotone_in_rate(self, case):
+    # each general focusing point is one program on |Y| + 1 letters, about
+    # 25 ms on two outputs and 150 ms on three, next to a Haroutunian
+    # program of a few ms and about 50 ms: a three-output example takes
+    # about 0.4 s
+    @staticmethod
+    def check_orderings_and_monotone_in_rate(case):
         ch, r1, r2 = case
         assert not ch.symmetric and ch.capacity_solution[0] > 1e-3
+
+        def below(a, b):
+            # an entry such as 2.2e-313 gives values of about 720, where
+            # 1e-12 is 9 ulps: the slack scales with b
+            return a <= b + 1e-12 * max(1.0, b)
+
         focusing = []
         for r in (r1, r2):
             esp, eplus = ex.sphere_packing(ch, r), ex.haroutunian(ch, r)
             focusing.append(ex.focusing_bound(ch, r))
-            assert esp <= eplus + 1e-12
-            assert eplus <= focusing[-1] + 1e-12
-        assert focusing[1] <= focusing[0] + 1e-12
+            assert below(esp, eplus)
+            assert below(eplus, focusing[-1])
+            assert below(ex.bound_at_rate(ch, "timesharing", r), focusing[-1])
+        assert below(focusing[1], focusing[0])
+
+    @settings(max_examples=8, derandomize=True, deadline=None, database=None)
+    @given(case=asymmetric_binary_rates())
+    def test_orderings_and_monotone_in_rate(self, case):
+        self.check_orderings_and_monotone_in_rate(case)
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(case=asymmetric_ternary_rates())
+    def test_orderings_and_monotone_in_rate_on_three_outputs(self, case):
+        self.check_orderings_and_monotone_in_rate(case)
+
+    # the golden lambda search runs about 50 Haroutunian programs per rate:
+    # 0.2 s on two outputs, 3 s on three
+    @settings(max_examples=3, derandomize=True, deadline=None, database=None)
+    @given(case=asymmetric_binary_rates())
+    def test_matches_the_golden_lambda_search(self, case):
+        ch, r, _ = case
+        assert ex.focusing_bound(ch, r) == pytest.approx(golden_focusing(ch, r), rel=1e-10)
 
 
 @st.composite
@@ -954,20 +1000,39 @@ class TestFocusingBound:
     # the values of the 200-point lambda grid with golden refinement
     Z05_GRID = {0.05: 0.6868438992849679, 0.1: 0.5926785876851622,
                 0.15: 0.3938517560031345, 0.2: 0.1323480757049226}
+    # the values of ``golden_focusing``, pinned: it takes about 3 s per rate
+    ASYM3_GOLDEN = {0.05: 0.2008030840241934, 0.1: 0.14560764366537618,
+                    0.15: 0.08858533972473136}
 
     def test_general_path_programs_per_rate(self, z05):
-        calls = []
-        program = ex.haroutunian
+        # one program over (lambda, output law) per rate and no Haroutunian
+        # program; the golden lambda search ran 48-50, the grid 222
+        solved, eplus_calls = [], []
+        program, eplus = optimize.minimize_convex_on_simplex, ex.haroutunian
+
+        def recorded(*args, **kwargs):
+            solved.append(program(*args, **kwargs))
+            return solved[-1]
 
         def counted(*args):
-            calls.append(args)
-            return program(*args)
+            eplus_calls.append(args)
+            return eplus(*args)
 
-        with mock.patch.object(ex, "haroutunian", counted):
+        with mock.patch.object(ex, "minimize_convex_on_simplex", recorded), \
+                mock.patch.object(ex, "haroutunian", counted):
             for r, want in self.Z05_GRID.items():
-                calls.clear()
+                solved.clear()
                 assert ex.focusing_bound(z05, r) == pytest.approx(want, rel=1e-11)
-                assert 0 < len(calls) <= 60  # the grid made 222
+                assert [len(sol.q) for sol in solved] == [z05.output_size + 1]
+                assert solved[0].gap <= optimize.CONVEX_TOL
+        assert eplus_calls == []
+
+    def test_general_path_matches_the_golden_lambda_search(self, z05):
+        for r in self.Z05_GRID:
+            assert ex.focusing_bound(z05, r) == pytest.approx(golden_focusing(z05, r),
+                                                              rel=1e-11)
+        for r, want in self.ASYM3_GOLDEN.items():
+            assert ex.focusing_bound(TestHaroutunian.ASYM3, r) == pytest.approx(want, rel=1e-11)
 
     def test_general_path_just_above_a_positive_divergence_rate(self):
         # R_inf = ln 1.5; at 1.0005 R_inf the minimizer sits about 6e-7

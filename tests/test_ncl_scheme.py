@@ -69,6 +69,8 @@ class TestTransmissionTailBound:
 
 class TestExactTiny:
     def test_zero_committed_errors(self, bsc002, tiny_params):
+        # 0 by construction (the decoded message is read at the true
+        # message's list position): this guards the list bookkeeping only
         tr = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 20_000, seed=4)
         assert tr.committed_errors == 0
         assert tr.decomposition_exact()

@@ -1,14 +1,29 @@
-"""The benchmark's tracer binds library functions by name: renaming or
-moving one breaks the benchmark, so it fails here first."""
+"""The benchmark's tracer binds library functions by name, and its checks
+call library functions with fixed arguments: renaming or moving one, or
+changing a call the benchmark makes, breaks the benchmark, so it fails here
+first."""
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+# perfbench/selftest.py's checks that run no workload (about 1 s); its
+# traced workload runs take about a minute and stay out of this suite
+FAST_SELFTEST = """
+import sys
+sys.path.insert(0, "perfbench")
+import selftest
+errors = selftest.check_references() + selftest.check_bindings()
+print("\\n".join(errors))
+sys.exit(1 if errors else 0)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +52,10 @@ def test_traced_methods_resolve(tracing):
         if cls is None or not callable(vars(cls).get(meth)):
             missing.append(f"{mod}.{cls_name}.{meth}")
     assert missing == []
+
+
+def test_benchmark_fast_selftest_passes():
+    # a subprocess: check_bindings installs the tracer's wrappers while it runs
+    proc = subprocess.run([sys.executable, "-c", FAST_SELFTEST], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
