@@ -691,9 +691,13 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     ``force_general``) minimizes jointly over lambda and E+'s output law:
     one quasiconvex program on |Y| + 1 letters (``_focusing_oracle``),
     solved by ``minimize_convex_on_simplex`` within its certified gap
-    (1e-13), or ``ConvergenceError`` with that gap.  It is +inf up to
-    R_inf + 1e-12 when R_inf > 0, the 1e-12 being R_inf's accuracy: no
-    lambda < 1 then brings lambda R above R_inf.
+    (1e-13), or ``ConvergenceError`` with that gap.  The gap is absolute,
+    so from a value of 512 on, where one ulp exceeds 1e-13, it certifies
+    no more than roundoff; just above R_inf > 0 the value grows without
+    bound and the ratio bound's roundoff leaves gaps such as -1.5e-10 at a
+    value of 445.  It is +inf up to R_inf + 1e-12 when R_inf > 0, the
+    1e-12 being R_inf's accuracy: no lambda < 1 then brings lambda R above
+    R_inf.
     """
     if r <= 0:
         raise ValueError("rate must be positive")

@@ -414,7 +414,9 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
     its own whitened coordinates, so it stays positive definite when the
     domain is a thin slab (a width of 1e-10 next to 1 makes P_k = B_k B_k^T
     too ill-conditioned to update directly).  Stops once the gap is at most
-    ``CONVEX_TOL``.  After ``CONVEX_ITER_FACTOR`` (m (m + 1) + 1) iterations
+    ``CONVEX_TOL``, an absolute gap: at values of 512 or more it is below
+    one ulp of f, and the certificate is no finer than roundoff.  After
+    ``CONVEX_ITER_FACTOR`` (m (m + 1) + 1) iterations
     in m = ``dim`` - 1 dimensions (the ellipsoid's width shrinks by about
     exp(-1 / (2 m (m + 1))) per step) it returns if the gap is within the
     roundoff floor 4 eps (|f(c)| + |g| |c|) at the best center c, which a

@@ -860,34 +860,27 @@ def asymmetric_ternary_rates(draw):
 
 class TestGeneralFocusingProperties:
     # each general focusing point is one program on |Y| + 1 letters, about
-    # 25 ms on two outputs and 150 ms on three, next to a Haroutunian
-    # program of a few ms and about 50 ms: a three-output example takes
-    # about 0.4 s
+    # 20 ms on two outputs and 80 ms on three, next to a Haroutunian program
+    # of a few ms and about 30 ms: a three-output example takes about 0.3 s
     @staticmethod
     def check_orderings_and_monotone_in_rate(case):
         ch, r1, r2 = case
         assert not ch.symmetric and ch.capacity_solution[0] > 1e-3
-
-        def below(a, b):
-            # an entry such as 2.2e-313 gives values of about 720, where
-            # 1e-12 is 9 ulps: the slack scales with b
-            return a <= b + 1e-12 * max(1.0, b)
-
         focusing = []
         for r in (r1, r2):
             esp, eplus = ex.sphere_packing(ch, r), ex.haroutunian(ch, r)
             focusing.append(ex.focusing_bound(ch, r))
-            assert below(esp, eplus)
-            assert below(eplus, focusing[-1])
-            assert below(ex.bound_at_rate(ch, "timesharing", r), focusing[-1])
-        assert below(focusing[1], focusing[0])
+            assert esp <= eplus + 1e-12
+            assert eplus <= focusing[-1] + 1e-12
+            assert ex.bound_at_rate(ch, "timesharing", r) <= focusing[-1] + 1e-12
+        assert focusing[1] <= focusing[0] + 1e-12
 
-    @settings(max_examples=8, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
     @given(case=asymmetric_binary_rates())
     def test_orderings_and_monotone_in_rate(self, case):
         self.check_orderings_and_monotone_in_rate(case)
 
-    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(case=asymmetric_ternary_rates())
     def test_orderings_and_monotone_in_rate_on_three_outputs(self, case):
         self.check_orderings_and_monotone_in_rate(case)
