@@ -215,12 +215,30 @@ def trace_columns(case):
         return [[floats(1000), ints(1000), floats(1000)]]
     if case == "trials_one_empty":
         return [[ints(n), floats(n)] for n in (5, 0, 7, 3)]
+    if case == "int64_extremes":
+        info = np.iinfo(np.int64)
+        edges = np.array([info.min, info.max, 0, 1, -1, 9, 10, -10, info.min + 1,
+                          info.max - 1, 10**18, -10**18], dtype=np.int64)
+        return [[np.concatenate([edges, ints(20)]), rng.permutation(np.resize(edges, 32))]]
+    if case == "all_zero":
+        return [[np.zeros(100, dtype=np.int64), ints(100)]]
+    if case == "width_across_chunk":
+        # at most one digit in the first chunk, up to 19 in the next
+        small = rng.integers(-9, 10, chunk)
+        wide = rng.integers(-10**18, 10**18 + 1, 1000)
+        return [[np.concatenate([small, wide]), np.concatenate([wide, small])]]
+    if case == "twelve_trials":
+        return [[ints(n), np.arange(n, dtype=np.int64)] for n in range(3, 15)]
+    if case == "one_row_trial":
+        return [[ints(n), floats(n)] for n in (1, 4, 1)]
     rows = chunk + {"chunk_minus_1": -1, "chunk": 0, "chunk_plus_1": 1}[case]
     return [[ints(rows), floats(rows)], [floats(rows), ints(rows)]]
 
 
 class TestTraceWriter:
     @pytest.mark.parametrize("case", ["int64", "float", "trials_one_empty",
+                                      "int64_extremes", "all_zero", "width_across_chunk",
+                                      "twelve_trials", "one_row_trial",
                                       "chunk_minus_1", "chunk", "chunk_plus_1"])
     def test_matches_row_loop_oracle(self, tmp_path, case):
         trials = trace_columns(case)
@@ -319,6 +337,36 @@ class TestSim:
         17: ("2d7ce4789d2e8a4eb6c7b5790e39bb51f50366a4f94190a0c6378c761c524ef5",
              "27d9a1fefa351144206c15ca5cce94cd920b7a395e8cec794573859a32dc166e"),
     }
+
+    # sha256 of trace.csv at seed 7, recorded from the %-format row writer
+    # that the byte-matrix writer replaced; the fifo run crosses a
+    # TRACE_CHUNK_ROWS boundary in each of its two trials
+    TRACE_DIGESTS = {
+        "bec_fifo": ("bec", {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5,
+                             "horizon": 80_000, "trials": 2, "d_grid": [8, 12, 16]},
+                     "5163eebeac03e4fbd4ed7b2290749a6c91af6d8323ee74477d6eae1035c5bedc"),
+        "bec_parity": ("bec", {"scheme": "parity", "beta": 0.4, "rate_bits": 0.5,
+                               "horizon": 30_000, "trials": 2, "d_grid": [8, 12, 16]},
+                       "fac94dc71e7f7992740807136d4cf973d95164aa873aee5303313741ea8eeaad"),
+        "queue": ("queue", {"service": {"kind": "offset_geometric", "offset": 2,
+                                        "beta": 0.25},
+                            "arrival_period": 5, "horizon": 20_000, "trials": 2,
+                            "d_grid": [6, 9, 12]},
+                  "d82d0b82d95abf8bf42725a0872d13827f18ac7cec0ec6a6c1831f6cd8e1f7e0"),
+        "ncl_bound_driven": ("ncl", {"mode": "bound_driven",
+                                     "channel": {"matrix": [[0.98, 0.02], [0.02, 0.98]]},
+                                     "rate": 0.2, "horizon_blocks": 20_000},
+                             "87d48ffbec764e30b6504fb40bb49222b155ded6daf887c5e78e9542752c59ea"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_trace_bytes_are_pinned(self, tmp_path, name):
+        kind, config, digest = self.TRACE_DIGESTS[name]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["sim", kind, cfg, "--seed", "7", "--out", tmp_path / "s"]) == 0
+        trace = (tmp_path / "s/trace.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == digest
 
     def test_summary_is_strict_json(self, tmp_path):
         # at seed 5 every miss falls below the grid, so the fit is unbounded
