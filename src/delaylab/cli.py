@@ -211,28 +211,70 @@ def _run_trials(fn, trials: int):
         return list(pool.map(fn, range(trials)))
 
 
-# rows formatted per write: bounds the value tuple and the string built from it
+# rows formatted per write: bounds the byte matrix built for them
 TRACE_CHUNK_ROWS = 1 << 16
+
+
+def _text_field(text: str, rows: int) -> np.ndarray:
+    """``text`` in every row, as a (len(text), rows) uint8 matrix."""
+    code = np.frombuffer(text.encode(), dtype=np.uint8)
+    return np.broadcast_to(code[:, None], (len(code), rows))
+
+
+def _int_field(col: np.ndarray) -> np.ndarray:
+    """``str`` of each int of ``col`` as a (1 + W, rows) uint8 matrix: a sign
+    slot, then W right-aligned decimal digits, W the largest value's digit
+    count.  The slot of a non-negative value and every leading position are
+    NUL, for the writer to delete."""
+    v = col.astype(np.int64, casting="safe", copy=False)
+    neg = v < 0
+    # |v| in uint64, as ~v + 1 = -(v + 1) + 1 for a negative v: ~v never
+    # overflows, while -v does at int64's minimum
+    mag = np.where(neg, ~v, v).astype(np.uint64)
+    mag += neg
+    top = int(mag.max())
+    width = len(str(top))
+    q = mag.astype(np.uint32) if top <= np.iinfo(np.uint32).max else mag
+    field = np.zeros((1 + width, len(v)), dtype=np.uint8)
+    field[0] = neg * np.uint8(ord("-"))
+    for pos in range(width, 0, -1):
+        nxt = q // 10
+        field[pos] = q - 10 * nxt
+        field[pos] += 48
+        if pos < width:
+            field[pos] *= q != 0
+        q = nxt
+    return field
+
+
+def _float_field(col: np.ndarray) -> np.ndarray:
+    """``_fmt`` of each float of ``col`` as a (K, rows) uint8 matrix, each
+    string NUL-padded to the longest one's K bytes."""
+    text = np.array([_fmt(x).encode() for x in col.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), -1).T
 
 
 def _write_trace_csv(path: Path, header: list[str], columns_by_trial) -> None:
     """Write ``header``, then one row "trial,v1,v2,..." per index of each
-    trial's equal-length numpy columns: integer columns as %d, float columns
-    through ``_fmt``.  Each chunk of rows is one %-format of a repeated line."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    trial's equal-length numpy columns: integer columns as ``str`` of the
+    int, float columns through ``_fmt``.  Each chunk of rows is one uint8
+    matrix with a row per byte position of the CSV line and a column per CSV
+    row, NUL where a field is shorter than its widest value; the chunk's
+    text is the transposed matrix's bytes with every NUL deleted."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for trial, columns in enumerate(columns_by_trial):
-            floats = [col.dtype.kind == "f" for col in columns]
-            width = len(columns)
-            line = f"{trial}," + ",".join("%s" if f else "%d" for f in floats) + "\n"
             rows = len(columns[0])
             for start in range(0, rows, TRACE_CHUNK_ROWS):
                 stop = min(start + TRACE_CHUNK_ROWS, rows)
-                values = [None] * ((stop - start) * width)
-                for j, (col, is_float) in enumerate(zip(columns, floats)):
-                    part = col[start:stop].tolist()
-                    values[j::width] = [_fmt(v) for v in part] if is_float else part
-                fh.write((line * (stop - start)) % tuple(values))
+                parts = [_text_field(f"{trial},", stop - start)]
+                for j, col in enumerate(columns):
+                    part = col[start:stop]
+                    parts.append(_float_field(part) if col.dtype.kind == "f"
+                                 else _int_field(part))
+                    sep = "\n" if j == len(columns) - 1 else ","
+                    parts.append(_text_field(sep, stop - start))
+                fh.write(np.concatenate(parts).T.tobytes().translate(None, b"\0"))
 
 
 def _summary_json(path: Path, payload: dict) -> None:
