@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bec_lab import (DelayExponentFit, _miss_counts, _slope, fit_delay_exponent,
-                      substream)
+from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope,
+                      fit_delay_exponent, substream, substream_uniforms)
 from .dmc import LN2, Dmc
 from .exponents import (_rate_crossing, _timesharing_rho, bec_focusing_exponent_bits,
                          e0_max)
@@ -231,6 +231,9 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     (hypothesis-major, mapped through q's CDF), then u channel uniforms.  So
     blocks decode independently, in batches of ``EXACT_TINY_BATCH_DRAWS``
     uniforms, and the FIFO queue runs afterwards on their service times.
+    No generator is built per block: each chunk of a batch computes the
+    uniforms of its undecided blocks counter-wise (``substream_uniforms``),
+    the same numbers ``substream(seed, 4, j)`` would draw.
     """
     if feedback_lag < 1 or feedback_lag >= params.ck:
         raise ValueError("feedback lag must satisfy 1 <= phi < ck")
@@ -258,10 +261,11 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     batch = max(1, EXACT_TINY_BATCH_DRAWS // draws)
     for first in range(0, horizon_blocks, batch):
         blocks = np.arange(first, min(first + batch, horizon_blocks))
-        rngs = [substream(seed, 4, j) for j in blocks.tolist()]
         loglik = np.zeros((len(blocks), m_count))
+        offset = 0  # every block of a batch is at the same chunk
         while len(blocks):  # one chunk for every block still undecided
-            u = np.stack([rng.random(draws) for rng in rngs])
+            u = substream_uniforms(seed, (4,), blocks, offset, draws)
+            offset += draws
             cw = q_cdf.searchsorted(u[:, :-used], side="right").reshape(-1, m_count, used)
             truth = true_msgs[blocks]
             x_true = cw[np.arange(len(blocks)), truth]
@@ -275,7 +279,6 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
             decoded = listed[done, hit[done].argmax(axis=1)]
             committed_errors += int((decoded != truth[done]).sum())
             blocks, loglik = blocks[~done], loglik[~done]
-            rngs = [rng for rng, finished in zip(rngs, done.tolist()) if not finished]
 
     arrivals = nck * np.arange(1, horizon_blocks + 1, dtype=np.int64)
     t_j = chunks * ck
@@ -380,9 +383,9 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
         probs.append(min(1.0, float(np.sum(p_m * p_f))))
     probs = np.array(probs)
     keep = probs > 0
-    fit = DelayExponentFit(float(_slope(d_grid[keep], probs[keep])), math.nan, math.nan,
-                           d_grid[keep], probs[keep],
-                           (probs[keep] * len(msg_delays)).astype(int))
+    dd, pp = d_grid[keep], probs[keep]
+    fit = DelayExponentFit(float(_slope(_design(dd), pp)), math.nan, math.nan, dd, pp,
+                           (pp * len(msg_delays)).astype(int))
     details = {"params": params, "rho_sim": rho_sim, "rate_margin": rate_margin,
                "punctuation_exponent": punc_exp}
     return fit, details

@@ -73,6 +73,37 @@ def fifo_run():
     return bl.simulate_fifo(cfg)
 
 
+class TestSubstreamUniforms:
+    """The counter-wise uniforms against numpy's own SeedSequence, Philox
+    and ``Generator.random``: a change in any of them fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("prefix", [(4,), (), (7, 2**40)])
+    def test_matches_numpy_streams(self, seed, prefix):
+        keys = [0, 1, 2**32 - 1]
+        for start in range(8):
+            for count in (1, 3, 4, 109):
+                got = bl.substream_uniforms(seed, prefix, keys, start, count)
+                assert got.shape == (len(keys), count)
+                for row, j in zip(got, keys):
+                    want = bl.substream(seed, *prefix, j).random(start + count)[start:]
+                    assert np.array_equal(row, want), (start, count, j)
+
+    def test_no_keys(self):
+        assert bl.substream_uniforms(3, (4,), [], 5, 7).shape == (0, 7)
+
+    @pytest.mark.parametrize("keys", [[2**32], [0, -1], [0.0], 5, [[0, 1]]])
+    def test_bad_keys_rejected(self, keys):
+        with pytest.raises(ValueError, match=r"integer keys in \[0, 2\*\*32\)"):
+            bl.substream_uniforms(3, (4,), np.array(keys), 0, 4)
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            bl.substream(-1, 4, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            bl.substream_uniforms(-1, (4,), [0], 0, 4)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

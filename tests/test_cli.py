@@ -406,6 +406,14 @@ class TestSim:
         assert "at least 2 messages" in capsys.readouterr().err
         assert not (tmp_path / "n/summary.json").exists()
 
+    def test_exact_tiny_negative_seed_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.EXACT_TINY, "horizon_blocks": 100}))
+        assert run(["sim", "ncl", cfg, "--seed", "-1",
+                    "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE == 3
+        assert "expected non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "n/summary.json").exists()
+
     def test_ncl_bad_channel_exit2(self, tmp_path, capsys):
         cfg = tmp_path / "n.json"
         cfg.write_text(json.dumps({

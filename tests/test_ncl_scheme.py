@@ -179,6 +179,28 @@ class TestExactTinyMatchesLoop:
                                        n_messages=8, feedback_lag=lag)
             assert_same_trace(fast, slow)
 
+    def test_both_caps_one_block_per_batch(self, bsc002):
+        e0, q = e0_max(bsc002, 1.0)
+        params = ncl.NclParams(n=2, c=2, l=1, k=6, rho=1.0, q=q,
+                               rate=math.log(8) / 24, e0=e0)
+        m = ncl.EXACT_TINY_MAX_CODEWORDS
+        assert params.block_period == ncl.EXACT_TINY_MAX_BLOCK_USES
+        assert ncl.EXACT_TINY_BATCH_DRAWS // ((m + 1) * params.ck) == 0
+        for lag in (1, 3):
+            fast = ncl.simulate_ncl_exact_tiny(bsc002, params, 8, 9, n_messages=m,
+                                               feedback_lag=lag)
+            slow = loop_ncl_exact_tiny(bsc002, params, 8, 9, n_messages=m,
+                                       feedback_lag=lag)
+            assert_same_trace(fast, slow)
+            assert fast.transmission_times.max() > params.ck  # later chunks read
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
+    def test_seeds_beyond_one_word(self, bsc002, tiny_params, seed):
+        horizon = ncl.EXACT_TINY_BATCH_DRAWS // ((8 + 1) * tiny_params.ck) + 40
+        fast = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, horizon, seed, n_messages=8)
+        slow = loop_ncl_exact_tiny(bsc002, tiny_params, horizon, seed, n_messages=8)
+        assert_same_trace(fast, slow)
+
     def test_codebook_needs_two_messages(self, bsc002, tiny_params):
         for m in (0, 1):
             with pytest.raises(ValueError, match="at least 2 messages"):
