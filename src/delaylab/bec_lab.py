@@ -42,6 +42,14 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def fifo_completions(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """FIFO completions C_i = max(a_i, C_{i-1}) + T_i from an idle start, as the
+    prefix maximum C_i = S_i + max_{k<=i} (a_k - S_{k-1}), S_i = T_1 + ... + T_i:
+    the queue of the erasure FIFO, the point queue and both (n, c, l) modes."""
+    csum = np.cumsum(service)
+    return csum + np.maximum.accumulate(arrivals - (csum - service))
+
+
 # numpy's SeedSequence hash constants (pool of 4 uint32 words)
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -191,10 +199,6 @@ class SimTrace:
     decode_times: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_bits(self) -> int:
-        return len(self.arrival_times)
-
     def delays(self) -> np.ndarray:
         return self.decode_times - self.arrival_times
 
@@ -235,16 +239,15 @@ def simulate_fifo(cfg: BecConfig) -> SimTrace:
     """Repeat-until-received FIFO scheme over the BEC with noiseless feedback.
 
     Exact and fully vectorized: with success times ST, decode times obey
-    D_i = first success after max(a_i, D_{i-1}), which unrolls into a prefix
-    maximum over success indices.
+    D_i = first success after max(a_i, D_{i-1}): counted in successes, a FIFO
+    queue with unit service, bit i arriving after the c_i successes up to a_i.
     """
     z = _erasure_pattern(cfg)
     st = np.flatnonzero(z)
     a = _arrival_times(cfg.rate_bits, cfg.horizon)
     n = len(a)
-    idx = np.arange(n, dtype=np.int64)
     c = np.searchsorted(st, a, side="right")  # first success index at time > a_i
-    k = np.maximum.accumulate(c - idx) + idx
+    k = fifo_completions(c, np.ones(n, dtype=np.int64)) - 1
     decoded = k < len(st)
     dt = np.full(n, np.inf)
     dt[decoded] = st[k[decoded]]
@@ -345,25 +348,22 @@ def queue_law_chisquare(samples: np.ndarray, beta: float,
     return float(stat), float(pvalue)
 
 
-def miss_probability(trace: SimTrace, d: float, n_batches: int = 100,
-                     burn_in: bool = True) -> tuple[float, float]:
-    """Empirical deadline-miss probability and its batch-means standard error.
+def miss_probability(trace: SimTrace, d: float) -> tuple[float, float]:
+    """Empirical deadline-miss probability after the burn-in, and its batch-means
+    standard error (up to 100 contiguous batches).
 
     Miss indicators of nearby bits are strongly correlated (they share busy
     periods), so the naive binomial error bar would be optimistic; contiguous
     batch means give an honest one.
     """
-    delays = trace.delays()
-    if burn_in:
-        start = int(np.searchsorted(trace.arrival_times, burn_in_steps(trace.meta["beta"])))
-        delays = delays[start:]
+    start = int(np.searchsorted(trace.arrival_times, burn_in_steps(trace.meta["beta"])))
     # bits whose deadline lies beyond the horizon are not yet decidable
-    ok = trace.arrival_times[-len(delays):] + d <= trace.horizon
-    miss = (delays[ok] > d).astype(float)
+    ok = trace.arrival_times[start:] + d <= trace.horizon
+    miss = (trace.delays()[start:][ok] > d).astype(float)
     if len(miss) == 0:
         return math.nan, math.nan
     p = float(miss.mean())
-    nb = min(n_batches, max(1, len(miss) // 50))
+    nb = min(100, max(1, len(miss) // 50))
     batches = np.array_split(miss, nb)
     means = np.array([b.mean() for b in batches])
     se = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else math.nan
@@ -469,8 +469,7 @@ def fit_delay_exponent(delays, d_grid, min_misses: int, n_boot: int = 200,
                             counts[keep], widened_ci=widened)
 
 
-def measure_delay_exponent(traces, d_grid, min_misses: int = 100,
-                           n_boot: int = 200, seed: int = 0) -> DelayExponentFit:
+def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExponentFit:
     """``fit_delay_exponent`` over the steady-state delays of one or more traces.
 
     Each trace drops its burn-in prefix and censors the bits whose largest
@@ -481,9 +480,7 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100,
     d_max = float(max(d_grid))
     chunks = []
     for t in traces:
-        burn = burn_in_steps(t.meta["beta"]) if "beta" in t.meta else 0
-        start = int(np.searchsorted(t.arrival_times, burn))
+        start = int(np.searchsorted(t.arrival_times, burn_in_steps(t.meta["beta"])))
         stop = int(np.searchsorted(t.arrival_times, t.horizon - d_max, side="right"))
         chunks.append(t.delays()[start:stop])
-    return fit_delay_exponent(np.concatenate(chunks), d_grid, min_misses,
-                              n_boot, seed)
+    return fit_delay_exponent(np.concatenate(chunks), d_grid, min_misses)

@@ -15,12 +15,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bec_lab, ncl_scheme, queue_model
-from .dmc import LN2, ConvergenceError, Dmc, bits_from_nats, nats_from_bits
+from .dmc import (LN2, ConvergenceError, Dmc, bec, bits_from_nats, bsc, nats_from_bits,
+                  z_channel)
 from .dmc import _block_is_symmetric  # declared-partition verification
 from .exponents import (
     KNOWN_BOUNDS,
@@ -29,6 +31,7 @@ from .exponents import (
     capacity_slope_focusing,
     capacity_slope_timesharing,
     e0_max,
+    focusing_parametric_curve,
     sphere_packing,
 )
 
@@ -201,6 +204,14 @@ def _n_threads() -> int:
         raise CliError(EXIT_PARSE, f"FDL_THREADS must be an integer, got '{env}'")
 
 
+def _count(config: dict, name: str, default: int | None = None) -> int:
+    """A positive JSON integer field of a sim config; required without a default."""
+    value = config[name] if default is None else config.get(name, default)
+    if type(value) is not int or value < 1:
+        raise CliError(EXIT_PARSE, f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _run_trials(fn, trials: int):
     """Deterministic per-trial work; aggregation is by trial index regardless
     of completion order, so thread count never changes the results."""
@@ -302,13 +313,14 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
     scheme = config.get("scheme", "fifo")
     if scheme not in ("fifo", "parity"):
         raise CliError(EXIT_UNKNOWN, f"unknown bec scheme '{scheme}'")
-    trials = int(config.get("trials", 1))
+    horizon = _count(config, "horizon")
+    trials = _count(config, "trials", 1)
     d_grid = config.get("d_grid", list(range(10, 41, 2)))
-    stride = int(config.get("trace_stride", max(1, int(config["horizon"]) // 100_000)))
+    stride = int(config.get("trace_stride", max(1, horizon // 100_000)))
 
     def one(trial):
         cfg = bec_lab.BecConfig(beta=config["beta"], rate_bits=config["rate_bits"],
-                                horizon=int(config["horizon"]), seed=seed + trial)
+                                horizon=horizon, seed=seed + trial)
         if scheme == "fifo":
             return bec_lab.simulate_fifo(cfg)
         return bec_lab.simulate_causal_parity_nofeedback(cfg)
@@ -337,21 +349,20 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
     except (KeyError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad service model: {exc}")
     m = int(config["arrival_period"])
-    trials = int(config.get("trials", 1))
+    horizon = _count(config, "horizon")
+    trials = _count(config, "trials", 1)
     d_grid = config.get("d_grid", list(range(2 * m, 20 * m, m)))
 
     def one(trial):
-        cfg = queue_model.QueueConfig(arrival_period=m, horizon=int(config["horizon"]),
-                                      seed=seed + trial)
+        cfg = queue_model.QueueConfig(arrival_period=m, horizon=horizon, seed=seed + trial)
         return queue_model.simulate_point_queue(cfg, svc)
 
     traces = _run_trials(one, trials)
-    delays = np.concatenate([tr.delays()[100:] for tr in traces])
+    delays = np.concatenate([tr.steady_delays() for tr in traces])
     fit = bec_lab.fit_delay_exponent(delays, d_grid, min_misses=50)
     # the summary reports every deadline, not only the fitted ones
     counts = bec_lab._miss_counts(np.sort(delays), np.asarray(d_grid, float))
-    bound = (queue_model.tail_exponent_bound(m, svc)
-             if m > svc.offset else None)
+    bound = queue_model.tail_exponent_bound(m, svc) if m > svc.offset else None
     _write_trace_csv(out / "trace.csv", ["trial", "arrival", "completion", "service"],
                      [[tr.arrival_times, tr.completion_times, tr.service_times]
                       for tr in traces])
@@ -374,12 +385,12 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
         raise CliError(EXIT_PARSE, f"bad channel: {exc}")
     rate = float(config["rate"])
     k = int(config.get("k", 10))
+    blocks = _count(config, "horizon_blocks", 100_000)
     try:
         if mode == "two_stream":
             split = ncl_scheme.two_stream_split(channel, rate)
-            fit, details = ncl_scheme.simulate_two_stream(
-                channel, split, int(config.get("horizon_blocks", 100_000)),
-                seed=seed, k=k, delta=float(config.get("delta", 0.05)))
+            fit, _ = ncl_scheme.simulate_two_stream(
+                channel, split, blocks, seed=seed, k=k, delta=float(config.get("delta", 0.05)))
             return {"sim": "ncl_two_stream", "fit": _fit_payload(fit),
                     "psi": split.psi, "rho": split.rho,
                     "target_exponent": split.e_prime,
@@ -388,12 +399,10 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
             channel, rate, float(config.get("delta", 0.05)), k,
             float(config.get("rho", 1.0)))
         if "n" in config:  # explicit scheme geometry overrides the formulas
-            from dataclasses import replace
             params = replace(params, n=int(config["n"]), c=int(config["c"]),
                              l=int(config["l"]))
     except ValueError as exc:
         raise CliError(EXIT_INFEASIBLE, str(exc))
-    blocks = int(config.get("horizon_blocks", 100_000))
     if mode == "bound_driven":
         trace = ncl_scheme.simulate_ncl_bound_driven(params, blocks, seed)
     elif mode == "exact_tiny":
@@ -443,7 +452,6 @@ def cmd_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _figure_4(out: Path) -> dict:
-    from .dmc import z_channel
     ch = z_channel(0.5)
     rates = np.linspace(0.02, 0.21, 20)
     esp = [sphere_packing(ch, r) for r in rates]
@@ -460,7 +468,6 @@ def _bsc_rate_grid(ch: Dmc, points: int = 60) -> np.ndarray:
 
 
 def _figure_6(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     cols = {
@@ -478,7 +485,6 @@ def _figure_6(out: Path) -> dict:
 
 
 def _figure_7(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.003)
     cap = ch.capacity_solution[0]
     rates = np.linspace(0.55 * cap, 0.995 * cap, 40)
@@ -492,7 +498,6 @@ def _figure_7(out: Path) -> dict:
 
 
 def _figure_8(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     cols = {
@@ -510,7 +515,6 @@ def _figure_8(out: Path) -> dict:
 
 
 def _figure_9(out: Path) -> dict:
-    from .dmc import bec
     ch = bec(0.4)
     rates = np.linspace(0.02, 0.41, 40)
     cols = {
@@ -523,7 +527,6 @@ def _figure_9(out: Path) -> dict:
 
 
 def _figure_12(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     e0_one = e0_max(ch, 1.0)[0]
@@ -540,7 +543,6 @@ def _figure_12(out: Path) -> dict:
 
 
 def _lambda_ratio_curve(ch: Dmc, fortify_k, etas) -> tuple[list, list]:
-    from .exponents import focusing_parametric_curve
     pts = focusing_parametric_curve(ch, etas, fortify_k)
     rates, ratio_db = [], []
     for pt in pts:
@@ -551,21 +553,17 @@ def _lambda_ratio_curve(ch: Dmc, fortify_k, etas) -> tuple[list, list]:
 
 
 def _figure_13(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.02)
     etas = np.geomspace(0.02, 30.0, 60)
     for label, k in (("plain", None), ("fortified_k50", 50)):
         rates, db = _lambda_ratio_curve(ch, k, etas)
-        with open(out / f"bsc002_past_future_{label}.csv", "w", newline="\n") as fh:
-            fh.write("rate_nats,rate_bits,future_past_ratio_db\n")
-            for r, v in zip(rates, db):
-                fh.write(f"{_fmt(r)},{_fmt(bits_from_nats(r))},{_fmt(v)}\n")
+        _write_curve_csv(out / f"bsc002_past_future_{label}.csv", rates,
+                         {"future_past_ratio_db": db})
     return {"channel": "BSC(0.02)", "files": ["plain", "fortified_k50"],
             "quantity": "10 log10((1-lambda*)/lambda*)"}
 
 
 def _figure_14(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.60, 60)
     cols = {}
@@ -580,7 +578,6 @@ def _figure_14(out: Path) -> dict:
 
 
 def _figure_16(out: Path) -> dict:
-    from .dmc import bsc
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.43, 22)
     schemes = [(10, 3, 2), (20, 4, 3), (50, 8, 6)]

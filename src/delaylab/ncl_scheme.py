@@ -19,17 +19,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope,
+from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
                       fit_delay_exponent, substream, substream_uniforms)
-from .dmc import LN2, Dmc
-from .exponents import (_rate_crossing, _timesharing_rho, bec_focusing_exponent_bits,
-                         e0_max)
-from .queue_model import QueueConfig, ServiceTimeModel, fifo_completions, simulate_point_queue
+from .dmc import Dmc
+from .exponents import _rate_crossing, _timesharing_rho, e0_max
+from .queue_model import offset_geometric_service, reduced_rate_exponent
 
 EXACT_TINY_MAX_BLOCK_USES = 24
 EXACT_TINY_MAX_CODEWORDS = 4096
 EXACT_TINY_BATCH_DRAWS = 1 << 14  # uniforms per decode batch; bounds its memory
 SCHEME_RHO_POINTS = 48  # rho grid of scheme_exponent_curve
+TWO_STREAM_RATE_MARGIN = 0.15  # simulate_two_stream's back-off from zero slack
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,11 @@ class NclParams:
     def slack_chunks(self) -> int:
         return self.n - math.ceil(self.t_tilde)
 
+    @property
+    def beta_eff(self) -> float:
+        """Effective erasure probability of one chunk: exp(-ck E0(rho, q))."""
+        return math.exp(-self.ck * self.e0)
+
 
 def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclParams:
     """Pick (l, c, r, n) for a target rate and parameter rho.
@@ -112,7 +117,7 @@ def transmission_tail_bound(params: NclParams, t: int) -> float:
     """P(T_j - ceil(t~) ck > t ck) <= exp(-ck E0(rho, q))^t, clamped to 1."""
     if t < 1:
         raise ValueError("t must be a positive integer")
-    return min(1.0, math.exp(-params.ck * params.e0) ** t)
+    return min(1.0, params.beta_eff ** t)
 
 
 @dataclass
@@ -159,50 +164,53 @@ def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
     return base + params.ck * np.arange(points, dtype=np.int64)
 
 
+def _ncl_trace(params: NclParams, chunks: np.ndarray, committed_errors: int,
+               meta: dict) -> NclTrace:
+    """Queue blocks that take ``chunks`` chunks each FIFO, one block
+    assembled every n c k uses, and time every block of the run."""
+    nck = params.block_period
+    arrivals = nck * np.arange(1, len(chunks) + 1, dtype=np.int64)
+    t_j = chunks * params.ck
+    confirms = fifo_completions(arrivals, t_j)
+    return NclTrace(
+        arrival_times=arrivals,
+        service_starts=confirms - t_j,
+        transmission_times=t_j,
+        # l disambiguation bits ride the next l control slots at spacing k
+        commit_times=confirms + params.l * params.k,
+        assembly=nck,
+        termination=params.l * params.k,
+        committed_errors=committed_errors,
+        meta=meta,
+    )
+
+
 def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
                               seed: int = 0) -> NclTrace:
     """Large-scale run with service times drawn from the Lemma bound itself.
 
-    Blocks take ceil(t~) + Geometric(1 - exp(-ck E0)) chunks, the law that
-    saturates the transmission-time bound, queued FIFO at one block per
-    n c k uses.  A conservative stand-in for the true list-decoding law:
-    measured exponents estimate the scheme's guaranteed floor rather than
-    its true performance.
+    Blocks take ceil(t~) + Geometric(1 - beta_eff) chunks, the law that
+    saturates the transmission-time bound, drawn on ``substream(seed, 1)``.
+    A conservative stand-in for the true list-decoding law: measured
+    exponents estimate the scheme's guaranteed floor rather than its true
+    performance.
     """
-    beta_eff = math.exp(-params.ck * params.e0)
-    svc = ServiceTimeModel(offset=math.ceil(params.t_tilde), tail_beta=beta_eff,
-                           kind="offset_geometric", validate=False)
-    queue = simulate_point_queue(
-        QueueConfig(arrival_period=params.n, horizon=horizon_blocks, seed=seed), svc
-    )
-    ck = params.ck
-    return NclTrace(
-        arrival_times=queue.arrival_times * ck,
-        service_starts=(queue.completion_times - queue.service_times) * ck,
-        transmission_times=queue.service_times * ck,
-        commit_times=queue.completion_times * ck + params.l * params.k,
-        assembly=params.block_period,
-        termination=params.l * params.k,
-        committed_errors=0,
-        meta={"mode": "bound_driven", "beta_eff": beta_eff, "seed": seed},
-    )
+    if horizon_blocks < 1:
+        raise ValueError("need at least one block")
+    law = offset_geometric_service(math.ceil(params.t_tilde), params.beta_eff)
+    chunks = law.sample(substream(seed, 1), horizon_blocks)
+    return _ncl_trace(params, chunks, 0,
+                      {"mode": "bound_driven", "beta_eff": params.beta_eff, "seed": seed})
 
 
 def queueing_exponent_bound(params: NclParams) -> float:
     """Guaranteed end-to-end delay exponent in nats per channel use.
 
-    Corollary machinery at block scale: reduced rate R'' = 1/(n - ceil(t~))
-    blocks per chunk against effective erasure exp(-ck E0), then rescaled
+    Corollary machinery at block scale: the reduced-rate exponent at slack
+    n - ceil(t~) chunks against effective erasure ``beta_eff``, rescaled
     from chunk units to channel uses.
     """
-    slack = params.slack_chunks
-    if slack < 1:
-        return 0.0
-    beta_eff = math.exp(-params.ck * params.e0)
-    r2 = 1.0 / slack
-    if r2 >= 1.0 - beta_eff:
-        return 0.0
-    return bec_focusing_exponent_bits(beta_eff, r2) * LN2 / params.ck
+    return reduced_rate_exponent(params.beta_eff, params.slack_chunks) / params.ck
 
 
 def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
@@ -235,6 +243,8 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     uniforms of its undecided blocks counter-wise (``substream_uniforms``),
     the same numbers ``substream(seed, 4, j)`` would draw.
     """
+    if horizon_blocks < 1:
+        raise ValueError("need at least one block")
     if feedback_lag < 1 or feedback_lag >= params.ck:
         raise ValueError("feedback lag must satisfy 1 <= phi < ck")
     nck = params.block_period
@@ -280,22 +290,10 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
             committed_errors += int((decoded != truth[done]).sum())
             blocks, loglik = blocks[~done], loglik[~done]
 
-    arrivals = nck * np.arange(1, horizon_blocks + 1, dtype=np.int64)
-    t_j = chunks * ck
-    confirms = fifo_completions(arrivals, t_j)
-    return NclTrace(
-        arrival_times=arrivals,
-        service_starts=confirms - t_j,
-        transmission_times=t_j,
-        # l disambiguation bits ride the next l control slots at spacing k
-        commit_times=confirms + params.l * params.k,
-        assembly=nck,
-        termination=params.l * params.k,
-        committed_errors=committed_errors,
-        meta={"mode": "exact_tiny", "n_messages": m_count,
-              "rate_realized": math.log(m_count) / nck,
-              "feedback_lag": feedback_lag, "seed": seed},
-    )
+    return _ncl_trace(params, chunks, committed_errors,
+                      {"mode": "exact_tiny", "n_messages": m_count,
+                       "rate_realized": math.log(m_count) / nck,
+                       "feedback_lag": feedback_lag, "seed": seed})
 
 
 def delayed_feedback_adjust(params: NclParams, phi: int) -> tuple[NclParams, float]:
@@ -348,31 +346,32 @@ def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
 
 
 def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
-                        seed: int = 0, k: int = 10, delta: float = 0.05,
-                        rate_margin: float = 0.15,
-                        d_grid=None) -> tuple[DelayExponentFit, dict]:
+                        seed: int = 0, k: int = 10,
+                        delta: float = 0.05) -> tuple[DelayExponentFit, dict]:
     """Measure the two-stream delay exponent at the split's operating point.
 
     The message stream runs the bound-driven scheme over its (1 - psi)
     fraction of uses.  Exactly at the split the scheme has zero slack, so
     the simulation backs off: it keeps the message rate R/(1 - psi) but
     picks the rho whose reliability capacity exceeds that rate by
-    ``rate_margin``, and reports the margin used.  The punctuation stream
-    enters as its exponent psi E0(1): per-delay failure probability
+    ``TWO_STREAM_RATE_MARGIN``, and reports the margin used.  The punctuation
+    stream enters as its exponent psi E0(1): per-delay failure probability
     exp(-d_f psi E0(1)) in true channel uses.  Total miss probability at
-    delay d is the union bound over splits d = d_f + d_m.
+    delay d is the union bound over splits d = d_f + d_m, on 9 deadlines
+    from 2 to 10 message-stream block periods in true channel uses.
     """
     psi = split.psi
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
-    # largest rho that leaves a rate_margin of slack
-    rho_sim = _rate_crossing(p, rate_msg / (1.0 - rate_margin), None, 1e-9, split.rho)[0]
+    # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack
+    rho_sim = _rate_crossing(p, rate_msg / (1.0 - TWO_STREAM_RATE_MARGIN), None,
+                             1e-9, split.rho)[0]
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
     msg_delays = np.sort(trace.end_to_end()[10:])
-    if d_grid is None:
-        base = params.block_period / (1.0 - psi)
-        d_grid = np.linspace(2 * base, 10 * base, 9)
-    d_grid = np.asarray(sorted(d_grid), dtype=float)
+    if not len(msg_delays):
+        raise ValueError("no delays left to fit: lengthen the run past its burn-in")
+    base = params.block_period / (1.0 - psi)
+    d_grid = np.linspace(2 * base, 10 * base, 9)
     punc_exp = psi * split.e0_one
     step = max(1.0, params.ck / (1.0 - psi) / 4.0)
     probs = []
@@ -386,7 +385,7 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     dd, pp = d_grid[keep], probs[keep]
     fit = DelayExponentFit(float(_slope(_design(dd), pp)), math.nan, math.nan, dd, pp,
                            (pp * len(msg_delays)).astype(int))
-    details = {"params": params, "rho_sim": rho_sim, "rate_margin": rate_margin,
+    details = {"params": params, "rho_sim": rho_sim, "rate_margin": TWO_STREAM_RATE_MARGIN,
                "punctuation_exponent": punc_exp}
     return fit, details
 

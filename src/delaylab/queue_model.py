@@ -12,13 +12,15 @@ unit: exp(-d * E_a^bec(R'') * ln 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bec_lab import DelayExponentFit, fit_delay_exponent, substream
+from .bec_lab import DelayExponentFit, fifo_completions, fit_delay_exponent, substream
 from .dmc import LN2
 from .exponents import bec_focusing_exponent_bits
+
+WARMUP_MESSAGES = 100  # messages dropped before a delay tail is measured
 
 
 @dataclass(frozen=True)
@@ -27,16 +29,15 @@ class ServiceTimeModel:
 
     ``kind`` selects the shipped sampler: "geometric" (support 1, 2, ...),
     "offset_geometric" (offset + geometric), or "truncated_geometric"
-    (min(geometric, cap), same envelope).  Construction validates the
-    envelope P(T > offset + k) <= beta^k empirically on 10^6 draws with
-    three-sigma slack, so an invalid model fails fast.
+    (min(geometric, cap), same envelope).  Each meets P(T > offset + k) <=
+    beta^k by construction of ``inverse_cdf``, so construction draws nothing;
+    ``check_envelope`` is the explicit Monte Carlo conformance check.
     """
 
     offset: int
     tail_beta: float
     kind: str = "geometric"
     cap: int | None = None
-    validate: bool = True
 
     def __post_init__(self):
         if not 0 < self.tail_beta < 1:
@@ -47,8 +48,6 @@ class ServiceTimeModel:
             raise ValueError(f"unknown service-time kind: {self.kind}")
         if self.kind == "truncated_geometric" and (self.cap is None or self.cap < 1):
             raise ValueError("truncated model needs a positive cap")
-        if self.validate:
-            self.check_envelope()
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Quantile transform of the sampler, shared-uniform couplings included."""
@@ -65,21 +64,19 @@ class ServiceTimeModel:
         return self.inverse_cdf(rng.random(size))
 
     def check_envelope(self, n: int = 1_000_000, seed: int = 20_260_101,
-                       envelope_beta: float | None = None,
-                       envelope_offset: int | None = None) -> None:
+                       envelope_beta: float | None = None) -> None:
         """Empirical complementary CDF must stay under beta^k beyond the offset.
 
-        The envelope defaults to the model's declared (offset, beta); passing
-        an explicit envelope turns this into a generic conformance check.
+        The envelope defaults to the model's declared beta; passing an
+        explicit ``envelope_beta`` turns this into a generic conformance check.
         """
         beta_env = self.tail_beta if envelope_beta is None else envelope_beta
-        off_env = self.offset if envelope_offset is None else envelope_offset
         t = self.sample(substream(seed, 77), n)
-        kmax = int(min(t.max() - off_env, 2 + 40 / -math.log(beta_env)))
+        kmax = int(min(t.max() - self.offset, 2 + 40 / -math.log(beta_env)))
         for k in (1, 2, 3, 5, 8, 13, 21, 34):
             if k >= max(2, kmax):
                 break
-            p_hat = float((t > off_env + k).mean())
+            p_hat = float((t > self.offset + k).mean())
             bound = beta_env**k
             slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / n)
             if p_hat > bound + slack:
@@ -119,7 +116,6 @@ class QueueTrace:
     arrival_times: np.ndarray
     completion_times: np.ndarray
     service_times: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def delays(self) -> np.ndarray:
         return self.completion_times - self.arrival_times
@@ -127,12 +123,9 @@ class QueueTrace:
     def waiting_times(self) -> np.ndarray:
         return self.completion_times - self.service_times - self.arrival_times
 
-
-def fifo_completions(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
-    """FIFO completions C_i = max(a_i, C_{i-1}) + T_i from an idle start, as the
-    prefix maximum C_i = S_i + max_{k<=i} (a_k - S_{k-1}), S_i = T_1 + ... + T_i."""
-    csum = np.cumsum(service)
-    return csum + np.maximum.accumulate(arrivals - (csum - service))
+    def steady_delays(self) -> np.ndarray:
+        """Delays after the first ``WARMUP_MESSAGES`` messages."""
+        return self.delays()[WARMUP_MESSAGES:]
 
 
 def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
@@ -140,30 +133,34 @@ def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
     C_i = max(arrival_i, C_{i-1}) + T_i."""
     arrivals = cfg.arrival_period * np.arange(1, cfg.horizon + 1, dtype=np.int64)
     t = svc.sample(substream(cfg.seed, 1), cfg.horizon)
-    return QueueTrace(
-        arrival_times=arrivals,
-        completion_times=fifo_completions(arrivals, t),
-        service_times=t,
-        meta={"arrival_period": cfg.arrival_period, "seed": cfg.seed,
-              "offset": svc.offset, "tail_beta": svc.tail_beta},
-    )
+    return QueueTrace(arrival_times=arrivals, completion_times=fifo_completions(arrivals, t),
+                      service_times=t)
+
+
+def reduced_rate_exponent(tail_beta: float, slack: int) -> float:
+    """E_a^bec(R'') ln 2 [nats per time unit] at reduced rate R'' = 1/slack,
+    where the arrival period exceeds the service offset by ``slack``; zero
+    without slack or once R'' reaches the unit-capacity boundary 1 - beta."""
+    if slack < 1:
+        return 0.0
+    r2 = 1.0 / slack
+    if r2 >= 1.0 - tail_beta:
+        return 0.0
+    return bec_focusing_exponent_bits(tail_beta, r2) * LN2
 
 
 def tail_exponent_bound(m: int, svc: ServiceTimeModel) -> float:
-    """Guaranteed delay-tail exponent E_a^bec(R'') ln 2 [nats per time unit]
-    at reduced rate R'' = 1/(m - offset).  Requires m > offset; zero when the
-    reduced rate reaches the unit-capacity boundary."""
+    """Guaranteed delay-tail exponent [nats per time unit] of the queue with
+    arrival period m: ``reduced_rate_exponent`` at slack m - offset.
+    Requires m > offset."""
     if m <= svc.offset:
         raise ValueError("arrival period must exceed the service-time offset")
-    r2 = 1.0 / (m - svc.offset)
-    if r2 >= 1.0 - svc.tail_beta:
-        return 0.0
-    return bec_focusing_exponent_bits(svc.tail_beta, r2) * LN2
+    return reduced_rate_exponent(svc.tail_beta, m - svc.offset)
 
 
 def measured_tail_exponent(trace: QueueTrace, d_grid, min_misses: int = 50) -> DelayExponentFit:
-    """Delay-tail exponent (nats per time unit) after the first 100 messages."""
-    return fit_delay_exponent(trace.delays()[100:], d_grid, min_misses)
+    """Delay-tail exponent (nats per time unit) of the steady-state delays."""
+    return fit_delay_exponent(trace.steady_delays(), d_grid, min_misses)
 
 
 @dataclass

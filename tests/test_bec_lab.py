@@ -181,12 +181,55 @@ class TestFifo:
             p, se = bl.miss_probability(fifo_run, d)
             assert abs(p - (2 / 3) ** d) <= 3.5 * se
 
+    def test_miss_probability_inside_burn_in_is_undetermined(self):
+        # beta = 0.45 burns in 100,000 uses, longer than the whole run
+        tr = bl.simulate_fifo(bl.BecConfig(beta=0.45, rate_bits=0.5, horizon=5_000, seed=1))
+        p, se = bl.miss_probability(tr, 5)
+        assert math.isnan(p) and math.isnan(se)
+
     def test_general_rational_rate_runs(self):
         cfg = bl.BecConfig(beta=0.25, rate_bits=2 / 3, horizon=200_000, seed=4)
         tr = bl.simulate_fifo(cfg)
         assert tr.check_conservation(stride=7)
         fit = bl.measure_delay_exponent(tr, range(6, 30, 3), min_misses=20)
         assert fit.slope > 0
+
+
+    @pytest.mark.parametrize("rate_bits,beta", [(0.37, 0.5), (2 / 3, 0.25), (0.9, 0.05)])
+    def test_general_rate_matches_literal_queue_loop(self, rate_bits, beta):
+        # the unit-service FIFO in success-index time against one use at a time
+        cfg = bl.BecConfig(beta=beta, rate_bits=rate_bits, horizon=20_000, seed=6)
+        tr = bl.simulate_fifo(cfg)
+        z = bl._erasure_pattern(cfg)
+        arrivals = tr.arrival_times.tolist()
+        decode, nxt = [], 0  # decode times of bits 1..len(decode); bits 1..nxt arrived
+        for t in range(1, cfg.horizon + 1):
+            if len(decode) < nxt and z[t]:
+                decode.append(t)
+            while nxt < len(arrivals) and arrivals[nxt] == t:
+                nxt += 1
+        decode += [math.inf] * (len(arrivals) - len(decode))
+        assert tr.decode_times.tolist() == decode
+
+
+class TestFifoCompletions:
+    def test_matches_recursion(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 50, 1000):
+            a = np.sort(rng.integers(0, 3 * n + 1, n))
+            t = rng.integers(1, 7, n)
+            ref, c = [], 0
+            for ai, ti in zip(a.tolist(), t.tolist()):
+                c = max(ai, c) + ti
+                ref.append(c)
+            assert bl.fifo_completions(a, t).tolist() == ref
+
+    def test_idle_start_and_scale_equivariance(self):
+        a = np.array([5, 5, 6, 30], dtype=np.int64)
+        t = np.array([2, 1, 4, 3], dtype=np.int64)
+        assert bl.fifo_completions(a, t).tolist() == [7, 8, 12, 33]
+        assert np.array_equal(bl.fifo_completions(7 * a, 7 * t),
+                              7 * bl.fifo_completions(a, t))
 
 
 class TestBirthDeath:

@@ -368,6 +368,56 @@ class TestSim:
         trace = (tmp_path / "s/trace.csv").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == digest
 
+    TWO_STREAM = {"mode": "two_stream", "channel": {"matrix": [[0.98, 0.02], [0.02, 0.98]]},
+                  "rate": 0.2231435, "horizon_blocks": 20_000}
+
+    # sha256 of summary.json at seed 7, recorded before the bound-driven run
+    # stopped going through the point queue: the four TRACE_DIGESTS configs
+    # and TWO_STREAM, which writes no trace
+    SUMMARY_DIGESTS = {
+        "bec_fifo": "81fc2ca96473248aea4d4d102d0898022ff78a7edf20ba1ca08363dd2612c3a6",
+        "bec_parity": "e1665a8f8b4a0d283459bdcc67b734b1598ed822ef4a85aad4be690a682618ba",
+        "queue": "9f030730d2b31f5faef27b77c3a2f8228107cdf5db4029fb8c4e72009aaf66c2",
+        "ncl_bound_driven": "9401f7e769fee14bb8d4b667fc25b094711f3ea6933f926d84b2408068676f72",
+        "ncl_two_stream": "4580d3aa90977e0ac1b0f7a3b6815c83634cc503073d5bdb3b1e577e7b932669",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_DIGESTS))
+    def test_summary_bytes_are_pinned(self, tmp_path, name):
+        kind, config = (("ncl", self.TWO_STREAM) if name == "ncl_two_stream"
+                        else self.TRACE_DIGESTS[name][:2])
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["sim", kind, cfg, "--seed", "7", "--out", tmp_path / "s"]) == 0
+        summary = (tmp_path / "s/summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == self.SUMMARY_DIGESTS[name]
+
+    COUNT_FIELDS = [
+        ("bec", {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5, "horizon": 5000},
+         "horizon"),
+        ("bec", {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5, "horizon": 5000},
+         "trials"),
+        ("queue", {"service": {"kind": "geometric", "beta": 0.4}, "arrival_period": 2,
+                   "horizon": 5000}, "horizon"),
+        ("queue", {"service": {"kind": "geometric", "beta": 0.4}, "arrival_period": 2,
+                   "horizon": 5000}, "trials"),
+        ("ncl", {**TRACE_DIGESTS["ncl_bound_driven"][1], "horizon_blocks": 500},
+         "horizon_blocks"),
+        ("ncl", {**EXACT_TINY, "horizon_blocks": 500}, "horizon_blocks"),
+        ("ncl", TWO_STREAM, "horizon_blocks"),
+    ]
+
+    @pytest.mark.parametrize("value", [-3, 0, 200.5, 1.5, True, "100", None])
+    @pytest.mark.parametrize("kind,config,field", COUNT_FIELDS,
+                             ids=[f"{c.get('mode', k)}-{f}" for k, c, f in COUNT_FIELDS])
+    def test_count_fields_must_be_positive_integers(self, tmp_path, capsys, kind,
+                                                    config, field, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, field: value}))
+        assert run(["sim", kind, cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        assert f"{field} must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s/summary.json").exists()
+
     def test_summary_is_strict_json(self, tmp_path):
         # at seed 5 every miss falls below the grid, so the fit is unbounded
         # and its exponent and CI are written as null
@@ -388,7 +438,7 @@ class TestSim:
             for name, digest in zip(("trace.csv", "summary.json"), digests):
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("mode", ["exact_tiny", "bound_driven"])
+    @pytest.mark.parametrize("mode", ["exact_tiny", "bound_driven", "two_stream"])
     def test_run_inside_burn_in_exits_nonzero(self, tmp_path, capsys, mode):
         # the fit drops the first 10 blocks, so 10 blocks leave nothing to fit
         cfg = tmp_path / "n.json"
@@ -501,6 +551,23 @@ class TestFigures:
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
         assert manifest["figure"] == 4
         assert schema_mismatches(manifest, MANIFEST_SCHEMAS[4]) == []
+
+    # sha256 of figure outputs recorded before figure 13 wrote through
+    # _write_curve_csv and the scheme curves through reduced_rate_exponent
+    FIGURE_DIGESTS = {
+        13: {"bsc002_past_future_plain.csv":
+             "7635b734c1d1c0487e4d8d458212062ee29b36867b18b38b0f3d8eec0c636512",
+             "bsc002_past_future_fortified_k50.csv":
+             "47ec9d6ae2b62d8682ee7b7f9c1a59c51c572956367d517fe5bea426eea9ba1a"},
+        16: {"bsc002_ncl_schemes.csv":
+             "37f1d7715ff9b4fa52feee07462d284f751d11b216da9e241fe1e665347cd0f4"},
+    }
+
+    @pytest.mark.parametrize("fig", sorted(FIGURE_DIGESTS))
+    def test_figure_bytes_are_pinned(self, tmp_path, fig):
+        assert run(["figure", fig, "--out-dir", tmp_path]) == 0
+        for name, digest in self.FIGURE_DIGESTS[fig].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_figure_6_curve_family(self, tmp_path):
         assert run(["figure", "6", "--out-dir", tmp_path]) == 0

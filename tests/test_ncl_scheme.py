@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from delaylab import dmc, ncl_scheme as ncl
+from delaylab import dmc, ncl_scheme as ncl, queue_model as qm
 from delaylab.exponents import e0_max, gallager_e0
 from oracles import loop_ncl_exact_tiny
 
@@ -239,6 +239,36 @@ class TestBoundDriven:
         assert fit.slope >= 0.9 * 0.44
         assert ncl.queueing_exponent_bound(prm) >= 0.9 * 0.44
 
+    @pytest.mark.parametrize("rate,rho,k,seed", [(0.02, 1.0, 10, 3), (0.2, 1.0, 10, 7),
+                                                 (0.37, 1.0, 10, 2), (0.1, 4.0, 10, 5),
+                                                 (0.3, 2.0, 3, 11)])
+    def test_matches_scaled_point_queue(self, bsc002, rate, rho, k, seed):
+        # the composition the simulator replaced: a point queue in chunk
+        # units on the offset-geometric law, scaled by ck, l k on commits
+        prm = ncl.select_params(bsc002, rate=rate, delta=0.05, k=k, rho=rho)
+        tr = ncl.simulate_ncl_bound_driven(prm, 4_000, seed=seed)
+        law = qm.offset_geometric_service(math.ceil(prm.t_tilde),
+                                          math.exp(-prm.ck * prm.e0))
+        queue = qm.simulate_point_queue(qm.QueueConfig(prm.n, 4_000, seed), law)
+        ck = prm.ck
+        assert np.array_equal(tr.arrival_times, queue.arrival_times * ck)
+        assert np.array_equal(tr.service_starts,
+                              (queue.completion_times - queue.service_times) * ck)
+        assert np.array_equal(tr.transmission_times, queue.service_times * ck)
+        assert np.array_equal(tr.commit_times,
+                              queue.completion_times * ck + prm.l * prm.k)
+        assert (tr.assembly, tr.termination) == (prm.block_period, prm.l * prm.k)
+        assert tr.meta == {"mode": "bound_driven", "beta_eff": law.tail_beta,
+                           "seed": seed}
+
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_needs_one_block(self, bsc002, tiny_params, blocks):
+        prm = ncl.select_params(bsc002, rate=0.2, delta=0.05, k=10, rho=1.0)
+        with pytest.raises(ValueError, match="at least one block"):
+            ncl.simulate_ncl_bound_driven(prm, blocks)
+        with pytest.raises(ValueError, match="at least one block"):
+            ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, blocks)
+
     def test_decomposition_exact(self, bsc002):
         prm = ncl.select_params(bsc002, rate=0.3, delta=0.05, k=10, rho=1.0)
         tr = ncl.simulate_ncl_bound_driven(prm, 20_000, seed=1)
@@ -290,6 +320,35 @@ class TestTwoStream:
         split = ncl.two_stream_split(bsc002, 0.2231435)
         fit, details = ncl.simulate_two_stream(bsc002, split, 150_000, seed=6)
         assert abs(fit.slope - split.e_prime) <= 0.2 * split.e_prime
+
+
+class TestQueueingExponentBound:
+    def test_is_the_queue_bound_of_the_service_law_per_use(self, bsc002):
+        # exactly the D/G/1 bound of the offset-geometric law at period n,
+        # divided by ck, where there is slack; 0 where there is none
+        seen = set()
+        for rho in (0.5, 1.0, 2.0):
+            e0, q = e0_max(bsc002, rho)
+            for n, c, l, k in ((4, 2, 1, 3), (10, 3, 1, 5), (20, 4, 2, 10)):
+                if rho > 2**l:
+                    continue
+                for frac in np.linspace(0.05, 0.999, 25):
+                    prm = ncl.NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q,
+                                        rate=float(frac) * e0 / rho, e0=e0)
+                    got = ncl.queueing_exponent_bound(prm)
+                    if prm.slack_chunks >= 1:
+                        law = qm.offset_geometric_service(math.ceil(prm.t_tilde),
+                                                          math.exp(-prm.ck * e0))
+                        assert got == qm.tail_exponent_bound(n, law) / prm.ck
+                        seen.add("slack" if got > 0 else "boundary")
+                    else:
+                        assert got == 0.0
+                        seen.add("none")
+        assert seen == {"slack", "boundary", "none"}
+
+    def test_beta_eff_is_the_chunk_erasure(self, tiny_params):
+        assert tiny_params.beta_eff == math.exp(-tiny_params.ck * tiny_params.e0)
+        assert ncl.transmission_tail_bound(tiny_params, 2) == tiny_params.beta_eff ** 2
 
 
 class TestSchemeCurve:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,23 @@ from delaylab.exponents import bec_focusing_exponent_bits
 
 class TestServiceTimeModel:
     def test_shipped_models_validate(self):
+        # construction no longer checks the envelope: check it explicitly
+        qm.geometric_service(0.4).check_envelope()
+        qm.offset_geometric_service(2, 0.25).check_envelope()
+        qm.truncated_geometric_service(0.4, 3).check_envelope()
+
+    def test_construction_draws_no_samples(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("constructing a service-time model drew samples")
+
+        monkeypatch.setattr(qm.ServiceTimeModel, "sample", refuse)
+        monkeypatch.setattr(qm.ServiceTimeModel, "check_envelope", refuse)
+        monkeypatch.setattr(qm, "substream", refuse)
         qm.geometric_service(0.4)
         qm.offset_geometric_service(2, 0.25)
         qm.truncated_geometric_service(0.4, 3)
+        qm.ServiceTimeModel(offset=1, tail_beta=0.3, kind="offset_geometric")
+        assert "validate" not in {f.name for f in dataclasses.fields(qm.ServiceTimeModel)}
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -82,6 +97,12 @@ class TestSimulation:
             ref[i] = max(0.0, ref[i - 1] + t[i - 1] - 2)
         assert np.array_equal(w, ref)
 
+    def test_steady_delays_drop_the_warmup(self):
+        tr = qm.simulate_point_queue(qm.QueueConfig(5, 300, seed=2),
+                                     qm.offset_geometric_service(2, 0.25))
+        assert np.array_equal(tr.steady_delays(), tr.delays()[qm.WARMUP_MESSAGES:])
+        assert len(tr.steady_delays()) == 300 - qm.WARMUP_MESSAGES
+
     def test_geometric_matches_bec_fifo_exponent(self):
         # same renewal structure as the rate-1/2 erasure FIFO scheme
         svc = qm.geometric_service(0.4)
@@ -121,6 +142,19 @@ class TestTailExponentBound:
         svc = qm.offset_geometric_service(2, 0.25)
         expected = bec_focusing_exponent_bits(0.25, 1.0 / 3) * LN2
         assert qm.tail_exponent_bound(5, svc) == pytest.approx(expected, abs=1e-12)
+
+    def test_is_the_reduced_rate_exponent_at_the_slack(self):
+        for svc in (qm.geometric_service(0.4), qm.offset_geometric_service(2, 0.25),
+                    qm.truncated_geometric_service(0.3, 4)):
+            for m in range(svc.offset + 1, svc.offset + 12):
+                assert qm.tail_exponent_bound(m, svc) == \
+                    qm.reduced_rate_exponent(svc.tail_beta, m - svc.offset)
+
+    def test_reduced_rate_exponent_zero_without_slack(self):
+        assert qm.reduced_rate_exponent(0.25, 0) == 0.0
+        assert qm.reduced_rate_exponent(0.25, -2) == 0.0
+        assert qm.reduced_rate_exponent(0.25, 1) == 0.0  # R'' = 1 >= 1 - beta
+        assert qm.reduced_rate_exponent(0.25, 2) > 0.0
 
     def test_period_must_exceed_offset(self):
         with pytest.raises(ValueError):
