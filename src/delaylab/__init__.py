@@ -59,6 +59,7 @@ from .exponents import (
     bec_focusing_exponent_bits,
     bec_lowrate_floor,
     bound_at_rate,
+    bound_curve,
 )
 from .bec_lab import (
     BecConfig,

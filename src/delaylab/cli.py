@@ -27,12 +27,11 @@ from .dmc import _block_is_symmetric  # declared-partition verification
 from .exponents import (
     KNOWN_BOUNDS,
     bound_at_rate,
-    burnashev_bound,
+    bound_curve,
     capacity_slope_focusing,
     capacity_slope_timesharing,
     e0_max,
     focusing_parametric_curve,
-    sphere_packing,
 )
 
 EXIT_OK = 0
@@ -156,15 +155,15 @@ def cmd_curve(args) -> int:
             rates = rates * LN2
         if np.any(rates < 0):
             raise CliError(EXIT_INFEASIBLE, "rates must be nonnegative")
-    columns = {}
+    columns, solved = {}, {}
     for name in names:
-        vals = []
-        for r in rates:
+        same = "focusing" if name == "viterbi" else name  # one bound, two readings
+        if same not in solved:
             try:
-                vals.append(bound_at_rate(channel, name, float(r), fortify_k))
+                solved[same] = bound_curve(channel, same, rates, fortify_k)
             except ValueError as exc:
-                raise CliError(EXIT_INFEASIBLE, f"{name} at rate {r}: {exc}")
-        columns[name] = vals
+                raise CliError(EXIT_INFEASIBLE, f"{name} {exc}")
+        columns[name] = solved[same]
     out = Path(args.out)
     if args.format == "json":
         payload = {
@@ -204,11 +203,13 @@ def _n_threads() -> int:
         raise CliError(EXIT_PARSE, f"FDL_THREADS must be an integer, got '{env}'")
 
 
-def _count(config: dict, name: str, default: int | None = None) -> int:
-    """A positive JSON integer field of a sim config; required without a default."""
+def _count(config: dict, name: str, default: int | None = None, least: int = 1) -> int:
+    """A JSON integer field of a sim config, positive (or, with ``least`` 0,
+    nonnegative); required without a default."""
     value = config[name] if default is None else config.get(name, default)
-    if type(value) is not int or value < 1:
-        raise CliError(EXIT_PARSE, f"{name} must be a positive integer, got {value!r}")
+    if type(value) is not int or value < least:
+        sign = "positive" if least == 1 else "nonnegative"
+        raise CliError(EXIT_PARSE, f"{name} must be a {sign} integer, got {value!r}")
     return value
 
 
@@ -316,7 +317,7 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
     horizon = _count(config, "horizon")
     trials = _count(config, "trials", 1)
     d_grid = config.get("d_grid", list(range(10, 41, 2)))
-    stride = int(config.get("trace_stride", max(1, horizon // 100_000)))
+    stride = _count(config, "trace_stride", max(1, horizon // 100_000))
 
     def one(trial):
         cfg = bec_lab.BecConfig(beta=config["beta"], rate_bits=config["rate_bits"],
@@ -341,14 +342,15 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
         if kind == "geometric":
             svc = queue_model.geometric_service(svc_cfg["beta"])
         elif kind == "offset_geometric":
-            svc = queue_model.offset_geometric_service(int(svc_cfg["offset"]), svc_cfg["beta"])
+            svc = queue_model.offset_geometric_service(_count(svc_cfg, "offset", least=0),
+                                                       svc_cfg["beta"])
         elif kind == "truncated_geometric":
-            svc = queue_model.truncated_geometric_service(svc_cfg["beta"], int(svc_cfg["cap"]))
+            svc = queue_model.truncated_geometric_service(svc_cfg["beta"], _count(svc_cfg, "cap"))
         else:
             raise CliError(EXIT_UNKNOWN, f"unknown service kind '{kind}'")
     except (KeyError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad service model: {exc}")
-    m = int(config["arrival_period"])
+    m = _count(config, "arrival_period")
     horizon = _count(config, "horizon")
     trials = _count(config, "trials", 1)
     d_grid = config.get("d_grid", list(range(2 * m, 20 * m, m)))
@@ -384,8 +386,10 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"bad channel: {exc}")
     rate = float(config["rate"])
-    k = int(config.get("k", 10))
+    k = _count(config, "k", 10)
     blocks = _count(config, "horizon_blocks", 100_000)
+    feedback_lag = _count(config, "feedback_lag", 1)
+    min_misses = _count(config, "min_misses", 30)
     try:
         if mode == "two_stream":
             split = ncl_scheme.two_stream_split(channel, rate)
@@ -399,8 +403,8 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
             channel, rate, float(config.get("delta", 0.05)), k,
             float(config.get("rho", 1.0)))
         if "n" in config:  # explicit scheme geometry overrides the formulas
-            params = replace(params, n=int(config["n"]), c=int(config["c"]),
-                             l=int(config["l"]))
+            params = replace(params, n=_count(config, "n"), c=_count(config, "c"),
+                             l=_count(config, "l"))
     except ValueError as exc:
         raise CliError(EXIT_INFEASIBLE, str(exc))
     if mode == "bound_driven":
@@ -409,11 +413,11 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
         trace = ncl_scheme.simulate_ncl_exact_tiny(
             channel, params, blocks, seed,
             n_messages=config.get("n_messages"),
-            feedback_lag=int(config.get("feedback_lag", 1)))
+            feedback_lag=feedback_lag)
     else:
         raise CliError(EXIT_UNKNOWN, f"unknown ncl mode '{mode}'")
     d_grid = config.get("d_grid") or ncl_scheme.default_delay_grid(params).tolist()
-    fit = trace.measure_exponent(d_grid, min_misses=int(config.get("min_misses", 30)))
+    fit = trace.measure_exponent(d_grid, min_misses=min_misses)
     _write_trace_csv(out / "trace.csv",
                      ["trial", "arrival", "service_start", "transmission", "commit"],
                      [[trace.arrival_times, trace.service_starts,
@@ -454,10 +458,8 @@ def cmd_sim(args) -> int:
 def _figure_4(out: Path) -> dict:
     ch = z_channel(0.5)
     rates = np.linspace(0.02, 0.21, 20)
-    esp = [sphere_packing(ch, r) for r in rates]
-    har = [bound_at_rate(ch, "haroutunian", float(r)) for r in rates]
     _write_curve_csv(out / "zchannel_bounds.csv", rates,
-                     {"esp": esp, "haroutunian": har})
+                     {name: bound_curve(ch, name, rates) for name in ("esp", "haroutunian")})
     return {"channel": "Z(0.5)", "curves": ["esp", "haroutunian"],
             "rate_grid_nats": [float(rates[0]), float(rates[-1]), len(rates)]}
 
@@ -470,14 +472,10 @@ def _bsc_rate_grid(ch: Dmc, points: int = 60) -> np.ndarray:
 def _figure_6(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
-    cols = {
-        "esp": [sphere_packing(ch, r) for r in rates],
-        "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
-        "burnashev": [burnashev_bound(ch, float(r)) for r in rates],
-    }
+    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing", "burnashev")}
     for lam in (1 / 8, 1 / 2, 7 / 8):
         cols[f"envelope_lambda_{lam:g}"] = [
-            sphere_packing(ch, lam * float(r)) / (1 - lam) for r in rates
+            e / (1 - lam) for e in bound_curve(ch, "esp", lam * rates)
         ]
     _write_curve_csv(out / "bsc002_focusing_family.csv", rates, cols)
     return {"channel": "BSC(0.02)", "curves": list(cols),
@@ -488,10 +486,7 @@ def _figure_7(out: Path) -> dict:
     ch = bsc(0.003)
     cap = ch.capacity_solution[0]
     rates = np.linspace(0.55 * cap, 0.995 * cap, 40)
-    cols = {
-        "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
-        "burnashev": [burnashev_bound(ch, float(r)) for r in rates],
-    }
+    cols = {name: bound_curve(ch, name, rates) for name in ("focusing", "burnashev")}
     _write_curve_csv(out / "bsc0003_focusing_vs_burnashev.csv", rates, cols)
     return {"channel": "BSC(0.003)", "curves": list(cols),
             "note": "high-rate regime; the curves cross"}
@@ -500,12 +495,8 @@ def _figure_7(out: Path) -> dict:
 def _figure_8(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
-    cols = {
-        "esp": [sphere_packing(ch, r) for r in rates],
-        "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
-        "timesharing": [bound_at_rate(ch, "timesharing", float(r)) for r in rates],
-        "random_coding": [bound_at_rate(ch, "er", float(r)) for r in rates],
-    }
+    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing", "timesharing")}
+    cols["random_coding"] = bound_curve(ch, "er", rates)
     _write_curve_csv(out / "bsc002_delay_bounds.csv", rates, cols)
     return {"channel": "BSC(0.02)", "curves": list(cols),
             "capacity_slopes": {
@@ -517,10 +508,7 @@ def _figure_8(out: Path) -> dict:
 def _figure_9(out: Path) -> dict:
     ch = bec(0.4)
     rates = np.linspace(0.02, 0.41, 40)
-    cols = {
-        "esp": [sphere_packing(ch, r) for r in rates],
-        "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
-    }
+    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing")}
     _write_curve_csv(out / "bec04_bounds.csv", rates, cols)
     return {"channel": "BEC(0.4)", "curves": list(cols),
             "ultimate_limit_nats": -math.log(0.4)}
@@ -530,11 +518,8 @@ def _figure_12(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     e0_one = e0_max(ch, 1.0)[0]
-    cols = {
-        "esp": [sphere_packing(ch, r) for r in rates],
-        "focusing": [bound_at_rate(ch, "focusing", float(r)) for r in rates],
-        "list1_tangent": [max(0.0, e0_one - float(r)) for r in rates],
-    }
+    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing")}
+    cols["list1_tangent"] = [max(0.0, e0_one - float(r)) for r in rates]
     _write_curve_csv(out / "bsc002_slack.csv", rates, cols)
     return {"channel": "BSC(0.02)", "curves": list(cols),
             "anchor": {"rate_nats": 0.37, "achievable_exponent": e0_one},
@@ -568,11 +553,8 @@ def _figure_14(out: Path) -> dict:
     rates = np.linspace(0.02, 0.60, 60)
     cols = {}
     for label, k in (("plain", None), ("fortified_k50", 50)):
-        cols[f"esp_{label}"] = [sphere_packing(ch, float(r), k) for r in rates]
-        cols[f"focusing_{label}"] = [
-            bound_at_rate(ch, "focusing", float(r), k) if r > 0 else math.inf
-            for r in rates
-        ]
+        cols[f"esp_{label}"] = bound_curve(ch, "esp", rates, k)
+        cols[f"focusing_{label}"] = bound_curve(ch, "focusing", rates, k)
     _write_curve_csv(out / "bsc002_fortified_bounds.csv", rates, cols)
     return {"channel": "BSC(0.02) and 1/50-fortified", "curves": list(cols)}
 
@@ -581,9 +563,8 @@ def _figure_16(out: Path) -> dict:
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.43, 22)
     schemes = [(10, 3, 2), (20, 4, 3), (50, 8, 6)]
-    cols = {"esp": [sphere_packing(ch, float(r)) for r in rates],
-            "focusing_fortified": [bound_at_rate(ch, "focusing", float(r), 50)
-                                   for r in rates]}
+    cols = {"esp": bound_curve(ch, "esp", rates),
+            "focusing_fortified": bound_curve(ch, "focusing", rates, 50)}
     for n, c, l in schemes:
         curve = ncl_scheme.scheme_exponent_curve(ch, n, c, l, 50, rates)
         cols[f"scheme_{n}_{c}_{l}"] = [e for _, e in curve]

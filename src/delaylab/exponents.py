@@ -1,7 +1,8 @@
 """Reliability bounds for DMCs: block-length exponents and fixed-delay exponents.
 
 Every bound is exposed both as a scalar function of (channel, rate) and as a
-sampled curve.  Rates and exponents are in nats per channel use throughout;
+sampled curve (``bound_curve``, which on output-symmetric channels runs the
+searches along rho of all its rates in lockstep).  Rates and exponents are in nats per channel use throughout;
 the two erasure-channel helpers that the source formulas state in bits are
 explicitly suffixed ``_bits``.
 
@@ -29,10 +30,14 @@ from .dmc import (
     validate_distribution,
 )
 from .optimize import (
+    Search1DResult,
     decreasing_root,
     maximize_concave_1d,
     maximize_e0,
     minimize_convex_on_simplex,
+    root_steps,
+    run_steps,
+    slope_argmax_steps,
 )
 
 RHO_MAX = 64.0
@@ -154,6 +159,53 @@ def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, flo
     return e0 + rho * shift, slope + shift
 
 
+def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list[tuple[float, float]]:
+    """``_e0_and_slope`` at every rho of ``rhos`` on an output-symmetric
+    channel, equal to it bit for bit, from one (lanes x inputs x outputs)
+    array W = P^(1/(1+rho)).
+
+    Each lane runs the scalar kernel's float operations: the inputs are
+    summed one after another, as ``_e0_kernel``'s sum over its first axis
+    does; the products of the slope are the same BLAS calls (a stacked
+    ``matmul`` runs ``q @ w`` and ``weights @ terms`` lane by lane); and
+    E0's final log is ``math.log``, since ``np.log`` differs in the last
+    ulp for a few values.  The lanes this cannot reproduce run
+    ``_e0_and_slope`` itself: rho = 0; 1/(1+rho) = 0.5 or 1+rho = 2, where
+    a scalar exponent takes numpy's sqrt or square instead of pow; an outer
+    sum below the smallest normal (the kernel's log-domain branch); and an
+    output that a lane's q W does not reach.
+    """
+    rho = np.array(rhos, dtype=float)
+    if not np.all(rho >= 0):
+        raise ValueError("rho must be nonnegative")
+    power = 1.0 + rho
+    s = 1.0 / power
+    q = p.uniform
+    w = p.rows ** s[:, None, None]
+    inner = q[0] * w[:, 0]
+    for x in range(1, len(q)):
+        inner = inner + q[x] * w[:, x]
+    total = (inner ** power[:, None]).sum(axis=1)
+    a = q @ w
+    b = q @ (w * np.log(w, where=p.support, out=np.zeros(w.shape)))
+    reached = (a > 0).all(axis=1)
+    scalar = (rho == 0) | (s == 0.5) | (power == 2.0) | (total < _TINY) | ~reached
+    a[~reached] = 1.0  # those lanes are recomputed; this keeps the log finite
+    weights = (a / a.max(axis=1, keepdims=True)) ** power[:, None]
+    terms = np.log(a) - b / a
+    slopes = -(weights[:, None, :] @ terms[:, :, None])[:, 0, 0] / weights.sum(axis=1)
+    shift = _fortification_rate(fortify_k)
+    points, alone = [], {}  # lanes at one such rho share its solve
+    for r, t, v, by_itself in zip(rho.tolist(), total.tolist(), slopes.tolist(), scalar.tolist()):
+        if not by_itself:
+            points.append((-math.log(t) + r * shift, v + shift))
+            continue
+        if r not in alone:
+            alone[r] = _e0_and_slope(p, r, fortify_k)
+        points.append(alone[r])
+    return points
+
+
 def e0_second_derivative_at_zero(p: Dmc, fortify_k: int | None = None) -> float:
     """d^2 E0 / drho^2 at rho = 0 for the capacity-achieving q, by the
     forward stencil of step ``E0_STENCIL_STEP``."""
@@ -204,29 +256,85 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     new bracket contains: far out (at R = 0, where the supremum is the
     limit of E0 at infinity) E0's roundoff, about (1+rho) eps, and its
     certificate floor outgrow the climb.  The result is then the largest
-    value seen.
+    value seen.  The search is ``_sphere_packing_steps``, which
+    ``bound_curve`` runs for many rates at once.
     """
+    return _run_lane(p, fortify_k, _sphere_packing_steps(p, r, fortify_k,
+                                                         _alone_climb(p, r, fortify_k)))
+
+
+def _run_lane(p: Dmc, fortify_k: int | None, steps):
+    """Run one search lane to its result, each point by ``_e0_and_slope``.
+
+    A lane is a generator over rho: it yields the rho it needs and receives
+    (E0(rho), dE0/drho) there, fortification included.  Every search along
+    rho is written once, as a lane; this runs one, and ``_run_lanes`` runs
+    a curve's worth together."""
+    return run_steps(steps, lambda rho: _e0_and_slope(p, rho, fortify_k))
+
+
+def _tilt(r: float):
+    """(E0(rho) - rho r, dE0/drho - r) from (rho, E0, dE0/drho)."""
+    return lambda rho, e0, slope: (e0 - rho * r, slope - r)
+
+
+def _relay(steps, excess):
+    """Run the ``optimize`` search ``steps`` inside a lane: each point it
+    yields is passed up, and excess(x, E0(x), E0'(x)) is sent back."""
+    x = next(steps)
+    while True:
+        e0, slope = yield x
+        try:
+            x = steps.send(excess(x, e0, slope))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _lockstep_climb(r: float):
+    """The bracket search of a lane that ``_run_lanes`` drives: the maximum
+    of E0(rho) - rho r on [lo, hi] as ``maximize_concave_1d`` finds it with
+    ``slope``, from the points the lane yields."""
+    def climb(lo, hi, tol):
+        x, calls = yield from _relay(slope_argmax_steps(lo, hi, tol), _tilt(r))
+        e0, _ = yield x
+        return Search1DResult(argmax=x, value=e0 - x * r, iterations=calls)
+    return climb
+
+
+def _alone_climb(p: Dmc, r: float, fortify_k: int | None):
+    """The bracket search of a lane run alone: ``maximize_concave_1d`` with
+    ``slope`` itself, on the same points as ``_lockstep_climb``, which it
+    evaluates without passing them up to the lane.  One-rate queries thus
+    still run (and report the iterations of) ``maximize_concave_1d``, which
+    ``perfbench``'s tracer counts."""
+    def climb(lo, hi, tol):
+        yield from ()
+        return maximize_concave_1d(lambda rho: e0_max(p, rho, fortify_k)[0] - rho * r,
+                                   lo, hi, tol=tol,
+                                   slope=lambda rho: _e0_and_slope(p, rho, fortify_k)[1] - r)
+    return climb
+
+
+def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
+    """``sphere_packing``'s search as a lane; ``climb(lo, hi, tol)`` is a
+    generator returning the ``maximize_concave_1d`` result on a bracket."""
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
-
-    def bracket(rho):
-        return e0_max(p, rho, fortify_k)[0] - rho * r
-
-    def slope(rho):
-        return _e0_and_slope(p, rho, fortify_k)[1] - r
-
     lo, hi, best = 0.0, RHO_MAX, -math.inf
     while True:
-        res = maximize_concave_1d(bracket, lo, hi, tol=1e-9, slope=slope)
+        res = yield from climb(lo, hi, 1e-9)
         climbed = res.value > best
         best = max(best, res.value)
-        if not climbed or res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
+        if not climbed or res.argmax <= 0.98 * hi:
+            return max(0.0, best)
+        edge = (yield hi)[0] - hi * r
+        inside = (yield 0.9 * hi)[0] - 0.9 * hi * r
+        if edge <= inside:
             return max(0.0, best)
         if hi >= 1e8:
-            raise ConvergenceError("sphere-packing maximizer beyond rho = 1e8",
-                                   bracket(hi) - bracket(0.9 * hi))
+            raise ConvergenceError("sphere-packing maximizer beyond rho = 1e8", edge - inside)
         # concavity puts the maximizer beyond 0.9 hi
         lo, hi = 0.9 * hi, 4.0 * hi
 
@@ -237,15 +345,17 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
 
     ``list_size`` is the cap L on rho; L = 1 is ordinary random coding.
     """
+    return _run_lane(p, fortify_k, _random_coding_steps(r, list_size,
+                                                        _alone_climb(p, r, fortify_k)))
+
+
+def _random_coding_steps(r: float, list_size: int, climb):
+    """``random_coding_list``'s search as a lane (see ``_sphere_packing_steps``)."""
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if list_size < 1:
         raise ValueError("list size must be at least 1")
-    res = maximize_concave_1d(
-        lambda rho: e0_max(p, rho, fortify_k)[0] - rho * r,
-        0.0, float(list_size), tol=1e-10,
-        slope=lambda rho: _e0_and_slope(p, rho, fortify_k)[1] - r,
-    )
+    res = yield from climb(0.0, float(list_size), 1e-10)
     return max(0.0, res.value)
 
 
@@ -607,15 +717,12 @@ def _rate_crossing(p: Dmc, r: float, fortify_k: int | None,
     monotonically, and far out, where E0 saturates, the first step lands
     near E0(inf)/r.
     """
-    def excess(eta):
-        e0, slope = _e0_and_slope(p, eta, fortify_k)
-        return e0 - r * eta, slope - r
-
-    return decreasing_root(excess, lo, hi)
+    return _run_lane(p, fortify_k, _relay(root_steps(lo, hi), _tilt(r)))
 
 
-def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None) -> float:
-    """Solve E0(eta)/eta = r for eta; E0(eta)/eta decreases from C to C_{0,f}.
+def _eta_for_rate_steps(r: float):
+    """The eta where E0(eta)/eta, decreasing from C to C_{0,f}, equals r, as
+    a lane: the midpoint of ``_rate_crossing``'s bracket.
 
     The bracket grows fourfold past ``RHO_MAX`` when the solution lies
     beyond it, which happens at low rates (eta = E_a / R is unbounded as R
@@ -623,11 +730,11 @@ def _solve_eta_for_rate(p: Dmc, r: float, fortify_k: int | None) -> float:
     E0(hi)/hi - r, rather than return the bracket's end.
     """
     lo, hi = 1e-9, RHO_MAX
-    while (residual := e0_max(p, hi, fortify_k)[0] / hi - r) > 0:
+    while (residual := (yield hi)[0] / hi - r) > 0:
         if hi >= 1e8:
             raise ConvergenceError("focusing rate root beyond eta = 1e8", residual)
         lo, hi = hi, 4.0 * hi
-    lo, hi = _rate_crossing(p, r, fortify_k, lo, hi)
+    lo, hi = yield from _relay(root_steps(lo, hi), _tilt(r))
     return 0.5 * (lo + hi)
 
 
@@ -699,6 +806,12 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     1e-12 being R_inf's accuracy: no lambda < 1 then brings lambda R above
     R_inf.
     """
+    return _run_lane(p, fortify_k, _focusing_steps(p, r, fortify_k, force_general))
+
+
+def _focusing_steps(p: Dmc, r: float, fortify_k: int | None, force_general: bool = False):
+    """``focusing_bound`` as a lane: the parametric path yields its eta, the
+    general path yields nothing."""
     if r <= 0:
         raise ValueError("rate must be positive")
     cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
@@ -707,7 +820,7 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
     if p.symmetric and not force_general:
-        eta = _solve_eta_for_rate(p, r, fortify_k)
+        eta = yield from _eta_for_rate_steps(r)
         return eta * r
 
     if fortify_k is not None:
@@ -770,11 +883,11 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     if not p.symmetric:
         raise ValueError("parametric form requires an output-symmetric channel; "
                          "use focusing_bound instead")
+    etas = sorted(eta_grid, reverse=True)  # descending eta = increasing rate
+    if etas and etas[-1] <= 0:
+        raise ValueError("eta grid must be positive")
     pts = []
-    for eta in sorted(eta_grid, reverse=True):  # descending eta = increasing rate
-        if eta <= 0:
-            raise ValueError("eta grid must be positive")
-        e0, slope = _e0_and_slope(p, eta, fortify_k)
+    for eta, (e0, slope) in zip(etas, _e0_and_slope_lanes(p, etas, fortify_k)):
         rate = e0 / eta
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
@@ -823,24 +936,37 @@ def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None) -> tuple[float, fl
     when the rate at ``RHO_MAX`` is still above r, (``RHO_MAX``, E0(1)/r):
     E'(rho) < E0(1), so the rate is below r from E0(1)/r on.  E0(1) is
     solved once.  As in ``_rate_crossing`` the root is taken on the concave
-    E'(rho) - r rho.
+    E'(rho) - r rho.  The search is the lane ``_timesharing_rho_steps``.
     """
+    return _run_lane(p, fortify_k, _timesharing_rho_steps(r))
+
+
+def _timesharing_rho_steps(r: float):
+    """``_timesharing_rho`` as a lane."""
     if r <= 0:
         raise ValueError("rate must be positive")
-    e_one = e0_max(p, 1.0, fortify_k)[0]
+    e_one = (yield 1.0)[0]
 
-    def excess(rho):
-        e0, slope = _e0_and_slope(p, rho, fortify_k)
+    def excess(rho, e0, slope):
         e_prime = _timesharing_point(e0, e_one, rho)[1]
         # dE'/drho = E0'(rho) (E0(1) / (E0(1) + E0(rho)))^2
         return e_prime - r * rho, slope * (e_one / (e_one + e0)) ** 2 - r
 
     lo, hi = 1e-9, RHO_MAX
     # the first test spares an E0 solve: it is implied by the second
-    if r * RHO_MAX < e_one and excess(RHO_MAX)[0] > 0:
+    if r * RHO_MAX < e_one and excess(RHO_MAX, *(yield RHO_MAX))[0] > 0:
         lo, hi = RHO_MAX, e_one / r
-    lo, hi = decreasing_root(excess, lo, hi)
+    lo, hi = yield from _relay(root_steps(lo, hi), excess)
     return 0.5 * (lo + hi), e_one
+
+
+def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
+    """The timesharing bound at rate r (``bound_at_rate``) as a lane: the
+    two-stream curve inverted at r, 0 from capacity on."""
+    if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
+        return 0.0
+    rho, e_one = yield from _timesharing_rho_steps(r)
+    return _timesharing_point((yield rho)[0], e_one, rho)[1]
 
 
 def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
@@ -868,9 +994,13 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 
 
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> ExponentCurve:
-    e_one = e0_max(p, 1.0, fortify_k)[0]
-    pts = [_timesharing_point(e0_max(p, rho, fortify_k)[0], e_one, rho)
-           for rho in sorted(rho_grid, reverse=True)]
+    rhos = sorted(rho_grid, reverse=True)
+    if p.symmetric:
+        points = _e0_and_slope_lanes(p, [1.0, *rhos], fortify_k)
+    else:
+        points = [_e0_and_slope(p, rho, fortify_k) for rho in [1.0, *rhos]]
+    e_one = points[0][0]
+    pts = [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
     return ExponentCurve(
         kind="timesharing",
         samples=pts,
@@ -980,13 +1110,12 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     """Evaluate one named bound at a rate in nats.  Names: esp, er, er<L>,
     haroutunian, tilde, burnashev, focusing, viterbi, timesharing.  Both
     Haroutunian exponents are certified programs over output laws (see
-    ``haroutunian``); no bound depends on a seed."""
+    ``haroutunian``); no bound depends on a seed.  ``bound_curve`` gives
+    the same values for many rates at once."""
     if name == "esp":
         return sphere_packing(p, r, fortify_k)
-    if name == "er":
-        return random_coding_list(p, r, 1, fortify_k)
-    if name.startswith("er") and name[2:].isdigit():
-        return random_coding_list(p, r, int(name[2:]), fortify_k)
+    if _list_size(name) is not None:
+        return random_coding_list(p, r, _list_size(name), fortify_k)
     if name == "haroutunian":
         return haroutunian(p, r)
     if name == "tilde":
@@ -996,12 +1125,102 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     if name in ("focusing", "viterbi"):  # viterbi: the focusing curve's other reading
         return focusing_bound(p, r, fortify_k)
     if name == "timesharing":  # the two-stream curve inverted at one rate
-        cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
-        if r >= cap_p:
-            return 0.0
-        rho, e_one = _timesharing_rho(p, r, fortify_k)
-        return _timesharing_point(e0_max(p, rho, fortify_k)[0], e_one, rho)[1]
+        return _run_lane(p, fortify_k, _timesharing_steps(p, r, fortify_k))
     raise KeyError(f"unknown bound name: {name}")
+
+
+def _list_size(name: str) -> int | None:
+    """L of the bound names er (L = 1) and er<L>; None for every other name."""
+    if name == "er":
+        return 1
+    if name.startswith("er") and name[2:].isdigit():
+        return int(name[2:])
+    return None
+
+
+def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[float]:
+    """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit.
+
+    On output-symmetric channels the searches along rho of esp, er<L>,
+    focusing (and viterbi) and timesharing run as lanes of ``_run_lanes``:
+    each round evaluates the rho every unfinished lane waits on in one
+    ``_e0_and_slope_lanes`` call, so a curve costs as many kernel calls
+    as its longest search has E0 evaluations.  The other bounds, and
+    every bound on a channel without output symmetry (where each E0 is its
+    own certified program), are evaluated rate by rate.  An error is the
+    one ``bound_at_rate`` raises at the first rate that fails; a
+    ``ValueError`` names that rate.
+    """
+    rates = [float(r) for r in rates]
+    values, failure = _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k)
+                                                for r in rates])
+    if failure is None:
+        return values
+    i, exc = failure
+    if isinstance(exc, ValueError):
+        raise ValueError(f"at rate {rates[i]}: {exc}") from exc
+    raise exc
+
+
+def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):
+    """Bound ``name`` at rate r as a lane of ``_run_lanes``; a bound that
+    does not run in lockstep is a lane that yields nothing and returns
+    ``bound_at_rate``."""
+    if p.symmetric:
+        if name == "esp":
+            return _sphere_packing_steps(p, r, fortify_k, _lockstep_climb(r))
+        if _list_size(name) is not None:
+            return _random_coding_steps(r, _list_size(name), _lockstep_climb(r))
+        if name in ("focusing", "viterbi"):
+            return _focusing_steps(p, r, fortify_k)
+        if name == "timesharing":
+            return _timesharing_steps(p, r, fortify_k)
+    return _alone(lambda: bound_at_rate(p, name, r, fortify_k))
+
+
+def _alone(solve):
+    """A lane that yields nothing and returns ``solve()``."""
+    yield from ()
+    return solve()
+
+
+def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> tuple[list, tuple | None]:
+    """Run the lanes together: (results, None), or (results so far,
+    (i, error)) for the first lane i in order that raised.  Only lanes on
+    an output-symmetric channel yield.
+
+    Every round sends each unfinished lane its (E0, dE0/drho) from one
+    ``_e0_and_slope_lanes`` call over all their pending rho.  A lane's
+    error drops the lanes after it, whose results a loop over the lanes
+    would never have reached, and the lanes before it run on, since one of
+    them may fail first in that order.
+    """
+    results = [None] * len(lanes)
+    pending: dict[int, float] = {}
+    failure = None
+
+    def advance(i, point):
+        nonlocal failure
+        try:
+            pending[i] = lanes[i].send(point)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # any lane error: the caller re-raises the first in order
+            failure = i, exc
+            for j in [j for j in pending if j > i]:
+                del pending[j]
+
+    for i in range(len(lanes)):
+        if failure is not None:
+            break
+        advance(i, None)
+    while pending:
+        order = list(pending)
+        points = _e0_and_slope_lanes(p, [pending.pop(i) for i in order], fortify_k)
+        for i, point in zip(order, points):
+            if failure is None or i < failure[0]:
+                advance(i, point)
+    return results, failure
 
 
 KNOWN_BOUNDS = ("esp", "er", "haroutunian", "tilde", "burnashev",

@@ -30,6 +30,7 @@ EXACT_TINY_MAX_CODEWORDS = 4096
 EXACT_TINY_BATCH_DRAWS = 1 << 14  # uniforms per decode batch; bounds its memory
 SCHEME_RHO_POINTS = 48  # rho grid of scheme_exponent_curve
 TWO_STREAM_RATE_MARGIN = 0.15  # simulate_two_stream's back-off from zero slack
+WARMUP_BLOCKS = 10  # blocks dropped before a delay tail is measured
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,9 @@ class NclTrace:
         return bool(np.all(total == self.end_to_end()))
 
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
-        """Delay exponent of the end-to-end delays after the first 10 blocks."""
-        return fit_delay_exponent(self.end_to_end()[10:], d_grid, min_misses)
+        """Delay exponent of the end-to-end delays after the first
+        ``WARMUP_BLOCKS`` blocks."""
+        return fit_delay_exponent(self.end_to_end()[WARMUP_BLOCKS:], d_grid, min_misses)
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
@@ -367,7 +369,7 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
                              1e-9, split.rho)[0]
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
-    msg_delays = np.sort(trace.end_to_end()[10:])
+    msg_delays = np.sort(trace.end_to_end()[WARMUP_BLOCKS:])
     if not len(msg_delays):
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     base = params.block_period / (1.0 - psi)

@@ -1,10 +1,10 @@
 """The numerical searches the bounds engine needs.
 
 1. maximization of a concave function on an interval: golden section, or
-   the root of its slope by ``decreasing_root`` when the slope is known,
+   the root of its slope when the slope is known (``slope_argmax_steps``),
 2. the bracketed safeguarded Newton root finder for decreasing functions
-   (``decreasing_root``, secant steps when no derivative is given) that
-   every rho solve of the bounds runs,
+   (``root_steps``, secant steps when no derivative is given) that every
+   rho solve of the bounds runs,
 3. maximization of a concave function over the input simplex (cyclic
    pairwise line searches, for any concave objective),
 4. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
@@ -20,7 +20,11 @@
 6. multi-start penalized minimization over small channel matrices, which no
    bound calls (the benchmark's tracer binds it by name).
 
-All searches are deterministic given their seed.
+The two searches the rho solves run, ``slope_argmax_steps`` and
+``root_steps``, are generators driven by ``run_steps``, which is how
+``maximize_concave_1d`` and ``decreasing_root`` run them one at a time and
+how ``exponents.bound_curve`` runs a whole curve's worth together.  All
+searches are deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -51,6 +55,22 @@ class Search1DResult:
     iterations: int
 
 
+def run_steps(steps, evaluate):
+    """Run a search generator to its end and return its result.
+
+    The searches of this module that evaluate one point at a time
+    (``root_steps``, ``slope_argmax_steps``) are generators: they yield the
+    next point x and receive ``evaluate(x)``, so that a caller can also
+    advance many of them together, evaluating their pending points in one
+    batch, and still run every search from its one copy."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(evaluate(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
                         slope=None) -> Search1DResult:
     """Maximize a concave ``f`` on [lo, hi].
@@ -60,31 +80,17 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     smallest maximizer: when the two probe values are equal the right part
     of the interval is discarded.
 
-    With ``slope`` (the derivative of f, nonincreasing): an end where the
-    slope already points out of the interval is the maximizer (lo when
-    slope(lo) <= 0).  Otherwise ``decreasing_root`` closes a bracket of
-    ``tol`` around the root of the slope (secant steps, as no second
-    derivative is given; its own cap replaces ``GOLDEN_MAX_ITER``), and f is
-    evaluated once, at the bracket's midpoint.  ``iterations`` counts the
-    slope evaluations inside the bracket.
+    With ``slope`` (the derivative of f, nonincreasing): ``slope_argmax_steps``
+    finds the maximizer from slope evaluations alone, and f is evaluated
+    once, there.  ``iterations`` counts the slope evaluations inside the
+    bracket.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     a, b = float(lo), float(hi)
     if slope is not None:
-        if slope(a) <= 0.0:
-            return Search1DResult(argmax=a, value=f(a), iterations=0)
-        if slope(b) >= 0.0:
-            return Search1DResult(argmax=b, value=f(b), iterations=0)
-        calls = []
-
-        def slope_only(x):
-            calls.append(x)
-            return slope(x), math.nan
-
-        a, b = decreasing_root(slope_only, a, b, tol)
-        x = 0.5 * (a + b)
-        return Search1DResult(argmax=x, value=f(x), iterations=len(calls))
+        x, calls = run_steps(slope_argmax_steps(a, b, tol), lambda x: (math.nan, slope(x)))
+        return Search1DResult(argmax=x, value=f(x), iterations=calls)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -108,24 +114,59 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     return Search1DResult(argmax=best_x, value=best_v, iterations=it)
 
 
+def slope_argmax_steps(lo: float, hi: float, tol: float):
+    """The maximizer of a concave f on [lo, hi] from its nonincreasing
+    slope, as a ``run_steps`` generator: it yields points x, receives the
+    pair (f(x), f'(x)) and reads only f'(x), and returns (argmax,
+    iterations).
+
+    An end where the slope already points out of the interval is the
+    maximizer (lo when f'(lo) <= 0).  Otherwise ``root_steps`` closes a
+    bracket of ``tol`` around the root of the slope (secant steps, as no
+    second derivative is given; its own cap replaces ``GOLDEN_MAX_ITER``),
+    and the argmax is the bracket's midpoint.  ``iterations`` counts the
+    slope evaluations inside the bracket.
+    """
+    a, b = float(lo), float(hi)
+    if (yield a)[1] <= 0.0:
+        return a, 0
+    if (yield b)[1] >= 0.0:
+        return b, 0
+    root = root_steps(a, b, tol)
+    x, calls = next(root), 0
+    while True:
+        calls += 1
+        slope = (yield x)[1]
+        try:
+            x = root.send((slope, math.nan))
+        except StopIteration as stop:
+            a, b = stop.value
+            return 0.5 * (a + b), calls
+
+
 def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
+    """``root_steps`` run on ``f(x)``, which returns the pair (f(x), f'(x))."""
+    return run_steps(root_steps(lo, hi, tol), f)
+
+
+def root_steps(lo: float, hi: float, tol: float = 0.0):
     """A bracket lo < hi at most ``tol`` or 4 ulps wide, whichever is wider,
     with f(lo) > 0 >= f(hi), for a function that is positive before its
-    root and not after (decreasing, or concave through zero).
+    root and not after (decreasing, or concave through zero), as a
+    ``run_steps`` generator that yields points x and receives (f(x), f'(x)).
 
-    ``f(x)`` returns the pair (f(x), f'(x)), with f'(x) = nan when the
-    derivative is not known: the secant slope through the previous point
-    stands in for it.  The ends are not evaluated, so when f does not
-    change sign inside, the bracket closes on the end the sign points to.
-    Each step is a Newton step from the latest point, pushed one ulp past
-    the root it predicts so that the bracket closes from both sides.  Once
-    the Newton correction is below sqrt(eps) of x, the next one is at
-    roundoff level, so f's sign there is noise: the push doubles for every
-    such step in a row that does not cross.  A step that leaves the
-    bracket, or (before that) is longer than half the previous step, or
-    comes from a slope that is not finite and negative, is replaced by
-    bisection.  Raises ``ConvergenceError`` with the bracket width after
-    ``ROOT_MAX_ITER`` evaluations.
+    f'(x) is nan when the derivative is not known: the secant slope through
+    the previous point stands in for it.  The ends are not evaluated, so
+    when f does not change sign inside, the bracket closes on the end the
+    sign points to.  Each step is a Newton step from the latest point,
+    pushed one ulp past the root it predicts so that the bracket closes
+    from both sides.  Once the Newton correction is below sqrt(eps) of x,
+    the next one is at roundoff level, so f's sign there is noise: the push
+    doubles for every such step in a row that does not cross.  A step that
+    leaves the bracket, or (before that) is longer than half the previous
+    step, or comes from a slope that is not finite and negative, is
+    replaced by bisection.  Raises ``ConvergenceError`` with the bracket
+    width after ``ROOT_MAX_ITER`` evaluations.
     """
     lo, hi = float(lo), float(hi)
     x = 0.5 * (lo + hi)
@@ -133,7 +174,7 @@ def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, f
     side, push = 0, math.ulp(x)
     x_old = value_old = math.nan
     for _ in range(ROOT_MAX_ITER):
-        value, deriv = f(x)
+        value, deriv = yield x
         crossed = (value > 0.0) != (side > 0)
         if value > 0.0:
             lo, side = x, 1

@@ -196,6 +196,33 @@ class TestCurve:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == (GOLDEN / f"curve_{stem}.csv").read_bytes()
 
+    def test_viterbi_is_the_focusing_column_solved_once(self, tmp_path, monkeypatch):
+        solved = []
+        curve = cli.bound_curve
+
+        def counted(channel, name, rates, fortify_k=None):
+            solved.append(name)
+            return curve(channel, name, rates, fortify_k)
+
+        monkeypatch.setattr(cli, "bound_curve", counted)
+        out = tmp_path / "c.csv"
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds",
+                    "focusing,viterbi,timesharing", "--rate-grid", "1e-4:0.5:12",
+                    "--out", out]) == 0
+        assert solved == ["focusing", "timesharing"]
+        rows = list(csv.DictReader(open(out)))
+        assert [r["viterbi"] for r in rows] == [r["focusing"] for r in rows]
+        ch, _ = cli.load_channel(CHANNELS / "bsc002.json")
+        assert [r["focusing"] for r in rows] == [
+            repr(exponents.focusing_bound(ch, float(r["rate_nats"]))) for r in rows]
+
+    def test_rate_that_fails_is_named(self, tmp_path, capsys):
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "esp,timesharing",
+                    "--rate-grid", "0:0.5:3", "--out", tmp_path / "c.csv"]) == \
+            cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "delaylab: timesharing at rate 0.0: rate must be positive\n")
+
 
 def trace_columns(case):
     """Per-trial numpy columns for one trace-writer case."""
@@ -417,6 +444,56 @@ class TestSim:
         assert run(["sim", kind, cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
         assert f"{field} must be a positive integer, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "s/summary.json").exists()
+
+    GEOMETRIC_QUEUE = {"service": {"kind": "geometric", "beta": 0.4}, "arrival_period": 2,
+                       "horizon": 5000}
+    INTEGER_FIELDS = [
+        ("queue", GEOMETRIC_QUEUE, (), "arrival_period"),
+        ("queue", {**GEOMETRIC_QUEUE, "service": {"kind": "truncated_geometric",
+                                                  "beta": 0.4, "cap": 3}},
+         ("service",), "cap"),
+        ("ncl", {**TRACE_DIGESTS["ncl_bound_driven"][1], "horizon_blocks": 500}, (), "k"),
+        ("ncl", {**EXACT_TINY, "horizon_blocks": 500}, (), "n"),
+        ("ncl", {**EXACT_TINY, "horizon_blocks": 500}, (), "c"),
+        ("ncl", {**EXACT_TINY, "horizon_blocks": 500}, (), "l"),
+        ("ncl", {**EXACT_TINY, "horizon_blocks": 500}, (), "feedback_lag"),
+        ("ncl", {**TRACE_DIGESTS["ncl_bound_driven"][1], "horizon_blocks": 500}, (),
+         "min_misses"),
+        ("bec", {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5, "horizon": 5000}, (),
+         "trace_stride"),
+    ]
+
+    @pytest.mark.parametrize("value", [-3, 0, 2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("kind,config,path,field", INTEGER_FIELDS,
+                             ids=[f"{k}-{f}" for k, _, _, f in INTEGER_FIELDS])
+    def test_integer_fields_are_not_truncated(self, tmp_path, capsys, kind, config,
+                                              path, field, value):
+        # a fractional value used to run truncated and exit 0
+        config = json.loads(json.dumps(config))
+        inner = config
+        for key in path:
+            inner = inner[key]
+        inner[field] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["sim", kind, cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        assert f"{field} must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s/summary.json").exists()
+
+    @pytest.mark.parametrize("value", [-1, 2.5, 2.0, True, "2", None])
+    def test_queue_offset_is_a_nonnegative_integer(self, tmp_path, capsys, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**self.GEOMETRIC_QUEUE, "service": {
+            "kind": "offset_geometric", "offset": value, "beta": 0.25}, "arrival_period": 5}))
+        assert run(["sim", "queue", cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        assert f"offset must be a nonnegative integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s/summary.json").exists()
+
+    def test_queue_offset_zero_runs(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**self.GEOMETRIC_QUEUE, "service": {
+            "kind": "offset_geometric", "offset": 0, "beta": 0.25}, "arrival_period": 5}))
+        assert run(["sim", "queue", cfg, "--out", tmp_path / "s"]) == 0
 
     def test_summary_is_strict_json(self, tmp_path):
         # at seed 5 every miss falls below the grid, so the fit is unbounded

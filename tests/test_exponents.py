@@ -1221,3 +1221,155 @@ class TestCurves:
             assert ex.sphere_packing(bsc002, r, fortify_k=k) == pytest.approx(
                 ex.sphere_packing(bsc002, r - shift), abs=1e-6)
         assert ex.sphere_packing(bsc002, shift / 2, fortify_k=k) == math.inf
+
+
+def hex_floats(values):
+    """Floats as hex strings: equal lists are equal bit for bit."""
+    return [float(v).hex() for v in values]
+
+
+@pytest.fixture(params=["bsc002", "bsc0003", "bec04", "bsc002_fortified"])
+def lockstep_case(request, bsc002, bec04):
+    """(channel, fortification) of the lockstep kernel and curve tests."""
+    return {"bsc002": (bsc002, None), "bsc0003": (dmc.bsc(0.003), None),
+            "bec04": (bec04, None), "bsc002_fortified": (bsc002, 50)}[request.param]
+
+
+class TestLockstepKernel:
+    """``_e0_and_slope_lanes`` equals ``_e0_and_slope`` bit for bit, E0 and
+    slope, whatever lanes share its call."""
+
+    RHOS = [*np.random.default_rng(17).uniform(np.log(1e-9), np.log(1e8), 2000),
+            0.0, 1.0, 3.0, ex.RHO_MAX]
+
+    def rhos(self):
+        # seeded random rho in [1e-9, 1e8], log-uniform, then the fast-path rho
+        return [float(np.exp(v)) for v in self.RHOS[:-4]] + self.RHOS[-4:]
+
+    def test_mixed_lanes_match_scalar(self, lockstep_case):
+        ch, k = lockstep_case
+        rhos = self.rhos()
+        # rho = 0, 1, 3 and RHO_MAX sit among the random rho of one call
+        mixed = rhos[:700] + rhos[-4:] + rhos[700:-4]
+        got = ex._e0_and_slope_lanes(ch, mixed, k)
+        want = [ex._e0_and_slope(ch, rho, k) for rho in mixed]
+        assert [hex_floats(p) for p in got] == [hex_floats(p) for p in want]
+
+    def test_one_lane_calls_match_scalar(self, lockstep_case):
+        ch, k = lockstep_case
+        for rho in self.rhos()[::50] + self.rhos()[-4:]:
+            [got] = ex._e0_and_slope_lanes(ch, [rho], k)
+            assert hex_floats(got) == hex_floats(ex._e0_and_slope(ch, rho, k))
+
+    def test_negative_rho_rejected(self, bsc002):
+        with pytest.raises(ValueError):
+            ex._e0_and_slope_lanes(bsc002, [0.5, -1.0], None)
+
+
+class TestBoundCurve:
+    """``bound_curve`` runs the rho and eta searches of a whole curve in
+    lockstep, and returns what ``bound_at_rate`` returns rate by rate."""
+
+    NAMES = ("esp", "er", "er4", "focusing", "viterbi", "timesharing")
+
+    def rates(self, ch, k, name):
+        cap = ch.capacity_solution[0] + (LN2 / k if k else 0.0)
+        # 1e-4 forces the fourfold bracket expansions on BSC(0.003)
+        rates = [1e-4, 3e-3, 0.05, 0.25 * cap, 0.5 * cap, 0.9 * cap, 0.999 * cap,
+                 cap, cap + 0.1]
+        # R = 0 raises for focusing and timesharing (tested below)
+        return rates if name in ("focusing", "viterbi", "timesharing") else [0.0, *rates]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equals_bound_at_rate(self, lockstep_case, name):
+        ch, k = lockstep_case
+        rates = self.rates(ch, k, name)
+        if name == "esp" and ch.rows[0, 1] == 0.003:
+            rates = rates[1:]  # esp at R = 0 raises on BSC(0.003): see below
+        want = [ex.bound_at_rate(ch, name, r, k) for r in rates]
+        assert hex_floats(ex.bound_curve(ch, name, rates, k)) == hex_floats(want)
+
+    def test_rate_order_does_not_matter(self, bsc002):
+        rates = self.rates(bsc002, None, "esp")
+        shuffled = rates[::-1]
+        assert hex_floats(ex.bound_curve(bsc002, "esp", shuffled)) == hex_floats(
+            ex.bound_curve(bsc002, "esp", rates)[::-1])
+
+    def test_asymmetric_and_program_bounds_go_rate_by_rate(self, z05, bsc002, e0_calls):
+        rates = [0.05, 0.1, 0.2]
+        for ch, name in ((z05, "esp"), (z05, "er"), (z05, "timesharing"),
+                         (bsc002, "haroutunian"), (bsc002, "burnashev")):
+            want = [ex.bound_at_rate(ch, name, r) for r in rates]
+            assert hex_floats(ex.bound_curve(ch, name, rates)) == hex_floats(want)
+
+    def test_lane_error_propagates_with_its_residual(self):
+        bsc0003 = dmc.bsc(0.003)
+        with pytest.raises(dmc.ConvergenceError) as alone:
+            ex.bound_at_rate(bsc0003, "esp", 0.0)
+        # the failing lane runs among lanes that finish before and after it
+        with pytest.raises(dmc.ConvergenceError) as curve:
+            ex.bound_curve(bsc0003, "esp", [0.3, 1e-4, 0.0, 0.05])
+        assert str(curve.value) == str(alone.value)
+        assert curve.value.residual == alone.value.residual
+
+    def test_first_failing_rate_raises(self, bsc002):
+        # the rate-0 focusing lane fails at once; a loop over the rates
+        # would stop at the first of them
+        with pytest.raises(ValueError, match=r"^at rate 0\.0: rate must be positive$"):
+            ex.bound_curve(bsc002, "focusing", [0.1, 0.0, 0.2, 0.0])
+        with pytest.raises(ValueError, match="list size must be at least 1"):
+            ex.bound_curve(bsc002, "er0", [0.1, 0.2])
+        with pytest.raises(KeyError):
+            ex.bound_curve(bsc002, "nope", [0.1])
+        assert ex.bound_curve(bsc002, "esp", []) == []
+
+
+@pytest.fixture
+def lane_rounds(monkeypatch):
+    """The rho of every ``_e0_and_slope_lanes`` call, one list per call."""
+    rounds = []
+    kernel = ex._e0_and_slope_lanes
+
+    def counted(p, rhos, fortify_k):
+        rounds.append(list(rhos))
+        return kernel(p, rhos, fortify_k)
+
+    monkeypatch.setattr(ex, "_e0_and_slope_lanes", counted)
+    return rounds
+
+
+class TestLockstepWorkCounters:
+    """A lockstep curve costs one kernel call per round, and each lane
+    evaluates E0 exactly as often as the search at its rate does alone:
+    every lane yields once per round until it ends, so the rounds of a curve
+    are its longest lane.  The counts are deterministic; they may fall, and
+    must not rise."""
+
+    # rounds of an 84-rate curve from 1e-4 to 0.97 C on BSC(0.02)
+    ROUNDS = {"esp": 44, "focusing": 21}
+
+    def grid(self, ch):
+        return np.linspace(1e-4, 0.97 * ch.capacity_solution[0], 84).tolist()
+
+    @pytest.mark.parametrize("name", sorted(ROUNDS))
+    def test_kernel_calls_per_curve(self, bsc002, lane_rounds, name):
+        ex.bound_curve(bsc002, name, self.grid(bsc002))
+        assert len(lane_rounds) == self.ROUNDS[name]
+        assert len(lane_rounds[0]) == 84
+
+    @pytest.mark.parametrize("name", sorted(ROUNDS))
+    def test_each_lane_counts_as_its_scalar_search(self, bsc002, lane_rounds, e0_calls, name):
+        alone, lanes = [], []
+        for r in self.grid(bsc002):
+            e0_calls.clear()
+            ex.bound_at_rate(bsc002, name, r)
+            alone.append(len(e0_calls))
+            lane_rounds.clear()
+            ex.bound_curve(bsc002, name, [r])
+            lanes.append(len(lane_rounds))
+        assert lanes == alone
+        lane_rounds.clear()
+        ex.bound_curve(bsc002, name, self.grid(bsc002))
+        # round t holds every lane with more than t evaluations
+        assert [len(rhos) for rhos in lane_rounds] == [
+            sum(n > t for n in alone) for t in range(max(alone))]

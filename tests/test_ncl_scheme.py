@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from delaylab import dmc, ncl_scheme as ncl, queue_model as qm
+from delaylab.bec_lab import fit_delay_exponent
 from delaylab.exponents import e0_max, gallager_e0
 from oracles import loop_ncl_exact_tiny
 
@@ -230,6 +231,15 @@ class TestBoundDriven:
         fit = tr.measure_exponent(ncl.default_delay_grid(prm), min_misses=30)
         assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
         assert fit.ci_low <= fit.slope <= fit.ci_high
+
+    def test_fit_drops_the_warmup_blocks(self, bsc002):
+        prm = ncl.select_params(bsc002, rate=0.2, delta=0.05, k=10, rho=1.0)
+        tr = ncl.simulate_ncl_bound_driven(prm, 20_000, seed=4)
+        grid = ncl.default_delay_grid(prm)
+        fit = tr.measure_exponent(grid, min_misses=30)
+        want = fit_delay_exponent(tr.end_to_end()[ncl.WARMUP_BLOCKS:], grid, 30)
+        assert (fit.slope, fit.ci_low, fit.ci_high) == (want.slope, want.ci_low, want.ci_high)
+        assert list(fit.miss_counts) == list(want.miss_counts)
 
     def test_fig12_anchor_rate_037(self, bsc002):
         # an achievable fixed-delay exponent of at least 0.9 * 0.44 at 0.37 nats

@@ -8,6 +8,45 @@ from delaylab.exponents import channel_capacity_fast, gallager_e0, sphere_packin
 from oracles import blahut_arimoto
 
 
+class TestSearchSteps:
+    """The 1-D searches are generators: driven one at a time by their
+    scalar APIs, or many together, they evaluate the same points."""
+
+    @staticmethod
+    def quartic(c):
+        return lambda x: (-(x - c) ** 4, -4.0 * (x - c) ** 3)
+
+    def test_slope_argmax_reads_only_the_slope(self):
+        f = self.quartic(1.3)
+        with_values = optimize.run_steps(optimize.slope_argmax_steps(0.0, 3.0, 1e-9), f)
+        without = optimize.run_steps(optimize.slope_argmax_steps(0.0, 3.0, 1e-9),
+                                     lambda x: (math.nan, f(x)[1]))
+        res = optimize.maximize_concave_1d(lambda x: f(x)[0], 0.0, 3.0, tol=1e-9,
+                                           slope=lambda x: f(x)[1])
+        assert with_values == without == (res.argmax, res.iterations)
+        assert res.value == f(res.argmax)[0]
+
+    def test_lockstep_equals_one_at_a_time(self):
+        centres = [0.2, 1.0, 1.7, 2.9, 3.5, -1.0]
+        alone = [optimize.run_steps(optimize.slope_argmax_steps(0.0, 3.0, 1e-9),
+                                    self.quartic(c)) for c in centres]
+        roots = [optimize.decreasing_root(lambda x, c=c: (c - x, -1.0), -5.0, 5.0)
+                 for c in centres]
+        lanes = [optimize.slope_argmax_steps(0.0, 3.0, 1e-9) for _ in centres]
+        lanes += [optimize.root_steps(-5.0, 5.0) for _ in centres]
+        fns = [self.quartic(c) for c in centres] + [lambda x, c=c: (c - x, -1.0)
+                                                     for c in centres]
+        results, points = [None] * len(lanes), {i: next(g) for i, g in enumerate(lanes)}
+        while points:
+            for i, x in list(points.items()):  # one round: every lane, one point
+                try:
+                    points[i] = lanes[i].send(fns[i](x))
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    del points[i]
+        assert results == alone + roots
+
+
 class TestMaximizeConcave1d:
     def test_quadratic(self):
         res = optimize.maximize_concave_1d(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, tol=1e-10)
