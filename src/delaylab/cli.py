@@ -26,6 +26,7 @@ from .dmc import (LN2, ConvergenceError, Dmc, bec, bits_from_nats, bsc, nats_fro
 from .dmc import _block_is_symmetric  # declared-partition verification
 from .exponents import (
     KNOWN_BOUNDS,
+    _list_size,
     bound_at_rate,
     bound_curve,
     capacity_slope_focusing,
@@ -63,7 +64,8 @@ def _load_json(path: str) -> dict:
 
 def load_channel(path: str) -> tuple[Dmc, int | None]:
     """Parse a channel file {name, matrix, k?, partition?}; probabilities may
-    be floats or decimal strings.  A declared partition is verified."""
+    be floats or decimal strings, k is a positive integer, and a declared
+    partition, a list of nonempty lists of output indices, is verified."""
     spec = _load_json(path)
     try:
         matrix = [[float(v) for v in row] for row in spec["matrix"]]
@@ -73,11 +75,14 @@ def load_channel(path: str) -> tuple[Dmc, int | None]:
         channel = Dmc(np.array(matrix), name=str(spec.get("name", Path(path).stem)))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}")
-    fortify_k = spec.get("k")
-    if fortify_k is not None and (int(fortify_k) != fortify_k or fortify_k < 1):
-        raise CliError(EXIT_PARSE, f"{path}: fortification period must be a positive integer")
+    fortify_k = None if spec.get("k") is None else _count(spec, "k")
     declared = spec.get("partition")
     if declared is not None:
+        if type(declared) is not list or not all(
+                type(block) is list and block and all(type(y) is int for y in block)
+                for block in declared):
+            raise CliError(EXIT_PARSE, f"{path}: partition must be a list of nonempty "
+                           f"lists of output indices, got {declared!r}")
         seen = sorted(y for block in declared for y in block)
         if seen != list(range(channel.output_size)):
             raise CliError(EXIT_PARSE, f"{path}: partition must cover every output once")
@@ -85,7 +90,7 @@ def load_channel(path: str) -> tuple[Dmc, int | None]:
             if not _block_is_symmetric(channel.rows[:, sorted(block)]):
                 raise CliError(EXIT_PARSE, f"{path}: declared partition block {block} "
                                "is not symmetric")
-    return channel, (int(fortify_k) if fortify_k is not None else None)
+    return channel, fortify_k
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -101,9 +106,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _check_bounds(names: list[str]) -> None:
     for name in names:
-        if name in KNOWN_BOUNDS:
-            continue
-        if name.startswith("er") and name[2:].isdigit():
+        if name in KNOWN_BOUNDS or _list_size(name) is not None:
             continue
         raise CliError(EXIT_UNKNOWN, f"unknown bound '{name}' "
                        f"(known: {', '.join(KNOWN_BOUNDS)}, erL)")

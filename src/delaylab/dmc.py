@@ -21,7 +21,6 @@ import numpy as np
 LN2 = math.log(2.0)
 
 ROW_SUM_TOL = 1e-12
-SYMMETRY_SEARCH_MAX_OUTPUTS = 8
 CAPACITY_TOL = 1e-12  # certified distance of capacity's value below C
 
 
@@ -82,9 +81,8 @@ class Dmc:
 
     @cached_property
     def symmetric(self) -> bool:
-        """True when ``is_output_symmetric`` verifies an output-symmetry
-        partition; False when there is none or the search is out of range."""
-        return is_output_symmetric(self) is True
+        """``is_output_symmetric``: whether the outputs have a symmetry partition."""
+        return is_output_symmetric(self)
 
     @cached_property
     def uniform(self) -> np.ndarray:
@@ -278,18 +276,6 @@ def c1(p: Dmc) -> float:
                       for x in range(p.input_size) for xp in range(p.input_size) if x != xp))
 
 
-def _set_partitions(items: list[int]):
-    """All partitions of ``items`` into nonempty blocks (restricted growth)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partial in _set_partitions(rest):
-        for i in range(len(partial)):
-            yield partial[:i] + [[first] + partial[i]] + partial[i + 1:]
-        yield [[first]] + partial
-
-
 def _block_is_symmetric(sub: np.ndarray) -> bool:
     # rows permutations of each other and columns permutations of each other
     rows_sorted = np.sort(sub, axis=1)
@@ -300,27 +286,31 @@ def _block_is_symmetric(sub: np.ndarray) -> bool:
 
 
 def output_symmetry_partition(p: Dmc) -> list[tuple[int, ...]] | None:
-    """Gallager output-symmetry check by exhaustive search over output partitions.
+    """Gallager's output-symmetry partition, from the column classes.
 
     Returns a partition of the output letters into blocks whose sub-matrices
-    have mutually permuted rows and mutually permuted columns, or None when the
-    channel is not output-symmetric.  Raises for alphabets beyond the
-    exhaustive-search limit; callers treat that as "undetermined".
+    have mutually permuted rows and mutually permuted columns, or None when
+    the channel is not output-symmetric.  Each output joins, in index order,
+    the first class whose first column has its sorted entries (within
+    1e-12).  Such a block's columns are permutations of each other, so every
+    one lies inside a class, and a union of them inside a class is one too:
+    the classes form such a partition exactly when some partition does.
     """
-    ny = p.output_size
-    if ny > SYMMETRY_SEARCH_MAX_OUTPUTS:
-        raise ValueError(
-            f"symmetry search supports at most {SYMMETRY_SEARCH_MAX_OUTPUTS} outputs"
-        )
-    for partition in _set_partitions(list(range(ny))):
-        if all(_block_is_symmetric(p.rows[:, sorted(block)]) for block in partition):
-            return sorted(tuple(sorted(block)) for block in partition)
+    cols = np.sort(p.rows, axis=0).T
+    close = (np.abs(cols[:, None] - cols[None]) <= 1e-12).all(axis=2).tolist()
+    classes: list[list[int]] = []
+    for y in range(p.output_size):
+        for block in classes:
+            if close[y][block[0]]:
+                block.append(y)
+                break
+        else:
+            classes.append([y])
+    if all(_block_is_symmetric(p.rows[:, block]) for block in classes):
+        return [tuple(block) for block in classes]
     return None
 
 
-def is_output_symmetric(p: Dmc) -> bool | None:
-    """True/False from the exhaustive search; None when undetermined (|Y| too large)."""
-    try:
-        return output_symmetry_partition(p) is not None
-    except ValueError:
-        return None
+def is_output_symmetric(p: Dmc) -> bool:
+    """Whether ``output_symmetry_partition`` finds a partition."""
+    return output_symmetry_partition(p) is not None

@@ -256,7 +256,9 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     new bracket contains: far out (at R = 0, where the supremum is the
     limit of E0 at infinity) E0's roundoff, about (1+rho) eps, and its
     certificate floor outgrow the climb.  The result is then the largest
-    value seen.  The search is ``_sphere_packing_steps``, which
+    value seen.  On output-symmetric channels with R_inf = 0 and no
+    fortification, R = 0 takes that limit in closed form instead.  The
+    search is ``_sphere_packing_steps``, which
     ``bound_curve`` runs for many rates at once.
     """
     return _run_lane(p, fortify_k, _sphere_packing_steps(p, r, fortify_k,
@@ -322,6 +324,11 @@ def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
+    if r == 0 and fortify_k is None and p.symmetric and p.divergence_rate == 0:
+        # E0 at the uniform input climbs to -ln sum_y prod_x P(y|x)^(1/|X|)
+        # over the outputs every input reaches
+        reached = p.rows[:, p.support.all(axis=0)]
+        return -math.log(float(np.prod(reached ** (1.0 / p.input_size), axis=0).sum()))
     lo, hi, best = 0.0, RHO_MAX, -math.inf
     while True:
         res = yield from climb(lo, hi, 1e-9)

@@ -15,6 +15,9 @@ lambda and the output law.
 Blahut-Arimoto's alternating maximization for the channel capacity, which
 the program replaced with the certified min-max program over output laws.
 
+The exhaustive search over all Bell(|Y|) output partitions for Gallager's
+output symmetry, which the program replaced with the column classes.
+
 The simulation trace writer that formatted one value at a time, and the
 exact-tiny (n, c, l) simulator that decoded and queued one block at a time.
 
@@ -31,7 +34,7 @@ import numpy as np
 from delaylab import exponents as ex
 from delaylab.bec_lab import substream
 from delaylab.cli import _fmt
-from delaylab.dmc import ConvergenceError
+from delaylab.dmc import ConvergenceError, _block_is_symmetric
 from delaylab.ncl_scheme import (EXACT_TINY_MAX_BLOCK_USES, EXACT_TINY_MAX_CODEWORDS,
                                  NclTrace)
 from delaylab.optimize import maximize_concave_1d
@@ -175,6 +178,27 @@ def blahut_arimoto(p, tol, max_iter=1_000_000):
         q = q * np.exp(d - upper)
         q = q / q.sum()
     raise ConvergenceError("Blahut-Arimoto iteration cap exceeded", residual)
+
+
+def set_partitions(items):
+    """All partitions of ``items`` into nonempty blocks (restricted growth)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partial in set_partitions(rest):
+        for i in range(len(partial)):
+            yield partial[:i] + [[first] + partial[i]] + partial[i + 1:]
+        yield [[first]] + partial
+
+
+def exhaustive_symmetry_partition(p):
+    """The first partition of the outputs whose blocks all pass
+    ``_block_is_symmetric``, as sorted blocks, or None."""
+    for partition in set_partitions(list(range(p.output_size))):
+        if all(_block_is_symmetric(p.rows[:, sorted(block)]) for block in partition):
+            return sorted(tuple(sorted(block)) for block in partition)
+    return None
 
 
 def row_loop_trace_csv(path, header, rows_by_trial):

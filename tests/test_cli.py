@@ -42,6 +42,20 @@ class TestChannelParsing:
             cli.load_channel(str(bad))
         assert err.value.code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("field,value", [
+        ("k", [50]), ("k", {"a": 1}), ("k", "abc"), ("k", True), ("k", 50.0), ("k", 2.5),
+        ("k", 0), ("k", -1),
+        ("partition", 5), ("partition", [[0, "1"], [2]]), ("partition", [0, 1, 2]),
+        ("partition", [[0, True], [2]]), ("partition", [[0, 1], [2], []]),
+        ("partition", [[0, 1], [3]]),
+    ])
+    def test_malformed_fields_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"matrix": [[0.6, 0.0, 0.4], [0.0, 0.6, 0.4]],
+                                    field: value}))
+        assert run(["bounds", path, "--rate", "0.1", "--bounds", "esp"]) == cli.EXIT_PARSE
+        assert f"{field} must" in capsys.readouterr().err
+
     def test_invalid_matrix_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"matrix": [[0.7, 0.2], [0.5, 0.5]]}))

@@ -1,11 +1,14 @@
 import math
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
-from oracles import blahut_arimoto
+from oracles import blahut_arimoto, exhaustive_symmetry_partition
 
 
 def binary_entropy(p):
@@ -57,7 +60,7 @@ UNUSED_INPUT = [[0.38685779, 0.57187018, 0.04127203],
 class TestChannelFacts:
     def test_facts_match_the_functions_they_cache(self, z05):
         for ch in (dmc.bsc(0.02), dmc.bec(0.4), z05):
-            assert ch.symmetric is (dmc.is_output_symmetric(ch) is True)
+            assert ch.symmetric is dmc.is_output_symmetric(ch)
             assert np.array_equal(ch.uniform, np.full(ch.input_size, 1.0 / ch.input_size))
             value, q = dmc.capacity(ch)
             assert ch.capacity_solution[0] == value
@@ -236,24 +239,75 @@ class TestDivergence:
             dmc.divergence_conditional(bec04, bsc002, [0.5, 0.5])
 
 
+@st.composite
+def symmetry_channels(draw):
+    """Channels with 2 or 3 inputs and at most 6 outputs: random rows, or
+    built output-symmetric from blocks (a constant column, or |X| columns
+    of a circulant), columns shuffled, and then possibly two entries of a
+    row swapped, which usually breaks the symmetry."""
+    nx = draw(st.integers(2, 3))
+    weight = st.integers(0, 3)  # small integers, so that entries coincide
+    if draw(st.booleans()):
+        ny = draw(st.integers(2, 6))
+        rows = [draw(st.lists(weight, min_size=ny, max_size=ny).filter(any))
+                for _ in range(nx)]
+    else:
+        columns = []
+        while len(columns) < 2 or len(columns) + nx <= 6 and draw(st.booleans()):
+            if draw(st.booleans()):
+                columns.append([draw(weight)] * nx)
+            else:
+                first = draw(st.lists(weight, min_size=nx, max_size=nx))
+                columns += [[first[(y - x) % nx] for x in range(nx)] for y in range(nx)]
+        columns = draw(st.permutations(columns))
+        rows = [list(row) for row in zip(*columns)]
+        if draw(st.booleans()):
+            x = draw(st.integers(0, nx - 1))
+            a, b = draw(st.lists(st.integers(0, len(columns) - 1), min_size=2, max_size=2))
+            rows[x][a], rows[x][b] = rows[x][b], rows[x][a]
+        if not all(any(row) for row in rows):
+            rows = [[1] * len(columns)] * nx
+    return dmc.Dmc([[w / sum(row) for w in row] for row in rows])
+
+
 class TestSymmetryPartition:
     def test_bsc_single_block(self, bsc002):
         assert dmc.output_symmetry_partition(bsc002) == [(0, 1)]
 
     def test_bec_splits_erasure(self, bec04):
-        # exhaustive check: the erasure column forms its own symmetric block
+        # the erasure column forms its own class
         assert dmc.output_symmetry_partition(bec04) == [(0, 1), (2,)]
 
     def test_z_channel_not_symmetric(self, z05):
         assert dmc.output_symmetry_partition(z05) is None
         assert dmc.is_output_symmetric(z05) is False
 
-    def test_large_alphabet_undetermined(self):
-        rows = np.full((2, 9), 1.0 / 9)
-        ch = dmc.Dmc(rows)
-        with pytest.raises(ValueError):
-            dmc.output_symmetry_partition(ch)
-        assert dmc.is_output_symmetric(ch) is None
+    def test_large_alphabets(self):
+        assert dmc.output_symmetry_partition(dmc.Dmc(np.full((2, 9), 1.0 / 9))) == [
+            tuple(range(9))]
+        # rows permuted within outputs 0-3 and within outputs 4-9
+        row = np.array([.30, .10, .05, .02, .20, .12, .08, .06, .04, .03])
+        row /= row.sum()
+        ch = dmc.Dmc([row, np.concatenate([row[3::-1], row[:3:-1]])])
+        assert dmc.output_symmetry_partition(ch) == [(0, 3), (1, 2), (4, 9), (5, 8), (6, 7)]
+        uneven = np.full((2, 9), 1.0 / 9)
+        uneven[0, :2] += (0.01, -0.01)
+        assert dmc.is_output_symmetric(dmc.Dmc(uneven)) is False
+        # the parametric focusing path, not the general program (about 1.4 s)
+        start = time.perf_counter()
+        fast = ex.focusing_bound(ch, 0.1)
+        assert time.perf_counter() - start < 0.05
+        assert fast == pytest.approx(ex.focusing_bound(ch, 0.1, force_general=True), rel=1e-12)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_column_classes_agree_with_exhaustive_search(self, data):
+        ch = data.draw(symmetry_channels())
+        found = dmc.output_symmetry_partition(ch)
+        assert (found is None) is (exhaustive_symmetry_partition(ch) is None)
+        if found is not None:
+            assert sorted(y for block in found for y in block) == list(range(ch.output_size))
+            assert all(dmc._block_is_symmetric(ch.rows[:, block]) for block in found)
 
     def test_uniform_input_optimal_for_symmetric(self, bsc002, bec04):
         for ch in (bsc002, bec04):

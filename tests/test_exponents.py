@@ -347,6 +347,26 @@ def small_channels(draw):
     return dmc.Dmc([row() for _ in range(nx)])
 
 
+# The property tests take channels whose capacity exceeds this floor, and
+# these three, of capacity 1.7e-6, 2.0e-4 and 2.5e-4, as examples.  The
+# floor stays above 0: capacity is certified only to 1e-12, and a channel
+# with identical rows has a capacity of roundoff (about 1e-16), a rate
+# scale the oracles divide by.
+CAPACITY_FLOOR = 1e-9
+LOW_CAPACITY_CHANNELS = (dmc.Dmc([[0.97709924, 0.02290076], [0.97765363, 0.02234637]]),
+                         dmc.bsc(0.49),
+                         dmc.Dmc([[.5, .3, .2], [.49, .31, .2], [.5, .29, .21]]))
+
+
+def low_capacity_examples(**args):
+    """``hypothesis.example`` at each of ``LOW_CAPACITY_CHANNELS``."""
+    def decorate(test):
+        for ch in LOW_CAPACITY_CHANNELS:
+            test = example(ch=ch, **args)(test)
+        return test
+    return decorate
+
+
 # Near capacity the exponents are differences of O(1e-2) terms, so roundoff
 # puts either solver about 1e-16 from a 40-digit reference value: compare
 # with a relative tolerance and this absolute floor
@@ -382,9 +402,9 @@ class TestRhoSolversAgainstOracles:
     # a low rate on a weak channel, where the focusing root is determined
     # only to about 5e-12
     @example(ch=dmc.bsc(7 / 15), frac=0.01171875, list_size=1)
+    @low_capacity_examples(frac=0.8, list_size=4)
     def test_match_oracles_and_orderings(self, ch, frac, list_size):
-        # rates below a capacity of 1e-3 are outside the property's domain
-        assume(dmc.capacity(ch)[0] > 1e-3)
+        assume(dmc.capacity(ch)[0] > CAPACITY_FLOOR)
         r = frac * ch.capacity_solution[0]
 
         def check(solver, oracle, *args, inversion=None):
@@ -442,14 +462,18 @@ class TestRhoSolversAgainstOracles:
         ([[0.97709924, 0.02290076], [0.97765363, 0.02234637]], 1.7375444391504276e-06, 1e-10),
         ([[0.8, 0.2], [0.3, 0.7]], 0.14618440145832038, 1e-7),
         ([[0.98, 0.02], [0.02, 0.98]], 1.2729656758128874, 1e-7),
+        ([[0.997, 0.003], [0.003, 0.997]], 2.2129265691072177, 1e-15),
+        ([[.9, .05, .05], [.05, .9, .05], [.05, .05, .9]], 0.9336627322538264, 1e-15),
     ])
     def test_rate_zero_sphere_packing_is_the_limit_of_e0(self, rows, limit, band):
-        # at R = 0 the supremum is lim E0(rho) = max_s -ln sum_y
-        # P(y|0)^s P(y|1)^(1-s) (40-digit values), reached only at infinity.
-        # The expansion stops near rho = 1e5..1e7, short of the limit by the
-        # climb left there (about 4e-8 on the 2x2 channel) and off by E0's
-        # roundoff, about (1+rho) eps (2e-11 on the weak channel); the
-        # golden-section search stopped 7.6e-5 short on the 2x2 channel
+        # at R = 0 the supremum is lim E0(rho) = max_q -ln sum_y
+        # prod_x P(y|x)^(q_x) (40-digit values), reached only at infinity.
+        # On the output-symmetric channels q is uniform and the limit is
+        # taken in closed form.  Elsewhere the expansion stops near
+        # rho = 1e5..1e7, short of the limit by the climb left there (about
+        # 4e-8 on the 2x2 channel) and off by E0's roundoff, about
+        # (1+rho) eps (2e-11 on the weak channel); the golden-section search
+        # stopped 7.6e-5 short on the 2x2 channel
         assert ex.sphere_packing(dmc.Dmc(rows), 0.0) == pytest.approx(limit, abs=band)
 
     @pytest.mark.parametrize("fortify_k", [None, 50])
@@ -774,9 +798,10 @@ class TestDivergenceRate:
 class TestHaroutunianProperties:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(ch=small_channels(), frac=st.floats(0.02, 0.98))
+    @low_capacity_examples(frac=0.8)
     def test_sphere_packing_below_and_equal_on_symmetric(self, ch, frac):
         cap = dmc.capacity(ch)[0]
-        assume(cap > 1e-3)  # the domain of TestRhoSolversAgainstOracles
+        assume(cap > CAPACITY_FLOOR)
         r = frac * cap
         esp = ex.sphere_packing(ch, r)
         eplus = ex.haroutunian(ch, r, use_symmetry_fast_path=False)
@@ -786,9 +811,10 @@ class TestHaroutunianProperties:
 
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
     @given(ch=small_channels(), frac=st.floats(0.02, 0.9), step=st.floats(0.01, 0.1))
+    @low_capacity_examples(frac=0.8, step=0.05)
     def test_tilde_certified_below_standard_and_nonincreasing(self, ch, frac, step):
         cap = dmc.capacity(ch)[0]
-        assume(cap > 1e-3)
+        assume(cap > CAPACITY_FLOOR)
         r = frac * cap
         assume(r > ex.divergence_rate(ch) + 1e-6)
         solved = []
@@ -1284,8 +1310,6 @@ class TestBoundCurve:
     def test_equals_bound_at_rate(self, lockstep_case, name):
         ch, k = lockstep_case
         rates = self.rates(ch, k, name)
-        if name == "esp" and ch.rows[0, 1] == 0.003:
-            rates = rates[1:]  # esp at R = 0 raises on BSC(0.003): see below
         want = [ex.bound_at_rate(ch, name, r, k) for r in rates]
         assert hex_floats(ex.bound_curve(ch, name, rates, k)) == hex_floats(want)
 
@@ -1304,11 +1328,11 @@ class TestBoundCurve:
 
     def test_lane_error_propagates_with_its_residual(self):
         bsc0003 = dmc.bsc(0.003)
-        with pytest.raises(dmc.ConvergenceError) as alone:
-            ex.bound_at_rate(bsc0003, "esp", 0.0)
+        with pytest.raises(dmc.ConvergenceError, match="beyond eta = 1e8") as alone:
+            ex.bound_at_rate(bsc0003, "focusing", 1e-10)
         # the failing lane runs among lanes that finish before and after it
         with pytest.raises(dmc.ConvergenceError) as curve:
-            ex.bound_curve(bsc0003, "esp", [0.3, 1e-4, 0.0, 0.05])
+            ex.bound_curve(bsc0003, "focusing", [0.3, 1e-4, 1e-10, 0.05])
         assert str(curve.value) == str(alone.value)
         assert curve.value.residual == alone.value.residual
 
