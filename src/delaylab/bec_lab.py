@@ -274,9 +274,10 @@ def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
     """
     fifo = simulate_fifo(cfg)
     a, d = fifo.arrival_times, fifo.decode_times
-    # the last bit closes the final (possibly unfinished) period
-    ends = np.flatnonzero(np.append(a[1:] >= d[:-1], True))
-    last = ends[np.searchsorted(ends, np.arange(len(a)))]
+    # the last bit closes the final (possibly unfinished) period; each bit
+    # takes its period's end, repeated over the period's length
+    ends = np.append(np.flatnonzero(a[1:] >= d[:-1]), len(a) - 1)
+    last = np.repeat(ends, np.diff(ends, prepend=-1))
     return SimTrace(
         scheme="bec_parity_nofeedback",
         horizon=cfg.horizon,

@@ -10,6 +10,7 @@ All diagnostics go to stderr; stdout carries only requested tables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from .exponents import (
     capacity_slope_timesharing,
     e0_max,
     focusing_parametric_curve,
+    solved_as,
 )
 
 EXIT_OK = 0
@@ -112,6 +114,23 @@ def _check_bounds(names: list[str]) -> None:
                        f"(known: {', '.join(KNOWN_BOUNDS)}, erL)")
 
 
+def _solve_once(channel: Dmc, fortify_k: int | None, names: list[str], solve,
+                sep: str) -> list[tuple[str, object]]:
+    """(name, solve(s)) for every name, s the bound ``solved_as`` names, each
+    distinct s solved once.  A ``ValueError`` exits 3 with the message
+    "<name><sep><error>", naming the bound that was asked for."""
+    rows, solved = [], {}
+    for name in names:
+        try:
+            same = solved_as(channel, name, fortify_k)
+            if same not in solved:
+                solved[same] = solve(same)
+        except ValueError as exc:
+            raise CliError(EXIT_INFEASIBLE, f"{name}{sep}{exc}")
+        rows.append((name, solved[same]))
+    return rows
+
+
 def cmd_bounds(args) -> int:
     channel, fortify_k = load_channel(args.channel)
     rate_nats = nats_from_bits(args.rate) if args.bits else args.rate
@@ -119,13 +138,8 @@ def cmd_bounds(args) -> int:
         raise CliError(EXIT_INFEASIBLE, "rate must be nonnegative")
     names = [n.strip() for n in args.bounds.split(",") if n.strip()]
     _check_bounds(names)
-    rows = []
-    for name in names:
-        try:
-            val = bound_at_rate(channel, name, rate_nats, fortify_k)
-        except ValueError as exc:
-            raise CliError(EXIT_INFEASIBLE, f"{name}: {exc}")
-        rows.append((name, val))
+    rows = _solve_once(channel, fortify_k, names,
+                       lambda name: bound_at_rate(channel, name, rate_nats, fortify_k), ": ")
     print("bound,rate_nats,rate_bits,value_nats,value_bits")
     for name, val in rows:
         print(f"{name},{_fmt(rate_nats)},{_fmt(bits_from_nats(rate_nats))},"
@@ -158,15 +172,8 @@ def cmd_curve(args) -> int:
             rates = rates * LN2
         if np.any(rates < 0):
             raise CliError(EXIT_INFEASIBLE, "rates must be nonnegative")
-    columns, solved = {}, {}
-    for name in names:
-        same = "focusing" if name == "viterbi" else name  # one bound, two readings
-        if same not in solved:
-            try:
-                solved[same] = bound_curve(channel, same, rates, fortify_k)
-            except ValueError as exc:
-                raise CliError(EXIT_INFEASIBLE, f"{name} {exc}")
-        columns[name] = solved[same]
+    columns = dict(_solve_once(channel, fortify_k, names,
+                               lambda name: bound_curve(channel, name, rates, fortify_k), " "))
     out = Path(args.out)
     if args.format == "json":
         payload = {
@@ -593,6 +600,7 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="delaylab",
                                  description="reliability-vs-delay bounds and simulators")

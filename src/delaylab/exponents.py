@@ -15,6 +15,7 @@ feedback capacity from 0 to ln2 / k; all bounds below accept ``fortify_k``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
@@ -295,11 +296,17 @@ def _relay(steps, excess):
 def _lockstep_climb(r: float):
     """The bracket search of a lane that ``_run_lanes`` drives: the maximum
     of E0(rho) - rho r on [lo, hi] as ``maximize_concave_1d`` finds it with
-    ``slope``, from the points the lane yields."""
+    ``slope``, from the points the lane yields.  A maximizer at an end of
+    the bracket takes the value the search received there; only an interior
+    one is evaluated again."""
     def climb(lo, hi, tol):
-        x, calls = yield from _relay(slope_argmax_steps(lo, hi, tol), _tilt(r))
-        e0, _ = yield x
-        return Search1DResult(argmax=x, value=e0 - x * r, iterations=calls)
+        x, calls, seen = yield from _relay(slope_argmax_steps(lo, hi, tol), _tilt(r))
+        if seen is not None:
+            value = seen[0]
+        else:
+            e0, _ = yield x
+            value = e0 - x * r
+        return Search1DResult(argmax=x, value=value, iterations=calls)
     return climb
 
 
@@ -1114,42 +1121,69 @@ def bec_lowrate_floor(beta: float, r: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> float:
-    """Evaluate one named bound at a rate in nats.  Names: esp, er, er<L>,
-    haroutunian, tilde, burnashev, focusing, viterbi, timesharing.  Both
-    Haroutunian exponents are certified programs over output laws (see
+    """Evaluate one named bound at a rate in nats.  Names: esp, er, er<L>
+    (L >= 1), haroutunian, tilde, burnashev, focusing, viterbi, timesharing.
+    A name is evaluated as the bound ``solved_as`` names.  Both Haroutunian
+    exponents are certified programs over output laws (see
     ``haroutunian``); no bound depends on a seed.  ``bound_curve`` gives
     the same values for many rates at once."""
+    name = solved_as(p, name, fortify_k)
     if name == "esp":
         return sphere_packing(p, r, fortify_k)
     if _list_size(name) is not None:
         return random_coding_list(p, r, _list_size(name), fortify_k)
-    if name == "haroutunian":
+    if name == "haroutunian":  # unfortified, as solved_as raises otherwise
         return haroutunian(p, r)
     if name == "tilde":
         return haroutunian(p, r, "tilde")
     if name == "burnashev":
         return burnashev_bound(p, r)
-    if name in ("focusing", "viterbi"):  # viterbi: the focusing curve's other reading
+    if name == "focusing":
         return focusing_bound(p, r, fortify_k)
     if name == "timesharing":  # the two-stream curve inverted at one rate
         return _run_lane(p, fortify_k, _timesharing_steps(p, r, fortify_k))
     raise KeyError(f"unknown bound name: {name}")
 
 
+def solved_as(p: Dmc, name: str, fortify_k: int | None = None) -> str:
+    """The name of the bound whose solve gives bound ``name``'s value on
+    ``p``, so that a bound read two ways is solved once.
+
+    viterbi is the focusing bound: the fixed-delay bound has the form of
+    Viterbi's convolutional-code bound.  On an output-symmetric channel
+    haroutunian is esp, since there feedback does not improve the block
+    exponent: E+ equals sphere packing.  Fortified, it is the fortified esp:
+    the super-channel of k uses plus one noiseless bit is output-symmetric
+    too.  No program gives a fortified tilde exponent, or a fortified E+ on
+    a channel without output symmetry, so those raise ``ValueError``.  Every
+    other name, an unknown one included, is its own solve."""
+    if name == "viterbi":
+        return "focusing"
+    if name == "tilde" and fortify_k is not None:
+        raise ValueError("under fortification: no tilde exponent is known")
+    if name == "haroutunian" and p.symmetric:
+        return "esp"
+    if name == "haroutunian" and fortify_k is not None:
+        raise ValueError("under fortification: E+ is known only on output-symmetric "
+                         "channels, where it is sphere packing")
+    return name
+
+
 def _list_size(name: str) -> int | None:
-    """L of the bound names er (L = 1) and er<L>; None for every other name."""
+    """L of the bound names er (L = 1) and er<L>, L >= 1 written without a
+    leading zero; None for every other name."""
     if name == "er":
         return 1
-    if name.startswith("er") and name[2:].isdigit():
-        return int(name[2:])
-    return None
+    match = re.fullmatch(r"er([1-9][0-9]*)", name)
+    return None if match is None else int(match[1])
 
 
 def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[float]:
     """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit.
 
-    On output-symmetric channels the searches along rho of esp, er<L>,
-    focusing (and viterbi) and timesharing run as lanes of ``_run_lanes``:
+    On output-symmetric channels the searches along rho of esp (and
+    haroutunian), er<L>, focusing (and viterbi) and timesharing run as
+    lanes of ``_run_lanes``:
     each round evaluates the rho every unfinished lane waits on in one
     ``_e0_and_slope_lanes`` call, so a curve costs as many kernel calls
     as its longest search has E0 evaluations.  The other bounds, and
@@ -1170,25 +1204,20 @@ def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[
 
 
 def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):
-    """Bound ``name`` at rate r as a lane of ``_run_lanes``; a bound that
-    does not run in lockstep is a lane that yields nothing and returns
-    ``bound_at_rate``."""
+    """Bound ``name`` at rate r as a lane of ``_run_lanes``, solved as the
+    bound ``solved_as`` names; a bound that does not run in lockstep is a
+    lane that yields nothing and returns ``bound_at_rate``."""
+    name = solved_as(p, name, fortify_k)
     if p.symmetric:
         if name == "esp":
-            return _sphere_packing_steps(p, r, fortify_k, _lockstep_climb(r))
+            return (yield from _sphere_packing_steps(p, r, fortify_k, _lockstep_climb(r)))
         if _list_size(name) is not None:
-            return _random_coding_steps(r, _list_size(name), _lockstep_climb(r))
-        if name in ("focusing", "viterbi"):
-            return _focusing_steps(p, r, fortify_k)
+            return (yield from _random_coding_steps(r, _list_size(name), _lockstep_climb(r)))
+        if name == "focusing":
+            return (yield from _focusing_steps(p, r, fortify_k))
         if name == "timesharing":
-            return _timesharing_steps(p, r, fortify_k)
-    return _alone(lambda: bound_at_rate(p, name, r, fortify_k))
-
-
-def _alone(solve):
-    """A lane that yields nothing and returns ``solve()``."""
-    yield from ()
-    return solve()
+            return (yield from _timesharing_steps(p, r, fortify_k))
+    return bound_at_rate(p, name, r, fortify_k)
 
 
 def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> tuple[list, tuple | None]:

@@ -89,7 +89,9 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
         raise ValueError("need lo < hi")
     a, b = float(lo), float(hi)
     if slope is not None:
-        x, calls = run_steps(slope_argmax_steps(a, b, tol), lambda x: (math.nan, slope(x)))
+        # the pairs carry no value of f, so f is evaluated at the argmax
+        x, calls, _ = run_steps(slope_argmax_steps(a, b, tol),
+                                lambda x: (math.nan, slope(x)))
         return Search1DResult(argmax=x, value=f(x), iterations=calls)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -118,20 +120,23 @@ def slope_argmax_steps(lo: float, hi: float, tol: float):
     """The maximizer of a concave f on [lo, hi] from its nonincreasing
     slope, as a ``run_steps`` generator: it yields points x, receives the
     pair (f(x), f'(x)) and reads only f'(x), and returns (argmax,
-    iterations).
+    iterations, pair), where pair is the (f, f') it received at the argmax,
+    or None when it received none there.
 
     An end where the slope already points out of the interval is the
-    maximizer (lo when f'(lo) <= 0).  Otherwise ``root_steps`` closes a
-    bracket of ``tol`` around the root of the slope (secant steps, as no
-    second derivative is given; its own cap replaces ``GOLDEN_MAX_ITER``),
-    and the argmax is the bracket's midpoint.  ``iterations`` counts the
-    slope evaluations inside the bracket.
+    maximizer (lo when f'(lo) <= 0), with the pair received there.
+    Otherwise ``root_steps`` closes a bracket of ``tol`` around the root of
+    the slope (secant steps, as no second derivative is given; its own cap
+    replaces ``GOLDEN_MAX_ITER``), and the argmax is the bracket's midpoint.
+    ``iterations`` counts the slope evaluations inside the bracket.
     """
     a, b = float(lo), float(hi)
-    if (yield a)[1] <= 0.0:
-        return a, 0
-    if (yield b)[1] >= 0.0:
-        return b, 0
+    at_a = yield a
+    if at_a[1] <= 0.0:
+        return a, 0, at_a
+    at_b = yield b
+    if at_b[1] >= 0.0:
+        return b, 0, at_b
     root = root_steps(a, b, tol)
     x, calls = next(root), 0
     while True:
@@ -141,7 +146,7 @@ def slope_argmax_steps(lo: float, hi: float, tol: float):
             x = root.send((slope, math.nan))
         except StopIteration as stop:
             a, b = stop.value
-            return 0.5 * (a + b), calls
+            return 0.5 * (a + b), calls, None
 
 
 def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:

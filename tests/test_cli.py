@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,54 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def fill(argv, out: Path) -> list[str]:
+    """``argv`` as strings, with "{out}" in each replaced by ``out``."""
+    return [str(a).replace("{out}", str(out)) for a in argv]
+
+
+def files(root: Path) -> dict:
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_request_of_a_process(self, tmp_path, capsys):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        config = tmp_path / "bec.json"
+        config.write_text(json.dumps({"scheme": "parity", "beta": 0.4, "rate_bits": 0.5,
+                                      "horizon": 30_000}))
+        requests = [
+            ["bounds", CHANNELS / "bsc002.json", "--rate", "0.1", "--bounds",
+             "esp,haroutunian,viterbi"],
+            ["curve", CHANNELS / "bec04.json", "--bounds", "esp,focusing",
+             "--rate-grid", "0.05:0.3:4", "--out", "{out}/c.csv"],
+            ["sim", "bec", config, "--seed", "3", "--out", "{out}/sim"],
+            ["bounds", CHANNELS / "bsc002.json", "--rate"],  # malformed: exit 2
+            ["bounds", CHANNELS / "z05.json", "--rate", "0.1", "--bits", "--bounds",
+             "esp,er4"],
+        ]
+        env = {k: v for k, v in os.environ.items() if not k.startswith("FDL_")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        codes = []
+        for i, argv in enumerate(requests):
+            shared, fresh = tmp_path / f"shared{i}", tmp_path / f"fresh{i}"
+            shared.mkdir()
+            fresh.mkdir()
+            try:
+                code = cli.main(fill(argv, shared))
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            alone = subprocess.run([sys.executable, "-m", "delaylab.cli", *fill(argv, fresh)],
+                                   capture_output=True, text=True, env=env)
+            assert (code, got.out, got.err) == (alone.returncode, alone.stdout, alone.stderr)
+            assert files(shared) == files(fresh)
+            codes.append(code)
+        assert codes == [0, 0, 0, cli.EXIT_PARSE, 0]
+        assert cli.build_parser() is parser
 
 
 class TestChannelParsing:
@@ -99,6 +148,87 @@ class TestBounds:
     def test_unknown_bound_exit4(self, capsys):
         assert run(["bounds", CHANNELS / "bec04.json", "--rate", "0.1",
                     "--bounds", "esp,nonsense"]) == 4
+
+    @pytest.mark.parametrize("name,code", [
+        ("er", 0), ("er1", 0), ("er12", 0),
+        ("er0", 4), ("er01", 4), ("er007", 4), ("er-1", 4), ("er+2", 4), ("er 2", 4),
+        ("er1.0", 4), ("er\u00b2", 4), ("er\u0661", 4),
+    ])
+    def test_list_size_names(self, capsys, name, code):
+        # er<L> names L >= 1 without a leading zero, in ASCII digits
+        assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.1",
+                    "--bounds", name]) == code
+        captured = capsys.readouterr()
+        if code == cli.EXIT_UNKNOWN:
+            assert captured.err.startswith(f"delaylab: unknown bound '{name}'")
+        else:
+            assert captured.out.splitlines()[1].startswith(f"{name},")
+
+    def test_each_distinct_bound_is_solved_once(self, capsys, monkeypatch):
+        solved = []
+        solve = cli.bound_at_rate
+
+        def counted(channel, name, r, fortify_k=None):
+            solved.append(name)
+            return solve(channel, name, r, fortify_k)
+
+        monkeypatch.setattr(cli, "bound_at_rate", counted)
+        assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.1", "--bounds",
+                    "esp,haroutunian,focusing,viterbi,esp"]) == 0
+        assert solved == ["esp", "focusing"]
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        values = [(row["bound"], row["value_nats"]) for row in rows]
+        ch, _ = cli.load_channel(CHANNELS / "bsc002.json")
+        esp, foc = repr(exponents.sphere_packing(ch, 0.1)), repr(exponents.focusing_bound(ch, 0.1))
+        assert values == [("esp", esp), ("haroutunian", repr(exponents.haroutunian(ch, 0.1))),
+                          ("focusing", foc), ("viterbi", foc), ("esp", esp)]
+        assert esp == values[1][1]
+
+    def test_haroutunian_is_its_own_solve_without_output_symmetry(self, capsys, monkeypatch):
+        solved = []
+        solve = cli.bound_at_rate
+
+        def counted(channel, name, r, fortify_k=None):
+            solved.append(name)
+            return solve(channel, name, r, fortify_k)
+
+        monkeypatch.setattr(cli, "bound_at_rate", counted)
+        assert run(["bounds", CHANNELS / "z05.json", "--rate", "0.1", "--bounds",
+                    "esp,haroutunian,viterbi"]) == 0
+        assert solved == ["esp", "haroutunian", "focusing"]
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        ch, _ = cli.load_channel(CHANNELS / "z05.json")
+        assert rows[1]["value_nats"] == repr(exponents.haroutunian(ch, 0.1))
+        assert rows[0]["value_nats"] != rows[1]["value_nats"]
+
+    def test_fortified_haroutunian_is_fortified_esp(self, tmp_path, capsys):
+        fortified = CHANNELS / "bsc002_fortified50.json"
+        assert run(["bounds", fortified, "--rate", "0.3", "--bounds", "esp,haroutunian"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["value_nats"] for row in rows] == ["0.16244658751683272"] * 2
+        out = tmp_path / "c.csv"
+        assert run(["curve", fortified, "--bounds", "esp,haroutunian",
+                    "--rate-grid", "0.05:0.6:6", "--out", out]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["haroutunian"] for row in rows] == [row["esp"] for row in rows]
+
+    @pytest.mark.parametrize("matrix,name", [
+        ([[0.98, 0.02], [0.02, 0.98]], "tilde"),
+        ([[1.0, 0.0], [0.5, 0.5]], "tilde"),
+        ([[1.0, 0.0], [0.5, 0.5]], "haroutunian"),
+    ])
+    def test_fortified_exponents_without_a_program_exit3(self, tmp_path, capsys, matrix,
+                                                          name):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"matrix": matrix, "k": 50}))
+        assert run(["bounds", path, "--rate", "0.1", "--bounds", f"esp,{name}"]) == \
+            cli.EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"delaylab: {name}: under fortification: ")
+        assert run(["curve", path, "--bounds", f"esp,{name}", "--rate-grid", "0.1:0.2:2",
+                    "--out", tmp_path / "c.csv"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith(f"delaylab: {name} under fortification: ")
 
     def test_infeasible_rate_exit3(self, capsys):
         assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.99",

@@ -1296,7 +1296,7 @@ class TestBoundCurve:
     """``bound_curve`` runs the rho and eta searches of a whole curve in
     lockstep, and returns what ``bound_at_rate`` returns rate by rate."""
 
-    NAMES = ("esp", "er", "er4", "focusing", "viterbi", "timesharing")
+    NAMES = ("esp", "er", "er4", "haroutunian", "focusing", "viterbi", "timesharing")
 
     def rates(self, ch, k, name):
         cap = ch.capacity_solution[0] + (LN2 / k if k else 0.0)
@@ -1322,9 +1322,19 @@ class TestBoundCurve:
     def test_asymmetric_and_program_bounds_go_rate_by_rate(self, z05, bsc002, e0_calls):
         rates = [0.05, 0.1, 0.2]
         for ch, name in ((z05, "esp"), (z05, "er"), (z05, "timesharing"),
-                         (bsc002, "haroutunian"), (bsc002, "burnashev")):
+                         (z05, "haroutunian"), (bsc002, "burnashev")):
             want = [ex.bound_at_rate(ch, name, r) for r in rates]
             assert hex_floats(ex.bound_curve(ch, name, rates)) == hex_floats(want)
+
+    def test_symmetric_haroutunian_runs_the_esp_lanes(self, bsc002, lane_rounds):
+        # E+ is sphere packing on an output-symmetric channel, so its curve
+        # runs in lockstep and equals the scalar program rate by rate
+        rates = TestLockstepWorkCounters().grid(bsc002)
+        got = ex.bound_curve(bsc002, "haroutunian", rates)
+        assert len(lane_rounds[0]) == len(rates)
+        assert hex_floats(got) == hex_floats([ex.haroutunian(bsc002, r) for r in rates])
+        assert hex_floats(got) == hex_floats(
+            [ex.bound_at_rate(bsc002, "haroutunian", r) for r in rates])
 
     def test_lane_error_propagates_with_its_residual(self):
         bsc0003 = dmc.bsc(0.003)
@@ -1341,11 +1351,48 @@ class TestBoundCurve:
         # would stop at the first of them
         with pytest.raises(ValueError, match=r"^at rate 0\.0: rate must be positive$"):
             ex.bound_curve(bsc002, "focusing", [0.1, 0.0, 0.2, 0.0])
-        with pytest.raises(ValueError, match="list size must be at least 1"):
-            ex.bound_curve(bsc002, "er0", [0.1, 0.2])
-        with pytest.raises(KeyError):
-            ex.bound_curve(bsc002, "nope", [0.1])
+        for name in ("er0", "nope"):  # er<L> takes L >= 1 only
+            with pytest.raises(KeyError):
+                ex.bound_curve(bsc002, name, [0.1, 0.2])
         assert ex.bound_curve(bsc002, "esp", []) == []
+
+
+class TestSolvedAs:
+    """A bound read two ways is solved once, as the bound ``solved_as``
+    names; the fortified Haroutunian exponents no program gives raise."""
+
+    def test_identities(self, bsc002, z05):
+        assert ex.solved_as(bsc002, "viterbi") == ex.solved_as(z05, "viterbi") == "focusing"
+        assert ex.solved_as(bsc002, "haroutunian") == "esp"
+        assert ex.solved_as(bsc002, "haroutunian", 50) == "esp"
+        assert ex.solved_as(z05, "haroutunian") == "haroutunian"
+        for name in ("esp", "er", "er4", "tilde", "burnashev", "focusing", "timesharing",
+                     "nope"):
+            assert ex.solved_as(bsc002, name) == ex.solved_as(z05, name) == name
+
+    def test_fortified_haroutunian_is_fortified_sphere_packing(self, bsc002):
+        # the 1/50-fortified BSC(0.02) is output-symmetric: E+ = E_sp, from
+        # inf below R_inf = ln2/50 to 0 beyond capacity
+        rates = [0.0, 0.005, 0.05, 0.3, 0.6, 0.8]
+        want = [ex.sphere_packing(bsc002, r, 50) for r in rates]
+        assert hex_floats([ex.bound_at_rate(bsc002, "haroutunian", r, 50)
+                           for r in rates]) == hex_floats(want)
+        assert hex_floats(ex.bound_curve(bsc002, "haroutunian", rates, 50)) == \
+            hex_floats(want)
+        # above the unfortified value, which it used to return
+        assert ex.bound_at_rate(bsc002, "haroutunian", 0.3, 50) == 0.16244658751683272
+        assert ex.bound_at_rate(bsc002, "haroutunian", 0.3) == 0.14694833177130434
+
+    @pytest.mark.parametrize("name,channel", [("tilde", "bsc002"), ("tilde", "z05"),
+                                              ("haroutunian", "z05")])
+    def test_fortified_exponents_without_a_program_raise(self, request, name, channel):
+        ch = request.getfixturevalue(channel)
+        with pytest.raises(ValueError, match="^under fortification: "):
+            ex.bound_at_rate(ch, name, 0.1, 50)
+        with pytest.raises(ValueError, match=r"^at rate 0\.1: under fortification: "):
+            ex.bound_curve(ch, name, [0.1, 0.2], 50)
+        with pytest.raises(ValueError, match="^under fortification: "):
+            ex.solved_as(ch, name, 50)
 
 
 @pytest.fixture
@@ -1364,9 +1411,11 @@ def lane_rounds(monkeypatch):
 
 class TestLockstepWorkCounters:
     """A lockstep curve costs one kernel call per round, and each lane
-    evaluates E0 exactly as often as the search at its rate does alone:
-    every lane yields once per round until it ends, so the rounds of a curve
-    are its longest lane.  The counts are deterministic; they may fall, and
+    evaluates E0 as often as the search at its rate does alone, less the
+    value the scalar ``maximize_concave_1d`` evaluates again at a maximizer
+    on a bracket end, which the lane takes from the slope search: every
+    lane yields once per round until it ends, so the rounds of a curve are
+    its longest lane.  The counts are deterministic; they may fall, and
     must not rise."""
 
     # rounds of an 84-rate curve from 1e-4 to 0.97 C on BSC(0.02)
@@ -1382,12 +1431,23 @@ class TestLockstepWorkCounters:
         assert len(lane_rounds[0]) == 84
 
     @pytest.mark.parametrize("name", sorted(ROUNDS))
-    def test_each_lane_counts_as_its_scalar_search(self, bsc002, lane_rounds, e0_calls, name):
+    def test_each_lane_counts_as_its_scalar_search(self, bsc002, lane_rounds, e0_calls,
+                                                   monkeypatch, name):
+        at_ends = []
+        search = ex.maximize_concave_1d
+
+        def counted(*args, **kwargs):
+            res = search(*args, **kwargs)
+            at_ends.append(res.iterations == 0)  # no slope step: a bracket end
+            return res
+
+        monkeypatch.setattr(ex, "maximize_concave_1d", counted)
         alone, lanes = [], []
         for r in self.grid(bsc002):
             e0_calls.clear()
+            at_ends.clear()
             ex.bound_at_rate(bsc002, name, r)
-            alone.append(len(e0_calls))
+            alone.append(len(e0_calls) - sum(at_ends))
             lane_rounds.clear()
             ex.bound_curve(bsc002, name, [r])
             lanes.append(len(lane_rounds))
@@ -1397,3 +1457,19 @@ class TestLockstepWorkCounters:
         # round t holds every lane with more than t evaluations
         assert [len(rhos) for rhos in lane_rounds] == [
             sum(n > t for n in alone) for t in range(max(alone))]
+
+    @pytest.mark.parametrize("name", ["er", "er4"])
+    def test_no_lane_evaluates_a_rho_twice(self, bsc002, lane_rounds, name):
+        grid = self.grid(bsc002)
+        lanes = []
+        for r in grid:
+            lane_rounds.clear()
+            ex.bound_curve(bsc002, name, [r])
+            lanes.append([rho for [rho] in lane_rounds])
+        assert all(len(set(rhos)) == len(rhos) for rhos in lanes)
+        # at the low rates the maximizer is the end rho = L, whose E0 the
+        # lane received from the slope search
+        assert sum(rhos == [0.0, float(ex._list_size(name))] for rhos in lanes) == \
+            {"er": 46, "er4": 11}[name]
+        assert hex_floats(ex.bound_curve(bsc002, name, grid)) == hex_floats(
+            [ex.bound_at_rate(bsc002, name, r) for r in grid])
