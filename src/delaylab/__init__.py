@@ -51,7 +51,6 @@ from .exponents import (
     focusing_bound,
     focusing_parametric_curve,
     focusing_curve,
-    viterbi_curve,
     timesharing_exponent,
     timesharing_curve,
     bec_anytime_capacity,

@@ -44,7 +44,8 @@ def bits_from_nats(rate_nats: float) -> float:
 class Dmc:
     """A discrete memoryless channel: ``rows[x, y] = P(Y=y | X=x)``.
 
-    Entries must be finite, rows must sum to one within 1e-12 and both
+    Entries must be finite and 0 or normal doubles (a subnormal entry
+    stalls the E0 solver), rows must sum to one within 1e-12 and both
     alphabets must have at least two letters.  Instances are immutable and
     safe to share across threads.  The facts the bounds read off the rows
     (``symmetric``, ``uniform``, ``capacity_solution``, ``support``,
@@ -68,6 +69,9 @@ class Dmc:
         if np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError("every row must sum to 1 within 1e-12")
         rows = np.clip(rows, 0.0, 1.0)
+        for x, y in np.argwhere((rows > 0) & (rows < np.finfo(float).tiny))[:1]:
+            raise ValueError(f"transition probability P({y}|{x}) = {float(rows[x, y])!r} "
+                             "is subnormal: it must be 0 or at least 2.2250738585072014e-308")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

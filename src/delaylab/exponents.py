@@ -1,10 +1,10 @@
 """Reliability bounds for DMCs: block-length exponents and fixed-delay exponents.
 
 Every bound is exposed both as a scalar function of (channel, rate) and as a
-sampled curve (``bound_curve``, which on output-symmetric channels runs the
-searches along rho of all its rates in lockstep).  Rates and exponents are in nats per channel use throughout;
-the two erasure-channel helpers that the source formulas state in bits are
-explicitly suffixed ``_bits``.
+sampled curve (``bound_curve``, which runs the searches along rho of all its
+rates in lockstep).  Rates and exponents are in nats per channel use
+throughout; the two erasure-channel helpers that the source formulas state
+in bits are explicitly suffixed ``_bits``.
 
 A channel may optionally be "fortified": one error-free bit rides along with
 every k-th channel use.  At the level of the Gallager function this adds
@@ -160,25 +160,34 @@ def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, flo
     return e0 + rho * shift, slope + shift
 
 
-def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list[tuple[float, float]]:
-    """``_e0_and_slope`` at every rho of ``rhos`` on an output-symmetric
-    channel, equal to it bit for bit, from one (lanes x inputs x outputs)
-    array W = P^(1/(1+rho)).
+def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
+    """``_e0_and_slope`` at every rho of ``rhos``, equal to it bit for bit.
 
-    Each lane runs the scalar kernel's float operations: the inputs are
-    summed one after another, as ``_e0_kernel``'s sum over its first axis
-    does; the products of the slope are the same BLAS calls (a stacked
-    ``matmul`` runs ``q @ w`` and ``weights @ terms`` lane by lane); and
-    E0's final log is ``math.log``, since ``np.log`` differs in the last
-    ulp for a few values.  The lanes this cannot reproduce run
-    ``_e0_and_slope`` itself: rho = 0; 1/(1+rho) = 0.5 or 1+rho = 2, where
-    a scalar exponent takes numpy's sqrt or square instead of pow; an outer
-    sum below the smallest normal (the kernel's log-domain branch); and an
-    output that a lane's q W does not reach.
+    Without output symmetry each E0 is its own certified program: one
+    ``_e0_and_slope`` call per distinct rho, an error it raises taking the
+    place of the points.  On an output-symmetric channel it is one (lanes x
+    inputs x outputs) array W = P^(1/(1+rho)), each lane running the scalar
+    kernel's float operations: the inputs are summed one after another, as
+    ``_e0_kernel``'s sum over its first axis does; the products of the
+    slope are the same BLAS calls (a stacked ``matmul`` runs ``q @ w`` and
+    ``weights @ terms`` lane by lane); and E0's final log is ``math.log``,
+    since ``np.log`` differs in the last ulp for a few values.  The lanes
+    this cannot reproduce run ``_e0_and_slope`` itself: rho = 0;
+    1/(1+rho) = 0.5 or 1+rho = 2, where a scalar exponent takes numpy's
+    sqrt or square instead of pow; an outer sum below the smallest normal
+    (the kernel's log-domain branch); and an output no q W reaches.
     """
     rho = np.array(rhos, dtype=float)
     if not np.all(rho >= 0):
         raise ValueError("rho must be nonnegative")
+    if not p.symmetric:
+        solved = {}
+        for r in set(rhos):
+            try:
+                solved[r] = _e0_and_slope(p, r, fortify_k)
+            except Exception as exc:  # ``_run_lanes`` raises it in the lanes at r
+                solved[r] = exc
+        return [solved[r] for r in rhos]
     power = 1.0 + rho
     s = 1.0 / power
     q = p.uniform
@@ -301,11 +310,7 @@ def _lockstep_climb(r: float):
     one is evaluated again."""
     def climb(lo, hi, tol):
         x, calls, seen = yield from _relay(slope_argmax_steps(lo, hi, tol), _tilt(r))
-        if seen is not None:
-            value = seen[0]
-        else:
-            e0, _ = yield x
-            value = e0 - x * r
+        value = seen[0] if seen is not None else (yield x)[0] - x * r
         return Search1DResult(argmax=x, value=value, iterations=calls)
     return climb
 
@@ -559,7 +564,7 @@ def _haroutunian_oracle(p: Dmc, r: float):
     return oracle
 
 
-def _haroutunian_convex(p: Dmc, r: float, r_inf: float) -> float:
+def _haroutunian_convex(p: Dmc, r: float) -> float:
     """The standard Haroutunian exponent E+(R) as a convex program over the
     output law, for R at or above R_inf = ``divergence_rate(p)``.
 
@@ -584,6 +589,7 @@ def _haroutunian_convex(p: Dmc, r: float, r_inf: float) -> float:
     interior point decides, and it raises with an infinite gap when it
     finds none.
     """
+    r_inf = p.divergence_rate
     if r_inf > 0.0 and r < r_inf + 1e-12 and p.capacity_solution[0] <= r + 1e-10:
         return 0.0
     if r_inf > 0.0 or r >= 1e-15:
@@ -669,8 +675,7 @@ def _haroutunian_tilde(p: Dmc, r: float) -> float:
     return minimize_convex_on_simplex(_tilde_oracle(p, r), 2 * ny, divisor).value
 
 
-def haroutunian(p: Dmc, r: float, variant: str = "standard",
-                use_symmetry_fast_path: bool = True) -> float:
+def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
     """Haroutunian block exponent with feedback.
 
     standard: E+(R) = min over {V : C(V) <= R} of max_x D(V(.|x) || P(.|x)),
@@ -690,33 +695,38 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard",
     subgradient are 0, so it returns 0 without a capacity solve (a value
     within the 1e-13 gap when R is within about that of C); tilde is 0
     wherever E+ is exactly 0.  For channels with a verified
-    output-symmetry partition E+ equals the sphere-packing bound and that
-    fast path is taken unless disabled.  Either program raises
-    ``ConvergenceError`` with its gap when it cannot certify its value.
+    output-symmetry partition E+ is the sphere-packing bound, taken there
+    instead of the program (``_haroutunian_general`` runs it on any
+    channel).  Either program raises ``ConvergenceError`` with its gap when
+    it cannot certify its value.
     """
+    return _haroutunian_general(p, r, variant,
+                                sphere_packing if p.symmetric else _haroutunian_convex)
+
+
+def _haroutunian_general(p: Dmc, r: float, variant: str = "standard",
+                         solve_standard=_haroutunian_convex) -> float:
+    """``haroutunian`` with E+ = solve_standard(p, r), the program by default."""
     if variant not in ("standard", "tilde"):
         raise ValueError("variant must be 'standard' or 'tilde'")
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    r_inf = divergence_rate(p)
-    if r < r_inf - 1e-12:
+    if r < divergence_rate(p) - 1e-12:
         return math.inf
-    if use_symmetry_fast_path and p.symmetric:
-        standard = sphere_packing(p, r)
-    else:
-        standard = _haroutunian_convex(p, r, r_inf)
+    standard = solve_standard(p, r)
     if variant == "standard" or standard == 0.0 or r < 1e-15:
         return standard
     return float(min(_haroutunian_tilde(p, r), standard))
 
 
-def burnashev_bound(p: Dmc, r_bar: float) -> float:
-    """Variable-length feedback exponent C1 (1 - Rbar / C); +inf when C1 is."""
-    cap_p = p.capacity_solution[0]
+def burnashev_bound(p: Dmc, r_bar: float, fortify_k: int | None = None) -> float:
+    """Variable-length feedback exponent C1 (1 - Rbar / C); +inf when C1 is,
+    as under fortification (C is then C + ln2/k), whose noiseless bit
+    separates every pair of super-channel inputs."""
+    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     if not 0 <= r_bar <= cap_p + 1e-12:
         raise ValueError("average rate must lie in [0, C]")
-    coeff = _c1(p)
-    if coeff == math.inf:
+    if fortify_k is not None or (coeff := _c1(p)) == math.inf:
         return math.inf
     return max(0.0, coeff * (1.0 - r_bar / cap_p))
 
@@ -799,8 +809,7 @@ def _focusing_oracle(p: Dmc, r: float):
     return oracle
 
 
-def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
-                   force_general: bool = False) -> float:
+def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     """Uncertainty-focusing bound E_a(R) = inf_{0 <= lambda < 1} E+(lambda R)/(1 - lambda).
 
     Symmetric channels (where E+ = E_sp) go through the parametric form:
@@ -808,8 +817,8 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     beyond eta = 1e8 (R below about E_a / 1e8) it raises
     ``ConvergenceError``.  +inf below ``divergence_rate``.
 
-    The general path (channels without output symmetry, or
-    ``force_general``) minimizes jointly over lambda and E+'s output law:
+    On channels without output symmetry ``_focusing_general`` minimizes
+    jointly over lambda and E+'s output law:
     one quasiconvex program on |Y| + 1 letters (``_focusing_oracle``),
     solved by ``minimize_convex_on_simplex`` within its certified gap
     (1e-13), or ``ConvergenceError`` with that gap.  The gap is absolute,
@@ -820,25 +829,28 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None,
     1e-12 being R_inf's accuracy: no lambda < 1 then brings lambda R above
     R_inf.
     """
-    return _run_lane(p, fortify_k, _focusing_steps(p, r, fortify_k, force_general))
+    return _run_lane(p, fortify_k, _focusing_steps(p, r, fortify_k))
 
 
-def _focusing_steps(p: Dmc, r: float, fortify_k: int | None, force_general: bool = False):
+def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
     """``focusing_bound`` as a lane: the parametric path yields its eta, the
-    general path yields nothing."""
+    general program yields nothing."""
     if r <= 0:
         raise ValueError("rate must be positive")
-    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
-    if r >= cap_p:
+    if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
         return 0.0
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
-    if p.symmetric and not force_general:
+    if p.symmetric:
         eta = yield from _eta_for_rate_steps(r)
         return eta * r
-
     if fortify_k is not None:
         raise ValueError("fortified bounds require an output-symmetric base channel")
+    return _focusing_general(p, r)
+
+
+def _focusing_general(p: Dmc, r: float) -> float:
+    """The general focusing program, on any channel, at R_inf - 1e-12 <= r < C."""
     if p.divergence_rate > 0.0 and r <= p.divergence_rate + 1e-12:
         return math.inf
     ny = p.output_size
@@ -920,9 +932,8 @@ def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
 def focusing_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCurve:
     """ExponentCurve wrapper around the parametric sweep, with slope metadata."""
     pts = focusing_parametric_curve(p, eta_grid, fortify_k)
-    second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     meta = {"capacity_slope": capacity_slope_focusing(p, fortify_k)}
-    if abs(second) < 1e-12:
+    if meta["capacity_slope"] == -math.inf:  # E0''(0) below 1e-12
         # degenerate Taylor term: the bound jumps to zero above capacity and the
         # parametric curve is only meaningful for eta >= 1
         pts = [pt for pt in pts if pt.eta >= 1.0]
@@ -933,14 +944,6 @@ def focusing_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCu
         channel_digest=p.digest(),
         meta=meta,
     )
-
-
-def viterbi_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCurve:
-    """Identical samples to the parametric focusing curve, under its
-    fixed-constraint-length convolutional-code reading."""
-    base = focusing_curve(p, eta_grid, fortify_k)
-    return ExponentCurve(kind="viterbi_alias", samples=base.samples,
-                         channel_digest=base.channel_digest, meta=dict(base.meta))
 
 
 def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None) -> tuple[float, float]:
@@ -1009,10 +1012,9 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> ExponentCurve:
     rhos = sorted(rho_grid, reverse=True)
-    if p.symmetric:
-        points = _e0_and_slope_lanes(p, [1.0, *rhos], fortify_k)
-    else:
-        points = [_e0_and_slope(p, rho, fortify_k) for rho in [1.0, *rhos]]
+    points = _e0_and_slope_lanes(p, [1.0, *rhos], fortify_k)
+    if errors := [point for point in points if isinstance(point, Exception)]:
+        raise errors[0]
     e_one = points[0][0]
     pts = [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
     return ExponentCurve(
@@ -1132,12 +1134,10 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
         return sphere_packing(p, r, fortify_k)
     if _list_size(name) is not None:
         return random_coding_list(p, r, _list_size(name), fortify_k)
-    if name == "haroutunian":  # unfortified, as solved_as raises otherwise
-        return haroutunian(p, r)
-    if name == "tilde":
-        return haroutunian(p, r, "tilde")
+    if name in ("haroutunian", "tilde"):  # unfortified, as solved_as raises otherwise
+        return haroutunian(p, r, "tilde" if name == "tilde" else "standard")
     if name == "burnashev":
-        return burnashev_bound(p, r)
+        return burnashev_bound(p, r, fortify_k)
     if name == "focusing":
         return focusing_bound(p, r, fortify_k)
     if name == "timesharing":  # the two-stream curve inverted at one rate
@@ -1181,16 +1181,13 @@ def _list_size(name: str) -> int | None:
 def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[float]:
     """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit.
 
-    On output-symmetric channels the searches along rho of esp (and
-    haroutunian), er<L>, focusing (and viterbi) and timesharing run as
-    lanes of ``_run_lanes``:
-    each round evaluates the rho every unfinished lane waits on in one
-    ``_e0_and_slope_lanes`` call, so a curve costs as many kernel calls
-    as its longest search has E0 evaluations.  The other bounds, and
-    every bound on a channel without output symmetry (where each E0 is its
-    own certified program), are evaluated rate by rate.  An error is the
-    one ``bound_at_rate`` raises at the first rate that fails; a
-    ``ValueError`` names that rate.
+    Every bound runs as lanes of ``_run_lanes``; each round evaluates the
+    rho every unfinished lane waits on in one ``_e0_and_slope_lanes`` call,
+    so a curve costs as many rounds as its longest search along rho has E0
+    evaluations.  A bound with no such search (haroutunian and tilde
+    without output symmetry, burnashev, the general focusing program) is a
+    lane that ends at once.  An error is the one ``bound_at_rate`` raises at
+    the first rate that fails; a ``ValueError`` names that rate.
     """
     rates = [float(r) for r in rates]
     values, failure = _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k)
@@ -1205,28 +1202,27 @@ def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[
 
 def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):
     """Bound ``name`` at rate r as a lane of ``_run_lanes``, solved as the
-    bound ``solved_as`` names; a bound that does not run in lockstep is a
-    lane that yields nothing and returns ``bound_at_rate``."""
+    bound ``solved_as`` names; a bound with no search along rho is a lane
+    that yields nothing and returns ``bound_at_rate``."""
     name = solved_as(p, name, fortify_k)
-    if p.symmetric:
-        if name == "esp":
-            return (yield from _sphere_packing_steps(p, r, fortify_k, _lockstep_climb(r)))
-        if _list_size(name) is not None:
-            return (yield from _random_coding_steps(r, _list_size(name), _lockstep_climb(r)))
-        if name == "focusing":
-            return (yield from _focusing_steps(p, r, fortify_k))
-        if name == "timesharing":
-            return (yield from _timesharing_steps(p, r, fortify_k))
+    if name == "esp":
+        return (yield from _sphere_packing_steps(p, r, fortify_k, _lockstep_climb(r)))
+    if _list_size(name) is not None:
+        return (yield from _random_coding_steps(r, _list_size(name), _lockstep_climb(r)))
+    if name == "focusing":
+        return (yield from _focusing_steps(p, r, fortify_k))
+    if name == "timesharing":
+        return (yield from _timesharing_steps(p, r, fortify_k))
     return bound_at_rate(p, name, r, fortify_k)
 
 
 def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> tuple[list, tuple | None]:
     """Run the lanes together: (results, None), or (results so far,
-    (i, error)) for the first lane i in order that raised.  Only lanes on
-    an output-symmetric channel yield.
+    (i, error)) for the first lane i in order that raised.
 
     Every round sends each unfinished lane its (E0, dE0/drho) from one
-    ``_e0_and_slope_lanes`` call over all their pending rho.  A lane's
+    ``_e0_and_slope_lanes`` call over all their pending rho, or raises in
+    the lane the error of the E0 solve at its rho.  A lane's
     error drops the lanes after it, whose results a loop over the lanes
     would never have reached, and the lanes before it run on, since one of
     them may fail first in that order.
@@ -1238,7 +1234,8 @@ def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> tuple[list, tuple 
     def advance(i, point):
         nonlocal failure
         try:
-            pending[i] = lanes[i].send(point)
+            pending[i] = (lanes[i].throw if isinstance(point, Exception)
+                          else lanes[i].send)(point)
         except StopIteration as stop:
             results[i] = stop.value
         except Exception as exc:  # any lane error: the caller re-raises the first in order

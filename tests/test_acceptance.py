@@ -71,7 +71,7 @@ def test_criterion_4_symmetric_equality_and_z_gap(bsc002, bec04, z05):
             worst_sym = max(worst_sym, gap)
     # non-vacuous spot checks: force the channel search past the fast path
     for ch, r in ((bsc002, 0.3), (bec04, HALF_BIT)):
-        gap = abs(ex.haroutunian(ch, r, use_symmetry_fast_path=False)
+        gap = abs(ex._haroutunian_general(ch, r)
                   - ex.sphere_packing(ch, r))
         worst_sym = max(worst_sym, gap)
     # strict gap for the asymmetric Z-channel at mid rates

@@ -111,6 +111,13 @@ class TestChannelParsing:
         assert run(["bounds", bad, "--rate", "0.1", "--bounds", "esp"]) == 2
         assert "delaylab" in capsys.readouterr().err
 
+    def test_subnormal_entry_exit2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"matrix": [[1, 0, 0], [0.1875, 0.6875, 0.125],
+                                              [2.225073858507201e-313, 0, 1]]}))
+        assert run(["bounds", bad, "--rate", "0.2", "--bounds", "esp"]) == cli.EXIT_PARSE
+        assert "P(0|2) = 2.2250738585e-313 is subnormal" in capsys.readouterr().err
+
     def test_non_finite_matrix_rejected(self, tmp_path, capsys):
         for token in ("NaN", '"nan"', "Infinity"):
             bad = tmp_path / "bad.json"
@@ -233,6 +240,16 @@ class TestBounds:
     def test_infeasible_rate_exit3(self, capsys):
         assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.99",
                     "--bounds", "burnashev"]) == 3
+
+    def test_fortified_burnashev(self, capsys):
+        # inf up to the fortified capacity, about 0.609 nats, which 0.6 is below
+        fortified = CHANNELS / "bsc002_fortified50.json"
+        for rate in ("0.3", "0.6"):
+            assert run(["bounds", fortified, "--rate", rate, "--bounds", "burnashev"]) == 0
+            [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+            assert row["value_nats"] == "inf"
+        assert run(["bounds", fortified, "--rate", "0.61", "--bounds", "burnashev"]) == 3
+        assert "average rate must lie in [0, C]" in capsys.readouterr().err
 
     def test_three_input_haroutunian(self, tmp_path, capsys):
         # the standard Haroutunian exponent of a 3x3 channel without output

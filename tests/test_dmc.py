@@ -33,6 +33,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="finite"):
                 dmc.Dmc(np.array([[bad, 1.0], [0.5, 0.5]]))
 
+    def test_subnormal_entries_rejected(self):
+        # such an entry stalled the E0 solver: sphere packing at R = 0.208
+        # raised "E0 solver iteration cap exceeded" with residual 4.3e-4
+        with pytest.raises(ValueError, match=r"^transition probability P\(0\|2\) = "
+                                             r"2\.2250738585e-313 is subnormal"):
+            dmc.Dmc([[1, 0, 0], [0.1875, 0.6875, 0.125], [2.225073858507201e-313, 0, 1]])
+        tiny = np.finfo(float).tiny  # the smallest normal entry is accepted
+        assert dmc.Dmc([[1.0, 0.0], [tiny, 1.0 - tiny]]).rows[1, 0] == tiny
+
     def test_alphabets_at_least_two(self):
         with pytest.raises(ValueError):
             dmc.Dmc(np.array([[1.0], [1.0]]))
@@ -297,7 +306,7 @@ class TestSymmetryPartition:
         start = time.perf_counter()
         fast = ex.focusing_bound(ch, 0.1)
         assert time.perf_counter() - start < 0.05
-        assert fast == pytest.approx(ex.focusing_bound(ch, 0.1, force_general=True), rel=1e-12)
+        assert fast == pytest.approx(ex._focusing_general(ch, 0.1), rel=1e-12)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(data=st.data())

@@ -553,7 +553,7 @@ class TestHaroutunian:
                     ex.sphere_packing(ch, r), abs=1e-12)
 
     def test_search_agrees_with_esp_on_symmetric(self, bsc002):
-        val = ex.haroutunian(bsc002, 0.3, use_symmetry_fast_path=False)
+        val = ex._haroutunian_general(bsc002, 0.3)
         assert val == pytest.approx(ex.sphere_packing(bsc002, 0.3), abs=1e-3)
 
     def test_z_channel_matches_pinned_row_oracle(self, z05):
@@ -602,7 +602,7 @@ class TestHaroutunian:
         # D(q || (.2, .6)) is least at q = (1/2, 1/2) by symmetry
         ch = dmc.Dmc([[0.6, 0.2, 0.2, 0.0], [0.2, 0.6, 0.0, 0.2]])
         want = 0.5 * math.log(0.5 / 0.6) + 0.5 * math.log(0.5 / 0.2)
-        assert ex.haroutunian(ch, 0.0, use_symmetry_fast_path=False) == pytest.approx(
+        assert ex._haroutunian_general(ch, 0.0) == pytest.approx(
             want, abs=1e-12)
 
     ASYM3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
@@ -752,7 +752,7 @@ class TestDivergenceRate:
         for r in (0.3, 0.42):
             values = (ex.focusing_bound(CIRCULANT, r), ex.sphere_packing(CIRCULANT, r),
                       ex.haroutunian(CIRCULANT, r),
-                      ex.haroutunian(CIRCULANT, r, use_symmetry_fast_path=False))
+                      ex._haroutunian_general(CIRCULANT, r))
             if r < math.log(1.5):
                 assert values == (math.inf,) * 4
             else:
@@ -804,7 +804,7 @@ class TestHaroutunianProperties:
         assume(cap > CAPACITY_FLOOR)
         r = frac * cap
         esp = ex.sphere_packing(ch, r)
-        eplus = ex.haroutunian(ch, r, use_symmetry_fast_path=False)
+        eplus = ex._haroutunian_general(ch, r)
         assert esp <= eplus + 1e-12
         if ch.symmetric:
             assert eplus == pytest.approx(esp, abs=1e-9)
@@ -824,14 +824,14 @@ class TestHaroutunianProperties:
             return solved[-1]
 
         with mock.patch.object(ex, "minimize_convex_on_simplex", recorded):
-            tilde = ex.haroutunian(ch, r, "tilde", use_symmetry_fast_path=False)
-        eplus = ex.haroutunian(ch, r, use_symmetry_fast_path=False)
+            tilde = ex._haroutunian_general(ch, r, "tilde")
+        eplus = ex._haroutunian_general(ch, r)
         sol = solved[-1]  # the doubled program, solved after E+
         assert len(sol.q) == 2 * ch.output_size
         assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
         assert tilde == min(sol.value, eplus)
         assert tilde <= eplus
-        later = ex.haroutunian(ch, r + step * cap, "tilde", use_symmetry_fast_path=False)
+        later = ex._haroutunian_general(ch, r + step * cap, "tilde")
         assert later <= tilde + optimize.CONVEX_TOL
 
     def test_z_channel_orderings(self, z05):
@@ -850,8 +850,9 @@ def asymmetric_binary_rates(draw):
     a < b <= 0.4 (a Z channel at a = 0), its rows in either order, and two
     rates 0.05 C < r1 < r2 < 0.95 C.  a != b and a + b != 1 rule out output
     symmetry, and 1 - a - b >= 0.2 keeps C above 0.02.  Every draw is in the
-    domain; nothing is filtered."""
-    a = draw(st.floats(0.0, 0.39))
+    domain (no entry is subnormal, which ``Dmc`` rejects); nothing is
+    filtered."""
+    a = draw(st.floats(0.0, 0.39, allow_subnormal=False))
     b = draw(st.floats(a + 0.01, 0.4))
     rows = [[1.0 - a, a], [b, 1.0 - b]]
     if draw(st.booleans()):
@@ -871,12 +872,12 @@ def asymmetric_ternary_rates(draw):
     row 1 has none, so no partition of the outputs makes the rows
     permutations of each other on every part.  a = c0 = 0 gives rows 0 and 2
     disjoint supports and R_inf = ln 2; otherwise output 0 or 2 is reached
-    by every input and R_inf = 0.  Every draw is in the domain; nothing is
-    filtered."""
-    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4)))
+    by every input and R_inf = 0.  Every draw is in the domain (no entry is
+    subnormal); nothing is filtered."""
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4, allow_subnormal=False)))
     b1, b2 = draw(st.floats(0.01, 0.2)), draw(st.floats(0.01, 0.2))
-    c0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
-    c1 = draw(st.floats(0.0, 0.2))
+    c0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2, allow_subnormal=False)))
+    c1 = draw(st.floats(0.0, 0.2, allow_subnormal=False))
     ch = dmc.Dmc([[1.0 - a, 0.0, a], [b1, 1.0 - b1 - b2, b2], [c0, c1, 1.0 - c0 - c1]])
     f1 = draw(st.floats(0.05, 0.9, exclude_min=True))
     f2 = draw(st.floats(f1 + 0.01, 0.95, exclude_max=True))
@@ -924,18 +925,18 @@ class TestGeneralFocusingProperties:
 def symmetric_rates(draw, family):
     """An output-symmetric channel of ``family`` and three rates
     r1 < r2 < r3 inside (R_inf, C), with r2 = (1-t) r1 + t r3: BSC(p),
-    BEC(beta), or a 3x3 circulant with first row (1-a, a b, a (1-b)), where
-    b = 0 puts zeros in the rows and R_inf = ln 1.5 (a <= 0.4 keeps
-    C - R_inf above 0.02).  Every draw is in the domain; nothing is
-    filtered."""
+    BEC(beta), or a 3x3 circulant with first row (1-a, c, a-c), 0 <= c <= a,
+    where c = 0 or a puts zeros in the rows and R_inf = ln 1.5 (a <= 0.4
+    keeps C - R_inf above 0.02).  Every draw is in the domain (c is 0 or
+    normal, so no entry is subnormal); nothing is filtered."""
     if family == "bsc":
         ch = dmc.bsc(draw(st.floats(0.001, 0.3)))
     elif family == "bec":
         ch = dmc.bec(draw(st.floats(0.01, 0.9)))
     else:
         a = draw(st.floats(0.01, 0.4))
-        b = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-        first = [1.0 - a, a * b, a * (1.0 - b)]
+        c = draw(st.one_of(st.just(0.0), st.floats(0.0, a, allow_subnormal=False)))
+        first = [1.0 - a, c, a - c]
         ch = dmc.Dmc([first[-i:] + first[:-i] for i in range(3)])
     f1 = draw(st.floats(0.02, 0.6))
     f3 = draw(st.floats(f1 + 0.05, 0.98))
@@ -981,6 +982,16 @@ class TestBurnashev:
         with pytest.raises(ValueError):
             ex.burnashev_bound(bsc002, 0.7)
 
+    def test_fortified_is_infinite_up_to_fortified_capacity(self, bsc002):
+        # the noiseless bit separates every pair of super-channel inputs
+        cap = bsc002.capacity_solution[0] + LN2 / 50
+        for r in (0.0, 0.3, 0.6, cap):
+            assert ex.burnashev_bound(bsc002, r, 50) == math.inf
+            assert ex.bound_at_rate(bsc002, "burnashev", r, 50) == math.inf
+        assert ex.bound_curve(bsc002, "burnashev", [0.3, 0.6], 50) == [math.inf] * 2
+        with pytest.raises(ValueError, match=r"^average rate must lie in \[0, C\]$"):
+            ex.burnashev_bound(bsc002, cap + 1e-9, 50)
+
 
 class TestFocusingBound:
     def test_bec_half_bit(self, bec04):
@@ -1009,11 +1020,11 @@ class TestFocusingBound:
     def test_general_lambda_path_agrees_with_parametric(self, bsc002):
         cap = bsc002.capacity_solution[0]
         for frac in (0.1, 0.3, 0.6, 0.9, 0.999):
-            general = ex.focusing_bound(bsc002, frac * cap, force_general=True)
+            general = ex._focusing_general(bsc002, frac * cap)
             parametric = ex.focusing_bound(bsc002, frac * cap)
             assert general == pytest.approx(parametric, rel=1e-10)
         # a lambda grid capped at 1 - 1e-3 returned 3.02 times the value here
-        general = ex.focusing_bound(bsc002, 0.9999 * cap, force_general=True)
+        general = ex._focusing_general(bsc002, 0.9999 * cap)
         assert general == pytest.approx(ex.focusing_bound(bsc002, 0.9999 * cap), rel=1e-7)
 
     # the values of the 200-point lambda grid with golden refinement
@@ -1097,15 +1108,6 @@ class TestFocusingParametric:
 
     def test_capacity_slope_sign(self, bsc002):
         assert ex.capacity_slope_focusing(bsc002) < 0
-
-
-class TestViterbiAlias:
-    def test_same_samples_different_label(self, bsc002):
-        etas = np.geomspace(0.1, 10, 15)
-        foc = ex.focusing_curve(bsc002, etas)
-        vit = ex.viterbi_curve(bsc002, etas)
-        assert vit.kind == "viterbi_alias"
-        assert vit.samples == foc.samples
 
 
 class TestTimesharing:
@@ -1319,12 +1321,52 @@ class TestBoundCurve:
         assert hex_floats(ex.bound_curve(bsc002, "esp", shuffled)) == hex_floats(
             ex.bound_curve(bsc002, "esp", rates)[::-1])
 
-    def test_asymmetric_and_program_bounds_go_rate_by_rate(self, z05, bsc002, e0_calls):
+    def test_asymmetric_curves_run_in_lockstep(self, z05, bsc002, lane_rounds):
+        # each E0 of Z(0.5) is its own certified program; the searches along
+        # rho still run as lanes, all of them in the first round
         rates = [0.05, 0.1, 0.2]
-        for ch, name in ((z05, "esp"), (z05, "er"), (z05, "timesharing"),
-                         (z05, "haroutunian"), (bsc002, "burnashev")):
+        for name in ("esp", "er", "timesharing"):
+            want = [ex.bound_at_rate(z05, name, r) for r in rates]
+            lane_rounds.clear()
+            assert hex_floats(ex.bound_curve(z05, name, rates)) == hex_floats(want)
+            assert len(lane_rounds[0]) == len(rates)
+        # bounds with no search along rho are lanes that end at once
+        for ch, name in ((z05, "haroutunian"), (bsc002, "burnashev")):
             want = [ex.bound_at_rate(ch, name, r) for r in rates]
+            lane_rounds.clear()
             assert hex_floats(ex.bound_curve(ch, name, rates)) == hex_floats(want)
+            assert lane_rounds == []
+
+    def test_asymmetric_e0_error_goes_to_the_lane_that_asked(self, z05):
+        # at R = 0 the esp search on Z(0.5) climbs to a rho where the E0
+        # program cannot certify its value
+        with pytest.raises(dmc.ConvergenceError) as alone:
+            ex.bound_at_rate(z05, "esp", 0.0)
+        assert alone.value.residual == 0.34611562601635004
+        rates = [0.1, 0.0, 0.05, 0.0]
+        with pytest.raises(dmc.ConvergenceError) as curve:
+            ex.bound_curve(z05, "esp", rates)
+        assert str(curve.value) == str(alone.value)
+        assert curve.value.residual == alone.value.residual
+
+    def test_asymmetric_lanes_before_a_failed_e0_run_on(self, z05, monkeypatch):
+        # only the R = 0 lanes ask for rho = 0.9 * 64, in the fourth round;
+        # the R = 0.1 lane before them takes more rounds than that and must
+        # end as alone, while the R = 0.05 lane after them is dropped
+        want = ex.bound_at_rate(z05, "esp", 0.1)
+        e0_and_slope = ex._e0_and_slope
+
+        def failing(p, rho, fortify_k):
+            if rho == 0.9 * ex.RHO_MAX:
+                raise dmc.ConvergenceError("injected", 1.0)
+            return e0_and_slope(p, rho, fortify_k)
+
+        monkeypatch.setattr(ex, "_e0_and_slope", failing)
+        results, (i, error) = ex._run_lanes(
+            z05, None, [ex._bound_steps(z05, "esp", r, None) for r in (0.1, 0.0, 0.05, 0.0)])
+        assert (i, str(error)) == (1, "injected (residual 1.000e+00)")
+        assert hex_floats(results[:1]) == hex_floats([want])
+        assert results[2:] == [None, None]
 
     def test_symmetric_haroutunian_runs_the_esp_lanes(self, bsc002, lane_rounds):
         # E+ is sphere packing on an output-symmetric channel, so its curve
