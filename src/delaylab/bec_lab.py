@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_BOOTSTRAP_DRAWS = 200  # resamples behind a delay-exponent fit's CI
+_BOOTSTRAP_STREAM = (0, 999)  # their substream key
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based per-stream generator: reproducible and order-independent.
@@ -417,15 +420,15 @@ def _slope(a: np.ndarray, p: np.ndarray) -> float:
     return sol[0]
 
 
-def fit_delay_exponent(delays, d_grid, min_misses: int, n_boot: int = 200,
-                       seed: int = 0) -> DelayExponentFit:
+def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
     """Delay exponent of a sample of delays: the slope of -ln P(delay > d).
 
     Keeps the deadlines with at least ``min_misses`` misses, flagging a
     widened confidence interval when fewer than 3 survive, and falls back to
     every deadline with a miss when fewer than 2 do.  The CI bootstraps over
     contiguous blocks of the sample, in its given order, to respect the
-    serial correlation of nearby delays.  Infinite delays miss every
+    serial correlation of nearby delays: ``_BOOTSTRAP_DRAWS`` resamples
+    drawn on ``substream(*_BOOTSTRAP_STREAM)``.  Infinite delays miss every
     deadline.  With no misses anywhere the exponent is unbounded by the data;
     with misses at a single deadline it is undetermined (slope and CI NaN).
     An empty sample raises ValueError.
@@ -449,14 +452,14 @@ def fit_delay_exponent(delays, d_grid, min_misses: int, n_boot: int = 200,
                                 counts[keep], widened_ci=True)
     design = _design(dd)  # shared by the fit and every bootstrap resample
     slope = _slope(design, pp)
-    rng = substream(seed, 999)
+    rng = substream(*_BOOTSTRAP_STREAM)
     block = max(1000, len(delays) // 200)
     n_blocks = len(delays) // block
     trimmed = delays[: n_blocks * block].reshape(n_blocks, block)
     # per-block miss counts once, then bootstrapping is just index sums
     block_counts = np.stack([(trimmed > d).sum(axis=1) for d in dd], axis=1)
     boots = []
-    for _ in range(n_boot if n_blocks else 0):
+    for _ in range(_BOOTSTRAP_DRAWS if n_blocks else 0):
         picks = rng.integers(0, n_blocks, n_blocks)
         pv = block_counts[picks].sum(axis=0) / (n_blocks * block)
         if np.all(pv > 0):

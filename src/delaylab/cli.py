@@ -157,6 +157,8 @@ def _write_curve_csv(path: Path, rates: np.ndarray, columns: dict[str, list[floa
 
 
 def cmd_curve(args) -> int:
+    if args.eta_grid and (args.rate_grid or args.bits):
+        raise CliError(EXIT_PARSE, "--eta-grid takes neither --rate-grid nor --bits")
     channel, fortify_k = load_channel(args.channel)
     names = [n.strip() for n in args.bounds.split(",") if n.strip()]
     _check_bounds(names)
@@ -164,8 +166,8 @@ def cmd_curve(args) -> int:
         etas = _parse_grid(args.eta_grid)
         if np.any(etas <= 0):
             raise CliError(EXIT_INFEASIBLE, "eta grid must be positive")
-        e0s = [e0_max(channel, eta, fortify_k)[0] for eta in sorted(etas, reverse=True)]
-        rates = np.array([e / eta for e, eta in zip(e0s, sorted(etas, reverse=True))])
+        rates = np.array([e0_max(channel, eta, fortify_k)[0] / eta
+                          for eta in sorted(etas, reverse=True)])
     else:
         rates = np.sort(_parse_grid(args.rate_grid or "0.01:0.5:25"))
         if args.bits:
@@ -619,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("channel")
     c.add_argument("--bounds", required=True)
     c.add_argument("--rate-grid", help="lo:hi:count in nats (or bits with --bits)")
-    c.add_argument("--eta-grid", help="lo:hi:count parametric grid")
+    c.add_argument("--eta-grid", help="lo:hi:count parametric grid (no --rate-grid, --bits)")
     c.add_argument("--bits", action="store_true")
     c.add_argument("--out", required=True)
     c.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -731,35 +731,19 @@ def burnashev_bound(p: Dmc, r_bar: float, fortify_k: int | None = None) -> float
     return max(0.0, coeff * (1.0 - r_bar / cap_p))
 
 
-def _rate_crossing(p: Dmc, r: float, fortify_k: int | None,
-                   lo: float, hi: float) -> tuple[float, float]:
-    """``decreasing_root``'s bracket around the eta in [lo, hi] where
-    E0(eta)/eta, which decreases from C to C_{0,f}, falls to r.
-
-    The root is that of the concave E0(eta) - r eta, which is positive
-    before it and negative after: Newton steps from its right converge
-    monotonically, and far out, where E0 saturates, the first step lands
-    near E0(inf)/r.
-    """
-    return _run_lane(p, fortify_k, _relay(root_steps(lo, hi), _tilt(r)))
-
-
-def _eta_for_rate_steps(r: float):
-    """The eta where E0(eta)/eta, decreasing from C to C_{0,f}, equals r, as
-    a lane: the midpoint of ``_rate_crossing``'s bracket.
-
-    The bracket grows fourfold past ``RHO_MAX`` when the solution lies
-    beyond it, which happens at low rates (eta = E_a / R is unbounded as R
-    drops).  Past 1e8 that raises ``ConvergenceError`` with the residual
-    E0(hi)/hi - r, rather than return the bracket's end.
-    """
-    lo, hi = 1e-9, RHO_MAX
+def _crossing_steps(r: float, lo: float, hi: float, cap: float, failure: str):
+    """``root_steps``'s bracket around the eta where E(eta)/eta, decreasing
+    in eta, falls to r, as a lane that receives (E(eta), dE/deta).  The
+    root is that of the concave E(eta) - r eta, positive before it and
+    negative after, so Newton steps from its right converge monotonically.
+    While E(hi)/hi > r the bracket grows fourfold (the root is unbounded as
+    r drops); at ``cap`` that raises ``ConvergenceError(failure)`` with the
+    residual E(hi)/hi - r, rather than return the bracket's end."""
     while (residual := (yield hi)[0] / hi - r) > 0:
-        if hi >= 1e8:
-            raise ConvergenceError("focusing rate root beyond eta = 1e8", residual)
+        if hi >= cap:
+            raise ConvergenceError(failure, residual)
         lo, hi = hi, 4.0 * hi
-    lo, hi = yield from _relay(root_steps(lo, hi), _tilt(r))
-    return 0.5 * (lo + hi)
+    return (yield from _relay(root_steps(lo, hi), _tilt(r)))
 
 
 def _focusing_oracle(p: Dmc, r: float):
@@ -842,8 +826,9 @@ def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
     if p.symmetric:
-        eta = yield from _eta_for_rate_steps(r)
-        return eta * r
+        lo, hi = yield from _crossing_steps(r, 1e-9, RHO_MAX, 1e8,
+                                            "focusing rate root beyond eta = 1e8")
+        return 0.5 * (lo + hi) * r
     if fortify_k is not None:
         raise ValueError("fortified bounds require an output-symmetric base channel")
     return _focusing_general(p, r)
@@ -946,20 +931,16 @@ def focusing_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCu
     )
 
 
-def _timesharing_rho(p: Dmc, r: float, fortify_k: int | None) -> tuple[float, float]:
-    """(rho, E0(1)): the rho where the two-stream rate E'(rho)/rho falls to
-    r > 0, the midpoint of ``decreasing_root``'s bracket (a root below 1e-9
-    gives that end).  The bracket is (1e-9, ``RHO_MAX``), or at low rates,
-    when the rate at ``RHO_MAX`` is still above r, (``RHO_MAX``, E0(1)/r):
-    E'(rho) < E0(1), so the rate is below r from E0(1)/r on.  E0(1) is
-    solved once.  As in ``_rate_crossing`` the root is taken on the concave
-    E'(rho) - r rho.  The search is the lane ``_timesharing_rho_steps``.
+def _two_stream_steps(r: float):
+    """(rho, E0(1), E0(rho)) at the rho where the two-stream rate
+    E'(rho)/rho falls to r > 0, as a lane: rho is the midpoint of
+    ``root_steps``'s bracket (a root below 1e-9 gives that end).  The
+    bracket is (1e-9, ``RHO_MAX``), or at low rates, when the rate at
+    ``RHO_MAX`` is still above r, (``RHO_MAX``, E0(1)/r): E'(rho) < E0(1),
+    so the rate is below r from E0(1)/r on.  E0(1) is solved once.  As in
+    ``_crossing_steps`` the root is taken on the concave E'(rho) - r rho.
+    The timesharing bound and ``ncl_scheme.two_stream_split`` run it.
     """
-    return _run_lane(p, fortify_k, _timesharing_rho_steps(r))
-
-
-def _timesharing_rho_steps(r: float):
-    """``_timesharing_rho`` as a lane."""
     if r <= 0:
         raise ValueError("rate must be positive")
     e_one = (yield 1.0)[0]
@@ -974,7 +955,8 @@ def _timesharing_rho_steps(r: float):
     if r * RHO_MAX < e_one and excess(RHO_MAX, *(yield RHO_MAX))[0] > 0:
         lo, hi = RHO_MAX, e_one / r
     lo, hi = yield from _relay(root_steps(lo, hi), excess)
-    return 0.5 * (lo + hi), e_one
+    rho = 0.5 * (lo + hi)
+    return rho, e_one, (yield rho)[0]
 
 
 def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
@@ -982,8 +964,8 @@ def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
     two-stream curve inverted at r, 0 from capacity on."""
     if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
         return 0.0
-    rho, e_one = yield from _timesharing_rho_steps(r)
-    return _timesharing_point((yield rho)[0], e_one, rho)[1]
+    rho, e_one, e_rho = yield from _two_stream_steps(r)
+    return _timesharing_point(e_rho, e_one, rho)[1]
 
 
 def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
@@ -1053,12 +1035,11 @@ def bec_focusing_point_bits(beta: float, eta: float) -> tuple[float, float]:
 def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
     """Fixed-delay exponent of a BEC at ``rate_bits``, in base-2 units.
 
-    Inverts the parametric form with ``decreasing_root``; the rate map is
-    decreasing in eta from 1 - beta down to 0, and the bracket grows
-    fourfold from eta = 64 (eta scales like log2(1/beta) / rate at low
-    rates).  Past 1e9 that raises ``ConvergenceError`` with the residual
-    R'(hi) - rate, rather than return the bracket's end.  Returns +inf for
-    nonpositive rates and 0 at or above capacity.
+    Inverts the parametric form, whose rate decreases in eta from 1 - beta
+    to 0, with ``_crossing_steps`` from the bracket (1e-12, 64): eta scales
+    like log2(1/beta) / rate at low rates, and past 1e9 it raises
+    ``ConvergenceError``.  Returns +inf for nonpositive rates and 0 at or
+    above capacity.
     """
     if not 0 < beta < 1:
         raise ValueError("erasure probability must lie in (0, 1)")
@@ -1067,19 +1048,12 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
     if rate_bits >= 1.0 - beta:
         return 0.0
 
-    def excess(eta):  # concave, as in ``_rate_crossing``
-        e_bits = bec_focusing_point_bits(beta, eta)[1]
-        # dE/deta = (1 - beta) / (1 - beta + beta 2^eta), in a form that
-        # cannot overflow at large eta
+    def point(eta):  # (E, dE/deta = (1-beta) 2^-eta / (beta + (1-beta) 2^-eta))
         tail = (1.0 - beta) * 2.0**-eta
-        return e_bits - rate_bits * eta, tail / (beta + tail) - rate_bits
+        return bec_focusing_point_bits(beta, eta)[1], tail / (beta + tail)
 
-    lo, hi = 1e-12, 64.0
-    while (residual := bec_focusing_point_bits(beta, hi)[0] - rate_bits) > 0:
-        if hi >= 1e9:
-            raise ConvergenceError("BEC focusing rate root beyond eta = 1e9", residual)
-        lo, hi = hi, 4.0 * hi
-    lo, hi = decreasing_root(excess, lo, hi)
+    lo, hi = run_steps(_crossing_steps(rate_bits, 1e-12, 64.0, 1e9,
+                                       "BEC focusing rate root beyond eta = 1e9"), point)
     return 0.5 * (lo + hi) * rate_bits
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
                       fit_delay_exponent, substream, substream_uniforms)
 from .dmc import Dmc
-from .exponents import _rate_crossing, _timesharing_rho, e0_max
+from .exponents import _crossing_steps, _run_lane, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
 EXACT_TINY_MAX_BLOCK_USES = 24
@@ -338,10 +338,7 @@ class TwoStreamSplit:
 
 def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    rho, e0_one = _timesharing_rho(p, rate, None)
-    e0_rho = e0_max(p, rho)[0]
+    rho, e0_one, e0_rho = _run_lane(p, None, _two_stream_steps(rate))
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,
                           e0_rho=e0_rho, e0_one=e0_one)
@@ -364,9 +361,11 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     """
     psi = split.psi
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
-    # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack
-    rho_sim = _rate_crossing(p, rate_msg / (1.0 - TWO_STREAM_RATE_MARGIN), None,
-                             1e-9, split.rho)[0]
+    # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack; the root
+    # lies below the split's rho, where the rate is 1 - margin of this one
+    rho_sim = _run_lane(p, None, _crossing_steps(
+        rate_msg / (1.0 - TWO_STREAM_RATE_MARGIN), 1e-9, split.rho, split.rho,
+        "two-stream back-off root beyond the split's rho"))[0]
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
     msg_delays = np.sort(trace.end_to_end()[WARMUP_BLOCKS:])

@@ -25,18 +25,19 @@ WARMUP_MESSAGES = 100  # messages dropped before a delay tail is measured
 
 @dataclass(frozen=True)
 class ServiceTimeModel:
-    """Integer service times with a certified geometric tail envelope.
+    """Integer service times T = offset + min(Geom(beta), cap), with a
+    certified geometric tail envelope.
 
-    ``kind`` selects the shipped sampler: "geometric" (support 1, 2, ...),
-    "offset_geometric" (offset + geometric), or "truncated_geometric"
-    (min(geometric, cap), same envelope).  Each meets P(T > offset + k) <=
-    beta^k by construction of ``inverse_cdf``, so construction draws nothing;
+    Geom(beta) has support 1, 2, ... and P(Geom > k) = beta^k; ``cap`` None
+    leaves it untruncated.  The shipped samplers are the factories below:
+    geometric (offset 0), offset geometric, and truncated geometric
+    (offset 0, a cap).  Each meets P(T > offset + k) <= beta^k by
+    construction of ``inverse_cdf``, so construction draws nothing;
     ``check_envelope`` is the explicit Monte Carlo conformance check.
     """
 
     offset: int
     tail_beta: float
-    kind: str = "geometric"
     cap: int | None = None
 
     def __post_init__(self):
@@ -44,21 +45,17 @@ class ServiceTimeModel:
             raise ValueError("tail parameter must lie in (0, 1)")
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
-        if self.kind not in ("geometric", "offset_geometric", "truncated_geometric"):
-            raise ValueError(f"unknown service-time kind: {self.kind}")
-        if self.kind == "truncated_geometric" and (self.cap is None or self.cap < 1):
-            raise ValueError("truncated model needs a positive cap")
+        if self.cap is not None and self.cap < 1:
+            raise ValueError("a truncation cap must be positive")
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Quantile transform of the sampler, shared-uniform couplings included."""
         u = np.asarray(u, dtype=float)
         geo = np.ceil(np.log1p(-u) / math.log(self.tail_beta)).astype(np.int64)
         geo = np.maximum(geo, 1)
-        if self.kind == "geometric":
-            return geo
-        if self.kind == "offset_geometric":
-            return self.offset + geo
-        return np.minimum(geo, self.cap)
+        if self.cap is not None:
+            geo = np.minimum(geo, self.cap)
+        return self.offset + geo
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.inverse_cdf(rng.random(size))
@@ -87,15 +84,15 @@ class ServiceTimeModel:
 
 
 def geometric_service(beta: float) -> ServiceTimeModel:
-    return ServiceTimeModel(offset=0, tail_beta=beta, kind="geometric")
+    return ServiceTimeModel(offset=0, tail_beta=beta)
 
 
 def offset_geometric_service(offset: int, beta: float) -> ServiceTimeModel:
-    return ServiceTimeModel(offset=offset, tail_beta=beta, kind="offset_geometric")
+    return ServiceTimeModel(offset=offset, tail_beta=beta)
 
 
 def truncated_geometric_service(beta: float, cap: int) -> ServiceTimeModel:
-    return ServiceTimeModel(offset=0, tail_beta=beta, kind="truncated_geometric", cap=cap)
+    return ServiceTimeModel(offset=0, tail_beta=beta, cap=cap)
 
 
 @dataclass

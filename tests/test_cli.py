@@ -377,6 +377,36 @@ class TestCurve:
         assert [r["focusing"] for r in rows] == [
             repr(exponents.focusing_bound(ch, float(r["rate_nats"]))) for r in rows]
 
+    def test_eta_grid_rates_and_columns(self, tmp_path):
+        # the rates are E0(eta)/eta, in decreasing eta, bit for bit, and
+        # every column is bound_curve at those rates
+        out = tmp_path / "c.csv"
+        names = ["esp", "focusing", "timesharing"]
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds", ",".join(names),
+                    "--eta-grid", "0.5:4:8", "--out", out]) == 0
+        rows = list(csv.DictReader(open(out)))
+        ch, _ = cli.load_channel(CHANNELS / "bsc002.json")
+        etas = sorted(np.linspace(0.5, 4.0, 8), reverse=True)
+        rates = [exponents.e0_max(ch, eta)[0] / eta for eta in etas]
+        assert [float(row["rate_nats"]) for row in rows] == rates
+        for name in names:
+            assert [float(row[name]) for row in rows] == exponents.bound_curve(ch, name, rates)
+
+    def test_nonpositive_eta_exit3(self, tmp_path, capsys):
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "focusing",
+                    "--eta-grid", "0:2:3", "--out", tmp_path / "c.csv"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "delaylab: eta grid must be positive\n"
+
+    @pytest.mark.parametrize("extra", [["--rate-grid", "0.1:0.2:3"], ["--bits"]],
+                             ids=["rate_grid", "bits"])
+    def test_eta_grid_clash_exit2(self, tmp_path, capsys, extra):
+        # both options once went unread next to --eta-grid
+        out = tmp_path / "c.csv"
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "focusing",
+                    "--eta-grid", "0.5:4:4", *extra, "--out", out]) == cli.EXIT_PARSE
+        assert "--eta-grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_that_fails_is_named(self, tmp_path, capsys):
         assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "esp,timesharing",
                     "--rate-grid", "0:0.5:3", "--out", tmp_path / "c.csv"]) == \
@@ -722,6 +752,13 @@ class TestSim:
         assert fit["d_grid"] == [15.0, 6.0, 9.0, 12.0, 18.0]
         counts = fit["miss_counts"]
         assert counts[1] >= counts[2] >= counts[3] >= counts[0] >= counts[4]
+
+    def test_unknown_service_kind_exit4(self, tmp_path, capsys):
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({"service": {"kind": "mystery", "beta": 0.4},
+                                   "arrival_period": 2, "horizon": 1000}))
+        assert run(["sim", "queue", cfg, "--out", tmp_path / "q"]) == cli.EXIT_UNKNOWN
+        assert "unknown service kind 'mystery'" in capsys.readouterr().err
 
     def test_bad_config_exit2(self, tmp_path):
         cfg = tmp_path / "broken.json"

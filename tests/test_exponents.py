@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from delaylab import dmc, exponents as ex, optimize
+from delaylab import dmc, exponents as ex, ncl_scheme as ncl, optimize
 from delaylab.dmc import LN2
 from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
                      golden_erl, golden_esp, golden_focusing, nelder_mead_haroutunian,
@@ -520,6 +520,114 @@ class TestRhoWorkCounters:
     def test_sphere_packing(self, bsc002, e0_calls):
         ex.sphere_packing(bsc002, 0.3)
         assert 0 < len(e0_calls) <= 25
+
+
+class TestRateInversionPins:
+    """Values of the E(eta)/eta = r inversions as hex floats, computed
+    before the focusing, two-stream and erasure-channel copies of that
+    inversion became one lane: any bit that moves is a behaviour change."""
+
+    BEC = {  # (beta, rate as a fraction of 1 - beta): exponent in bits
+        (0.05, 1e-06): "0x1.149a784bcd1b8p+2", (0.05, 0.001): "0x1.149a784bcd1b8p+2",
+        (0.05, 0.1): "0x1.149a784bccf49p+2", (0.05, 0.5): "0x1.1135a1cada130p+2",
+        (0.05, 0.9): "0x1.49c9629857be4p+1", (0.4, 1e-06): "0x1.5269e12f346e1p+0",
+        (0.4, 0.001): "0x1.5269e12f346e2p+0", (0.4, 0.1): "0x1.5269d8b806cbap+0",
+        (0.4, 0.5): "0x1.308d66d379204p+0", (0.4, 0.9): "0x1.85d355150e3d1p-2",
+        (0.9, 1e-06): "0x1.374d65d9e608ep-3", (0.9, 0.001): "0x1.374d65d9e608cp-3",
+        (0.9, 0.1): "0x1.374b2a36cb880p-3", (0.9, 0.5): "0x1.f8e3580cb2f11p-4",
+        (0.9, 0.9): "0x1.f76d30ef1a4ddp-6",
+    }
+    FOCUSING = {  # (channel, rate, k): E_a in nats
+        # at 1e-4 on BSC(0.003) the root lies beyond eta = 64: the bracket grows
+        ("bsc0003", 1e-4, None): "0x1.1b3af013e9e28p+1",
+        ("bsc0003", 0.1, None): "0x1.01d2955f38d08p+1",
+        ("bsc0003", 0.3, None): "0x1.8e1d3e9cabe91p+0",
+        ("bsc002", 1e-4, None): "0x1.45d754bb2b02bp+0",
+        ("bsc002", 0.1, None): "0x1.1e42c83cd91d3p+0",
+        ("bsc002", 0.3, None): "0x1.8720f795cb6aep-1",
+        ("bsc002", 0.1, 50): "0x1.52eee5157d2f0p+0",
+        ("bsc002", 0.6, 50): "0x1.2528e0e061b17p-5",
+        ("bec04", 1e-4, None): "0x1.d5240f0e0d9efp-1",
+        ("bec04", 0.1, None): "0x1.d3c72360bc0cap-1",
+        ("bec04", 0.3, None): "0x1.302e24b6e7160p-1",
+    }
+    CHANNELS = {"bsc0003": dmc.bsc(0.003), "bsc002": dmc.bsc(0.02), "bec04": dmc.bec(0.4)}
+    # (rate, channel): psi, rho, e_prime, e0_rho, e0_one of two_stream_split
+    SPLITS = {
+        (0.2231435, "bsc002"): ("0x1.0000021e4f265p-1", "0x1.000005f9fb84bp+0",
+                                "0x1.c8ff8041c3d6dp-3", "0x1.c8ff8409de1b8p-2",
+                                "0x1.c8ff7c79a9a21p-2"),
+        (0.1, "z05"): ("0x1.b498679579f4cp-2", "0x1.59ab0f80fd9b0p-1", "0x1.1488d933fe15ap-4",
+                       "0x1.e212742b78b8fp-4", "0x1.444b873f60b01p-3"),
+    }
+
+    def test_erasure_channel(self):
+        for (beta, frac), want in self.BEC.items():
+            got = ex.bec_focusing_exponent_bits(beta, frac * (1 - beta))
+            assert got == float.fromhex(want), (beta, frac)
+
+    def test_focusing(self):
+        for (name, r, k), want in self.FOCUSING.items():
+            ch = self.CHANNELS[name]
+            assert ex.focusing_bound(ch, r, k) == float.fromhex(want), (name, r, k)
+            assert ex.bound_curve(ch, "focusing", [r], k) == [float.fromhex(want)]
+
+    def test_two_stream_split(self, bsc002, z05):
+        channels = {"bsc002": bsc002, "z05": z05}
+        for (rate, name), want in self.SPLITS.items():
+            split = ncl.two_stream_split(channels[name], rate)
+            got = (split.psi, split.rho, split.e_prime, split.e0_rho, split.e0_one)
+            assert got == tuple(map(float.fromhex, want)), name
+
+    def test_two_stream_back_off(self, bsc002):
+        split = ncl.two_stream_split(bsc002, 0.2231435)
+        _, details = ncl.simulate_two_stream(bsc002, split, 200, seed=6)
+        assert details["rho_sim"] == float.fromhex("0x1.cdc327526e137p-2")
+
+    @pytest.mark.parametrize("solve, message, residual", [
+        (lambda: ex.focusing_bound(dmc.bsc(0.02), 1e-9),
+         "focusing rate root beyond eta = 1e8 (residual 3.742e-09)", "0x1.0128e4a5f4c89p-28"),
+        (lambda: ex.bec_focusing_exponent_bits(0.4, 1e-10),
+         "BEC focusing rate root beyond eta = 1e9 (residual 1.131e-09)",
+         "0x1.36ed01555cb06p-30"),
+    ], ids=["focusing", "erasure"])
+    def test_roots_beyond_the_cap_raise(self, solve, message, residual):
+        with pytest.raises(dmc.ConvergenceError) as err:
+            solve()
+        assert str(err.value) == message
+        assert err.value.residual == float.fromhex(residual)
+
+
+class TestInversionWorkCounters:
+    """Exact E0 evaluations (``_e0_kernel`` runs) of the rate inversions.
+    A change may lower these counts; it must not raise them."""
+
+    @pytest.mark.parametrize("name, r, want", [
+        ("bsc0003", 1e-4, 23),  # the bracket grows past eta = 64
+        ("bsc002", 0.3, 10),
+    ])
+    def test_focusing(self, e0_calls, name, r, want):
+        ex.focusing_bound(TestRateInversionPins.CHANNELS[name], r)
+        assert len(e0_calls) == want
+
+    def test_timesharing(self, bsc002, e0_calls):
+        ex.bound_at_rate(bsc002, "timesharing", 0.2)
+        assert len(e0_calls) == 11
+
+    def test_two_stream_split(self, bsc002, z05, e0_calls):
+        ncl.two_stream_split(bsc002, 0.2231435)
+        assert len(e0_calls) == 11
+        e0_calls.clear()
+        ncl.two_stream_split(z05, 0.1)
+        assert len(e0_calls) == 12
+
+    def test_two_stream_simulation(self, bsc002, e0_calls):
+        # the back-off's root search, its test of the bracket's end at the
+        # split's rho, and select_params's E0 at the root
+        split = ncl.two_stream_split(bsc002, 0.2231435)
+        e0_calls.clear()
+        ncl.simulate_two_stream(bsc002, split, 200, seed=6)
+        assert len(e0_calls) == 12
 
 
 class TestRandomCodingList:
@@ -1123,7 +1231,7 @@ class TestTimesharing:
 
     def test_low_rate_inversion_reaches_the_rate(self, bsc002):
         # the rate at rho = 64 is 0.0051, so the root lies beyond it
-        rho, _ = ex._timesharing_rho(bsc002, 1e-4, None)
+        rho = ex._run_lane(bsc002, None, ex._two_stream_steps(1e-4))[0]
         rate, e = ex.timesharing_exponent(bsc002, rho)
         assert rate == pytest.approx(1e-4, rel=1e-9)
         assert ex.bound_at_rate(bsc002, "timesharing", 1e-4) == pytest.approx(e, rel=1e-12)

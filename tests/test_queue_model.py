@@ -26,7 +26,7 @@ class TestServiceTimeModel:
         qm.geometric_service(0.4)
         qm.offset_geometric_service(2, 0.25)
         qm.truncated_geometric_service(0.4, 3)
-        qm.ServiceTimeModel(offset=1, tail_beta=0.3, kind="offset_geometric")
+        qm.ServiceTimeModel(offset=1, tail_beta=0.3, cap=4)
         assert "validate" not in {f.name for f in dataclasses.fields(qm.ServiceTimeModel)}
 
     def test_bad_parameters_rejected(self):
@@ -34,8 +34,20 @@ class TestServiceTimeModel:
             qm.geometric_service(1.5)
         with pytest.raises(ValueError):
             qm.ServiceTimeModel(offset=-1, tail_beta=0.4)
-        with pytest.raises(ValueError):
-            qm.ServiceTimeModel(offset=0, tail_beta=0.4, kind="mystery")
+        for cap in (0, -2):
+            with pytest.raises(ValueError, match="cap"):
+                qm.ServiceTimeModel(offset=0, tail_beta=0.4, cap=cap)
+
+    def test_one_law_for_every_model(self):
+        # T = offset + min(Geom(beta), cap): the offset is never dropped
+        u = qm.substream(3, 1).random(10_000)
+        geo = qm.geometric_service(0.5).inverse_cdf(u)
+        assert np.array_equal(qm.ServiceTimeModel(offset=3, tail_beta=0.5).inverse_cdf(u),
+                              3 + geo)
+        assert np.array_equal(qm.ServiceTimeModel(offset=2, tail_beta=0.5, cap=4)
+                              .inverse_cdf(u), 2 + np.minimum(geo, 4))
+        assert np.array_equal(qm.truncated_geometric_service(0.5, 4).inverse_cdf(u),
+                              np.minimum(geo, 4))
 
     def test_envelope_checker_catches_heavier_tail(self):
         # a geometric(0.5) sampler against an envelope claiming beta = 0.35
