@@ -34,12 +34,7 @@ _BOOTSTRAP_STREAM = (0, 999)  # their substream key
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based per-stream generator: reproducible and order-independent.
-
-    The uniforms of the streams ``substream(seed, *prefix, j)`` have a
-    batched twin, ``substream_uniforms``, which computes them for many
-    j at once without building a generator per stream.
-    """
+    """Counter-based per-stream generator: reproducible and order-independent."""
     return np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=seed, spawn_key=key))
     )
@@ -51,116 +46,6 @@ def fifo_completions(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     the queue of the erasure FIFO, the point queue and both (n, c, l) modes."""
     csum = np.cumsum(service)
     return csum + np.maximum.accumulate(arrivals - (csum - service))
-
-
-# numpy's SeedSequence hash constants (pool of 4 uint32 words)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11),
-# one per pair of lanes (0, 2) and (1, 3)
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
-
-
-def _uint32_words(n: int) -> list[int]:
-    """SeedSequence's little-endian uint32 words of a non-negative int."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _hashmix(value, h, mult=_MULT_A):
-    """SeedSequence's hashmix on uint32 words held in ints or uint64 arrays:
-    the mixed value and the next hash constant."""
-    value = value ^ h
-    h = (h * mult) & _M32
-    value = (value * h) & _M32
-    return value ^ (value >> 16), h
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ (r >> 16)
-
-
-def _substream_keys(seed: int, prefix: tuple[int, ...], keys) -> tuple[np.ndarray, np.ndarray]:
-    """The two uint64 Philox key words of ``substream(seed, *prefix, j)`` for
-    every j in the 1-D ``keys``.  A spawn key pads the seed's words with zeros
-    to the 4-word pool, so j is the last entropy word and every step before
-    it runs once, on Python ints."""
-    np.random.SeedSequence(seed)  # numpy's own validation and messages
-    keys = np.asarray(keys)
-    if keys.ndim != 1 or keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0
-                                        or keys.max() > _M32):
-        raise ValueError("batched substreams need a 1-D array of integer keys in [0, 2**32)")
-    seed_words = _uint32_words(int(seed))
-    entropy = seed_words + [0] * (4 - len(seed_words))
-    for k in prefix:
-        entropy += _uint32_words(int(k))
-    entropy.append(keys.astype(np.uint64))
-
-    h = _INIT_A
-    pool = []
-    for word in entropy[:4]:
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[4:]:
-        for dst in range(4):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
-
-    h = _INIT_B
-    state = []
-    for word in pool:  # generate_state(2, uint64): four uint32 words
-        value, h = _hashmix(word, h, _MULT_B)
-        state.append(value)
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
-
-
-def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low uint64 words of the 128-bit products a b, from 32-bit halves."""
-    a_lo, a_hi = a & _M32, a >> 32
-    b_lo, b_hi = b & _M32, b >> 32
-    t = a_hi * b_lo + (a_lo * b_lo >> 32)
-    u = a_lo * b_hi + (t & _M32)
-    return a_hi * b_hi + (t >> 32) + (u >> 32), a * b
-
-
-def substream_uniforms(seed: int, prefix: tuple[int, ...], keys, start: int,
-                       count: int) -> np.ndarray:
-    """Row i is ``substream(seed, *prefix, keys[i]).random(start + count)[start:]``,
-    bit for bit, computed counter-wise for every key at once.
-
-    Philox4x64-10 word w of a stream is lane w % 4 of the 10-round block
-    cipher of the counter (w // 4 + 1, 0, 0, 0) under the stream's key, and
-    ``Generator.random`` maps a word x to (x >> 11) 2^-53.  Keys must lie in
-    [0, 2^32); a negative seed raises numpy's ValueError.
-    """
-    key = np.stack(_substream_keys(seed, prefix, keys))[:, :, None]
-    first = start // 4
-    counters = np.arange(first + 1, (start + count + 3) // 4 + 1, dtype=np.uint64)
-    # lanes (0, 2) and (1, 3), each pair shaped (2, key, counter) once keyed
-    even = np.stack([counters, np.zeros_like(counters)])[:, None, :]
-    odd = np.zeros((2, 1, 1), dtype=np.uint64)
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W
-        hi, lo = _mulhilo(_PHILOX_M, even)
-        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=2)
-    words = words.reshape(key.shape[1], 4 * len(counters))
-    offset = start - 4 * first
-    return (words[:, offset:offset + count] >> 11) * 2.0**-53
 
 
 @dataclass

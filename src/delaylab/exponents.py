@@ -427,35 +427,13 @@ def _max_info_binary(row0: list, row1: list, lo: float, hi: float) -> float:
     two-input channel.
 
     An end where I' already points out of the interval is the maximizer.
-    Otherwise I' changes sign inside, and safeguarded Newton steps on I'
-    shrink the bracket around its root: a step that leaves the bracket, or
-    is longer than half the previous step, is replaced by bisection.
-    Stops once a step is at most 1e-15 (I is flat to second order there);
-    raises ``ConvergenceError`` with the bracket width after 200 steps.
-    """
+    Otherwise I' changes sign inside, and ``decreasing_root`` closes a
+    bracket on its root with Newton steps on (I', I'')."""
     if _info_slope(row0, row1, lo)[0] <= 0.0:
         return _info_binary_rows(row0, row1, lo)
     if _info_slope(row0, row1, hi)[0] >= 0.0:
         return _info_binary_rows(row0, row1, hi)
-    s = 0.5 * (lo + hi)
-    step = step_old = hi - lo
-    for _ in range(200):
-        slope, curv = _info_slope(row0, row1, s)
-        if slope == 0.0:
-            break
-        if slope > 0.0:
-            lo = s
-        else:
-            hi = s
-        step_old, step = step, (-slope / curv if curv < 0.0 else math.inf)
-        if not (lo < s + step < hi and abs(2.0 * step) <= abs(step_old)):
-            step = 0.5 * (lo + hi) - s
-        s += step
-        if abs(step) <= 1e-15:
-            break
-    else:
-        raise ConvergenceError("two-input mutual information search did not converge",
-                               hi - lo)
+    s = decreasing_root(lambda s: _info_slope(row0, row1, s), lo, hi)[0]
     return _info_binary_rows(row0, row1, s)
 
 
@@ -463,10 +441,9 @@ def channel_capacity_fast(g: Dmc) -> float:
     """Capacity of a small channel.
 
     Two-input channels maximize the concave scalar mutual information over
-    s in [0, 1] with ``_max_info_binary``'s safeguarded Newton iteration on
-    I'(s); larger alphabets fall back to ``capacity``, the certified
-    min-max program over output laws.  No bound calls it; the benchmark's
-    tracer binds it by name.
+    s in [0, 1] with ``_max_info_binary``'s root of I'(s); larger alphabets
+    fall back to ``capacity``, the certified min-max program over output
+    laws.  No bound calls it; the benchmark's tracer binds it by name.
     """
     if g.input_size == 2:
         return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
-                      fit_delay_exponent, substream, substream_uniforms)
+                      fit_delay_exponent, substream)
 from .dmc import Dmc
 from .exponents import _crossing_steps, _run_lane, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
@@ -166,10 +166,10 @@ def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
     return base + params.ck * np.arange(points, dtype=np.int64)
 
 
-def _ncl_trace(params: NclParams, chunks: np.ndarray, committed_errors: int,
-               meta: dict) -> NclTrace:
+def _ncl_trace(params: NclParams, chunks: np.ndarray, meta: dict) -> NclTrace:
     """Queue blocks that take ``chunks`` chunks each FIFO, one block
-    assembled every n c k uses, and time every block of the run."""
+    assembled every n c k uses, and time every block of the run; neither
+    mode can commit an error."""
     nck = params.block_period
     arrivals = nck * np.arange(1, len(chunks) + 1, dtype=np.int64)
     t_j = chunks * params.ck
@@ -182,7 +182,7 @@ def _ncl_trace(params: NclParams, chunks: np.ndarray, committed_errors: int,
         commit_times=confirms + params.l * params.k,
         assembly=nck,
         termination=params.l * params.k,
-        committed_errors=committed_errors,
+        committed_errors=0,
         meta=meta,
     )
 
@@ -201,7 +201,7 @@ def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
         raise ValueError("need at least one block")
     law = offset_geometric_service(math.ceil(params.t_tilde), params.beta_eff)
     chunks = law.sample(substream(seed, 1), horizon_blocks)
-    return _ncl_trace(params, chunks, 0,
+    return _ncl_trace(params, chunks,
                       {"mode": "bound_driven", "beta_eff": params.beta_eff, "seed": seed})
 
 
@@ -215,6 +215,18 @@ def queueing_exponent_bound(params: NclParams) -> float:
     return reduced_rate_exponent(params.beta_eff, params.slack_chunks) / params.ck
 
 
+def _chunk_uniforms(seed: int, chunk: int, blocks: np.ndarray, draws: int) -> np.ndarray:
+    """Row i is words ``blocks[i] draws`` to ``(blocks[i] + 1) draws - 1`` of
+    ``substream(seed, 4, chunk)`` as ``Generator.random`` maps them, for
+    ascending ``blocks``: the generator skips to the first block's words
+    (Philox makes four per counter step) and draws the rest in one call."""
+    skip = int(blocks[0]) * draws
+    rng = substream(seed, 4, chunk)
+    rng.bit_generator.advance(skip // 4)
+    rng.random(skip % 4)
+    return rng.random((int(blocks[-1] - blocks[0]) + 1, draws))[blocks - blocks[0]]
+
+
 def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
                             seed: int = 0, n_messages: int | None = None,
                             feedback_lag: int = 1) -> NclTrace:
@@ -226,24 +238,21 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     list decode over all message hypotheses with lexicographic tie-breaking.
     The encoder mirrors the decoder through noiseless feedback and signals
     confirm/deny plus the l list-index bits over the error-free control
-    slots, so committed decisions are never wrong.  ``committed_errors``
-    proves nothing about that: the decoded message is read from the list
-    at the true message's own position, so it is the true message and the
-    count is 0 by construction.  The tests that assert 0 guard only that
-    list bookkeeping.
+    slots, so committed decisions are never wrong: ``committed_errors`` is
+    0 by construction, as in the bound-driven mode.
 
     ``feedback_lag`` phi > 1 discards the last phi - 1 outputs of each chunk
     (both sides), trading rate for tolerance of delayed feedback.
 
     Streams: ``substream(seed, 3)`` draws every block's true message below
-    the codebook size M.  Block j then reads only ``substream(seed, 4, j)``:
-    per chunk of u = ck - (phi - 1) used outputs, M u codebook uniforms
-    (hypothesis-major, mapped through q's CDF), then u channel uniforms.  So
-    blocks decode independently, in batches of ``EXACT_TINY_BATCH_DRAWS``
-    uniforms, and the FIFO queue runs afterwards on their service times.
-    No generator is built per block: each chunk of a batch computes the
-    uniforms of its undecided blocks counter-wise (``substream_uniforms``),
-    the same numbers ``substream(seed, 4, j)`` would draw.
+    the codebook size M.  With u = ck - (phi - 1) used outputs per chunk,
+    block j takes D = M u + u uniforms per chunk: M u codebook uniforms
+    (hypothesis-major, mapped through q's CDF), then u channel uniforms.
+    In chunk c they are words j D to (j + 1) D - 1 of ``substream(seed, 4,
+    c)``.  So a block's chunk count depends on (seed, j) alone, blocks
+    decode in batches of ``EXACT_TINY_BATCH_DRAWS`` uniforms with one draw
+    per batch and chunk, and the FIFO queue runs afterwards on their
+    service times.
     """
     if horizon_blocks < 1:
         raise ValueError("need at least one block")
@@ -269,15 +278,14 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
 
     true_msgs = substream(seed, 3).integers(0, m_count, horizon_blocks)
     chunks = np.zeros(horizon_blocks, dtype=np.int64)
-    committed_errors = 0
     batch = max(1, EXACT_TINY_BATCH_DRAWS // draws)
     for first in range(0, horizon_blocks, batch):
         blocks = np.arange(first, min(first + batch, horizon_blocks))
         loglik = np.zeros((len(blocks), m_count))
-        offset = 0  # every block of a batch is at the same chunk
+        chunk = 0  # every block of a batch is at the same chunk
         while len(blocks):  # one chunk for every block still undecided
-            u = substream_uniforms(seed, (4,), blocks, offset, draws)
-            offset += draws
+            u = _chunk_uniforms(seed, chunk, blocks, draws)
+            chunk += 1
             cw = q_cdf.searchsorted(u[:, :-used], side="right").reshape(-1, m_count, used)
             truth = true_msgs[blocks]
             x_true = cw[np.arange(len(blocks)), truth]
@@ -285,17 +293,13 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
             loglik = loglik + log_p[cw, y[:, None, :]].sum(axis=2)
             # a stable sort lists tied hypotheses in index order
             listed = np.argsort(-loglik, axis=1, kind="stable")[:, :list_size]
-            hit = listed == truth[:, None]
-            done = hit.any(axis=1)
-            chunks[blocks] += 1
-            decoded = listed[done, hit[done].argmax(axis=1)]
-            committed_errors += int((decoded != truth[done]).sum())
+            done = (listed == truth[:, None]).any(axis=1)
+            chunks[blocks[done]] = chunk
             blocks, loglik = blocks[~done], loglik[~done]
 
-    return _ncl_trace(params, chunks, committed_errors,
-                      {"mode": "exact_tiny", "n_messages": m_count,
-                       "rate_realized": math.log(m_count) / nck,
-                       "feedback_lag": feedback_lag, "seed": seed})
+    return _ncl_trace(params, chunks, {"mode": "exact_tiny", "n_messages": m_count,
+                                       "rate_realized": math.log(m_count) / nck,
+                                       "feedback_lag": feedback_lag, "seed": seed})
 
 
 def delayed_feedback_adjust(params: NclParams, phi: int) -> tuple[NclParams, float]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from delaylab import dmc, ncl_scheme as ncl, queue_model as qm
-from delaylab.bec_lab import fit_delay_exponent
+from delaylab.bec_lab import fit_delay_exponent, substream
 from delaylab.exponents import e0_max, gallager_e0
 from oracles import loop_ncl_exact_tiny
 
@@ -70,8 +70,8 @@ class TestTransmissionTailBound:
 
 class TestExactTiny:
     def test_zero_committed_errors(self, bsc002, tiny_params):
-        # 0 by construction (the decoded message is read at the true
-        # message's list position): this guards the list bookkeeping only
+        # 0 by construction (the control slots are error-free): this guards
+        # the trace's schema only
         tr = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 20_000, seed=4)
         assert tr.committed_errors == 0
         assert tr.decomposition_exact()
@@ -112,6 +112,44 @@ class TestExactTiny:
         a = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 2_000, seed=11)
         b = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 2_000, seed=11)
         assert np.array_equal(a.transmission_times, b.transmission_times)
+
+
+class TestChunkUniforms:
+    """``_chunk_uniforms`` against plain sequential draws of numpy's own
+    generator: block j's row of chunk c is words j D to (j + 1) D - 1 of
+    ``substream(seed, 4, c)``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5])
+    def test_matches_sequential_draws(self, seed):
+        # block 0, gaps between blocks, a first block past 0, and D of every
+        # residue mod 4, so the skip ends at each word of a Philox counter
+        for draws in (1, 3, 4, 6, 9, 54):
+            for blocks in ([0], [0, 1, 2], [0, 2, 7], [3], [5, 6, 11], [1, 4, 5]):
+                for chunk in (0, 2):
+                    blocks = np.array(blocks)
+                    got = ncl._chunk_uniforms(seed, chunk, blocks, draws)
+                    stream = substream(seed, 4, chunk).random((blocks[-1] + 1) * draws)
+                    want = [stream[j * draws:(j + 1) * draws] for j in blocks]
+                    assert np.array_equal(got, want), (draws, list(blocks), chunk)
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ncl._chunk_uniforms(-1, 0, np.array([0]), 4)
+
+    def test_generator_count(self, bsc002, tiny_params, monkeypatch):
+        """Generators built by one 6,000-block run of the benchmark's
+        exact-tiny config at seed 5: one for the messages and one per batch
+        and chunk.  A change may lower this pin but never raise it, so a
+        generator per block cannot come back."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(ncl, "substream", counted)
+        ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 6_000, seed=5, n_messages=8)
+        assert len(calls) == 42
 
 
 def assert_same_trace(a, b):
@@ -188,9 +226,9 @@ class TestExactTinyMatchesLoop:
         assert params.block_period == ncl.EXACT_TINY_MAX_BLOCK_USES
         assert ncl.EXACT_TINY_BATCH_DRAWS // ((m + 1) * params.ck) == 0
         for lag in (1, 3):
-            fast = ncl.simulate_ncl_exact_tiny(bsc002, params, 8, 9, n_messages=m,
+            fast = ncl.simulate_ncl_exact_tiny(bsc002, params, 16, 9, n_messages=m,
                                                feedback_lag=lag)
-            slow = loop_ncl_exact_tiny(bsc002, params, 8, 9, n_messages=m,
+            slow = loop_ncl_exact_tiny(bsc002, params, 16, 9, n_messages=m,
                                        feedback_lag=lag)
             assert_same_trace(fast, slow)
             assert fast.transmission_times.max() > params.ck  # later chunks read
