@@ -73,6 +73,30 @@ def fifo_run():
     return bl.simulate_fifo(cfg)
 
 
+class TestSubstreamUniforms:
+    """``substream`` against numpy's own generator: skipping ``start`` words
+    by ``advance`` (Philox makes four per counter step) and then drawing
+    ``count`` equals the sequential draws, and sibling keys give different
+    streams.  The exact-tiny chunk uniforms rest on both."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("prefix", [(4,), (), (7, 2**40)])
+    def test_matches_numpy_streams(self, seed, prefix):
+        keys = [0, 1, 2**32 - 1]
+        heads = [bl.substream(seed, *prefix, j).random(4) for j in keys]
+        for a in range(len(keys)):
+            for b in range(a):
+                assert not np.array_equal(heads[a], heads[b]), (keys[a], keys[b])
+        for start in range(8):
+            for count in (1, 3, 4, 109):
+                for j in keys:
+                    rng = bl.substream(seed, *prefix, j)
+                    rng.bit_generator.advance(start // 4)
+                    rng.random(start % 4)
+                    want = bl.substream(seed, *prefix, j).random(start + count)[start:]
+                    assert np.array_equal(rng.random(count), want), (start, count, j)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
