@@ -38,7 +38,6 @@ from .optimize import (
     minimize_over_channels,
 )
 from .exponents import (
-    ExponentCurve,
     FocusingPoint,
     gallager_e0,
     e0_max,
@@ -50,7 +49,6 @@ from .exponents import (
     burnashev_bound,
     focusing_bound,
     focusing_parametric_curve,
-    focusing_curve,
     timesharing_exponent,
     timesharing_curve,
     bec_anytime_capacity,

@@ -90,6 +90,10 @@ class SimTrace:
     def delays(self) -> np.ndarray:
         return self.decode_times - self.arrival_times
 
+    def steady_start(self) -> int:
+        """Index of the first bit to arrive after ``burn_in_steps``."""
+        return int(np.searchsorted(self.arrival_times, burn_in_steps(self.meta["beta"])))
+
     def series(self, stride: int = 1) -> dict[str, np.ndarray]:
         t = np.arange(1, self.horizon + 1, stride, dtype=np.int64)
         arrivals = np.searchsorted(self.arrival_times, t, side="right")
@@ -206,9 +210,8 @@ def burn_in_steps(beta: float) -> int:
 
 def stationary_queue_samples(trace: SimTrace) -> np.ndarray:
     """Arrival-embedded queue samples after the burn-in prefix."""
-    burn_uses = burn_in_steps(trace.meta["beta"])
     q = queue_seen_by_arrivals(trace)
-    start = int(np.searchsorted(trace.arrival_times, burn_uses))
+    start = trace.steady_start()
     # drop the tail where the horizon may truncate decode times
     stop = len(q) - 64 if len(q) > 128 else len(q)
     return q[start:stop]
@@ -245,7 +248,7 @@ def miss_probability(trace: SimTrace, d: float) -> tuple[float, float]:
     periods), so the naive binomial error bar would be optimistic; contiguous
     batch means give an honest one.
     """
-    start = int(np.searchsorted(trace.arrival_times, burn_in_steps(trace.meta["beta"])))
+    start = trace.steady_start()
     # bits whose deadline lies beyond the horizon are not yet decidable
     ok = trace.arrival_times[start:] + d <= trace.horizon
     miss = (trace.delays()[start:][ok] > d).astype(float)
@@ -369,7 +372,6 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExpone
     d_max = float(max(d_grid))
     chunks = []
     for t in traces:
-        start = int(np.searchsorted(t.arrival_times, burn_in_steps(t.meta["beta"])))
         stop = int(np.searchsorted(t.arrival_times, t.horizon - d_max, side="right"))
-        chunks.append(t.delays()[start:stop])
+        chunks.append(t.delays()[t.steady_start():stop])
     return fit_delay_exponent(np.concatenate(chunks), d_grid, min_misses)

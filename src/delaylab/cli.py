@@ -225,6 +225,21 @@ def _count(config: dict, name: str, default: int | None = None, least: int = 1) 
     return value
 
 
+def _real(value, name: str) -> float:
+    """The sim config field ``name``: a JSON number inside the float range, not a boolean."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise CliError(EXIT_PARSE, f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _d_grid(config: dict, default: list) -> list[float]:
+    """The sim config's deadline list, ``default`` when absent."""
+    grid = config.get("d_grid", default)
+    if type(grid) is not list:
+        raise CliError(EXIT_PARSE, f"d_grid must be a list of numbers, got {grid!r}")
+    return [_real(d, "d_grid entry") for d in grid]
+
+
 def _run_trials(fn, trials: int):
     """Deterministic per-trial work; aggregation is by trial index regardless
     of completion order, so thread count never changes the results."""
@@ -246,45 +261,32 @@ def _text_field(text: str, rows: int) -> np.ndarray:
 
 
 def _int_field(col: np.ndarray) -> np.ndarray:
-    """``str`` of each int of ``col`` as a (1 + W, rows) uint8 matrix: a sign
-    slot, then W right-aligned decimal digits, W the largest value's digit
-    count.  The slot of a non-negative value and every leading position are
-    NUL, for the writer to delete."""
-    v = col.astype(np.int64, casting="safe", copy=False)
-    neg = v < 0
-    # |v| in uint64, as ~v + 1 = -(v + 1) + 1 for a negative v: ~v never
-    # overflows, while -v does at int64's minimum
-    mag = np.where(neg, ~v, v).astype(np.uint64)
-    mag += neg
-    top = int(mag.max())
+    """``str`` of each int of ``col``, which must be nonnegative, as a (W,
+    rows) uint8 matrix of right-aligned decimal digits, W the largest
+    value's digit count, leading positions NUL for the writer to delete."""
+    if col.dtype.kind not in "iu" or col.min() < 0:
+        raise ValueError(f"trace columns hold nonnegative integers, got {col.dtype} values")
+    top = int(col.max())
     width = len(str(top))
-    q = mag.astype(np.uint32) if top <= np.iinfo(np.uint32).max else mag
-    field = np.zeros((1 + width, len(v)), dtype=np.uint8)
-    field[0] = neg * np.uint8(ord("-"))
-    for pos in range(width, 0, -1):
+    q = col.astype(np.uint32 if top <= np.iinfo(np.uint32).max else np.uint64)
+    field = np.zeros((width, len(col)), dtype=np.uint8)
+    for pos in reversed(range(width)):
         nxt = q // 10
         field[pos] = q - 10 * nxt
         field[pos] += 48
-        if pos < width:
+        if pos < width - 1:
             field[pos] *= q != 0
         q = nxt
     return field
 
 
-def _float_field(col: np.ndarray) -> np.ndarray:
-    """``_fmt`` of each float of ``col`` as a (K, rows) uint8 matrix, each
-    string NUL-padded to the longest one's K bytes."""
-    text = np.array([_fmt(x).encode() for x in col.tolist()], dtype=bytes)
-    return text.view(np.uint8).reshape(len(text), -1).T
-
-
 def _write_trace_csv(path: Path, header: list[str], columns_by_trial) -> None:
     """Write ``header``, then one row "trial,v1,v2,..." per index of each
-    trial's equal-length numpy columns: integer columns as ``str`` of the
-    int, float columns through ``_fmt``.  Each chunk of rows is one uint8
-    matrix with a row per byte position of the CSV line and a column per CSV
-    row, NUL where a field is shorter than its widest value; the chunk's
-    text is the transposed matrix's bytes with every NUL deleted."""
+    trial's equal-length numpy columns of nonnegative ints (all that the
+    simulators record).  Each chunk of rows is one uint8 matrix with a row
+    per byte position of the CSV line and a column per CSV row, NUL where a
+    field is shorter than its widest value; the chunk's text is the
+    transposed matrix's bytes with every NUL deleted."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for trial, columns in enumerate(columns_by_trial):
@@ -293,9 +295,7 @@ def _write_trace_csv(path: Path, header: list[str], columns_by_trial) -> None:
                 stop = min(start + TRACE_CHUNK_ROWS, rows)
                 parts = [_text_field(f"{trial},", stop - start)]
                 for j, col in enumerate(columns):
-                    part = col[start:stop]
-                    parts.append(_float_field(part) if col.dtype.kind == "f"
-                                 else _int_field(part))
+                    parts.append(_int_field(col[start:stop]))
                     sep = "\n" if j == len(columns) - 1 else ","
                     parts.append(_text_field(sep, stop - start))
                 fh.write(np.concatenate(parts).T.tobytes().translate(None, b"\0"))
@@ -328,12 +328,13 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
         raise CliError(EXIT_UNKNOWN, f"unknown bec scheme '{scheme}'")
     horizon = _count(config, "horizon")
     trials = _count(config, "trials", 1)
-    d_grid = config.get("d_grid", list(range(10, 41, 2)))
+    d_grid = _d_grid(config, list(range(10, 41, 2)))
     stride = _count(config, "trace_stride", max(1, horizon // 100_000))
+    beta, rate_bits = _real(config["beta"], "beta"), _real(config["rate_bits"], "rate_bits")
 
     def one(trial):
-        cfg = bec_lab.BecConfig(beta=config["beta"], rate_bits=config["rate_bits"],
-                                horizon=horizon, seed=seed + trial)
+        cfg = bec_lab.BecConfig(beta=beta, rate_bits=rate_bits, horizon=horizon,
+                                seed=seed + trial)
         if scheme == "fifo":
             return bec_lab.simulate_fifo(cfg)
         return bec_lab.simulate_causal_parity_nofeedback(cfg)
@@ -352,12 +353,13 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
     kind = svc_cfg.get("kind", "geometric")
     try:
         if kind == "geometric":
-            svc = queue_model.geometric_service(svc_cfg["beta"])
+            svc = queue_model.geometric_service(_real(svc_cfg["beta"], "beta"))
         elif kind == "offset_geometric":
             svc = queue_model.offset_geometric_service(_count(svc_cfg, "offset", least=0),
-                                                       svc_cfg["beta"])
+                                                       _real(svc_cfg["beta"], "beta"))
         elif kind == "truncated_geometric":
-            svc = queue_model.truncated_geometric_service(svc_cfg["beta"], _count(svc_cfg, "cap"))
+            svc = queue_model.truncated_geometric_service(_real(svc_cfg["beta"], "beta"),
+                                                          _count(svc_cfg, "cap"))
         else:
             raise CliError(EXIT_UNKNOWN, f"unknown service kind '{kind}'")
     except (KeyError, ValueError) as exc:
@@ -365,7 +367,7 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
     m = _count(config, "arrival_period")
     horizon = _count(config, "horizon")
     trials = _count(config, "trials", 1)
-    d_grid = config.get("d_grid", list(range(2 * m, 20 * m, m)))
+    d_grid = _d_grid(config, list(range(2 * m, 20 * m, m)))
 
     def one(trial):
         cfg = queue_model.QueueConfig(arrival_period=m, horizon=horizon, seed=seed + trial)
@@ -397,7 +399,8 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
                       name=config["channel"].get("name", "channel"))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"bad channel: {exc}")
-    rate = float(config["rate"])
+    rate = _real(config["rate"], "rate")
+    delta = _real(config.get("delta", 0.05), "delta")
     k = _count(config, "k", 10)
     blocks = _count(config, "horizon_blocks", 100_000)
     feedback_lag = _count(config, "feedback_lag", 1)
@@ -406,14 +409,13 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
         if mode == "two_stream":
             split = ncl_scheme.two_stream_split(channel, rate)
             fit, _ = ncl_scheme.simulate_two_stream(
-                channel, split, blocks, seed=seed, k=k, delta=float(config.get("delta", 0.05)))
+                channel, split, blocks, seed=seed, k=k, delta=delta)
             return {"sim": "ncl_two_stream", "fit": _fit_payload(fit),
                     "psi": split.psi, "rho": split.rho,
                     "target_exponent": split.e_prime,
                     "committed_errors": 0}
-        params = ncl_scheme.select_params(
-            channel, rate, float(config.get("delta", 0.05)), k,
-            float(config.get("rho", 1.0)))
+        params = ncl_scheme.select_params(channel, rate, delta, k,
+                                          _real(config.get("rho", 1.0), "rho"))
         if "n" in config:  # explicit scheme geometry overrides the formulas
             params = replace(params, n=_count(config, "n"), c=_count(config, "c"),
                              l=_count(config, "l"))
@@ -424,11 +426,12 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
     elif mode == "exact_tiny":
         trace = ncl_scheme.simulate_ncl_exact_tiny(
             channel, params, blocks, seed,
-            n_messages=config.get("n_messages"),
+            n_messages=(None if config.get("n_messages") is None
+                        else _count(config, "n_messages", least=0)),
             feedback_lag=feedback_lag)
     else:
         raise CliError(EXIT_UNKNOWN, f"unknown ncl mode '{mode}'")
-    d_grid = config.get("d_grid") or ncl_scheme.default_delay_grid(params).tolist()
+    d_grid = _d_grid(config, []) or ncl_scheme.default_delay_grid(params).tolist()
     fit = trace.measure_exponent(d_grid, min_misses=min_misses)
     _write_trace_csv(out / "trace.csv",
                      ["trial", "arrival", "service_start", "transmission", "commit"],

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -290,18 +290,6 @@ def _tilt(r: float):
     return lambda rho, e0, slope: (e0 - rho * r, slope - r)
 
 
-def _relay(steps, excess):
-    """Run the ``optimize`` search ``steps`` inside a lane: each point it
-    yields is passed up, and excess(x, E0(x), E0'(x)) is sent back."""
-    x = next(steps)
-    while True:
-        e0, slope = yield x
-        try:
-            x = steps.send(excess(x, e0, slope))
-        except StopIteration as stop:
-            return stop.value
-
-
 def _lockstep_climb(r: float):
     """The bracket search of a lane that ``_run_lanes`` drives: the maximum
     of E0(rho) - rho r on [lo, hi] as ``maximize_concave_1d`` finds it with
@@ -309,7 +297,7 @@ def _lockstep_climb(r: float):
     the bracket takes the value the search received there; only an interior
     one is evaluated again."""
     def climb(lo, hi, tol):
-        x, calls, seen = yield from _relay(slope_argmax_steps(lo, hi, tol), _tilt(r))
+        x, calls, seen = yield from slope_argmax_steps(lo, hi, tol, _tilt(r))
         value = seen[0] if seen is not None else (yield x)[0] - x * r
         return Search1DResult(argmax=x, value=value, iterations=calls)
     return climb
@@ -720,7 +708,7 @@ def _crossing_steps(r: float, lo: float, hi: float, cap: float, failure: str):
         if hi >= cap:
             raise ConvergenceError(failure, residual)
         lo, hi = hi, 4.0 * hi
-    return (yield from _relay(root_steps(lo, hi), _tilt(r)))
+    return (yield from root_steps(lo, hi, excess=_tilt(r)))
 
 
 def _focusing_oracle(p: Dmc, r: float):
@@ -835,31 +823,6 @@ class FocusingPoint:
             raise ValueError("parametric identity exponent = eta * rate violated")
 
 
-@dataclass
-class ExponentCurve:
-    """An ordered list of (rate, exponent) samples for one bound on one channel."""
-    kind: str
-    samples: list[tuple[float, float]]
-    channel_digest: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        rates = [r for r, _ in self.samples]
-        if any(b <= a for a, b in zip(rates, rates[1:])):
-            raise ValueError("curve rates must be strictly increasing")
-        exps = [e for _, e in self.samples]
-        if any(b > a + 1e-9 for a, b in zip(exps, exps[1:])):
-            raise ValueError("curve exponents must be nonincreasing in rate")
-        # clamp sub-tolerance wiggle so downstream consumers see a monotone curve
-        self.samples = list(zip(rates, accumulate(exps, min)))
-
-    def rates(self) -> np.ndarray:
-        return np.array([r for r, _ in self.samples])
-
-    def exponents(self) -> np.ndarray:
-        return np.array([e for _, e in self.samples])
-
-
 def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> list[FocusingPoint]:
     """Sampled parametric focusing bound for output-symmetric channels.
 
@@ -891,23 +854,6 @@ def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
     return 2.0 * cap_p / second
 
 
-def focusing_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> ExponentCurve:
-    """ExponentCurve wrapper around the parametric sweep, with slope metadata."""
-    pts = focusing_parametric_curve(p, eta_grid, fortify_k)
-    meta = {"capacity_slope": capacity_slope_focusing(p, fortify_k)}
-    if meta["capacity_slope"] == -math.inf:  # E0''(0) below 1e-12
-        # degenerate Taylor term: the bound jumps to zero above capacity and the
-        # parametric curve is only meaningful for eta >= 1
-        pts = [pt for pt in pts if pt.eta >= 1.0]
-        meta["discontinuous_at_capacity"] = True
-    return ExponentCurve(
-        kind="focusing_parametric",
-        samples=[(pt.rate, pt.exponent) for pt in pts],
-        channel_digest=p.digest(),
-        meta=meta,
-    )
-
-
 def _two_stream_steps(r: float):
     """(rho, E0(1), E0(rho)) at the rho where the two-stream rate
     E'(rho)/rho falls to r > 0, as a lane: rho is the midpoint of
@@ -931,7 +877,7 @@ def _two_stream_steps(r: float):
     # the first test spares an E0 solve: it is implied by the second
     if r * RHO_MAX < e_one and excess(RHO_MAX, *(yield RHO_MAX))[0] > 0:
         lo, hi = RHO_MAX, e_one / r
-    lo, hi = yield from _relay(root_steps(lo, hi), excess)
+    lo, hi = yield from root_steps(lo, hi, excess=excess)
     rho = 0.5 * (lo + hi)
     return rho, e_one, (yield rho)[0]
 
@@ -969,19 +915,14 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
     return -e_one / (cap_p - e_one * second / (2.0 * cap_p))
 
 
-def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> ExponentCurve:
+def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> list[tuple[float, float]]:
+    """(R, E') of ``timesharing_exponent`` at each rho of ``rho_grid``, by increasing R."""
     rhos = sorted(rho_grid, reverse=True)
     points = _e0_and_slope_lanes(p, [1.0, *rhos], fortify_k)
     if errors := [point for point in points if isinstance(point, Exception)]:
         raise errors[0]
     e_one = points[0][0]
-    pts = [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
-    return ExponentCurve(
-        kind="timesharing",
-        samples=pts,
-        channel_digest=p.digest(),
-        meta={"capacity_slope": capacity_slope_timesharing(p, fortify_k)},
-    )
+    return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
 
 
 # ---------------------------------------------------------------------------

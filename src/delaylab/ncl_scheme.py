@@ -53,10 +53,7 @@ class NclParams:
     e0: float
 
     def __post_init__(self):
-        if self.c < self.l + 1:
-            raise ValueError("need c >= l + 1 so the disambiguation bits fit one chunk")
-        if self.n <= self.l:
-            raise ValueError("need n > l")
+        _check_geometry(self.n, self.c, self.l)
         if not 0 < self.rho <= 2**self.l:
             raise ValueError("rho must lie in (0, list size]")
         if self.rate >= self.ctilde:
@@ -87,6 +84,13 @@ class NclParams:
     def beta_eff(self) -> float:
         """Effective erasure probability of one chunk: exp(-ck E0(rho, q))."""
         return math.exp(-self.ck * self.e0)
+
+
+def _check_geometry(n: int, c: int, l: int) -> None:
+    if c < l + 1:
+        raise ValueError("need c >= l + 1 so the disambiguation bits fit one chunk")
+    if n <= l:
+        raise ValueError("need n > l")
 
 
 def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclParams:
@@ -149,10 +153,13 @@ class NclTrace:
                  + self.termination)
         return bool(np.all(total == self.end_to_end()))
 
+    def steady_delays(self) -> np.ndarray:
+        """End-to-end delays after the first ``WARMUP_BLOCKS`` blocks."""
+        return self.end_to_end()[WARMUP_BLOCKS:]
+
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
-        """Delay exponent of the end-to-end delays after the first
-        ``WARMUP_BLOCKS`` blocks."""
-        return fit_delay_exponent(self.end_to_end()[WARMUP_BLOCKS:], d_grid, min_misses)
+        """Delay exponent of the ``steady_delays``."""
+        return fit_delay_exponent(self.steady_delays(), d_grid, min_misses)
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
@@ -291,9 +298,11 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
             x_true = cw[np.arange(len(blocks)), truth]
             y = (u[:, -used:, None] > rows_cdf[x_true]).sum(axis=2)
             loglik = loglik + log_p[cw, y[:, None, :]].sum(axis=2)
-            # a stable sort lists tied hypotheses in index order
-            listed = np.argsort(-loglik, axis=1, kind="stable")[:, :list_size]
-            done = (listed == truth[:, None]).any(axis=1)
+            # the truth is on the list when fewer than 2^l hypotheses rank
+            # above it; of tied ones, those of smaller index rank above
+            t_ll = loglik[np.arange(len(blocks)), truth][:, None]
+            above = np.where(np.arange(m_count) < truth[:, None], loglik >= t_ll, loglik > t_ll)
+            done = above.sum(axis=1) < list_size
             chunks[blocks[done]] = chunk
             blocks, loglik = blocks[~done], loglik[~done]
 
@@ -372,7 +381,7 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
         "two-stream back-off root beyond the split's rho"))[0]
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
-    msg_delays = np.sort(trace.end_to_end()[WARMUP_BLOCKS:])
+    msg_delays = np.sort(trace.steady_delays())
     if not len(msg_delays):
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     base = params.block_period / (1.0 - psi)
@@ -401,21 +410,18 @@ def scheme_exponent_curve(p: Dmc, n: int, c: int, l: int, k: int,
 
     For each rate, maximizes the Corollary-driven end-to-end exponent over
     ``SCHEME_RHO_POINTS`` geometrically spaced values of the operating
-    parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.
+    parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.  Raises
+    ``ValueError`` for a geometry no scheme can run (c < l + 1 or n <= l).
     """
+    _check_geometry(n, c, l)
     rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS)
     table = [(float(rho), *e0_max(p, float(rho))) for rho in rhos]
     out = []
     for rate in sorted(rate_grid):
         best = 0.0
         for rho, e0, q in table:
-            if rate >= e0 / rho:
-                continue
-            try:
-                params = NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q,
-                                   rate=float(rate), e0=e0)
-            except ValueError:
-                continue
-            best = max(best, queueing_exponent_bound(params))
+            if rate < e0 / rho:
+                params = NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q, rate=float(rate), e0=e0)
+                best = max(best, queueing_exponent_bound(params))
         out.append((float(rate), best))
     return out

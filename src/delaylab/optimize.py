@@ -116,12 +116,12 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     return Search1DResult(argmax=best_x, value=best_v, iterations=it)
 
 
-def slope_argmax_steps(lo: float, hi: float, tol: float):
+def slope_argmax_steps(lo: float, hi: float, tol: float, excess=lambda x, *pair: pair):
     """The maximizer of a concave f on [lo, hi] from its nonincreasing
-    slope, as a ``run_steps`` generator: it yields points x, receives the
-    pair (f(x), f'(x)) and reads only f'(x), and returns (argmax,
-    iterations, pair), where pair is the (f, f') it received at the argmax,
-    or None when it received none there.
+    slope, as a ``run_steps`` generator: it yields points x, receives a
+    tuple t, reads only f'(x) of the pair (f(x), f'(x)) = excess(x, *t)
+    (t itself by default), and returns (argmax, iterations, pair), where
+    pair is the one at the argmax, or None when it received none there.
 
     An end where the slope already points out of the interval is the
     maximizer (lo when f'(lo) <= 0), with the pair received there.
@@ -131,22 +131,20 @@ def slope_argmax_steps(lo: float, hi: float, tol: float):
     ``iterations`` counts the slope evaluations inside the bracket.
     """
     a, b = float(lo), float(hi)
-    at_a = yield a
+    at_a = excess(a, *(yield a))
     if at_a[1] <= 0.0:
         return a, 0, at_a
-    at_b = yield b
+    at_b = excess(b, *(yield b))
     if at_b[1] >= 0.0:
         return b, 0, at_b
-    root = root_steps(a, b, tol)
-    x, calls = next(root), 0
-    while True:
-        calls += 1
-        slope = (yield x)[1]
-        try:
-            x = root.send((slope, math.nan))
-        except StopIteration as stop:
-            a, b = stop.value
-            return 0.5 * (a + b), calls, None
+    inside = []  # the points of the slope evaluations inside the bracket
+
+    def slope(x, *received):
+        inside.append(x)
+        return excess(x, *received)[1], math.nan
+
+    a, b = yield from root_steps(a, b, tol, slope)
+    return 0.5 * (a + b), len(inside), None
 
 
 def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:
@@ -154,11 +152,12 @@ def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, f
     return run_steps(root_steps(lo, hi, tol), f)
 
 
-def root_steps(lo: float, hi: float, tol: float = 0.0):
+def root_steps(lo: float, hi: float, tol: float = 0.0, excess=None):
     """A bracket lo < hi at most ``tol`` or 4 ulps wide, whichever is wider,
     with f(lo) > 0 >= f(hi), for a function that is positive before its
     root and not after (decreasing, or concave through zero), as a
-    ``run_steps`` generator that yields points x and receives (f(x), f'(x)).
+    ``run_steps`` generator that yields points x and receives (f(x), f'(x)),
+    or a tuple t with (f(x), f'(x)) = excess(x, *t) when ``excess`` is given.
 
     f'(x) is nan when the derivative is not known: the secant slope through
     the previous point stands in for it.  The ends are not evaluated, so
@@ -179,7 +178,8 @@ def root_steps(lo: float, hi: float, tol: float = 0.0):
     side, push = 0, math.ulp(x)
     x_old = value_old = math.nan
     for _ in range(ROOT_MAX_ITER):
-        value, deriv = yield x
+        received = yield x
+        value, deriv = received if excess is None else excess(x, *received)
         crossed = (value > 0.0) != (side > 0)
         if value > 0.0:
             lo, side = x, 1

@@ -33,7 +33,6 @@ import numpy as np
 
 from delaylab import exponents as ex
 from delaylab.bec_lab import substream
-from delaylab.cli import _fmt
 from delaylab.dmc import ConvergenceError, _block_is_symmetric
 from delaylab.ncl_scheme import (EXACT_TINY_MAX_BLOCK_USES, EXACT_TINY_MAX_CODEWORDS,
                                  NclTrace)
@@ -202,14 +201,13 @@ def exhaustive_symmetry_partition(p):
 
 
 def row_loop_trace_csv(path, header, rows_by_trial):
-    """``cli._write_trace_csv`` as a loop over rows of Python values: floats
-    through ``cli._fmt``, everything else through ``str``."""
+    """``cli._write_trace_csv`` as a loop over rows of Python ints, each
+    through ``str``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for trial, rows in enumerate(rows_by_trial):
             for row in rows:
-                fh.write(f"{trial}," + ",".join(_fmt(v) if isinstance(v, float)
-                                                else str(v) for v in row) + "\n")
+                fh.write(f"{trial}," + ",".join(map(str, row)) + "\n")
 
 
 def loop_ncl_exact_tiny(p, params, horizon_blocks, seed=0, n_messages=None,

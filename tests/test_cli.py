@@ -416,45 +416,43 @@ class TestCurve:
 
 
 def trace_columns(case):
-    """Per-trial numpy columns for one trace-writer case."""
+    """Per-trial numpy columns of nonnegative ints for one trace-writer case."""
     rng = np.random.default_rng(11)
     chunk = cli.TRACE_CHUNK_ROWS
 
     def ints(n):
-        return rng.integers(-2**62, 2**62, n)
+        return rng.integers(0, 2**62, n)
 
-    def floats(n):
-        special = [0.1, 1e16, 5e-324, math.inf, -math.inf, math.nan, -0.0, 1 / 3]
-        return np.resize(np.array(special), n) * rng.choice([1.0, -1.0], n)
+    def short(n):  # one to four digits
+        return rng.integers(0, 10**rng.integers(1, 5, n))
 
     if case == "int64":
-        return [[ints(1000), ints(1000), np.arange(1000, dtype=np.int64)]]
-    if case == "float":
-        return [[floats(1000), ints(1000), floats(1000)]]
+        return [[ints(1000), short(1000), np.arange(1000, dtype=np.int64)]]
     if case == "trials_one_empty":
-        return [[ints(n), floats(n)] for n in (5, 0, 7, 3)]
+        return [[ints(n), short(n)] for n in (5, 0, 7, 3)]
     if case == "int64_extremes":
-        info = np.iinfo(np.int64)
-        edges = np.array([info.min, info.max, 0, 1, -1, 9, 10, -10, info.min + 1,
-                          info.max - 1, 10**18, -10**18], dtype=np.int64)
+        top = np.iinfo(np.int64).max
+        # the digits switch from uint32 to uint64 above 2^32 - 1
+        edges = np.array([0, 1, 9, 10, 99, 100, top, top - 1, 10**18, 10**18 - 1,
+                          2**32 - 1, 2**32], dtype=np.int64)
         return [[np.concatenate([edges, ints(20)]), rng.permutation(np.resize(edges, 32))]]
     if case == "all_zero":
         return [[np.zeros(100, dtype=np.int64), ints(100)]]
     if case == "width_across_chunk":
-        # at most one digit in the first chunk, up to 19 in the next
-        small = rng.integers(-9, 10, chunk)
-        wide = rng.integers(-10**18, 10**18 + 1, 1000)
+        # one digit in the first chunk, up to 19 in the next
+        small = rng.integers(0, 10, chunk)
+        wide = rng.integers(0, 10**18 + 1, 1000)
         return [[np.concatenate([small, wide]), np.concatenate([wide, small])]]
     if case == "twelve_trials":
         return [[ints(n), np.arange(n, dtype=np.int64)] for n in range(3, 15)]
     if case == "one_row_trial":
-        return [[ints(n), floats(n)] for n in (1, 4, 1)]
+        return [[ints(n), short(n)] for n in (1, 4, 1)]
     rows = chunk + {"chunk_minus_1": -1, "chunk": 0, "chunk_plus_1": 1}[case]
-    return [[ints(rows), floats(rows)], [floats(rows), ints(rows)]]
+    return [[ints(rows), short(rows)], [short(rows), ints(rows)]]
 
 
 class TestTraceWriter:
-    @pytest.mark.parametrize("case", ["int64", "float", "trials_one_empty",
+    @pytest.mark.parametrize("case", ["int64", "trials_one_empty",
                                       "int64_extremes", "all_zero", "width_across_chunk",
                                       "twelve_trials", "one_row_trial",
                                       "chunk_minus_1", "chunk", "chunk_plus_1"])
@@ -466,6 +464,14 @@ class TestTraceWriter:
                            [list(zip(*(col.tolist() for col in cols))) for cols in trials])
         assert (tmp_path / "chunked.csv").read_bytes() == \
                (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("column", [np.array([3.0, 1.5]), np.array([3, -1])],
+                             ids=["float", "negative"])
+    def test_rejects_other_columns(self, tmp_path, column):
+        # the simulators record only nonnegative integers
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            cli._write_trace_csv(tmp_path / "t.csv", ["trial", "a", "b"],
+                                 [[np.arange(2), column]])
 
 
 class TestSim:
@@ -680,6 +686,57 @@ class TestSim:
         assert run(["sim", "queue", cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
         assert f"offset must be a nonnegative integer, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "s/summary.json").exists()
+
+    BEC = {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5, "horizon": 5000}
+    REAL_FIELDS = [
+        ("bec", BEC, (), "beta", "0.4", "beta"),
+        ("bec", BEC, (), "rate_bits", None, "rate_bits"),
+        ("bec", BEC, (), "beta", 10**400, "beta"),
+        ("bec", BEC, (), "beta", math.nan, "beta"),
+        ("bec", BEC, (), "d_grid", [8, "12"], "d_grid entry"),
+        ("queue", GEOMETRIC_QUEUE, ("service",), "beta", "0.3", "beta"),
+        ("queue", GEOMETRIC_QUEUE, (), "d_grid", [4, True], "d_grid entry"),
+        ("ncl", EXACT_TINY, (), "rho", True, "rho"),
+        ("ncl", EXACT_TINY, (), "rate", "0.17", "rate"),
+        ("ncl", EXACT_TINY, (), "delta", math.inf, "delta"),
+        ("ncl", EXACT_TINY, (), "d_grid", ["a"], "d_grid entry"),
+    ]
+
+    @pytest.mark.parametrize("kind,config,path,field,value,name", REAL_FIELDS,
+                             ids=[f"{k}-{f}-{type(v).__name__}"
+                                  for k, _, _, f, v, _ in REAL_FIELDS])
+    def test_real_fields_must_be_finite_numbers(self, tmp_path, capsys, kind, config,
+                                                path, field, value, name):
+        # a string once failed with a TypeError traceback, a boolean ran as
+        # 0 or 1, and a non-numeric deadline exited 3; an int beyond the
+        # float range is not finite either
+        config = json.loads(json.dumps(config))
+        inner = config
+        for key in path:
+            inner = inner[key]
+        inner[field] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["sim", kind, cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        bad = value[-1] if type(value) is list else value
+        assert f"{name} must be a finite number, got {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s/summary.json").exists()
+
+    def test_d_grid_must_be_a_list(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**self.BEC, "d_grid": 12}))
+        assert run(["sim", "bec", cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        assert "d_grid must be a list of numbers, got 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2.5, "8", True, -1])
+    def test_n_messages_is_a_nonnegative_integer(self, tmp_path, capsys, value):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.EXACT_TINY, "n_messages": value,
+                                   "horizon_blocks": 100}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_PARSE
+        assert (f"n_messages must be a nonnegative integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "n/summary.json").exists()
 
     def test_queue_offset_zero_runs(self, tmp_path):
         cfg = tmp_path / "c.json"

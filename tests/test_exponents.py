@@ -1331,12 +1331,6 @@ class TestBecClosedForms:
 
 
 class TestCurves:
-    def test_monotonicity_enforced(self, bsc002):
-        with pytest.raises(ValueError):
-            ex.ExponentCurve("esp", [(0.1, 0.5), (0.2, 0.7)], "x")
-        with pytest.raises(ValueError):
-            ex.ExponentCurve("esp", [(0.2, 0.5), (0.1, 0.4)], "x")
-
     def test_dominance_chain(self, bsc002):
         c = dmc.capacity(bsc002)[0]
         for r in np.linspace(0.05, 0.95 * c, 12):

@@ -419,3 +419,10 @@ class TestSchemeCurve:
             vals = [cur[float(r)] for r in rates]
             assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
         assert curves[(50, 8, 6)][0.40] >= curves[(10, 3, 2)][0.40]
+
+    @pytest.mark.parametrize("n,c,l,message", [(10, 2, 2, "disambiguation"), (2, 3, 2, "n > l")],
+                             ids=["c_below_l_plus_1", "n_not_above_l"])
+    def test_invalid_geometry_raises(self, bsc002, n, c, l, message):
+        # once read as a zero exponent at every rate
+        with pytest.raises(ValueError, match=message):
+            ncl.scheme_exponent_curve(bsc002, n, c, l, 50, [0.1, 0.2])
