@@ -232,11 +232,16 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _d_grid(config: dict, default: list) -> list[float]:
-    """The sim config's deadline list, ``default`` when absent."""
-    grid = config.get("d_grid", default)
+def _d_grid(config: dict) -> list[float] | None:
+    """The sim config's deadline list, None when absent (the kind's default
+    grid); an empty one exits 2 in every kind, as it leaves nothing to fit."""
+    if "d_grid" not in config:
+        return None
+    grid = config["d_grid"]
     if type(grid) is not list:
         raise CliError(EXIT_PARSE, f"d_grid must be a list of numbers, got {grid!r}")
+    if not grid:
+        raise CliError(EXIT_PARSE, "d_grid must not be empty (omit it for the default grid)")
     return [_real(d, "d_grid entry") for d in grid]
 
 
@@ -328,7 +333,7 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
         raise CliError(EXIT_UNKNOWN, f"unknown bec scheme '{scheme}'")
     horizon = _count(config, "horizon")
     trials = _count(config, "trials", 1)
-    d_grid = _d_grid(config, list(range(10, 41, 2)))
+    d_grid = _d_grid(config) or list(range(10, 41, 2))
     stride = _count(config, "trace_stride", max(1, horizon // 100_000))
     beta, rate_bits = _real(config["beta"], "beta"), _real(config["rate_bits"], "rate_bits")
 
@@ -367,7 +372,7 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
     m = _count(config, "arrival_period")
     horizon = _count(config, "horizon")
     trials = _count(config, "trials", 1)
-    d_grid = _d_grid(config, list(range(2 * m, 20 * m, m)))
+    d_grid = _d_grid(config) or list(range(2 * m, 20 * m, m))
 
     def one(trial):
         cfg = queue_model.QueueConfig(arrival_period=m, horizon=horizon, seed=seed + trial)
@@ -405,6 +410,7 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
     blocks = _count(config, "horizon_blocks", 100_000)
     feedback_lag = _count(config, "feedback_lag", 1)
     min_misses = _count(config, "min_misses", 30)
+    d_grid = _d_grid(config)
     try:
         if mode == "two_stream":
             split = ncl_scheme.two_stream_split(channel, rate)
@@ -431,8 +437,8 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
             feedback_lag=feedback_lag)
     else:
         raise CliError(EXIT_UNKNOWN, f"unknown ncl mode '{mode}'")
-    d_grid = _d_grid(config, []) or ncl_scheme.default_delay_grid(params).tolist()
-    fit = trace.measure_exponent(d_grid, min_misses=min_misses)
+    fit = trace.measure_exponent(d_grid or ncl_scheme.default_delay_grid(params).tolist(),
+                                 min_misses=min_misses)
     _write_trace_csv(out / "trace.csv",
                      ["trial", "arrival", "service_start", "transmission", "commit"],
                      [[trace.arrival_times, trace.service_starts,

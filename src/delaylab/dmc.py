@@ -46,11 +46,14 @@ class Dmc:
 
     Entries must be finite and 0 or normal doubles (a subnormal entry
     stalls the E0 solver), rows must sum to one within 1e-12 and both
-    alphabets must have at least two letters.  Instances are immutable and
-    safe to share across threads.  The facts the bounds read off the rows
-    (``symmetric``, ``uniform``, ``capacity_solution``, ``support``,
-    ``divergence_rate``) are computed on first use and kept read-only on the
-    instance: a channel built again from the same rows computes them again.
+    alphabets must have at least two letters.  The rows are immutable.  The
+    facts the bounds read off the rows (``symmetric``, ``uniform``,
+    ``capacity_solution``, ``support``, ``divergence_rate``, and the E0
+    maximizer of each rho in ``e0_inputs``) are computed on first use and
+    kept read-only on the instance: a channel built again from the same rows
+    computes them again.  Instances are safe to share across threads: every
+    fact is deterministic, so two threads that compute one at once store
+    equal values.
     """
 
     rows: np.ndarray
@@ -130,6 +133,14 @@ class Dmc:
 
         best = minimize_convex_on_simplex(oracle, self.output_size).value
         return -math.log(-best)
+
+    @cached_property
+    def e0_inputs(self) -> dict[float, np.ndarray]:
+        """The certified maximizer of E0(rho, q) at each rho > 0 solved so far
+        on this channel, a read-only array keyed by rho; ``exponents.e0_max``
+        fills it on channels without output symmetry, so that each rho is
+        solved once per channel whichever bound asks for it."""
+        return {}
 
     def digest(self) -> str:
         """Stable content hash, used to label curves."""

@@ -14,6 +14,7 @@ feedback capacity from 0 to ln2 / k; all bounds below accept ``fortify_k``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -85,12 +86,18 @@ def _e0_kernel(rows: np.ndarray, rho: float, q: np.ndarray) -> tuple[float, np.n
 
 def _e0_input(p: Dmc, rho: float) -> np.ndarray:
     """``e0_max``'s input: the channel's uniform input at rho = 0 and on
-    output-symmetric channels, ``maximize_e0``'s otherwise."""
+    output-symmetric channels, ``maximize_e0``'s otherwise, solved once per
+    channel and rho and kept in ``Dmc.e0_inputs``."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0 or p.symmetric:
         return p.uniform
-    return validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+    q = p.e0_inputs.get(rho)
+    if q is None:
+        q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+        q.flags.writeable = False
+        p.e0_inputs[rho] = q
+    return q
 
 
 def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.ndarray]:
@@ -254,11 +261,16 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     """Sphere-packing exponent sup_{rho >= 0} [E0(rho) - rho R], in nats.
 
     Returns +inf exactly for rates below ``divergence_rate``, where the
-    supremum diverges.  Above it the maximizer can still lie far
-    beyond ``RHO_MAX`` (at low rates), so the bracket grows fourfold while
-    the objective is still climbing at its edge; past 1e8 that raises
-    ``ConvergenceError`` with the climb over the bracket's last tenth.
-    Inside a bracket the maximizer is the root of the slope dE0/drho - R
+    supremum diverges.  Above it the search starts from dE0/drho at
+    rho = 1.  Where that is at most R (at or above Gallager's critical
+    rate) concavity puts the maximizer in [0, 1], and the search is random
+    coding's (``random_coding_list``, L = 1), so the two are equal bit for
+    bit there.  Below it the maximizer lies beyond 1, and the search runs
+    on [1, ``RHO_MAX``].  It can still lie far beyond ``RHO_MAX`` (at low
+    rates), so the bracket grows fourfold while the objective is still
+    climbing at its edge; past 1e8 that raises ``ConvergenceError`` with
+    the climb over the bracket's last tenth.  Inside a bracket the
+    maximizer is the root of the slope dE0/drho - R
     (``maximize_concave_1d`` with ``slope``).  The expansion test compares
     values, not the sign of the slope: at R = 0 the slope stays positive
     (about 1e-16) at any rho, while the values stop climbing.  It also
@@ -283,6 +295,27 @@ def _run_lane(p: Dmc, fortify_k: int | None, steps):
     rho is written once, as a lane; this runs one, and ``_run_lanes`` runs
     a curve's worth together."""
     return run_steps(steps, lambda rho: _e0_and_slope(p, rho, fortify_k))
+
+
+def _once(lane):
+    """``lane``, a function that returns a lane, made to ask for each rho
+    once: a rho its search comes back to (the end of a bracket that the
+    next search starts from, or a midpoint that rounds to an end) is
+    answered with the pair the lane received there.  Only the lanes whose
+    searches can come back to a rho take this, as it costs every step."""
+    @functools.wraps(lane)
+    def once(*args):
+        steps = lane(*args)
+        received = {}
+        try:
+            rho = next(steps)
+            while True:
+                if rho not in received:
+                    received[rho] = yield rho
+                rho = steps.send(received[rho])
+        except StopIteration as stop:
+            return stop.value
+    return once
 
 
 def _tilt(r: float):
@@ -317,9 +350,11 @@ def _alone_climb(p: Dmc, r: float, fortify_k: int | None):
     return climb
 
 
+@_once
 def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
     """``sphere_packing``'s search as a lane; ``climb(lo, hi, tol)`` is a
-    generator returning the ``maximize_concave_1d`` result on a bracket."""
+    generator returning the ``maximize_concave_1d`` result on a bracket.
+    Each bracket after the first starts from a rho the last one ended on."""
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p, fortify_k) - 1e-12:
@@ -329,7 +364,11 @@ def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
         # over the outputs every input reaches
         reached = p.rows[:, p.support.all(axis=0)]
         return -math.log(float(np.prod(reached ** (1.0 / p.input_size), axis=0).sum()))
-    lo, hi, best = 0.0, RHO_MAX, -math.inf
+    if (yield 1.0)[1] <= r:
+        # at or above the critical rate E0 - rho R falls from rho = 1 on, so
+        # the search is random coding's, and so is the value
+        return (yield from _random_coding_steps(r, 1, climb))
+    lo, hi, best = 1.0, RHO_MAX, -math.inf
     while True:
         res = yield from climb(lo, hi, 1e-9)
         climbed = res.value > best
@@ -854,6 +893,7 @@ def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
     return 2.0 * cap_p / second
 
 
+@_once
 def _two_stream_steps(r: float):
     """(rho, E0(1), E0(rho)) at the rho where the two-stream rate
     E'(rho)/rho falls to r > 0, as a lane: rho is the midpoint of

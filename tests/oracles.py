@@ -3,7 +3,8 @@
 The rho solvers the bounds used before the slope-driven ones: golden section
 on E0(rho) - rho R for the sphere-packing and list-decoding exponents, and
 fixed-count bisections for the focusing, time-sharing and erasure-channel
-inversions.  The bisections stop once lo and hi are adjacent floats: when
+inversions.  The slope-driven sphere-packing search as it was before it
+started from rho = 1, on [0, 64] at every rate.  The bisections stop once lo and hi are adjacent floats: when
 the root lies inside the bracket, every later step re-evaluates lo or hi and
 changes nothing, so the result is the one the fixed 200- or 300-step loops
 returned.
@@ -66,6 +67,33 @@ def golden_esp(p, r, fortify_k=None, rho_max=ex.RHO_MAX):
         res = maximize_concave_1d(bracket, lo, hi, tol=1e-9)
         if res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
             return max(0.0, res.value)
+        if hi >= 1e8:
+            raise ConvergenceError("sphere-packing maximizer beyond rho = 1e8",
+                                   bracket(hi) - bracket(0.9 * hi))
+        lo, hi = 0.9 * hi, 4.0 * hi
+
+
+def slope_esp(p, r, fortify_k=None):
+    """sup_rho [E0(rho) - rho R] as ``exponents.sphere_packing`` found it
+    before it started from rho = 1: the slope search on [0, 64] at every
+    rate, then the fourfold bracket expansion."""
+    if r < ex.divergence_rate(p, fortify_k) - 1e-12:
+        return math.inf
+    if r == 0 and fortify_k is None and p.symmetric and p.divergence_rate == 0:
+        reached = p.rows[:, p.support.all(axis=0)]
+        return -math.log(float(np.prod(reached ** (1.0 / p.input_size), axis=0).sum()))
+
+    def bracket(rho):
+        return ex.e0_max(p, rho, fortify_k)[0] - rho * r
+
+    lo, hi, best = 0.0, ex.RHO_MAX, -math.inf
+    while True:
+        res = maximize_concave_1d(bracket, lo, hi, tol=1e-9,
+                                  slope=lambda rho: ex._e0_and_slope(p, rho, fortify_k)[1] - r)
+        climbed = res.value > best
+        best = max(best, res.value)
+        if not climbed or res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):
+            return max(0.0, best)
         if hi >= 1e8:
             raise ConvergenceError("sphere-packing maximizer beyond rho = 1e8",
                                    bracket(hi) - bracket(0.9 * hi))

@@ -212,7 +212,7 @@ class TestBounds:
         fortified = CHANNELS / "bsc002_fortified50.json"
         assert run(["bounds", fortified, "--rate", "0.3", "--bounds", "esp,haroutunian"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        assert [row["value_nats"] for row in rows] == ["0.16244658751683272"] * 2
+        assert [row["value_nats"] for row in rows] == ["0.16244658751683283"] * 2
         out = tmp_path / "c.csv"
         assert run(["curve", fortified, "--bounds", "esp,haroutunian",
                     "--rate-grid", "0.05:0.6:6", "--out", out]) == 0
@@ -348,8 +348,9 @@ class TestCurve:
     @pytest.mark.parametrize("stem", ["bsc002", "bec04"])
     def test_output_bytes_are_pinned(self, tmp_path, capsys, stem):
         # tests/data/curve_<stem>.csv was written by this same command before
-        # the E0 kernel was shared between E0 and its slope: any byte that
-        # moves is a change of the behaviour contract
+        # the E0 kernel was shared between E0 and its slope, and its esp
+        # column again when sphere packing began its search at rho = 1: any
+        # byte that moves is a change of the behaviour contract
         out = tmp_path / f"curve_{stem}.csv"
         assert run(["curve", CHANNELS / f"{stem}.json", "--bounds",
                     "esp,er,focusing,timesharing", "--rate-grid", "1e-4:0.5:12",
@@ -728,6 +729,17 @@ class TestSim:
         assert run(["sim", "bec", cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
         assert "d_grid must be a list of numbers, got 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,config", [("bec", BEC), ("queue", GEOMETRIC_QUEUE),
+                                             ("ncl", EXACT_TINY)])
+    def test_empty_d_grid_exits_2(self, tmp_path, capsys, kind, config):
+        # it exited 3 in bec ("max() arg is an empty sequence"), wrote an
+        # empty fit in queue and took the default grid in ncl
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, "d_grid": []}))
+        assert run(["sim", kind, cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        assert "d_grid must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "s/summary.json").exists()
+
     @pytest.mark.parametrize("value", [2.5, "8", True, -1])
     def test_n_messages_is_a_nonnegative_integer(self, tmp_path, capsys, value):
         cfg = tmp_path / "n.json"
@@ -886,14 +898,16 @@ class TestFigures:
         assert schema_mismatches(manifest, MANIFEST_SCHEMAS[4]) == []
 
     # sha256 of figure outputs recorded before figure 13 wrote through
-    # _write_curve_csv and the scheme curves through reduced_rate_exponent
+    # _write_curve_csv and the scheme curves through reduced_rate_exponent;
+    # figure 16's esp column re-recorded when sphere packing began its
+    # search at rho = 1 (each value checked against 50-digit mpmath)
     FIGURE_DIGESTS = {
         13: {"bsc002_past_future_plain.csv":
              "7635b734c1d1c0487e4d8d458212062ee29b36867b18b38b0f3d8eec0c636512",
              "bsc002_past_future_fortified_k50.csv":
              "47ec9d6ae2b62d8682ee7b7f9c1a59c51c572956367d517fe5bea426eea9ba1a"},
         16: {"bsc002_ncl_schemes.csv":
-             "37f1d7715ff9b4fa52feee07462d284f751d11b216da9e241fe1e665347cd0f4"},
+             "fdf6749b76ba5f6dfc21df7b17d06d54c54ae3e1d54cbd9da4776a344845675d"},
     }
 
     @pytest.mark.parametrize("fig", sorted(FIGURE_DIGESTS))

@@ -9,7 +9,7 @@ from delaylab import dmc, exponents as ex, ncl_scheme as ncl, optimize
 from delaylab.dmc import LN2
 from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
                      golden_erl, golden_esp, golden_focusing, nelder_mead_haroutunian,
-                     z05_haroutunian_mp, z_information_mp, z_tilde_bisection)
+                     slope_esp, z05_haroutunian_mp, z_information_mp, z_tilde_bisection)
 
 HALF_BIT = 0.5 * LN2
 
@@ -628,6 +628,84 @@ class TestInversionWorkCounters:
         e0_calls.clear()
         ncl.simulate_two_stream(bsc002, split, 200, seed=6)
         assert len(e0_calls) == 12
+
+
+class TestE0SolveCounters:
+    """Certified E0 programs (``maximize_e0`` runs) of a one-rate
+    ``bounds esp,er`` request on a channel without output symmetry: esp,
+    then er on the same channel, as the CLI solves them.  Each rho is solved
+    once per channel (``Dmc.e0_inputs``), and esp searches [0, 1], random
+    coding's bracket, at or above the critical rate (0.1848 nats here), so
+    er then needs no program of its own.  Searching [0, 64] first at every
+    rate and solving again at every evaluation, as esp and er once did,
+    made 28 and 10 at R = 0.2072, and 13 and 2 at R = 0.05.  A change may
+    lower these counts; it must not raise them."""
+
+    ROWS = [[1.0, 0.0], [0.31173178805144486, 0.6882682119485551]]
+
+    @pytest.mark.parametrize("r, want", [(0.2072, (10, 0)), (0.05, (13, 0))])
+    def test_bounds_esp_er(self, monkeypatch, r, want):
+        solves = []
+        solve = ex.maximize_e0
+
+        def counted(rows, rho):
+            solves.append(rho)
+            return solve(rows, rho)
+
+        monkeypatch.setattr(ex, "maximize_e0", counted)
+        ch = dmc.Dmc(self.ROWS)
+        counts = []
+        for name in ("esp", "er"):
+            solves.clear()
+            ex.bound_at_rate(ch, name, r)
+            counts.append(len(solves))
+        assert tuple(counts) == want
+        assert len(ch.e0_inputs) == want[0]
+        assert all(not q.flags.writeable for q in ch.e0_inputs.values())
+
+
+@st.composite
+def asymmetric_channels(draw):
+    """A 2x2 to 3x3 channel with random rows, every entry at least 0.01 (so
+    R_inf = 0), without output symmetry, and three rates r1 < r2 < r3 in
+    (0, C) with r2 = (1-t) r1 + t r3."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+
+    def row():
+        w = draw(st.lists(st.floats(0.01, 1.0), min_size=ny, max_size=ny))
+        return [x / sum(w) for x in w]
+
+    ch = dmc.Dmc([row() for _ in range(nx)])
+    f1 = draw(st.floats(0.02, 0.6))
+    f3 = draw(st.floats(f1 + 0.05, 0.98))
+    t = draw(st.floats(0.1, 0.9))
+    cap = ch.capacity_solution[0]
+    r1, r3 = f1 * cap, f3 * cap
+    return ch, (r1, (1.0 - t) * r1 + t * r3, r3), t
+
+
+class TestSpherePackingProperties:
+    """esp on channels without output symmetry: above random coding, equal
+    to it bit for bit at or above the critical rate dE0/drho(1), where both
+    search [0, 1], nonincreasing and convex in R, and within 1e-12 of the
+    search on [0, 64] that it replaced."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(case=asymmetric_channels())
+    def test_against_random_coding_and_the_old_search(self, case):
+        ch, rates, t = case
+        assume(not ch.symmetric and ch.capacity_solution[0] > 1e-3)
+        critical = ex._e0_and_slope(ch, 1.0, None)[1]
+        esp = []
+        for r in rates:
+            esp.append(ex.sphere_packing(ch, r))
+            er = ex.random_coding_list(ch, r)
+            assert er <= esp[-1]
+            if critical <= r:
+                assert er.hex() == esp[-1].hex()
+            assert esp[-1] == pytest.approx(slope_esp(ch, r), rel=0, abs=1e-12)
+        assert esp[0] >= esp[1] >= esp[2]
+        assert esp[1] <= (1.0 - t) * esp[0] + t * esp[2] + 1e-12
 
 
 class TestRandomCodingList:
@@ -1523,9 +1601,11 @@ class TestSolvedAs:
                            for r in rates]) == hex_floats(want)
         assert hex_floats(ex.bound_curve(bsc002, "haroutunian", rates, 50)) == \
             hex_floats(want)
-        # above the unfortified value, which it used to return
-        assert ex.bound_at_rate(bsc002, "haroutunian", 0.3, 50) == 0.16244658751683272
-        assert ex.bound_at_rate(bsc002, "haroutunian", 0.3) == 0.14694833177130434
+        # above the unfortified value, which it used to return (both pins
+        # re-recorded when sphere packing began its search at rho = 1, each
+        # nearer its 50-digit mpmath value than before)
+        assert ex.bound_at_rate(bsc002, "haroutunian", 0.3, 50) == 0.16244658751683283
+        assert ex.bound_at_rate(bsc002, "haroutunian", 0.3) == 0.14694833177130412
 
     @pytest.mark.parametrize("name,channel", [("tilde", "bsc002"), ("tilde", "z05"),
                                               ("haroutunian", "z05")])
@@ -1555,15 +1635,17 @@ def lane_rounds(monkeypatch):
 
 class TestLockstepWorkCounters:
     """A lockstep curve costs one kernel call per round, and each lane
-    evaluates E0 as often as the search at its rate does alone, less the
-    value the scalar ``maximize_concave_1d`` evaluates again at a maximizer
-    on a bracket end, which the lane takes from the slope search: every
-    lane yields once per round until it ends, so the rounds of a curve are
-    its longest lane.  The counts are deterministic; they may fall, and
-    must not rise."""
+    evaluates E0 once at each distinct rho that the search at its rate
+    evaluates alone: a lane asks for no rho twice (the esp and time-sharing
+    lanes, whose searches come back to a rho, through ``exponents._once``),
+    while the scalar ``maximize_concave_1d`` evaluates the ends of its
+    bracket and its maximizer again.  Every lane yields once per round until
+    it ends, so the rounds of a curve are its longest lane.  The counts are
+    deterministic; they may fall, and must not rise."""
 
-    # rounds of an 84-rate curve from 1e-4 to 0.97 C on BSC(0.02)
-    ROUNDS = {"esp": 44, "focusing": 21}
+    # rounds of an 84-rate curve from 1e-4 to 0.97 C on BSC(0.02); esp took
+    # 44 while it searched [0, 64] first at every rate
+    ROUNDS = {"esp": 38, "focusing": 21, "timesharing": 24}
 
     def grid(self, ch):
         return np.linspace(1e-4, 0.97 * ch.capacity_solution[0], 84).tolist()
@@ -1576,22 +1658,12 @@ class TestLockstepWorkCounters:
 
     @pytest.mark.parametrize("name", sorted(ROUNDS))
     def test_each_lane_counts_as_its_scalar_search(self, bsc002, lane_rounds, e0_calls,
-                                                   monkeypatch, name):
-        at_ends = []
-        search = ex.maximize_concave_1d
-
-        def counted(*args, **kwargs):
-            res = search(*args, **kwargs)
-            at_ends.append(res.iterations == 0)  # no slope step: a bracket end
-            return res
-
-        monkeypatch.setattr(ex, "maximize_concave_1d", counted)
+                                                   name):
         alone, lanes = [], []
         for r in self.grid(bsc002):
             e0_calls.clear()
-            at_ends.clear()
             ex.bound_at_rate(bsc002, name, r)
-            alone.append(len(e0_calls) - sum(at_ends))
+            alone.append(len(set(e0_calls)))
             lane_rounds.clear()
             ex.bound_curve(bsc002, name, [r])
             lanes.append(len(lane_rounds))
@@ -1602,8 +1674,11 @@ class TestLockstepWorkCounters:
         assert [len(rhos) for rhos in lane_rounds] == [
             sum(n > t for n in alone) for t in range(max(alone))]
 
-    @pytest.mark.parametrize("name", ["er", "er4"])
+    @pytest.mark.parametrize("name", ["er", "er4", "esp", "focusing", "timesharing"])
     def test_no_lane_evaluates_a_rho_twice(self, bsc002, lane_rounds, name):
+        # esp once yielded the ends of a bracket again as the next bracket's
+        # (64 and 57.6 twice each at R = 1e-4), and timesharing a final
+        # midpoint that rounded to an end its root search had evaluated
         grid = self.grid(bsc002)
         lanes = []
         for r in grid:
@@ -1611,9 +1686,10 @@ class TestLockstepWorkCounters:
             ex.bound_curve(bsc002, name, [r])
             lanes.append([rho for [rho] in lane_rounds])
         assert all(len(set(rhos)) == len(rhos) for rhos in lanes)
-        # at the low rates the maximizer is the end rho = L, whose E0 the
-        # lane received from the slope search
-        assert sum(rhos == [0.0, float(ex._list_size(name))] for rhos in lanes) == \
-            {"er": 46, "er4": 11}[name]
+        if name.startswith("er"):
+            # at the low rates the maximizer is the end rho = L, whose E0
+            # the lane received from the slope search
+            assert sum(rhos == [0.0, float(ex._list_size(name))] for rhos in lanes) == \
+                {"er": 46, "er4": 11}[name]
         assert hex_floats(ex.bound_curve(bsc002, name, grid)) == hex_floats(
             [ex.bound_at_rate(bsc002, name, r) for r in grid])
