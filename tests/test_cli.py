@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaylab import cli, exponents
+from delaylab import cli, exponents, ncl_scheme
 from delaylab.dmc import LN2, ConvergenceError
 from oracles import row_loop_trace_csv
 
@@ -507,8 +507,8 @@ class TestSim:
         assert run(["sim", "bec", cfg, "--seed", "7", "--out", tmp_path / "s"]) == 0
         assert json.loads((tmp_path / "s/summary.json").read_text())["seed"] == 123
 
-    def test_threads_do_not_change_summary(self, tmp_path, monkeypatch):
-        # trace.csv as well: trials are written in trial order
+    def test_rerun_is_byte_identical(self, tmp_path):
+        # trace.csv as well: trials run and are written in trial order
         configs = {
             "bec": {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5,
                     "horizon": 50_000, "trials": 4, "d_grid": [8, 12]},
@@ -519,13 +519,12 @@ class TestSim:
         for kind, config in configs.items():
             cfg = tmp_path / f"{kind}.json"
             cfg.write_text(json.dumps(config))
-            for threads in ("4", "1"):
-                monkeypatch.setenv("FDL_THREADS", threads)
+            for rerun in ("a", "b"):
                 assert run(["sim", kind, cfg, "--seed", "3",
-                            "--out", tmp_path / f"{kind}{threads}"]) == 0
+                            "--out", tmp_path / f"{kind}{rerun}"]) == 0
             for name in ("summary.json", "trace.csv"):
-                assert (tmp_path / f"{kind}4" / name).read_bytes() == \
-                       (tmp_path / f"{kind}1" / name).read_bytes()
+                assert (tmp_path / f"{kind}a" / name).read_bytes() == \
+                       (tmp_path / f"{kind}b" / name).read_bytes()
 
     def test_queue_summary_respects_bound(self, tmp_path):
         cfg = tmp_path / "q.json"
@@ -555,13 +554,13 @@ class TestSim:
                   "n": 2, "c": 2, "l": 1, "n_messages": 8}
 
     # sha256 of (trace.csv, summary.json) for 6,000 blocks of EXACT_TINY at
-    # each seed, with chunk c of block j read from words j D on of
-    # substream(seed, 4, c); the block-by-block loop oracle agrees
+    # each seed, decoded from the competitors' distance counts; its chunk law
+    # matches the codebook decode's (test_ncl_scheme)
     EXACT_TINY_DIGESTS = {
-        5: ("c9047a715e121b3d95fa0ee318378e104d5c30bfb5019a4973a0a8fa45fb558e",
-            "e893463a2517b97e1d71614d1940ec503f7d65d859caf29aa9a0aa1ea76b6fc6"),
-        17: ("94a916452ecd097298cf1816f34cbecda2ca81cf79a0b6e59b0cfd9792177d60",
-             "38002b9cfac634f8b9e18a823a16aeb4711e5122a1e2f502648285bbe4c3222c"),
+        5: ("707ca66e555d4b6e8b4ff87fd072f673046aaeb343d930729c99137f7235a236",
+            "d101997646b268b47798e2488be886a704f5f14ed526478579f2f52917b4078a"),
+        17: ("9032cf717aa378d7eb71078687713e8cf834b0b5d7814cb39d6d52b7a3338945",
+             "0684b29cf3c2c3f7662bb5ec1903b544a69ae41f82000fef20711d0ae66fd5dc"),
     }
 
     # sha256 of trace.csv at seed 7, recorded from the %-format row writer
@@ -757,9 +756,8 @@ class TestSim:
         assert run(["sim", "queue", cfg, "--out", tmp_path / "s"]) == 0
 
     def test_summary_is_strict_json(self, tmp_path):
-        # the fit is null at both seeds: at seed 5 one deadline has misses,
-        # at seed 17 every miss falls below the grid, so the fit is unbounded;
-        # the exponent and CI are written as null
+        # at seed 5 one deadline has misses, so the exponent and CI are
+        # written as null; at seed 17 two have, and the fit is finite
         cfg = tmp_path / "n.json"
         cfg.write_text(json.dumps({**self.EXACT_TINY, "horizon_blocks": 6000}))
 
@@ -770,9 +768,9 @@ class TestSim:
             out = tmp_path / f"n{seed}"
             assert run(["sim", "ncl", cfg, "--seed", seed, "--out", out]) == 0
             fit = json.loads((out / "summary.json").read_text(), parse_constant=reject)["fit"]
-            assert fit["exponent"] is None
-            assert fit["ci"] == [None, None]
-            assert fit["unbounded"] is (seed == 17)
+            assert (fit["exponent"] is None) is (seed == 5)
+            assert (fit["ci"] == [None, None]) is (seed == 5)
+            assert fit["unbounded"] is False
             for name, digest in zip(("trace.csv", "summary.json"), digests):
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -793,6 +791,38 @@ class TestSim:
         assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
         assert "at least 2 messages" in capsys.readouterr().err
         assert not (tmp_path / "n/summary.json").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"channel": {"matrix": [[1.0, 0.0], [0.5, 0.5]]}, "rate": 0.1}, "needs a BSC"),
+        ({"n_messages": 2**62}, "fewer than 2^62 messages"),
+    ], ids=["z05", "m_2_to_the_62"])
+    def test_exact_tiny_outside_its_decoder_exits_3(self, tmp_path, capsys, change,
+                                                    message):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.EXACT_TINY, **change, "horizon_blocks": 100}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "n/summary.json").exists()
+
+    def test_exact_tiny_non_uniform_input_exits_3(self, tmp_path, capsys, monkeypatch):
+        # e0_max picks the uniform input on every BSC, so skew it by hand
+        e0_max = ncl_scheme.e0_max
+        monkeypatch.setattr(ncl_scheme, "e0_max",
+                            lambda p, rho: (e0_max(p, rho)[0], np.array([0.25, 0.75])))
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.EXACT_TINY, "horizon_blocks": 100}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
+        assert "uniform input" in capsys.readouterr().err
+        assert not (tmp_path / "n/summary.json").exists()
+
+    def test_two_stream_d_grid_exits_2(self, tmp_path, capsys):
+        # it was silently dropped for the mode's own deadlines
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**self.TWO_STREAM, "horizon_blocks": 300,
+                                   "d_grid": [5, 6]}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
+        assert "d_grid is not read in two_stream mode" in capsys.readouterr().err
+        assert not (tmp_path / "s/summary.json").exists()
 
     def test_exact_tiny_negative_seed_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "n.json"
