@@ -1,10 +1,13 @@
 """Command-line front door: channel ingestion, bound tables and curves,
 simulations, and figure-data reproduction.
 
-Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown target,
-5 a solver hit its iteration cap or missed its certificate (message has the residual).
-Environment: FDL_SEED overrides sim's --seed.
-All diagnostics go to stderr; stdout carries only requested tables.
+Every input (channel files, sim configs and their nested ``service`` and
+``channel`` objects, ``--rate``, the grids, ``--bounds``) is read field by
+field through ``_take``; a field that its kind or mode does not read exits 2
+naming it.  Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown
+target, 5 a solver hit its iteration cap or missed its certificate (message
+has the residual).  All diagnostics go to stderr; stdout carries only
+requested tables.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +25,6 @@ import numpy as np
 from . import bec_lab, ncl_scheme, queue_model
 from .dmc import (LN2, ConvergenceError, Dmc, bec, bits_from_nats, bsc, nats_from_bits,
                   z_channel)
-from .dmc import _block_is_symmetric  # declared-partition verification
 from .exponents import (
     KNOWN_BOUNDS,
     _list_size,
@@ -55,62 +56,116 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}")
 
 
+def _fields(value, what: str) -> dict:
+    """A copy of the JSON object ``value`` for ``_take`` to empty; any other value exits 2."""
+    if type(value) is not dict:
+        raise CliError(EXIT_PARSE, f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _take(fields: dict, name: str, default=..., read=None):
+    """Remove field ``name`` from ``fields`` and return ``read(value, name)``
+    (the value itself without ``read``), or ``default`` when it is absent;
+    an absent field without a default exits 2."""
+    if name not in fields:
+        if default is ...:
+            raise CliError(EXIT_PARSE, f"missing field '{name}'")
+        return default
+    value = fields.pop(name)
+    return value if read is None else read(value, name)
+
+
+def _done(fields: dict, what: str) -> None:
+    """Exit 2 naming every field of ``what`` that no ``_take`` removed."""
+    if fields:
+        raise CliError(EXIT_PARSE, f"unread field(s) in {what}: {', '.join(fields)}")
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """A JSON integer, positive (or, with ``least`` 0, nonnegative)."""
+    if type(value) is not int or value < least:
+        sign = "positive" if least == 1 else "nonnegative"
+        raise CliError(EXIT_PARSE, f"{name} must be a {sign} integer, got {value!r}")
+    return value
+
+
+_natural = functools.partial(_count, least=0)  # a nonnegative JSON integer
+
+
+def _or_none(read):
+    """``read`` that returns a JSON null as None, as if the field were absent."""
+    return lambda value, name: None if value is None else read(value, name)
+
+
+def _real(value, name: str) -> float:
+    """A JSON number inside the float range, not a boolean."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise CliError(EXIT_PARSE, f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _grid(value, name: str) -> list[float]:
+    """A nonempty list of finite numbers: an empty deadline list leaves
+    nothing to fit (omit the field for the kind's default grid)."""
+    if type(value) is not list:
+        raise CliError(EXIT_PARSE, f"{name} must be a list of numbers, got {value!r}")
+    if not value:
+        raise CliError(EXIT_PARSE, f"{name} must not be empty (omit it for the default grid)")
+    return [_real(d, f"{name} entry") for d in value]
+
+
+def _channel(value, name: str) -> Dmc:
+    """A channel object {matrix, name?}; ``name`` is its default name.  The
+    matrix is a list of rows, each a list of numbers or decimal strings."""
+    fields = _fields(value, name)
+    matrix = _take(fields, "matrix")
+    label = str(_take(fields, "name", name))
+    _done(fields, name)
+    try:
+        if type(matrix) is not list or not all(type(row) is list for row in matrix):
+            raise TypeError(f"want a list of rows, got {matrix!r}")
+        return Dmc(np.array([[float(v) for v in row] for row in matrix]), name=label)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(EXIT_PARSE, f"{name}: bad matrix: {exc}")
+
+
 def load_channel(path: str) -> tuple[Dmc, int | None]:
-    """Parse a channel file {name, matrix, k?, partition?}; probabilities may
-    be floats or decimal strings, k is a positive integer, and a declared
-    partition, a list of nonempty lists of output indices, is verified."""
-    spec = _load_json(path)
-    try:
-        matrix = [[float(v) for v in row] for row in spec["matrix"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"{path}: bad matrix: {exc}")
-    try:
-        channel = Dmc(np.array(matrix), name=str(spec.get("name", Path(path).stem)))
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc}")
-    fortify_k = None if spec.get("k") is None else _count(spec, "k")
-    declared = spec.get("partition")
-    if declared is not None:
-        if type(declared) is not list or not all(
-                type(block) is list and block and all(type(y) is int for y in block)
-                for block in declared):
-            raise CliError(EXIT_PARSE, f"{path}: partition must be a list of nonempty "
-                           f"lists of output indices, got {declared!r}")
-        seen = sorted(y for block in declared for y in block)
-        if seen != list(range(channel.output_size)):
-            raise CliError(EXIT_PARSE, f"{path}: partition must cover every output once")
-        for block in declared:
-            if not _block_is_symmetric(channel.rows[:, sorted(block)]):
-                raise CliError(EXIT_PARSE, f"{path}: declared partition block {block} "
-                               "is not symmetric")
-    return channel, fortify_k
+    """Parse a channel file {name?, matrix, k?}: probabilities may be floats
+    or decimal strings, and k, the fortification period, is a positive
+    integer (null is absent)."""
+    fields = _fields(_load_json(path), path)
+    fortify_k = _take(fields, "k", None, _or_none(_count))
+    return _channel(fields, Path(path).stem), fortify_k
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str, option: str) -> np.ndarray:
     try:
         lo, hi, num = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(num))
+        lo, hi, num = float(lo), float(hi), int(num)
     except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"bad grid '{text}' (want lo:hi:count): {exc}")
-    if len(grid) < 1:
-        raise CliError(EXIT_PARSE, "grid needs at least one point")
-    return grid
+        raise CliError(EXIT_PARSE, f"bad {option} '{text}' (want lo:hi:count): {exc}")
+    return np.linspace(_real(lo, f"{option} start"), _real(hi, f"{option} end"),
+                       _count(num, f"{option} count"))
 
 
-def _check_bounds(names: list[str]) -> None:
+def _bound_names(text: str) -> list[str]:
+    """The names of a comma list; an unknown one exits 4, none at all 2."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise CliError(EXIT_PARSE, f"--bounds names no bound, got '{text}'")
     for name in names:
-        if name in KNOWN_BOUNDS or _list_size(name) is not None:
-            continue
-        raise CliError(EXIT_UNKNOWN, f"unknown bound '{name}' "
-                       f"(known: {', '.join(KNOWN_BOUNDS)}, erL)")
+        if name not in KNOWN_BOUNDS and _list_size(name) is None:
+            raise CliError(EXIT_UNKNOWN, f"unknown bound '{name}' "
+                           f"(known: {', '.join(KNOWN_BOUNDS)}, erL)")
+    return names
 
 
 def _solve_once(channel: Dmc, fortify_k: int | None, names: list[str], solve,
@@ -132,11 +187,11 @@ def _solve_once(channel: Dmc, fortify_k: int | None, names: list[str], solve,
 
 def cmd_bounds(args) -> int:
     channel, fortify_k = load_channel(args.channel)
-    rate_nats = nats_from_bits(args.rate) if args.bits else args.rate
+    rate = _real(args.rate, "--rate")
+    rate_nats = nats_from_bits(rate) if args.bits else rate
     if rate_nats < 0:
         raise CliError(EXIT_INFEASIBLE, "rate must be nonnegative")
-    names = [n.strip() for n in args.bounds.split(",") if n.strip()]
-    _check_bounds(names)
+    names = _bound_names(args.bounds)
     rows = _solve_once(channel, fortify_k, names,
                        lambda name: bound_at_rate(channel, name, rate_nats, fortify_k), ": ")
     print("bound,rate_nats,rate_bits,value_nats,value_bits")
@@ -159,16 +214,15 @@ def cmd_curve(args) -> int:
     if args.eta_grid and (args.rate_grid or args.bits):
         raise CliError(EXIT_PARSE, "--eta-grid takes neither --rate-grid nor --bits")
     channel, fortify_k = load_channel(args.channel)
-    names = [n.strip() for n in args.bounds.split(",") if n.strip()]
-    _check_bounds(names)
+    names = _bound_names(args.bounds)
     if args.eta_grid:
-        etas = _parse_grid(args.eta_grid)
+        etas = _parse_grid(args.eta_grid, "--eta-grid")
         if np.any(etas <= 0):
             raise CliError(EXIT_INFEASIBLE, "eta grid must be positive")
         rates = np.array([e0_max(channel, eta, fortify_k)[0] / eta
                           for eta in sorted(etas, reverse=True)])
     else:
-        rates = np.sort(_parse_grid(args.rate_grid or "0.01:0.5:25"))
+        rates = np.sort(_parse_grid(args.rate_grid or "0.01:0.5:25", "--rate-grid"))
         if args.bits:
             rates = rates * LN2
         if np.any(rates < 0):
@@ -193,46 +247,6 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 # simulations
 # ---------------------------------------------------------------------------
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get("FDL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(EXIT_PARSE, f"FDL_SEED must be an integer, got '{env}'")
-    return args.seed
-
-
-def _count(config: dict, name: str, default: int | None = None, least: int = 1) -> int:
-    """A JSON integer field of a sim config, positive (or, with ``least`` 0,
-    nonnegative); required without a default."""
-    value = config[name] if default is None else config.get(name, default)
-    if type(value) is not int or value < least:
-        sign = "positive" if least == 1 else "nonnegative"
-        raise CliError(EXIT_PARSE, f"{name} must be a {sign} integer, got {value!r}")
-    return value
-
-
-def _real(value, name: str) -> float:
-    """The sim config field ``name``: a JSON number inside the float range, not a boolean."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise CliError(EXIT_PARSE, f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _d_grid(config: dict) -> list[float] | None:
-    """The sim config's deadline list, None when absent (the kind's default
-    grid); an empty one exits 2 in every kind, as it leaves nothing to fit."""
-    if "d_grid" not in config:
-        return None
-    grid = config["d_grid"]
-    if type(grid) is not list:
-        raise CliError(EXIT_PARSE, f"d_grid must be a list of numbers, got {grid!r}")
-    if not grid:
-        raise CliError(EXIT_PARSE, "d_grid must not be empty (omit it for the default grid)")
-    return [_real(d, "d_grid entry") for d in grid]
-
 
 # rows formatted per write: bounds the byte matrix built for them
 TRACE_CHUNK_ROWS = 1 << 16
@@ -306,15 +320,16 @@ def _fit_payload(fit: bec_lab.DelayExponentFit) -> dict:
     }
 
 
-def _sim_bec(config: dict, seed: int, out: Path) -> dict:
-    scheme = config.get("scheme", "fifo")
+def _sim_bec(fields: dict, seed: int, out: Path) -> dict:
+    scheme = _take(fields, "scheme", "fifo")
     if scheme not in ("fifo", "parity"):
         raise CliError(EXIT_UNKNOWN, f"unknown bec scheme '{scheme}'")
-    horizon = _count(config, "horizon")
-    trials = _count(config, "trials", 1)
-    d_grid = _d_grid(config) or list(range(10, 41, 2))
-    stride = _count(config, "trace_stride", max(1, horizon // 100_000))
-    beta, rate_bits = _real(config["beta"], "beta"), _real(config["rate_bits"], "rate_bits")
+    horizon = _take(fields, "horizon", read=_count)
+    trials = _take(fields, "trials", 1, _count)
+    d_grid = _take(fields, "d_grid", list(range(10, 41, 2)), _grid)
+    stride = _take(fields, "trace_stride", max(1, horizon // 100_000), _count)
+    beta, rate_bits = _take(fields, "beta", read=_real), _take(fields, "rate_bits", read=_real)
+    _done(fields, f"bec {scheme} config")
 
     def one(trial):
         cfg = bec_lab.BecConfig(beta=beta, rate_bits=rate_bits, horizon=horizon,
@@ -332,26 +347,26 @@ def _sim_bec(config: dict, seed: int, out: Path) -> dict:
     return {"sim": f"bec_{scheme}", "fit": _fit_payload(fit)}
 
 
-def _sim_queue(config: dict, seed: int, out: Path) -> dict:
-    svc_cfg = config["service"]
-    kind = svc_cfg.get("kind", "geometric")
-    try:
-        if kind == "geometric":
-            svc = queue_model.geometric_service(_real(svc_cfg["beta"], "beta"))
-        elif kind == "offset_geometric":
-            svc = queue_model.offset_geometric_service(_count(svc_cfg, "offset", least=0),
-                                                       _real(svc_cfg["beta"], "beta"))
-        elif kind == "truncated_geometric":
-            svc = queue_model.truncated_geometric_service(_real(svc_cfg["beta"], "beta"),
-                                                          _count(svc_cfg, "cap"))
-        else:
-            raise CliError(EXIT_UNKNOWN, f"unknown service kind '{kind}'")
-    except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"bad service model: {exc}")
-    m = _count(config, "arrival_period")
-    horizon = _count(config, "horizon")
-    trials = _count(config, "trials", 1)
-    d_grid = _d_grid(config) or list(range(2 * m, 20 * m, m))
+def _service(value, name: str) -> queue_model.ServiceTimeModel:
+    """A queue config's service object {kind?, beta, offset or cap as the kind needs}."""
+    fields = _fields(value, name)
+    kind = _take(fields, "kind", "geometric")
+    if kind not in ("geometric", "offset_geometric", "truncated_geometric"):
+        raise CliError(EXIT_UNKNOWN, f"unknown service kind '{kind}'")
+    offset = _take(fields, "offset", read=_natural) if kind == "offset_geometric" else 0
+    beta = _take(fields, "beta", read=_real)
+    cap = _take(fields, "cap", read=_count) if kind == "truncated_geometric" else None
+    _done(fields, f"{kind} {name}")
+    return queue_model.ServiceTimeModel(offset=offset, tail_beta=beta, cap=cap)
+
+
+def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
+    svc = _take(fields, "service", read=_service)
+    m = _take(fields, "arrival_period", read=_count)
+    horizon = _take(fields, "horizon", read=_count)
+    trials = _take(fields, "trials", 1, _count)
+    d_grid = _take(fields, "d_grid", list(range(2 * m, 20 * m, m)), _grid)
+    _done(fields, "queue config")
 
     def one(trial):
         cfg = queue_model.QueueConfig(arrival_period=m, horizon=horizon, seed=seed + trial)
@@ -376,49 +391,41 @@ def _sim_queue(config: dict, seed: int, out: Path) -> dict:
     }
 
 
-def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
-    mode = config.get("mode", "bound_driven")
-    try:
-        channel = Dmc(np.array(config["channel"]["matrix"]),
-                      name=config["channel"].get("name", "channel"))
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"bad channel: {exc}")
-    rate = _real(config["rate"], "rate")
-    delta = _real(config.get("delta", 0.05), "delta")
-    k = _count(config, "k", 10)
-    blocks = _count(config, "horizon_blocks", 100_000)
-    feedback_lag = _count(config, "feedback_lag", 1)
-    min_misses = _count(config, "min_misses", 30)
-    d_grid = _d_grid(config)
-    if mode == "two_stream" and d_grid is not None:
-        raise CliError(EXIT_PARSE, "d_grid is not read in two_stream mode, which fits "
-                                   "on its own deadlines (omit it)")
-    try:
-        if mode == "two_stream":
-            split = ncl_scheme.two_stream_split(channel, rate)
-            fit, _ = ncl_scheme.simulate_two_stream(
-                channel, split, blocks, seed=seed, k=k, delta=delta)
-            return {"sim": "ncl_two_stream", "fit": _fit_payload(fit),
-                    "psi": split.psi, "rho": split.rho,
-                    "target_exponent": split.e_prime,
-                    "committed_errors": 0}
-        params = ncl_scheme.select_params(channel, rate, delta, k,
-                                          _real(config.get("rho", 1.0), "rho"))
-        if "n" in config:  # explicit scheme geometry overrides the formulas
-            params = replace(params, n=_count(config, "n"), c=_count(config, "c"),
-                             l=_count(config, "l"))
-    except ValueError as exc:
-        raise CliError(EXIT_INFEASIBLE, str(exc))
+def _sim_ncl(fields: dict, seed: int, out: Path) -> dict:
+    mode = _take(fields, "mode", "bound_driven")
+    if mode not in ("bound_driven", "exact_tiny", "two_stream"):
+        raise CliError(EXIT_UNKNOWN, f"unknown ncl mode '{mode}'")
+    channel = _take(fields, "channel", read=_channel)
+    rate = _take(fields, "rate", read=_real)
+    delta = _take(fields, "delta", 0.05, _real)
+    k = _take(fields, "k", 10, _count)
+    blocks = _take(fields, "horizon_blocks", 100_000, _count)
+    if mode == "two_stream":  # fits on its own deadlines
+        _done(fields, f"ncl {mode} config")
+        split = ncl_scheme.two_stream_split(channel, rate)
+        fit, _ = ncl_scheme.simulate_two_stream(
+            channel, split, blocks, seed=seed, k=k, delta=delta)
+        return {"sim": "ncl_two_stream", "fit": _fit_payload(fit),
+                "psi": split.psi, "rho": split.rho,
+                "target_exponent": split.e_prime,
+                "committed_errors": 0}
+    rho = _take(fields, "rho", 1.0, _real)
+    # an explicit scheme geometry, all three or none, overrides the formulas
+    geometry = ({name: _take(fields, name, read=_count) for name in ("n", "c", "l")}
+                if "n" in fields else {})
+    min_misses = _take(fields, "min_misses", 30, _count)
+    d_grid = _take(fields, "d_grid", None, _grid)
+    if mode == "exact_tiny":
+        n_messages = _take(fields, "n_messages", None, _or_none(_natural))
+        feedback_lag = _take(fields, "feedback_lag", 1, _count)
+    _done(fields, f"ncl {mode} config")
+    params = replace(ncl_scheme.select_params(channel, rate, delta, k, rho), **geometry)
     if mode == "bound_driven":
         trace = ncl_scheme.simulate_ncl_bound_driven(params, blocks, seed)
-    elif mode == "exact_tiny":
-        trace = ncl_scheme.simulate_ncl_exact_tiny(
-            channel, params, blocks, seed,
-            n_messages=(None if config.get("n_messages") is None
-                        else _count(config, "n_messages", least=0)),
-            feedback_lag=feedback_lag)
     else:
-        raise CliError(EXIT_UNKNOWN, f"unknown ncl mode '{mode}'")
+        trace = ncl_scheme.simulate_ncl_exact_tiny(channel, params, blocks, seed,
+                                                   n_messages=n_messages,
+                                                   feedback_lag=feedback_lag)
     fit = trace.measure_exponent(d_grid or ncl_scheme.default_delay_grid(params).tolist(),
                                  min_misses=min_misses)
     _write_trace_csv(out / "trace.csv",
@@ -438,17 +445,11 @@ def _sim_ncl(config: dict, seed: int, out: Path) -> dict:
 
 def cmd_sim(args) -> int:
     config = _load_json(args.config)
-    seed = _resolve_seed(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runners = {"bec": _sim_bec, "queue": _sim_queue, "ncl": _sim_ncl}
-    if args.kind not in runners:
-        raise CliError(EXIT_UNKNOWN, f"unknown sim kind '{args.kind}'")
-    try:
-        summary = runners[args.kind](config, seed, out)
-    except KeyError as exc:
-        raise CliError(EXIT_PARSE, f"config missing field: {exc}")
-    summary["seed"] = seed
+    summary = runners[args.kind](_fields(config, f"{args.kind} config"), args.seed, out)
+    summary["seed"] = args.seed
     summary["config"] = config
     _summary_json(out / "summary.json", summary)
     return EXIT_OK
@@ -601,10 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="evaluate bounds at one rate")
     b.add_argument("channel")
-    b.add_argument("--rate", type=float, required=True)
-    unit = b.add_mutually_exclusive_group()
-    unit.add_argument("--bits", action="store_true", help="rate given in bits")
-    unit.add_argument("--nats", action="store_true", help="rate given in nats (default)")
+    b.add_argument("--rate", type=float, required=True, help="in nats (or bits with --bits)")
+    b.add_argument("--bits", action="store_true", help="rate given in bits")
     b.add_argument("--bounds", required=True, help="comma list, e.g. esp,focusing,er4")
     b.set_defaults(fn=cmd_bounds)
 
@@ -639,7 +638,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"delaylab: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"delaylab: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ConvergenceError as exc:

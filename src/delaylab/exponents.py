@@ -55,6 +55,12 @@ def _fortification_rate(fortify_k) -> float:
     return LN2 / fortify_k
 
 
+def _finite_rate(r: float) -> None:
+    """Raise ``ValueError`` naming the rate r unless it is finite."""
+    if not math.isfinite(r):
+        raise ValueError(f"rate must be finite, got {float(r)}")
+
+
 def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     """Gallager function E0(rho, q) = -ln sum_y (sum_x q_x p(y|x)^{1/(1+rho)})^{1+rho}.
 
@@ -355,6 +361,7 @@ def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
     """``sphere_packing``'s search as a lane; ``climb(lo, hi, tol)`` is a
     generator returning the ``maximize_concave_1d`` result on a bracket.
     Each bracket after the first starts from a rho the last one ended on."""
+    _finite_rate(r)
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p, fortify_k) - 1e-12:
@@ -397,6 +404,7 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
 
 def _random_coding_steps(r: float, list_size: int, climb):
     """``random_coding_list``'s search as a lane (see ``_sphere_packing_steps``)."""
+    _finite_rate(r)
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if list_size < 1:
@@ -713,6 +721,7 @@ def _haroutunian_general(p: Dmc, r: float, variant: str = "standard",
     """``haroutunian`` with E+ = solve_standard(p, r), the program by default."""
     if variant not in ("standard", "tilde"):
         raise ValueError("variant must be 'standard' or 'tilde'")
+    _finite_rate(r)
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p) - 1e-12:
@@ -727,6 +736,7 @@ def burnashev_bound(p: Dmc, r_bar: float, fortify_k: int | None = None) -> float
     """Variable-length feedback exponent C1 (1 - Rbar / C); +inf when C1 is,
     as under fortification (C is then C + ln2/k), whose noiseless bit
     separates every pair of super-channel inputs."""
+    _finite_rate(r_bar)
     cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     if not 0 <= r_bar <= cap_p + 1e-12:
         raise ValueError("average rate must lie in [0, C]")
@@ -823,6 +833,7 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
 def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
     """``focusing_bound`` as a lane: the parametric path yields its eta, the
     general program yields nothing."""
+    _finite_rate(r)
     if r <= 0:
         raise ValueError("rate must be positive")
     if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
@@ -904,6 +915,7 @@ def _two_stream_steps(r: float):
     ``_crossing_steps`` the root is taken on the concave E'(rho) - r rho.
     The timesharing bound and ``ncl_scheme.two_stream_split`` run it.
     """
+    _finite_rate(r)
     if r <= 0:
         raise ValueError("rate must be positive")
     e_one = (yield 1.0)[0]
@@ -925,6 +937,7 @@ def _two_stream_steps(r: float):
 def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
     """The timesharing bound at rate r (``bound_at_rate``) as a lane: the
     two-stream curve inverted at r, 0 from capacity on."""
+    _finite_rate(r)
     if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
         return 0.0
     rho, e_one, e_rho = yield from _two_stream_steps(r)

@@ -109,6 +109,8 @@ def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclP
         raise ValueError("delta must be positive")
     if k < 1:
         raise ValueError("fortification period must be a positive integer")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     e0, q = e0_max(p, rho)
     ctilde = e0 / rho
     if rate >= ctilde:

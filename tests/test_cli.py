@@ -1,14 +1,17 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaylab import cli, exponents, ncl_scheme
 from delaylab.dmc import LN2, ConvergenceError
@@ -80,30 +83,22 @@ class TestChannelParsing:
         ch, k = cli.load_channel(str(CHANNELS / "bsc002_fortified50.json"))
         assert k == 50
 
-    def test_declared_partition_verified(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "name": "x",
-            "matrix": [[0.6, 0.0, 0.4], [0.0, 0.6, 0.4]],
-            "partition": [[0, 2], [1]],
-        }))
-        with pytest.raises(cli.CliError) as err:
-            cli.load_channel(str(bad))
-        assert err.value.code == cli.EXIT_PARSE
-
     @pytest.mark.parametrize("field,value", [
         ("k", [50]), ("k", {"a": 1}), ("k", "abc"), ("k", True), ("k", 50.0), ("k", 2.5),
         ("k", 0), ("k", -1),
         ("partition", 5), ("partition", [[0, "1"], [2]]), ("partition", [0, 1, 2]),
         ("partition", [[0, True], [2]]), ("partition", [[0, 1], [2], []]),
-        ("partition", [[0, 1], [3]]),
+        ("partition", [[0, 1], [3]]), ("partition", [[0, 1], [2]]),
     ])
     def test_malformed_fields_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"matrix": [[0.6, 0.0, 0.4], [0.0, 0.6, 0.4]],
                                     field: value}))
         assert run(["bounds", path, "--rate", "0.1", "--bounds", "esp"]) == cli.EXIT_PARSE
-        assert f"{field} must" in capsys.readouterr().err
+        # a declared partition is no longer read (symmetry comes from the
+        # matrix), so any value of it is an unread field
+        assert (f"unread field(s) in c: {field}\n" if field == "partition"
+                else f"{field} must") in capsys.readouterr().err
 
     def test_invalid_matrix_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -499,14 +494,6 @@ class TestSim:
         assert type(fit["widened_ci"]) is bool
         assert type(fit["unbounded"]) is bool
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "f.json"
-        cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4,
-                                   "rate_bits": 0.5, "horizon": 50_000}))
-        monkeypatch.setenv("FDL_SEED", "123")
-        assert run(["sim", "bec", cfg, "--seed", "7", "--out", tmp_path / "s"]) == 0
-        assert json.loads((tmp_path / "s/summary.json").read_text())["seed"] == 123
-
     def test_rerun_is_byte_identical(self, tmp_path):
         # trace.csv as well: trials run and are written in trial order
         configs = {
@@ -774,11 +761,16 @@ class TestSim:
             for name, digest in zip(("trace.csv", "summary.json"), digests):
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    # the EXACT_TINY fields that each mode does not read
+    UNREAD_BY_MODE = {"exact_tiny": (), "bound_driven": ("n_messages",),
+                      "two_stream": ("rho", "n", "c", "l", "n_messages")}
+
     @pytest.mark.parametrize("mode", ["exact_tiny", "bound_driven", "two_stream"])
     def test_run_inside_burn_in_exits_nonzero(self, tmp_path, capsys, mode):
         # the fit drops the first 10 blocks, so 10 blocks leave nothing to fit
         cfg = tmp_path / "n.json"
-        cfg.write_text(json.dumps({**self.EXACT_TINY, "mode": mode, "horizon_blocks": 10}))
+        config = {k: v for k, v in self.EXACT_TINY.items() if k not in self.UNREAD_BY_MODE[mode]}
+        cfg.write_text(json.dumps({**config, "mode": mode, "horizon_blocks": 10}))
         assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
         assert "no delays left to fit" in capsys.readouterr().err
         assert not (tmp_path / "n/summary.json").exists()
@@ -821,7 +813,7 @@ class TestSim:
         cfg.write_text(json.dumps({**self.TWO_STREAM, "horizon_blocks": 300,
                                    "d_grid": [5, 6]}))
         assert run(["sim", "ncl", cfg, "--out", tmp_path / "s"]) == cli.EXIT_PARSE
-        assert "d_grid is not read in two_stream mode" in capsys.readouterr().err
+        assert "unread field(s) in ncl two_stream config: d_grid" in capsys.readouterr().err
         assert not (tmp_path / "s/summary.json").exists()
 
     def test_exact_tiny_negative_seed_exits_nonzero(self, tmp_path, capsys):
@@ -867,6 +859,254 @@ class TestSim:
         cfg2 = tmp_path / "missing.json"
         cfg2.write_text(json.dumps({"scheme": "fifo", "beta": 0.4}))
         assert run(["sim", "bec", cfg2, "--out", tmp_path / "y"]) == 2
+
+
+BSC002 = [[0.98, 0.02], [0.02, 0.98]]
+
+# a small valid input of every sim kind, mode and service kind, which
+# between them use every field; the property below starts from each
+VALID_SIMS = {
+    "bec_fifo": ("bec", {"scheme": "fifo", "beta": 0.2, "rate_bits": 0.5, "horizon": 6000}),
+    "bec_parity": ("bec", {"scheme": "parity", "beta": 0.2, "rate_bits": 0.5,
+                           "horizon": 6000, "trials": 2, "d_grid": [4, 8],
+                           "trace_stride": 7}),
+    "queue_geometric": ("queue", {"service": {"kind": "geometric", "beta": 0.4},
+                                  "arrival_period": 3, "horizon": 3000}),
+    "queue_offset": ("queue", {"service": {"kind": "offset_geometric", "offset": 2,
+                                           "beta": 0.25},
+                               "arrival_period": 5, "horizon": 3000, "d_grid": [6, 9]}),
+    "queue_truncated": ("queue", {"service": {"kind": "truncated_geometric", "beta": 0.4,
+                                              "cap": 3},
+                                  "arrival_period": 4, "horizon": 3000, "trials": 2}),
+    "ncl_bound_driven": ("ncl", {"mode": "bound_driven",
+                                 "channel": {"matrix": BSC002, "name": "bsc"},
+                                 "rate": 0.2, "delta": 0.05, "k": 10, "rho": 1.0,
+                                 "horizon_blocks": 300, "min_misses": 5,
+                                 "d_grid": [40, 60]}),
+    "ncl_exact_tiny": ("ncl", {**TestSim.EXACT_TINY, "horizon_blocks": 300,
+                               "feedback_lag": 2}),
+    "ncl_two_stream": ("ncl", {**TestSim.TWO_STREAM, "horizon_blocks": 300, "k": 10,
+                               "delta": 0.05}),
+}
+VALID_CHANNEL_FILE = {"name": "x", "matrix": BSC002, "k": 50}
+ALL_FIELDS = sorted({f for _, config in VALID_SIMS.values() for f in config}
+                    | {"kind", "offset", "cap", "matrix", "name", "partition"})
+
+# JSON values of every type; integers stay small, because a count field
+# sets the size of a run, so a large one is a long run rather than a
+# malformed input
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+NON_OBJECTS = JSON_VALUES.filter(lambda v: type(v) is not dict)
+SELECTORS = ["fifo", "parity", "geometric", "offset_geometric", "truncated_geometric",
+             "bound_driven", "exact_tiny", "two_stream"]
+
+
+def like(value):
+    """JSON values of the type of ``value``, and any JSON value: a changed
+    field then often keeps its type, so that the extremes of each type
+    reach the simulators."""
+    same = {int: st.integers(-3, 40), float: st.floats(),
+            str: st.sampled_from(SELECTORS) | st.text(max_size=6),
+            list: st.lists(st.floats() | st.integers(-3, 40), max_size=3)}.get(type(value))
+    return JSON_VALUES if same is None else same | JSON_VALUES
+
+
+@st.composite
+def one_field_changed(draw):
+    """(argv kind, JSON input): a valid input with one field replaced,
+    added or dropped, or the input or its nested object replaced by a
+    value that is not an object."""
+    start = draw(st.sampled_from(sorted(VALID_SIMS) + ["channel_file"]))
+    kind, config = (("channel", VALID_CHANNEL_FILE) if start == "channel_file"
+                    else VALID_SIMS[start])
+    config = json.loads(json.dumps(config))
+    how = draw(st.sampled_from(["replace", "add", "drop", "not_an_object"]))
+    if how == "replace":
+        field = draw(st.sampled_from(sorted(config)))
+        config[field] = draw(like(config[field]))
+    elif how == "add":
+        config[draw(st.sampled_from(ALL_FIELDS) | st.text(max_size=6))] = draw(JSON_VALUES)
+    elif how == "drop":
+        del config[draw(st.sampled_from(sorted(config)))]
+    else:
+        nested = [name for name in ("service", "channel") if name in config]
+        where = draw(st.sampled_from([None] + nested))
+        if where is None:
+            config = draw(NON_OBJECTS)
+        else:
+            config[where] = draw(NON_OBJECTS)
+    return kind, config
+
+
+def run_input(kind: str, config, root: Path) -> int:
+    """``cli.main`` on ``config`` written to a file under ``root``: a
+    channel file's ``bounds`` query, or a sim config's run."""
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / "input.json"
+    path.write_text(json.dumps(config))
+    if kind == "channel":
+        return run(["bounds", path, "--rate", "0.1", "--bounds", "esp"])
+    return run(["sim", kind, path, "--seed", "3", "--out", root / "out"])
+
+
+def sim_summary(kind: str, config, root: Path) -> dict:
+    assert run_input(kind, config, root) == 0
+    summary = json.loads((root / "out" / "summary.json").read_text())
+    summary.pop("config")
+    return summary
+
+
+class TestFieldReader:
+    @pytest.mark.parametrize("name", sorted(VALID_SIMS))
+    def test_valid_starting_points_run(self, tmp_path, name):
+        assert run_input(*VALID_SIMS[name], tmp_path) == 0
+
+    def test_valid_channel_file_runs(self, tmp_path):
+        assert run_input("channel", VALID_CHANNEL_FILE, tmp_path) == 0
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(case=one_field_changed())
+    def test_one_changed_field_never_crashes(self, case):
+        with tempfile.TemporaryDirectory() as root:
+            assert run_input(*case, Path(root)) in (0, 2, 3, 4)
+
+    # (kind, config, the unread fields the message names); each was
+    # silently ignored before, and wrote the same outputs as without it
+    UNREAD = {
+        "bound_driven_exact_tiny_fields": (
+            "ncl", {**VALID_SIMS["ncl_bound_driven"][1], "feedback_lag": 5, "n_messages": 3},
+            "ncl bound_driven config: feedback_lag, n_messages"),
+        "two_stream_fit_fields": (
+            "ncl", {**VALID_SIMS["ncl_two_stream"][1], "min_misses": 5, "rho": 2.0},
+            "ncl two_stream config: min_misses, rho"),
+        "geometry_without_n": (
+            "ncl", {**VALID_SIMS["ncl_bound_driven"][1], "c": 4, "l": 3},
+            "ncl bound_driven config: c, l"),
+        "queue_bec_field": (
+            "queue", {**VALID_SIMS["queue_geometric"][1], "rate_bits": 0.5},
+            "queue config: rate_bits"),
+        "geometric_service_cap": (
+            "queue", {**VALID_SIMS["queue_geometric"][1],
+                      "service": {"kind": "geometric", "beta": 0.4, "cap": 3}},
+            "geometric service: cap"),
+        "ncl_channel_k": (
+            "ncl", {**VALID_SIMS["ncl_bound_driven"][1],
+                    "channel": {"matrix": BSC002, "k": 5}},
+            "channel: k"),
+        "bec_typo": ("bec", {**VALID_SIMS["bec_fifo"][1], "horizn": 5},
+                     "bec fifo config: horizn"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNREAD))
+    def test_unread_field_exits_2_naming_it(self, tmp_path, capsys, name):
+        kind, config, fields = self.UNREAD[name]
+        assert run_input(kind, config, tmp_path) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"delaylab: unread field(s) in {fields}\n"
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("kind,config,where", [
+        ("queue", {**VALID_SIMS["queue_geometric"][1], "service": 5}, "service"),
+        ("bec", [VALID_SIMS["bec_fifo"][1]], "bec config"),
+        ("ncl", {**VALID_SIMS["ncl_bound_driven"][1], "channel": 5}, "channel"),
+        ("channel", [BSC002], "input.json"),
+    ], ids=["queue_service", "bec_array", "ncl_channel", "channel_file_array"])
+    def test_input_that_is_not_an_object_exits_2(self, tmp_path, capsys, kind, config,
+                                                  where):
+        # each once failed with a traceback (exit 1)
+        assert run_input(kind, config, tmp_path) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("delaylab: ") and f"{where} must be a JSON object" in err
+
+    def test_unknown_mode_exits_4_before_solving(self, tmp_path, capsys, monkeypatch):
+        # it exited 3 "infeasible" after an E0 solve
+        def no_solve(*args):
+            raise AssertionError("solved before the mode was checked")
+
+        monkeypatch.setattr(ncl_scheme, "select_params", no_solve)
+        config = {**VALID_SIMS["ncl_bound_driven"][1], "mode": "foo", "rate": 5.0}
+        assert run_input("ncl", config, tmp_path) == cli.EXIT_UNKNOWN
+        assert capsys.readouterr().err == "delaylab: unknown ncl mode 'foo'\n"
+
+    @pytest.mark.parametrize("extra", [{"n": 2}, {"n": 2, "c": 2}, {"c": 2, "l": 1}])
+    def test_geometry_fields_go_together(self, tmp_path, capsys, extra):
+        config = {k: v for k, v in VALID_SIMS["ncl_exact_tiny"][1].items()
+                  if k not in ("n", "c", "l")}
+        assert run_input("ncl", {**config, **extra}, tmp_path) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "missing field" in err if "n" in extra else "unread field(s)" in err
+
+    def test_null_is_absent_for_k_and_n_messages(self, tmp_path):
+        channel = tmp_path / "ch.json"
+        channel.write_text(json.dumps({"matrix": BSC002, "k": None}))
+        assert cli.load_channel(str(channel))[1] is None
+        config = VALID_SIMS["ncl_exact_tiny"][1]
+        nulled = sim_summary("ncl", {**config, "n_messages": None}, tmp_path / "a")
+        absent = {k: v for k, v in config.items() if k != "n_messages"}
+        assert nulled == sim_summary("ncl", absent, tmp_path / "b")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bounds", CHANNELS / "bsc002.json", "--rate", "nan", "--bounds", "esp"],
+         "--rate must be a finite number, got nan"),
+        (["bounds", CHANNELS / "z05.json", "--rate", "nan", "--bounds", "haroutunian"],
+         "--rate must be a finite number, got nan"),
+        (["bounds", CHANNELS / "bsc002.json", "--rate", "inf", "--bits", "--bounds", "esp"],
+         "--rate must be a finite number, got inf"),
+        (["curve", CHANNELS / "bsc002.json", "--bounds", "esp", "--rate-grid", "0.1:nan:3",
+          "--out", "{out}/c.csv"], "--rate-grid end must be a finite number, got nan"),
+        (["curve", CHANNELS / "bsc002.json", "--bounds", "focusing", "--eta-grid",
+          "0.1:inf:3", "--out", "{out}/c.csv"], "--eta-grid end must be a finite number"),
+        (["curve", CHANNELS / "bsc002.json", "--bounds", "esp", "--rate-grid", "0.1:0.2:0",
+          "--out", "{out}/c.csv"], "--rate-grid count must be a positive integer, got 0"),
+        (["bounds", CHANNELS / "bsc002.json", "--rate", "0.1", "--bounds", ""],
+         "--bounds names no bound"),
+        (["bounds", CHANNELS / "bsc002.json", "--rate", "0.1", "--bounds", " , "],
+         "--bounds names no bound"),
+    ], ids=["rate_nan_bsc", "rate_nan_z05", "rate_inf_bits", "rate_grid_nan",
+            "eta_grid_inf", "grid_count_0", "bounds_empty", "bounds_commas"])
+    def test_option_values_exit_2(self, tmp_path, capsys, argv, message):
+        # the first two printed 0.0 and ln 2, the grids ran, and an empty
+        # --bounds printed a header only, each with exit 0
+        assert run(fill(argv, tmp_path)) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_rho_zero_exits_3(self, tmp_path, capsys):
+        # select_params divided by zero (exit 1)
+        config = {**VALID_SIMS["ncl_bound_driven"][1], "rho": 0}
+        assert run_input("ncl", config, tmp_path) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "delaylab: rho must be positive, got 0.0\n"
+
+
+@pytest.fixture(scope="module")
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestShippedInputs:
+    def test_benchmark_sim_configs_are_accepted(self, tmp_path, benchmark_workloads):
+        requests = benchmark_workloads.build("simulations", 0, 0.0, tmp_path, CHANNELS)
+        configs = {tuple(req.argv[:3]) for req in requests}
+        assert len(configs) == 6
+        for i, (_, kind, path) in enumerate(sorted(configs)):
+            assert run(["sim", kind, path, "--out", tmp_path / f"run{i}"]) == 0
+
+    @pytest.mark.parametrize("path", sorted(CHANNELS.glob("*.json")), ids=lambda p: p.stem)
+    def test_channel_files_are_accepted(self, path, capsys):
+        assert run(["bounds", path, "--rate", "0.1", "--bounds", "esp"]) == 0
 
 
 # The MANIFEST.json of every figure: each key's JSON type; a dict schema

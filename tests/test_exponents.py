@@ -1474,6 +1474,20 @@ class TestLockstepKernel:
             ex._e0_and_slope_lanes(bsc002, [0.5, -1.0], None)
 
 
+class TestNonFiniteRates:
+    # each once returned a number (0.0, ln 2, 6e-10 or nan) or raised
+    # ConvergenceError
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ex.KNOWN_BOUNDS + ("er4",))
+    @pytest.mark.parametrize("channel", ["bsc002", "z05"])
+    def test_every_bound_raises_naming_the_rate(self, request, channel, name, rate):
+        ch = request.getfixturevalue(channel)
+        with pytest.raises(ValueError, match=f"^rate must be finite, got {rate}$"):
+            ex.bound_at_rate(ch, name, rate)
+        with pytest.raises(ValueError, match=f"^at rate {rate}: rate must be finite"):
+            ex.bound_curve(ch, name, [0.1, rate])
+
+
 class TestBoundCurve:
     """``bound_curve`` runs the rho and eta searches of a whole curve in
     lockstep, and returns what ``bound_at_rate`` returns rate by rate."""

@@ -43,6 +43,12 @@ class TestSelectParams:
         with pytest.raises(ValueError):
             ncl.select_params(bsc002, rate=0.5, delta=0.01, k=10, rho=1.0)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_nonpositive_rho_rejected(self, bsc002, rho):
+        # rho = 0 divided E0(0) = 0 by zero
+        with pytest.raises(ValueError, match=f"rho must be positive, got {rho}"):
+            ncl.select_params(bsc002, rate=0.1, delta=0.01, k=10, rho=rho)
+
     def test_structural_invariants_enforced(self, bsc002):
         e0, q = e0_max(bsc002, 1.0)
         with pytest.raises(ValueError):
