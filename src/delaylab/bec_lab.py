@@ -113,10 +113,9 @@ class SimTrace:
 
 def _arrival_times(rate_bits: float, horizon: int) -> np.ndarray:
     n_guess = int(horizon * rate_bits) + 2
-    i = np.arange(1, n_guess + 1, dtype=np.int64)
-    a = np.ceil(i / rate_bits).astype(np.int64)
+    a = np.ceil(np.arange(1, n_guess + 1, dtype=np.int64) / rate_bits)
     # a bit arriving at the last use could never be served within the horizon
-    return a[a < horizon]
+    return a[a < horizon].astype(np.int64)
 
 
 def _erasure_pattern(cfg: BecConfig) -> np.ndarray:

@@ -177,10 +177,10 @@ def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
     """``_e0_and_slope`` at every rho of ``rhos``, equal to it bit for bit.
 
     Without output symmetry each E0 is its own certified program: one
-    ``_e0_and_slope`` call per distinct rho, an error it raises taking the
-    place of the points.  On an output-symmetric channel it is one (lanes x
-    inputs x outputs) array W = P^(1/(1+rho)), each lane running the scalar
-    kernel's float operations: the inputs are summed one after another, as
+    ``_e0_and_slope`` call per distinct rho, whose error ends the call.  On
+    an output-symmetric channel it is one (lanes x inputs x outputs) array
+    W = P^(1/(1+rho)), each lane running the scalar kernel's float
+    operations: the inputs are summed one after another, as
     ``_e0_kernel``'s sum over its first axis does; the products of the
     slope are the same BLAS calls (a stacked ``matmul`` runs ``q @ w`` and
     ``weights @ terms`` lane by lane); and E0's final log is ``math.log``,
@@ -194,12 +194,7 @@ def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
     if not np.all(rho >= 0):
         raise ValueError("rho must be nonnegative")
     if not p.symmetric:
-        solved = {}
-        for r in set(rhos):
-            try:
-                solved[r] = _e0_and_slope(p, r, fortify_k)
-            except Exception as exc:  # ``_run_lanes`` raises it in the lanes at r
-                solved[r] = exc
+        solved = {r: _e0_and_slope(p, r, fortify_k) for r in set(rhos)}
         return [solved[r] for r in rhos]
     power = 1.0 + rho
     s = 1.0 / power
@@ -911,7 +906,10 @@ def _two_stream_steps(r: float):
     ``root_steps``'s bracket (a root below 1e-9 gives that end).  The
     bracket is (1e-9, ``RHO_MAX``), or at low rates, when the rate at
     ``RHO_MAX`` is still above r, (``RHO_MAX``, E0(1)/r): E'(rho) < E0(1),
-    so the rate is below r from E0(1)/r on.  E0(1) is solved once.  As in
+    so the rate is below r from E0(1)/r on.  Where that end lies beyond
+    rho = 1e8 and the rate at 1e8 is still above r, it raises
+    ``ConvergenceError`` with the residual E'(1e8)/1e8 - r, as the focusing
+    and sphere-packing searches do past 1e8.  E0(1) is solved once.  As in
     ``_crossing_steps`` the root is taken on the concave E'(rho) - r rho.
     The timesharing bound and ``ncl_scheme.two_stream_split`` run it.
     """
@@ -929,6 +927,9 @@ def _two_stream_steps(r: float):
     # the first test spares an E0 solve: it is implied by the second
     if r * RHO_MAX < e_one and excess(RHO_MAX, *(yield RHO_MAX))[0] > 0:
         lo, hi = RHO_MAX, e_one / r
+        # E0 is not searched beyond 1e8, where its roundoff grows like rho eps
+        if hi > 1e8 and (residual := excess(1e8, *(yield 1e8))[0] / 1e8) > 0:
+            raise ConvergenceError("two-stream rate root beyond rho = 1e8", residual)
     lo, hi = yield from root_steps(lo, hi, excess=excess)
     rho = 0.5 * (lo + hi)
     return rho, e_one, (yield rho)[0]
@@ -972,8 +973,6 @@ def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> list[tu
     """(R, E') of ``timesharing_exponent`` at each rho of ``rho_grid``, by increasing R."""
     rhos = sorted(rho_grid, reverse=True)
     points = _e0_and_slope_lanes(p, [1.0, *rhos], fortify_k)
-    if errors := [point for point in points if isinstance(point, Exception)]:
-        raise errors[0]
     e_one = points[0][0]
     return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
 
@@ -1007,10 +1006,11 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
     """Fixed-delay exponent of a BEC at ``rate_bits``, in base-2 units.
 
     Inverts the parametric form, whose rate decreases in eta from 1 - beta
-    to 0, with ``_crossing_steps`` from the bracket (1e-12, 64): eta scales
-    like log2(1/beta) / rate at low rates, and past 1e9 it raises
-    ``ConvergenceError``.  Returns +inf for nonpositive rates and 0 at or
-    above capacity.
+    to 0, with ``_crossing_steps`` from the bracket (1e-12, 64).  E stays
+    below log2(1/beta), so the root lies below log2(1/beta) / rate; the
+    bracket grows until it holds the root, and ``ConvergenceError`` is
+    raised only past twice that bound or past eta = 1e300.  Returns +inf
+    for nonpositive rates and 0 at or above capacity.
     """
     if not 0 < beta < 1:
         raise ValueError("erasure probability must lie in (0, 1)")
@@ -1023,8 +1023,10 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
         tail = (1.0 - beta) * 2.0**-eta
         return bec_focusing_point_bits(beta, eta)[1], tail / (beta + tail)
 
-    lo, hi = run_steps(_crossing_steps(rate_bits, 1e-12, 64.0, 1e9,
-                                       "BEC focusing rate root beyond eta = 1e9"), point)
+    # 1e300 keeps the fourfold bracket finite at rates below about 1e-300
+    cap = min(2.0 * -math.log2(beta) / rate_bits, 1e300)
+    lo, hi = run_steps(_crossing_steps(rate_bits, 1e-12, 64.0, cap,
+                                       f"BEC focusing rate root beyond eta = {cap:.3g}"), point)
     return 0.5 * (lo + hi) * rate_bits
 
 
@@ -1131,18 +1133,20 @@ def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[
     so a curve costs as many rounds as its longest search along rho has E0
     evaluations.  A bound with no such search (haroutunian and tilde
     without output symmetry, burnashev, the general focusing program) is a
-    lane that ends at once.  An error is the one ``bound_at_rate`` raises at
-    the first rate that fails; a ``ValueError`` names that rate.
+    lane that ends at once.  When the lanes raise, ``bound_at_rate`` runs
+    over the rates in order and raises the first error, so a curve fails
+    as a loop over its rates would; a ``ValueError`` names that rate.
     """
     rates = [float(r) for r in rates]
-    values, failure = _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k)
-                                                for r in rates])
-    if failure is None:
-        return values
-    i, exc = failure
-    if isinstance(exc, ValueError):
-        raise ValueError(f"at rate {rates[i]}: {exc}") from exc
-    raise exc
+    try:
+        return _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k) for r in rates])
+    except Exception:
+        for r in rates:
+            try:
+                bound_at_rate(p, name, r, fortify_k)
+            except ValueError as exc:
+                raise ValueError(f"at rate {r}: {exc}") from exc
+        raise
 
 
 def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):
@@ -1161,44 +1165,30 @@ def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):
     return bound_at_rate(p, name, r, fortify_k)
 
 
-def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> tuple[list, tuple | None]:
-    """Run the lanes together: (results, None), or (results so far,
-    (i, error)) for the first lane i in order that raised.
+def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
+    """Run the lanes together to their results.
 
     Every round sends each unfinished lane its (E0, dE0/drho) from one
-    ``_e0_and_slope_lanes`` call over all their pending rho, or raises in
-    the lane the error of the E0 solve at its rho.  A lane's
-    error drops the lanes after it, whose results a loop over the lanes
-    would never have reached, and the lanes before it run on, since one of
-    them may fail first in that order.
+    ``_e0_and_slope_lanes`` call over all their pending rho.  Any error, a
+    lane's or an E0 solve's, ends the run.
     """
     results = [None] * len(lanes)
     pending: dict[int, float] = {}
-    failure = None
 
     def advance(i, point):
-        nonlocal failure
         try:
-            pending[i] = (lanes[i].throw if isinstance(point, Exception)
-                          else lanes[i].send)(point)
+            pending[i] = lanes[i].send(point)
         except StopIteration as stop:
             results[i] = stop.value
-        except Exception as exc:  # any lane error: the caller re-raises the first in order
-            failure = i, exc
-            for j in [j for j in pending if j > i]:
-                del pending[j]
 
     for i in range(len(lanes)):
-        if failure is not None:
-            break
         advance(i, None)
     while pending:
         order = list(pending)
         points = _e0_and_slope_lanes(p, [pending.pop(i) for i in order], fortify_k)
         for i, point in zip(order, points):
-            if failure is None or i < failure[0]:
-                advance(i, point)
-    return results, failure
+            advance(i, point)
+    return results
 
 
 KNOWN_BOUNDS = ("esp", "er", "haroutunian", "tilde", "burnashev",

@@ -111,6 +111,8 @@ def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclP
         raise ValueError("fortification period must be a positive integer")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be a positive finite number, got {rate}")
     e0, q = e0_max(p, rho)
     ctilde = e0 / rho
     if rate >= ctilde:

@@ -127,9 +127,14 @@ class QueueTrace:
 
 def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
     """FIFO D/G/1 queue: message i arrives at i*m and completes at
-    C_i = max(arrival_i, C_{i-1}) + T_i."""
-    arrivals = cfg.arrival_period * np.arange(1, cfg.horizon + 1, dtype=np.int64)
+    C_i = max(arrival_i, C_{i-1}) + T_i.  Every time is at most the last
+    arrival plus the total service; a run where that passes the int64
+    range raises ``ValueError`` naming ``arrival_period``."""
     t = svc.sample(substream(cfg.seed, 1), cfg.horizon)
+    if cfg.arrival_period * cfg.horizon + float(t.sum(dtype=float)) > np.iinfo(np.int64).max:
+        raise ValueError(f"arrival_period {cfg.arrival_period} is too long for "
+                         f"{cfg.horizon} messages: the run's times would not fit in int64")
+    arrivals = cfg.arrival_period * np.arange(1, cfg.horizon + 1, dtype=np.int64)
     return QueueTrace(arrival_times=arrivals, completion_times=fifo_completions(arrivals, t),
                       service_times=t)
 

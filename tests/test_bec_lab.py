@@ -104,6 +104,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             bl.BecConfig(beta=0.4, rate_bits=0.0, horizon=100)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.5])
+    def test_nonpositive_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="^rate must be positive$"):
+            bl.BecConfig(beta=0.4, rate_bits=rate, horizon=100)
+
+    def test_arrivals_past_the_horizon_are_never_built(self):
+        # ceil(i / 1e-300) was cast to int64 before the horizon cut: the
+        # trace held INT64_MIN arrival times, with an invalid-cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = bl.simulate_fifo(bl.BecConfig(beta=0.4, rate_bits=1e-300, horizon=5000))
+        assert tr.arrival_times.dtype == np.int64
+        assert len(tr.arrival_times) == 0
+
     def test_supercritical_warns_but_runs(self):
         with pytest.warns(UserWarning):
             cfg = bl.BecConfig(beta=0.4, rate_bits=0.75, horizon=10_000)
@@ -203,6 +217,13 @@ class TestFifo:
                 nxt += 1
         decode += [math.inf] * (len(arrivals) - len(decode))
         assert tr.decode_times.tolist() == decode
+
+
+    def test_queue_seen_needs_fifo_decode_times(self):
+        tr = bl.SimTrace(scheme="fifo", horizon=10, arrival_times=np.array([1, 2]),
+                         decode_times=np.array([5.0, 4.0]), meta={"beta": 0.4})
+        with pytest.raises(ValueError, match="^decode times must be FIFO-ordered$"):
+            bl.queue_seen_by_arrivals(tr)
 
 
 class TestFifoCompletions:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,18 @@ class TestBounds:
         assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "0.99",
                     "--bounds", "burnashev"]) == 3
 
+    def test_negative_rate_exit3(self, capsys):
+        assert run(["bounds", CHANNELS / "bsc002.json", "--rate", "-0.1",
+                    "--bounds", "esp"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "delaylab: rate must be nonnegative\n"
+
+    def test_two_stream_root_beyond_rho_1e8_exit5(self, capsys):
+        # this once exited 1 with a ZeroDivisionError traceback
+        assert run(["bounds", CHANNELS / "bec04.json", "--rate", "1e-18",
+                    "--bounds", "timesharing"]) == cli.EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "delaylab: two-stream rate root beyond rho = 1e8 (residual 2.567e-09)\n")
+
     def test_fortified_burnashev(self, capsys):
         # inf up to the fortified capacity, about 0.609 nats, which 0.6 is below
         fortified = CHANNELS / "bsc002_fortified50.json"
@@ -403,6 +416,30 @@ class TestCurve:
         assert "--eta-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bits_grid_is_the_nats_grid_times_ln2(self, tmp_path):
+        out = tmp_path / "c.csv"
+        names = ["esp", "focusing", "timesharing"]
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds", ",".join(names),
+                    "--rate-grid", "0.1:0.5:3", "--bits", "--out", out]) == 0
+        rows = list(csv.DictReader(open(out)))
+        ch, _ = cli.load_channel(CHANNELS / "bsc002.json")
+        rates = np.linspace(0.1, 0.5, 3) * LN2
+        assert [row["rate_nats"] for row in rows] == [repr(float(r)) for r in rates]
+        for name in names:
+            assert [row[name] for row in rows] == [
+                repr(v) for v in exponents.bound_curve(ch, name, rates)]
+
+    @pytest.mark.parametrize("grid, code, message", [
+        ("-0.1:0.2:3", cli.EXIT_INFEASIBLE, "delaylab: rates must be nonnegative\n"),
+        ("0.1:0.2", cli.EXIT_PARSE, "delaylab: bad --rate-grid '0.1:0.2' (want lo:hi:count): "),
+    ], ids=["negative", "no_count"])
+    def test_bad_rate_grid(self, tmp_path, capsys, grid, code, message):
+        out = tmp_path / "c.csv"
+        assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "esp",
+                    f"--rate-grid={grid}", "--out", out]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_rate_that_fails_is_named(self, tmp_path, capsys):
         assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "esp,timesharing",
                     "--rate-grid", "0:0.5:3", "--out", tmp_path / "c.csv"]) == \
@@ -522,6 +559,54 @@ class TestSim:
         assert run(["sim", "queue", cfg, "--out", tmp_path / "q"]) == 0
         s = json.loads((tmp_path / "q/summary.json").read_text())
         assert s["fit"]["exponent"] >= s["tail_exponent_bound"] * 0.85
+
+    @pytest.mark.parametrize("power, code", [(40, 0), (61, 3), (70, 3)])
+    def test_queue_arrival_periods_up_to_int64(self, tmp_path, capsys, power, code):
+        # 2^40 once exited 5 from the BEC inversion's fixed cap eta = 1e9;
+        # 2^61 exited 5 after a run with negative arrival times, and 2^70
+        # exited 3 with "Python int too large to convert to C long"
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({
+            "service": {"kind": "offset_geometric", "offset": 2, "beta": 0.25},
+            "arrival_period": 2**power, "horizon": 3000}))
+        assert run(["sim", "queue", cfg, "--out", tmp_path / "q"]) == code
+        if code == 0:
+            s = json.loads((tmp_path / "q/summary.json").read_text())
+            assert abs(s["tail_exponent_bound"] + math.log(0.25)) <= 1e-12
+        else:
+            assert capsys.readouterr().err.startswith(
+                f"delaylab: arrival_period {2**power} is too long")
+
+    def test_bec_rate_with_no_arrival_in_the_horizon(self, tmp_path, capsys):
+        # the arrivals were once cast to int64 before the horizon cut, with
+        # an invalid-cast warning and INT64_MIN arrival times
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4, "rate_bits": 1e-300,
+                                   "horizon": 5000}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sim", "bec", cfg, "--out", tmp_path / "b"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "delaylab: no delays left to fit: lengthen the run past its burn-in\n")
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0])
+    def test_ncl_nonpositive_rate_is_named(self, tmp_path, capsys, rate):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({"mode": "bound_driven", "channel": {"matrix": BSC002},
+                                   "rate": rate, "horizon_blocks": 300}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            f"delaylab: rate must be a positive finite number, got {rate}\n")
+
+    @pytest.mark.parametrize("rate", [1e-300, 5e-324])
+    def test_two_stream_root_beyond_rho_1e8_exit5(self, tmp_path, capsys, rate):
+        # these once exited 5 from the back-off and 3 with "cannot convert
+        # float NaN to integer", after a split at rho = 4.5e299 and inf
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({**self.TWO_STREAM, "rate": rate, "horizon_blocks": 300}))
+        assert run(["sim", "ncl", cfg, "--out", tmp_path / "n"]) == cli.EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "delaylab: two-stream rate root beyond rho = 1e8 (residual 3.304e-09)\n")
 
     def test_ncl_exact_tiny_zero_errors(self, tmp_path):
         cfg = tmp_path / "n.json"

@@ -51,6 +51,17 @@ class TestValidation:
             dmc.validate_distribution([0.4, 0.4])
         with pytest.raises(ValueError):
             dmc.validate_distribution([0.5, 0.5], size=3)
+        with pytest.raises(ValueError, match="^input distribution must be a vector$"):
+            dmc.validate_distribution([[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("make, value, message", [
+        (dmc.bsc, -0.1, "crossover"), (dmc.bsc, 1.1, "crossover"),
+        (dmc.bec, -0.1, "erasure"), (dmc.bec, 1.5, "erasure"),
+        (dmc.z_channel, -0.1, "nulling"), (dmc.z_channel, 1.1, "nulling"),
+    ])
+    def test_family_parameter_ranges(self, make, value, message):
+        with pytest.raises(ValueError, match=rf"^{message} probability must be in \[0, 1\]$"):
+            make(value)
 
     def test_digest_stable(self, bsc002):
         assert bsc002.digest() == dmc.bsc(0.02).digest()

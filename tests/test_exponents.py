@@ -579,6 +579,12 @@ class TestRateInversionPins:
             got = (split.psi, split.rho, split.e_prime, split.e0_rho, split.e0_one)
             assert got == tuple(map(float.fromhex, want)), name
 
+    def test_two_stream_root_just_below_its_cap(self, bsc002):
+        # E0(1)/R = 1.1e8 is beyond rho = 1e8 but the root is not: the value
+        # is the one the search gave before it stopped at 1e8
+        assert ex.bound_at_rate(bsc002, "timesharing", 4e-9) == \
+            float.fromhex("0x1.525e999c12495p-2")
+
     def test_two_stream_back_off(self, bsc002):
         split = ncl.two_stream_split(bsc002, 0.2231435)
         _, details = ncl.simulate_two_stream(bsc002, split, 200, seed=6)
@@ -587,10 +593,15 @@ class TestRateInversionPins:
     @pytest.mark.parametrize("solve, message, residual", [
         (lambda: ex.focusing_bound(dmc.bsc(0.02), 1e-9),
          "focusing rate root beyond eta = 1e8 (residual 3.742e-09)", "0x1.0128e4a5f4c89p-28"),
-        (lambda: ex.bec_focusing_exponent_bits(0.4, 1e-10),
-         "BEC focusing rate root beyond eta = 1e9 (residual 1.131e-09)",
-         "0x1.36ed01555cb06p-30"),
-    ], ids=["focusing", "erasure"])
+        # the erasure cap is twice the bound log2(1/beta) / R on the root,
+        # and at most 1e300; it was a fixed eta = 1e9, which 1e-10 passed
+        (lambda: ex.bec_focusing_exponent_bits(0.4, 1e-310),
+         "BEC focusing rate root beyond eta = 1e+300 (residual 4.935e-301)",
+         "0x1.5269e12e0de57p-998"),
+        (lambda: ncl.two_stream_split(dmc.bsc(0.02), 1e-18),
+         "two-stream rate root beyond rho = 1e8 (residual 3.304e-09)",
+         "0x1.c626e2c543a7fp-29"),
+    ], ids=["focusing", "erasure", "two_stream"])
     def test_roots_beyond_the_cap_raise(self, solve, message, residual):
         with pytest.raises(dmc.ConvergenceError) as err:
             solve()
@@ -1149,6 +1160,50 @@ class TestSymmetricOrderingProperties:
         check()
 
 
+BSC = dmc.bsc(0.02)
+Z05 = dmc.z_channel(0.5)
+
+
+class TestInputChecks:
+    """Each guard raises its own message: without the guard the call would
+    return a number or fail with another error."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ex.sphere_packing(BSC, -0.1), "rate must be nonnegative"),
+        (lambda: ex.random_coding_list(BSC, -0.1), "rate must be nonnegative"),
+        (lambda: ex.random_coding_list(BSC, 0.1, 0), "list size must be at least 1"),
+        (lambda: ex.haroutunian(Z05, 0.1, "other"), "variant must be 'standard' or 'tilde'"),
+        (lambda: ex.haroutunian(Z05, -0.1), "rate must be nonnegative"),
+        (lambda: ex.focusing_bound(Z05, 0.1, 50),
+         "fortified bounds require an output-symmetric base channel"),
+        (lambda: ex.focusing_parametric_curve(BSC, [1.0, 0.0]), "eta grid must be positive"),
+        (lambda: ex.focusing_parametric_curve(BSC, [1.0, -0.5]), "eta grid must be positive"),
+        (lambda: ex.e0_slope(BSC, -0.5, [0.5, 0.5]), "rho must be nonnegative"),
+        (lambda: ex.bec_focusing_point_bits(0.0, 1.0),
+         r"erasure probability must lie in \(0, 1\)"),
+        (lambda: ex.bec_focusing_point_bits(0.4, 0.0), "eta must be positive"),
+        (lambda: ex.bec_focusing_exponent_bits(1.5, 0.1),
+         r"erasure probability must lie in \(0, 1\)"),
+        (lambda: ex.bec_anytime_capacity(1.0, 0.5),
+         r"erasure probability must lie in \(0, 1\)"),
+        (lambda: ex.bec_anytime_capacity(0.4, 0.0),
+         r"reliability must lie in \(0, 1\.321928\) base-2 units"),
+        (lambda: ex.bec_lowrate_floor(0.0, 1.0), r"erasure probability must lie in \(0, 1\)"),
+        (lambda: ex.bec_lowrate_floor(0.01, -1.0), "r must be nonnegative"),
+        (lambda: ex.FocusingPoint(eta=1.0, rate=0.2, exponent=0.2, lambda_star=1.0),
+         r"lambda\* must lie in \[0, 1\)"),
+        (lambda: ex.FocusingPoint(eta=1.0, rate=0.2, exponent=0.3, lambda_star=0.5),
+         "parametric identity exponent = eta \\* rate violated"),
+    ], ids=["esp_rate", "er_rate", "er_list_size", "haroutunian_variant", "haroutunian_rate",
+            "focusing_fortified_asymmetric", "parametric_eta_zero", "parametric_eta_negative",
+            "e0_slope_rho", "bec_point_beta", "bec_point_eta", "bec_exponent_beta",
+            "anytime_beta", "anytime_alpha", "lowrate_floor_beta", "lowrate_floor_r",
+            "focusing_point_lambda", "focusing_point_identity"])
+    def test_guard_raises_its_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 class TestBurnashev:
     def test_bsc_composed_closed_forms(self, bsc002):
         c1 = (1 - 0.04) * math.log(0.98 / 0.02)
@@ -1316,6 +1371,28 @@ class TestTimesharing:
         with pytest.raises(ValueError):
             ex.bound_at_rate(bsc002, "timesharing", 0.0)
 
+    @pytest.mark.parametrize("channel", ["bsc002", "z05"])
+    def test_curve_equals_timesharing_exponent(self, request, channel):
+        ch = request.getfixturevalue(channel)
+        rhos = [0.5, 3.0, 1e-3, 1.0, 0.05, 40.0, 1e3]
+        want = sorted(ex.timesharing_exponent(ch, rho) for rho in rhos)
+        assert [hex_floats(point) for point in ex.timesharing_curve(ch, rhos)] == \
+            [hex_floats(point) for point in want]
+
+    @pytest.mark.parametrize("channel, residual", [("bsc002", "0x1.c626e2c543a7fp-29"),
+                                                   ("bec04", "0x1.60db748d243abp-29")])
+    def test_root_beyond_rho_1e8_raises(self, request, channel, residual):
+        # E0 loses about rho eps far beyond 1e8 on an output-symmetric
+        # channel; at R = 1e-18 the search once returned 1.2531 on BSC(0.02),
+        # above E0(1) = 0.4463, and divided by zero on BEC(0.4)
+        ch = request.getfixturevalue(channel)
+        for solve in (lambda: ex.bound_at_rate(ch, "timesharing", 1e-18),
+                      lambda: ex.bound_curve(ch, "timesharing", [0.1, 1e-18])):
+            with pytest.raises(dmc.ConvergenceError,
+                               match=r"^two-stream rate root beyond rho = 1e8 ") as err:
+                solve()
+            assert err.value.residual == float.fromhex(residual)
+
     def test_rho_one_halves_e0(self, bsc002):
         rate, e = ex.timesharing_exponent(bsc002, 1.0)
         assert e == pytest.approx(0.4462871026 / 2, abs=1e-9)
@@ -1361,15 +1438,14 @@ class TestBecClosedForms:
         with pytest.raises(ValueError):
             ex.bec_anytime_capacity(0.4, -math.log2(0.4) + 0.01)
 
-    def test_low_rate_inversion_raises_rather_than_saturate(self):
-        # the exponent rises to log2(1/beta) = 1.3219281 as the rate falls;
-        # below about 1.2e-9 bits the root lies beyond eta = 1e9, where the
-        # bracket's end once came back as the root (1.0737418 at 1e-9 and
-        # 0.10737418 at 1e-10)
-        for rate in (1e-9, 1e-10):
-            with pytest.raises(dmc.ConvergenceError) as err:
-                ex.bec_focusing_exponent_bits(0.4, rate)
-            assert err.value.residual > 0
+    def test_low_rate_inversion_reaches_its_supremum(self):
+        # the exponent rises to log2(1/beta) = 1.3219281 as the rate falls,
+        # and the root lies below log2(1/beta) / R.  Below about 1.2e-9 bits
+        # it lies beyond eta = 1e9, where the bracket's end once came back
+        # as the root (1.0737418 at 1e-9 and 0.10737418 at 1e-10) and then
+        # a fixed cap raised; the bracket now grows until it holds the root
+        for rate in (1e-9, 1e-10, 1e-20, 1e-300):
+            assert ex.bec_focusing_exponent_bits(0.4, rate) == -math.log2(0.4)
         assert ex.bec_focusing_exponent_bits(0.4, 1e-6) == pytest.approx(
             bisect_bec_focusing_bits(0.4, 1e-6), rel=1e-12)
 
@@ -1543,11 +1619,9 @@ class TestBoundCurve:
         assert str(curve.value) == str(alone.value)
         assert curve.value.residual == alone.value.residual
 
-    def test_asymmetric_lanes_before_a_failed_e0_run_on(self, z05, monkeypatch):
-        # only the R = 0 lanes ask for rho = 0.9 * 64, in the fourth round;
-        # the R = 0.1 lane before them takes more rounds than that and must
-        # end as alone, while the R = 0.05 lane after them is dropped
-        want = ex.bound_at_rate(z05, "esp", 0.1)
+    def test_injected_e0_error_ends_the_curve(self, z05, monkeypatch):
+        # only the R = 0 lanes ask for rho = 0.9 * 64; the curve raises what
+        # the first rate to fail, in order, raises alone
         e0_and_slope = ex._e0_and_slope
 
         def failing(p, rho, fortify_k):
@@ -1556,11 +1630,17 @@ class TestBoundCurve:
             return e0_and_slope(p, rho, fortify_k)
 
         monkeypatch.setattr(ex, "_e0_and_slope", failing)
-        results, (i, error) = ex._run_lanes(
-            z05, None, [ex._bound_steps(z05, "esp", r, None) for r in (0.1, 0.0, 0.05, 0.0)])
-        assert (i, str(error)) == (1, "injected (residual 1.000e+00)")
-        assert hex_floats(results[:1]) == hex_floats([want])
-        assert results[2:] == [None, None]
+        with pytest.raises(dmc.ConvergenceError, match=r"^injected \(residual 1\.000e\+00\)$"):
+            ex.bound_curve(z05, "esp", [0.1, 0.0, 0.05, 0.0])
+
+    def test_first_rate_in_order_fails_even_when_it_fails_later(self):
+        # the R = 0 lane fails at once, the R = 1e-10 lane only once its
+        # bracket has grown past eta = 1e8; the curve fails as a loop over
+        # the rates would, with the first
+        with pytest.raises(dmc.ConvergenceError) as err:
+            ex.bound_curve(dmc.bsc(0.003), "focusing", [1e-10, 0.0])
+        assert str(err.value) == "focusing rate root beyond eta = 1e8 (residual 8.144e-09)"
+        assert err.value.residual == 8.14379386477035e-09
 
     def test_symmetric_haroutunian_runs_the_esp_lanes(self, bsc002, lane_rounds):
         # E+ is sphere packing on an output-symmetric channel, so its curve

@@ -49,6 +49,24 @@ class TestSelectParams:
         with pytest.raises(ValueError, match=f"rho must be positive, got {rho}"):
             ncl.select_params(bsc002, rate=0.1, delta=0.01, k=10, rho=rho)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_rate_rejected(self, bsc002, rate):
+        # -1 once failed inside the service model, "offset must be nonnegative"
+        with pytest.raises(ValueError, match=f"^rate must be a positive finite number, "
+                                             f"got {rate}$"):
+            ncl.select_params(bsc002, rate=rate, delta=0.01, k=10, rho=1.0)
+
+    def test_fortification_period_must_be_positive(self, bsc002):
+        with pytest.raises(ValueError, match="^fortification period must be a positive "
+                                             "integer$"):
+            ncl.select_params(bsc002, rate=0.1, delta=0.01, k=0, rho=1.0)
+
+    def test_rate_at_e0_over_rho_rejected(self, bsc002):
+        e0, q = e0_max(bsc002, 1.0)
+        with pytest.raises(ValueError, match=r"^rate must be below E0\(rho\)/rho "
+                                             r"\(positive slack\)$"):
+            ncl.NclParams(n=2, c=2, l=1, k=3, rho=1.0, q=q, rate=e0, e0=e0)
+
     def test_structural_invariants_enforced(self, bsc002):
         e0, q = e0_max(bsc002, 1.0)
         with pytest.raises(ValueError):
@@ -106,6 +124,10 @@ class TestExactTiny:
         assert lagged.decomposition_exact()
         assert lagged.meta["feedback_lag"] == 2
         assert lagged.transmission_times.mean() > plain.transmission_times.mean()
+
+    def test_feedback_lag_below_the_chunk(self, bsc002, tiny_params):
+        with pytest.raises(ValueError, match="^feedback lag must satisfy 1 <= phi < ck$"):
+            ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 10, feedback_lag=tiny_params.ck)
 
     def test_size_caps_enforced(self, bsc002, tiny_params):
         # the one cap left: M below 2^62, so the int64 counts hold it
@@ -353,6 +375,15 @@ class TestTwoStream:
         with pytest.raises(ValueError):
             ncl.TwoStreamSplit(psi=0.4, rho=1.0, e_prime=0.4 * e0_one,
                                e0_rho=e0_one, e0_one=e0_one)
+
+    def test_exponent_and_balance_violations_rejected(self):
+        with pytest.raises(ValueError, match=r"^exponent must equal psi E0\(1\)$"):
+            ncl.TwoStreamSplit(psi=0.5, rho=1.0, e_prime=0.6, e0_rho=1.0, e0_one=1.0)
+        # psi within 1e-9 of its formula, but E0 large enough that the two
+        # sides of the balance differ by 1e-6
+        psi = 0.5 + 5e-10
+        with pytest.raises(ValueError, match="^balance identity"):
+            ncl.TwoStreamSplit(psi=psi, rho=1.0, e_prime=psi * 1e3, e0_rho=1e3, e0_one=1e3)
 
     def test_measured_exponent_near_target(self, bsc002):
         split = ncl.two_stream_split(bsc002, 0.2231435)

@@ -56,6 +56,11 @@ class TestSearchSteps:
 
 
 class TestMaximizeConcave1d:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_bracket_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="^need lo < hi$"):
+            optimize.maximize_concave_1d(lambda x: -x * x, lo, hi)
+
     def test_quadratic(self):
         res = optimize.maximize_concave_1d(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, tol=1e-10)
         assert res.argmax == pytest.approx(2.0, abs=1e-8)
@@ -238,6 +243,10 @@ class TestMaximizeOverSimplex:
 
 
 class TestMinimizeConvexOnSimplex:
+    def test_one_letter_rejected(self):
+        with pytest.raises(ValueError, match="^need a simplex of dimension at least 2$"):
+            optimize.minimize_convex_on_simplex(lambda q: (0.0, np.zeros(1)), 1)
+
     @staticmethod
     def capacity_oracle(p):
         """C(P) = min_q max_x D(P_x || q); the gradient of D(P_x || q) in q

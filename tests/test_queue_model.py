@@ -123,6 +123,31 @@ class TestSimulation:
         assert abs(fit.slope - math.log(1.5)) <= 0.1 * math.log(1.5)
 
 
+    @pytest.mark.parametrize("period, horizon, message", [
+        (0, 10, "^arrival period must be a positive integer$"),
+        (2, 0, "^need at least one message$"),
+    ])
+    def test_config_checks(self, period, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            qm.QueueConfig(period, horizon)
+
+    @pytest.mark.parametrize("period", [2**61, 2**70])
+    def test_times_beyond_int64_rejected(self, period):
+        # 2^61 once wrapped to 1,500 negative arrival times, and 2^70 was
+        # "Python int too large to convert to C long"
+        with pytest.raises(ValueError, match=f"^arrival_period {period} is too long for "
+                                             "3000 messages"):
+            qm.simulate_point_queue(qm.QueueConfig(period, 3000, 1), qm.geometric_service(0.25))
+
+    def test_long_period_runs_to_its_bound(self):
+        m, svc = 2**40, qm.offset_geometric_service(2, 0.25)
+        tr = qm.simulate_point_queue(qm.QueueConfig(m, 3000, 1), svc)
+        assert np.all(tr.arrival_times == m * np.arange(1, 3001))
+        assert np.all(tr.delays() >= svc.offset + 1)
+        # the BEC inversion once stopped at eta = 1e9 and raised here
+        assert abs(qm.tail_exponent_bound(m, svc) + math.log(0.25)) <= 1e-12
+
+
 class TestMeasuredExponent:
     def test_fit_carries_finite_ci(self):
         svc = qm.offset_geometric_service(2, 0.25)
