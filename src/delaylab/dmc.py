@@ -246,17 +246,24 @@ def capacity(p: Dmc) -> tuple[float, np.ndarray]:
 
     sol = minimize_convex_on_simplex(oracle, int(reached.sum()))
     d = divergences(sol.q)
-    active = np.flatnonzero(d >= d.max() - CAPACITY_TOL)
-    # a row leaves while the least-squares solution gives it negative mass
-    while (w := np.linalg.lstsq(np.vstack([rows[active].T, np.ones(len(active))]),
-                                np.append(sol.q, 1.0), rcond=None)[0]).min() < 0.0:
-        active = np.delete(active, np.argmin(w))
-    q = np.zeros(p.input_size)
-    q[active] = w / w.sum()
-    value = mutual_information(p, q)
-    if sol.value - value > CAPACITY_TOL:
-        raise ConvergenceError("capacity certificate not met", sol.value - value)
-    return value, q
+    ranked = np.argsort(-d, kind="stable")
+    best = -math.inf
+    # the rows within the tolerance of the maximum first; a row with little
+    # mass at q* can sit just outside it at the certified o*, so the rows
+    # join by rank of divergence until I(q*) meets the certificate
+    for size in range(int(np.count_nonzero(d >= d.max() - CAPACITY_TOL)), len(d) + 1):
+        active = np.sort(ranked[:size])
+        # a row leaves while the least-squares solution gives it negative mass
+        while (w := np.linalg.lstsq(np.vstack([rows[active].T, np.ones(len(active))]),
+                                    np.append(sol.q, 1.0), rcond=None)[0]).min() < 0.0:
+            active = np.delete(active, np.argmin(w))
+        q = np.zeros(p.input_size)
+        q[active] = w / w.sum()
+        value = mutual_information(p, q)
+        if sol.value - value <= CAPACITY_TOL:
+            return value, q
+        best = max(best, value)
+    raise ConvergenceError("capacity certificate not met", sol.value - best)
 
 
 def divergence_conditional(g: Dmc, p: Dmc, r) -> float:

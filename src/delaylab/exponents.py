@@ -14,7 +14,6 @@ feedback capacity from 0 to ln2 / k; all bounds below accept ``fortify_k``.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -94,7 +93,7 @@ def _e0_input(p: Dmc, rho: float) -> np.ndarray:
     """``e0_max``'s input: the channel's uniform input at rho = 0 and on
     output-symmetric channels, ``maximize_e0``'s otherwise, solved once per
     channel and rho and kept in ``Dmc.e0_inputs``."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0 or p.symmetric:
         return p.uniform
@@ -174,11 +173,12 @@ def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, flo
 
 
 def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
-    """``_e0_and_slope`` at every rho of ``rhos``, equal to it bit for bit.
+    """``_e0_and_slope`` at every rho of ``rhos``, equal to it bit for bit:
+    the distinct rho that ``_E0Table.fill`` solves together.
 
     Without output symmetry each E0 is its own certified program: one
-    ``_e0_and_slope`` call per distinct rho, whose error ends the call.  On
-    an output-symmetric channel it is one (lanes x inputs x outputs) array
+    ``_e0_and_slope`` call per rho, whose error ends the call.  On an
+    output-symmetric channel it is one (lanes x inputs x outputs) array
     W = P^(1/(1+rho)), each lane running the scalar kernel's float
     operations: the inputs are summed one after another, as
     ``_e0_kernel``'s sum over its first axis does; the products of the
@@ -194,8 +194,7 @@ def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
     if not np.all(rho >= 0):
         raise ValueError("rho must be nonnegative")
     if not p.symmetric:
-        solved = {r: _e0_and_slope(p, r, fortify_k) for r in set(rhos)}
-        return [solved[r] for r in rhos]
+        return [_e0_and_slope(p, r, fortify_k) for r in rhos]
     power = 1.0 + rho
     s = 1.0 / power
     q = p.uniform
@@ -213,15 +212,9 @@ def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
     terms = np.log(a) - b / a
     slopes = -(weights[:, None, :] @ terms[:, :, None])[:, 0, 0] / weights.sum(axis=1)
     shift = _fortification_rate(fortify_k)
-    points, alone = [], {}  # lanes at one such rho share its solve
-    for r, t, v, by_itself in zip(rho.tolist(), total.tolist(), slopes.tolist(), scalar.tolist()):
-        if not by_itself:
-            points.append((-math.log(t) + r * shift, v + shift))
-            continue
-        if r not in alone:
-            alone[r] = _e0_and_slope(p, r, fortify_k)
-        points.append(alone[r])
-    return points
+    return [_e0_and_slope(p, r, fortify_k) if by_itself else (-math.log(t) + r * shift, v + shift)
+            for r, t, v, by_itself in zip(rho.tolist(), total.tolist(), slopes.tolist(),
+                                          scalar.tolist())]
 
 
 def e0_second_derivative_at_zero(p: Dmc, fortify_k: int | None = None) -> float:
@@ -281,42 +274,61 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     certificate floor outgrow the climb.  The result is then the largest
     value seen.  On output-symmetric channels with R_inf = 0 and no
     fortification, R = 0 takes that limit in closed form instead.  The
-    search is ``_sphere_packing_steps``, which
-    ``bound_curve`` runs for many rates at once.
+    search is ``_sphere_packing_steps``, a lane of ``_run_lanes``.
     """
-    return _run_lane(p, fortify_k, _sphere_packing_steps(p, r, fortify_k,
-                                                         _alone_climb(p, r, fortify_k)))
+    points = _E0Table(p, fortify_k)
+    return _run_lanes(points, [_sphere_packing_steps(p, r, fortify_k,
+                                                     _alone_climb(r, points))])[0]
 
 
-def _run_lane(p: Dmc, fortify_k: int | None, steps):
-    """Run one search lane to its result, each point by ``_e0_and_slope``.
+class _E0Table(dict):
+    """One run's table from rho to (E0(rho), dE0/drho) on ``p``, fortified
+    by ``fortify_k``: a rho it lacks is solved by ``_e0_and_slope``."""
+
+    def __init__(self, p: Dmc, fortify_k: int | None):
+        self.p, self.fortify_k = p, fortify_k
+
+    def __missing__(self, rho):
+        self[rho] = point = _e0_and_slope(self.p, rho, self.fortify_k)
+        return point
+
+    def fill(self, rhos) -> list:
+        """The points at ``rhos``, which the table lacks, solved together: a
+        lone distinct rho by ``_e0_and_slope``, several in one
+        ``_e0_and_slope_lanes`` call."""
+        new = list(set(rhos))
+        if len(new) > 1:
+            self.update(zip(new, _e0_and_slope_lanes(self.p, new, self.fortify_k)))
+        return [self[rho] for rho in rhos]
+
+
+def _run_lanes(points: _E0Table, lanes: list) -> list:
+    """Run the lanes together to their results, every E0 from ``points``.
 
     A lane is a generator over rho: it yields the rho it needs and receives
-    (E0(rho), dE0/drho) there, fortification included.  Every search along
-    rho is written once, as a lane; this runs one, and ``_run_lanes`` runs
-    a curve's worth together."""
-    return run_steps(steps, lambda rho: _e0_and_slope(p, rho, fortify_k))
-
-
-def _once(lane):
-    """``lane``, a function that returns a lane, made to ask for each rho
-    once: a rho its search comes back to (the end of a bracket that the
-    next search starts from, or a midpoint that rounds to an end) is
-    answered with the pair the lane received there.  Only the lanes whose
-    searches can come back to a rho take this, as it costs every step."""
-    @functools.wraps(lane)
-    def once(*args):
-        steps = lane(*args)
-        received = {}
-        try:
-            rho = next(steps)
-            while True:
-                if rho not in received:
-                    received[rho] = yield rho
-                rho = steps.send(received[rho])
-        except StopIteration as stop:
-            return stop.value
-    return once
+    (E0(rho), dE0/drho) there.  Every search along rho is written once, as
+    a lane, and this runs them all, one rate's bound or a curve's.  A
+    rho in the table is answered at once, so a search that comes back to a
+    rho, or asks for one another lane received, waits for no round.  Each
+    round solves the rho the waiting lanes ask for with one ``fill``, so no
+    rho of a run is solved twice.  Any error, a lane's or an E0 solve's,
+    ends the run.
+    """
+    results = [None] * len(lanes)
+    order, points_sent = range(len(lanes)), repeat(None)
+    while order:
+        waiting, asked = [], []
+        for i, point in zip(order, points_sent):
+            try:
+                rho = lanes[i].send(point)
+                while (point := points.get(rho)) is not None:
+                    rho = lanes[i].send(point)
+                waiting.append(i)
+                asked.append(rho)
+            except StopIteration as stop:
+                results[i] = stop.value
+        order, points_sent = waiting, points.fill(asked)
+    return results
 
 
 def _tilt(r: float):
@@ -327,31 +339,25 @@ def _tilt(r: float):
 def _lockstep_climb(r: float):
     """The bracket search of a lane that ``_run_lanes`` drives: the maximum
     of E0(rho) - rho r on [lo, hi] as ``maximize_concave_1d`` finds it with
-    ``slope``, from the points the lane yields.  A maximizer at an end of
-    the bracket takes the value the search received there; only an interior
-    one is evaluated again."""
+    ``slope``, from the points the lane yields, the maximizer's included."""
     def climb(lo, hi, tol):
-        x, calls, seen = yield from slope_argmax_steps(lo, hi, tol, _tilt(r))
-        value = seen[0] if seen is not None else (yield x)[0] - x * r
-        return Search1DResult(argmax=x, value=value, iterations=calls)
+        x, calls, _ = yield from slope_argmax_steps(lo, hi, tol, _tilt(r))
+        return Search1DResult(argmax=x, value=(yield x)[0] - x * r, iterations=calls)
     return climb
 
 
-def _alone_climb(p: Dmc, r: float, fortify_k: int | None):
+def _alone_climb(r: float, points: _E0Table):
     """The bracket search of a lane run alone: ``maximize_concave_1d`` with
-    ``slope`` itself, on the same points as ``_lockstep_climb``, which it
-    evaluates without passing them up to the lane.  One-rate queries thus
-    still run (and report the iterations of) ``maximize_concave_1d``, which
-    ``perfbench``'s tracer counts."""
+    ``slope`` on ``_lockstep_climb``'s points, read from the run's table.
+    One-rate queries thus still run (and report the iterations of)
+    ``maximize_concave_1d``, which ``perfbench``'s tracer counts."""
     def climb(lo, hi, tol):
         yield from ()
-        return maximize_concave_1d(lambda rho: e0_max(p, rho, fortify_k)[0] - rho * r,
-                                   lo, hi, tol=tol,
-                                   slope=lambda rho: _e0_and_slope(p, rho, fortify_k)[1] - r)
+        return maximize_concave_1d(lambda rho: points[rho][0] - rho * r, lo, hi, tol=tol,
+                                   slope=lambda rho: points[rho][1] - r)
     return climb
 
 
-@_once
 def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
     """``sphere_packing``'s search as a lane; ``climb(lo, hi, tol)`` is a
     generator returning the ``maximize_concave_1d`` result on a bracket.
@@ -393,8 +399,8 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
 
     ``list_size`` is the cap L on rho; L = 1 is ordinary random coding.
     """
-    return _run_lane(p, fortify_k, _random_coding_steps(r, list_size,
-                                                        _alone_climb(p, r, fortify_k)))
+    points = _E0Table(p, fortify_k)
+    return _run_lanes(points, [_random_coding_steps(r, list_size, _alone_climb(r, points))])[0]
 
 
 def _random_coding_steps(r: float, list_size: int, climb):
@@ -822,7 +828,7 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     1e-12 being R_inf's accuracy: no lambda < 1 then brings lambda R above
     R_inf.
     """
-    return _run_lane(p, fortify_k, _focusing_steps(p, r, fortify_k))
+    return _run_lanes(_E0Table(p, fortify_k), [_focusing_steps(p, r, fortify_k)])[0]
 
 
 def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
@@ -883,7 +889,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     if etas and etas[-1] <= 0:
         raise ValueError("eta grid must be positive")
     pts = []
-    for eta, (e0, slope) in zip(etas, _e0_and_slope_lanes(p, etas, fortify_k)):
+    for eta, (e0, slope) in zip(etas, _E0Table(p, fortify_k).fill(etas)):
         rate = e0 / eta
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
@@ -899,7 +905,6 @@ def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
     return 2.0 * cap_p / second
 
 
-@_once
 def _two_stream_steps(r: float):
     """(rho, E0(1), E0(rho)) at the rho where the two-stream rate
     E'(rho)/rho falls to r > 0, as a lane: rho is the midpoint of
@@ -972,7 +977,7 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> list[tuple[float, float]]:
     """(R, E') of ``timesharing_exponent`` at each rho of ``rho_grid``, by increasing R."""
     rhos = sorted(rho_grid, reverse=True)
-    points = _e0_and_slope_lanes(p, [1.0, *rhos], fortify_k)
+    points = _E0Table(p, fortify_k).fill([1.0, *rhos])
     e_one = points[0][0]
     return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
 
@@ -1088,7 +1093,7 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     if name == "focusing":
         return focusing_bound(p, r, fortify_k)
     if name == "timesharing":  # the two-stream curve inverted at one rate
-        return _run_lane(p, fortify_k, _timesharing_steps(p, r, fortify_k))
+        return _run_lanes(_E0Table(p, fortify_k), [_timesharing_steps(p, r, fortify_k)])[0]
     raise KeyError(f"unknown bound name: {name}")
 
 
@@ -1128,9 +1133,10 @@ def _list_size(name: str) -> int | None:
 def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[float]:
     """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit.
 
-    Every bound runs as lanes of ``_run_lanes``; each round evaluates the
-    rho every unfinished lane waits on in one ``_e0_and_slope_lanes`` call,
-    so a curve costs as many rounds as its longest search along rho has E0
+    Every rate is a lane of one ``_run_lanes`` run, with one table of E0
+    points: each round solves the new rho the unfinished lanes wait on,
+    together, and no rho of the curve is solved twice, so a curve costs at
+    most as many rounds as its longest search along rho has E0
     evaluations.  A bound with no such search (haroutunian and tilde
     without output symmetry, burnashev, the general focusing program) is a
     lane that ends at once.  When the lanes raise, ``bound_at_rate`` runs
@@ -1139,7 +1145,8 @@ def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[
     """
     rates = [float(r) for r in rates]
     try:
-        return _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k) for r in rates])
+        return _run_lanes(_E0Table(p, fortify_k),
+                          [_bound_steps(p, name, r, fortify_k) for r in rates])
     except Exception:
         for r in rates:
             try:
@@ -1163,32 +1170,6 @@ def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):
     if name == "timesharing":
         return (yield from _timesharing_steps(p, r, fortify_k))
     return bound_at_rate(p, name, r, fortify_k)
-
-
-def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
-    """Run the lanes together to their results.
-
-    Every round sends each unfinished lane its (E0, dE0/drho) from one
-    ``_e0_and_slope_lanes`` call over all their pending rho.  Any error, a
-    lane's or an E0 solve's, ends the run.
-    """
-    results = [None] * len(lanes)
-    pending: dict[int, float] = {}
-
-    def advance(i, point):
-        try:
-            pending[i] = lanes[i].send(point)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(lanes)):
-        advance(i, None)
-    while pending:
-        order = list(pending)
-        points = _e0_and_slope_lanes(p, [pending.pop(i) for i in order], fortify_k)
-        for i, point in zip(order, points):
-            advance(i, point)
-    return results
 
 
 KNOWN_BOUNDS = ("esp", "er", "haroutunian", "tilde", "burnashev",

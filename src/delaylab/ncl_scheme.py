@@ -29,10 +29,11 @@ import numpy as np
 from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
                       fit_delay_exponent, substream)
 from .dmc import Dmc
-from .exponents import _crossing_steps, _run_lane, _two_stream_steps, e0_max
+from .exponents import _E0Table, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
 EXACT_SPREAD_BINS = 1 << 14  # histogram bins per multinomial draw; bounds its memory
+EXACT_GROUP_BLOCKS = 1 << 10  # blocks an exact run decodes together; bounds its histograms
 SCHEME_RHO_POINTS = 48  # rho grid of scheme_exponent_curve
 TWO_STREAM_RATE_MARGIN = 0.15  # simulate_two_stream's back-off from zero slack
 WARMUP_BLOCKS = 10  # blocks dropped before a delay tail is measured
@@ -260,8 +261,12 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     increments and ``substream(seed, 4, c)`` the bins' spreads, both in
     block order over the blocks still undecided.  So block j's chunk count
     depends only on the seed and on blocks 0..j: a longer horizon changes
-    no earlier block.  Any other channel or input raises ``ValueError``, as
-    does M >= 2^62, which the int64 counts could not hold.
+    no earlier block.  The blocks run in groups of ``EXACT_GROUP_BLOCKS``,
+    one after another, each group drawing on from where the last left
+    chunk c's two generators, so the streams are still drawn in block
+    order and only one group's histograms are held at a time.  Any other
+    channel or input raises ``ValueError``, as does M >= 2^62, which the
+    int64 counts could not hold.
     """
     if horizon_blocks < 1:
         raise ValueError("need at least one block")
@@ -292,30 +297,35 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     spread = np.array([math.comb(used, s) / 2**used for s in range(used + 1)])
     truth = substream(seed, 3).integers(0, m_count, horizon_blocks)
     chunks = np.zeros(horizon_blocks, dtype=np.int64)
-    blocks = np.arange(horizon_blocks)
-    # hist[i, 0, d] / hist[i, 1, d]: competitors of undecided block i below /
-    # above the truth's index at distance d; truth_dist[i]: the truth's own
-    hist = np.stack([truth, m_count - 1 - truth], axis=1)[:, :, None]
-    truth_dist = np.zeros(horizon_blocks, dtype=np.int64)
-    chunk = 0
-    while len(blocks):
-        bins_rng, truth_rng = substream(seed, 4, chunk), substream(seed, 5, chunk)
-        chunk += 1
-        truth_dist += truth_rng.binomial(used, eps, len(blocks))
-        blk, grp, dist = np.nonzero(hist)
-        counts = hist[blk, grp, dist]
-        hist = np.zeros((len(blocks), 2, hist.shape[2] + used), dtype=np.int64)
-        for first in range(0, len(counts), EXACT_SPREAD_BINS):
-            part = slice(first, first + EXACT_SPREAD_BINS)
-            moved = bins_rng.multinomial(counts[part], spread)
-            for s in range(used + 1):  # distinct (blk, grp, dist): no index repeats
-                hist[blk[part], grp[part], dist[part] + s] += moved[:, s]
-        d = np.arange(hist.shape[2])
-        above = ((hist[:, 0] * (d <= truth_dist[:, None])).sum(axis=1)
-                 + (hist[:, 1] * (d < truth_dist[:, None])).sum(axis=1))
-        done = above < list_size
-        chunks[blocks[done]] = chunk
-        blocks, hist, truth_dist = blocks[~done], hist[~done], truth_dist[~done]
+    streams = []  # chunk c's (spread, truth distance) generators, for every group
+    for first_block in range(0, horizon_blocks, EXACT_GROUP_BLOCKS):
+        blocks = np.arange(first_block, min(first_block + EXACT_GROUP_BLOCKS, horizon_blocks))
+        # hist[i, 0, d] / hist[i, 1, d]: competitors of undecided block i
+        # below / above the truth's index at distance d; truth_dist[i]: the
+        # truth's own
+        hist = np.stack([truth[blocks], m_count - 1 - truth[blocks]], axis=1)[:, :, None]
+        truth_dist = np.zeros(len(blocks), dtype=np.int64)
+        chunk = 0
+        while len(blocks):
+            if chunk == len(streams):
+                streams.append((substream(seed, 4, chunk), substream(seed, 5, chunk)))
+            bins_rng, truth_rng = streams[chunk]
+            chunk += 1
+            truth_dist += truth_rng.binomial(used, eps, len(blocks))
+            blk, grp, dist = np.nonzero(hist)
+            counts = hist[blk, grp, dist]
+            hist = np.zeros((len(blocks), 2, hist.shape[2] + used), dtype=np.int64)
+            for first in range(0, len(counts), EXACT_SPREAD_BINS):
+                part = slice(first, first + EXACT_SPREAD_BINS)
+                moved = bins_rng.multinomial(counts[part], spread)
+                for s in range(used + 1):  # distinct (blk, grp, dist): no index repeats
+                    hist[blk[part], grp[part], dist[part] + s] += moved[:, s]
+            d = np.arange(hist.shape[2])
+            above = ((hist[:, 0] * (d <= truth_dist[:, None])).sum(axis=1)
+                     + (hist[:, 1] * (d < truth_dist[:, None])).sum(axis=1))
+            done = above < list_size
+            chunks[blocks[done]] = chunk
+            blocks, hist, truth_dist = blocks[~done], hist[~done], truth_dist[~done]
 
     return _ncl_trace(params, chunks, {"mode": "exact_tiny", "n_messages": m_count,
                                        "rate_realized": math.log(m_count) / nck,
@@ -362,7 +372,7 @@ class TwoStreamSplit:
 
 def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
-    rho, e0_one, e0_rho = _run_lane(p, None, _two_stream_steps(rate))
+    [(rho, e0_one, e0_rho)] = _run_lanes(_E0Table(p, None), [_two_stream_steps(rate)])
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,
                           e0_rho=e0_rho, e0_one=e0_one)
@@ -387,9 +397,9 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
     # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack; the root
     # lies below the split's rho, where the rate is 1 - margin of this one
-    rho_sim = _run_lane(p, None, _crossing_steps(
+    [(rho_sim, _)] = _run_lanes(_E0Table(p, None), [_crossing_steps(
         rate_msg / (1.0 - TWO_STREAM_RATE_MARGIN), 1e-9, split.rho, split.rho,
-        "two-stream back-off root beyond the split's rho"))[0]
+        "two-stream back-off root beyond the split's rho")])
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
     msg_delays = np.sort(trace.steady_delays())

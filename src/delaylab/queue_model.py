@@ -47,12 +47,20 @@ class ServiceTimeModel:
             raise ValueError("offset must be nonnegative")
         if self.cap is not None and self.cap < 1:
             raise ValueError("a truncation cap must be positive")
+        # the largest sample is drawn at the largest uniform below 1
+        top = int(self._geometric(np.array([np.nextafter(1.0, 0.0)]))[0])
+        limit = int(np.iinfo(np.int64).max) - min(top, self.cap or top)
+        if self.offset > limit:
+            raise ValueError(f"offset must be at most {limit}, so that every service "
+                             f"time fits in int64, got {self.offset}")
+
+    def _geometric(self, u: np.ndarray) -> np.ndarray:
+        """Geom(beta) at the uniforms u, by inverting its CDF."""
+        return np.maximum(np.ceil(np.log1p(-u) / math.log(self.tail_beta)).astype(np.int64), 1)
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Quantile transform of the sampler, shared-uniform couplings included."""
-        u = np.asarray(u, dtype=float)
-        geo = np.ceil(np.log1p(-u) / math.log(self.tail_beta)).astype(np.int64)
-        geo = np.maximum(geo, 1)
+        geo = self._geometric(np.asarray(u, dtype=float))
         if self.cap is not None:
             geo = np.minimum(geo, self.cap)
         return self.offset + geo
@@ -129,11 +137,17 @@ def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
     """FIFO D/G/1 queue: message i arrives at i*m and completes at
     C_i = max(arrival_i, C_{i-1}) + T_i.  Every time is at most the last
     arrival plus the total service; a run where that passes the int64
-    range raises ``ValueError`` naming ``arrival_period``."""
+    range raises ``ValueError`` naming ``arrival_period`` when the last
+    arrival alone does, and the service's ``offset`` with it otherwise."""
     t = svc.sample(substream(cfg.seed, 1), cfg.horizon)
-    if cfg.arrival_period * cfg.horizon + float(t.sum(dtype=float)) > np.iinfo(np.int64).max:
+    last, top = cfg.arrival_period * cfg.horizon, np.iinfo(np.int64).max
+    if last > top:
         raise ValueError(f"arrival_period {cfg.arrival_period} is too long for "
                          f"{cfg.horizon} messages: the run's times would not fit in int64")
+    if last + float(t.sum(dtype=float)) > top:
+        raise ValueError(f"service offset {svc.offset} with arrival_period "
+                         f"{cfg.arrival_period} is too long for {cfg.horizon} messages: "
+                         "the run's times would not fit in int64")
     arrivals = cfg.arrival_period * np.arange(1, cfg.horizon + 1, dtype=np.int64)
     return QueueTrace(arrival_times=arrivals, completion_times=fifo_completions(arrivals, t),
                       service_times=t)

@@ -577,6 +577,21 @@ class TestSim:
             assert capsys.readouterr().err.startswith(
                 f"delaylab: arrival_period {2**power} is too long")
 
+    @pytest.mark.parametrize("offset, message", [
+        (2**70, f"delaylab: offset must be at most {2**63 - 28}, so that every service "
+                f"time fits in int64, got {2**70}"),
+        (2**62, f"delaylab: service offset {2**62} with arrival_period 5 is too long"),
+    ])
+    def test_queue_offsets_beyond_int64_exit_3(self, tmp_path, capsys, offset, message):
+        # 2^70 exited 3 with "Python int too large to convert to C long",
+        # and 2^62 blamed the arrival period
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({
+            "service": {"kind": "offset_geometric", "offset": offset, "beta": 0.25},
+            "arrival_period": 5, "horizon": 3000}))
+        assert run(["sim", "queue", cfg, "--out", tmp_path / "q"]) == 3
+        assert capsys.readouterr().err.startswith(message)
+
     def test_bec_rate_with_no_arrival_in_the_horizon(self, tmp_path, capsys):
         # the arrivals were once cast to int64 before the horizon cut, with
         # an invalid-cast warning and INT64_MIN arrival times

@@ -212,6 +212,20 @@ class TestCapacity:
         assert c == pytest.approx(two, abs=1e-13)
         assert q[2] < 1e-9
 
+    def test_small_mass_row_just_outside_the_tolerance(self):
+        # q* puts 0.0045 on row 0, whose divergence at the certified o* sits
+        # 2.45e-12 below the maximum, outside CAPACITY_TOL: the active set
+        # once kept rows 1 and 2 only, and the certificate failed by 2.1e-6
+        ch = dmc.Dmc([[0.39506173, 0.52674897, 0.0781893],
+                      [0.47081712, 0.17120623, 0.35797665],
+                      [0.11794871882051283, 0.6564102534358975, 0.22564102774358974]])
+        c, q = dmc.capacity(ch)
+        c_ba, q_ba = blahut_arimoto(ch, 1e-14)
+        assert abs(c - c_ba) <= 1e-12
+        assert dmc.mutual_information(ch, q) == c
+        assert q == pytest.approx(q_ba, abs=1e-6)
+        assert q[0] > 0.004
+
     def test_certificate_failure_raises(self, monkeypatch, z05):
         # a program value further than the tolerance above I(q*)
         solver = optimize.minimize_convex_on_simplex

@@ -189,6 +189,20 @@ class TestExactTiny:
                                           n_messages=64, feedback_lag=2)
         assert np.array_equal(got.transmission_times, want.transmission_times)
 
+    @pytest.mark.parametrize("group", [1, 7])
+    def test_block_groups_change_no_output(self, bsc002, tiny_params, monkeypatch, group):
+        # each group draws on chunk c's generators where the last group left
+        # them, so the streams run in block order as in one group
+        want = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 500, seed=3,
+                                           n_messages=64, feedback_lag=2)
+        monkeypatch.setattr(ncl, "EXACT_GROUP_BLOCKS", group)
+        got = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 500, seed=3,
+                                          n_messages=64, feedback_lag=2)
+        for field in ("arrival_times", "service_starts", "transmission_times",
+                      "commit_times"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.meta == want.meta
+
     def test_runs_select_params_geometry(self, bsc002):
         # the bound-driven workload's operating point: a 40-use block and
         # M = 2,981, beyond the codebook run's caps of 24 uses and 4,096

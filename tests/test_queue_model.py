@@ -139,6 +139,29 @@ class TestSimulation:
                                              "3000 messages"):
             qm.simulate_point_queue(qm.QueueConfig(period, 3000, 1), qm.geometric_service(0.25))
 
+    @pytest.mark.parametrize("offset", [2**63 - 1, 2**70])
+    def test_offset_beyond_int64_rejected(self, offset):
+        # 2^70 was "Python int too large to convert to C long" at sampling
+        with pytest.raises(ValueError, match=r"^offset must be at most \d+, so that every "
+                                             "service time fits in int64, got "):
+            qm.offset_geometric_service(offset, 0.25)
+
+    def test_largest_offset_samples_within_int64(self):
+        # the largest Geom(0.25) draw, at the largest uniform below 1, is 27
+        top = np.iinfo(np.int64).max
+        svc = qm.offset_geometric_service(top - 27, 0.25)
+        assert svc.inverse_cdf(np.nextafter(1.0, 0.0)) == top
+        assert qm.ServiceTimeModel(top - 3, 0.25, cap=3).inverse_cdf(0.999) == top
+        with pytest.raises(ValueError, match="^offset must be at most 9223372036854775804,"):
+            qm.ServiceTimeModel(top - 2, 0.25, cap=3)
+
+    def test_service_times_beyond_int64_name_the_offset(self):
+        # the arrivals fit, their services do not: it blamed arrival_period
+        svc = qm.offset_geometric_service(2**62, 0.25)
+        with pytest.raises(ValueError, match=f"^service offset {2**62} with arrival_period 5 "
+                                             "is too long for 3000 messages"):
+            qm.simulate_point_queue(qm.QueueConfig(5, 3000, 1), svc)
+
     def test_long_period_runs_to_its_bound(self):
         m, svc = 2**40, qm.offset_geometric_service(2, 0.25)
         tr = qm.simulate_point_queue(qm.QueueConfig(m, 3000, 1), svc)
