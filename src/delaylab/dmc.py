@@ -49,9 +49,9 @@ class Dmc:
     alphabets must have at least two letters.  The rows are immutable.  The
     facts the bounds read off the rows (``symmetric``, ``uniform``,
     ``capacity_solution``, ``support``, ``divergence_rate``, and the E0
-    maximizer of each rho in ``e0_inputs``) are computed on first use and
-    kept read-only on the instance: a channel built again from the same rows
-    computes them again.  Instances are safe to share across threads: every
+    points in ``e0_points``) are computed on first use and kept read-only
+    on the instance: a channel built again from the same rows computes them
+    again.  Instances are safe to share across threads: every
     fact is deterministic, so two threads that compute one at once store
     equal values.
     """
@@ -135,11 +135,12 @@ class Dmc:
         return -math.log(-best)
 
     @cached_property
-    def e0_inputs(self) -> dict[float, np.ndarray]:
-        """The certified maximizer of E0(rho, q) at each rho > 0 solved so far
-        on this channel, a read-only array keyed by rho; ``exponents.e0_max``
-        fills it on channels without output symmetry, so that each rho is
-        solved once per channel whichever bound asks for it."""
+    def e0_points(self) -> dict[float, tuple[float, float, np.ndarray]]:
+        """The channel's store of E0 points: rho -> (max_q E0(rho, q), its
+        rho-derivative, the read-only maximizing input) for each rho solved
+        so far, without fortification.  ``exponents`` fills it and reads
+        every bound's E0 from it, so that each rho is solved once per
+        channel whichever bound asks for it."""
         return {}
 
     def digest(self) -> str:

@@ -75,7 +75,7 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
 def _e0_kernel(rows: np.ndarray, rho: float, q: np.ndarray) -> tuple[float, np.ndarray]:
     """(E0(rho, q) without fortification, W = P^(1/(1+rho))) for a rho >= 0
     and a validated ``q``: the one E0 formula, which every E0 evaluation of
-    this module runs once (``gallager_e0``, ``e0_max``, ``_e0_and_slope``).
+    this module runs once (``gallager_e0``, ``e0_max``, ``_e0_point``).
     W is returned for ``_slope_from_w``."""
     w = rows ** (1.0 / (1.0 + rho))
     if rho == 0:
@@ -89,22 +89,6 @@ def _e0_kernel(rows: np.ndarray, rho: float, q: np.ndarray) -> tuple[float, np.n
         float(((inner / top) ** (1.0 + rho)).sum())), w
 
 
-def _e0_input(p: Dmc, rho: float) -> np.ndarray:
-    """``e0_max``'s input: the channel's uniform input at rho = 0 and on
-    output-symmetric channels, ``maximize_e0``'s otherwise, solved once per
-    channel and rho and kept in ``Dmc.e0_inputs``."""
-    if not rho >= 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0 or p.symmetric:
-        return p.uniform
-    q = p.e0_inputs.get(rho)
-    if q is None:
-        q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
-        q.flags.writeable = False
-        p.e0_inputs[rho] = q
-    return q
-
-
 def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.ndarray]:
     """E0(rho) = max_q E0(rho, q) with an achieving input distribution.
 
@@ -115,9 +99,10 @@ def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.
     within the solver's roundoff floor max(8 |Y|, 1+rho) (1+rho) eps where
     that is larger (beyond rho = 64, or for more than 8 outputs); it raises
     ``ConvergenceError`` with the certificate gap when it cannot.  The
-    uniform input returned is the channel's read-only ``Dmc.uniform``.
+    input is the channel's E0 point's (``_e0_point``), solved once per
+    channel and rho; the uniform one is the read-only ``Dmc.uniform``.
     """
-    q = _e0_input(p, rho)
+    q = _e0_point(p, rho)[2]
     return gallager_e0(p, rho, q, fortify_k), q
 
 
@@ -153,48 +138,51 @@ def _slope_from_w(w: np.ndarray, support: np.ndarray, rho: float, q: np.ndarray)
     return -float(weights @ terms) / float(weights.sum())
 
 
-def _e0_and_slope(p: Dmc, rho: float, fortify_k: int | None) -> tuple[float, float]:
-    """(max_q E0(rho), its rho-derivative by ``e0_slope`` at ``e0_max``'s
-    input).  At rho = 0, where that derivative is the capacity but
-    ``e0_max`` returns the uniform input, which need not achieve it, the
-    slope is max_x D(P(.|x) || qP) at that input: an upper bound on the
-    capacity that equals it on output-symmetric channels.  The slope
-    searches use it only to test R against it, and R at or above it is at
-    or above capacity.  E0 and the slope share one W = P^(1/(1+rho))."""
-    q = _e0_input(p, rho)
-    e0, w = _e0_kernel(p.rows, rho, q)
-    shift = _fortification_rate(fortify_k)
-    if rho == 0:
-        out = q @ p.rows
-        slope = max(divergence_rows(row, out) for row in p.rows)
+def _e0_point(p: Dmc, rho: float) -> tuple[float, float, np.ndarray]:
+    """(max_q E0(rho), its rho-derivative, the maximizing input) without
+    fortification, from the channel's store ``Dmc.e0_points``; a rho the
+    store lacks is solved here and stored.
+
+    The input is the channel's uniform one at rho = 0 and on
+    output-symmetric channels, ``maximize_e0``'s otherwise; the derivative
+    is ``e0_slope`` there, sharing E0's W = P^(1/(1+rho)).  At rho = 0,
+    where it is the capacity but the uniform input need not achieve it, the
+    slope is max_x D(P(.|x) || qP): an upper bound on the capacity, equal to
+    it on output-symmetric channels, which the slope searches only test R
+    against (R at or above it is at or above capacity)."""
+    point = p.e0_points.get(rho)
+    if point is not None:
+        return point
+    if not rho >= 0:
+        raise ValueError("rho must be nonnegative")
+    if rho == 0 or p.symmetric:
+        q = p.uniform
     else:
-        slope = _slope_from_w(w, p.support, rho, q)
-    return e0 + rho * shift, slope + shift
+        q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+        q.flags.writeable = False
+    e0, w = _e0_kernel(p.rows, rho, q)
+    slope = (_slope_from_w(w, p.support, rho, q) if rho > 0
+             else max(divergence_rows(row, q @ p.rows) for row in p.rows))
+    p.e0_points[rho] = point = (e0, slope, q)
+    return point
 
 
-def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
-    """``_e0_and_slope`` at every rho of ``rhos``, equal to it bit for bit:
-    the distinct rho that ``_E0Table.fill`` solves together.
-
-    Without output symmetry each E0 is its own certified program: one
-    ``_e0_and_slope`` call per rho, whose error ends the call.  On an
-    output-symmetric channel it is one (lanes x inputs x outputs) array
-    W = P^(1/(1+rho)), each lane running the scalar kernel's float
-    operations: the inputs are summed one after another, as
-    ``_e0_kernel``'s sum over its first axis does; the products of the
-    slope are the same BLAS calls (a stacked ``matmul`` runs ``q @ w`` and
-    ``weights @ terms`` lane by lane); and E0's final log is ``math.log``,
-    since ``np.log`` differs in the last ulp for a few values.  The lanes
-    this cannot reproduce run ``_e0_and_slope`` itself: rho = 0;
-    1/(1+rho) = 0.5 or 1+rho = 2, where a scalar exponent takes numpy's
-    sqrt or square instead of pow; an outer sum below the smallest normal
-    (the kernel's log-domain branch); and an output no q W reaches.
-    """
+def _e0_lanes(p: Dmc, rhos) -> None:
+    """Store ``_e0_point`` at each rho of ``rhos`` on an output-symmetric
+    channel, bit for bit, from one (lanes x inputs x outputs) array
+    W = P^(1/(1+rho)).  Each lane runs the scalar kernel's float operations:
+    the inputs are summed one after another, as ``_e0_kernel``'s sum over
+    its first axis does; the slope's products are the same BLAS calls (a
+    stacked ``matmul`` runs ``q @ w`` and ``weights @ terms`` lane by
+    lane); E0's final log is ``math.log``, as ``np.log`` differs in the last
+    ulp for a few values.  The lanes this cannot reproduce are left to
+    ``_e0_point``: rho = 0; 1/(1+rho) = 0.5 or 1+rho = 2, where a scalar
+    exponent takes numpy's sqrt or square instead of pow; an outer sum
+    below the smallest normal (the kernel's log-domain branch); and an
+    output no q W reaches."""
     rho = np.array(rhos, dtype=float)
     if not np.all(rho >= 0):
         raise ValueError("rho must be nonnegative")
-    if not p.symmetric:
-        return [_e0_and_slope(p, r, fortify_k) for r in rhos]
     power = 1.0 + rho
     s = 1.0 / power
     q = p.uniform
@@ -207,14 +195,39 @@ def _e0_and_slope_lanes(p: Dmc, rhos, fortify_k: int | None) -> list:
     b = q @ (w * np.log(w, where=p.support, out=np.zeros(w.shape)))
     reached = (a > 0).all(axis=1)
     scalar = (rho == 0) | (s == 0.5) | (power == 2.0) | (total < _TINY) | ~reached
-    a[~reached] = 1.0  # those lanes are recomputed; this keeps the log finite
+    a[~reached] = 1.0  # those lanes are left out; this keeps the log finite
     weights = (a / a.max(axis=1, keepdims=True)) ** power[:, None]
     terms = np.log(a) - b / a
     slopes = -(weights[:, None, :] @ terms[:, :, None])[:, 0, 0] / weights.sum(axis=1)
+    keep = ~scalar
+    for r, t, v in zip(rho[keep].tolist(), total[keep].tolist(), slopes[keep].tolist()):
+        p.e0_points[r] = (-math.log(t), v, q)
+
+
+def _e0_points(p: Dmc, rhos, fortify_k: int | None) -> list:
+    """(E0(rho), dE0/drho) at each rho of ``rhos``, fortified by
+    ``fortify_k``, from the channel's store.  The rho it lacks are solved
+    together: several distinct ones on an output-symmetric channel by one
+    ``_e0_lanes`` call, the rest one by one by ``_e0_point``, in the order
+    of ``rhos``."""
+    new = [rho for rho in set(rhos) if rho not in p.e0_points]
+    if len(new) > 1 and p.symmetric:
+        _e0_lanes(p, new)
+    return list(map(_e0_reader(p, fortify_k), rhos))
+
+
+def _e0_reader(p: Dmc, fortify_k: int | None):
+    """rho -> (E0(rho), dE0/drho) by ``_e0_point``, fortified on read: E0
+    gains rho ln2/k and the slope ln2/k.  The sums are taken also when the
+    shift is 0.0, which turns the E0 of -0.0 of a channel with equal rows
+    into 0.0."""
     shift = _fortification_rate(fortify_k)
-    return [_e0_and_slope(p, r, fortify_k) if by_itself else (-math.log(t) + r * shift, v + shift)
-            for r, t, v, by_itself in zip(rho.tolist(), total.tolist(), slopes.tolist(),
-                                          scalar.tolist())]
+
+    def read(rho):
+        e0, slope, _ = _e0_point(p, rho)
+        return e0 + rho * shift, slope + shift
+
+    return read
 
 
 def e0_second_derivative_at_zero(p: Dmc, fortify_k: int | None = None) -> float:
@@ -276,44 +289,24 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     fortification, R = 0 takes that limit in closed form instead.  The
     search is ``_sphere_packing_steps``, a lane of ``_run_lanes``.
     """
-    points = _E0Table(p, fortify_k)
-    return _run_lanes(points, [_sphere_packing_steps(p, r, fortify_k,
-                                                     _alone_climb(r, points))])[0]
+    return _run_lanes(p, fortify_k, [_sphere_packing_steps(
+        p, r, fortify_k, _alone_climb(p, r, fortify_k))])[0]
 
 
-class _E0Table(dict):
-    """One run's table from rho to (E0(rho), dE0/drho) on ``p``, fortified
-    by ``fortify_k``: a rho it lacks is solved by ``_e0_and_slope``."""
-
-    def __init__(self, p: Dmc, fortify_k: int | None):
-        self.p, self.fortify_k = p, fortify_k
-
-    def __missing__(self, rho):
-        self[rho] = point = _e0_and_slope(self.p, rho, self.fortify_k)
-        return point
-
-    def fill(self, rhos) -> list:
-        """The points at ``rhos``, which the table lacks, solved together: a
-        lone distinct rho by ``_e0_and_slope``, several in one
-        ``_e0_and_slope_lanes`` call."""
-        new = list(set(rhos))
-        if len(new) > 1:
-            self.update(zip(new, _e0_and_slope_lanes(self.p, new, self.fortify_k)))
-        return [self[rho] for rho in rhos]
-
-
-def _run_lanes(points: _E0Table, lanes: list) -> list:
-    """Run the lanes together to their results, every E0 from ``points``.
+def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
+    """Run the lanes together to their results, every E0 from the
+    channel's store, fortified by ``fortify_k``.
 
     A lane is a generator over rho: it yields the rho it needs and receives
     (E0(rho), dE0/drho) there.  Every search along rho is written once, as
-    a lane, and this runs them all, one rate's bound or a curve's.  A
-    rho in the table is answered at once, so a search that comes back to a
-    rho, or asks for one another lane received, waits for no round.  Each
-    round solves the rho the waiting lanes ask for with one ``fill``, so no
-    rho of a run is solved twice.  Any error, a lane's or an E0 solve's,
-    ends the run.
+    a lane, and this runs them all, one rate's bound or a curve's.  A rho
+    in the store is answered at once, so a search that comes back to a
+    rho, or asks for one that another lane or an earlier run solved on the
+    channel, waits for no round.  Each round solves the rho the waiting
+    lanes ask for with one ``_e0_points`` call, so no rho is solved twice.
+    Any error, a lane's or an E0 solve's, ends the run.
     """
+    store, read = p.e0_points, _e0_reader(p, fortify_k)
     results = [None] * len(lanes)
     order, points_sent = range(len(lanes)), repeat(None)
     while order:
@@ -321,13 +314,13 @@ def _run_lanes(points: _E0Table, lanes: list) -> list:
         for i, point in zip(order, points_sent):
             try:
                 rho = lanes[i].send(point)
-                while (point := points.get(rho)) is not None:
-                    rho = lanes[i].send(point)
+                while rho in store:
+                    rho = lanes[i].send(read(rho))
                 waiting.append(i)
                 asked.append(rho)
             except StopIteration as stop:
                 results[i] = stop.value
-        order, points_sent = waiting, points.fill(asked)
+        order, points_sent = waiting, _e0_points(p, asked, fortify_k)
     return results
 
 
@@ -341,20 +334,22 @@ def _lockstep_climb(r: float):
     of E0(rho) - rho r on [lo, hi] as ``maximize_concave_1d`` finds it with
     ``slope``, from the points the lane yields, the maximizer's included."""
     def climb(lo, hi, tol):
-        x, calls, _ = yield from slope_argmax_steps(lo, hi, tol, _tilt(r))
+        x, calls = yield from slope_argmax_steps(lo, hi, tol, _tilt(r))
         return Search1DResult(argmax=x, value=(yield x)[0] - x * r, iterations=calls)
     return climb
 
 
-def _alone_climb(r: float, points: _E0Table):
+def _alone_climb(p: Dmc, r: float, fortify_k: int | None):
     """The bracket search of a lane run alone: ``maximize_concave_1d`` with
-    ``slope`` on ``_lockstep_climb``'s points, read from the run's table.
-    One-rate queries thus still run (and report the iterations of)
+    ``slope`` on ``_lockstep_climb``'s points, read from the channel's
+    store.  One-rate queries thus still run (and report the iterations of)
     ``maximize_concave_1d``, which ``perfbench``'s tracer counts."""
+    read = _e0_reader(p, fortify_k)
+
     def climb(lo, hi, tol):
         yield from ()
-        return maximize_concave_1d(lambda rho: points[rho][0] - rho * r, lo, hi, tol=tol,
-                                   slope=lambda rho: points[rho][1] - r)
+        return maximize_concave_1d(lambda rho: read(rho)[0] - rho * r, lo, hi, tol=tol,
+                                   slope=lambda rho: read(rho)[1] - r)
     return climb
 
 
@@ -399,8 +394,8 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
 
     ``list_size`` is the cap L on rho; L = 1 is ordinary random coding.
     """
-    points = _E0Table(p, fortify_k)
-    return _run_lanes(points, [_random_coding_steps(r, list_size, _alone_climb(r, points))])[0]
+    return _run_lanes(p, fortify_k, [_random_coding_steps(
+        r, list_size, _alone_climb(p, r, fortify_k))])[0]
 
 
 def _random_coding_steps(r: float, list_size: int, climb):
@@ -828,7 +823,7 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     1e-12 being R_inf's accuracy: no lambda < 1 then brings lambda R above
     R_inf.
     """
-    return _run_lanes(_E0Table(p, fortify_k), [_focusing_steps(p, r, fortify_k)])[0]
+    return _run_lanes(p, fortify_k, [_focusing_steps(p, r, fortify_k)])[0]
 
 
 def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
@@ -889,7 +884,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     if etas and etas[-1] <= 0:
         raise ValueError("eta grid must be positive")
     pts = []
-    for eta, (e0, slope) in zip(etas, _E0Table(p, fortify_k).fill(etas)):
+    for eta, (e0, slope) in zip(etas, _e0_points(p, etas, fortify_k)):
         rate = e0 / eta
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
@@ -977,9 +972,8 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> list[tuple[float, float]]:
     """(R, E') of ``timesharing_exponent`` at each rho of ``rho_grid``, by increasing R."""
     rhos = sorted(rho_grid, reverse=True)
-    points = _E0Table(p, fortify_k).fill([1.0, *rhos])
-    e_one = points[0][0]
-    return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points[1:])]
+    (e_one, _), *points = _e0_points(p, [1.0, *rhos], fortify_k)
+    return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points)]
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1087,7 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     if name == "focusing":
         return focusing_bound(p, r, fortify_k)
     if name == "timesharing":  # the two-stream curve inverted at one rate
-        return _run_lanes(_E0Table(p, fortify_k), [_timesharing_steps(p, r, fortify_k)])[0]
+        return _run_lanes(p, fortify_k, [_timesharing_steps(p, r, fortify_k)])[0]
     raise KeyError(f"unknown bound name: {name}")
 
 
@@ -1133,9 +1127,9 @@ def _list_size(name: str) -> int | None:
 def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[float]:
     """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit.
 
-    Every rate is a lane of one ``_run_lanes`` run, with one table of E0
-    points: each round solves the new rho the unfinished lanes wait on,
-    together, and no rho of the curve is solved twice, so a curve costs at
+    Every rate is a lane of one ``_run_lanes`` run, which reads E0 from
+    the channel's store: each round solves the new rho the unfinished lanes
+    wait on, together, and no rho is solved twice, so a curve costs at
     most as many rounds as its longest search along rho has E0
     evaluations.  A bound with no such search (haroutunian and tilde
     without output symmetry, burnashev, the general focusing program) is a
@@ -1145,8 +1139,7 @@ def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[
     """
     rates = [float(r) for r in rates]
     try:
-        return _run_lanes(_E0Table(p, fortify_k),
-                          [_bound_steps(p, name, r, fortify_k) for r in rates])
+        return _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k) for r in rates])
     except Exception:
         for r in rates:
             try:

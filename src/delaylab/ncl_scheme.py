@@ -29,7 +29,7 @@ import numpy as np
 from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
                       fit_delay_exponent, substream)
 from .dmc import Dmc
-from .exponents import _E0Table, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
+from .exponents import _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
 EXACT_SPREAD_BINS = 1 << 14  # histogram bins per multinomial draw; bounds its memory
@@ -372,7 +372,7 @@ class TwoStreamSplit:
 
 def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
-    [(rho, e0_one, e0_rho)] = _run_lanes(_E0Table(p, None), [_two_stream_steps(rate)])
+    [(rho, e0_one, e0_rho)] = _run_lanes(p, None, [_two_stream_steps(rate)])
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,
                           e0_rho=e0_rho, e0_one=e0_one)
@@ -397,7 +397,7 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
     # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack; the root
     # lies below the split's rho, where the rate is 1 - margin of this one
-    [(rho_sim, _)] = _run_lanes(_E0Table(p, None), [_crossing_steps(
+    [(rho_sim, _)] = _run_lanes(p, None, [_crossing_steps(
         rate_msg / (1.0 - TWO_STREAM_RATE_MARGIN), 1e-9, split.rho, split.rho,
         "two-stream back-off root beyond the split's rho")])
     params = select_params(p, rate_msg, delta, k, rho_sim)
@@ -431,18 +431,24 @@ def scheme_exponent_curve(p: Dmc, n: int, c: int, l: int, k: int,
 
     For each rate, maximizes the Corollary-driven end-to-end exponent over
     ``SCHEME_RHO_POINTS`` geometrically spaced values of the operating
-    parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.  Raises
-    ``ValueError`` for a geometry no scheme can run (c < l + 1 or n <= l).
+    parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.  The
+    exponent depends on the rate only through the slack, so each distinct
+    (rho, slack) is solved once.  Raises ``ValueError`` for a geometry no
+    scheme can run (c < l + 1 or n <= l).
     """
     _check_geometry(n, c, l)
     rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS)
     table = [(float(rho), *e0_max(p, float(rho))) for rho in rhos]
+    solved = {}  # (rho, slack) -> queueing_exponent_bound
     out = []
     for rate in sorted(rate_grid):
         best = 0.0
         for rho, e0, q in table:
             if rate < e0 / rho:
                 params = NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q, rate=float(rate), e0=e0)
-                best = max(best, queueing_exponent_bound(params))
+                key = rho, params.slack_chunks
+                if key not in solved:
+                    solved[key] = queueing_exponent_bound(params)
+                best = max(best, solved[key])
         out.append((float(rate), best))
     return out

@@ -90,8 +90,7 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     a, b = float(lo), float(hi)
     if slope is not None:
         # the pairs carry no value of f, so f is evaluated at the argmax
-        x, calls, _ = run_steps(slope_argmax_steps(a, b, tol),
-                                lambda x: (math.nan, slope(x)))
+        x, calls = run_steps(slope_argmax_steps(a, b, tol), lambda x: (math.nan, slope(x)))
         return Search1DResult(argmax=x, value=f(x), iterations=calls)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -120,23 +119,20 @@ def slope_argmax_steps(lo: float, hi: float, tol: float, excess=lambda x, *pair:
     """The maximizer of a concave f on [lo, hi] from its nonincreasing
     slope, as a ``run_steps`` generator: it yields points x, receives a
     tuple t, reads only f'(x) of the pair (f(x), f'(x)) = excess(x, *t)
-    (t itself by default), and returns (argmax, iterations, pair), where
-    pair is the one at the argmax, or None when it received none there.
+    (t itself by default), and returns (argmax, iterations).
 
     An end where the slope already points out of the interval is the
-    maximizer (lo when f'(lo) <= 0), with the pair received there.
+    maximizer (lo when f'(lo) <= 0).
     Otherwise ``root_steps`` closes a bracket of ``tol`` around the root of
     the slope (secant steps, as no second derivative is given; its own cap
     replaces ``GOLDEN_MAX_ITER``), and the argmax is the bracket's midpoint.
     ``iterations`` counts the slope evaluations inside the bracket.
     """
     a, b = float(lo), float(hi)
-    at_a = excess(a, *(yield a))
-    if at_a[1] <= 0.0:
-        return a, 0, at_a
-    at_b = excess(b, *(yield b))
-    if at_b[1] >= 0.0:
-        return b, 0, at_b
+    if excess(a, *(yield a))[1] <= 0.0:
+        return a, 0
+    if excess(b, *(yield b))[1] >= 0.0:
+        return b, 0
     inside = []  # the points of the slope evaluations inside the bracket
 
     def slope(x, *received):
@@ -144,7 +140,7 @@ def slope_argmax_steps(lo: float, hi: float, tol: float, excess=lambda x, *pair:
         return excess(x, *received)[1], math.nan
 
     a, b = yield from root_steps(a, b, tol, slope)
-    return 0.5 * (a + b), len(inside), None
+    return 0.5 * (a + b), len(inside)
 
 
 def decreasing_root(f, lo: float, hi: float, tol: float = 0.0) -> tuple[float, float]:

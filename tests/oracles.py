@@ -86,7 +86,7 @@ def slope_esp(p, r, fortify_k=None):
     lo, hi, best = 0.0, ex.RHO_MAX, -math.inf
     while True:
         res = maximize_concave_1d(bracket, lo, hi, tol=1e-9,
-                                  slope=lambda rho: ex._e0_and_slope(p, rho, fortify_k)[1] - r)
+                                  slope=lambda rho: ex._e0_reader(p, fortify_k)(rho)[1] - r)
         climbed = res.value > best
         best = max(best, res.value)
         if not climbed or res.argmax <= 0.98 * hi or bracket(hi) <= bracket(0.9 * hi):

@@ -455,6 +455,31 @@ class TestSchemeCurve:
             assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
         assert curves[(50, 8, 6)][0.40] >= curves[(10, 3, 2)][0.40]
 
+    def test_figure_16_solves_each_exponent_once(self, bsc002, monkeypatch):
+        # the exponent depends on the rate only through the slack, so each
+        # distinct (rho, slack) is solved once: figure 16's three schemes
+        # made 2,578 BEC focusing inversions when each (rate, rho) solved its
+        # own, for 1,816 distinct arguments
+        calls, solve = [], qm.bec_focusing_exponent_bits
+        monkeypatch.setattr(qm, "bec_focusing_exponent_bits",
+                            lambda *args: calls.append(args) or solve(*args))
+        rates = np.linspace(0.02, 0.43, 22)
+        schemes = ((10, 3, 2), (20, 4, 3), (50, 8, 6))
+        curves = [ncl.scheme_exponent_curve(bsc002, n, c, l, 50, rates) for n, c, l in schemes]
+        assert len(calls) == len(set(calls)) == 1816
+        for (n, c, l), got in zip(schemes, curves):
+            # the curve of the loop that solved every (rate, rho)
+            want = []
+            for rate in rates:
+                best = 0.0
+                for rho in np.geomspace(1e-2, 2**l, ncl.SCHEME_RHO_POINTS).tolist():
+                    e0, q = e0_max(bsc002, rho)
+                    if rate < e0 / rho:
+                        best = max(best, ncl.queueing_exponent_bound(ncl.NclParams(
+                            n=n, c=c, l=l, k=50, rho=rho, q=q, rate=float(rate), e0=e0)))
+                want.append((float(rate), best))
+            assert [(r.hex(), e.hex()) for r, e in got] == [(r.hex(), e.hex()) for r, e in want]
+
     @pytest.mark.parametrize("n,c,l,message", [(10, 2, 2, "disambiguation"), (2, 3, 2, "n > l")],
                              ids=["c_below_l_plus_1", "n_not_above_l"])
     def test_invalid_geometry_raises(self, bsc002, n, c, l, message):
