@@ -22,6 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .dmc import (
+    CAPACITY_TOL,
     LN2,
     ConvergenceError,
     Dmc,
@@ -99,10 +100,11 @@ def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.
     within the solver's roundoff floor max(8 |Y|, 1+rho) (1+rho) eps where
     that is larger (beyond rho = 64, or for more than 8 outputs); it raises
     ``ConvergenceError`` with the certificate gap when it cannot.  The
-    input is the channel's E0 point's (``_e0_point``), solved once per
-    channel and rho; the uniform one is the read-only ``Dmc.uniform``.
+    input is stored with the channel's E0 point (``_e0_point``), solved
+    once per channel and rho; the uniform one is ``Dmc.uniform``.
     """
-    q = _e0_point(p, rho)[2]
+    _e0_point(p, rho)
+    q = p.e0_points[rho][2]
     return gallager_e0(p, rho, q, fortify_k), q
 
 
@@ -138,10 +140,13 @@ def _slope_from_w(w: np.ndarray, support: np.ndarray, rho: float, q: np.ndarray)
     return -float(weights @ terms) / float(weights.sum())
 
 
-def _e0_point(p: Dmc, rho: float) -> tuple[float, float, np.ndarray]:
-    """(max_q E0(rho), its rho-derivative, the maximizing input) without
-    fortification, from the channel's store ``Dmc.e0_points``; a rho the
-    store lacks is solved here and stored.
+def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
+    """(max_q E0(rho), its rho-derivative), fortified by ``fortify_k``: the
+    one read of the channel's store ``Dmc.e0_points``.  A rho the store
+    lacks is solved here and stored, with its maximizing input and without
+    fortification, which is added on read: E0 gains rho ln2/k and the slope
+    ln2/k.  The sums are taken also when the shift is 0.0, which turns the
+    E0 of -0.0 of a channel with equal rows into 0.0.
 
     The input is the channel's uniform one at rho = 0 and on
     output-symmetric channels, ``maximize_e0``'s otherwise; the derivative
@@ -150,21 +155,21 @@ def _e0_point(p: Dmc, rho: float) -> tuple[float, float, np.ndarray]:
     slope is max_x D(P(.|x) || qP): an upper bound on the capacity, equal to
     it on output-symmetric channels, which the slope searches only test R
     against (R at or above it is at or above capacity)."""
+    shift = _fortification_rate(fortify_k)
     point = p.e0_points.get(rho)
-    if point is not None:
-        return point
-    if not rho >= 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0 or p.symmetric:
-        q = p.uniform
-    else:
-        q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
-        q.flags.writeable = False
-    e0, w = _e0_kernel(p.rows, rho, q)
-    slope = (_slope_from_w(w, p.support, rho, q) if rho > 0
-             else max(divergence_rows(row, q @ p.rows) for row in p.rows))
-    p.e0_points[rho] = point = (e0, slope, q)
-    return point
+    if point is None:
+        if not rho >= 0:
+            raise ValueError("rho must be nonnegative")
+        if rho == 0 or p.symmetric:
+            q = p.uniform
+        else:
+            q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+            q.flags.writeable = False
+        e0, w = _e0_kernel(p.rows, rho, q)
+        slope = (_slope_from_w(w, p.support, rho, q) if rho > 0
+                 else max(divergence_rows(row, q @ p.rows) for row in p.rows))
+        p.e0_points[rho] = point = (e0, slope, q)
+    return point[0] + rho * shift, point[1] + shift
 
 
 def _e0_lanes(p: Dmc, rhos) -> None:
@@ -204,36 +209,18 @@ def _e0_lanes(p: Dmc, rhos) -> None:
         p.e0_points[r] = (-math.log(t), v, q)
 
 
-def _e0_points(p: Dmc, rhos, fortify_k: int | None) -> list:
-    """(E0(rho), dE0/drho) at each rho of ``rhos``, fortified by
-    ``fortify_k``, from the channel's store.  The rho it lacks are solved
-    together: several distinct ones on an output-symmetric channel by one
-    ``_e0_lanes`` call, the rest one by one by ``_e0_point``, in the order
-    of ``rhos``."""
-    new = [rho for rho in set(rhos) if rho not in p.e0_points]
-    if len(new) > 1 and p.symmetric:
-        _e0_lanes(p, new)
-    return list(map(_e0_reader(p, fortify_k), rhos))
-
-
-def _e0_reader(p: Dmc, fortify_k: int | None):
-    """rho -> (E0(rho), dE0/drho) by ``_e0_point``, fortified on read: E0
-    gains rho ln2/k and the slope ln2/k.  The sums are taken also when the
-    shift is 0.0, which turns the E0 of -0.0 of a channel with equal rows
-    into 0.0."""
-    shift = _fortification_rate(fortify_k)
-
-    def read(rho):
-        e0, slope, _ = _e0_point(p, rho)
-        return e0 + rho * shift, slope + shift
-
-    return read
-
-
 def e0_second_derivative_at_zero(p: Dmc, fortify_k: int | None = None) -> float:
     """d^2 E0 / drho^2 at rho = 0 for the capacity-achieving q, by the
-    forward stencil of step ``E0_STENCIL_STEP``."""
-    q, h = p.capacity_solution[1], E0_STENCIL_STEP
+    forward stencil of step ``E0_STENCIL_STEP``.  It is exactly 0 at zero
+    dispersion, where every information density ln(P(y|x) / (qP)(y)) on
+    the support under q equals C within ``CAPACITY_TOL``: E0 is then
+    linear, as on noiseless channels, where the stencil leaves 2e-10 of
+    roundoff."""
+    (cap, q), h = p.capacity_solution, E0_STENCIL_STEP
+    used = p.rows[q > 0]
+    density = np.log(used[used > 0] / np.broadcast_to(q @ p.rows, used.shape)[used > 0])
+    if np.all(np.abs(density - cap) <= CAPACITY_TOL):
+        return 0.0
     f0 = gallager_e0(p, 0.0, q, fortify_k)
     f1 = gallager_e0(p, h, q, fortify_k)
     f2 = gallager_e0(p, 2 * h, q, fortify_k)
@@ -294,19 +281,22 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
 
 
 def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
-    """Run the lanes together to their results, every E0 from the
-    channel's store, fortified by ``fortify_k``.
+    """Run the lanes together to their results, every E0 read from the
+    channel's store by ``_e0_point``, fortified by ``fortify_k``.
 
     A lane is a generator over rho: it yields the rho it needs and receives
     (E0(rho), dE0/drho) there.  Every search along rho is written once, as
-    a lane, and this runs them all, one rate's bound or a curve's.  A rho
-    in the store is answered at once, so a search that comes back to a
-    rho, or asks for one that another lane or an earlier run solved on the
-    channel, waits for no round.  Each round solves the rho the waiting
-    lanes ask for with one ``_e0_points`` call, so no rho is solved twice.
-    Any error, a lane's or an E0 solve's, ends the run.
+    a lane, and this runs them all, one rate's bound, a curve's, or the
+    one-step lanes ``_at`` of a fixed grid.  A rho in the store is answered
+    at once, so a search that comes back to a rho, or asks for one that
+    another lane or an earlier run solved on the channel, waits for no
+    round.  Each round solves the distinct rho the waiting lanes ask for
+    together: several on an output-symmetric channel by one ``_e0_lanes``
+    call, which is the only one, and the rest by ``_e0_point`` as it
+    answers the lanes in the order asked, so no rho is solved twice.  Any
+    error, a lane's or an E0 solve's, ends the run.
     """
-    store, read = p.e0_points, _e0_reader(p, fortify_k)
+    store = p.e0_points
     results = [None] * len(lanes)
     order, points_sent = range(len(lanes)), repeat(None)
     while order:
@@ -315,13 +305,21 @@ def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
             try:
                 rho = lanes[i].send(point)
                 while rho in store:
-                    rho = lanes[i].send(read(rho))
+                    rho = lanes[i].send(_e0_point(p, rho, fortify_k))
                 waiting.append(i)
                 asked.append(rho)
             except StopIteration as stop:
                 results[i] = stop.value
-        order, points_sent = waiting, _e0_points(p, asked, fortify_k)
+        if len(new := set(asked)) > 1 and p.symmetric:
+            _e0_lanes(p, [*new])
+        order, points_sent = waiting, [_e0_point(p, rho, fortify_k) for rho in asked]
     return results
+
+
+def _at(rho: float):
+    """The one-step lane of a fixed rho grid: it receives (E0(rho),
+    dE0/drho) and returns it."""
+    return (yield rho)
 
 
 def _tilt(r: float):
@@ -344,12 +342,11 @@ def _alone_climb(p: Dmc, r: float, fortify_k: int | None):
     ``slope`` on ``_lockstep_climb``'s points, read from the channel's
     store.  One-rate queries thus still run (and report the iterations of)
     ``maximize_concave_1d``, which ``perfbench``'s tracer counts."""
-    read = _e0_reader(p, fortify_k)
-
     def climb(lo, hi, tol):
         yield from ()
-        return maximize_concave_1d(lambda rho: read(rho)[0] - rho * r, lo, hi, tol=tol,
-                                   slope=lambda rho: read(rho)[1] - r)
+        return maximize_concave_1d(lambda rho: _e0_point(p, rho, fortify_k)[0] - rho * r,
+                                   lo, hi, tol=tol,
+                                   slope=lambda rho: _e0_point(p, rho, fortify_k)[1] - r)
     return climb
 
 
@@ -884,7 +881,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     if etas and etas[-1] <= 0:
         raise ValueError("eta grid must be positive")
     pts = []
-    for eta, (e0, slope) in zip(etas, _e0_points(p, etas, fortify_k)):
+    for eta, (e0, slope) in zip(etas, _run_lanes(p, fortify_k, list(map(_at, etas)))):
         rate = e0 / eta
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
@@ -892,7 +889,8 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
 
 
 def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
-    """Slope of the parametric focusing curve at the capacity point: 2C / E0''(0)."""
+    """Slope of the parametric focusing curve at the capacity point: 2C / E0''(0),
+    -inf where E0''(0) is 0, as E_a is then +inf below C."""
     cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     if abs(second) < 1e-12:
@@ -948,8 +946,8 @@ def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
 def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
     """One point of the two-stream achievable region:
     E'(rho) = (1/E0(rho) + 1/E0(1))^{-1}, R(rho) = E'(rho)/rho."""
-    return _timesharing_point(e0_max(p, rho, fortify_k)[0],
-                              e0_max(p, 1.0, fortify_k)[0], rho)
+    return _timesharing_point(_e0_point(p, rho, fortify_k)[0],
+                              _e0_point(p, 1.0, fortify_k)[0], rho)
 
 
 def _timesharing_point(e_rho: float, e_one: float, rho: float) -> tuple[float, float]:
@@ -964,7 +962,7 @@ def _timesharing_point(e_rho: float, e_one: float, rho: float) -> tuple[float, f
 def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
     """Slope of the two-stream curve at (C, 0): -E0(1) / (C - E0(1) E0''(0) / 2C)."""
     cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
-    e_one = e0_max(p, 1.0, fortify_k)[0]
+    e_one = _e0_point(p, 1.0, fortify_k)[0]
     second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     return -e_one / (cap_p - e_one * second / (2.0 * cap_p))
 
@@ -972,7 +970,7 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> list[tuple[float, float]]:
     """(R, E') of ``timesharing_exponent`` at each rho of ``rho_grid``, by increasing R."""
     rhos = sorted(rho_grid, reverse=True)
-    (e_one, _), *points = _e0_points(p, [1.0, *rhos], fortify_k)
+    (e_one, _), *points = _run_lanes(p, fortify_k, list(map(_at, [1.0, *rhos])))
     return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points)]
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
                       fit_delay_exponent, substream)
 from .dmc import Dmc
-from .exponents import _crossing_steps, _run_lanes, _two_stream_steps, e0_max
+from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
 EXACT_SPREAD_BINS = 1 << 14  # histogram bins per multinomial draw; bounds its memory
@@ -437,8 +437,9 @@ def scheme_exponent_curve(p: Dmc, n: int, c: int, l: int, k: int,
     scheme can run (c < l + 1 or n <= l).
     """
     _check_geometry(n, c, l)
-    rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS)
-    table = [(float(rho), *e0_max(p, float(rho))) for rho in rhos]
+    rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS).tolist()
+    table = [(rho, e0, p.e0_points[rho][2])
+             for rho, (e0, _) in zip(rhos, _run_lanes(p, None, list(map(_at, rhos))))]
     solved = {}  # (rho, slack) -> queueing_exponent_bound
     out = []
     for rate in sorted(rate_grid):

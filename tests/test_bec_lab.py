@@ -103,6 +103,8 @@ class TestConfig:
             bl.BecConfig(beta=1.2, rate_bits=0.5, horizon=100)
         with pytest.raises(ValueError):
             bl.BecConfig(beta=0.4, rate_bits=0.0, horizon=100)
+        with pytest.raises(ValueError, match="^horizon too short$"):
+            bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=1)
 
     @pytest.mark.parametrize("rate", [0.0, -0.5])
     def test_nonpositive_rate_rejected(self, rate):

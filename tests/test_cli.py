@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaylab import cli, exponents, ncl_scheme
-from delaylab.dmc import LN2, ConvergenceError
+from delaylab.dmc import LN2, ConvergenceError, bsc
 from oracles import row_loop_trace_csv
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
@@ -1285,6 +1285,29 @@ class TestFigures:
         assert run(["figure", fig, "--out-dir", tmp_path]) == 0
         for name, digest in self.FIGURE_DIGESTS[fig].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_figure_16_reads_its_scheme_rho_from_the_store(self, tmp_path, monkeypatch):
+        # each scheme's 48 rho are one-step lanes on the channel's E0 store,
+        # so the request runs the E0 kernel 4 times (289 when each was an
+        # e0_max call, which solves E0 again); every column equals, as hex
+        # floats, what its bound or scheme curve gives alone on a new channel
+        runs, kernel = [], exponents._e0_kernel
+        monkeypatch.setattr(exponents, "_e0_kernel",
+                            lambda *args: runs.append(args[1]) or kernel(*args))
+        assert run(["figure", "16", "--out-dir", tmp_path]) == 0
+        assert len(runs) <= 10
+        monkeypatch.undo()
+        rows = list(csv.DictReader(open(tmp_path / "bsc002_ncl_schemes.csv")))
+        rates = np.linspace(0.02, 0.43, 22)
+        assert [float(row["rate_nats"]) for row in rows] == rates.tolist()
+        want = {"esp": [exponents.bound_at_rate(bsc(0.02), "esp", r) for r in rates],
+                "focusing_fortified": [exponents.bound_at_rate(bsc(0.02), "focusing", r, 50)
+                                       for r in rates]}
+        for n, c, l in ((10, 3, 2), (20, 4, 3), (50, 8, 6)):
+            want[f"scheme_{n}_{c}_{l}"] = [
+                e for _, e in ncl_scheme.scheme_exponent_curve(bsc(0.02), n, c, l, 50, rates)]
+        for name, values in want.items():
+            assert [float(row[name]).hex() for row in rows] == [v.hex() for v in values], name
 
     def test_figure_6_curve_family(self, tmp_path):
         assert run(["figure", "6", "--out-dir", tmp_path]) == 0

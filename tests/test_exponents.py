@@ -252,8 +252,8 @@ def e0_calls(monkeypatch):
 
 class TestE0Kernel:
     """``e0_max`` and the channel's E0 points (``_e0_point``, read
-    fortified by ``_e0_reader``) run the same kernel as the public
-    ``gallager_e0`` and ``e0_slope``: their values are equal, not close."""
+    fortified) run the same kernel as the public ``gallager_e0`` and
+    ``e0_slope``: their values are equal, not close."""
 
     @pytest.fixture(params=["bsc002", "bec04", "circulant", "bsc002_fortified"])
     def case(self, request, bsc002, bec04):
@@ -268,15 +268,15 @@ class TestE0Kernel:
         e0, q = ex.e0_max(ch, rho, k)
         assert q is ch.uniform
         assert e0 == ex.gallager_e0(ch, rho, q, k)
-        assert ex._e0_reader(ch, k)(rho) == (e0, ex.e0_slope(ch, rho, q, k))
+        assert ex._e0_point(ch, rho, k) == (e0, ex.e0_slope(ch, rho, q, k))
 
     def test_asymmetric_input_path(self, z05):
         z05 = fresh(z05)
         for rho in KERNEL_RHOS[:4]:
             e0, q = ex.e0_max(z05, rho)
-            assert q is ex._e0_point(z05, rho)[2]
+            assert q is z05.e0_points[rho][2]
             assert e0 == ex.gallager_e0(z05, rho, q)
-            assert ex._e0_reader(z05, None)(rho) == (e0, ex.e0_slope(z05, rho, q))
+            assert ex._e0_point(z05, rho) == (e0, ex.e0_slope(z05, rho, q))
 
     def test_one_kernel_run_per_evaluation(self, bsc002, z05, e0_calls):
         # the first e0_max at a rho solves the channel's point (one run) and
@@ -285,7 +285,7 @@ class TestE0Kernel:
         for ch in (fresh(bsc002), fresh(z05)):
             for rho in (0.0, 2.0):
                 ex.e0_max(ch, rho)
-                ex._e0_reader(ch, None)(rho)
+                ex._e0_point(ch, rho)
                 ex.gallager_e0(ch, rho, [0.5, 0.5])
         assert e0_calls == [0.0] * 3 + [2.0] * 3 + [0.0] * 3 + [2.0] * 3
 
@@ -301,7 +301,8 @@ class TestE0Kernel:
         for ch in (bsc002, z05):
             for solve in (lambda: ex.e0_max(ch, math.nan),
                           lambda: ex._e0_point(ch, math.nan),
-                          lambda: ex._e0_points(ch, [0.5, math.nan], None)):
+                          lambda: ex._run_lanes(fresh(ch), None,
+                                                [ex._at(0.5), ex._at(math.nan)])):
                 with pytest.raises(ValueError, match="^rho must be nonnegative$"):
                     solve()
 
@@ -402,7 +403,7 @@ def root_roundoff(ch, r, value, timesharing=False):
     slope of the difference.  At low rates on weak channels the slope is
     tiny and any two solvers may end anywhere in that band."""
     x = value / r
-    e0, slope, _ = ex._e0_point(ch, x)
+    e0, slope = ex._e0_point(ch, x)
     if timesharing:
         e_one = ex.e0_max(ch, 1.0)[0]
         slope *= (e_one / (e_one + e0)) ** 2
@@ -1234,6 +1235,8 @@ class TestInputChecks:
         (lambda: ex.focusing_parametric_curve(BSC, [1.0, 0.0]), "eta grid must be positive"),
         (lambda: ex.focusing_parametric_curve(BSC, [1.0, -0.5]), "eta grid must be positive"),
         (lambda: ex.e0_slope(BSC, -0.5, [0.5, 0.5]), "rho must be nonnegative"),
+        (lambda: ex.sphere_packing(BSC, 0.1, 0), "fortification period must be a positive integer"),
+        (lambda: ex.timesharing_exponent(BSC, 0.0), "rho must be positive"),
         (lambda: ex.bec_focusing_point_bits(0.0, 1.0),
          r"erasure probability must lie in \(0, 1\)"),
         (lambda: ex.bec_focusing_point_bits(0.4, 0.0), "eta must be positive"),
@@ -1251,7 +1254,7 @@ class TestInputChecks:
          "parametric identity exponent = eta \\* rate violated"),
     ], ids=["esp_rate", "er_rate", "er_list_size", "haroutunian_variant", "haroutunian_rate",
             "focusing_fortified_asymmetric", "parametric_eta_zero", "parametric_eta_negative",
-            "e0_slope_rho", "bec_point_beta", "bec_point_eta", "bec_exponent_beta",
+            "e0_slope_rho", "fortify_period", "timesharing_rho", "bec_point_beta", "bec_point_eta", "bec_exponent_beta",
             "anytime_beta", "anytime_alpha", "lowrate_floor_beta", "lowrate_floor_r",
             "focusing_point_lambda", "focusing_point_identity"])
     def test_guard_raises_its_message(self, call, message):
@@ -1405,6 +1408,17 @@ class TestFocusingParametric:
     def test_capacity_slope_sign(self, bsc002):
         assert ex.capacity_slope_focusing(bsc002) < 0
 
+    @pytest.mark.parametrize("ch", [dmc.identity_channel(2), dmc.bsc(0.0),
+                                    dmc.identity_channel(3)], ids=repr)
+    def test_capacity_slopes_without_dispersion(self, ch):
+        # E0(rho) = rho C is linear, so E_a is +inf below C and 0 from C on;
+        # the stencil's roundoff of 2.2e-10 once gave +6.2e9 (+9.7e9 on
+        # three letters), and the time-sharing slope -1.0000000001601714
+        assert ex.e0_second_derivative_at_zero(ch) == 0.0
+        assert ex.capacity_slope_focusing(ch) == -math.inf
+        assert ex.capacity_slope_timesharing(ch) == \
+            -ex.e0_max(ch, 1.0)[0] / ch.capacity_solution[0]
+
 
 class TestTimesharing:
     def test_inversion_value_pinned(self, bsc002):
@@ -1517,6 +1531,11 @@ class TestBecClosedForms:
             assert e_bits == pytest.approx(float(want_e), rel=1e-13)
             assert rate == pytest.approx(float(want_e / e), rel=1e-13)
 
+    def test_exponent_at_its_ends(self):
+        # +inf at rates of at most 0, and 0 from capacity 1 - beta on
+        assert ex.bec_focusing_exponent_bits(0.4, 0.0) == math.inf
+        assert ex.bec_focusing_exponent_bits(0.4, 0.6) == 0.0
+
     def test_low_rate_exponent_below_its_supremum(self):
         # log2(1/beta) bounds the exponent; it was once 3.9e-9 above at 1e-8
         assert ex.bec_focusing_exponent_bits(0.4, 1e-8) <= math.log2(2.5)
@@ -1597,8 +1616,8 @@ class TestLockstepKernel:
         lanes, alone = fresh(ch), fresh(ch)
         ex._e0_lanes(lanes, mixed)
         assert set(mixed) - set(lanes.e0_points) == {0.0, 1.0}
-        got = ex._e0_points(lanes, mixed, k)
-        want = [ex._e0_reader(alone, k)(rho) for rho in mixed]
+        got = [ex._e0_point(lanes, rho, k) for rho in mixed]
+        want = [ex._e0_point(alone, rho, k) for rho in mixed]
         assert [hex_floats(p) for p in got] == [hex_floats(p) for p in want]
 
     def test_one_lane_calls_match_scalar(self, lockstep_case):
@@ -1607,22 +1626,24 @@ class TestLockstepKernel:
             lanes, alone = fresh(ch), fresh(ch)
             ex._e0_lanes(lanes, [rho])
             assert (rho in lanes.e0_points) == (rho not in (0.0, 1.0))
-            assert hex_floats(ex._e0_reader(lanes, k)(rho)) == \
-                hex_floats(ex._e0_reader(alone, k)(rho))
+            assert hex_floats(ex._e0_point(lanes, rho, k)) == \
+                hex_floats(ex._e0_point(alone, rho, k))
 
     def test_negative_rho_rejected(self, bsc002):
         with pytest.raises(ValueError):
             ex._e0_lanes(bsc002, [0.5, -1.0])
 
     def test_lone_rho_of_a_round_matches_a_lanes_call(self, lockstep_case, monkeypatch):
-        # a round whose new rho is one rho, here asked twice, solves it once
-        # by ``_e0_point``; several distinct rho go to one lanes call
+        # a round whose new rho is one rho, here asked by two lanes, solves
+        # it once by ``_e0_point``; several distinct rho go to one lanes call
         ch, k = lockstep_case
         rhos = self.rhos()[::50] + self.rhos()[-4:]
-        together = ex._e0_points(fresh(ch), rhos, k)
         calls, lanes = [], ex._e0_lanes
         monkeypatch.setattr(ex, "_e0_lanes", lambda *args: calls.append(args) or lanes(*args))
-        alone = [ex._e0_points(fresh(ch), [rho, rho], k) for rho in rhos]
+        together = ex._run_lanes(fresh(ch), k, list(map(ex._at, rhos)))
+        assert len(calls) == 1 and sorted(calls[0][1]) == sorted(set(rhos))
+        calls.clear()
+        alone = [ex._run_lanes(fresh(ch), k, [ex._at(rho), ex._at(rho)]) for rho in rhos]
         assert calls == []
         assert [[hex_floats(p), hex_floats(q)] for p, q in alone] == \
             [[hex_floats(p)] * 2 for p in together]
@@ -1716,10 +1737,10 @@ class TestBoundCurve:
         # the first rate to fail, in order, raises alone
         e0_point = ex._e0_point
 
-        def failing(p, rho):
+        def failing(p, rho, fortify_k=None):
             if rho == 0.9 * ex.RHO_MAX:
                 raise dmc.ConvergenceError("injected", 1.0)
-            return e0_point(p, rho)
+            return e0_point(p, rho, fortify_k)
 
         monkeypatch.setattr(ex, "_e0_point", failing)
         with pytest.raises(dmc.ConvergenceError, match=r"^injected \(residual 1\.000e\+00\)$"):
@@ -1859,29 +1880,55 @@ class TestSolvedAs:
 
 @pytest.fixture
 def lane_rounds(monkeypatch):
-    """The rho that each round of a lockstep run solves, one list per round:
-    the distinct rho of an ``_e0_points`` call that the channel's store
-    lacks, or [rho] for a rho that ``_e0_point`` solves outside such a call
-    (the solves an ``_e0_points`` call makes itself belong to its round)."""
-    rounds, inside = [], []
-    points, point = ex._e0_points, ex._e0_point
+    """The rho that each round of a lane run solves, one list per round:
+    those its ``_e0_lanes`` call stores, then those ``_e0_point`` solves as
+    the run answers its waiting lanes; or [rho] for a rho that
+    ``_e0_point`` solves outside a round (outside a run, or inside a lane,
+    as the climb of a lane run alone does).  A round ends when the run
+    sends its points, which each lane, wrapped, reports."""
+    rounds, state = [], {"run": False, "lane": False, "sent": True}
+    run, lanes_call, point = ex._run_lanes, ex._e0_lanes, ex._e0_point
 
-    def counted_points(p, rhos, fortify_k):
-        new = [rho for rho in set(rhos) if rho not in p.e0_points]
-        if new:
-            rounds.append(new)
-        inside.append(rhos)
+    def solved(rhos):
+        if not state["run"] or state["lane"]:
+            rounds.extend([rho] for rho in rhos)
+        elif rhos:
+            if state["sent"]:
+                rounds.append([])
+                state["sent"] = False
+            rounds[-1].extend(rhos)
+
+    def watched(lane):
+        received = None
+        while True:
+            state["lane"] = state["sent"] = True
+            try:
+                rho = lane.send(received)
+            except StopIteration as stop:
+                return stop.value
+            finally:
+                state["lane"] = False
+            received = yield rho
+
+    def counted_run(p, fortify_k, lanes):
+        state["run"] = state["sent"] = True
         try:
-            return points(p, rhos, fortify_k)
+            return run(p, fortify_k, list(map(watched, lanes)))
         finally:
-            inside.pop()
+            state["run"] = False
 
-    def counted_point(p, rho):
-        if not inside and rho not in p.e0_points:
-            rounds.append([rho])
-        return point(p, rho)
+    def counted_lanes(p, rhos):
+        before = set(p.e0_points)
+        lanes_call(p, rhos)
+        solved([rho for rho in rhos if rho not in before and rho in p.e0_points])
 
-    monkeypatch.setattr(ex, "_e0_points", counted_points)
+    def counted_point(p, rho, fortify_k=None):
+        if rho not in p.e0_points:
+            solved([rho])
+        return point(p, rho, fortify_k)
+
+    monkeypatch.setattr(ex, "_run_lanes", counted_run)
+    monkeypatch.setattr(ex, "_e0_lanes", counted_lanes)
     monkeypatch.setattr(ex, "_e0_point", counted_point)
     return rounds
 
