@@ -32,6 +32,8 @@ from .dmc import (
     validate_distribution,
 )
 from .optimize import (
+    CONVEX_TOL,
+    EPS,
     Search1DResult,
     decreasing_root,
     maximize_concave_1d,
@@ -211,20 +213,26 @@ def _e0_lanes(p: Dmc, rhos) -> None:
 
 def e0_second_derivative_at_zero(p: Dmc, fortify_k: int | None = None) -> float:
     """d^2 E0 / drho^2 at rho = 0 for the capacity-achieving q, by the
-    forward stencil of step ``E0_STENCIL_STEP``.  It is exactly 0 at zero
-    dispersion, where every information density ln(P(y|x) / (qP)(y)) on
-    the support under q equals C within ``CAPACITY_TOL``: E0 is then
-    linear, as on noiseless channels, where the stencil leaves 2e-10 of
-    roundoff."""
+    forward stencil of step ``E0_STENCIL_STEP``.  Where the stencil is
+    positive or within its rounding bound of 0, 4 (|X| + |Y| + 8) eps
+    (1 + |E0(2 h)|) / h^2, it is roundoff: nearly noiseless channels leave
+    about 2e-10 of it.  There the exact value -V is returned, with V the
+    dispersion sum_x q_x sum_y P(y|x) (ln(P(y|x) / (qP)(y)) - C)^2, in
+    which a density within ``CAPACITY_TOL`` of C counts as C (C is
+    certified to that): V is then exactly 0 at zero dispersion, where
+    E0 is linear, as on noiseless channels."""
     (cap, q), h = p.capacity_solution, E0_STENCIL_STEP
-    used = p.rows[q > 0]
-    density = np.log(used[used > 0] / np.broadcast_to(q @ p.rows, used.shape)[used > 0])
-    if np.all(np.abs(density - cap) <= CAPACITY_TOL):
-        return 0.0
     f0 = gallager_e0(p, 0.0, q, fortify_k)
     f1 = gallager_e0(p, h, q, fortify_k)
     f2 = gallager_e0(p, 2 * h, q, fortify_k)
-    return (f2 - 2 * f1 + f0) / h**2
+    second = (f2 - 2 * f1 + f0) / h**2
+    if second < -4 * (sum(p.rows.shape) + 8) * EPS * (1.0 + abs(f2)) / h**2:
+        return second
+    used = p.rows[q > 0]
+    mask = used > 0
+    density = np.log(used[mask] / np.broadcast_to(q @ p.rows, used.shape)[mask]) - cap
+    density[np.abs(density) <= CAPACITY_TOL] = 0.0
+    return 0.0 - float((q[q > 0][:, None] * used)[mask] @ density**2)  # not -0.0
 
 
 def divergence_rate(p: Dmc, fortify_k: int | None = None) -> float:
@@ -569,9 +577,11 @@ def _haroutunian_oracle(p: Dmc, r: float):
     return oracle
 
 
-def _haroutunian_convex(p: Dmc, r: float) -> float:
+def _haroutunian_convex(p: Dmc, r: float) -> tuple[float, np.ndarray | None]:
     """The standard Haroutunian exponent E+(R) as a convex program over the
-    output law, for R at or above R_inf = ``divergence_rate(p)``.
+    output law, for R at or above R_inf = ``divergence_rate(p)``, and the
+    program's best output law (None where E+ has a closed form or comes
+    from the R = 0 face).
 
     C(V) = min_q max_x D(V_x || q) (Csiszar-Koerner; Gallager Thm 4.5.1),
     so C(V) <= R exactly when some q has D(V_x || q) <= R for every x, and
@@ -596,13 +606,13 @@ def _haroutunian_convex(p: Dmc, r: float) -> float:
     """
     r_inf = p.divergence_rate
     if r_inf > 0.0 and r < r_inf + 1e-12 and p.capacity_solution[0] <= r + 1e-10:
-        return 0.0
+        return 0.0, None
     if r_inf > 0.0 or r >= 1e-15:
-        return minimize_convex_on_simplex(_haroutunian_oracle(p, r),
-                                          p.output_size).value
+        sol = minimize_convex_on_simplex(_haroutunian_oracle(p, r), p.output_size)
+        return sol.value, sol.q
     log_face = np.log(p.rows[:, np.all(p.rows > 0, axis=0)])
     if log_face.shape[1] == 1:
-        return float(-log_face.min())
+        return float(-log_face.min()), None
 
     def oracle(q):
         log_q = np.log(q)
@@ -610,7 +620,7 @@ def _haroutunian_convex(p: Dmc, r: float) -> float:
         x = int(np.argmax(div))
         return float(div[x]), log_q - log_face[x] + 1.0
 
-    return minimize_convex_on_simplex(oracle, log_face.shape[1]).value
+    return minimize_convex_on_simplex(oracle, log_face.shape[1]).value, None
 
 
 def _tilde_oracle(p: Dmc, r: float):
@@ -680,6 +690,124 @@ def _haroutunian_tilde(p: Dmc, r: float) -> float:
     return minimize_convex_on_simplex(_tilde_oracle(p, r), 2 * ny, divisor).value
 
 
+def _tilde_dual_bound(p: Dmc, r: float, o: np.ndarray) -> float:
+    """A lower bound on the tilde exponent at R by weak duality, with
+    multipliers read off the standard program at the output law o; -inf
+    where they give none.  At the program's optimum o* the bound meets E+
+    to roundoff wherever the tilde relaxation does not lower E+.
+
+    Any input law q0 with I(q0, P) > R lies in S, so every tilde-feasible G
+    has I(q0, G) = min_o' sum_x q0_x D(G_x || o') <= R.  For pi on the rows
+    and mu >= 0 the Lagrangian, with the rows decoupled at fixed o', gives
+        tilde(R) >= min_o' phi(o') - mu R,
+        phi(o') = -sum_x c_x ln S_x(o'),  S_x = sum_{y in T_x} P_x(y)^(a_x) o'(y)^(1-a_x),
+    c_x = pi_x + mu q0_x and a_x = pi_x / c_x: -c_x ln S_x is the minimum
+    over v of c_x (a_x D(v || P_x) + (1-a_x) D(v || o')), taken on T_x
+    since a finite value keeps G_x there (P_x^0 is the indicator of T_x).
+    phi is convex, so its tangent plane at any positive point bounds it
+    below on the simplex: min phi >= phi(o) + sum_x c_x (1-a_x) - max_y
+    sum_x c_x (1-a_x) v_x(y) / o(y), with v_x ∝ P_x^(a_x) o^(1-a_x) (the
+    Frank-Wolfe bound).  It is taken at the best of up to 8 Newton steps
+    from o on the simplex's affine hull (a coordinate that a step would
+    drive below 0 is held), less (|X| + |Y| + 8) eps times the magnitudes
+    it sums, which bounds its float rounding: a_x and 1 - a_x are exact
+    complements, and each power, log and row sum is within a few ulps.
+    I(q0, P) must exceed R by the same margin of its own terms.
+
+    The bound holds for any multipliers; these make it tight.  At o, rows
+    whose ``_tilted_row`` value is within 1e-9 of the largest with
+    rho_x > 0 carry lam_x, and rows with -ln o(T_x) >= R - 1e-9 (T_x short
+    of every output) carry nu_x, fitted by least squares to the standard
+    program's optimality condition
+        sum lam_x rho_x (v_x - o) + sum nu_x (o|T_x - o) = 0,
+        sum (lam_x rho_x + nu_x) = 1,
+    and clipped at 0.  Then q0 ∝ lam rho + nu, pi = lam / sum lam and
+    mu = sum (lam rho + nu) / sum lam, which give phi(o) - mu R = E+ at an
+    exact optimum.
+    """
+    nx, ny = p.rows.shape
+    rows = _row_logs(p)
+    tilted = [_tilted_row(log_p, np.log(o[t]).tolist(), r) for t, log_p in rows]
+    top = max((res[0] for res in tilted if res is not None), default=math.inf)
+    columns, owners, rhos = [], [], []
+    for x, ((t, _), res) in enumerate(zip(rows, tilted)):
+        if res is not None and res[1] > 0.0 and res[0] >= top - 1e-9:
+            columns.append(np.zeros(ny))
+            columns[-1][t] = res[2]
+            owners.append(x)
+            rhos.append(res[1])
+        if len(t) < ny and -math.log(float(o[t].sum())) >= r - 1e-9:
+            columns.append(np.zeros(ny))
+            columns[-1][t] = o[t] / o[t].sum()
+            owners.append(x)
+            rhos.append(0.0)
+    if not any(rhos):
+        return -math.inf
+    system = np.vstack([(np.array(columns) - o).T, np.ones(len(columns))])
+    fit = np.maximum(np.linalg.lstsq(system, np.eye(ny + 1)[ny])[0], 0.0)
+    rhos = np.array(rhos)
+    mass, lam = np.zeros(nx), np.zeros(nx)
+    np.add.at(mass, owners, fit)
+    np.add.at(lam, np.array(owners)[rhos > 0.0], fit[rhos > 0.0] / rhos[rhos > 0.0])
+    if not lam.sum() > 0.0:
+        return -math.inf
+    c = (lam + mass) / lam.sum()
+    used = c > 0.0
+    c = c[used]
+    b = 1.0 - lam[used] / lam.sum() / c
+    a = 1.0 - b  # exact, so a + b = 1: one of a, b is at least 1/2 (Sterbenz)
+    cb = c * b
+    q0 = np.zeros(nx)
+    q0[used] = cb / cb.sum()
+    inside = p.support & (q0[:, None] > 0.0)
+    info = (q0[:, None] * p.rows)[inside] * np.log(  # I(q0, P), term by term
+        p.rows[inside] / np.broadcast_to(q0 @ p.rows, p.rows.shape)[inside])
+    if float(info.sum()) - r <= (nx + ny + 8) * EPS * (1.0 + r + float(np.abs(info).sum())):
+        return -math.inf
+    weight = np.where(p.support[used], p.rows[used] ** a[:, None], 0.0)
+    reached = weight.any(axis=0)  # phi does not depend on the other outputs
+    weight, point = weight[:, reached], o[reached]
+    mu = float(cb.sum())
+
+    def frank_wolfe(o):  # (the bound on min phi at o, ln S_x, v_x / o)
+        terms = weight * o ** b[:, None]
+        total = terms.sum(axis=1)
+        logs = np.log(total)
+        ratio = terms / total[:, None] / o
+        return -float(c @ logs) + mu - float((cb @ ratio).max()), logs, ratio
+
+    best, logs, ratio = frank_wolfe(point)
+    k = len(point)
+    for _ in range(8):
+        if float((cb @ ratio).max()) - mu <= EPS * mu:  # at roundoff
+            break
+        slopes = b[:, None] * ratio  # -d ln S_x / d o
+        hess = (slopes.T * c) @ slopes + np.diag((c * b * a) @ ratio / point)
+        free, step = np.ones(k, dtype=bool), np.zeros(k)
+        while free.sum() > 1:  # hold, one at a time, what leaves the simplex first
+            kkt = np.ones((free.sum() + 1,) * 2)
+            kkt[:-1, :-1], kkt[-1, -1] = hess[np.ix_(free, free)], 0.0
+            try:
+                step[free] = np.linalg.solve(kkt, np.append((cb @ ratio)[free], 0.0))[:-1]
+            except np.linalg.LinAlgError:
+                break
+            if np.all(point + step > 0.0):
+                break
+            free[np.argmax(-step / point)] = False
+            step[:] = 0.0
+        for t in (1.0, 0.5, 0.25, 0.125):
+            trial = frank_wolfe(point + t * step)
+            if trial[0] > best:
+                break
+        else:
+            break
+        point = point + t * step
+        best, logs, ratio = trial
+    steepest = float((cb @ ratio).max())
+    scale = float(c @ (1.0 + np.abs(logs))) + steepest + mu * r
+    return best - mu * r - (nx + ny + 8) * EPS * scale
+
+
 def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
     """Haroutunian block exponent with feedback.
 
@@ -688,12 +816,16 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
               (``_haroutunian_convex``), certified within 1e-13.
     tilde:    the mimicking constraint is relaxed to
               max {I(q,G) : I(q,P) >= R} <= R, which can only lower the
-              value; solved as a program on the doubled output simplex
-              of (1-lam) o and lam o' (``_haroutunian_tilde``), certified
-              within 1e-13.  The result is the smaller of its value and
-              E+, so tilde <= E+ holds exactly.  Below R = 1e-15 it is
-              E+, exactly so at R = 0, where S is every input law (the
-              window of the standard program's R = 0 face solve).
+              value.  It is E+ wherever ``_tilde_dual_bound``, a weak-
+              duality bound with multipliers read off E+'s output law,
+              is within 1e-13 of E+ (on every channel measured the
+              relaxation does not lower E+).  Elsewhere it is solved as a
+              program on the doubled output simplex of (1-lam) o and
+              lam o' (``_haroutunian_tilde``), certified within 1e-13,
+              and the result is the smaller of its value and E+.  So
+              tilde <= E+ holds exactly.  Below R = 1e-15 it is E+,
+              exactly so at R = 0, where S is every input law (the window
+              of the standard program's R = 0 face solve).
 
     +inf below ``divergence_rate``.  Above capacity the convex program
     meets an output law with every D(P_x || q) <= R, where its value and
@@ -706,12 +838,19 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
     it cannot certify its value.
     """
     return _haroutunian_general(p, r, variant,
-                                sphere_packing if p.symmetric else _haroutunian_convex)
+                                _haroutunian_symmetric if p.symmetric else _haroutunian_convex)
+
+
+def _haroutunian_symmetric(p: Dmc, r: float) -> tuple[float, np.ndarray]:
+    """E+ on an output-symmetric channel: sphere packing, with the output
+    law of the uniform input for ``_tilde_dual_bound``."""
+    return sphere_packing(p, r), p.uniform @ p.rows
 
 
 def _haroutunian_general(p: Dmc, r: float, variant: str = "standard",
                          solve_standard=_haroutunian_convex) -> float:
-    """``haroutunian`` with E+ = solve_standard(p, r), the program by default."""
+    """``haroutunian`` with (E+, its output law) = solve_standard(p, r), the
+    program by default."""
     if variant not in ("standard", "tilde"):
         raise ValueError("variant must be 'standard' or 'tilde'")
     _finite_rate(r)
@@ -719,8 +858,10 @@ def _haroutunian_general(p: Dmc, r: float, variant: str = "standard",
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p) - 1e-12:
         return math.inf
-    standard = solve_standard(p, r)
+    standard, o = solve_standard(p, r)
     if variant == "standard" or standard == 0.0 or r < 1e-15:
+        return standard
+    if standard - _tilde_dual_bound(p, r, o) <= CONVEX_TOL:
         return standard
     return float(min(_haroutunian_tilde(p, r), standard))
 

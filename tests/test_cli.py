@@ -136,6 +136,17 @@ class TestImport:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_tilde_request_leaves_scipy_unloaded(self):
+        # the tilde certificate fits its multipliers with numpy alone
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import delaylab.cli; "
+                "status = delaylab.cli.main(['bounds', sys.argv[2], '--rate', '0.1', "
+                "'--bounds', 'tilde']); "
+                "print(status, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(src), str(CHANNELS / "z05.json")],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 False"
+
 
 class TestBounds:
     def test_table_values(self, capsys):

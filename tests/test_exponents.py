@@ -915,9 +915,31 @@ class TestHaroutunian:
 
     @pytest.mark.parametrize("r", (0.03, 0.115, 0.20))
     def test_z_channel_tilde_matches_bisection_oracle(self, z05, r):
+        # the dual certificate closes at all three rates (0.03 and 0.2 are
+        # the benchmark's tilde points), so the doubled program never runs
         s_lo, s_hi = self.z05_superlevel(str(r))
         want = z_tilde_bisection("0.5", str(r), s_lo, s_hi)
-        assert ex.haroutunian(z05, r, "tilde") == pytest.approx(float(want), abs=1e-12)
+        with mock.patch.object(ex, "_haroutunian_tilde", wraps=ex._haroutunian_tilde) as ran:
+            got = ex.haroutunian(z05, r, "tilde")
+        assert ran.call_count == 0
+        assert got == pytest.approx(float(want), abs=1e-12)
+
+    @pytest.mark.parametrize("rows, frac", [
+        # the certificate misses E+ by 1.4e-13 here
+        ([[0.975961, 0.024039], [0.0, 1.0], [0.0, 1.0]], 0.1),
+        # output-symmetric: the uniform input's output law (0.3, 0.3, 0.4)
+        # is not E+'s, so the multipliers read there give no bound
+        ([[0.6, 0.0, 0.4], [0.0, 0.6, 0.4]], 0.5),
+    ])
+    def test_tilde_runs_the_program_where_the_certificate_does_not_close(self, rows, frac):
+        ch = dmc.Dmc(rows)
+        r = frac * ch.capacity_solution[0]
+        with mock.patch.object(ex, "_haroutunian_tilde", wraps=ex._haroutunian_tilde) as ran:
+            tilde = ex.haroutunian(ch, r, "tilde")
+        assert ran.call_count == 1
+        sol = tilde_program(ch, r)
+        assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
+        assert tilde == min(sol.value, ex.haroutunian(ch, r))
 
     def test_tilde_at_rate_zero_is_the_standard_exponent(self, z05):
         for r in (0.0, 5e-16):
@@ -1048,6 +1070,14 @@ class TestDivergenceRate:
         assert values[0] - values[-1] < 1e-7
 
 
+def tilde_program(ch, r):
+    """The tilde program on the doubled output simplex, run directly, as
+    ``haroutunian`` runs it where the dual certificate does not close."""
+    ny = ch.output_size
+    divisor = np.concatenate([np.ones(ny), np.zeros(ny)])
+    return optimize.minimize_convex_on_simplex(ex._tilde_oracle(ch, r), 2 * ny, divisor)
+
+
 class TestHaroutunianProperties:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(ch=small_channels(), frac=st.floats(0.02, 0.98))
@@ -1070,22 +1100,30 @@ class TestHaroutunianProperties:
         assume(cap > CAPACITY_FLOOR)
         r = frac * cap
         assume(r > ex.divergence_rate(ch) + 1e-6)
-        solved = []
-
-        def recorded(*args):
-            solved.append(optimize.minimize_convex_on_simplex(*args))
-            return solved[-1]
-
-        with mock.patch.object(ex, "minimize_convex_on_simplex", recorded):
-            tilde = ex._haroutunian_general(ch, r, "tilde")
+        tilde = ex._haroutunian_general(ch, r, "tilde")
         eplus = ex._haroutunian_general(ch, r)
-        sol = solved[-1]  # the doubled program, solved after E+
-        assert len(sol.q) == 2 * ch.output_size
+        sol = tilde_program(ch, r)  # run whether or not the certificate closed
         assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
-        assert tilde == min(sol.value, eplus)
+        assert sol.value - sol.gap <= tilde <= sol.value + optimize.CONVEX_TOL
         assert tilde <= eplus
         later = ex._haroutunian_general(ch, r + step * cap, "tilde")
         assert later <= tilde + optimize.CONVEX_TOL
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(ch=small_channels(), frac=st.floats(0.05, 0.95),
+           noise=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
+    def test_dual_bound_never_exceeds_the_program(self, ch, frac, noise):
+        # weak duality holds for any multipliers: those read at E+'s optimum
+        # o*, and at o* moved by up to e^(3e-10) per output (the same rows
+        # stay active, so Newton steps walk back) and by up to e^0.3
+        r = frac * ch.capacity_solution[0]
+        assume(r > ex.divergence_rate(ch) + 1e-6)
+        eplus, best = ex._haroutunian_convex(ch, r)
+        assume(eplus > 0.0)
+        value = tilde_program(ch, r).value
+        for scale in (0.0, 1e-9, 1.0):
+            moved = best * np.exp(scale * np.array(noise[:ch.output_size]))
+            assert ex._tilde_dual_bound(ch, r, moved / moved.sum()) <= value
 
     def test_z_channel_orderings(self, z05):
         for r in (0.05, 0.1, 0.15):
@@ -1418,6 +1456,20 @@ class TestFocusingParametric:
         assert ex.capacity_slope_focusing(ch) == -math.inf
         assert ex.capacity_slope_timesharing(ch) == \
             -ex.e0_max(ch, 1.0)[0] / ch.capacity_solution[0]
+
+    @pytest.mark.parametrize("ch, dispersion", [
+        (dmc.bsc(1e-15), 1e-15 * (1 - 1e-15) * math.log((1 - 1e-15) / 1e-15) ** 2),
+        (dmc.bec(1e-13), 1e-13 * (1 - 1e-13) * LN2**2),
+        (dmc.bsc(1e-12), 1e-12 * (1 - 1e-12) * math.log((1 - 1e-12) / 1e-12) ** 2),
+    ], ids=repr)
+    def test_capacity_slope_of_nearly_noiseless_channels(self, ch, dispersion):
+        # E0''(0) = -V, the dispersion (closed forms above).  The stencil
+        # reads its own roundoff here: +2.2e-10 on the first two, which
+        # gave slopes of +6.2e9, and -3.7e-10 against -7.6e-10 on BSC(1e-12)
+        slope = ex.capacity_slope_focusing(ch)
+        assert slope == -math.inf or (
+            slope < 0 and slope == pytest.approx(2 * ch.capacity_solution[0] / -dispersion,
+                                                 rel=1e-2))
 
 
 class TestTimesharing:
