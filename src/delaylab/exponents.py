@@ -101,7 +101,12 @@ def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.
     Hoelder certificate puts the value within 1e-12 of the maximum, or
     within the solver's roundoff floor max(8 |Y|, 1+rho) (1+rho) eps where
     that is larger (beyond rho = 64, or for more than 8 outputs); it raises
-    ``ConvergenceError`` with the certificate gap when it cannot.  The
+    ``ConvergenceError`` with the certificate gap when it cannot.  A
+    two-input channel starts at F's minimizer on its segment of inputs,
+    which is certified as it stands in nearly every case and is within
+    about (1+rho) eps of the maximum up to rho = 1e8 (50-digit checks),
+    also where the floor passes 1 and certifies nothing; other channels
+    start at the uniform input.  The
     input is stored with the channel's E0 point (``_e0_point``), solved
     once per channel and rho; the uniform one is ``Dmc.uniform``.
     """

@@ -9,7 +9,10 @@
    pairwise line searches, for any concave objective),
 4. the certified solver for Gallager's max_q E0(rho, q) (``maximize_e0``):
    safeguarded Newton steps on the input simplex with an Arimoto fallback,
-   stopped by a Hoelder certificate on the distance to the maximum,
+   stopped by a Hoelder certificate on the distance to the maximum; a
+   two-input channel starts at the minimizer on its segment of inputs, one
+   Newton root of a scalar slope, which the certificate usually accepts
+   with no step on the simplex,
 5. minimization of a convex function over the probability simplex from a
    (value, subgradient) oracle (``minimize_convex_on_simplex``): central-cut
    ellipsoid steps, bisection in one dimension, stopped by a certified gap
@@ -369,12 +372,56 @@ def _e0_line_search(st: _E0State, idx, d, slack: float, halvings: int) -> _E0Sta
     return None
 
 
+def _segment_start(w: np.ndarray, rho: float) -> np.ndarray:
+    """The minimizer of F on a two-input channel's simplex, the segment
+    q = (t, 1 - t).  There F(t) = sum_y (w1 + t d)_y^(1+rho), d = w0 - w1,
+    is convex with F'(t) = (1+rho) d . a^rho and exact
+    F''(t) = rho (1+rho) d^2 . a^(rho-1).  An end whose slope points out of
+    the segment is the minimizer (t = 0 when F'(0) >= 0, t = 1 when
+    F'(1) <= 0); otherwise ``root_steps`` brackets the root of F' with
+    Newton steps, and the bracket end with the smaller |F'| is returned.
+    Both derivatives are taken over (1+rho) amax^rho with u = a / max a, so
+    that a^rho cannot underflow at large rho."""
+    d = w[0] - w[1]
+    d2 = d * d
+    slopes = {}
+
+    def slope(t):  # (-F'(t), -F''(t)), each over (1+rho) amax^rho
+        a = w[1] + t * d
+        amax = float(a.max())
+        u = a / amax
+        u_rho = u ** rho
+        slopes[t] = value = -float(d @ u_rho)
+        return value, -rho * float(d2 @ (u_rho / u)) / amax
+
+    # u = 0 at an end, and u^(rho-1) may overflow inside: a derivative
+    # that is not finite makes root_steps bisect
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if slope(0.0)[0] <= 0.0:
+            t = 0.0
+        elif slope(1.0)[0] >= 0.0:
+            t = 1.0
+        else:
+            try:
+                lo, hi = run_steps(root_steps(0.0, 1.0), slope)
+            except ConvergenceError:
+                # the root lies below about 2^-148, beyond what ROOT_MAX_ITER
+                # bisections from 1 reach: start where other channels do
+                return uniform_input(2)
+            t = lo if abs(slopes[lo]) <= abs(slopes[hi]) else hi
+    return np.array([t, 1.0 - t])
+
+
 def maximize_e0(rows, rho: float) -> E0Solution:
     """Certified max_q E0(rho, q) for a channel matrix ``rows`` and rho > 0.
 
     Minimizes the convex F(q) = sum_y a_y^(1+rho), a = q W with
     W = P^(1/(1+rho)) on the outputs with a nonzero column, so that
-    E0(rho, q) = -ln F(q) (Gallager 1965).  Each iteration:
+    E0(rho, q) = -ln F(q) (Gallager 1965).  A two-input channel starts at
+    F's minimizer on its segment (``_segment_start``: one Newton root of
+    F'(t)), any other at the uniform input; the start's certificate is
+    checked like every iterate's, so a certified start takes no iteration
+    and any other continues from it.  Each iteration:
 
     * a Newton step on the free inputs (``_e0_newton_direction``) bordered
       by sum(d) = 0, cut by a ratio test that keeps q on the simplex and
@@ -400,7 +447,8 @@ def maximize_e0(rows, rho: float) -> E0Solution:
     w = rows[:, rows.any(axis=0)] ** (1.0 / (1.0 + rho))
     slack = 4.0 * (1.0 + rho) * w.shape[1] * EPS
     tol = max(E0_TOL, 2.0 * slack, (1.0 + rho) ** 2 * EPS)
-    st = _E0State(uniform_input(nx), w, rho, pad=tol / 4.0)
+    start = _segment_start(w, rho) if nx == 2 else uniform_input(nx)
+    st = _E0State(start, w, rho, pad=tol / 4.0)
     gap = st.gap()
     it = 0
     while gap > tol:

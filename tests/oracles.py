@@ -26,6 +26,9 @@ Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
 over the output law.  For the tilde variant on Z channels, a bisection on
 the mimicking channel's crossover.
+
+max_q E0(rho, q) of a two-input channel to 50 digits, by mpmath bisection on
+the slope of F along the segment of inputs.
 """
 
 import math
@@ -413,3 +416,38 @@ def z_tilde_bisection(g0, rate, s_lo, s_hi, steps=120):
             else:
                 lo = mid
         return hi * mp.log(hi / g0) + (1 - hi) * mp.log((1 - hi) / (1 - g0))
+
+
+def e0_two_inputs_mp(rows, rho, digits=50):
+    """max_q E0(rho, q) of a two-input channel to ``digits`` digits, as an
+    mpmath number: F(t) = sum_y (t W_0 + (1-t) W_1)_y^(1+rho) with
+    W = P^(1/(1+rho)) is convex on [0, 1], so its minimum is at an end whose
+    slope points out of the interval or at the root of the slope, which
+    bisection brackets to 2^-200."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        s = 1 / (1 + mp.mpf(rho))
+        w = [[mp.mpf(x) ** s if x > 0 else mp.mpf(0) for x in row] for row in rows]
+
+        def power_sum(t, k):
+            # sum_y d_y^k a_y^(rho + 1 - k): F for k = 0, F' / (1+rho) for k = 1
+            a = [t * w0 + (1 - t) * w1 for w0, w1 in zip(*w)]
+            d = [w0 - w1 for w0, w1 in zip(*w)]
+            return mp.fsum(dy ** k * ay ** (rho + 1 - k)
+                           for dy, ay in zip(d, a) if ay > 0)
+
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        if power_sum(lo, 1) >= 0:
+            t = lo
+        elif power_sum(hi, 1) <= 0:
+            t = hi
+        else:
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if power_sum(mid, 1) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            t = lo
+        return -mp.log(power_sum(t, 0))

@@ -184,6 +184,15 @@ class TestE0Max:
             assert q == pytest.approx([0.5, 0.5], abs=1e-12)
             assert val == pytest.approx(ex.gallager_e0(ch, 1.7, [0.5, 0.5]), abs=1e-12)
 
+    def test_z_channel_nondecreasing_below_ln2_at_large_rho(self, z05):
+        # E0 is nondecreasing in rho with supremum ln 2 on Z(0.5), approached
+        # as q -> (0, 1) and not attained; the program once raised at 1e6
+        # and 1e7 and returned ln 2 / 2 at 1e8
+        values = [ex.e0_max(fresh(z05), 10.0 ** (4 + k / 4))[0] for k in range(17)]
+        assert values[0] > 0.692
+        assert all(b >= a for a, b in zip(values, values[1:])), values
+        assert values[-1] <= LN2
+
     def test_derivative_at_zero_is_capacity_forward(self, bsc002):
         h = 1e-5
         slope = (ex.e0_max(bsc002, h)[0] - ex.e0_max(bsc002, 0.0)[0]) / h
@@ -334,6 +343,13 @@ class TestSpherePacking:
         r = 0.014201
         assert ex.sphere_packing(bsc002, r, fortify_k=50) == pytest.approx(
             bsc_esp(0.02, r - LN2 / 50), abs=1e-9)
+
+    def test_z_channel_at_rate_zero_stays_below_the_unattained_supremum(self, z05):
+        # sup_rho E0(rho) = ln 2 is not attained on Z(0.5): R = 0 gives the
+        # largest E0 its bracket expansion saw (it raised from the E0
+        # program before two-input programs started on their segment)
+        got = ex.sphere_packing(fresh(z05), 0.0)
+        assert LN2 - 1e-7 <= got <= LN2
 
     def test_missed_divergence_on_disjoint_rows_raises(self, monkeypatch):
         # E0 = rho ln2 grows past the float range of its sum; the search must
@@ -604,8 +620,10 @@ class TestRateInversionPins:
         (0.2231435, "bsc002"): ("0x1.0000021e4f265p-1", "0x1.000005f9fb84bp+0",
                                 "0x1.c8ff8041c3d6dp-3", "0x1.c8ff8409de1b8p-2",
                                 "0x1.c8ff7c79a9a21p-2"),
-        (0.1, "z05"): ("0x1.b498679579f4cp-2", "0x1.59ab0f80fd9b0p-1", "0x1.1488d933fe15ap-4",
-                       "0x1.e212742b78b8fp-4", "0x1.444b873f60b01p-3"),
+        # re-recorded when two-input channels began their E0 program at the
+        # segment's minimizer: a 50-digit E0 at rho = 1 is 0x1.444b873f60b00p-3
+        (0.1, "z05"): ("0x1.b498679579f4fp-2", "0x1.59ab0f80fd9b4p-1", "0x1.1488d933fe158p-4",
+                       "0x1.e212742b78b8fp-4", "0x1.444b873f60afdp-3"),
     }
 
     def test_erasure_channel(self):
@@ -678,7 +696,7 @@ class TestInversionWorkCounters:
         assert len(e0_calls) == 11
         e0_calls.clear()
         ncl.two_stream_split(fresh(z05), 0.1)
-        assert len(e0_calls) == 12
+        assert len(e0_calls) == 11  # 12 when the E0 program started at the uniform input
 
     def test_two_stream_simulation(self, bsc002, e0_calls):
         # the back-off's root search and select_params's E0 at the root; the
@@ -700,12 +718,14 @@ class TestE0SolveCounters:
     coding's bracket, at or above the critical rate (0.1848 nats here), so
     er then needs no program of its own.  Searching [0, 64] first at every
     rate and solving again at every evaluation, as esp and er once did,
-    made 28 and 10 at R = 0.2072, and 13 and 2 at R = 0.05.  A change may
-    lower these counts; it must not raise them."""
+    made 28 and 10 at R = 0.2072, and 13 and 2 at R = 0.05.  Starting a
+    two-input program at its segment's minimizer instead of the uniform
+    input lowered esp at R = 0.2072 from 10 to 9.  A change may lower these
+    counts; it must not raise them."""
 
     ROWS = [[1.0, 0.0], [0.31173178805144486, 0.6882682119485551]]
 
-    @pytest.mark.parametrize("r, want", [(0.2072, (10, 0)), (0.05, (13, 0))])
+    @pytest.mark.parametrize("r, want", [(0.2072, (9, 0)), (0.05, (13, 0))])
     def test_bounds_esp_er(self, monkeypatch, r, want):
         solves = []
         solve = ex.maximize_e0
@@ -1772,15 +1792,17 @@ class TestBoundCurve:
             assert hex_floats(ex.bound_curve(ch, name, rates)) == hex_floats(want)
             assert lane_rounds == []
 
-    def test_asymmetric_e0_error_goes_to_the_lane_that_asked(self, z05):
-        # at R = 0 the esp search on Z(0.5) climbs to a rho where the E0
-        # program cannot certify its value
+    def test_asymmetric_e0_error_goes_to_the_lane_that_asked(self):
+        # at R = 0 the esp search on this three-input channel climbs to a
+        # rho where the E0 program cannot certify its value
+        ch = dmc.Dmc([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
         with pytest.raises(dmc.ConvergenceError) as alone:
-            ex.bound_at_rate(z05, "esp", 0.0)
-        assert alone.value.residual == 0.34611562601635004
+            ex.bound_at_rate(ch, "esp", 0.0)
+        assert str(alone.value) == "E0 solver iteration cap exceeded (residual 6.927e-01)"
+        assert alone.value.residual == 0.6926891383682151
         rates = [0.1, 0.0, 0.05, 0.0]
         with pytest.raises(dmc.ConvergenceError) as curve:
-            ex.bound_curve(z05, "esp", rates)
+            ex.bound_curve(ch, "esp", rates)
         assert str(curve.value) == str(alone.value)
         assert curve.value.residual == alone.value.residual
 

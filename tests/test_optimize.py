@@ -5,7 +5,7 @@ import pytest
 
 from delaylab import dmc, exponents as ex, optimize
 from delaylab.exponents import channel_capacity_fast, gallager_e0, sphere_packing
-from oracles import blahut_arimoto
+from oracles import blahut_arimoto, e0_two_inputs_mp
 
 
 class TestSearchSteps:
@@ -445,6 +445,100 @@ def _golden_e0_two_inputs(p, rho):
     return max(e0(a), e0(b), e0(grid[i]))
 
 
+def _two_input_channels():
+    """Seeded two-input channels with 2 to 4 outputs, dense and sparse, then
+    identical rows (every input is optimal, E0 = 0), a row summing to one
+    only within 1e-12 (the optimum is the end t = 1 of the segment),
+    disjoint rows (a^rho underflows beyond rho = 1e3 unless it is scaled
+    by max a^rho) and Z(0.5)."""
+    rng = np.random.default_rng(36)
+    out = []
+    for ny in (2, 3, 4):
+        for sparse in (False, True):
+            rows = rng.dirichlet(np.full(ny, 0.7), size=2)
+            if sparse:
+                rows[rng.random((2, ny)) < 0.4] = 0.0
+                rows[np.arange(2), rng.integers(ny, size=2)] += 0.05
+                rows /= rows.sum(axis=1, keepdims=True)
+            out.append(rows)
+    return out + [np.array([[0.3, 0.7], [0.3, 0.7]]),
+                  np.array([[0.3, 0.7 - 4e-13], [0.3, 0.7]]),
+                  np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]),
+                  np.array([[1.0, 0.0], [0.5, 0.5]])]
+
+
+class TestSegmentStart:
+    """A two-input channel's E0 program starts at F's minimizer on the
+    segment q = (t, 1 - t), one Newton root of F'(t)."""
+
+    @staticmethod
+    def roundoff(rho):
+        # E0's own roundoff: (1+rho) ln(amax) carries (1+rho) eps
+        return 4.0 * (1.0 + rho) * optimize.EPS
+
+    def test_agrees_with_oracles(self):
+        for rows in _two_input_channels():
+            p = dmc.Dmc(rows)
+            for rho in (1e-4, 0.05, 0.3, 1.0, 3.0, 12.0, 64.0):
+                sol = optimize.maximize_e0(rows, rho)
+                assert sol.iterations == 0, (rows.tolist(), rho)  # the start is certified
+                assert sol.gap <= 1e-12
+                exact = float(e0_two_inputs_mp(rows.tolist(), rho))
+                assert abs(sol.value - exact) <= self.roundoff(rho), (rows.tolist(), rho)
+                golden = _golden_e0_two_inputs(p, rho)
+                assert sol.value >= golden - 1e-12, (rows.tolist(), rho)
+                assert sol.value == pytest.approx(golden, abs=1e-10)
+        end = _two_input_channels()[-3]
+        assert optimize.maximize_e0(end, 0.3).q.tolist() == [1.0, 0.0]
+
+    def test_agrees_with_the_exact_maximum_at_large_rho(self):
+        # the certificate's floor (1+rho)^2 eps passes 1 near rho = 1e8, so
+        # the 50-digit maximum is the check here
+        for rows in _two_input_channels():
+            for rho in (1e4, 1e5, 1e6, 1e7, 1e8):
+                sol = optimize.maximize_e0(rows, rho)
+                assert sol.iterations == 0, (rows.tolist(), rho)
+                exact = float(e0_two_inputs_mp(rows.tolist(), rho))
+                assert abs(sol.value - exact) <= self.roundoff(rho), (rows.tolist(), rho)
+
+    def test_uncertified_start_is_finished_by_the_general_loop(self, monkeypatch):
+        # near a noiseless channel the segment's minimizer misses the
+        # roundoff floor (1+rho)^2 eps = 2.3e-12 at rho = 100 by its own
+        # roundoff, and Newton steps on the simplex close the gap
+        rows = np.array([[1.0, 1e-100], [0.0, 1.0]])
+        rho = 100.0
+        w = rows ** (1.0 / (1.0 + rho))
+        start = optimize._segment_start(w, rho)
+        start_gap = optimize._E0State(start, w, rho, pad=0.0).gap()
+        assert start_gap > (1.0 + rho) ** 2 * optimize.EPS
+        sol = optimize.maximize_e0(rows, rho)
+        assert sol.iterations > 0
+        assert sol.gap <= (1.0 + rho) ** 2 * optimize.EPS
+        assert abs(sol.value - float(e0_two_inputs_mp(rows.tolist(), rho))) <= self.roundoff(rho)
+        # a start moved off the minimizer is finished the same way
+        segment_start = optimize._segment_start
+        for rows in _two_input_channels()[:6]:
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "_segment_start",
+                          lambda w, rho: 0.9 * segment_start(w, rho) + 0.05)
+                sol = optimize.maximize_e0(rows, 3.0)
+            assert sol.iterations > 0
+            assert sol.gap <= 1e-12
+            assert sol.value == pytest.approx(optimize.maximize_e0(rows, 3.0).value, abs=1e-12)
+
+    def test_root_out_of_reach_starts_at_the_uniform_input(self):
+        # F' changes sign below 2^-148, where bisection from t = 1 cannot
+        # reach it; the rows differ only in entries below 3e-17, so E0 is 0
+        # to roundoff
+        rows = np.array([[0.0, 2.4465405154908352e-17, 1.0], [7.280398147301725e-231, 0.0, 1.0]])
+        rho = 6.492822868005045e-08
+        w = rows ** (1.0 / (1.0 + rho))
+        assert optimize._segment_start(w, rho).tolist() == [0.5, 0.5]
+        sol = optimize.maximize_e0(rows, rho)
+        assert sol.gap <= 1e-12
+        assert abs(sol.value) <= 1e-15
+
+
 class TestMaximizeE0:
     def test_agrees_with_simplex_search(self):
         for p in _agreement_channels():
@@ -476,22 +570,18 @@ class TestMaximizeE0:
             assert val == gallager_e0(p, rho, q)
             assert val >= sol.value - 1e-15
 
-    def test_gap_bounds_distance_to_maximum(self, z05, monkeypatch):
-        # with no iterations allowed the solver reports the certificate of
-        # the uniform input, which must bound its distance to the maximum
+    def test_gap_bounds_distance_to_maximum(self, z05):
+        # the Hoelder certificate of the uniform input, evaluated directly,
+        # must bound its distance to the maximum (every output is reached,
+        # so the pad plays no part)
         for p in [z05] + _agreement_channels()[::3]:
             uniform = np.full(p.input_size, 1.0 / p.input_size)
             for rho in (0.05, 3.0, 64.0):
                 best = optimize.maximize_e0(p.rows, rho).value
-                try:
-                    with monkeypatch.context() as m:
-                        m.setattr(optimize, "E0_MAX_ITER", 0)
-                        optimize.maximize_e0(p.rows, rho)
-                except dmc.ConvergenceError as err:
-                    gap = err.residual
-                else:
-                    gap = 1e-12  # the uniform input is already certified
-                assert best - gallager_e0(p, rho, uniform) <= gap + 1e-13
+                w = p.rows[:, p.rows.any(axis=0)] ** (1.0 / (1.0 + rho))
+                gap = optimize._E0State(uniform, w, rho, pad=0.0).gap()
+                distance = best - gallager_e0(p, rho, uniform)
+                assert -1e-13 <= distance <= gap + 1e-13, (p.rows.tolist(), rho)
 
     def test_roundoff_floor_on_many_outputs(self):
         # with 9 outputs the roundoff floor max(8|Y|, 1+rho)(1+rho) eps
@@ -534,12 +624,15 @@ class TestMaximizeE0:
             assert sol.value == pytest.approx(seed_val, abs=1e-10)
 
     def test_arimoto_fallback_alone_converges(self, z05, monkeypatch):
-        # with every Newton step refused the solver runs Arimoto's monotone
-        # iteration only, which must reach the same certified maximum
+        # with every Newton step refused, and a two-input channel started at
+        # the uniform input instead of on its segment's minimizer, the
+        # solver runs Arimoto's monotone iteration only, which must reach
+        # the same certified maximum
         asym3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
         cases = [(z05, 0.3), (z05, 3.0), (asym3, 0.3)]
         newton = [optimize.maximize_e0(p.rows, rho).value for p, rho in cases]
         monkeypatch.setattr(optimize, "_e0_newton_direction", lambda st: None)
+        monkeypatch.setattr(optimize, "_segment_start", lambda w, rho: np.full(2, 0.5))
         monkeypatch.setattr(optimize, "E0_MAX_ITER", 5000)
         for (p, rho), expected in zip(cases, newton):
             sol = optimize.maximize_e0(p.rows, rho)
