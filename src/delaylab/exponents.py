@@ -57,6 +57,12 @@ def _fortification_rate(fortify_k) -> float:
     return LN2 / fortify_k
 
 
+def _valid_rho(rho: float) -> None:
+    """Raise ``ValueError`` unless 0 <= rho < inf, which nan fails."""
+    if not 0 <= rho < math.inf:
+        raise ValueError("rho must be finite" if rho == math.inf else "rho must be nonnegative")
+
+
 def _finite_rate(r: float) -> None:
     """Raise ``ValueError`` naming the rate r unless it is finite."""
     if not math.isfinite(r):
@@ -69,8 +75,7 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     When the outer sum underflows (large rho on rows that share no output),
     it is summed in the log domain, scaled by the largest inner term.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    _valid_rho(rho)
     q = validate_distribution(q, p.input_size)
     return _e0_kernel(p.rows, rho, q)[0] + rho * _fortification_rate(fortify_k)
 
@@ -126,8 +131,7 @@ def e0_slope(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     weights a^(1+rho) / sum a^(1+rho) are formed from a / max(a), so they
     cannot underflow together at large rho.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    _valid_rho(rho)
     q = validate_distribution(q, p.input_size)
     w = p.rows ** (1.0 / (1.0 + rho))
     return _slope_from_w(w, p.support, rho, q) + _fortification_rate(fortify_k)
@@ -165,8 +169,7 @@ def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, 
     shift = _fortification_rate(fortify_k)
     point = p.e0_points.get(rho)
     if point is None:
-        if not rho >= 0:
-            raise ValueError("rho must be nonnegative")
+        _valid_rho(rho)
         if rho == 0 or p.symmetric:
             q = p.uniform
         else:
@@ -193,8 +196,8 @@ def _e0_lanes(p: Dmc, rhos) -> None:
     below the smallest normal (the kernel's log-domain branch); and an
     output no q W reaches."""
     rho = np.array(rhos, dtype=float)
-    if not np.all(rho >= 0):
-        raise ValueError("rho must be nonnegative")
+    for r in rho.tolist():
+        _valid_rho(r)
     power = 1.0 + rho
     s = 1.0 / power
     q = p.uniform
@@ -819,54 +822,48 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
     standard: E+(R) = min over {V : C(V) <= R} of max_x D(V(.|x) || P(.|x)),
               solved as a convex program over the output law
               (``_haroutunian_convex``), certified within 1e-13.
-    tilde:    the mimicking constraint is relaxed to
-              max {I(q,G) : I(q,P) >= R} <= R, which can only lower the
-              value.  It is E+ wherever ``_tilde_dual_bound``, a weak-
-              duality bound with multipliers read off E+'s output law,
-              is within 1e-13 of E+ (on every channel measured the
-              relaxation does not lower E+).  Elsewhere it is solved as a
-              program on the doubled output simplex of (1-lam) o and
-              lam o' (``_haroutunian_tilde``), certified within 1e-13,
-              and the result is the smaller of its value and E+.  So
-              tilde <= E+ holds exactly.  Below R = 1e-15 it is E+,
-              exactly so at R = 0, where S is every input law (the window
-              of the standard program's R = 0 face solve).
+    tilde:    the mimicking constraint relaxed to max {I(q,G) : q in S}
+              <= R, S = {q : I(q,P) >= R}, so tilde <= E+ (equal on every
+              channel measured): E+ where ``_tilde_dual_bound`` at E+'s
+              output law comes within 1e-13 of it, else the smaller of E+
+              and the doubled program (``_haroutunian_tilde``, certified
+              within 1e-13).  Below R = 1e-15 it is E+, exactly so at R = 0.
 
     +inf below ``divergence_rate``.  Above capacity the convex program
-    meets an output law with every D(P_x || q) <= R, where its value and
-    subgradient are 0, so it returns 0 without a capacity solve (a value
-    within the 1e-13 gap when R is within about that of C); tilde is 0
-    wherever E+ is exactly 0.  For channels with a verified
-    output-symmetry partition E+ is the sphere-packing bound, taken there
-    instead of the program (``_haroutunian_general`` runs it on any
-    channel).  Either program raises ``ConvergenceError`` with its gap when
-    it cannot certify its value.
+    meets an output law with every D(P_x || q) <= R and returns 0 without a
+    capacity solve (within the 1e-13 gap when R is within about that of C),
+    and so does tilde.  Either program raises ``ConvergenceError`` with its
+    gap when it cannot certify its value.
+
+    On output-symmetric channels both are sphere packing, taken instead of
+    the programs (``_haroutunian_general`` runs them on any channel).  For
+    R <= C the uniform input u is in S, as I(u, P) = C, so with E0^CK(rho,
+    u) = min_Q -(1+rho) sum_x u_x ln sum_y P_x^(1/(1+rho)) Q^(rho/(1+rho)),
+    the Lagrangian of ``_tilted_row`` averaged by u,
+        tilde(R) >= min {sum_x u_x D(G_x || P_x) : I(u, G) <= R}  (max_x >= mean)
+                 >= sup_rho [E0^CK(rho, u) - rho R]  (weak duality)
+                 >= sup_rho [E0(rho, u) - rho R]  (Jensen on ln, Hoelder over Q)
+                  = E_sp(R) = E+(R) >= tilde(R),
+    as u maximizes E0(rho, .) there (Gallager 1968, 5.6).  Above C all are 0.
     """
-    return _haroutunian_general(p, r, variant,
-                                _haroutunian_symmetric if p.symmetric else _haroutunian_convex)
-
-
-def _haroutunian_symmetric(p: Dmc, r: float) -> tuple[float, np.ndarray]:
-    """E+ on an output-symmetric channel: sphere packing, with the output
-    law of the uniform input for ``_tilde_dual_bound``."""
-    return sphere_packing(p, r), p.uniform @ p.rows
-
-
-def _haroutunian_general(p: Dmc, r: float, variant: str = "standard",
-                         solve_standard=_haroutunian_convex) -> float:
-    """``haroutunian`` with (E+, its output law) = solve_standard(p, r), the
-    program by default."""
     if variant not in ("standard", "tilde"):
         raise ValueError("variant must be 'standard' or 'tilde'")
+    if p.symmetric:
+        return sphere_packing(p, r)
+    return _haroutunian_general(p, r, variant)
+
+
+def _haroutunian_general(p: Dmc, r: float, variant: str = "standard") -> float:
+    """``haroutunian``'s programs on any channel: E+ with its output law o*,
+    and for tilde the dual bound at o* or else the doubled program."""
     _finite_rate(r)
     if r < 0:
         raise ValueError("rate must be nonnegative")
     if r < divergence_rate(p) - 1e-12:
         return math.inf
-    standard, o = solve_standard(p, r)
-    if variant == "standard" or standard == 0.0 or r < 1e-15:
-        return standard
-    if standard - _tilde_dual_bound(p, r, o) <= CONVEX_TOL:
+    standard, o = _haroutunian_convex(p, r)
+    if (variant == "standard" or standard == 0.0 or r < 1e-15
+            or standard - _tilde_dual_bound(p, r, o) <= CONVEX_TOL):
         return standard
     return float(min(_haroutunian_tilde(p, r), standard))
 
@@ -1216,7 +1213,7 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     """Evaluate one named bound at a rate in nats.  Names: esp, er, er<L>
     (L >= 1), haroutunian, tilde, burnashev, focusing, viterbi, timesharing.
     A name is evaluated as the bound ``solved_as`` names.  Both Haroutunian
-    exponents are certified programs over output laws (see
+    exponents are esp or certified programs over output laws (see
     ``haroutunian``); no bound depends on a seed.  ``bound_curve`` gives
     the same values for many rates at once."""
     name = solved_as(p, name, fortify_k)
@@ -1241,21 +1238,21 @@ def solved_as(p: Dmc, name: str, fortify_k: int | None = None) -> str:
 
     viterbi is the focusing bound: the fixed-delay bound has the form of
     Viterbi's convolutional-code bound.  On an output-symmetric channel
-    haroutunian is esp, since there feedback does not improve the block
-    exponent: E+ equals sphere packing.  Fortified, it is the fortified esp:
-    the super-channel of k uses plus one noiseless bit is output-symmetric
-    too.  No program gives a fortified tilde exponent, or a fortified E+ on
-    a channel without output symmetry, so those raise ``ValueError``.  Every
-    other name, an unknown one included, is its own solve."""
+    haroutunian and tilde are esp: feedback does not improve the block
+    exponent there, tilde = E+ = sphere packing (``haroutunian``).
+    Fortified, they are the fortified esp: the super-channel of k uses plus
+    one noiseless bit is output-symmetric too.  No program gives either
+    fortified exponent without output symmetry, so those raise
+    ``ValueError``.  Every other name, an unknown one included, is its own
+    solve."""
     if name == "viterbi":
         return "focusing"
-    if name == "tilde" and fortify_k is not None:
-        raise ValueError("under fortification: no tilde exponent is known")
-    if name == "haroutunian" and p.symmetric:
-        return "esp"
-    if name == "haroutunian" and fortify_k is not None:
-        raise ValueError("under fortification: E+ is known only on output-symmetric "
-                         "channels, where it is sphere packing")
+    if name in ("haroutunian", "tilde"):
+        if p.symmetric:
+            return "esp"
+        if fortify_k is not None:
+            raise ValueError("under fortification: the Haroutunian exponents are known only "
+                             "on output-symmetric channels, where they are sphere packing")
     return name
 
 

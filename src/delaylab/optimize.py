@@ -438,10 +438,11 @@ def maximize_e0(rows, rho: float) -> E0Solution:
     (raised to the roundoff floor max(8 |Y|, 1+rho) (1+rho) eps when that
     is larger: it stays below 1e-12 for rho <= 64 only while |Y| <= 8),
     and raises ``ConvergenceError`` carrying the gap after ``E0_MAX_ITER``
-    iterations.
+    iterations.  The gap, summed in floats, is exact only to that floor; one
+    below 0 (-1.1e-9 on Z(0.5) at rho = 1e7) is reported as 0.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be finite" if rho == math.inf else "rho must be positive")
     rows = np.asarray(rows, dtype=float)
     nx = rows.shape[0]
     w = rows[:, rows.any(axis=0)] ** (1.0 / (1.0 + rho))
@@ -473,7 +474,7 @@ def maximize_e0(rows, rho: float) -> E0Solution:
             trial = st.at(qn / qn.sum())
         st = trial
         gap = st.gap()
-    return E0Solution(q=st.q, value=-st.log_f, gap=gap, iterations=it)
+    return E0Solution(q=st.q, value=-st.log_f, gap=max(gap, 0.0), iterations=it)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ the mimicking channel's crossover.
 
 max_q E0(rho, q) of a two-input channel to 50 digits, by mpmath bisection on
 the slope of F along the segment of inputs.
+
+Csiszar and Koerner's form of the Gallager function, a minimum over output
+laws, by scipy's L-BFGS-B with a Frank-Wolfe lower bound.
 """
 
 import math
@@ -451,3 +454,40 @@ def e0_two_inputs_mp(rows, rho, digits=50):
                     hi = mid
             t = lo
         return -mp.log(power_sum(t, 0))
+
+
+def e0_csiszar_koerner(rows, rho, q):
+    """(upper, lower) bounds on
+        E0^CK(rho, q) = min_Q -(1+rho) sum_x q_x ln sum_y P_x(y)^(1/(1+rho)) Q(y)^(rho/(1+rho))
+    over output laws Q on the outputs some input reaches: the value at
+    scipy's L-BFGS-B minimizer in softmax coordinates, polished by the
+    fixed point of the stationarity condition Q_y = Q_y^(1-a) sum_x q_x
+    W_xy / S_x (a = 1/(1+rho), W = P^a, S_x = sum_y W_xy Q_y^(1-a)), and
+    the Frank-Wolfe bound of the convex objective there, its value plus
+    the least of its tangent plane over the simplex."""
+    from scipy.optimize import minimize
+
+    rows = np.asarray(rows, dtype=float)
+    a = 1.0 / (1.0 + rho)
+    w = rows[:, rows.any(axis=0)] ** a
+    q = np.asarray(q, dtype=float)
+
+    def at(z):
+        law = np.exp(z - z.max())
+        law /= law.sum()
+        sums = w @ law ** (1.0 - a)
+        grad = -rho * ((q / sums) @ w) * law ** -a  # d/dQ
+        return law, -(1.0 + rho) * float(q @ np.log(sums)), grad
+
+    def objective(z):
+        law, value, grad = at(z)
+        return value, law * (grad - grad @ law)  # through the softmax
+
+    z = minimize(objective, np.zeros(w.shape[1]), jac=True, method="L-BFGS-B",
+                 options={"ftol": 1e-16, "gtol": 1e-13, "maxiter": 10000}).x
+    law = at(z)[0]
+    for _ in range(200):
+        law = law ** (1.0 - a) * ((q / (w @ law ** (1.0 - a))) @ w)
+        law /= law.sum()
+    law, value, grad = at(np.log(law))
+    return value, value + float(grad.min() - grad @ law)

@@ -216,18 +216,21 @@ class TestBounds:
         assert rows[0]["value_nats"] != rows[1]["value_nats"]
 
     def test_fortified_haroutunian_is_fortified_esp(self, tmp_path, capsys):
+        # both Haroutunian exponents: fortified tilde exited 3 until it was
+        # solved as esp on output-symmetric channels
         fortified = CHANNELS / "bsc002_fortified50.json"
-        assert run(["bounds", fortified, "--rate", "0.3", "--bounds", "esp,haroutunian"]) == 0
+        assert run(["bounds", fortified, "--rate", "0.3",
+                    "--bounds", "esp,haroutunian,tilde"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        assert [row["value_nats"] for row in rows] == ["0.16244658751683283"] * 2
+        assert [row["value_nats"] for row in rows] == ["0.16244658751683283"] * 3
         out = tmp_path / "c.csv"
-        assert run(["curve", fortified, "--bounds", "esp,haroutunian",
+        assert run(["curve", fortified, "--bounds", "esp,haroutunian,tilde",
                     "--rate-grid", "0.05:0.6:6", "--out", out]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [row["haroutunian"] for row in rows] == [row["esp"] for row in rows]
+        assert [row["tilde"] for row in rows] == [row["esp"] for row in rows]
 
     @pytest.mark.parametrize("matrix,name", [
-        ([[0.98, 0.02], [0.02, 0.98]], "tilde"),
         ([[1.0, 0.0], [0.5, 0.5]], "tilde"),
         ([[1.0, 0.0], [0.5, 0.5]], "haroutunian"),
     ])

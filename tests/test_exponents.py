@@ -8,10 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from delaylab import dmc, exponents as ex, ncl_scheme as ncl, optimize
 from delaylab.dmc import LN2
 from oracles import (bisect_bec_focusing_bits, bisect_focusing, bisect_timesharing,
-                     golden_erl, golden_esp, golden_focusing, nelder_mead_haroutunian,
-                     slope_esp, z05_haroutunian_mp, z_information_mp, z_tilde_bisection)
+                     e0_csiszar_koerner, golden_erl, golden_esp, golden_focusing,
+                     nelder_mead_haroutunian, slope_esp, z05_haroutunian_mp, z_information_mp,
+                     z_tilde_bisection)
 
 HALF_BIT = 0.5 * LN2
+# output-symmetric with two blocks of outputs, {0, 1} and {2, 3}
+TWO_BLOCKS = dmc.Dmc([[0.6, 0.1, 0.2, 0.1], [0.1, 0.6, 0.1, 0.2]])
 
 
 def fresh(ch):
@@ -314,6 +317,34 @@ class TestE0Kernel:
                                                 [ex._at(0.5), ex._at(math.nan)])):
                 with pytest.raises(ValueError, match="^rho must be nonnegative$"):
                     solve()
+
+    def test_infinite_rho_rejected(self, bsc002, z05):
+        # before the check, the lanes call stored E0(inf) = -ln 2 on
+        # BSC(0.02), a curve through it read (nan, nan), the public E0
+        # functions returned nan or a slope of 0.0, and the parametric
+        # curve failed on lambda*
+        for ch in (bsc002, z05):
+            ch = fresh(ch)
+            q = [0.5, 0.5]
+            calls = [lambda: ex.gallager_e0(ch, math.inf, q),
+                     lambda: ex.e0_slope(ch, math.inf, q),
+                     lambda: ex.e0_max(ch, math.inf), lambda: ex._e0_point(ch, math.inf),
+                     lambda: ex.timesharing_exponent(ch, math.inf),
+                     lambda: ex.timesharing_curve(ch, [2.0, math.inf]),
+                     lambda: ex._run_lanes(ch, None, [ex._at(0.5), ex._at(math.inf)]),
+                     lambda: optimize.maximize_e0(ch.rows, math.inf)]
+            if ch.symmetric:
+                calls += [lambda: ex._e0_lanes(ch, [1.0, math.inf]),
+                          lambda: ex.focusing_parametric_curve(ch, [1.0, math.inf])]
+            for solve in calls:
+                with pytest.raises(ValueError, match="^rho must be finite$"):
+                    solve()
+            assert all(math.isfinite(rho) for rho in ch.e0_points)
+        for solve in (lambda: ex.gallager_e0(bsc002, math.nan, [0.5, 0.5]),
+                      lambda: ex.e0_slope(bsc002, math.nan, [0.5, 0.5]),
+                      lambda: ex._e0_lanes(fresh(bsc002), [1.0, math.nan])):
+            with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+                solve()
 
 
 class TestSpherePacking:
@@ -771,6 +802,29 @@ def asymmetric_channels(draw):
     return ch, (r1, (1.0 - t) * r1 + t * r3, r3), t
 
 
+@st.composite
+def sparse_channel_rates(draw):
+    """A 2x2 to 3x3 channel without output symmetry whose rows may hold
+    zeros (so R_inf may be positive), with C - R_inf above 1e-3, and three
+    rates r1 < r2 < r3 at R_inf + f (C - R_inf), f in [0.02, 0.98], with
+    r2 = (1-t) r1 + t r3."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+    def row():
+        w = draw(st.lists(entry, min_size=ny, max_size=ny).filter(lambda w: sum(w) > 0))
+        return [x / sum(w) for x in w]
+
+    ch = dmc.Dmc([row() for _ in range(nx)])
+    r_inf, cap = ex.divergence_rate(ch), ch.capacity_solution[0]
+    assume(not ch.symmetric and cap - r_inf > 1e-3)
+    f1 = draw(st.floats(0.02, 0.6))
+    f3 = draw(st.floats(f1 + 0.05, 0.98))
+    t = draw(st.floats(0.1, 0.9))
+    r1, r3 = r_inf + f1 * (cap - r_inf), r_inf + f3 * (cap - r_inf)
+    return ch, (r1, (1.0 - t) * r1 + t * r3, r3), t
+
+
 class TestSpherePackingProperties:
     """esp on channels without output symmetry: above random coding, equal
     to it bit for bit at or above the critical rate dE0/drho(1), where both
@@ -793,6 +847,15 @@ class TestSpherePackingProperties:
             assert esp[-1] == pytest.approx(slope_esp(ch, r), rel=0, abs=1e-12)
         assert esp[0] >= esp[1] >= esp[2]
         assert esp[1] <= (1.0 - t) * esp[0] + t * esp[2] + 1e-12
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=sparse_channel_rates())
+    def test_nonincreasing_and_convex_with_sparse_rows(self, case):
+        # as the output-symmetric families are, with the same slack
+        ch, rates, t = case
+        esp = [ex.sphere_packing(ch, r) for r in rates]
+        assert esp[0] >= esp[1] - 1e-12 and esp[1] >= esp[2] - 1e-12
+        assert esp[1] <= (1.0 - t) * esp[0] + t * esp[2] + 1e-9
 
 
 class TestRandomCodingList:
@@ -947,19 +1010,59 @@ class TestHaroutunian:
     @pytest.mark.parametrize("rows, frac", [
         # the certificate misses E+ by 1.4e-13 here
         ([[0.975961, 0.024039], [0.0, 1.0], [0.0, 1.0]], 0.1),
-        # output-symmetric: the uniform input's output law (0.3, 0.3, 0.4)
-        # is not E+'s, so the multipliers read there give no bound
+        # BEC(0.4) and a channel with two symmetric blocks: tilde is sphere
+        # packing, and the program, run here until the identity was used,
+        # does not run; run directly, it is not below E_sp
         ([[0.6, 0.0, 0.4], [0.0, 0.6, 0.4]], 0.5),
+        (TWO_BLOCKS.rows.tolist(), 0.5),
     ])
     def test_tilde_runs_the_program_where_the_certificate_does_not_close(self, rows, frac):
         ch = dmc.Dmc(rows)
         r = frac * ch.capacity_solution[0]
         with mock.patch.object(ex, "_haroutunian_tilde", wraps=ex._haroutunian_tilde) as ran:
             tilde = ex.haroutunian(ch, r, "tilde")
-        assert ran.call_count == 1
+        assert ran.call_count == (0 if ch.symmetric else 1)
         sol = tilde_program(ch, r)
         assert 0.0 <= sol.gap <= optimize.CONVEX_TOL
         assert tilde == min(sol.value, ex.haroutunian(ch, r))
+
+    @pytest.mark.parametrize("ch", [dmc.bec(0.1), dmc.bec(0.4), dmc.bec(0.7), TWO_BLOCKS],
+                             ids=["bec0.1", "bec0.4", "bec0.7", "two_blocks"])
+    def test_tilde_is_sphere_packing_on_output_symmetric_channels(self, ch):
+        # tilde = E+ = E_sp there (``haroutunian``'s docstring), so neither
+        # program nor the certificate runs
+        assert ch.symmetric
+        programs = [mock.patch.object(ex, name, wraps=getattr(ex, name)) for name in
+                    ("_haroutunian_convex", "_tilde_dual_bound", "_haroutunian_tilde")]
+        for frac in (0.1, 0.5, 0.9):
+            r = frac * ch.capacity_solution[0]
+            with programs[0] as convex, programs[1] as bound, programs[2] as tilde_runs:
+                got = ex.haroutunian(ch, r, "tilde")
+            assert got.hex() == ex.sphere_packing(ch, r).hex()
+            assert convex.call_count == bound.call_count == tilde_runs.call_count == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_csiszar_koerner_e0_bounds_gallager_e0(self, seed):
+        # the lemma behind tilde = E_sp on output-symmetric channels:
+        # E0^CK(rho, q) >= E0(rho, q) for every q (Jensen, then Hoelder),
+        # with equality at the uniform input on output-symmetric channels;
+        # the oracle's lower end is a Frank-Wolfe bound, so sound
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(2, 4), rng.integers(2, 5)
+        rows = rng.dirichlet(np.full(ny, 0.5), size=nx)
+        rows[rng.random((nx, ny)) < 0.2] = 0.0  # sparse rows
+        rows[:, 0] += 0.05  # every row keeps an output
+        ch = dmc.Dmc(rows / rows.sum(axis=1, keepdims=True))
+        symmetric = [dmc.bsc(0.1 + 0.05 * seed), dmc.bec(0.1 + 0.12 * seed), TWO_BLOCKS]
+        for rho in (0.05, 0.5, 1.0, 4.0):
+            q = rng.dirichlet(np.ones(nx))
+            upper, lower = e0_csiszar_koerner(ch.rows, rho, q)
+            assert lower <= upper + 1e-14
+            assert lower >= ex.gallager_e0(ch, rho, q) - 1e-12
+            sym = symmetric[seed % 3]
+            upper, lower = e0_csiszar_koerner(sym.rows, rho, sym.uniform)
+            assert lower >= ex.gallager_e0(sym, rho, sym.uniform) - 1e-12
+            assert upper <= ex.gallager_e0(sym, rho, sym.uniform) + 1e-12
 
     def test_tilde_at_rate_zero_is_the_standard_exponent(self, z05):
         for r in (0.0, 5e-16):
@@ -1867,7 +1970,7 @@ class TestBoundCurve:
 
 
 @st.composite
-def small_channels(draw):
+def curve_channels(draw):
     """A 2x2 to 3x3 channel with capacity above 1e-3: a BSC, a BEC, a
     circulant 3x3 (output-symmetric), or random rows with every entry at
     least 0.01."""
@@ -1897,14 +2000,17 @@ class TestBoundCurveProperties:
     focusing on BEC(0.05 .. 0.1) rises by up to 7.5e-15 between the two
     lowest rates, and esp, er and er4 return up to 1.6e-16 at C, which is
     certified from below.  Focusing runs where the channel is
-    output-symmetric, on its parametric path."""
+    output-symmetric, on its parametric path, and so do haroutunian and
+    tilde, which are esp lanes there."""
 
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-    @given(ch=small_channels())
+    @given(ch=curve_channels())
     def test_nonincreasing_and_zero_at_capacity(self, ch):
         cap = ch.capacity_solution[0]
         rates = [cap * f for f in np.linspace(0.02, 1.0, 9).tolist()]
-        names = ["esp", "er", "er4", "timesharing"] + (["focusing"] if ch.symmetric else [])
+        names = ["esp", "er", "er4", "timesharing"]
+        if ch.symmetric:
+            names += ["focusing", "haroutunian", "tilde"]
         for name in names:
             curve = ex.bound_curve(ch, name, rates)
             for a, b in zip(curve, curve[1:]):
@@ -1918,30 +2024,53 @@ class TestSolvedAs:
 
     def test_identities(self, bsc002, z05):
         assert ex.solved_as(bsc002, "viterbi") == ex.solved_as(z05, "viterbi") == "focusing"
-        assert ex.solved_as(bsc002, "haroutunian") == "esp"
-        assert ex.solved_as(bsc002, "haroutunian", 50) == "esp"
-        assert ex.solved_as(z05, "haroutunian") == "haroutunian"
-        for name in ("esp", "er", "er4", "tilde", "burnashev", "focusing", "timesharing",
-                     "nope"):
+        for name in ("haroutunian", "tilde"):
+            assert ex.solved_as(bsc002, name) == ex.solved_as(bsc002, name, 50) == "esp"
+            assert ex.solved_as(z05, name) == name
+        for name in ("esp", "er", "er4", "burnashev", "focusing", "timesharing", "nope"):
             assert ex.solved_as(bsc002, name) == ex.solved_as(z05, name) == name
 
     def test_fortified_haroutunian_is_fortified_sphere_packing(self, bsc002):
-        # the 1/50-fortified BSC(0.02) is output-symmetric: E+ = E_sp, from
-        # inf below R_inf = ln2/50 to 0 beyond capacity
+        # the 1/50-fortified BSC(0.02) is output-symmetric: tilde = E+ = E_sp,
+        # from inf below R_inf = ln2/50 to 0 beyond capacity (fortified
+        # tilde raised until the identity was used)
         rates = [0.0, 0.005, 0.05, 0.3, 0.6, 0.8]
         want = [ex.sphere_packing(bsc002, r, 50) for r in rates]
-        assert hex_floats([ex.bound_at_rate(bsc002, "haroutunian", r, 50)
-                           for r in rates]) == hex_floats(want)
-        assert hex_floats(ex.bound_curve(fresh(bsc002), "haroutunian", rates, 50)) == \
-            hex_floats(want)
+        for name in ("haroutunian", "tilde"):
+            assert hex_floats([ex.bound_at_rate(bsc002, name, r, 50)
+                               for r in rates]) == hex_floats(want)
+            assert hex_floats(ex.bound_curve(fresh(bsc002), name, rates, 50)) == \
+                hex_floats(want)
         # above the unfortified value, which it used to return (both pins
         # re-recorded when sphere packing began its search at rho = 1, each
         # nearer its 50-digit mpmath value than before)
         assert ex.bound_at_rate(bsc002, "haroutunian", 0.3, 50) == 0.16244658751683283
         assert ex.bound_at_rate(bsc002, "haroutunian", 0.3) == 0.14694833177130412
 
-    @pytest.mark.parametrize("name,channel", [("tilde", "bsc002"), ("tilde", "z05"),
-                                              ("haroutunian", "z05")])
+    @pytest.mark.parametrize("k", [None, 50])
+    @pytest.mark.parametrize("ch", [dmc.bsc(0.02), dmc.bec(0.4), TWO_BLOCKS,
+                                    dmc.Dmc(CIRCULANT3)],
+                             ids=["bsc0.02", "bec0.4", "two_blocks", "circulant"])
+    def test_both_haroutunian_exponents_are_sphere_packing_on_symmetric_channels(self, ch, k):
+        # no Haroutunian program runs: every value is the esp solve
+        cap = ch.capacity_solution[0]
+        rates = [ex.divergence_rate(ch, k) + f * cap for f in (0.05, 0.3, 0.6, 0.9, 1.2)]
+        programs = [mock.patch.object(ex, name, side_effect=AssertionError(name)) for name in
+                    ("_haroutunian_convex", "_tilde_dual_bound", "_haroutunian_tilde")]
+        want = [ex.sphere_packing(fresh(ch), r, k) for r in rates]
+        assert hex_floats(ex.bound_curve(fresh(ch), "esp", rates, k)) == hex_floats(want)
+        with programs[0], programs[1], programs[2]:
+            for name, variant in (("haroutunian", "standard"), ("tilde", "tilde")):
+                alone = fresh(ch)
+                assert hex_floats([ex.bound_at_rate(alone, name, r, k) for r in rates]) == \
+                    hex_floats(want)
+                assert hex_floats(ex.bound_curve(fresh(ch), name, rates, k)) == hex_floats(want)
+                if k is None:
+                    alone = fresh(ch)
+                    assert hex_floats([ex.haroutunian(alone, r, variant) for r in rates]) == \
+                        hex_floats(want)
+
+    @pytest.mark.parametrize("name,channel", [("tilde", "z05"), ("haroutunian", "z05")])
     def test_fortified_exponents_without_a_program_raise(self, request, name, channel):
         ch = request.getfixturevalue(channel)
         with pytest.raises(ValueError, match="^under fortification: "):

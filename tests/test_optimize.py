@@ -640,6 +640,21 @@ class TestMaximizeE0:
             assert sol.gap <= 1e-12
             assert sol.value == pytest.approx(expected, abs=1e-12)
 
+    def test_gap_is_not_negative_at_large_rho(self, z05):
+        # the Hoelder gap, summed in floats, read -1.1e-9 on Z(0.5) at
+        # rho = 1e7 and fell below 0 on 45 of these 360 solves; the state's
+        # own gap still does, and is reported as 0
+        rng = np.random.default_rng(0)
+        channels = [z05.rows] + [rng.dirichlet(np.ones(3), size=2) for _ in range(120)]
+        clamped = 0
+        for rows in channels:
+            for rho in (1e4, 1e6, 1e7, 1e8):
+                sol = optimize.maximize_e0(rows, rho)
+                assert sol.gap >= 0.0
+                w = rows[:, rows.any(axis=0)] ** (1.0 / (1.0 + rho))
+                clamped += optimize._E0State(sol.q, w, rho, pad=0.0).gap() < 0.0
+        assert clamped > 0
+
     def test_rho_must_be_positive(self, z05):
         with pytest.raises(ValueError):
             optimize.maximize_e0(z05.rows, 0.0)
