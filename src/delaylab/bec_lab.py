@@ -216,21 +216,21 @@ def stationary_queue_samples(trace: SimTrace) -> np.ndarray:
     return q[start:stop]
 
 
-def queue_law_chisquare(samples: np.ndarray, beta: float,
-                        thin: int = 100, min_expected: float = 5.0) -> tuple[float, float]:
+def queue_law_chisquare(samples: np.ndarray, beta: float) -> tuple[float, float]:
     """Chi-squared test of the empirical queue law against the birth-death law.
 
-    Samples are thinned to approximate independence (consecutive arrivals see
-    strongly correlated queues) before forming the statistic.  Bins are
-    {0}, {1}, ..., {B-1} plus the folded tail {>= B}, with B chosen so every
-    expected count is at least ``min_expected``.  Returns (statistic, p_value).
+    Samples are thinned to every 100th to approximate independence
+    (consecutive arrivals see strongly correlated queues) before forming the
+    statistic.  Bins are {0}, {1}, ..., {B-1} plus the folded tail {>= B},
+    with B chosen so every expected count is at least 5.  Returns
+    (statistic, p_value).
     """
-    s = np.asarray(samples)[::thin]
+    s = np.asarray(samples)[::100]
     n = len(s)
     x = (beta / (1.0 - beta)) ** 2
     kappa = 1.0 - x
     b = 1
-    while b < 64 and n * kappa * x**b >= min_expected and n * x ** (b + 1) >= min_expected:
+    while b < 64 and n * kappa * x**b >= 5.0 and n * x ** (b + 1) >= 5.0:
         b += 1
     counts = np.array([(s == i).sum() for i in range(b)] + [(s >= b).sum()], dtype=float)
     expected = np.array([n * kappa * x**i for i in range(b)] + [n * x**b])

@@ -468,9 +468,9 @@ def _figure_4(out: Path) -> dict:
             "rate_grid_nats": [float(rates[0]), float(rates[-1]), len(rates)]}
 
 
-def _bsc_rate_grid(ch: Dmc, points: int = 60) -> np.ndarray:
+def _bsc_rate_grid(ch: Dmc) -> np.ndarray:
     cap = ch.capacity_solution[0]
-    return np.linspace(cap / 50, cap * 0.995, points)
+    return np.linspace(cap / 50, cap * 0.995, 60)
 
 
 def _figure_6(out: Path) -> dict:

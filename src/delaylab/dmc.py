@@ -183,6 +183,8 @@ def z_channel(nulling: float) -> Dmc:
 
 
 def identity_channel(size: int = 2) -> Dmc:
+    """Noiseless channel on ``size`` letters; public as the zero-error extreme
+    (E0 = ln size at every rho > 0) that the bounds' edge cases are checked on."""
     return Dmc(np.eye(size), name=f"identity{size}")
 
 
@@ -268,7 +270,9 @@ def capacity(p: Dmc) -> tuple[float, np.ndarray]:
 
 
 def divergence_conditional(g: Dmc, p: Dmc, r) -> float:
-    """D(G || P | r) in nats; +inf exactly on an absolute-continuity failure."""
+    """D(G || P | r) in nats; +inf exactly on an absolute-continuity failure.
+    Public as the divergence of the Csiszar-Koerner exponents' channel form,
+    min over G of D(G || P | r), which the channel search is checked on."""
     if g.rows.shape != p.rows.shape:
         raise ValueError("channels must share alphabet sizes")
     r = validate_distribution(r, g.input_size)

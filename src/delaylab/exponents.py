@@ -47,6 +47,8 @@ from .optimize import (
 RHO_MAX = 64.0
 E0_STENCIL_STEP = 1e-3  # of e0_second_derivative_at_zero
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+TILDE_DUAL_STEPS = 1000  # fixed-point steps of ``_tilde_dual_bound``
+TILDE_ROUNDOFF_STEPS = 32  # of them, at most, once its slack is at roundoff
 
 
 def _fortification_rate(fortify_k) -> float:
@@ -715,12 +717,21 @@ def _tilde_dual_bound(p: Dmc, r: float, o: np.ndarray) -> float:
     phi is convex, so its tangent plane at any positive point bounds it
     below on the simplex: min phi >= phi(o) + sum_x c_x (1-a_x) - max_y
     sum_x c_x (1-a_x) v_x(y) / o(y), with v_x ∝ P_x^(a_x) o^(1-a_x) (the
-    Frank-Wolfe bound).  It is taken at the best of up to 8 Newton steps
-    from o on the simplex's affine hull (a coordinate that a step would
-    drive below 0 is held), less (|X| + |Y| + 8) eps times the magnitudes
-    it sums, which bounds its float rounding: a_x and 1 - a_x are exact
-    complements, and each power, log and row sum is within a few ulps.
-    I(q0, P) must exceed R by the same margin of its own terms.
+    Frank-Wolfe bound).  It is taken at the best iterate, from o, of the
+    fixed point o <- sum_x c_x (1-a_x) v_x / mu of phi's stationarity
+    condition (mu = sum_x c_x (1-a_x)), a majorize-minimize step: Jensen's
+    inequality on each ln S_x, weighted by v_x, puts phi below
+    -sum_y (sum_x c_x (1-a_x) v_x(y)) ln o'(y) plus a constant, with
+    equality at o.  So phi never rises and every iterate stays strictly
+    inside the simplex.  The steps stop where no slope exceeds mu (o is
+    stationary in floats), before a coordinate underflows, after
+    ``TILDE_DUAL_STEPS``, or ``TILDE_ROUNDOFF_STEPS`` after the slack
+    max_y slope_y - mu first falls to eps mu (its last ulps, which the
+    bound loses, may take a few steps or never go).  The bound is less
+    (|X| + |Y| + 8) eps times the magnitudes it sums at that iterate, which
+    bounds its float rounding: a_x and 1 - a_x are exact complements, and
+    each power, log and row sum is within a few ulps.  I(q0, P) must exceed
+    R by the same margin of its own terms.
 
     The bound holds for any multipliers; these make it tight.  At o, rows
     whose ``_tilted_row`` value is within 1e-9 of the largest with
@@ -774,46 +785,35 @@ def _tilde_dual_bound(p: Dmc, r: float, o: np.ndarray) -> float:
         return -math.inf
     weight = np.where(p.support[used], p.rows[used] ** a[:, None], 0.0)
     reached = weight.any(axis=0)  # phi does not depend on the other outputs
-    weight, point = weight[:, reached], o[reached]
+    weight = weight[:, reached]
     mu = float(cb.sum())
-
-    def frank_wolfe(o):  # (the bound on min phi at o, ln S_x, v_x / o)
-        terms = weight * o ** b[:, None]
-        total = terms.sum(axis=1)
-        logs = np.log(total)
-        ratio = terms / total[:, None] / o
-        return -float(c @ logs) + mu - float((cb @ ratio).max()), logs, ratio
-
-    best, logs, ratio = frank_wolfe(point)
-    k = len(point)
-    for _ in range(8):
-        if float((cb @ ratio).max()) - mu <= EPS * mu:  # at roundoff
+    best = step = _dual_point(weight, c, b, o[reached])
+    left = TILDE_DUAL_STEPS
+    while left > 0 and (slack := float(step[2].max()) - mu) > 0.0:
+        if slack <= EPS * mu:  # at roundoff
+            left = min(left, TILDE_ROUNDOFF_STEPS)
+        point = step[3] * step[2] / mu  # the minimizer of phi's Jensen majorant
+        if point.min() < _TINY:
             break
-        slopes = b[:, None] * ratio  # -d ln S_x / d o
-        hess = (slopes.T * c) @ slopes + np.diag((c * b * a) @ ratio / point)
-        free, step = np.ones(k, dtype=bool), np.zeros(k)
-        while free.sum() > 1:  # hold, one at a time, what leaves the simplex first
-            kkt = np.ones((free.sum() + 1,) * 2)
-            kkt[:-1, :-1], kkt[-1, -1] = hess[np.ix_(free, free)], 0.0
-            try:
-                step[free] = np.linalg.solve(kkt, np.append((cb @ ratio)[free], 0.0))[:-1]
-            except np.linalg.LinAlgError:
-                break
-            if np.all(point + step > 0.0):
-                break
-            free[np.argmax(-step / point)] = False
-            step[:] = 0.0
-        for t in (1.0, 0.5, 0.25, 0.125):
-            trial = frank_wolfe(point + t * step)
-            if trial[0] > best:
-                break
-        else:
-            break
-        point = point + t * step
-        best, logs, ratio = trial
-    steepest = float((cb @ ratio).max())
-    scale = float(c @ (1.0 + np.abs(logs))) + steepest + mu * r
-    return best - mu * r - (nx + ny + 8) * EPS * scale
+        step = _dual_point(weight, c, b, point)
+        if step[0] > best[0]:
+            best = step
+        left -= 1
+    bound, logs, slopes, _ = best
+    scale = float(c @ (1.0 + np.abs(logs))) + float(slopes.max()) + mu * r
+    return bound - mu * r - (nx + ny + 8) * EPS * scale
+
+
+def _dual_point(weight: np.ndarray, c: np.ndarray, b: np.ndarray, o: np.ndarray) -> tuple:
+    """``_tilde_dual_bound``'s phi(o) = -sum_x c_x ln S_x(o), S_x = sum_y
+    weight_xy o(y)^(b_x), at a positive o: (its Frank-Wolfe bound
+    phi(o) + mu - max_y slope_y, ln S_x, slope = -dphi/do, o), mu = c . b."""
+    terms = weight * o ** b[:, None]
+    total = terms.sum(axis=1)
+    logs = np.log(total)
+    cb = c * b
+    slopes = cb @ (terms / total[:, None] / o)
+    return -float(c @ logs) + float(cb.sum()) - float(slopes.max()), logs, slopes, o
 
 
 def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
@@ -825,9 +825,14 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
     tilde:    the mimicking constraint relaxed to max {I(q,G) : q in S}
               <= R, S = {q : I(q,P) >= R}, so tilde <= E+ (equal on every
               channel measured): E+ where ``_tilde_dual_bound`` at E+'s
-              output law comes within 1e-13 of it, else the smaller of E+
-              and the doubled program (``_haroutunian_tilde``, certified
-              within 1e-13).  Below R = 1e-15 it is E+, exactly so at R = 0.
+              output law (a weak-duality bound whose inner minimum a
+              majorize-minimize fixed point approaches) comes within 1e-13
+              of it, else the smaller of E+ and the doubled program
+              (``_haroutunian_tilde``, certified within 1e-13).  It is E+
+              wherever E+ <= 1e-13, as 0 <= tilde <= E+: at and just below
+              capacity no input law has I(q0, P) > R, so the dual gives no
+              bound, and the doubled program's domain collapses.  Below
+              R = 1e-15 it is E+, exactly so at R = 0.
 
     +inf below ``divergence_rate``.  Above capacity the convex program
     meets an output law with every D(P_x || q) <= R and returns 0 without a
@@ -862,7 +867,7 @@ def _haroutunian_general(p: Dmc, r: float, variant: str = "standard") -> float:
     if r < divergence_rate(p) - 1e-12:
         return math.inf
     standard, o = _haroutunian_convex(p, r)
-    if (variant == "standard" or standard == 0.0 or r < 1e-15
+    if (variant == "standard" or standard <= CONVEX_TOL or r < 1e-15
             or standard - _tilde_dual_bound(p, r, o) <= CONVEX_TOL):
         return standard
     return float(min(_haroutunian_tilde(p, r), standard))
@@ -949,7 +954,9 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     Symmetric channels (where E+ = E_sp) go through the parametric form:
     solve E0(eta)/eta = R, then E_a = E0(eta) = eta R; where that root lies
     beyond eta = 1e8 (R below about E_a / 1e8) it raises
-    ``ConvergenceError``.  +inf below ``divergence_rate``.
+    ``ConvergenceError``, with the residual E0(eta)/eta - R at the bracket's
+    end or, where the bracket's last fourfold growth passed 1e8 and the
+    root was found beyond it, at eta = 1e8.  +inf below ``divergence_rate``.
 
     On channels without output symmetry ``_focusing_general`` minimizes
     jointly over lambda and E+'s output law:
@@ -977,8 +984,10 @@ def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
     if p.symmetric:
-        lo, hi = yield from _crossing_steps(r, 1e-9, RHO_MAX, 1e8,
-                                            "focusing rate root beyond eta = 1e8")
+        failure = "focusing rate root beyond eta = 1e8"
+        lo, hi = yield from _crossing_steps(r, 1e-9, RHO_MAX, 1e8, failure)
+        if 0.5 * (lo + hi) > 1e8:  # the bracket's last growth passed 1e8
+            raise ConvergenceError(failure, (yield 1e8)[0] / 1e8 - r)
         return 0.5 * (lo + hi) * r
     if fortify_k is not None:
         raise ValueError("fortified bounds require an output-symmetric base channel")
@@ -1190,7 +1199,8 @@ def bec_lowrate_floor(beta: float, r: float) -> tuple[float, float]:
     For r >= (2 - log2 log2 (1/beta)) / log2 (1/beta) -- any r >= 0 once
     beta <= 1/16 -- every rate R' < 1/(1+2r) bits supports a base-2 delay
     exponent of at least log2(1/beta) - 2 beta^r.  Returns (exponent_bits,
-    rate_limit_bits).
+    rate_limit_bits).  Public as the closed-form floor that no figure plots,
+    checked against ``bec_anytime_capacity``.
     """
     if not 0 < beta < 1:
         raise ValueError("erasure probability must lie in (0, 1)")

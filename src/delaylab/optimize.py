@@ -200,13 +200,13 @@ def root_steps(lo: float, hi: float, tol: float = 0.0, excess=None):
     raise ConvergenceError("root finder iteration cap exceeded", hi - lo)
 
 
-def maximize_over_simplex(f, dim: int, tol: float = 1e-9,
-                          max_cycles: int = 200) -> tuple[np.ndarray, float]:
+def maximize_over_simplex(f, dim: int, tol: float = 1e-9) -> tuple[np.ndarray, float]:
     """Maximize a concave ``f`` over the probability simplex of dimension ``dim``.
 
     Cyclic pairwise line searches: mass is moved between coordinate pairs with
     a golden-section search along each segment, which converges for smooth
-    concave objectives on the simplex.
+    concave objectives on the simplex.  Raises ``ConvergenceError`` when a
+    cycle still gains more than ``tol`` after 200 cycles.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -216,7 +216,7 @@ def maximize_over_simplex(f, dim: int, tol: float = 1e-9,
     q = uniform_input(dim)
     val = float(f(q))
     improved = math.inf
-    for _ in range(max_cycles):
+    for _ in range(200):
         improved = 0.0
         for i, j in itertools.permutations(range(dim), 2):
             budget = q[i] + q[j]
@@ -584,23 +584,23 @@ def _lexicographic_key(g: Dmc) -> tuple:
 
 
 def minimize_over_channels(objective, feasible, dims: tuple[int, int],
-                           restarts: int = 64, tol: float = 1e-6, seed: int = 0,
-                           penalty=None, row_supports=None, repair=None,
-                           line_tol: float = 1e-5, patience: int = 12) -> tuple[Dmc, float]:
+                           restarts: int = 64, seed: int = 0,
+                           penalty=None, row_supports=None) -> tuple[Dmc, float]:
     """Minimize ``objective`` over |X| x |Y| stochastic matrices G with ``feasible(G)``.
 
     Multi-start coordinate descent on rows: each row is improved by
     golden-section line searches toward its support vertices.  The constraint
     enters through ``penalty`` (continuous, 0 when feasible) scaled by an
-    escalating coefficient, and ``feasible`` is re-checked on every candidate;
-    an infeasible candidate is passed through ``repair`` when provided.
+    escalating coefficient, and ``feasible`` is re-checked on every candidate.
     ``row_supports`` restricts each row of G to a support set, which keeps
     divergence objectives finite.
 
     Deterministic given ``seed``; the start list only grows with ``restarts``,
     so the best value never worsens as restarts increase.  Restarts stop early
-    once ``patience`` consecutive starts fail to improve the best value, which
-    preserves both determinism and monotonicity in ``restarts``.
+    once 12 consecutive starts fail to improve the best value, which
+    preserves both determinism and monotonicity in ``restarts``.  A descent
+    cycle ends its stage once it gains at most 1e-9; its line searches run
+    to 1e-5, and to 1e-8 when the winner is polished.
     """
     nx, ny = dims
     if nx > 4 or ny > 4:
@@ -656,14 +656,12 @@ def minimize_over_channels(objective, feasible, dims: tuple[int, int],
                             rows = rows.copy()
                             rows[x] = (1 - res.argmax) * rows[x] + res.argmax * target
                             current = -res.value
-                if cycle_gain <= tol * 1e-3:
+                if cycle_gain <= 1e-9:
                     break
         return rows
 
     def finish(rows):
         g = build(rows)
-        if not feasible(g) and repair is not None:
-            g = repair(g)
         val = objective(g)
         if not (math.isfinite(val) and feasible(g)):
             return None
@@ -672,7 +670,7 @@ def minimize_over_channels(objective, feasible, dims: tuple[int, int],
     best = None
     stale = 0
     for rows0 in starts[:max(restarts, 1)]:
-        rows = descend(rows0.copy(), (1e2, 1e4, 1e6, 1e8), 6, line_tol)
+        rows = descend(rows0.copy(), (1e2, 1e4, 1e6, 1e8), 6, 1e-5)
         cand = finish(rows)
         if cand is not None and (best is None or cand[0] < best[0] - 1e-10):
             best = cand
@@ -681,14 +679,14 @@ def minimize_over_channels(objective, feasible, dims: tuple[int, int],
             if cand is not None and best is not None and cand[:2] < best[:2]:
                 best = cand  # equal value, lexicographically smaller channel
             stale += 1
-            if best is not None and stale >= patience:
+            if best is not None and stale >= 12:
                 break
 
     if best is None:
         raise ConvergenceError("no feasible channel found", math.inf)
 
     # polish the winner with a tight line tolerance
-    rows = descend(best[3].copy(), (1e8,), 3, min(line_tol, 1e-8))
+    rows = descend(best[3].copy(), (1e8,), 3, 1e-8)
     cand = finish(rows)
     if cand is not None and cand[:2] < best[:2]:
         best = cand

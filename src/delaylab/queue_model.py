@@ -174,9 +174,10 @@ def tail_exponent_bound(m: int, svc: ServiceTimeModel) -> float:
     return reduced_rate_exponent(svc.tail_beta, m - svc.offset)
 
 
-def measured_tail_exponent(trace: QueueTrace, d_grid, min_misses: int = 50) -> DelayExponentFit:
-    """Delay-tail exponent (nats per time unit) of the steady-state delays."""
-    return fit_delay_exponent(trace.steady_delays(), d_grid, min_misses)
+def measured_tail_exponent(trace: QueueTrace, d_grid) -> DelayExponentFit:
+    """Delay-tail exponent (nats per time unit) of the steady-state delays,
+    fitted on the deadlines with at least 50 misses."""
+    return fit_delay_exponent(trace.steady_delays(), d_grid, 50)
 
 
 @dataclass

@@ -1,7 +1,18 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 from delaylab import dmc
+
+# hypothesis reports a failing example through hypothesis.extra._patching,
+# whose libcst import makes mypy_extensions raise a DeprecationWarning that
+# pyproject.toml's filters turn into an error inside pytest's reporting:
+# import it once here with that warning ignored (it needs libcst)
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

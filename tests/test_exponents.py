@@ -1064,6 +1064,17 @@ class TestHaroutunian:
             assert lower >= ex.gallager_e0(sym, rho, sym.uniform) - 1e-12
             assert upper <= ex.gallager_e0(sym, rho, sym.uniform) + 1e-12
 
+    @pytest.mark.parametrize("d", (1e-8, 1e-10, 1e-12, 0.0))
+    def test_tilde_at_and_just_below_capacity_is_the_standard_exponent(self, z05, d):
+        # E+ comes back as roundoff there (3e-15 to 2e-14), no q0 has
+        # I(q0, P) > R and the doubled program's domain collapses, so tilde
+        # is E+ wherever E+ <= 1e-13
+        for ch in (z05, self.ASYM3):
+            r = ch.capacity_solution[0] * (1.0 - d)
+            eplus = ex.bound_at_rate(ch, "haroutunian", r)
+            assert 0.0 <= eplus <= optimize.CONVEX_TOL
+            assert ex.bound_at_rate(ch, "tilde", r) == eplus
+
     def test_tilde_at_rate_zero_is_the_standard_exponent(self, z05):
         for r in (0.0, 5e-16):
             assert ex.haroutunian(z05, r, "tilde") == ex.haroutunian(z05, r)
@@ -1238,7 +1249,7 @@ class TestHaroutunianProperties:
     def test_dual_bound_never_exceeds_the_program(self, ch, frac, noise):
         # weak duality holds for any multipliers: those read at E+'s optimum
         # o*, and at o* moved by up to e^(3e-10) per output (the same rows
-        # stay active, so Newton steps walk back) and by up to e^0.3
+        # stay active, so the fixed-point steps walk back) and by up to e^0.3
         r = frac * ch.capacity_solution[0]
         assume(r > ex.divergence_rate(ch) + 1e-6)
         eplus, best = ex._haroutunian_convex(ch, r)
@@ -1247,6 +1258,52 @@ class TestHaroutunianProperties:
         for scale in (0.0, 1e-9, 1.0):
             moved = best * np.exp(scale * np.array(noise[:ch.output_size]))
             assert ex._tilde_dual_bound(ch, r, moved / moved.sum()) <= value
+
+    @pytest.mark.parametrize("rows, frac", [
+        ([[1.0, 0.0], [0.5, 0.5]], 0.1),
+        ([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]], 0.5),
+        ([[0.975961, 0.024039], [0.0, 1.0], [0.0, 1.0]], 0.1),
+        ([[0.5, 0.3, 0.2, 0.0], [0.3, 0.0, 0.2, 0.5], [0.0, 0.6, 0.4, 0.0]], 0.5),
+    ])
+    def test_dual_fixed_point_lowers_phi_inside_the_simplex(self, rows, frac):
+        # the majorize-minimize steps, started at the uniform law instead of
+        # o*, lower phi = -sum_x c_x ln S_x at every step up to the bound's
+        # rounding allowance, keep every coordinate a normal double, and end
+        # within 1e-14 of the bound started at o*
+        ch = dmc.Dmc(rows)
+        r = frac * ch.capacity_solution[0]
+        _, best = ex._haroutunian_convex(ch, r)
+        at_best = ex._tilde_dual_bound(ch, r, best)
+        dual_point, seen = ex._dual_point, []
+
+        def from_uniform(weight, c, b, o):
+            if not seen:
+                o = np.full(len(o), 1.0 / len(o))
+            logs = np.log((weight * o ** b[:, None]).sum(axis=1))
+            seen.append((float(-c @ logs), float(c @ (1.0 + np.abs(logs))), o))
+            return dual_point(weight, c, b, o)
+
+        with mock.patch.object(ex, "_dual_point", from_uniform):
+            bound = ex._tilde_dual_bound(ch, r, best)
+        assert len(seen) > 20
+        slack = (ch.input_size + ch.output_size + 8) * optimize.EPS
+        for (phi, scale, _), (later, _, o) in zip(seen, seen[1:]):
+            assert later <= phi + slack * scale
+            assert o.min() >= np.finfo(float).tiny
+        assert seen[-1][0] < seen[0][0] - 1e-6
+        assert bound == pytest.approx(at_best, abs=1e-14)
+
+    def test_dual_bound_closes_after_the_slack_leaves_roundoff(self):
+        # a seeded 3x4 point at 0.1 C where the bound meets E+ to 9.97e-14:
+        # the fixed point's slack first falls to eps mu an ulp above 0, and
+        # stopping there would miss by 1.5e-15
+        ch = dmc.Dmc([[0.8161171064512519, 0.17225045326245275, 0.0, 0.011632440286295261],
+                      [0.0891556477834618, 0.0, 0.9102748623323524, 0.0005694898841856958],
+                      [0.26635948704488344, 0.08601336664446896, 0.5153865942518223,
+                       0.1322405520588252]])
+        r = 0.05486190979845156  # 0.1 C
+        eplus, best = ex._haroutunian_convex(ch, r)
+        assert eplus - ex._tilde_dual_bound(ch, r, best) <= optimize.CONVEX_TOL
 
     def test_z_channel_orderings(self, z05):
         for r in (0.05, 0.1, 0.15):
@@ -1469,13 +1526,23 @@ class TestFocusingBound:
 
     def test_low_rate_inversion_raises_rather_than_saturate(self, bsc002):
         # E_a rises to the Bhattacharyya value 1.27296568 as R falls to 0;
-        # below about R = 1e-8 the root E_a / R lies beyond eta = 1e8, where
+        # below about R = 1.27e-8 the root E_a / R lies beyond eta = 1e8, where
         # the bracket's end once came back as the root (0.26844 at 1e-9)
-        values = [ex.focusing_bound(bsc002, r) for r in (1e-6, 1e-7, 1e-8)]
+        values = [ex.focusing_bound(bsc002, r) for r in (1e-6, 1e-7, 1.3e-8)]
         assert values == sorted(values)
         assert values[-1] <= 1.27296568
         with pytest.raises(dmc.ConvergenceError):
             ex.focusing_bound(bsc002, 1e-9)
+
+    @pytest.mark.parametrize("r", (1.2e-8, 1e-8, 8.5e-9, 6e-9))
+    def test_root_found_beyond_eta_1e8_raises(self, r):
+        # the bracket grows from 6.7e7 to 2.68e8 before its cap test, so
+        # these roots (1.06e8 to 2.12e8) are found inside it; their values
+        # are not monotone in R, so they raise with the residual at 1e8
+        with pytest.raises(dmc.ConvergenceError,
+                           match=r"^focusing rate root beyond eta = 1e8 ") as err:
+            ex.focusing_bound(dmc.bsc(0.02), r)
+        assert err.value.residual > 0.0
 
     def test_general_lambda_path_agrees_with_parametric(self, bsc002):
         cap = bsc002.capacity_solution[0]
@@ -2001,7 +2068,8 @@ class TestBoundCurveProperties:
     lowest rates, and esp, er and er4 return up to 1.6e-16 at C, which is
     certified from below.  Focusing runs where the channel is
     output-symmetric, on its parametric path, and so do haroutunian and
-    tilde, which are esp lanes there."""
+    tilde, which are esp lanes there; on channels without output symmetry
+    they are programs, checked with sparse rows and rates at capacity."""
 
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
     @given(ch=curve_channels())
@@ -2016,6 +2084,23 @@ class TestBoundCurveProperties:
             for a, b in zip(curve, curve[1:]):
                 assert b <= a + 1e-13 * abs(a) + 1e-14, (name, curve)
             assert 0.0 <= curve[-1] <= 1e-14, (name, curve[-1])
+
+
+    @settings(max_examples=8, derandomize=True, deadline=None, database=None)
+    @given(case=sparse_channel_rates())
+    def test_haroutunian_curves_without_output_symmetry(self, case):
+        # ROADMAP item 6's property where E+ is a program: nonincreasing
+        # within 1e-13, within the programs' 1e-13 of 0 at C (1 - 1e-10) and
+        # at C, where E+ comes back as roundoff, and 0 above C
+        ch, (r1, r2, r3), _ = case
+        cap = ch.capacity_solution[0]
+        rates = [r1, r2, r3, cap * (1.0 - 1e-10), cap, 1.05 * cap]
+        for name in ("haroutunian", "tilde"):
+            curve = ex.bound_curve(ch, name, rates)
+            for a, b in zip(curve, curve[1:]):
+                assert b <= a + 1e-13, (name, curve)
+            assert all(0.0 <= v <= optimize.CONVEX_TOL for v in curve[3:5]), (name, curve)
+            assert curve[-1] == 0.0, (name, curve)
 
 
 class TestSolvedAs:
