@@ -224,7 +224,8 @@ def capacity(p: Dmc) -> tuple[float, np.ndarray]:
     that bound at o = qP is within the tolerance of I(q), as on
     output-symmetric channels.  Otherwise ``minimize_convex_on_simplex``
     finds o* on the outputs some input reaches, q* solves q P = o* with
-    q >= 0 on the rows within the tolerance of the maximum, and
+    q >= 0 on the rows within the tolerance of the maximum, by least
+    squares in the chi-squared metric sum_y (qP - o*)_y^2 / o*_y, and
     ``ConvergenceError`` is raised unless the program's value less I(q*) is
     within the tolerance.
     """
@@ -250,6 +251,10 @@ def capacity(p: Dmc) -> tuple[float, np.ndarray]:
     sol = minimize_convex_on_simplex(oracle, int(reached.sum()))
     d = divergences(sol.q)
     ranked = np.argsort(-d, kind="stable")
+    # I(q) = sum_x q_x D(P_x || o*) - D(qP || o*), so on rows at the maximum
+    # C - I(q) is about sum_y (qP - o*)_y^2 / (2 o*_y): output y's equation
+    # is divided by sqrt(o*_y), the chi-squared metric of that gap
+    root = np.sqrt(sol.q)
     best = -math.inf
     # the rows within the tolerance of the maximum first; a row with little
     # mass at q* can sit just outside it at the certified o*, so the rows
@@ -257,8 +262,9 @@ def capacity(p: Dmc) -> tuple[float, np.ndarray]:
     for size in range(int(np.count_nonzero(d >= d.max() - CAPACITY_TOL)), len(d) + 1):
         active = np.sort(ranked[:size])
         # a row leaves while the least-squares solution gives it negative mass
-        while (w := np.linalg.lstsq(np.vstack([rows[active].T, np.ones(len(active))]),
-                                    np.append(sol.q, 1.0), rcond=None)[0]).min() < 0.0:
+        while (w := np.linalg.lstsq(np.vstack([rows[active].T / root[:, None],
+                                               np.ones(len(active))]),
+                                    np.append(root, 1.0), rcond=None)[0]).min() < 0.0:
             active = np.delete(active, np.argmin(w))
         q = np.zeros(p.input_size)
         q[active] = w / w.sum()

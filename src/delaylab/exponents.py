@@ -27,7 +27,6 @@ from .dmc import (
     ConvergenceError,
     Dmc,
     c1 as _c1,
-    capacity,
     divergence_rows,
     validate_distribution,
 )
@@ -79,24 +78,33 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     """
     _valid_rho(rho)
     q = validate_distribution(q, p.input_size)
-    return _e0_kernel(p.rows, rho, q)[0] + rho * _fortification_rate(fortify_k)
+    return _e0_kernel(p, rho, q)[0] + rho * _fortification_rate(fortify_k)
 
 
-def _e0_kernel(rows: np.ndarray, rho: float, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """(E0(rho, q) without fortification, W = P^(1/(1+rho))) for a rho >= 0
-    and a validated ``q``: the one E0 formula, which every E0 evaluation of
-    this module runs once (``gallager_e0``, ``e0_max``, ``_e0_point``).
-    W is returned for ``_slope_from_w``."""
-    w = rows ** (1.0 / (1.0 + rho))
+def _e0_kernel(p: Dmc, rho: float, q: np.ndarray) -> tuple[float, float]:
+    """(E0(rho, q), dE0(rho, q)/drho) without fortification for a rho >= 0
+    and a validated ``q``, from one W = P^(1/(1+rho)): the one E0 formula,
+    which every E0 evaluation of this module runs once (``gallager_e0``,
+    ``e0_max``, ``_e0_point``), and the one slope formula (``e0_slope``).
+    W > 0 exactly where P > 0: P^s >= P for s = 1/(1+rho) in (0, 1], so no
+    positive entry underflows."""
+    w = p.rows ** (1.0 / (1.0 + rho))
+    w_log_w = w * np.log(w, where=p.support, out=np.zeros(w.shape))
+    a = q @ w
+    reached = a > 0
+    a = a[reached]
+    weights = (a / a.max()) ** (1.0 + rho)
+    terms = np.log(a) - (q @ w_log_w)[reached] / a
+    slope = -float(weights @ terms) / float(weights.sum())
     if rho == 0:
-        return 0.0, w
+        return 0.0, slope
     inner = (q[:, None] * w).sum(axis=0)
     total = float((inner ** (1.0 + rho)).sum())
     if total >= _TINY:
-        return -math.log(total), w
+        return -math.log(total), slope
     top = float(inner.max())
     return -(1.0 + rho) * math.log(top) - math.log(
-        float(((inner / top) ** (1.0 + rho)).sum())), w
+        float(((inner / top) ** (1.0 + rho)).sum())), slope
 
 
 def e0_max(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, np.ndarray]:
@@ -135,22 +143,7 @@ def e0_slope(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     """
     _valid_rho(rho)
     q = validate_distribution(q, p.input_size)
-    w = p.rows ** (1.0 / (1.0 + rho))
-    return _slope_from_w(w, p.support, rho, q) + _fortification_rate(fortify_k)
-
-
-def _slope_from_w(w: np.ndarray, support: np.ndarray, rho: float, q: np.ndarray) -> float:
-    """``e0_slope`` without fortification, from W = P^(1/(1+rho)) and the
-    channel's ``support`` mask, for a validated ``q``.  W > 0 exactly where
-    P > 0: P^s >= P for s = 1/(1+rho) in (0, 1], so no positive entry
-    underflows."""
-    w_log_w = w * np.log(w, where=support, out=np.zeros(w.shape))
-    a = q @ w
-    reached = a > 0
-    a = a[reached]
-    weights = (a / a.max()) ** (1.0 + rho)
-    terms = np.log(a) - (q @ w_log_w)[reached] / a
-    return -float(weights @ terms) / float(weights.sum())
+    return _e0_kernel(p, rho, q)[1] + _fortification_rate(fortify_k)
 
 
 def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
@@ -177,9 +170,9 @@ def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, 
         else:
             q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
             q.flags.writeable = False
-        e0, w = _e0_kernel(p.rows, rho, q)
-        slope = (_slope_from_w(w, p.support, rho, q) if rho > 0
-                 else max(divergence_rows(row, q @ p.rows) for row in p.rows))
+        e0, slope = _e0_kernel(p, rho, q)
+        if rho == 0:
+            slope = max(divergence_rows(row, q @ p.rows) for row in p.rows)
         p.e0_points[rho] = point = (e0, slope, q)
     return point[0] + rho * shift, point[1] + shift
 
@@ -424,76 +417,11 @@ def _random_coding_steps(r: float, list_size: int, climb):
     return max(0.0, res.value)
 
 
-def _info_binary_rows(row0: list, row1: list, s: float) -> float:
-    """I((s, 1-s), rows) for a two-input channel; plain floats for speed."""
-    log = math.log
-    total = 0.0
-    t = 1.0 - s
-    for a, b in zip(row0, row1):
-        sa, tb = s * a, t * b
-        o = sa + tb
-        if o < _TINY:  # a / o could overflow; split the logarithm
-            log_o = log(o) if o > 0.0 else 0.0
-            if sa > 0.0:
-                total += sa * (log(a) - log_o)
-            if tb > 0.0:
-                total += tb * (log(b) - log_o)
-            continue
-        if sa > 0.0:
-            total += sa * log(a / o)
-        if tb > 0.0:
-            total += tb * log(b / o)
-    return total
-
-
-def _info_slope(row0: list, row1: list, s: float) -> tuple[float, float]:
-    """(I'(s), I''(s)) of ``_info_binary_rows``: D(row0 || o) - D(row1 || o)
-    and -sum_y (a - b)^2 / o with o = s row0 + (1-s) row1.  At an end where
-    o vanishes on an output only one row reaches, I' is +-inf."""
-    log = math.log
-    slope = curv = 0.0
-    t = 1.0 - s
-    for a, b in zip(row0, row1):
-        o = s * a + t * b
-        if o <= 0.0:
-            if a != b:
-                return (math.inf if a > b else -math.inf), -math.inf
-            continue
-        log_o = log(o)
-        if a > 0.0:
-            slope += a * (log(a) - log_o)
-        if b > 0.0:
-            slope -= b * (log(b) - log_o)
-        curv -= (a - b) ** 2 / o
-    return slope, curv
-
-
-def _max_info_binary(row0: list, row1: list, lo: float, hi: float) -> float:
-    """max of the concave I((s, 1-s), rows) over lo <= s <= hi, for a
-    two-input channel.
-
-    An end where I' already points out of the interval is the maximizer.
-    Otherwise I' changes sign inside, and ``decreasing_root`` closes a
-    bracket on its root with Newton steps on (I', I'')."""
-    if _info_slope(row0, row1, lo)[0] <= 0.0:
-        return _info_binary_rows(row0, row1, lo)
-    if _info_slope(row0, row1, hi)[0] >= 0.0:
-        return _info_binary_rows(row0, row1, hi)
-    s = decreasing_root(lambda s: _info_slope(row0, row1, s), lo, hi)[0]
-    return _info_binary_rows(row0, row1, s)
-
-
 def channel_capacity_fast(g: Dmc) -> float:
-    """Capacity of a small channel.
-
-    Two-input channels maximize the concave scalar mutual information over
-    s in [0, 1] with ``_max_info_binary``'s root of I'(s); larger alphabets
-    fall back to ``capacity``, the certified min-max program over output
-    laws.  No bound calls it; the benchmark's tracer binds it by name.
-    """
-    if g.input_size == 2:
-        return _max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
-    return capacity(g)[0]
+    """The capacity of ``g``, ``g.capacity_solution[0]``: the certified
+    min-max program over output laws.  No bound calls it; the name stays
+    only because the benchmark's tracer binds it."""
+    return g.capacity_solution[0]
 
 
 def _tilted_row(log_p: list, log_q: list, r: float):

@@ -295,9 +295,11 @@ class _E0State:
         return (1.0 + self.rho) * math.log(self.f / bmin) + self.pad_gap
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _e0_newton_direction(st: _E0State):
     """Newton direction on the free inputs; None when fewer than two are free
-    or the solve is not finite.
+    or the solve is not finite.  It is not where some a_y is subnormal and
+    rho < 1: a^(rho-1) overflows there, and numpy's warnings for it are off.
 
     The free inputs are the support of q plus the zero inputs with
     beta_x < F (they want mass); an entering input the step would push

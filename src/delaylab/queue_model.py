@@ -21,6 +21,9 @@ from .dmc import LN2
 from .exponents import bec_focusing_exponent_bits
 
 WARMUP_MESSAGES = 100  # messages dropped before a delay tail is measured
+ENVELOPE_SAMPLES = 1_000_000  # draws of ``ServiceTimeModel.check_envelope``
+ENVELOPE_SEED = 20_260_101  # the seed of those draws
+DOMINANCE_SEED = 0  # the seed of ``coupled_dominance_check``'s uniforms
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,22 @@ class ServiceTimeModel:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.inverse_cdf(rng.random(size))
 
-    def check_envelope(self, n: int = 1_000_000, seed: int = 20_260_101,
-                       envelope_beta: float | None = None) -> None:
-        """Empirical complementary CDF must stay under beta^k beyond the offset.
+    def check_envelope(self, envelope_beta: float | None = None) -> None:
+        """Empirical complementary CDF must stay under beta^k beyond the offset,
+        over ``ENVELOPE_SAMPLES`` draws seeded by ``ENVELOPE_SEED``.
 
         The envelope defaults to the model's declared beta; passing an
         explicit ``envelope_beta`` turns this into a generic conformance check.
         """
         beta_env = self.tail_beta if envelope_beta is None else envelope_beta
-        t = self.sample(substream(seed, 77), n)
+        t = self.sample(substream(ENVELOPE_SEED, 77), ENVELOPE_SAMPLES)
         kmax = int(min(t.max() - self.offset, 2 + 40 / -math.log(beta_env)))
         for k in (1, 2, 3, 5, 8, 13, 21, 34):
             if k >= max(2, kmax):
                 break
             p_hat = float((t > self.offset + k).mean())
             bound = beta_env**k
-            slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / n)
+            slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / ENVELOPE_SAMPLES)
             if p_hat > bound + slack:
                 raise ValueError(
                     f"service tail violates envelope at k={k}: {p_hat:.3e} > "
@@ -192,7 +195,7 @@ class DominanceReport:
 
 
 def coupled_dominance_check(svc: ServiceTimeModel, samples: int = 1_000_000,
-                            seed: int = 0, envelope_beta: float | None = None) -> DominanceReport:
+                            envelope_beta: float | None = None) -> DominanceReport:
     """Pathwise coupling against the pure geometric envelope.
 
     Draws common uniforms V_j and maps them through both inverse CDFs; a
@@ -204,7 +207,7 @@ def coupled_dominance_check(svc: ServiceTimeModel, samples: int = 1_000_000,
     if svc.offset != 0:
         raise ValueError("coupling check applies to offset-0 models")
     beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
-    u = substream(seed, 2).random(samples)
+    u = substream(DOMINANCE_SEED, 2).random(samples)
     t = svc.inverse_cdf(u)
     t_geo = geometric_service(beta_env).inverse_cdf(u)
     excess = t - t_geo

@@ -3,8 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from delaylab import dmc
+
+# every property test draws the same examples on every run, with no time
+# limit per example and no example database; a test sets only max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 # hypothesis reports a failing example through hypothesis.extra._patching,
 # whose libcst import makes mypy_extensions raise a DeprecationWarning that

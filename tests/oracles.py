@@ -15,6 +15,10 @@ lambda and the output law.
 
 Blahut-Arimoto's alternating maximization for the channel capacity, which
 the program replaced with the certified min-max program over output laws.
+The capacity of a two-input channel as the maximum of the concave
+I((s, 1-s), P), by Newton steps on the root of I'(s), which the program
+ran beside that program until the program became its one capacity routine:
+an independent reference for it, and a cheap capacity for channel searches.
 
 The exhaustive search over all Bell(|Y|) output partitions for Gallager's
 output symmetry, which the program replaced with the column classes.
@@ -40,7 +44,9 @@ import numpy as np
 
 from delaylab import exponents as ex
 from delaylab.dmc import ConvergenceError, _block_is_symmetric
-from delaylab.optimize import maximize_concave_1d
+from delaylab.optimize import decreasing_root, maximize_concave_1d
+
+TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 def bisect(above, lo, hi, steps):
@@ -208,6 +214,70 @@ def blahut_arimoto(p, tol, max_iter=1_000_000):
         q = q * np.exp(d - upper)
         q = q / q.sum()
     raise ConvergenceError("Blahut-Arimoto iteration cap exceeded", residual)
+
+
+def info_binary_rows(row0, row1, s):
+    """I((s, 1-s), rows) for a two-input channel; plain floats for speed."""
+    log = math.log
+    total = 0.0
+    t = 1.0 - s
+    for a, b in zip(row0, row1):
+        sa, tb = s * a, t * b
+        o = sa + tb
+        if o < TINY:  # a / o could overflow; split the logarithm
+            log_o = log(o) if o > 0.0 else 0.0
+            if sa > 0.0:
+                total += sa * (log(a) - log_o)
+            if tb > 0.0:
+                total += tb * (log(b) - log_o)
+            continue
+        if sa > 0.0:
+            total += sa * log(a / o)
+        if tb > 0.0:
+            total += tb * log(b / o)
+    return total
+
+
+def info_slope(row0, row1, s):
+    """(I'(s), I''(s)) of ``info_binary_rows``: D(row0 || o) - D(row1 || o)
+    and -sum_y (a - b)^2 / o with o = s row0 + (1-s) row1.  At an end where
+    o vanishes on an output only one row reaches, I' is +-inf."""
+    log = math.log
+    slope = curv = 0.0
+    t = 1.0 - s
+    for a, b in zip(row0, row1):
+        o = s * a + t * b
+        if o <= 0.0:
+            if a != b:
+                return (math.inf if a > b else -math.inf), -math.inf
+            continue
+        log_o = log(o)
+        if a > 0.0:
+            slope += a * (log(a) - log_o)
+        if b > 0.0:
+            slope -= b * (log(b) - log_o)
+        curv -= (a - b) ** 2 / o
+    return slope, curv
+
+
+def max_info_binary(row0, row1, lo, hi):
+    """max of the concave I((s, 1-s), rows) over lo <= s <= hi, for a
+    two-input channel.
+
+    An end where I' already points out of the interval is the maximizer.
+    Otherwise I' changes sign inside, and ``decreasing_root`` closes a
+    bracket on its root with Newton steps on (I', I'')."""
+    if info_slope(row0, row1, lo)[0] <= 0.0:
+        return info_binary_rows(row0, row1, lo)
+    if info_slope(row0, row1, hi)[0] >= 0.0:
+        return info_binary_rows(row0, row1, hi)
+    s = decreasing_root(lambda s: info_slope(row0, row1, s), lo, hi)[0]
+    return info_binary_rows(row0, row1, s)
+
+
+def capacity_two_inputs(g):
+    """The capacity of the two-input channel ``g`` by ``max_info_binary``."""
+    return max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
 
 
 def set_partitions(items):

@@ -301,7 +301,7 @@ class TestParityCode:
         # the parity deficit is the FIFO backlog, pathwise
         assert np.array_equal(deficit, bl.simulate_fifo(cfg).series()["queue_len"])
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(beta=st.floats(0.02, 0.95), rate_bits=st.floats(0.05, 1.5),
            horizon=st.integers(2, 3000), seed=st.integers(0, 2**31 - 1))
     def test_parity_fifo_identity(self, beta, rate_bits, horizon, seed):

@@ -1082,7 +1082,7 @@ class TestFieldReader:
     def test_valid_channel_file_runs(self, tmp_path):
         assert run_input("channel", VALID_CHANNEL_FILE, tmp_path) == 0
 
-    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=400)
     @given(case=one_field_changed())
     def test_one_changed_field_never_crashes(self, case):
         with tempfile.TemporaryDirectory() as root:

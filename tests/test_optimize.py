@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from delaylab import dmc, exponents as ex, optimize
-from delaylab.exponents import channel_capacity_fast, gallager_e0, sphere_packing
-from oracles import blahut_arimoto, e0_two_inputs_mp
+from delaylab.exponents import gallager_e0, sphere_packing
+from oracles import blahut_arimoto, capacity_two_inputs, e0_two_inputs_mp
 
 
 class TestSearchSteps:
@@ -334,6 +334,28 @@ class TestMinimizeConvexOnSimplex:
             optimize.minimize_convex_on_simplex(oracle, 3)
         assert err.value.residual == math.inf
 
+    def test_zero_cut_raises(self):
+        # an infeasible center whose constraint gradient is 0 gives no cut
+        with pytest.raises(dmc.ConvergenceError, match="cut with no direction") as err:
+            optimize.minimize_convex_on_simplex(lambda q: (math.inf, np.zeros(3)), 3)
+        assert err.value.residual == math.inf
+
+    def test_steep_kink_returns_at_the_roundoff_floor(self, monkeypatch):
+        # f = 1e6 |q_0 - 1/3| after 51 bisections: the gap, about 1e6 2^-52,
+        # is above CONVEX_TOL but within the roundoff floor
+        # 4 eps (|f| + |g| |q|), which a float center resolves no better
+        monkeypatch.setattr(optimize, "CONVEX_ITER_FACTOR", 17)  # 51 steps in 1-D
+
+        def oracle(q):
+            side = 1.0 if q[0] > 1 / 3 else -1.0
+            return 1e6 * abs(q[0] - 1 / 3), np.array([1e6 * side, 0.0])
+
+        sol = optimize.minimize_convex_on_simplex(oracle, 2)
+        assert sol.iterations == 51
+        floor = 4 * optimize.EPS * (sol.value + 1e6 * np.linalg.norm(sol.q))
+        assert optimize.CONVEX_TOL < sol.gap <= floor
+        assert sol.q[0] == pytest.approx(1 / 3, abs=1e-15)
+
 
 class TestMinimizeOverChannels:
     def test_capacity_constrained_matches_sphere_packing(self, bsc002):
@@ -346,7 +368,7 @@ class TestMinimizeOverChannels:
             return max(dmc.divergence_rows(g.rows[x], bsc002.rows[x]) for x in range(2))
 
         def excess(g):
-            return max(0.0, channel_capacity_fast(g) - r)
+            return max(0.0, capacity_two_inputs(g) - r)
 
         g, val = optimize.minimize_over_channels(
             objective, lambda g: excess(g) <= 1e-9, (2, 2), restarts=24, seed=0,
@@ -370,7 +392,7 @@ class TestMinimizeOverChannels:
             return max(dmc.divergence_rows(g.rows[x], bec04.rows[x]) for x in range(2))
 
         def excess(g):
-            return max(0.0, channel_capacity_fast(g) - r)
+            return max(0.0, capacity_two_inputs(g) - r)
 
         _, val = optimize.minimize_over_channels(
             objective, lambda g: excess(g) <= 1e-9, (2, 3), restarts=24, seed=0,
@@ -384,7 +406,7 @@ class TestMinimizeOverChannels:
             return max(dmc.divergence_rows(g.rows[x], bsc002.rows[x]) for x in range(2))
 
         def excess(g):
-            return max(0.0, channel_capacity_fast(g) - r)
+            return max(0.0, capacity_two_inputs(g) - r)
 
         vals = []
         for restarts in (2, 8, 16):
@@ -658,3 +680,54 @@ class TestMaximizeE0:
     def test_rho_must_be_positive(self, z05):
         with pytest.raises(ValueError):
             optimize.maximize_e0(z05.rows, 0.0)
+
+    def test_unbounded_start_gap_at_large_rho(self):
+        # at rho = 1e4 the uniform input gives outputs 1 and 2 about half of
+        # output 0's a, so a^rho underflows to 0 there and beta_2 = 0: the
+        # start's certificate is infinite; the maximum is rho ln 2 (half the
+        # mass on input 2, half on the other two)
+        rows, rho = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 0.5, 0.5]]), 1e4
+        w = rows ** (1.0 / (1.0 + rho))
+        assert optimize._E0State(np.full(3, 1 / 3), w, rho, pad=1e-13).gap() == math.inf
+        sol = optimize.maximize_e0(rows, rho)
+        assert sol.gap <= (1.0 + rho) ** 2 * optimize.EPS  # the roundoff floor
+        assert sol.value == pytest.approx(rho * math.log(2.0), rel=1e-14)
+
+    def test_newton_direction_needs_two_free_inputs(self):
+        # at a vertex, an input whose beta is at least F does not enter:
+        # by Hoelder's inequality only a copy of the vertex's row does so
+        w = np.array([[1.0, 0.0], [1.0, 0.0]])
+        st = optimize._E0State(np.array([1.0, 0.0]), w, 1.0, pad=0.0)
+        assert st.beta[1] == st.f
+        assert optimize._e0_newton_direction(st) is None
+
+    def test_singular_newton_system_is_solved_by_least_squares(self, monkeypatch):
+        # every bordered solve raising LinAlgError, the steps still certify
+        # the same maximum
+        asym3 = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
+        want = optimize.maximize_e0(asym3, 1.0)
+        solves = []
+
+        def singular(a, b):
+            solves.append(a)
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        sol = optimize.maximize_e0(asym3, 1.0)
+        assert solves and sol.iterations > 0
+        assert sol.gap <= 1e-12
+        assert sol.value == pytest.approx(want.value, abs=1e-12)
+
+    def test_subnormal_entry_makes_the_newton_solve_not_finite(self):
+        # a^(rho-1) overflows on output 2, reached with a ~ 5e-324 at
+        # rho = 1e-3, so Newton gives no direction and the fallback steps
+        # certify E0, with no RuntimeWarning (pyproject.toml makes it an error)
+        rows = np.array([[0.6, 0.4, 5e-324], [0.3, 0.7, 0.0], [0.1, 0.9, 0.0]])
+        rho = 1e-3
+        w = rows[:, rows.any(axis=0)] ** (1.0 / (1.0 + rho))
+        st = optimize._E0State(np.full(3, 1 / 3), w, rho, pad=1e-13)
+        assert optimize._e0_newton_direction(st) is None
+        sol = optimize.maximize_e0(rows, rho)
+        assert sol.gap <= 1e-12
+        plain = optimize.maximize_e0(rows[:, :2], rho)
+        assert sol.value == pytest.approx(plain.value, abs=1e-12)
