@@ -33,6 +33,7 @@ from .dmc import (
 from .optimize import (
     CONVEX_TOL,
     EPS,
+    NEWTON_NEAR,
     Search1DResult,
     decreasing_root,
     maximize_concave_1d,
@@ -156,23 +157,26 @@ def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, 
 
     The input is the channel's uniform one at rho = 0 and on
     output-symmetric channels, ``maximize_e0``'s otherwise; the derivative
-    is ``e0_slope`` there, sharing E0's W = P^(1/(1+rho)).  At rho = 0,
-    where it is the capacity but the uniform input need not achieve it, the
-    slope is max_x D(P(.|x) || qP): an upper bound on the capacity, equal to
-    it on output-symmetric channels, which the slope searches only test R
-    against (R at or above it is at or above capacity)."""
+    is ``e0_slope`` there, sharing E0's W = P^(1/(1+rho)).  At rho = 0 no
+    kernel runs: E0 is 0.0, and the slope, the capacity, which the uniform
+    input need not achieve, is taken as max_x D(P(.|x) || qP): an upper
+    bound on the capacity, equal to it on output-symmetric channels, which
+    the slope searches only test R against (R at or above it is at or
+    above capacity)."""
     shift = _fortification_rate(fortify_k)
     point = p.e0_points.get(rho)
     if point is None:
         _valid_rho(rho)
-        if rho == 0 or p.symmetric:
-            q = p.uniform
-        else:
-            q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
-            q.flags.writeable = False
-        e0, slope = _e0_kernel(p, rho, q)
         if rho == 0:
-            slope = max(divergence_rows(row, q @ p.rows) for row in p.rows)
+            q = p.uniform
+            e0, slope = 0.0, max(divergence_rows(row, q @ p.rows) for row in p.rows)
+        else:
+            if p.symmetric:
+                q = p.uniform
+            else:
+                q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
+                q.flags.writeable = False
+            e0, slope = _e0_kernel(p, rho, q)
         p.e0_points[rho] = point = (e0, slope, q)
     return point[0] + rho * shift, point[1] + shift
 
@@ -304,8 +308,9 @@ def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
     round.  Each round solves the distinct rho the waiting lanes ask for
     together: several on an output-symmetric channel by one ``_e0_lanes``
     call, which is the only one, and the rest by ``_e0_point`` as it
-    answers the lanes in the order asked, so no rho is solved twice.  Any
-    error, a lane's or an E0 solve's, ends the run.
+    answers the lanes in the order asked, so no rho is solved twice.  A
+    lone waiting lane is driven straight to its end, as ``run_steps`` would,
+    without rounds.  Any error, a lane's or an E0 solve's, ends the run.
     """
     store = p.e0_points
     results = [None] * len(lanes)
@@ -321,6 +326,14 @@ def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
                 asked.append(rho)
             except StopIteration as stop:
                 results[i] = stop.value
+        if len(waiting) == 1:  # a lone lane needs no rounds
+            i, rho = waiting[0], asked[0]
+            try:
+                while True:
+                    rho = lanes[i].send(_e0_point(p, rho, fortify_k))
+            except StopIteration as stop:
+                results[i] = stop.value
+            break
         if len(new := set(asked)) > 1 and p.symmetric:
             _e0_lanes(p, [*new])
         order, points_sent = waiting, [_e0_point(p, rho, fortify_k) for rho in asked]
@@ -437,13 +450,21 @@ def _tilted_row(log_p: list, log_q: list, r: float):
         D(v_t || P_x) = t E_t - A(t).
     D(v_t || q) decreases from D(P_x || q) at t = 0 to -ln q(T_x) at t = 1,
     so t is 0 when D(P_x || q) <= R and otherwise the root of
-    D(v_t || q) = R, found by ``decreasing_root`` with that slope.  This is
+    D(v_t || q) = R, found by ``decreasing_root`` with that slope.  Where
+    the Newton step from t = 0, (D(P_x || q) - R) / Var_0, is at most
+    2^-26, it is taken as t: D(v_t || q) is smooth in t, so the step is
+    within about t^2 <= 2^-52 of the root, while the root finder would
+    close its bracket to 4 ulps of that tiny t, where D(v_t || q) - R is
+    roundoff over a far wider range, and can run out of steps (at R = C on
+    Z(0.5), where the output law q = (0.8, 0.2) puts both rows at
+    D(P_x || q) = R).  This is
     the Lagrangian sup_{rho >= 0} -(1+rho) ln sum P_x^(1/(1+rho))
     q^(rho/(1+rho)) - rho R, whose rho-slope is D(v_rho || q) - R.
     """
     s = [b - a for a, b in zip(log_p, log_q)]
     p_row = [math.exp(a) for a in log_p]
-    if -sum(pv * sv for pv, sv in zip(p_row, s)) <= r:
+    mean = sum(pv * sv for pv, sv in zip(p_row, s))
+    if -mean <= r:
         return 0.0, 0.0, p_row
     top = max(log_q)
     if -(top + math.log(sum(math.exp(b - top) for b in log_q))) >= r:
@@ -463,7 +484,11 @@ def _tilted_row(log_p: list, log_q: list, r: float):
         var = sum(vy * (sv - mean) ** 2 for vy, sv in zip(v, s))
         return -(1.0 - t) * mean - log_z - r, -(1.0 - t) * var
 
-    t = decreasing_root(excess, 0.0, 1.0)[1]  # the side with D(v || q) <= R
+    var = sum(pv * (sv - mean) ** 2 for pv, sv in zip(p_row, s))
+    if -mean - r <= NEWTON_NEAR * var:  # the Newton step from t = 0 is the root
+        t = (-mean - r) / var
+    else:
+        t = decreasing_root(excess, 0.0, 1.0)[1]  # the side with D(v || q) <= R
     if t == 1.0:  # -ln q(T_x) is R to roundoff: rho and the gradient blow up
         return None
     v, mean, log_z = tilt(t)
@@ -497,9 +522,10 @@ def _haroutunian_oracle(p: Dmc, r: float):
     simplex for ``minimize_convex_on_simplex``.  Each e_x is convex in q (a
     partial minimum of a jointly convex program), with gradient
     -rho_x v_x(y) / q(y) on T_x by the envelope theorem.  Where
-    q(T_x) <= e^-R for some x the oracle returns that constraint's cut,
-    -1 on T_x."""
+    q(T_x) <= e^-R for some x the oracle returns the cut of that linear
+    constraint c = e^-R - q(T_x), gradient -1 on T_x."""
     rows = _row_logs(p)
+    edge = math.exp(-r)
 
     def oracle(q):
         x, res = _worst_row(rows, np.log(q), repeat(r))
@@ -507,7 +533,7 @@ def _haroutunian_oracle(p: Dmc, r: float):
         grad = np.zeros(len(q))
         if res is None:
             grad[t] = -1.0
-            return math.inf, grad
+            return math.inf, grad, edge - float(q[t].sum())
         value, rho, v = res
         grad[t] = -rho * np.asarray(v) / q[t]
         return value, grad
@@ -572,7 +598,7 @@ def _tilde_oracle(p: Dmc, r: float):
     D(v_x || o) = R_x at a positive rho_x, and nu (D(P_x || o') + 1 - P_x / o')
     on the o'-block.  Where ``_tilted_row`` finds no feasible tilt it returns
     the cut of the convex constraint (1-lam)(-ln o(T_x)) + lam D(P_x || o')
-    <= R: -ln o(T_x) + 1 - 1_{T_x} / o(T_x) on the o-block, the same
+    - R <= 0: -ln o(T_x) + 1 - 1_{T_x} / o(T_x) on the o-block, the same
     o'-block with nu = 1."""
     ny = p.output_size
     rows = _row_logs(p)
@@ -599,7 +625,8 @@ def _tilde_oracle(p: Dmc, r: float):
         t, row, div = rows[x][0], p_rows[x], divs[x]
         if res is None:
             mass = float(o[t].sum())
-            return math.inf, gradient(t, row, div, o2, 1.0 - math.log(mass), 1.0 / mass)
+            return (math.inf, gradient(t, row, div, o2, 1.0 - math.log(mass), 1.0 / mass),
+                    -s * math.log(mass) + lam * div - r)
         value, rho, v = res
         return value, (rho / s) * gradient(t, row, div, o2, budgets[x] + 1.0,
                                            np.asarray(v) / o[t])
@@ -846,10 +873,11 @@ def _focusing_oracle(p: Dmc, r: float):
     envelope theorem, with (e, rho, v) the worst row's solve on T,
         dF/du = e + rho (1 - v / o) - rho R / mu   (v = 0 off T),
     and the gradient in z is (dF/du, -dF/du . u) / z_last.  Two cuts bound
-    the domain: z_last >= sum(z_o) (lambda < 0) by (-1, ..., -1, 1); a row
-    with o(T_x) <= e^-(lambda R) by the perspective of its constraint
-    c(u) = mu (-ln o(T_x)) - (mu - 1) R <= 0, that is (dc/du, c - dc/du . u)
-    with dc/du = 1 - ln o(T_x) - R - 1_{T_x} / o(T_x)."""
+    the domain: z_last >= sum(z_o) (lambda < 0) by z_last - sum(z_o) with
+    gradient (-1, ..., -1, 1); a row with o(T_x) <= e^-(lambda R) by the
+    perspective z_last c(u) of its constraint c(u) = mu (-ln o(T_x)) -
+    (mu - 1) R <= 0, gradient (dc/du, c - dc/du . u) with dc/du = 1 -
+    ln o(T_x) - R - 1_{T_x} / o(T_x)."""
     ny = p.output_size
     rows = _row_logs(p)
     below_zero = np.append(-np.ones(ny), 1.0)
@@ -857,7 +885,7 @@ def _focusing_oracle(p: Dmc, r: float):
     def oracle(z):
         mass, z_last = float(z[:ny].sum()), float(z[ny])
         if z_last >= mass:
-            return math.inf, below_zero
+            return math.inf, below_zero, z_last - mass
         mu = mass / z_last
         o, u = z[:ny] / mass, z[:ny] / z_last
         x, res = _worst_row(rows, np.log(o), repeat(r * (1.0 - 1.0 / mu)))
@@ -867,7 +895,8 @@ def _focusing_oracle(p: Dmc, r: float):
             log_mass = math.log(mass_t)
             grad = np.full(ny, 1.0 - log_mass - r)
             grad[t] -= 1.0 / mass_t
-            return math.inf, np.append(grad, -mu * log_mass - (mu - 1.0) * r - grad @ u)
+            c = -mu * log_mass - (mu - 1.0) * r
+            return math.inf, np.append(grad, c - grad @ u), z_last * c
         e, rho, v = res
         grad = np.full(ny, e + rho - rho * r / mu)
         grad[t] -= rho * np.asarray(v) / o[t]

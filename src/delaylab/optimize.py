@@ -14,12 +14,17 @@
    Newton root of a scalar slope, which the certificate usually accepts
    with no step on the simplex,
 5. minimization of a convex function over the probability simplex from a
-   (value, subgradient) oracle (``minimize_convex_on_simplex``): central-cut
-   ellipsoid steps, bisection in one dimension, stopped by a certified gap
-   (the capacity, both Haroutunian exponents and the divergence
-   threshold); it also takes the ratio of a convex function to a positive
-   linear one, which is quasiconvex (the tilde Haroutunian exponent and
-   the general focusing bound),
+   (value, subgradient) oracle, whose cuts of an infeasible point carry the
+   violated constraint's value (``minimize_convex_on_simplex``), stopped by
+   a certified gap (the capacity, both Haroutunian exponents and the
+   divergence threshold): on two letters a segment search that steps to
+   the crossing of the newest tangents on either side of the minimizer,
+   certified by their value there, galloping toward the segment's end
+   while one side is known, and moves past infeasible points to the root
+   of their constraint's tangent (``_segment_search``); on more,
+   central-cut ellipsoid steps, which also take the ratio of a convex
+   function to a positive linear one, which is quasiconvex (the tilde
+   Haroutunian exponent and the general focusing bound),
 6. multi-start penalized minimization over small channel matrices, which no
    bound calls (the benchmark's tracer binds it by name).
 
@@ -494,15 +499,17 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
 
     ``oracle(q)`` is called at points q with positive coordinates summing to
     one.  It returns (f(q), g) with g a subgradient of f at q, or, when q
-    violates a convex constraint c <= 0 of f's domain, (inf, h) with h the
-    gradient of c at q; g and h have ``dim`` entries.  The search runs on the
-    first ``dim`` - 1 coordinates: central-cut ellipsoid steps from the ball
-    of radius 1 about the barycentre, which holds the simplex, and bisection
-    of [0, 1] in one dimension.  A center with a coordinate <= 0 is cut by
+    violates a convex constraint c <= 0 of f's domain, the cut (inf, h, c)
+    with c = c(q) > 0 and h the gradient of c at q; g and h have ``dim``
+    entries.  Two letters run ``_segment_search``, which reads c; more run
+    on the first ``dim`` - 1 coordinates central-cut ellipsoid steps from
+    the ball of radius 1 about the barycentre, which holds the simplex, and
+    ignore c.  A center with a coordinate <= 0 is cut by
     that coordinate.  Every cut keeps the minimizer inside the ellipsoid
     E_k = {c_k + B_k u : |u| <= 1}, so each feasible center certifies
         min f >= f(c_k) - |B_k^T g_k|,
-    and ``gap`` is the best value less the largest of these bounds.  The
+    and ``gap`` is the best value less the largest of these bounds, or 0
+    where rounded centers put that bound above the best value.  The
     ellipsoid is kept as the factor B_k, updated by a rank-one correction in
     its own whitened coordinates, so it stays positive definite when the
     domain is a thin slab (a width of 1e-10 next to 1 makes P_k = B_k B_k^T
@@ -518,7 +525,8 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
     ``ConvergenceError`` with the gap otherwise (inf when no center was
     feasible).
 
-    With ``divisor``, a nonnegative vector e, f need not be convex: it is
+    With ``divisor``, a nonnegative vector e (three or more letters; a
+    segment rejects it), f need not be convex: it is
     f = h / s with h convex and s(q) = e . q positive on the domain, and g
     is f's gradient.  Such an f is quasiconvex, so the cut through a center
     still keeps its sublevel set, and the minimizer, in the ellipsoid.  The
@@ -531,10 +539,14 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
     m = dim - 1
     if m < 1:
         raise ValueError("need a simplex of dimension at least 2")
+    if m == 1:
+        if divisor is not None:
+            raise ValueError("a divisor needs a simplex of dimension at least 3")
+        return _segment_search(oracle)
     center = np.full(m, 1.0 / dim)
-    factor = np.full((1, 1), 0.5) if m == 1 else np.eye(m)
+    factor = np.eye(m)
     # P <- m^2/(m^2-1) (P - 2/(m+1) P g g^T P / g^T P g), as B <- s B (I - c u u^T)
-    scale = 1.0 if m == 1 else m / math.sqrt(m * m - 1.0)
+    scale = m / math.sqrt(m * m - 1.0)
     shrink = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
     best, best_q, lower, floor = math.inf, None, -math.inf, 0.0
     if divisor is not None:
@@ -546,7 +558,7 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
         if q[y] <= 0.0:
             value, g = math.inf, -np.eye(dim)[y]
         else:
-            value, g = oracle(q)
+            value, g, *_ = oracle(q)  # a central cut: c is not read
         g = np.asarray(g, dtype=float)
         g = g[:-1] - g[-1]
         w = factor.T @ g
@@ -561,24 +573,126 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
                 slack = norm / (1.0 - spread) if spread < 1.0 else math.inf
             lower = max(lower, value - slack)
             if best - lower <= CONVEX_TOL:
-                return ConvexSolution(q=best_q, value=best, gap=best - lower,
-                                      iterations=it)
+                return _solution(best_q, best, lower, it)
         if not norm > 0.0:
             raise ConvergenceError("cut with no direction (a zero cut, or the "
                                    "ellipsoid has collapsed onto a point)",
                                    best - lower if best < math.inf else math.inf)
         u = w / norm
         step = factor @ u
-        if m == 1:  # bisection: keep the half the cut points to
-            center = center - 0.5 * step
-            factor = 0.5 * factor
-        else:
-            center = center - step / (m + 1)
-            factor = scale * (factor - shrink * np.outer(step, u))
+        center = center - step / (m + 1)
+        factor = scale * (factor - shrink * np.outer(step, u))
+    return _capped(best, best_q, lower, floor, it)
+
+
+def _solution(best_q, best: float, lower: float, it: int) -> ConvexSolution:
+    """The best point with its gap to the lower bound, reported as 0 where
+    rounding puts the bound above the best value."""
+    return ConvexSolution(q=best_q, value=best, gap=max(best - lower, 0.0), iterations=it)
+
+
+def _capped(best: float, best_q, lower: float, floor: float, it: int) -> ConvexSolution:
+    """The result of a convex search that can go no further (its iteration
+    cap, or no float left inside a segment's bracket): the best point when
+    its gap is within the roundoff ``floor``, otherwise ``ConvergenceError``
+    with the gap (inf when no point was feasible)."""
     if best - lower <= floor:
-        return ConvexSolution(q=best_q, value=best, gap=best - lower, iterations=it)
+        return _solution(best_q, best, lower, it)
     raise ConvergenceError("convex simplex search iteration cap exceeded",
                            best - lower if best < math.inf else math.inf)
+
+
+def _segment_search(oracle) -> ConvexSolution:
+    """``minimize_convex_on_simplex`` on two letters, q = (x, 1 - x): a
+    bracket [lo, hi] of x that holds the minimizer, narrowed by tangents.
+
+    A feasible point with f'(x) < 0 (> 0) is the newest on the left (right)
+    of the minimizer and becomes lo (hi); f'(x) = 0 is the minimum.  Every
+    tangent lies below the convex f, and the newest on each side is the
+    highest of its side on the bracket, so min f is at least the value of
+    the two tangents at their crossing (both are evaluated there and the
+    smaller is taken, the one rounding lifts less), or, with one side
+    known, that side's tangent at the bracket's far end.  The gap is the
+    best value less the largest such bound (``_solution``).  The next
+    point is the crossing (Kelley 1960, in one dimension); the midpoint
+    replaces it when it is not strictly inside the bracket or when the
+    bracket has not halved in two steps.  With one side known the next
+    point lies (hi - lo)^2 from the bracket's other end, the midpoint or
+    closer (the bracket is then at most 1/2 wide), so that a minimizer
+    near an end of the segment, where nearly noiseless rows put it, is
+    passed in doubly exponential steps rather than halvings.
+
+    An infeasible point's cut (inf, h, c) is a deep cut: c is convex, so it
+    is positive at every point before its tangent's root x - c / c'(x),
+    c'(x) = h_0 - h_1, and that root becomes the bracket's end.  The next
+    point is one ulp inside it, the push doubling for every further
+    infeasible point in a row, as ``root_steps``' pushes do: a cut whose
+    c is roundoff (c <= 0) moves the end only to the point itself.  Where
+    the cut's root passes the other end, the domain meets the bracket only
+    there: at the feasible point that end holds, or nowhere, which raises
+    ``ConvergenceError`` with an infinite gap.  The stop, the cap of
+    ``CONVEX_ITER_FACTOR`` 3 oracle calls and the roundoff floor are those
+    of the ellipsoid (``_capped``); the floor also applies as soon as no
+    float is left inside the bracket, as no later point can lower the gap
+    (on an edge where E+ = 420 and f' = 1018, the point an ulp inside
+    leaves a gap of 1.1e-13)."""
+    lo, hi = 0.0, 1.0
+    left = right = None  # (x, f(x), f'(x)) of the newest feasible point on each side
+    best, best_q, lower, floor = math.inf, None, -math.inf, 0.0
+    widths = [1.0, 1.0]  # the bracket's widths after each step
+    x, push = 0.5, 0.0
+    for it in range(1, 3 * CONVEX_ITER_FACTOR + 1):
+        q = np.array([x, 1.0 - x])
+        value, g, *cut = oracle(q)
+        slope = float(g[0] - g[1])
+        kelley = math.nan
+        if value < math.inf:
+            push = 0.0
+            if value < best:
+                best, best_q = value, q
+                floor = 4.0 * EPS * (abs(value) + abs(slope) * float(np.linalg.norm(q)))
+            if slope < 0.0:
+                left, lo = (x, value, slope), x
+            elif slope > 0.0:
+                right, hi = (x, value, slope), x
+            if slope == 0.0:
+                bound = value
+            elif left is not None and right is not None:
+                (xl, fl, sl), (xr, fr, sr) = left, right
+                kelley = min(max(xl + (fl - fr + sr * (xr - xl)) / (sr - sl), xl), xr)
+                bound = min(fl + sl * (kelley - xl), fr + sr * (kelley - xr))
+            elif left is not None:
+                bound = left[1] + left[2] * (hi - left[0])
+            else:
+                bound = right[1] + right[2] * (lo - right[0])
+            lower = max(lower, bound)
+            if best - lower <= CONVEX_TOL:
+                return _solution(best_q, best, lower, it)
+            if left is None or right is None:
+                step = lo + (hi - lo) ** 2 if left is None else hi - (hi - lo) ** 2
+            else:
+                step = kelley if hi - lo <= 0.5 * widths[-2] else math.nan
+        else:
+            if not slope:
+                raise ConvergenceError("cut with no direction (a zero cut)",
+                                       best - lower if best < math.inf else math.inf)
+            root = x - cut[0] / slope
+            if slope < 0.0:  # c falls to the right: everything before the root is out
+                lo = end = min(max(x, root), hi)
+            else:
+                hi = end = max(min(x, root), lo)
+            push = 2.0 * push if push else math.ulp(max(end, 1.0 - end))
+            step = end - math.copysign(push, slope)
+            if lo == hi:
+                other = right if slope < 0.0 else left
+                if other is None or other[0] != end:
+                    raise ConvergenceError("no feasible point on the segment", math.inf)
+                return _solution(best_q, best, max(lower, other[1]), it)
+        widths.append(hi - lo)
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:  # no float is left inside the bracket
+            break
+    return _capped(best, best_q, lower, floor, it)
 
 
 def _lexicographic_key(g: Dmc) -> tuple:

@@ -36,6 +36,10 @@ the slope of F along the segment of inputs.
 
 Csiszar and Koerner's form of the Gallager function, a minimum over output
 laws, by scipy's L-BFGS-B with a Frank-Wolfe lower bound.
+
+The plain bisection of the segment q = (x, 1 - x) that
+``minimize_convex_on_simplex`` ran on two letters before its tangent and
+deep-cut steps.
 """
 
 import math
@@ -44,7 +48,8 @@ import numpy as np
 
 from delaylab import exponents as ex
 from delaylab.dmc import ConvergenceError, _block_is_symmetric
-from delaylab.optimize import decreasing_root, maximize_concave_1d
+from delaylab.optimize import (CONVEX_ITER_FACTOR, CONVEX_TOL, EPS, ConvexSolution,
+                               decreasing_root, maximize_concave_1d)
 
 TINY = float(np.finfo(float).tiny)  # smallest normal double
 
@@ -561,3 +566,34 @@ def e0_csiszar_koerner(rows, rho, q):
         law /= law.sum()
     law, value, grad = at(np.log(law))
     return value, value + float(grad.min() - grad @ law)
+
+
+def bisect_segment(oracle):
+    """min f on q = (x, 1 - x) by bisection of [0, 1], as a ConvexSolution:
+    the half the (sub)gradient or cut points away from is dropped, and each
+    feasible midpoint c of a half-width h certifies min f >= f(c) - h |f'(c)|.
+    Stops at a gap of ``CONVEX_TOL``, or after ``CONVEX_ITER_FACTOR`` 3
+    steps returns within the roundoff floor 4 eps (|f| + |f'| |q|) and
+    raises ``ConvergenceError`` otherwise.  The gap is reported as at least
+    0."""
+    x, half = 0.5, 0.5
+    best, best_q, lower, floor = math.inf, None, -math.inf, 0.0
+    for it in range(1, 3 * CONVEX_ITER_FACTOR + 1):
+        q = np.array([x, 1.0 - x])
+        value, g, *_ = oracle(q)
+        slope = float(g[0] - g[1])
+        if value < math.inf:
+            if value < best:
+                best, best_q = value, q
+                floor = 4.0 * EPS * (abs(value) + abs(slope) * float(np.linalg.norm(q)))
+            lower = max(lower, value - half * abs(slope))
+            if best - lower <= CONVEX_TOL:
+                return ConvexSolution(best_q, best, max(best - lower, 0.0), it)
+        if not slope:
+            raise ConvergenceError("cut with no direction", math.inf)
+        x -= math.copysign(0.5 * half, slope)
+        half *= 0.5
+    if best - lower <= floor:
+        return ConvexSolution(best_q, best, max(best - lower, 0.0), it)
+    raise ConvergenceError("convex simplex search iteration cap exceeded",
+                           best - lower if best < math.inf else math.inf)
