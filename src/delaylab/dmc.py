@@ -22,6 +22,7 @@ LN2 = math.log(2.0)
 
 ROW_SUM_TOL = 1e-12
 CAPACITY_TOL = 1e-12  # certified distance of capacity's value below C
+CAPACITY_MAX_ITER = 500  # capacity's Newton or Blahut-Arimoto steps
 
 
 class ConvergenceError(RuntimeError):
@@ -100,8 +101,9 @@ class Dmc:
 
     @cached_property
     def capacity_solution(self) -> tuple[float, np.ndarray]:
-        """``capacity(self)``: C, certified within ``CAPACITY_TOL`` below it, and an
-        achieving input (the uniform one on output-symmetric channels)."""
+        """``capacity(self)``: C, certified within ``CAPACITY_TOL`` below it by
+        the Newton loop's last iterate, and that iterate, an achieving input
+        (the uniform one on output-symmetric channels)."""
         value, q = capacity(self)
         q.flags.writeable = False
         return value, q
@@ -204,75 +206,93 @@ def uniform_input(size: int) -> np.ndarray:
     return np.full(size, 1.0 / size)
 
 
-def mutual_information(p: Dmc, q) -> float:
-    """I(q, P) in nats, with 0 log 0 terms treated as zero."""
-    q = validate_distribution(q, p.input_size)
-    rows = p.rows
+def _certificate(p: Dmc, q: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(I(q), gap, D(P_x || qP) for every x, qP) with I(q) = sum_x q_x D(P_x || qP)
+    and gap = max_x D(P_x || qP) - I(q), +inf when qP misses an output some
+    input reaches.  Such an output counts as ln 1 in ln qP, so every D stays
+    finite and I(q) exact."""
+    rows, mask = p.rows, p.support
     out = q @ rows
-    active = (q[:, None] * rows) > 0
-    ratio = np.ones_like(rows)
-    np.divide(rows, out[None, :], out=ratio, where=active)
-    return float(np.sum((q[:, None] * rows)[active] * np.log(ratio[active])))
+    logout = np.log(np.where(out > 0, out, 1.0))
+    d = np.sum(np.where(mask, rows * (np.log(np.where(mask, rows, 1.0)) - logout), 0.0), axis=1)
+    lower = float(q @ d)
+    unreached = not out.all() and (out[mask.any(axis=0)] == 0).any()
+    return lower, math.inf if unreached else float(d.max()) - lower, d, out
 
 
+def mutual_information(p: Dmc, q) -> float:
+    """I(q, P) = sum_x q_x D(P_x || qP) in nats, with 0 log 0 terms treated as
+    zero: the lower end of ``capacity``'s certificate, by the same float
+    expression."""
+    return _certificate(p, validate_distribution(q, p.input_size))[0]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def capacity(p: Dmc) -> tuple[float, np.ndarray]:
     """C(P) = max_q I(q, P), certified within ``CAPACITY_TOL`` below C, and
     an achieving input.
 
-    Every output law o bounds C <= max_x D(P_x || o), with equality at the
-    minimizer o* (Csiszar and Koerner).  The uniform input q is returned when
-    that bound at o = qP is within the tolerance of I(q), as on
-    output-symmetric channels.  Otherwise ``minimize_convex_on_simplex``
-    finds o* on the outputs some input reaches, q* solves q P = o* with
-    q >= 0 on the rows within the tolerance of the maximum, by least
-    squares in the chi-squared metric sum_y (qP - o*)_y^2 / o*_y, and
-    ``ConvergenceError`` is raised unless the program's value less I(q*) is
-    within the tolerance.
+    Every input q certifies I(q) <= C <= max_x D(P_x || qP) (Gallager 1968,
+    Thm 4.5.1).  One loop over input laws starts at the uniform input, which
+    output-symmetric channels accept at once, and stops at the first iterate
+    whose gap, the upper end less I(q) (``_certificate``), is at most the
+    tolerance.  Each step is a Newton step d on the concave I over the free
+    inputs, those with mass or with D(P_x || qP) > I(q), bordered by
+    sum(d) = 0.  Its Hessian is -P diag(1/qP) P^T on the free rows; the
+    system is solved by least squares in Jacobi-scaled variables with
+    ``optimize._e0_newton_direction``'s relative ridge, 1e-12 there.  I is
+    linear along the Hessian's null space, and the ridge sends such steps to
+    the simplex's edge; the scaling keeps an input that alone reaches some
+    output, whose diagonal entry is about P_xy / q_x, from swamping the
+    other rows.  A massless input the step would push negative leaves the
+    free set and the system is solved again.  An input with mass that alone
+    reaches some output cannot reach the edge, where the gap is +inf; as q_x
+    falls its D(P_x || qP) grows like -P_xy ln q_x, so it shrinks on that
+    log scale, to q_x exp(t d_x / q_x).  A ratio test stops the other inputs
+    at the edge, which the blocking input reaches exactly, and a mass below
+    the smallest normal double becomes 0.  The step is halved until the gap
+    falls.  When it does not, or when the scaled system is not finite, one
+    Blahut-Arimoto step q_x <- q_x exp(D(P_x || qP)), normalized, is taken
+    instead (Blahut and Arimoto 1972).  Raises ``ConvergenceError`` with the
+    gap after ``CAPACITY_MAX_ITER`` steps.
     """
-    from .optimize import minimize_convex_on_simplex  # optimize imports dmc
-    rows, mask, reached = p.rows, p.support, p.support.any(axis=0)
-    logrows = np.log(np.where(mask, rows, 1.0))
-
-    def divergences(out):  # D(P_x || out) for every x
-        logout = np.log(np.where(out > 0, out, 1.0))
-        return np.sum(np.where(mask, rows * (logrows - logout), 0.0), axis=1)
-
-    q = uniform_input(p.input_size)
-    d = divergences(q @ rows)
-    lower = float(q @ d)
-    if float(d.max()) - lower <= CAPACITY_TOL:
-        return lower, q
-    rows, mask, logrows = rows[:, reached], mask[:, reached], logrows[:, reached]
-
-    def oracle(o):
-        d = divergences(o)
-        return float(d.max()), -rows[np.argmax(d)] / o
-
-    sol = minimize_convex_on_simplex(oracle, int(reached.sum()))
-    d = divergences(sol.q)
-    ranked = np.argsort(-d, kind="stable")
-    # I(q) = sum_x q_x D(P_x || o*) - D(qP || o*), so on rows at the maximum
-    # C - I(q) is about sum_y (qP - o*)_y^2 / (2 o*_y): output y's equation
-    # is divided by sqrt(o*_y), the chi-squared metric of that gap
-    root = np.sqrt(sol.q)
-    best = -math.inf
-    # the rows within the tolerance of the maximum first; a row with little
-    # mass at q* can sit just outside it at the certified o*, so the rows
-    # join by rank of divergence until I(q*) meets the certificate
-    for size in range(int(np.count_nonzero(d >= d.max() - CAPACITY_TOL)), len(d) + 1):
-        active = np.sort(ranked[:size])
-        # a row leaves while the least-squares solution gives it negative mass
-        while (w := np.linalg.lstsq(np.vstack([rows[active].T / root[:, None],
-                                               np.ones(len(active))]),
-                                    np.append(root, 1.0), rcond=None)[0]).min() < 0.0:
-            active = np.delete(active, np.argmin(w))
-        q = np.zeros(p.input_size)
-        q[active] = w / w.sum()
-        value = mutual_information(p, q)
-        if sol.value - value <= CAPACITY_TOL:
-            return value, q
-        best = max(best, value)
-    raise ConvergenceError("capacity certificate not met", sol.value - best)
+    lower, gap, d, out = _certificate(p, q := uniform_input(p.input_size))
+    for steps in range(CAPACITY_MAX_ITER + 1):
+        if gap <= CAPACITY_TOL:
+            return lower, q
+        if steps == CAPACITY_MAX_ITER:
+            raise ConvergenceError("capacity iteration cap exceeded", gap)
+        free, pos, trial = (q > 0) | (d > lower), out > 0, None
+        while (k := int(free.sum())) >= 2:
+            idx = np.flatnonzero(free)
+            hess = (p.rows[idx][:, pos] / out[pos]) @ p.rows[idx][:, pos].T
+            scale = 1.0 / np.sqrt(np.diag(hess))
+            kkt = np.vstack([np.column_stack([hess * np.outer(scale, scale) + 1e-12 * np.eye(k),
+                                              scale]), np.append(scale, 0.0)])
+            if not np.isfinite(kkt).all():  # a qP_y or a free row's P_xy^2 / qP_y out of range
+                break
+            step = scale * np.linalg.lstsq(kkt, np.append(scale * d[idx], 0.0), rcond=None)[0][:k]
+            if (blocked := (q[idx] == 0) & (step <= 0)).any():
+                free[idx[blocked]] = False
+                continue
+            alone = (step < 0) & (p.support[idx] & (p.support[q > 0].sum(axis=0) == 1)).any(axis=1)
+            edge = (step < 0) & ~alone
+            t = float((ratios := -q[idx][edge] / step[edge]).min(initial=1.0))
+            for _ in range(30):
+                qn = q.copy()
+                qn[idx] += t * step
+                qn[idx[alone]] = q[idx[alone]] * np.exp(t * step[alone] / q[idx[alone]])
+                qn[idx[edge][ratios <= t]] = 0.0  # the blocking inputs leave exactly
+                qn[qn < np.finfo(float).tiny] = 0.0  # no subnormal mass
+                qn /= qn.sum()
+                if (trial := (qn, *_certificate(p, qn)))[2] < gap:
+                    break
+                trial, t = None, 0.5 * t
+            break
+        if trial is None:
+            qn = q * np.exp(d - d.max())
+            trial = (qn := qn / qn.sum(), *_certificate(p, qn))
+        q, lower, gap, d, out = trial
 
 
 def divergence_conditional(g: Dmc, p: Dmc, r) -> float:
@@ -311,11 +331,8 @@ def c1(p: Dmc) -> float:
 
 def _block_is_symmetric(sub: np.ndarray) -> bool:
     # rows permutations of each other and columns permutations of each other
-    rows_sorted = np.sort(sub, axis=1)
-    if not np.allclose(rows_sorted, rows_sorted[0], atol=1e-12, rtol=0):
-        return False
-    cols_sorted = np.sort(sub, axis=0)
-    return bool(np.allclose(cols_sorted.T, cols_sorted.T[0], atol=1e-12, rtol=0))
+    return all(np.allclose(s, s[0], atol=1e-12, rtol=0)
+               for s in (np.sort(sub, axis=1), np.sort(sub, axis=0).T))
 
 
 def output_symmetry_partition(p: Dmc) -> list[tuple[int, ...]] | None:
@@ -331,16 +348,11 @@ def output_symmetry_partition(p: Dmc) -> list[tuple[int, ...]] | None:
     """
     cols = np.sort(p.rows, axis=0).T
     close = (np.abs(cols[:, None] - cols[None]) <= 1e-12).all(axis=2).tolist()
-    classes: list[list[int]] = []
+    classes: dict[int, list[int]] = {}  # first output -> its class
     for y in range(p.output_size):
-        for block in classes:
-            if close[y][block[0]]:
-                block.append(y)
-                break
-        else:
-            classes.append([y])
-    if all(_block_is_symmetric(p.rows[:, block]) for block in classes):
-        return [tuple(block) for block in classes]
+        classes.setdefault(next((b for b in classes if close[y][b]), y), []).append(y)
+    if all(_block_is_symmetric(p.rows[:, block]) for block in classes.values()):
+        return [tuple(block) for block in classes.values()]
     return None
 
 

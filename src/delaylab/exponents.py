@@ -387,7 +387,7 @@ def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
         # E0 at the uniform input climbs to -ln sum_y prod_x P(y|x)^(1/|X|)
         # over the outputs every input reaches
         reached = p.rows[:, p.support.all(axis=0)]
-        return -math.log(float(np.prod(reached ** (1.0 / p.input_size), axis=0).sum()))
+        return 0.0 - math.log(float(np.prod(reached ** (1.0 / p.input_size), axis=0).sum()))
     if (yield 1.0)[1] <= r:
         # at or above the critical rate E0 - rho R falls from rho = 1 on, so
         # the search is random coding's, and so is the value
@@ -431,9 +431,9 @@ def _random_coding_steps(r: float, list_size: int, climb):
 
 
 def channel_capacity_fast(g: Dmc) -> float:
-    """The capacity of ``g``, ``g.capacity_solution[0]``: the certified
-    min-max program over output laws.  No bound calls it; the name stays
-    only because the benchmark's tracer binds it."""
+    """The capacity of ``g``, ``g.capacity_solution[0]``: ``dmc.capacity``'s
+    certified Newton loop.  No bound calls it; the name stays only because
+    the benchmark's tracer binds it."""
     return g.capacity_solution[0]
 
 
@@ -831,13 +831,16 @@ def _haroutunian_general(p: Dmc, r: float, variant: str = "standard") -> float:
 def burnashev_bound(p: Dmc, r_bar: float, fortify_k: int | None = None) -> float:
     """Variable-length feedback exponent C1 (1 - Rbar / C); +inf when C1 is,
     as under fortification (C is then C + ln2/k), whose noiseless bit
-    separates every pair of super-channel inputs."""
+    separates every pair of super-channel inputs, and 0 when C1 is, on
+    equal rows, whose C is 0 too."""
     _finite_rate(r_bar)
     cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
     if not 0 <= r_bar <= cap_p + 1e-12:
         raise ValueError("average rate must lie in [0, C]")
     if fortify_k is not None or (coeff := _c1(p)) == math.inf:
         return math.inf
+    if coeff == 0.0:
+        return 0.0
     return max(0.0, coeff * (1.0 - r_bar / cap_p))
 
 
@@ -997,10 +1000,19 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     return pts
 
 
+def _positive_capacity(p: Dmc, fortify_k: int | None) -> float:
+    """The (fortified) capacity, or ``ValueError`` where it is 0."""
+    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
+    if cap_p == 0.0:
+        raise ValueError(f"the capacity of {p!r} is 0: no rate lies below it")
+    return cap_p
+
+
 def capacity_slope_focusing(p: Dmc, fortify_k: int | None = None) -> float:
     """Slope of the parametric focusing curve at the capacity point: 2C / E0''(0),
-    -inf where E0''(0) is 0, as E_a is then +inf below C."""
-    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
+    -inf where E0''(0) is 0, as E_a is then +inf below C.  ``ValueError``
+    where C is 0: the curve has no point below C."""
+    cap_p = _positive_capacity(p, fortify_k)
     second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     if abs(second) < 1e-12:
         return -math.inf
@@ -1069,8 +1081,9 @@ def _timesharing_point(e_rho: float, e_one: float, rho: float) -> tuple[float, f
 
 
 def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
-    """Slope of the two-stream curve at (C, 0): -E0(1) / (C - E0(1) E0''(0) / 2C)."""
-    cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
+    """Slope of the two-stream curve at (C, 0): -E0(1) / (C - E0(1) E0''(0) / 2C).
+    ``ValueError`` where C is 0: the curve has no point below C."""
+    cap_p = _positive_capacity(p, fortify_k)
     e_one = _e0_point(p, 1.0, fortify_k)[0]
     second = e0_second_derivative_at_zero(p, fortify_k=fortify_k)
     return -e_one / (cap_p - e_one * second / (2.0 * cap_p))

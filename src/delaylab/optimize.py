@@ -16,10 +16,10 @@
 5. minimization of a convex function over the probability simplex from a
    (value, subgradient) oracle, whose cuts of an infeasible point carry the
    violated constraint's value (``minimize_convex_on_simplex``), stopped by
-   a certified gap (the capacity, both Haroutunian exponents and the
-   divergence threshold): on two letters a segment search that steps to
-   the crossing of the newest tangents on either side of the minimizer,
-   certified by their value there, galloping toward the segment's end
+   a certified gap (both Haroutunian exponents, the general focusing bound
+   and the divergence threshold): on two letters a segment search that
+   steps to the crossing of the newest tangents on either side of the
+   minimizer, certified by their value there, galloping toward the segment's end
    while one side is known, and moves past infeasible points to the root
    of their constraint's tangent (``_segment_search``); on more,
    central-cut ellipsoid steps, which also take the ratio of a convex

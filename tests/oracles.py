@@ -13,12 +13,16 @@ The general focusing bound's golden-section search over lambda, each probe a
 Haroutunian program, which the program replaced with one joint program over
 lambda and the output law.
 
-Blahut-Arimoto's alternating maximization for the channel capacity, which
-the program replaced with the certified min-max program over output laws.
+Blahut-Arimoto's alternating maximization for the channel capacity, run to
+its own certificate: the capacity's Newton loop takes one such step only
+where a Newton step fails, so this is an independent reference for it.
 The capacity of a two-input channel as the maximum of the concave
 I((s, 1-s), P), by Newton steps on the root of I'(s), which the program
-ran beside that program until the program became its one capacity routine:
-an independent reference for it, and a cheap capacity for channel searches.
+once ran beside its capacity routine: an independent reference for it, and
+a cheap capacity for channel searches.
+
+The quantized AWGN channel family, the lab's scale target, built from
+``math.erfc``.
 
 The exhaustive search over all Bell(|Y|) output partitions for Gallager's
 output symmetry, which the program replaced with the column classes.
@@ -47,7 +51,7 @@ import math
 import numpy as np
 
 from delaylab import exponents as ex
-from delaylab.dmc import ConvergenceError, _block_is_symmetric
+from delaylab.dmc import ConvergenceError, Dmc, _block_is_symmetric
 from delaylab.optimize import (CONVEX_ITER_FACTOR, CONVEX_TOL, EPS, ConvexSolution,
                                decreasing_root, maximize_concave_1d)
 
@@ -283,6 +287,20 @@ def max_info_binary(row0, row1, lo, hi):
 def capacity_two_inputs(g):
     """The capacity of the two-input channel ``g`` by ``max_info_binary``."""
     return max_info_binary(g.rows[0].tolist(), g.rows[1].tolist(), 0.0, 1.0)
+
+
+def awgn(nx, ny):
+    """The quantized AWGN channel: nx equally spaced inputs a on [-1, 1],
+    Gaussian noise of variance mean(a^2) / 10^0.3 (3 dB SNR), and ny outputs
+    cut by ny - 1 equally spaced thresholds on [-1 - 2 sigma, 1 + 2 sigma].
+    Row x holds the differences of the noise's survival function
+    erfc((t - a_x) / (sigma sqrt 2)) / 2 at consecutive thresholds t."""
+    a = np.linspace(-1.0, 1.0, nx)
+    sigma = math.sqrt(float(np.mean(a * a)) / 10.0 ** 0.3)
+    cuts = np.linspace(-1.0 - 2.0 * sigma, 1.0 + 2.0 * sigma, ny - 1)
+    survival = np.array([[1.0, *(0.5 * math.erfc((t - ax) / (sigma * math.sqrt(2.0)))
+                                 for t in cuts), 0.0] for ax in a])
+    return Dmc(survival[:, :-1] - survival[:, 1:], name=f"AWGN({nx},{ny})")
 
 
 def set_partitions(items):

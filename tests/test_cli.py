@@ -128,7 +128,7 @@ class TestChannelParsing:
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
         src = Path(__file__).resolve().parent.parent / "src"
-        # Z(0.5) is not output-symmetric, so its capacity runs the min-max program
+        # Z(0.5) is not output-symmetric, so its capacity takes Newton steps
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import delaylab.cli; "
                 "from delaylab.dmc import capacity, z_channel; capacity(z_channel(0.5)); "
                 "print(any(m.startswith('scipy') for m in sys.modules))")
@@ -295,6 +295,18 @@ class TestBounds:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [row["bound"] for row in rows] == ["focusing", "timesharing", "burnashev"]
         assert all(0.0 < float(row["value_nats"]) < math.inf for row in rows)
+
+    @pytest.mark.parametrize("rate", ["0", "1e-13"])
+    def test_zero_capacity_channel(self, tmp_path, capsys, rate):
+        # equal rows: C = C1 = 0; Burnashev divided by C, and the R = 0
+        # sphere-packing closed form printed -0.0
+        path = tmp_path / "useless.json"
+        path.write_text(json.dumps({"name": "useless", "matrix": [[0.3, 0.7], [0.3, 0.7]]}))
+        names = ["esp", "haroutunian", "tilde", "burnashev"] if rate == "0" else ["burnashev"]
+        assert run(["bounds", path, "--rate", rate, "--bounds", ",".join(names)]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["bound"] for row in rows] == names
+        assert all(row["value_nats"] == row["value_bits"] == "0.0" for row in rows)
 
     def test_haroutunian_at_a_divergence_rate_equal_to_capacity(self, tmp_path, capsys):
         # R_inf = C = ln 2 = 1 bit: E+ is 0 there, though the convex

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from delaylab import dmc, exponents as ex, optimize
 from delaylab.dmc import LN2
-from oracles import blahut_arimoto, capacity_two_inputs, exhaustive_symmetry_partition
+from oracles import awgn, blahut_arimoto, capacity_two_inputs, exhaustive_symmetry_partition
 
 
 def binary_entropy(p):
@@ -150,6 +150,101 @@ class TestMutualInformation:
             dmc.mutual_information(bsc002, [0.5, 0.25, 0.25])
 
 
+SPARSE_FOUND = [[1.0, 0.0, 0.0, 0.0],
+                [0.8656819830010691, 0.003351373859728697, 0.0, 0.13096664313920223],
+                [0.6793717039909878, 0.0, 0.16198084588356929, 0.1586474501254428]]
+
+
+def recomputed_gap(ch, c, q):
+    """max_x D(P_x || qP) - c, each divergence by ``divergence_rows``."""
+    out = q @ ch.rows
+    return max(dmc.divergence_rows(row, out) for row in ch.rows) - c
+
+
+def assert_steps(monkeypatch, ch, steps):
+    """``dmc.capacity(ch)``, asserting that it takes exactly ``steps`` steps:
+    it raises at a cap of one fewer and returns at that cap."""
+    if steps > 0:
+        monkeypatch.setattr(dmc, "CAPACITY_MAX_ITER", steps - 1)
+        with pytest.raises(dmc.ConvergenceError):
+            dmc.capacity(ch)
+    monkeypatch.setattr(dmc, "CAPACITY_MAX_ITER", steps)
+    return dmc.capacity(ch)
+
+
+def capacity_events(monkeypatch, ch):
+    """Run ``dmc.capacity(ch)`` and return what it did, in order: ("S", k)
+    for each bordered Newton solve on k free inputs, ("C", q, certificate)
+    for each point certified, and last ("R", value, q), what it returned."""
+    events = []
+    certificate, lstsq = dmc._certificate, np.linalg.lstsq
+
+    def certified(p, q):
+        result = certificate(p, q)
+        events.append(("C", q, result))
+        return result
+
+    def solved(a, b, rcond):
+        events.append(("S", len(b) - 1))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(dmc, "_certificate", certified)
+    monkeypatch.setattr(np.linalg, "lstsq", solved)
+    events.append(("R", *dmc.capacity(ch)))
+    return events
+
+
+def accepted_steps(events):
+    """The kind of each step ``capacity_events`` recorded: "blahut-arimoto"
+    where the certified point is the Blahut-Arimoto step from the iterate,
+    "newton" where a trial lowered the gap."""
+    (_, q, cert), *trials = [event for event in events if event[0] == "C"]
+    kinds = []
+    for _, trial, result in trials:
+        step = q * np.exp(cert[2] - cert[2].max())
+        if np.array_equal(trial, step / step.sum()):
+            kinds.append("blahut-arimoto")
+        elif result[1] < cert[1]:
+            kinds.append("newton")
+        else:
+            continue
+        q, cert = trial, result
+    return kinds
+
+
+def sparse_channels(rng, count):
+    """``count`` channels without output symmetry: 2-4 inputs, 2-5 outputs,
+    Dirichlet(0.5) rows with each entry zeroed with probability 0.25, then
+    0.05 added at one random output of each row, renormalized."""
+    channels = []
+    while len(channels) < count:
+        nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.full(ny, 0.5), size=nx)
+        rows[rng.random((nx, ny)) < 0.25] = 0.0
+        rows[np.arange(nx), rng.integers(0, ny, size=nx)] += 0.05
+        ch = dmc.Dmc(rows / rows.sum(axis=1, keepdims=True))
+        if not ch.symmetric:
+            channels.append(ch)
+    return channels
+
+
+def stress_channels(rng, count):
+    """``count`` channels of 2-6 letters in turn with a duplicate row, one
+    row within 1e-6 of a vertex, and all rows within 1e-3 of one another."""
+    channels = []
+    for i in range(count):
+        nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        rows = rng.dirichlet(np.full(ny, 0.7), size=nx)
+        if i % 3 == 0:
+            rows[-1] = rows[0]
+        elif i % 3 == 1:
+            rows[0] = 1e-6 * rows[0] + (1.0 - 1e-6) * np.eye(ny)[rng.integers(ny)]
+        else:
+            rows = (1.0 - 1e-3) * rows[0] + 1e-3 * rows
+        channels.append(dmc.Dmc(rows / rows.sum(axis=1, keepdims=True)))
+    return channels
+
+
 class TestCapacity:
     def test_bsc(self, bsc002):
         c, q = dmc.capacity(bsc002)
@@ -210,7 +305,7 @@ class TestCapacity:
         two = capacity_two_inputs(dmc.Dmc(UNUSED_INPUT[:2]))
         assert two == pytest.approx(0.1866961064598132, abs=1e-15)
         assert c == pytest.approx(two, abs=1e-13)
-        assert q[2] < 1e-9
+        assert q[2] == 0.0  # the ratio test's blocking input leaves exactly
 
     def test_small_mass_row_just_outside_the_tolerance(self):
         # q* puts 0.0045 on row 0, whose divergence at the certified o* sits
@@ -226,45 +321,127 @@ class TestCapacity:
         assert q == pytest.approx(q_ba, abs=1e-6)
         assert q[0] > 0.004
 
-    def test_sparse_rows_certified_in_the_chi_squared_metric(self):
-        # q* from o* by plain least squares missed the certificate here by
-        # 2.0e-11; weighting output y by 1/sqrt(o*_y) meets it
-        ch = dmc.Dmc([[1.0, 0.0, 0.0, 0.0],
-                      [0.8656819830010691, 0.003351373859728697, 0.0, 0.13096664313920223],
-                      [0.6793717039909878, 0.0, 0.16198084588356929, 0.1586474501254428]])
+    def test_sparse_rows_certified(self):
+        # recovering q* from the min-max program's o* by plain least squares
+        # once missed the certificate here by 2.0e-11
+        ch = dmc.Dmc(SPARSE_FOUND)
         c, q = dmc.capacity(ch)
         assert dmc.mutual_information(ch, q) == c
         assert c == pytest.approx(blahut_arimoto(ch, 1e-13)[0], abs=1e-12)
 
-    def test_negative_least_squares_mass_leaves_the_active_set(self):
-        # every row lies at divergence C from o*, so all four are active;
-        # the least-squares solution over them gives row 1 negative mass,
-        # and C is reached without it
+    def test_four_inputs_on_three_outputs_certify(self):
+        # every row lies at divergence C from the optimal output law, and
+        # four inputs on three outputs leave q* free along a line: the
+        # certificate and qP are unique, q* is not
         ch = dmc.Dmc([[0.5646716586493792, 0.3549533660824307, 0.08037497526819018],
                       [0.22304563397577257, 0.4126182574319587, 0.36433610859226884],
                       [0.34216198224300465, 0.1548071074023596, 0.5030309103546359],
                       [0.29547062504388244, 0.19873735988170516, 0.5057920150744125]])
         c, q = dmc.capacity(ch)
-        out = q @ ch.rows
-        w = np.linalg.lstsq(np.vstack([ch.rows.T / np.sqrt(out)[:, None], np.ones(4)]),
-                            np.append(np.sqrt(out), 1.0), rcond=None)[0]
-        assert w[1] < 0.0
-        assert q.min() == q[1] == 0.0
+        c_ba, q_ba = blahut_arimoto(ch, 1e-14)
+        assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL
         assert dmc.mutual_information(ch, q) == c
+        assert c == pytest.approx(c_ba, abs=1e-12)
+        assert q @ ch.rows == pytest.approx(q_ba @ ch.rows, abs=1e-6)
+
+    def test_z_channel_certifies_and_the_cap_raises_with_the_gap(self, monkeypatch, z05):
+        c, _ = assert_steps(monkeypatch, z05, 4)
+        assert c == pytest.approx(math.log(1.25), abs=1e-15)
+        monkeypatch.setattr(dmc, "CAPACITY_MAX_ITER", 1)
+        with pytest.raises(dmc.ConvergenceError, match="capacity iteration cap") as err:
+            dmc.capacity(z05)
+        assert dmc.CAPACITY_TOL < err.value.residual < math.inf
+
+    @pytest.mark.parametrize("rows, steps", [
+        ([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]], 4),  # ASYM3
+        (UNUSED_INPUT, 4), (NEARLY_USELESS, 1), (CIRCULANT, 0)])
+    def test_step_counts(self, monkeypatch, rows, steps):
+        ch = dmc.Dmc(rows)
+        c, q = assert_steps(monkeypatch, ch, steps)
+        assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL
+
+    @pytest.mark.parametrize("nx, ny, steps", [(4, 8, 4), (8, 16, 8), (16, 32, 18)])
+    def test_quantized_awgn(self, monkeypatch, nx, ny, steps):
+        ch = awgn(nx, ny)
+        assert not ch.symmetric
+        c, q = assert_steps(monkeypatch, ch, steps)
+        assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL
         assert c == pytest.approx(blahut_arimoto(ch, 1e-13)[0], abs=1e-12)
 
-    def test_certificate_failure_raises(self, monkeypatch, z05):
-        # a program value further than the tolerance above I(q*)
-        solver = optimize.minimize_convex_on_simplex
+    def test_blocked_input_leaves_the_free_set(self, monkeypatch):
+        # input 1 reaches the edge in the first step; in the third it has no
+        # mass and D(P_1 || qP) > I(q), but the Newton step would push it
+        # negative: it leaves, and the system is solved again on inputs 0
+        # and 2 before any trial point is certified
+        ch = dmc.Dmc([[0.9981813830188839, 0.001818616981116002],
+                      [0.8886814679380933, 0.11131853206190666],
+                      [0.8841793470414531, 0.115820652958547]])
+        events = capacity_events(monkeypatch, ch)
+        kinds = "".join(kind for kind, *_ in events)
+        assert "SS" in kinds
+        first = kinds.index("SS")
+        assert events[first + 1][1] < events[first][1]  # a smaller system
+        c, q = events[-1][1:]
+        assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL
+        assert q[1] == 0.0
+        assert c == pytest.approx(capacity_two_inputs(dmc.Dmc(ch.rows[[0, 2]])), abs=1e-13)
 
-        def loose(*args):
-            sol = solver(*args)
-            return optimize.ConvexSolution(q=sol.q, value=sol.value + 1e-9,
-                                           gap=sol.gap, iterations=sol.iterations)
+    def test_blahut_arimoto_step_where_newton_fails(self, monkeypatch):
+        # from the seeded sparse sweep: output 0 is reached by input 1
+        # alone, whose optimal mass is about 1e-26; one step's Newton trials
+        # all fail to lower the gap
+        ch = dmc.Dmc([[0.0, 0.10488234682428088, 0.0, 0.155372086801844, 0.7397455663738752],
+                      [0.0018000948276732823, 0.05918660522216342, 0.1402316674665262,
+                       0.013767344263281418, 0.7850142882203558],
+                      [0.0, 0.1803351508457321, 0.6599238563488896, 0.12766462121832023,
+                       0.032076371587058186]])
+        events = capacity_events(monkeypatch, ch)
+        kinds = accepted_steps(events)
+        assert kinds.count("blahut-arimoto") == 1 and len(kinds) == 9
+        c, q = events[-1][1:]
+        assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL
+        assert 0.0 < q[1] < 1e-20
 
-        monkeypatch.setattr(optimize, "minimize_convex_on_simplex", loose)
-        with pytest.raises(dmc.ConvergenceError):
-            dmc.capacity(z05)
+    def test_blahut_arimoto_steps_alone_are_the_oracle(self, monkeypatch, z05):
+        # with every Newton solve not finite, each step is a Blahut-Arimoto
+        # step, by the oracle's own expressions
+        asym3 = dmc.Dmc([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]])
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (np.full(len(b), np.nan),))
+        for ch in (z05, asym3):
+            c, q = dmc.capacity(ch)
+            c_ba, q_ba = blahut_arimoto(ch, dmc.CAPACITY_TOL)
+            assert c == c_ba and np.array_equal(q, q_ba)
+
+    def test_infinite_gap_where_an_output_loses_its_last_mass(self, monkeypatch):
+        # input 1 alone reaches output 1 and shrinks on the log scale; a
+        # trial where its mass underflows leaves output 1 without mass, and
+        # its +inf gap is rejected
+        ch = dmc.Dmc([[0.15378132091852872, 0.0, 0.8462186790814713],
+                      [0.6523281094480465, 0.0006413116391233299, 0.3470305789128301],
+                      [1.0, 0.0, 0.0]])
+        events = capacity_events(monkeypatch, ch)
+        unreached = [event[1] for event in events if event[0] == "C" and event[2][1] == math.inf]
+        assert unreached and all((q @ ch.rows)[1] == 0.0 for q in unreached)
+        c, q = events[-1][1:]
+        assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL
+        assert q[1] > 0.0
+
+    def test_seeded_sweep(self, monkeypatch):
+        # 1,600 seeded sparse channels without output symmetry, the 3x4
+        # channel the min-max program once failed on, and a stress slice of
+        # duplicate rows, a row within 1e-6 of a vertex and rows within
+        # 1e-3 of one another; every one certifies by the recomputed gap
+        # within 20 steps (9 at most when written)
+        channels = [dmc.Dmc(SPARSE_FOUND)]
+        for seed in (11, 12, 13, 14):
+            channels += sparse_channels(np.random.default_rng(seed), 400)
+        channels += stress_channels(np.random.default_rng(7), 150)
+        monkeypatch.setattr(dmc, "CAPACITY_MAX_ITER", 20)
+        for ch in channels:
+            c, q = dmc.capacity(ch)
+            assert recomputed_gap(ch, c, q) <= dmc.CAPACITY_TOL, ch.rows.tolist()
+            if ch.input_size == 2:
+                assert c == pytest.approx(capacity_two_inputs(ch), abs=1e-13)
 
 
 class TestDivergence:

@@ -1563,6 +1563,28 @@ class TestBurnashev:
             ex.burnashev_bound(bsc002, cap + 1e-9, 50)
 
 
+class TestZeroCapacity:
+    # equal rows: C = 0 and C1 = 0, and no rate lies below C
+    USELESS = dmc.Dmc([[0.3, 0.7], [0.3, 0.7]])
+
+    def test_burnashev_is_zero(self):
+        assert self.USELESS.capacity_solution[0] == 0.0 and dmc.c1(self.USELESS) == 0.0
+        for r in (0.0, 1e-13, 1e-12):
+            assert math.copysign(1.0, ex.burnashev_bound(self.USELESS, r)) == 1.0
+            assert ex.burnashev_bound(self.USELESS, r) == 0.0
+
+    @pytest.mark.parametrize("slope", [ex.capacity_slope_focusing, ex.capacity_slope_timesharing])
+    def test_capacity_slopes_raise(self, slope):
+        with pytest.raises(ValueError, match=r"^the capacity of Dmc\(2x2\) is 0"):
+            slope(self.USELESS)
+
+    @pytest.mark.parametrize("bound", ["esp", "haroutunian", "tilde"])
+    def test_sphere_packing_at_zero_rate_is_positive_zero(self, bound):
+        # the R = 0 closed form was -ln 1 = -0.0
+        value = ex.bound_at_rate(self.USELESS, bound, 0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 class TestFocusingBound:
     def test_bec_half_bit(self, bec04):
         assert ex.focusing_bound(bec04, HALF_BIT) == pytest.approx(
