@@ -4,9 +4,11 @@ simulations, and figure-data reproduction.
 Every input (channel files, sim configs and their nested ``service`` and
 ``channel`` objects, ``--rate``, the grids, ``--bounds``) is read field by
 field through ``_take``; a field that its kind or mode does not read exits 2
-naming it.  Exit codes: 0 ok, 2 parse failure, 3 infeasible rate, 4 unknown
-target, 5 a solver hit its iteration cap or missed its certificate (message
-has the residual).  All diagnostics go to stderr; stdout carries only
+naming it.  Exit codes: 0 ok, 2 parse failure or a file that cannot be
+read or written (an ``OSError``, such as an output path under a missing
+directory or a regular file), 3 infeasible rate, 4 unknown target, 5 a
+solver hit its iteration cap or missed its certificate (message has the
+residual).  All diagnostics go to stderr, one line each; stdout carries only
 requested tables.
 """
 
@@ -644,6 +646,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"delaylab: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"delaylab: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

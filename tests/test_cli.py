@@ -101,6 +101,14 @@ class TestChannelParsing:
         assert (f"unread field(s) in c: {field}\n" if field == "partition"
                 else f"{field} must") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix", [5, [0.5, 0.5], [[0.5, 0.5], "0.5"]])
+    def test_matrix_not_a_list_of_rows_exits_2(self, tmp_path, capsys, matrix):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"matrix": matrix}))
+        assert run(["bounds", bad, "--rate", "0.1", "--bounds", "esp"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == \
+            f"delaylab: bad: bad matrix: want a list of rows, got {matrix!r}\n"
+
     def test_invalid_matrix_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"matrix": [[0.7, 0.2], [0.5, 0.5]]}))
@@ -533,7 +541,47 @@ class TestTraceWriter:
                                  [[np.arange(2), column]])
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one stderr line
+    naming it; each of these once ended in a traceback and exit 1."""
+
+    def assert_one_line(self, capsys, argv, name):
+        assert run(argv) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("delaylab: [Errno ") and err.endswith(f"{name}'\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_curve(self, tmp_path, capsys):
+        curve = ["curve", CHANNELS / "bsc002.json", "--bounds", "esp",
+                 "--rate-grid", "0.1:0.2:2", "--out"]
+        missing = tmp_path / "missing" / "x.csv"
+        self.assert_one_line(capsys, curve + [missing], str(missing))
+        for form in ("csv", "json"):
+            self.assert_one_line(capsys, curve + [tmp_path, "--format", form], str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figure(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        under = tmp_path / "file" / "fig"
+        self.assert_one_line(capsys, ["figure", "9", "--out-dir", under], str(under))
+
+    def test_sim(self, tmp_path, capsys):
+        cfg = tmp_path / "bec.json"
+        cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5,
+                                   "horizon": 1000}))
+        under = cfg / "sim"
+        self.assert_one_line(capsys, ["sim", "bec", cfg, "--out", under], str(under))
+
+
 class TestSim:
+    def test_unknown_bec_scheme_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "bec.json"
+        cfg.write_text(json.dumps({"scheme": "lifo", "beta": 0.4, "rate_bits": 0.5,
+                                   "horizon": 1000}))
+        assert run(["sim", "bec", cfg, "--out", tmp_path / "s"]) == cli.EXIT_UNKNOWN
+        assert capsys.readouterr().err == "delaylab: unknown bec scheme 'lifo'\n"
+
     def test_bec_determinism(self, tmp_path):
         cfg = tmp_path / "f.json"
         cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4,

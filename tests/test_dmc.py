@@ -42,6 +42,11 @@ class TestValidation:
         tiny = np.finfo(float).tiny  # the smallest normal entry is accepted
         assert dmc.Dmc([[1.0, 0.0], [tiny, 1.0 - tiny]]).rows[1, 0] == tiny
 
+    @pytest.mark.parametrize("matrix", [[0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]]], 1.0])
+    def test_matrix_must_be_two_dimensional(self, matrix):
+        with pytest.raises(ValueError, match="^channel matrix must be two-dimensional$"):
+            dmc.Dmc(matrix)
+
     def test_alphabets_at_least_two(self):
         with pytest.raises(ValueError):
             dmc.Dmc(np.array([[1.0], [1.0]]))

@@ -1950,6 +1950,37 @@ class TestLockstepKernel:
         with pytest.raises(ValueError):
             ex._e0_lanes(bsc002, [0.5, -1.0])
 
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["bsc", "bec", "circulant", "erasure_circulant"]),
+           n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           log_rhos=st.lists(st.floats(math.log(1e-6), math.log(1e6)), min_size=1,
+                             max_size=40))
+    def test_output_symmetric_families_match_scalar(self, kind, n, seed, log_rhos):
+        # the order of the input sum matters from three inputs on, so the
+        # circulants run n = 3 to 8 inputs, the last with an erasure column
+        rng = np.random.default_rng(seed)
+        if kind == "bsc":
+            ch = dmc.bsc(rng.uniform(0.0, 1.0))
+        elif kind == "bec":
+            ch = dmc.bec(rng.uniform(0.0, 1.0))
+        else:
+            row = rng.dirichlet(np.ones(n))
+            rows = np.array([np.roll(row, x) for x in range(n)])
+            if kind == "erasure_circulant":
+                erasure = rng.uniform(0.0, 1.0)
+                rows = np.column_stack([(1.0 - erasure) * rows, np.full(n, erasure)])
+            ch = dmc.Dmc(rows)
+        assert ch.symmetric
+        rhos = [math.exp(v) for v in log_rhos] + [0.5, 1.0, 2.0, 3.0, 64.0]
+        lanes, alone = fresh(ch), fresh(ch)
+        ex._e0_lanes(lanes, rhos)
+        # the kernel leaves to ``_e0_point`` only the rho whose scalar
+        # exponent is a square or a sqrt
+        assert all(1.0 + rho == 2.0 or 1.0 / (1.0 + rho) == 0.5
+                   for rho in set(rhos) - set(lanes.e0_points))
+        assert [hex_floats(ex._e0_point(lanes, rho)) for rho in rhos] == \
+            [hex_floats(ex._e0_point(alone, rho)) for rho in rhos]
+
     def test_lone_rho_of_a_round_matches_a_lanes_call(self, lockstep_case, monkeypatch):
         # a round whose new rho is one rho, here asked by two lanes, solves
         # it once by ``_e0_point``; several distinct rho go to one lanes call
@@ -2380,3 +2411,39 @@ class TestLockstepWorkCounters:
         # nor does the curve: no rho of the run is solved twice, across lanes
         solved = [rho for rhos in lane_rounds for rho in rhos]
         assert len(solved) == len(set(solved))
+
+
+def recorded(lane, asked):
+    """``lane``, with every rho it yields appended to ``asked``."""
+    received = None
+    while True:
+        try:
+            rho = lane.send(received)
+        except StopIteration as stop:
+            return stop.value
+        asked.append(rho)
+        received = yield rho
+
+
+class TestLoneLane:
+    """A lane that ``_run_lanes`` runs alone goes through the runner's
+    rounds, one rho each, and asks for the rho that ``run_steps`` over
+    ``_e0_point`` would, in the same order, and returns the same value."""
+
+    @pytest.mark.parametrize("name", ["esp", "er", "focusing", "timesharing"])
+    @pytest.mark.parametrize("channel", ["bsc002", "z05"])
+    def test_runner_drives_a_lone_lane_as_run_steps(self, request, channel, name):
+        ch = request.getfixturevalue(channel)
+        cap = ch.capacity_solution[0]
+        for r in (1e-3 * cap, 0.1 * cap, 0.5 * cap, 0.9 * cap):
+            ran, stepped = fresh(ch), fresh(ch)
+            by_runner, by_steps = [], []
+            [got] = ex._run_lanes(ran, None, [recorded(ex._bound_steps(ran, name, r, None),
+                                                       by_runner)])
+            want = optimize.run_steps(
+                recorded(ex._bound_steps(stepped, name, r, None), by_steps),
+                lambda rho: ex._e0_point(stepped, rho))
+            # the general focusing program on Z(0.5) has no search along rho
+            assert len(by_runner) > 2 or (name == "focusing" and not ch.symmetric)
+            assert hex_floats(by_runner) == hex_floats(by_steps)
+            assert hex_floats([got]) == hex_floats([want])

@@ -56,6 +56,11 @@ class TestSelectParams:
                                              f"got {rate}$"):
             ncl.select_params(bsc002, rate=rate, delta=0.01, k=10, rho=1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.01])
+    def test_nonpositive_delta_rejected(self, bsc002, delta):
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            ncl.select_params(bsc002, rate=0.1, delta=delta, k=10, rho=1.0)
+
     def test_fortification_period_must_be_positive(self, bsc002):
         with pytest.raises(ValueError, match="^fortification period must be a positive "
                                              "integer$"):
