@@ -96,9 +96,9 @@ class SimTrace:
 
     def series(self, stride: int = 1) -> dict[str, np.ndarray]:
         t = np.arange(1, self.horizon + 1, stride, dtype=np.int64)
-        arrivals = np.searchsorted(self.arrival_times, t, side="right")
-        finite = np.sort(self.decode_times[np.isfinite(self.decode_times)])
-        decoded = np.searchsorted(finite, t, side="right")
+        d = self.decode_times
+        arrivals = _counts_at_samples(self.arrival_times, stride, len(t))
+        decoded = _counts_at_samples(d[np.isfinite(d)].astype(np.int64), stride, len(t))
         return {
             "time": t,
             "arrivals_cum": arrivals,
@@ -109,6 +109,13 @@ class SimTrace:
     def check_conservation(self, stride: int = 1) -> bool:
         s = self.series(stride)
         return bool(np.all(s["arrivals_cum"] == s["decoded_cum"] + s["queue_len"]))
+
+
+def _counts_at_samples(times: np.ndarray, stride: int, n: int) -> np.ndarray:
+    """How many of the integer ``times`` (each >= 1) are at or before each
+    sample time t_j = 1 + j stride, j < n: a time x is first counted at
+    j = ceil((x - 1) / stride), so the counts are a prefix sum of buckets."""
+    return np.cumsum(np.bincount((times + (stride - 2)) // stride, minlength=n)[:n])
 
 
 def _arrival_times(rate_bits: float, horizon: int) -> np.ndarray:
@@ -137,7 +144,9 @@ def simulate_fifo(cfg: BecConfig) -> SimTrace:
     st = np.flatnonzero(z)
     a = _arrival_times(cfg.rate_bits, cfg.horizon)
     n = len(a)
-    c = np.searchsorted(st, a, side="right")  # first success index at time > a_i
+    # successes at or before a_i, the index of the first after it; the prefix
+    # sum over every use takes the narrowest type that holds the horizon
+    c = np.cumsum(z, dtype=np.min_scalar_type(cfg.horizon))[a]
     k = fifo_completions(c, np.ones(n, dtype=np.int64)) - 1
     decoded = k < len(st)
     dt = np.full(n, np.inf)
@@ -307,25 +316,16 @@ def _slope(a: np.ndarray, p: np.ndarray) -> float:
     return sol[0]
 
 
-def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
-    """Delay exponent of a sample of delays: the slope of -ln P(delay > d).
-
-    Keeps the deadlines with at least ``min_misses`` misses, flagging a
-    widened confidence interval when fewer than 3 survive, and falls back to
-    every deadline with a miss when fewer than 2 do.  The CI bootstraps over
-    contiguous blocks of the sample, in its given order, to respect the
-    serial correlation of nearby delays: ``_BOOTSTRAP_DRAWS`` resamples
-    drawn on ``substream(*_BOOTSTRAP_STREAM)``.  Infinite delays miss every
-    deadline.  With no misses anywhere the exponent is unbounded by the data;
-    with misses at a single deadline it is undetermined (slope and CI NaN).
-    An empty sample raises ValueError.
-    """
-    delays = np.asarray(delays)
-    if delays.size == 0:
+def _point_fit(sorted_delays: np.ndarray, d_grid, min_misses: int) -> DelayExponentFit:
+    """``fit_delay_exponent`` before its bootstrap, on the delays in ascending
+    order: the deadlines kept, their miss counts and the slope, with the CI
+    NaN.  A caller that needs no CI, or the counts at other deadlines too,
+    sorts the delays once for both."""
+    if sorted_delays.size == 0:
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     d_grid = np.asarray(sorted(d_grid), dtype=float)
-    counts = _miss_counts(np.sort(delays), d_grid)
-    probs = counts / len(delays)
+    counts = _miss_counts(sorted_delays, d_grid)
+    probs = counts / len(sorted_delays)
     if counts.sum() == 0:
         return DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
                                 counts, unbounded=True)
@@ -337,27 +337,102 @@ def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
     if len(dd) < 2:
         return DelayExponentFit(math.nan, math.nan, math.nan, dd, pp,
                                 counts[keep], widened_ci=True)
-    design = _design(dd)  # shared by the fit and every bootstrap resample
-    slope = _slope(design, pp)
+    return DelayExponentFit(float(_slope(_design(dd), pp)), math.nan, math.nan, dd, pp,
+                            counts[keep], widened_ci=widened)
+
+
+def _bootstrap_slopes(pv: np.ndarray, dd: np.ndarray, quantiles) -> np.ndarray:
+    """Least-squares slopes of -ln p against ``dd`` for the rows p of ``pv``,
+    exactly ``_slope``'s (lstsq's) wherever ``np.percentile(slopes,
+    quantiles)`` reads them, without running lstsq on every row.
+
+    Every row first gets the closed-form slope, sum (d - dbar)(y - ybar) /
+    sum (d - dbar)^2 with y = -ln p.  To first order it and the lstsq slope
+    both lie within c u kappa |y| / |d - dbar| of the exact slope, with u the
+    unit roundoff, c a small multiple of the m deadlines, |y| the largest
+    row norm and kappa <= (|d|^2 + m) / sqrt(m sum (d - dbar)^2) the
+    condition number of the design (d, 1).  So eps = 2^23 u kappa |y| /
+    |d - dbar| bounds their distance for any c up to 2^22.  Then:
+
+    * order statistics are 1-Lipschitz in the sup norm, so the k-th smallest
+      closed-form slope F_k is within eps of the k-th smallest lstsq slope S_k;
+    * a row whose closed-form slope is more than 2 eps from F_k has both of
+      its slopes strictly on the same side of S_k;
+    * so once lstsq has run on every row within 2 eps of an F_k that the
+      percentiles read, those order statistics, and the percentiles, are
+      bit for bit those of the all-lstsq slopes.
+
+    ``np.percentile`` reads the order statistics next to its index (n - 1) q
+    / 100, which it rounds its own way; every k within 1 of it is taken.
+    Where lstsq would truncate the rank (kappa near 1 / u), eps exceeds every
+    slope, so every row runs lstsq.  So does one distinct deadline
+    (duplicate grid entries), where the slope is undetermined: the closed
+    form divides by zero and lstsq gives its minimum-norm solution.
+    """
+    n, m = pv.shape
+    dc = dd - dd.mean()
+    sxx = dc @ dc
+    if dd[0] == dd[-1] or not sxx > 0:  # sxx can also underflow
+        exact = np.ones(n, dtype=bool)
+        slopes = np.empty(n)
+    else:
+        y = -np.log(pv)
+        slopes = (y - y.mean(axis=1, keepdims=True)) @ dc / sxx
+        y_norm = math.sqrt((y * y).sum(axis=1).max())
+        eps = 2.0**-30 * (dd @ dd + m) * y_norm / (math.sqrt(m) * sxx)
+        index = (n - 1) * np.asarray(quantiles) / 100
+        ranked = np.sort(slopes)
+        read = ranked[np.abs(np.arange(n)[:, None] - index).min(axis=1) <= 1 + 1e-9]
+        exact = (np.abs(slopes[:, None] - read) <= 2 * eps).any(axis=1)
+    design = _design(dd)
+    for i in np.flatnonzero(exact):
+        slopes[i] = _slope(design, pv[i])
+    return slopes
+
+
+def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
+    """Delay exponent of a sample of delays: the slope of -ln P(delay > d).
+
+    Keeps the deadlines with at least ``min_misses`` misses, flagging a
+    widened confidence interval when fewer than 3 survive, and falls back to
+    every deadline with a miss when fewer than 2 do.  The CI bootstraps over
+    contiguous blocks of the sample, in its given order, to respect the
+    serial correlation of nearby delays: ``_BOOTSTRAP_DRAWS`` resamples
+    drawn on ``substream(*_BOOTSTRAP_STREAM)``, the 2.5 and 97.5 percentiles
+    of their least-squares slopes, exact although only the few slopes the
+    percentiles read are solved by lstsq (``_bootstrap_slopes``).  Infinite
+    delays miss every deadline.  With no misses anywhere the exponent is
+    unbounded by the data; with misses at a single deadline it is
+    undetermined (slope and CI NaN).  An empty sample raises ValueError.
+    """
+    delays = np.asarray(delays)
+    fit = _point_fit(np.sort(delays), d_grid, min_misses)
+    if fit.unbounded or len(fit.d_values) < 2:
+        return fit
+    dd = fit.d_values
     rng = substream(*_BOOTSTRAP_STREAM)
     block = max(1000, len(delays) // 200)
     n_blocks = len(delays) // block
-    trimmed = delays[: n_blocks * block].reshape(n_blocks, block)
-    # per-block miss counts once, then bootstrapping is just index sums
-    block_counts = np.stack([(trimmed > d).sum(axis=1) for d in dd], axis=1)
-    boots = []
-    for _ in range(_BOOTSTRAP_DRAWS if n_blocks else 0):
-        picks = rng.integers(0, n_blocks, n_blocks)
-        pv = block_counts[picks].sum(axis=0) / (n_blocks * block)
-        if np.all(pv > 0):
-            boots.append(_slope(design, pv))
-    if boots:
-        lo, hi = np.percentile(boots, [2.5, 97.5])
+    pv = np.empty((0, len(dd)))
+    if n_blocks:
+        trimmed = delays[: n_blocks * block].reshape(n_blocks, block)
+        # per-block miss counts once; a resample's counts are then
+        # times_drawn @ block_counts, times_drawn[i, b] counting block b in
+        # resample i.  One call draws the picks of one call per resample:
+        # each pick takes Philox's 32-bit words in turn, and Philox keeps the
+        # unused half of a 64-bit word from one call to the next.
+        block_counts = np.stack([(trimmed > d).sum(axis=1) for d in dd], axis=1)
+        picks = rng.integers(0, n_blocks, (_BOOTSTRAP_DRAWS, n_blocks))
+        picks += n_blocks * np.arange(_BOOTSTRAP_DRAWS)[:, None]
+        times_drawn = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
+        pv = times_drawn @ block_counts / (n_blocks * block)
+        pv = pv[np.all(pv > 0, axis=1)]
+    if len(pv):
+        q = (2.5, 97.5)
+        fit.ci_low, fit.ci_high = map(float, np.percentile(_bootstrap_slopes(pv, dd, q), q))
     else:
-        lo = hi = math.nan
-        widened = True
-    return DelayExponentFit(float(slope), float(lo), float(hi), dd, pp,
-                            counts[keep], widened_ci=widened)
+        fit.widened_ci = True
+    return fit
 
 
 def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExponentFit:

@@ -212,6 +212,17 @@ def _write_curve_csv(path: Path, rates: np.ndarray, columns: dict[str, list[floa
             fh.write(f"{_fmt(r)},{_fmt(bits_from_nats(r))},{vals}\n")
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise, before the
+    work that fills it, and leave no file behind: one the check creates is
+    removed again, an existing one is opened without truncating it."""
+    existed = path.exists()
+    with open(path, "a"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def cmd_curve(args) -> int:
     if args.eta_grid and (args.rate_grid or args.bits):
         raise CliError(EXIT_PARSE, "--eta-grid takes neither --rate-grid nor --bits")
@@ -221,17 +232,19 @@ def cmd_curve(args) -> int:
         etas = _parse_grid(args.eta_grid, "--eta-grid")
         if np.any(etas <= 0):
             raise CliError(EXIT_INFEASIBLE, "eta grid must be positive")
-        rates = np.array([e0_max(channel, eta, fortify_k)[0] / eta
-                          for eta in sorted(etas, reverse=True)])
     else:
         rates = np.sort(_parse_grid(args.rate_grid or "0.01:0.5:25", "--rate-grid"))
         if args.bits:
             rates = rates * LN2
         if np.any(rates < 0):
             raise CliError(EXIT_INFEASIBLE, "rates must be nonnegative")
+    out = Path(args.out)
+    _check_writable(out)
+    if args.eta_grid:
+        rates = np.array([e0_max(channel, eta, fortify_k)[0] / eta
+                          for eta in sorted(etas, reverse=True)])
     columns = dict(_solve_once(channel, fortify_k, names,
                                lambda name: bound_curve(channel, name, rates, fortify_k), " "))
-    out = Path(args.out)
     if args.format == "json":
         payload = {
             "channel": channel.name,
@@ -375,10 +388,10 @@ def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
         return queue_model.simulate_point_queue(cfg, svc)
 
     traces = [one(trial) for trial in range(trials)]
-    delays = np.concatenate([tr.steady_delays() for tr in traces])
-    fit = bec_lab.fit_delay_exponent(delays, d_grid, min_misses=50)
-    # the summary reports every deadline, not only the fitted ones
-    counts = bec_lab._miss_counts(np.sort(delays), np.asarray(d_grid, float))
+    delays = np.sort(np.concatenate([tr.steady_delays() for tr in traces]))
+    # the summary writes no CI, and reports every deadline, not only the fitted ones
+    fit = bec_lab._point_fit(delays, d_grid, min_misses=50)
+    counts = bec_lab._miss_counts(delays, np.asarray(d_grid, float))
     bound = queue_model.tail_exponent_bound(m, svc) if m > svc.offset else None
     _write_trace_csv(out / "trace.csv", ["trial", "arrival", "completion", "service"],
                      [[tr.arrival_times, tr.completion_times, tr.service_times]

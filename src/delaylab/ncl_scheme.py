@@ -106,8 +106,8 @@ def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclP
     r >= max(0, ln(Delta c k) / (c k E0(rho))); n = ceil(Ctilde/(Ctilde-R) (2+2r)),
     which guarantees the slack lower bound n - ceil(t~) >= (Ctilde-R) n / Ctilde - 1.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be a positive finite number, got {delta}")
     if k < 1:
         raise ValueError("fortification period must be a positive integer")
     if not rho > 0:

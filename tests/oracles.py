@@ -30,6 +30,10 @@ output symmetry, which the program replaced with the column classes.
 The simulation trace writer that formatted one value at a time, and the
 exact (n, c, l) run's codebook decode, for any channel and input law.
 
+The delay-exponent fit that solved every bootstrap slope by lstsq, and the
+trace time series counted by binary search, which ``fit_delay_exponent``
+and ``SimTrace.series`` replaced.
+
 Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
 over the output law.  For the tilde variant on Z channels, a bisection on
@@ -50,6 +54,7 @@ import math
 
 import numpy as np
 
+from delaylab import bec_lab as bl
 from delaylab import exponents as ex
 from delaylab.dmc import ConvergenceError, Dmc, _block_is_symmetric
 from delaylab.optimize import (CONVEX_ITER_FACTOR, CONVEX_TOL, EPS, ConvexSolution,
@@ -332,6 +337,55 @@ def row_loop_trace_csv(path, header, rows_by_trial):
         for trial, rows in enumerate(rows_by_trial):
             for row in rows:
                 fh.write(f"{trial}," + ",".join(map(str, row)) + "\n")
+
+
+def series_by_search(trace, stride):
+    """``SimTrace.series`` counting by binary search in the sorted times."""
+    t = np.arange(1, trace.horizon + 1, stride, dtype=np.int64)
+    arrivals = np.searchsorted(trace.arrival_times, t, side="right")
+    finite = np.sort(trace.decode_times[np.isfinite(trace.decode_times)])
+    decoded = np.searchsorted(finite, t, side="right")
+    return {"time": t, "arrivals_cum": arrivals, "decoded_cum": decoded,
+            "queue_len": arrivals - decoded}
+
+
+def fit_delay_exponent_lstsq(delays, d_grid, min_misses):
+    """``bec_lab.fit_delay_exponent`` with every bootstrap slope by lstsq,
+    each resample's block counts summed by fancy indexing."""
+    delays = np.asarray(delays)
+    if delays.size == 0:
+        raise ValueError("no delays left to fit: lengthen the run past its burn-in")
+    d_grid = np.asarray(sorted(d_grid), dtype=float)
+    counts = bl._miss_counts(np.sort(delays), d_grid)
+    probs = counts / len(delays)
+    if counts.sum() == 0:
+        return bl.DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
+                                   counts, unbounded=True)
+    keep = counts >= min_misses
+    widened = bool(keep.sum() < 3)
+    if keep.sum() < 2:
+        keep = counts > 0
+    dd, pp = d_grid[keep], probs[keep]
+    if len(dd) < 2:
+        return bl.DelayExponentFit(math.nan, math.nan, math.nan, dd, pp,
+                                   counts[keep], widened_ci=True)
+    design = bl._design(dd)
+    slope = bl._slope(design, pp)
+    rng = bl.substream(*bl._BOOTSTRAP_STREAM)
+    block = max(1000, len(delays) // 200)
+    n_blocks = len(delays) // block
+    trimmed = delays[: n_blocks * block].reshape(n_blocks, block)
+    block_counts = np.stack([(trimmed > d).sum(axis=1) for d in dd], axis=1)
+    picks = rng.integers(0, n_blocks, (bl._BOOTSTRAP_DRAWS if n_blocks else 0, n_blocks))
+    pv = block_counts[picks].sum(axis=1) / (n_blocks * block)
+    boots = [bl._slope(design, row) for row in pv[np.all(pv > 0, axis=1)]]
+    if boots:
+        lo, hi = np.percentile(boots, [2.5, 97.5])
+    else:
+        lo = hi = math.nan
+        widened = True
+    return bl.DelayExponentFit(float(slope), float(lo), float(hi), dd, pp,
+                               counts[keep], widened_ci=widened)
 
 
 def codebook_ncl_chunks(p, params, horizon_blocks, seed, n_messages, feedback_lag=1):

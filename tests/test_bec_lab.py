@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from delaylab import bec_lab as bl
 from delaylab.dmc import LN2
+from oracles import fit_delay_exponent_lstsq, series_by_search
 
 
 def birth_death_tail(beta: float, d: float) -> float:
@@ -248,6 +250,24 @@ class TestFifoCompletions:
                               7 * bl.fifo_completions(a, t))
 
 
+class TestSeries:
+    @pytest.mark.parametrize("simulate", [bl.simulate_fifo,
+                                          bl.simulate_causal_parity_nofeedback])
+    @pytest.mark.parametrize("stride", [1, 3, 7, 10])
+    @pytest.mark.parametrize("horizon", [2, 11, 12_347, 100_003])
+    def test_bucket_counts_match_binary_search(self, simulate, stride, horizon):
+        # near capacity, so the horizon ends with bits undecoded (decode time inf)
+        tr = simulate(bl.BecConfig(0.4, 0.55, horizon, seed=horizon))
+        if horizon > 11:
+            assert np.isinf(tr.decode_times).any()
+        assert stride == 1 or horizon % stride
+        got, want = tr.series(stride), series_by_search(tr, stride)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert np.array_equal(got[name], want[name])
+
+
 class TestBirthDeath:
     def test_pi0(self):
         pi = bl.birth_death_stationary(0.4)
@@ -409,3 +429,68 @@ class TestFitDelayExponent:
         fit = bl.fit_delay_exponent(delays, [1, 2, 3], min_misses=10)
         assert math.isfinite(fit.slope)
         assert math.isnan(fit.ci_low) and fit.widened_ci is True
+
+
+def _fit_sample(rng):
+    """A sample, deadlines and ``min_misses`` for ``fit_delay_exponent``:
+    1,000 to 20,000 geometric delays, a quarter of them samples of 1 to 3
+    bootstrap blocks, half with some infinite delays; a top deadline with 0.5
+    to 200 expected misses, so that some resamples see none there; grids
+    with one distinct deadline, with duplicates, of integers or of reals."""
+    n = int(rng.integers(1000, 4000) if rng.random() < 0.25 else
+            np.exp(rng.uniform(np.log(4000), np.log(20_000))))
+    p = rng.uniform(0.05, 0.6)
+    delays = rng.geometric(p, n) - 1
+    if rng.random() < 0.5:
+        delays = delays.astype(float)
+        delays[rng.random(n) < rng.uniform(0, 0.01)] = np.inf
+    top_misses = np.exp(rng.uniform(np.log(0.5), np.log(8 if rng.random() < 0.5 else 200)))
+    d_top = np.log(n / top_misses) / -np.log1p(-p)
+    m = int(rng.integers(1, 12))
+    grid = np.append(rng.uniform(0, d_top, m - 1), d_top)
+    form = rng.random()
+    if form < 0.06:
+        grid = np.repeat(np.floor(grid[:1]), m + 1)
+    elif form < 0.3:
+        grid = np.concatenate([np.floor(grid), np.floor(grid[: m // 2 + 1])])
+    elif form < 0.7:
+        grid = np.floor(grid)
+    return delays, grid.tolist(), int(rng.choice([1, 1, 1, 3, 10, 30]))
+
+
+def _fit_bits(fit):
+    return ([float(x).hex() for x in (fit.slope, fit.ci_low, fit.ci_high)],
+            fit.d_values.tobytes(), fit.miss_probs.tobytes(), fit.miss_counts.tobytes(),
+            fit.unbounded, fit.widened_ci)
+
+
+class TestExactBootstrap:
+    """The CI solves only the bootstrap slopes its percentiles read by lstsq,
+    and must equal the all-lstsq fit bit for bit."""
+
+    def test_matches_all_lstsq_oracle(self):
+        rng = np.random.default_rng(43)
+        cases = Counter()
+        for _ in range(300):
+            delays, grid, min_misses = _fit_sample(rng)
+            want = fit_delay_exponent_lstsq(delays, grid, min_misses)
+            got = bl.fit_delay_exponent(delays, grid, min_misses)
+            assert _fit_bits(got) == _fit_bits(want), (grid, min_misses)
+            with_ci = not math.isnan(got.ci_low)
+            cases["ci"] += with_ci
+            cases["one deadline"] += with_ci and bool(got.d_values[0] == got.d_values[-1])
+            cases["ties"] += with_ci and len(delays) < 4000
+            cases["inf"] += with_ci and bool(np.isinf(delays).any())
+        # every kind of sample is covered, each by 10 or more fits with a CI
+        assert min(cases.values()) >= 10, cases
+
+    def test_slope_calls_pinned(self, monkeypatch):
+        # one lstsq for the fit and one for each of the four order statistics
+        # that the percentiles read, against 201 when every resample ran it
+        calls = []
+        slope = bl._slope
+        monkeypatch.setattr(bl, "_slope", lambda a, p: calls.append(1) or slope(a, p))
+        tr = bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 1_000_000, seed=7))
+        fit = bl.measure_delay_exponent(tr, range(10, 41, 2))
+        assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
+        assert len(calls) == 5

@@ -561,6 +561,38 @@ class TestUnwritableOutput:
             self.assert_one_line(capsys, curve + [tmp_path, "--format", form], str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("grid", [["--rate-grid", "0.05:0.3:10"], ["--eta-grid", "0.5:4:5"]])
+    def test_curve_fails_before_solving(self, tmp_path, capsys, monkeypatch, grid):
+        solves = []
+        for name in ("bound_curve", "e0_max"):
+            solve = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, solve=solve, **k:
+                                solves.append(1) or solve(*a, **k))
+        missing = tmp_path / "missing" / "x.csv"
+        self.assert_one_line(capsys, ["curve", CHANNELS / "z05.json", "--bounds",
+                                      "haroutunian,tilde,focusing", *grid, "--out", missing],
+                             str(missing))
+        assert solves == []
+        # a writable path is solved and written as before
+        assert run(["curve", CHANNELS / "z05.json", "--bounds", "esp", *grid,
+                    "--out", tmp_path / "ok.csv"]) == 0
+        assert solves and (tmp_path / "ok.csv").read_text().startswith("rate_nats,rate_bits,esp\n")
+
+    def test_curve_failure_after_the_check_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def infeasible(*args):
+            raise ValueError("infeasible")
+        monkeypatch.setattr(cli, "bound_curve", infeasible)
+        curve = ["curve", CHANNELS / "bsc002.json", "--bounds", "esp",
+                 "--rate-grid", "0.1:0.2:2", "--out"]
+        assert run(curve + [tmp_path / "new.csv"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "delaylab: esp infeasible\n"
+        assert list(tmp_path.iterdir()) == []
+        # an existing file is left as it was
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n")
+        assert run(curve + [old]) == cli.EXIT_INFEASIBLE
+        assert old.read_text() == "kept\n" and list(tmp_path.iterdir()) == [old]
+
     def test_figure(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         under = tmp_path / "file" / "fig"
@@ -767,6 +799,41 @@ class TestSim:
         "ncl_bound_driven": "9401f7e769fee14bb8d4b667fc25b094711f3ea6933f926d84b2408068676f72",
         "ncl_two_stream": "4580d3aa90977e0ac1b0f7a3b6815c83634cc503073d5bdb3b1e577e7b932669",
     }
+
+    # sha256 of (summary.json, trace.csv) at seed 7 for the benchmark's
+    # `simulations` sizes (perfbench/workloads.py at run_seconds 12),
+    # recorded before the FIFO success counts, the trace counts and the
+    # bootstrap CI stopped using binary searches and per-resample lstsq
+    BENCH_SIZE_DIGESTS = {
+        "bec_fifo": ("bec", {"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5,
+                             "horizon": 1_000_000},
+                     "4e767ff3087b92c1e3139c3254b659bb498975150c2fe8e1a9cedc7c6072d4a2",
+                     "5bbf472ee8c5e63437975a768bebc6a2716ea6b45eec5fb491e99c4d624cfb87"),
+        "bec_parity": ("bec", {"scheme": "parity", "beta": 0.4, "rate_bits": 0.5,
+                               "horizon": 1_000_000},
+                       "71b2881da02795128ad7622ceda6e5caa71597307ddf47a204737e93462479d3",
+                       "2182bbba91a6ec856ebf748c47b4f2cfd11424018dcae38691ce9b23ba619dce"),
+        "queue": ("queue", {"service": {"kind": "offset_geometric", "offset": 2,
+                                        "beta": 0.25},
+                            "arrival_period": 5, "horizon": 520_000,
+                            "d_grid": [6, 9, 12, 15, 18]},
+                  "6590ba1512a4f63aa245a4934d5998d3f85602f52af7b8c1b86b08b037ba7425",
+                  "9704438bbdb44f6ff82226b1405b2f41f1db2c2190ae82057139382b7da06a20"),
+        "ncl_bound_driven": ("ncl", {"mode": "bound_driven",
+                                     "channel": {"matrix": [[0.98, 0.02], [0.02, 0.98]]},
+                                     "rate": 0.2, "k": 10, "horizon_blocks": 280_000},
+                             "72625ed35eb157aaf678e0b5e416af4e0c654d25004041760cbde1e3754a38bb",
+                             "b3d008fe7d53d7d8e87d2f4dfcec49d8b8cef82ff5d4b681f70d7db086f4d9f9"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SIZE_DIGESTS))
+    def test_benchmark_size_bytes_are_pinned(self, tmp_path, name):
+        kind, config, *digests = self.BENCH_SIZE_DIGESTS[name]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["sim", kind, cfg, "--seed", "7", "--out", tmp_path / "s"]) == 0
+        assert [hashlib.sha256((tmp_path / "s" / f).read_bytes()).hexdigest()
+                for f in ("summary.json", "trace.csv")] == digests
 
     @pytest.mark.parametrize("name", sorted(SUMMARY_DIGESTS))
     def test_summary_bytes_are_pinned(self, tmp_path, name):

@@ -58,7 +58,15 @@ class TestSelectParams:
 
     @pytest.mark.parametrize("delta", [0.0, -0.01])
     def test_nonpositive_delta_rejected(self, bsc002, delta):
-        with pytest.raises(ValueError, match="^delta must be positive$"):
+        with pytest.raises(ValueError, match=rf"^delta must be a positive finite number, "
+                                             rf"got {delta}$"):
+            ncl.select_params(bsc002, rate=0.1, delta=delta, k=10, rho=1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_delta_rejected(self, bsc002, delta):
+        # nan once passed the check and inf raised OverflowError from math.ceil
+        with pytest.raises(ValueError, match=rf"^delta must be a positive finite number, "
+                                             rf"got {delta}$"):
             ncl.select_params(bsc002, rate=0.1, delta=delta, k=10, rho=1.0)
 
     def test_fortification_period_must_be_positive(self, bsc002):
