@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dmc import check_count, check_probability, check_real
+
 _BOOTSTRAP_DRAWS = 200  # resamples behind a delay-exponent fit's CI
 _BOOTSTRAP_STREAM = (0, 999)  # their substream key
 
@@ -56,12 +58,10 @@ class BecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise ValueError("erasure probability must lie in (0, 1)")
-        if self.rate_bits <= 0:
-            raise ValueError("rate must be positive")
-        if self.horizon < 2:
-            raise ValueError("horizon too short")
+        check_probability(self.beta, "erasure probability")
+        check_real(self.rate_bits, "rate must be finite, got {}")
+        check_real(self.rate_bits, "rate must be positive", 0.0)
+        check_count(self.horizon, "horizon too short", 2)
         if self.rate_bits >= 1 - self.beta:
             warnings.warn(
                 f"rate {self.rate_bits} >= capacity {1 - self.beta}: queue is "
@@ -205,8 +205,8 @@ def birth_death_stationary(beta: float, kmax: int = 64) -> np.ndarray:
 
     Requires beta < 1/2 (positive recurrence).
     """
-    if not 0 < beta < 0.5:
-        raise ValueError("chain is positive recurrent only for beta < 1/2")
+    check_real(beta, "chain is positive recurrent only for beta < 1/2", 0.0, 0.5)
+    check_count(kmax, "kmax must be a nonnegative integer, got {}", 0)
     x = (beta / (1.0 - beta)) ** 2
     return (1.0 - x) * x ** np.arange(kmax + 1)
 
@@ -256,6 +256,7 @@ def miss_probability(trace: SimTrace, d: float) -> tuple[float, float]:
     periods), so the naive binomial error bar would be optimistic; contiguous
     batch means give an honest one.
     """
+    check_real(d, "deadline must be finite, got {}")
     start = trace.steady_start()
     # bits whose deadline lies beyond the horizon are not yet decidable
     ok = trace.arrival_times[start:] + d <= trace.horizon
@@ -278,8 +279,10 @@ def union_bound_exact(beta: float, rate_bits: float, i: int, d: int) -> float:
     most i-k successes: sum_k P(Binomial(n(k), 1-beta) <= i-k) with
     n(k) = d + ceil(i/R') - ceil(k/R').  Nonincreasing in d.
     """
-    if i < 1 or d < 1:
-        raise ValueError("need i >= 1 and d >= 1")
+    check_probability(beta, "erasure probability")
+    check_real(rate_bits, "rate must be a positive finite number, got {}", 0.0)
+    for value in (i, d):
+        check_count(value, "need integers i >= 1 and d >= 1, got {}")
     k = np.arange(1, i + 1)
     n_k = d + math.ceil(i / rate_bits) - np.ceil(k / rate_bits).astype(np.int64)
     from scipy import stats  # deferred: the CLI never needs scipy
@@ -323,7 +326,11 @@ def _point_fit(sorted_delays: np.ndarray, d_grid, min_misses: int) -> DelayExpon
     sorts the delays once for both."""
     if sorted_delays.size == 0:
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
+    check_count(min_misses, "min_misses must be a positive integer, got {}")
     d_grid = np.asarray(sorted(d_grid), dtype=float)
+    for d in [*sorted_delays[[0, -1]].tolist(), *d_grid.tolist()]:  # nan sorts last
+        check_real(d, "delays and deadlines must be numbers or +inf, got {}", hi=math.inf,
+                   ends="(]")
     counts = _miss_counts(sorted_delays, d_grid)
     probs = counts / len(sorted_delays)
     if counts.sum() == 0:
@@ -401,9 +408,11 @@ def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
     drawn on ``substream(*_BOOTSTRAP_STREAM)``, the 2.5 and 97.5 percentiles
     of their least-squares slopes, exact although only the few slopes the
     percentiles read are solved by lstsq (``_bootstrap_slopes``).  Infinite
-    delays miss every deadline.  With no misses anywhere the exponent is
-    unbounded by the data; with misses at a single deadline it is
-    undetermined (slope and CI NaN).  An empty sample raises ValueError.
+    delays miss every finite deadline.  With no misses anywhere the exponent
+    is unbounded by the data; with misses at a single deadline it is
+    undetermined (slope and CI NaN).  An empty sample, a nan or -inf delay
+    or deadline, and a ``min_misses`` that is not a positive integer raise
+    ValueError.
     """
     delays = np.asarray(delays)
     fit = _point_fit(np.sort(delays), d_grid, min_misses)

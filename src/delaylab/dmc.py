@@ -162,15 +162,13 @@ class Dmc:
 
 def bsc(p: float) -> Dmc:
     """Binary symmetric channel with crossover probability ``p``."""
-    if not 0 <= p <= 1:
-        raise ValueError("crossover probability must be in [0, 1]")
+    check_real(p, "crossover probability must be in [0, 1]", 0.0, 1.0, "[]")
     return Dmc(np.array([[1 - p, p], [p, 1 - p]]), name=f"BSC({p})")
 
 
 def bec(beta: float) -> Dmc:
     """Binary erasure channel; outputs are (0, 1, erasure)."""
-    if not 0 <= beta <= 1:
-        raise ValueError("erasure probability must be in [0, 1]")
+    check_real(beta, "erasure probability must be in [0, 1]", 0.0, 1.0, "[]")
     return Dmc(
         np.array([[1 - beta, 0.0, beta], [0.0, 1 - beta, beta]]),
         name=f"BEC({beta})",
@@ -179,25 +177,54 @@ def bec(beta: float) -> Dmc:
 
 def z_channel(nulling: float) -> Dmc:
     """Z-channel: input 0 is noiseless, input 1 is flipped to 0 w.p. ``nulling``."""
-    if not 0 <= nulling <= 1:
-        raise ValueError("nulling probability must be in [0, 1]")
+    check_real(nulling, "nulling probability must be in [0, 1]", 0.0, 1.0, "[]")
     return Dmc(np.array([[1.0, 0.0], [nulling, 1 - nulling]]), name=f"Z({nulling})")
 
 
 def identity_channel(size: int = 2) -> Dmc:
     """Noiseless channel on ``size`` letters; public as the zero-error extreme
     (E0 = ln size at every rho > 0) that the bounds' edge cases are checked on."""
+    check_count(size, "size must be an integer of at least 2, got {}", 2)
     return Dmc(np.eye(size), name=f"identity{size}")
 
 
+def check_real(value, message: str, lo: float = -math.inf, hi: float = math.inf,
+               ends: str = "()") -> None:
+    """Raise ``ValueError(message)`` unless ``value`` lies between ``lo`` and
+    ``hi``, which it may equal only where ``ends`` closes the interval
+    ("[)", "(]" or "[]").  The check of every real argument of the library:
+    negated and two-sided, so that nan, which fails every comparison, never
+    passes, and neither do +-inf unless an infinite end is closed.  A ``{}``
+    in the message is filled with the value."""
+    if not ((lo <= value if ends[0] == "[" else lo < value)
+            and (value <= hi if ends[1] == "]" else value < hi)):
+        raise ValueError(message.format(value))
+
+
+def check_probability(value, name: str) -> None:
+    """``check_real`` on (0, 1), with the message "<name> must lie in (0, 1)"."""
+    check_real(value, name + " must lie in (0, 1)", 0.0, 1.0)
+
+
+def check_count(value, message: str, least: int = 1) -> None:
+    """Raise ``ValueError(message)`` unless ``value`` is a whole number, of
+    any numeric type, at least ``least``: the check of every period, list
+    size, count and horizon.  nan, +-inf and fractions fail it.  A ``{}`` in
+    the message is filled with the value."""
+    if not (least <= value < math.inf and value % 1 == 0):
+        raise ValueError(message.format(value))
+
+
 def validate_distribution(q, size: int | None = None) -> np.ndarray:
-    """Check that ``q`` is a point on the input simplex and return it as an array."""
+    """Check that ``q`` is a point on the input simplex and return it as an
+    array: every entry at least -1e-12, nan and -inf failing that, and a sum
+    within 1e-12 of 1, which +inf fails."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("input distribution must be a vector")
     if size is not None and q.shape[0] != size:
         raise ValueError(f"distribution has length {q.shape[0]}, expected {size}")
-    if np.any(q < -ROW_SUM_TOL) or abs(q.sum() - 1.0) > ROW_SUM_TOL:
+    if not (np.all(q >= -ROW_SUM_TOL) and abs(q.sum() - 1.0) <= ROW_SUM_TOL):
         raise ValueError("input distribution must be nonnegative and sum to 1")
     return np.clip(q, 0.0, None)
 

@@ -27,6 +27,9 @@ from .dmc import (
     ConvergenceError,
     Dmc,
     c1 as _c1,
+    check_count,
+    check_probability,
+    check_real,
     divergence_rows,
     validate_distribution,
 )
@@ -52,23 +55,13 @@ TILDE_ROUNDOFF_STEPS = 32  # of them, at most, once its slack is at roundoff
 
 
 def _fortification_rate(fortify_k) -> float:
+    """The shift ln2/k of fortification period k, 0 for None: the check of
+    ``fortify_k``, which each public call runs once before any E0 read
+    (``_e0_point`` adds ln2/k unchecked)."""
     if fortify_k is None:
         return 0.0
-    if fortify_k < 1:
-        raise ValueError("fortification period must be a positive integer")
+    check_count(fortify_k, "fortification period must be a positive integer")
     return LN2 / fortify_k
-
-
-def _valid_rho(rho: float) -> None:
-    """Raise ``ValueError`` unless 0 <= rho < inf, which nan fails."""
-    if not 0 <= rho < math.inf:
-        raise ValueError("rho must be finite" if rho == math.inf else "rho must be nonnegative")
-
-
-def _finite_rate(r: float) -> None:
-    """Raise ``ValueError`` naming the rate r unless it is finite."""
-    if not math.isfinite(r):
-        raise ValueError(f"rate must be finite, got {float(r)}")
 
 
 def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
@@ -77,7 +70,6 @@ def gallager_e0(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     When the outer sum underflows (large rho on rows that share no output),
     it is summed in the log domain, scaled by the largest inner term.
     """
-    _valid_rho(rho)
     q = validate_distribution(q, p.input_size)
     return _e0_kernel(p, rho, q)[0] + rho * _fortification_rate(fortify_k)
 
@@ -88,7 +80,10 @@ def _e0_kernel(p: Dmc, rho: float, q: np.ndarray) -> tuple[float, float]:
     which every E0 evaluation of this module runs once (``gallager_e0``,
     ``e0_max``, ``_e0_point``), and the one slope formula (``e0_slope``).
     W > 0 exactly where P > 0: P^s >= P for s = 1/(1+rho) in (0, 1], so no
-    positive entry underflows."""
+    positive entry underflows.  rho must be finite and nonnegative, which
+    nan is not."""
+    check_real(rho, "rho must be finite" if rho == math.inf else "rho must be nonnegative",
+               0.0, ends="[)")
     w = p.rows ** (1.0 / (1.0 + rho))
     w_log_w = w * np.log(w, where=p.support, out=np.zeros(w.shape))
     a = q @ w
@@ -142,7 +137,6 @@ def e0_slope(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
     weights a^(1+rho) / sum a^(1+rho) are formed from a / max(a), so they
     cannot underflow together at large rho.
     """
-    _valid_rho(rho)
     q = validate_distribution(q, p.input_size)
     return _e0_kernel(p, rho, q)[1] + _fortification_rate(fortify_k)
 
@@ -150,10 +144,12 @@ def e0_slope(p: Dmc, rho: float, q, fortify_k: int | None = None) -> float:
 def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
     """(max_q E0(rho), its rho-derivative), fortified by ``fortify_k``: the
     one read of the channel's store ``Dmc.e0_points``.  A rho the store
-    lacks is solved here and stored, with its maximizing input and without
-    fortification, which is added on read: E0 gains rho ln2/k and the slope
-    ln2/k.  The sums are taken also when the shift is 0.0, which turns the
-    E0 of -0.0 of a channel with equal rows into 0.0.
+    lacks is solved here (``_e0_kernel`` checks it) and stored, with its
+    maximizing input and without fortification, which is added on read: E0 gains rho ln2/k and
+    the slope ln2/k.  ``fortify_k`` is not checked here, on every read, but
+    once per public call, by ``_fortification_rate``.  The sums are taken
+    also when the shift is 0.0, which turns the E0 of -0.0 of a channel with
+    equal rows into 0.0.
 
     The input is the channel's uniform one at rho = 0 and on
     output-symmetric channels, ``maximize_e0``'s otherwise; the derivative
@@ -163,17 +159,18 @@ def _e0_point(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, 
     bound on the capacity, equal to it on output-symmetric channels, which
     the slope searches only test R against (R at or above it is at or
     above capacity)."""
-    shift = _fortification_rate(fortify_k)
+    shift = 0.0 if fortify_k is None else LN2 / fortify_k
     point = p.e0_points.get(rho)
     if point is None:
-        _valid_rho(rho)
         if rho == 0:
             q = p.uniform
             e0, slope = 0.0, max(divergence_rows(row, q @ p.rows) for row in p.rows)
         else:
             if p.symmetric:
                 q = p.uniform
-            else:
+            else:  # checked as the kernel checks it, before maximize_e0's own check
+                check_real(rho, "rho must be finite" if rho == math.inf
+                           else "rho must be nonnegative", 0.0, ends="[)")
                 q = validate_distribution(maximize_e0(p.rows, rho).q, p.input_size)
                 q.flags.writeable = False
             e0, slope = _e0_kernel(p, rho, q)
@@ -195,8 +192,8 @@ def _e0_lanes(p: Dmc, rhos) -> None:
     below the smallest normal (the kernel's log-domain branch); and an
     output no q W reaches."""
     rho = np.array(rhos, dtype=float)
-    for r in rho.tolist():
-        _valid_rho(r)
+    check_real(rho.min(), "rho must be nonnegative", 0.0, math.inf, "[]")  # nan if any is
+    check_real(rho.max(), "rho must be finite", 0.0, ends="[)")
     power = 1.0 + rho
     s = 1.0 / power
     q = p.uniform
@@ -297,7 +294,8 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
 
 def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
     """Run the lanes together to their results, every E0 read from the
-    channel's store by ``_e0_point``, fortified by ``fortify_k``.
+    channel's store by ``_e0_point``, fortified by ``fortify_k``, which is
+    checked once, here.
 
     A lane is a generator over rho: it yields the rho it needs and receives
     (E0(rho), dE0/drho) there.  Every search along rho is written once, as
@@ -320,6 +318,7 @@ def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
     solve's, ends the run.
     """
     store = p.e0_points
+    _fortification_rate(fortify_k)  # checked once for every read of the run
     results = [None] * len(lanes)
     order, points_sent = range(len(lanes)), repeat(None)
     while order:
@@ -377,9 +376,8 @@ def _sphere_packing_steps(p: Dmc, r: float, fortify_k: int | None, climb):
     """``sphere_packing``'s search as a lane; ``climb(lo, hi, tol)`` is a
     generator returning the ``maximize_concave_1d`` result on a bracket.
     Each bracket after the first starts from a rho the last one ended on."""
-    _finite_rate(r)
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
+    check_real(r, "rate must be finite, got {}")
+    check_real(r, "rate must be nonnegative", 0.0, ends="[)")
     if r < divergence_rate(p, fortify_k) - 1e-12:
         return math.inf
     if r == 0 and fortify_k is None and p.symmetric and p.divergence_rate == 0:
@@ -420,11 +418,9 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
 
 def _random_coding_steps(r: float, list_size: int, climb):
     """``random_coding_list``'s search as a lane (see ``_sphere_packing_steps``)."""
-    _finite_rate(r)
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
-    if list_size < 1:
-        raise ValueError("list size must be at least 1")
+    check_real(r, "rate must be finite, got {}")
+    check_real(r, "rate must be nonnegative", 0.0, ends="[)")
+    check_count(list_size, "list size must be at least 1")
     res = yield from climb(0.0, float(list_size), 1e-10)
     return max(0.0, res.value)
 
@@ -815,9 +811,8 @@ def haroutunian(p: Dmc, r: float, variant: str = "standard") -> float:
 def _haroutunian_general(p: Dmc, r: float, variant: str = "standard") -> float:
     """``haroutunian``'s programs on any channel: E+ with its output law o*,
     and for tilde the dual bound at o* or else the doubled program."""
-    _finite_rate(r)
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
+    check_real(r, "rate must be finite, got {}")
+    check_real(r, "rate must be nonnegative", 0.0, ends="[)")
     if r < divergence_rate(p) - 1e-12:
         return math.inf
     standard, o = _haroutunian_convex(p, r)
@@ -832,10 +827,9 @@ def burnashev_bound(p: Dmc, r_bar: float, fortify_k: int | None = None) -> float
     as under fortification (C is then C + ln2/k), whose noiseless bit
     separates every pair of super-channel inputs, and 0 when C1 is, on
     equal rows, whose C is 0 too."""
-    _finite_rate(r_bar)
+    check_real(r_bar, "rate must be finite, got {}")
     cap_p = p.capacity_solution[0] + _fortification_rate(fortify_k)
-    if not 0 <= r_bar <= cap_p + 1e-12:
-        raise ValueError("average rate must lie in [0, C]")
+    check_real(r_bar, "average rate must lie in [0, C]", 0.0, cap_p + 1e-12, "[]")
     if fortify_k is not None or (coeff := _c1(p)) == math.inf:
         return math.inf
     if coeff == 0.0:
@@ -935,9 +929,8 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
 def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
     """``focusing_bound`` as a lane: the parametric path yields its eta, the
     general program yields nothing."""
-    _finite_rate(r)
-    if r <= 0:
-        raise ValueError("rate must be positive")
+    check_real(r, "rate must be finite, got {}")
+    check_real(r, "rate must be positive", 0.0)
     if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
         return 0.0
     if r < divergence_rate(p, fortify_k) - 1e-12:
@@ -971,10 +964,11 @@ class FocusingPoint:
     lambda_star: float
 
     def __post_init__(self):
-        if not 0 <= self.lambda_star < 1:
-            raise ValueError("lambda* must lie in [0, 1)")
-        if abs(self.eta * self.rate - self.exponent) > 1e-9 * max(1.0, self.exponent):
-            raise ValueError("parametric identity exponent = eta * rate violated")
+        check_real(self.exponent, "exponent must be finite, got {}")
+        check_real(self.lambda_star, "lambda* must lie in [0, 1)", 0.0, 1.0, "[)")
+        # within 1e-9 of a finite exponent, so nan and +-inf fail for eta and rate
+        check_real(abs(self.eta * self.rate - self.exponent), "parametric identity exponent = "
+                   "eta * rate violated", hi=1e-9 * max(1.0, self.exponent), ends="(]")
 
 
 def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) -> list[FocusingPoint]:
@@ -989,8 +983,8 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
         raise ValueError("parametric form requires an output-symmetric channel; "
                          "use focusing_bound instead")
     etas = sorted(eta_grid, reverse=True)  # descending eta = increasing rate
-    if etas and etas[-1] <= 0:
-        raise ValueError("eta grid must be positive")
+    for eta in etas:  # +inf is left to the E0 read, which rejects it
+        check_real(eta, "eta grid must be positive", 0.0, math.inf, "(]")
     pts = []
     for eta, (e0, slope) in zip(etas, _run_lanes(p, fortify_k, list(map(_at, etas)))):
         rate = e0 / eta
@@ -1031,9 +1025,8 @@ def _two_stream_steps(r: float):
     ``_crossing_steps`` the root is taken on the concave E'(rho) - r rho.
     The timesharing bound and ``ncl_scheme.two_stream_split`` run it.
     """
-    _finite_rate(r)
-    if r <= 0:
-        raise ValueError("rate must be positive")
+    check_real(r, "rate must be finite, got {}")
+    check_real(r, "rate must be positive", 0.0)
     e_one = (yield 1.0)[0]
 
     def excess(rho, e0, slope):
@@ -1056,7 +1049,7 @@ def _two_stream_steps(r: float):
 def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
     """The timesharing bound at rate r (``bound_at_rate``) as a lane: the
     two-stream curve inverted at r, 0 from capacity on."""
-    _finite_rate(r)
+    check_real(r, "rate must be finite, got {}")
     if r >= p.capacity_solution[0] + _fortification_rate(fortify_k):
         return 0.0
     rho, e_one, e_rho = yield from _two_stream_steps(r)
@@ -1066,6 +1059,7 @@ def _timesharing_steps(p: Dmc, r: float, fortify_k: int | None):
 def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tuple[float, float]:
     """One point of the two-stream achievable region:
     E'(rho) = (1/E0(rho) + 1/E0(1))^{-1}, R(rho) = E'(rho)/rho."""
+    _fortification_rate(fortify_k)  # checks it
     return _timesharing_point(_e0_point(p, rho, fortify_k)[0],
                               _e0_point(p, 1.0, fortify_k)[0], rho)
 
@@ -1073,8 +1067,7 @@ def timesharing_exponent(p: Dmc, rho: float, fortify_k: int | None = None) -> tu
 def _timesharing_point(e_rho: float, e_one: float, rho: float) -> tuple[float, float]:
     """(R, E') of ``timesharing_exponent`` from E0(rho) and E0(1); sweeps
     over rho solve E0(1) once and call this."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_real(rho, "rho must be positive", 0.0)
     e_prime = 1.0 / (1.0 / e_rho + 1.0 / e_one)
     return e_prime / rho, e_prime
 
@@ -1108,16 +1101,19 @@ def bec_focusing_point_bits(beta: float, eta: float) -> tuple[float, float]:
     1 + beta (2^eta - 1) = beta 2^eta (1 + (1-beta) 2^-g), and as
     eta - log1p(beta expm1(eta ln 2)) / ln 2 below: neither form subtracts
     two terms of the size of eta when E is much smaller."""
-    if not 0 < beta < 1:
-        raise ValueError("erasure probability must lie in (0, 1)")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_probability(beta, "erasure probability")
+    check_real(eta, "eta must be finite, got {}")
+    check_real(eta, "eta must be positive", 0.0)
+    e_bits = _bec_focusing_bits(beta, eta)
+    return e_bits / eta, e_bits
+
+
+def _bec_focusing_bits(beta: float, eta: float) -> float:
+    """E of ``bec_focusing_point_bits`` for a checked beta and eta."""
     g = eta + math.log2(beta)
     if g > 40.0:
-        e_bits = -math.log2(beta) - math.log1p((1.0 - beta) * 2.0**-g) / LN2
-    else:
-        e_bits = eta - math.log1p(beta * math.expm1(eta * LN2)) / LN2
-    return e_bits / eta, e_bits
+        return -math.log2(beta) - math.log1p((1.0 - beta) * 2.0**-g) / LN2
+    return eta - math.log1p(beta * math.expm1(eta * LN2)) / LN2
 
 
 def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
@@ -1128,10 +1124,11 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
     below log2(1/beta), so the root lies below log2(1/beta) / rate; the
     bracket grows until it holds the root, and ``ConvergenceError`` is
     raised only past twice that bound or past eta = 1e300.  Returns +inf
-    for nonpositive rates and 0 at or above capacity.
+    for finite nonpositive rates and 0 at or above capacity; nan and +-inf
+    raise ``ValueError``.
     """
-    if not 0 < beta < 1:
-        raise ValueError("erasure probability must lie in (0, 1)")
+    check_probability(beta, "erasure probability")
+    check_real(rate_bits, "rate must be finite, got {}")
     if rate_bits <= 0:
         return math.inf
     if rate_bits >= 1.0 - beta:
@@ -1139,7 +1136,7 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
 
     def point(eta):  # (E, dE/deta = (1-beta) 2^-eta / (beta + (1-beta) 2^-eta))
         tail = (1.0 - beta) * 2.0**-eta
-        return bec_focusing_point_bits(beta, eta)[1], tail / (beta + tail)
+        return _bec_focusing_bits(beta, eta), tail / (beta + tail)
 
     # 1e300 keeps the fourfold bracket finite at rates below about 1e-300
     cap = min(2.0 * -math.log2(beta) / rate_bits, 1e300)
@@ -1151,11 +1148,9 @@ def bec_focusing_exponent_bits(beta: float, rate_bits: float) -> float:
 def bec_anytime_capacity(beta: float, alpha_bits: float) -> float:
     """Reliability-dependent capacity of a BEC:
     C'(alpha) = alpha / (alpha + log2((1-beta)/(1 - 2^alpha beta))), bits/use."""
-    if not 0 < beta < 1:
-        raise ValueError("erasure probability must lie in (0, 1)")
+    check_probability(beta, "erasure probability")
     limit = -math.log2(beta)
-    if not 0 < alpha_bits < limit:
-        raise ValueError(f"reliability must lie in (0, {limit:.6f}) base-2 units")
+    check_real(alpha_bits, f"reliability must lie in (0, {limit:.6f}) base-2 units", 0.0, limit)
     # 1 - 2^alpha beta via expm1 of (alpha + log2 beta) ln 2: alpha may sit
     # within 1e-9 of the limit, where the direct form cancels catastrophically
     one_minus = -math.expm1((alpha_bits - limit) * LN2)
@@ -1171,10 +1166,9 @@ def bec_lowrate_floor(beta: float, r: float) -> tuple[float, float]:
     rate_limit_bits).  Public as the closed-form floor that no figure plots,
     checked against ``bec_anytime_capacity``.
     """
-    if not 0 < beta < 1:
-        raise ValueError("erasure probability must lie in (0, 1)")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    check_probability(beta, "erasure probability")
+    check_real(r, "r must be finite, got {}")
+    check_real(r, "r must be nonnegative", 0.0, ends="[)")
     log2_inv_beta = -math.log2(beta)
     threshold = (2.0 - math.log2(log2_inv_beta)) / log2_inv_beta
     if r < threshold and beta > 1.0 / 16.0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
                       fit_delay_exponent, substream)
-from .dmc import Dmc
+from .dmc import Dmc, check_count, check_real
 from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
@@ -59,11 +59,10 @@ class NclParams:
     e0: float
 
     def __post_init__(self):
-        _check_geometry(self.n, self.c, self.l)
-        if not 0 < self.rho <= 2**self.l:
-            raise ValueError("rho must lie in (0, list size]")
-        if self.rate >= self.ctilde:
-            raise ValueError("rate must be below E0(rho)/rho (positive slack)")
+        _check_geometry(self.n, self.c, self.l, self.k)
+        check_real(self.rho, "rho must lie in (0, list size]", 0.0, 2**self.l, "(]")
+        check_real(self.e0, "e0 must be a positive finite number, got {}", 0.0)
+        check_real(self.rate, "rate must be below E0(rho)/rho (positive slack)", hi=self.ctilde)
 
     @property
     def ck(self) -> int:
@@ -92,7 +91,11 @@ class NclParams:
         return math.exp(-self.ck * self.e0)
 
 
-def _check_geometry(n: int, c: int, l: int) -> None:
+def _check_geometry(n: int, c: int, l: int, k: int) -> None:
+    """Whole n, c and l, and a fortification period k, that fit a scheme."""
+    for value in (n, c, l):
+        check_count(value, "n, c and l must be nonnegative integers, got {}", 0)
+    check_count(k, "fortification period must be a positive integer")
     if c < l + 1:
         raise ValueError("need c >= l + 1 so the disambiguation bits fit one chunk")
     if n <= l:
@@ -106,14 +109,10 @@ def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclP
     r >= max(0, ln(Delta c k) / (c k E0(rho))); n = ceil(Ctilde/(Ctilde-R) (2+2r)),
     which guarantees the slack lower bound n - ceil(t~) >= (Ctilde-R) n / Ctilde - 1.
     """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be a positive finite number, got {delta}")
-    if k < 1:
-        raise ValueError("fortification period must be a positive integer")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < rate < math.inf:
-        raise ValueError(f"rate must be a positive finite number, got {rate}")
+    check_real(delta, "delta must be a positive finite number, got {}", 0.0)
+    check_count(k, "fortification period must be a positive integer")
+    check_real(rho, "rho must be positive, got {}", 0.0, math.inf, "(]")  # e0_max rejects inf
+    check_real(rate, "rate must be a positive finite number, got {}", 0.0)
     e0, q = e0_max(p, rho)
     ctilde = e0 / rho
     if rate >= ctilde:
@@ -130,8 +129,7 @@ def select_params(p: Dmc, rate: float, delta: float, k: int, rho: float) -> NclP
 
 def transmission_tail_bound(params: NclParams, t: int) -> float:
     """P(T_j - ceil(t~) ck > t ck) <= exp(-ck E0(rho, q))^t, clamped to 1."""
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    check_count(t, "t must be a positive integer, got {}")
     return min(1.0, params.beta_eff ** t)
 
 
@@ -213,8 +211,7 @@ def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
     exponents estimate the scheme's guaranteed floor rather than its true
     performance.
     """
-    if horizon_blocks < 1:
-        raise ValueError("need at least one block")
+    check_count(horizon_blocks, "need a whole number of at least one block, got {}")
     law = offset_geometric_service(math.ceil(params.t_tilde), params.beta_eff)
     chunks = law.sample(substream(seed, 1), horizon_blocks)
     return _ncl_trace(params, chunks,
@@ -268,10 +265,9 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     channel or input raises ``ValueError``, as does M >= 2^62, which the
     int64 counts could not hold.
     """
-    if horizon_blocks < 1:
-        raise ValueError("need at least one block")
-    if feedback_lag < 1 or feedback_lag >= params.ck:
-        raise ValueError("feedback lag must satisfy 1 <= phi < ck")
+    check_count(horizon_blocks, "need a whole number of at least one block, got {}")
+    check_count(feedback_lag, "feedback lag must satisfy 1 <= phi < ck")
+    check_real(feedback_lag, "feedback lag must satisfy 1 <= phi < ck", hi=params.ck)
     rows = p.rows
     if rows.shape != (2, 2) or rows[0, 1] != rows[1, 0] or rows[0, 0] != rows[1, 1]:
         raise ValueError("exact mode needs a BSC: elsewhere a competitor's likelihood "
@@ -287,8 +283,7 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     # e^64 > 2^62: the clamp keeps exp finite and leaves the rejection to the guard
     m_count = (n_messages if n_messages is not None
                else max(2, round(math.exp(min(nck * params.rate, 64.0)))))
-    if m_count < 2:
-        raise ValueError("exact mode needs a codebook of at least 2 messages")
+    check_count(m_count, "exact mode needs a codebook of at least 2 messages", 2)
     if m_count >= 2**62:
         raise ValueError("exact mode needs fewer than 2^62 messages to count them in int64")
 
@@ -339,8 +334,8 @@ def delayed_feedback_adjust(params: NclParams, phi: int) -> tuple[NclParams, flo
     Returns the adjusted params (same chunk grid, reduced rate) and the
     throughput factor.
     """
-    if not 1 <= phi < params.ck:
-        raise ValueError("need 1 <= phi < ck")
+    check_count(phi, "need 1 <= phi < ck")
+    check_real(phi, "need 1 <= phi < ck", hi=params.ck)
     factor = 1.0 - (phi - 1) / params.ck
     adjusted = replace(params, rate=params.rate * factor, e0=params.e0 * factor)
     return adjusted, factor
@@ -362,12 +357,14 @@ class TwoStreamSplit:
     e0_one: float
 
     def __post_init__(self):
-        if abs(self.psi - self.e0_rho / (self.e0_one + self.e0_rho)) > 1e-9:
-            raise ValueError("psi must equal E0(rho) / (E0(1) + E0(rho))")
-        if abs(self.e_prime - self.psi * self.e0_one) > 1e-9:
-            raise ValueError("exponent must equal psi E0(1)")
-        if abs(self.psi * self.e0_one - (1 - self.psi) * self.e0_rho) > 1e-9:
-            raise ValueError("balance identity psi E0(1) = (1-psi) E0(rho) violated")
+        check_real(self.rho, "rho must be a positive finite number, got {}", 0.0)
+        # each identity holds to 1e-9, which nan and every infinite E0 fail
+        check_real(abs(self.psi - self.e0_rho / (self.e0_one + self.e0_rho)),
+                   "psi must equal E0(rho) / (E0(1) + E0(rho))", hi=1e-9, ends="(]")
+        check_real(abs(self.e_prime - self.psi * self.e0_one),
+                   "exponent must equal psi E0(1)", hi=1e-9, ends="(]")
+        check_real(abs(self.psi * self.e0_one - (1 - self.psi) * self.e0_rho),
+                   "balance identity psi E0(1) = (1-psi) E0(rho) violated", hi=1e-9, ends="(]")
 
 
 def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
@@ -433,23 +430,24 @@ def scheme_exponent_curve(p: Dmc, n: int, c: int, l: int, k: int,
     ``SCHEME_RHO_POINTS`` geometrically spaced values of the operating
     parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.  The
     exponent depends on the rate only through the slack, so each distinct
-    (rho, slack) is solved once.  Raises ``ValueError`` for a geometry no
+    (rho, slack) is solved, and its ``NclParams`` built, once.  Raises ``ValueError`` for a geometry no
     scheme can run (c < l + 1 or n <= l).
     """
-    _check_geometry(n, c, l)
+    _check_geometry(n, c, l, k)
     rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS).tolist()
     table = [(rho, e0, p.e0_points[rho][2])
              for rho, (e0, _) in zip(rhos, _run_lanes(p, None, list(map(_at, rhos))))]
     solved = {}  # (rho, slack) -> queueing_exponent_bound
     out = []
-    for rate in sorted(rate_grid):
+    for rate in map(float, sorted(rate_grid)):
+        check_real(rate, "rate must be finite, got {}")
         best = 0.0
         for rho, e0, q in table:
             if rate < e0 / rho:
-                params = NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q, rate=float(rate), e0=e0)
-                key = rho, params.slack_chunks
+                key = rho, n - math.ceil(rate * n / (e0 / rho))  # ``NclParams.slack_chunks``
                 if key not in solved:
-                    solved[key] = queueing_exponent_bound(params)
+                    solved[key] = queueing_exponent_bound(
+                        NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q, rate=rate, e0=e0))
                 best = max(best, solved[key])
-        out.append((float(rate), best))
+        out.append((rate, best))
     return out

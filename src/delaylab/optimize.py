@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmc import Dmc, ConvergenceError, uniform_input
+from .dmc import Dmc, ConvergenceError, check_count, check_real, uniform_input
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 500  # golden-section steps of maximize_concave_1d
@@ -93,8 +93,8 @@ def maximize_concave_1d(f, lo: float, hi: float, tol: float = 1e-10,
     once, there.  ``iterations`` counts the slope evaluations inside the
     bracket.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    check_real(hi - lo, "need lo < hi", 0.0)  # and both finite: nan and inf fail
+    check_real(tol, "tol must be a positive finite number, got {}", 0.0)
     a, b = float(lo), float(hi)
     if slope is not None:
         # the pairs carry no value of f, so f is evaluated at the argmax
@@ -213,8 +213,8 @@ def maximize_over_simplex(f, dim: int, tol: float = 1e-9) -> tuple[np.ndarray, f
     concave objectives on the simplex.  Raises ``ConvergenceError`` when a
     cycle still gains more than ``tol`` after 200 cycles.
     """
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    check_count(dim, "dimension must be positive")
+    check_real(tol, "tol must be a positive finite number, got {}", 0.0)
     if dim == 1:
         q = np.array([1.0])
         return q, float(f(q))
@@ -448,8 +448,8 @@ def maximize_e0(rows, rho: float) -> E0Solution:
     iterations.  The gap, summed in floats, is exact only to that floor; one
     below 0 (-1.1e-9 on Z(0.5) at rho = 1e7) is reported as 0.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError("rho must be finite" if rho == math.inf else "rho must be positive")
+    check_real(rho, "rho must be positive", 0.0, math.inf, "(]")
+    check_real(rho, "rho must be finite")
     rows = np.asarray(rows, dtype=float)
     nx = rows.shape[0]
     w = rows[:, rows.any(axis=0)] ** (1.0 / (1.0 + rho))
@@ -536,9 +536,8 @@ def minimize_convex_on_simplex(oracle, dim: int, divisor=None) -> ConvexSolution
     every t up to that value, and f = h / s >= t there.  The correction
     fades as the ellipsoid shrinks.
     """
+    check_count(dim, "need a simplex of dimension at least 2", 2)
     m = dim - 1
-    if m < 1:
-        raise ValueError("need a simplex of dimension at least 2")
     if m == 1:
         if divisor is not None:
             raise ValueError("a divisor needs a simplex of dimension at least 3")
@@ -719,6 +718,7 @@ def minimize_over_channels(objective, feasible, dims: tuple[int, int],
     to 1e-5, and to 1e-8 when the winner is polished.
     """
     nx, ny = dims
+    check_count(restarts, "restarts must be a positive integer, got {}")
     if nx > 4 or ny > 4:
         raise ValueError("channel minimization supports alphabets up to 4x4")
     if penalty is None:

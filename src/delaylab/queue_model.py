@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bec_lab import DelayExponentFit, fifo_completions, fit_delay_exponent, substream
-from .dmc import LN2
+from .dmc import LN2, check_count, check_probability
 from .exponents import bec_focusing_exponent_bits
 
 WARMUP_MESSAGES = 100  # messages dropped before a delay tail is measured
@@ -44,12 +44,10 @@ class ServiceTimeModel:
     cap: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.tail_beta < 1:
-            raise ValueError("tail parameter must lie in (0, 1)")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("a truncation cap must be positive")
+        check_probability(self.tail_beta, "tail parameter")
+        check_count(self.offset, "offset must be a nonnegative integer, got {}", 0)
+        if self.cap is not None:
+            check_count(self.cap, "a truncation cap must be a positive integer, got {}")
         # the largest sample is drawn at the largest uniform below 1
         top = int(self._geometric(np.array([np.nextafter(1.0, 0.0)]))[0])
         limit = int(np.iinfo(np.int64).max) - min(top, self.cap or top)
@@ -79,6 +77,7 @@ class ServiceTimeModel:
         explicit ``envelope_beta`` turns this into a generic conformance check.
         """
         beta_env = self.tail_beta if envelope_beta is None else envelope_beta
+        check_probability(beta_env, "envelope parameter")
         t = self.sample(substream(ENVELOPE_SEED, 77), ENVELOPE_SAMPLES)
         kmax = int(min(t.max() - self.offset, 2 + 40 / -math.log(beta_env)))
         for k in (1, 2, 3, 5, 8, 13, 21, 34):
@@ -113,10 +112,8 @@ class QueueConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arrival_period < 1:
-            raise ValueError("arrival period must be a positive integer")
-        if self.horizon < 1:
-            raise ValueError("need at least one message")
+        check_count(self.arrival_period, "arrival period must be a positive integer")
+        check_count(self.horizon, "need at least one message")
 
 
 @dataclass
@@ -172,6 +169,7 @@ def tail_exponent_bound(m: int, svc: ServiceTimeModel) -> float:
     """Guaranteed delay-tail exponent [nats per time unit] of the queue with
     arrival period m: ``reduced_rate_exponent`` at slack m - offset.
     Requires m > offset."""
+    check_count(m, "arrival period must be a positive integer")
     if m <= svc.offset:
         raise ValueError("arrival period must exceed the service-time offset")
     return reduced_rate_exponent(svc.tail_beta, m - svc.offset)
@@ -206,7 +204,9 @@ def coupled_dominance_check(svc: ServiceTimeModel, samples: int = 1_000_000,
     """
     if svc.offset != 0:
         raise ValueError("coupling check applies to offset-0 models")
+    check_count(samples, "samples must be a positive integer, got {}")
     beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
+    check_probability(beta_env, "envelope parameter")
     u = substream(DOMINANCE_SEED, 2).random(samples)
     t = svc.inverse_cdf(u)
     t_geo = geometric_service(beta_env).inverse_cdf(u)
