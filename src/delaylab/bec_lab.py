@@ -19,6 +19,12 @@ off the FIFO run: its decoder frees a group exactly when the FIFO backlog
 empties.  Every measured exponent, here and in the queue and hybrid-ARQ
 modules, comes from ``fit_delay_exponent``: the slope of -ln P(delay > d)
 against d with a block-bootstrap confidence interval.
+
+Memory: a simulator holds the arrays it returns and working buffers of
+``CHUNK_LENGTH`` values, never a full-length temporary.  Uniforms are drawn
+a chunk at a time into one buffer (the same stream as one draw), the FIFO
+recursion carries its running sum and maximum from chunk to chunk, and a
+fit reads its delays as chunk-sized differences of a trace's times.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmc import check_count, check_probability, check_real
+from .dmc import check_count, check_probability, check_real, check_seed
 
+CHUNK_LENGTH = 1 << 16  # values in each working buffer of the simulators and the fits
 _BOOTSTRAP_DRAWS = 200  # resamples behind a delay-exponent fit's CI
 _BOOTSTRAP_STREAM = (0, 999)  # their substream key
 
@@ -42,12 +49,49 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each of the consecutive ranges of at most ``CHUNK_LENGTH``
+    that cover range(n)."""
+    return [(lo, min(lo + CHUNK_LENGTH, n)) for lo in range(0, n, CHUNK_LENGTH)]
+
+
+def _uniform_chunks(rng: np.random.Generator, size: int):
+    """(lo, u) for each chunk (lo, hi) of range(size), u the uniforms
+    ``rng.random(size)[lo:hi]``, drawn in turn into one reused buffer (so u
+    holds until the next chunk is drawn): the same stream of doubles as one
+    draw, never held whole."""
+    buf = np.empty(min(size, CHUNK_LENGTH))
+    for lo, hi in _chunks(size):
+        u = buf[: hi - lo]
+        rng.random(out=u)
+        yield lo, u
+
+
 def fifo_completions(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """FIFO completions C_i = max(a_i, C_{i-1}) + T_i from an idle start, as the
     prefix maximum C_i = S_i + max_{k<=i} (a_k - S_{k-1}), S_i = T_1 + ... + T_i:
-    the queue of the erasure FIFO, the point queue and both (n, c, l) modes."""
-    csum = np.cumsum(service)
-    return csum + np.maximum.accumulate(arrivals - (csum - service))
+    the queue of the erasure FIFO, the point queue and both (n, c, l) modes.
+
+    Arrivals and service times are integers and the completions int64.  They
+    are computed a chunk at a time, S and the prefix maximum carried from one
+    chunk to the next, which integer arithmetic makes exact."""
+    if not (np.issubdtype(arrivals.dtype, np.integer)
+            and np.issubdtype(service.dtype, np.integer)):
+        raise TypeError(f"FIFO completions take integer times, got {arrivals.dtype} "
+                        f"arrivals and {service.dtype} service times")
+    out = np.empty(len(arrivals), dtype=np.int64)
+    total, reach = 0, None  # S and the prefix maximum before the chunk
+    for lo, hi in _chunks(len(arrivals)):
+        t = service[lo:hi]
+        csum = np.cumsum(t, dtype=np.int64)  # S_i - total
+        gap = arrivals[lo:hi] - csum
+        gap += t  # a_k - S_{k-1} + total
+        if reach is not None:
+            gap[0] = max(gap[0], reach + total)
+        np.maximum.accumulate(gap, out=gap)
+        np.add(csum, gap, out=out[lo:hi])
+        total, reach = total + csum[-1], gap[-1] - total
+    return out
 
 
 @dataclass
@@ -62,6 +106,7 @@ class BecConfig:
         check_real(self.rate_bits, "rate must be finite, got {}")
         check_real(self.rate_bits, "rate must be positive", 0.0)
         check_count(self.horizon, "horizon too short", 2)
+        self.horizon, self.seed = int(self.horizon), check_seed(self.seed)
         if self.rate_bits >= 1 - self.beta:
             warnings.warn(
                 f"rate {self.rate_bits} >= capacity {1 - self.beta}: queue is "
@@ -96,9 +141,8 @@ class SimTrace:
 
     def series(self, stride: int = 1) -> dict[str, np.ndarray]:
         t = np.arange(1, self.horizon + 1, stride, dtype=np.int64)
-        d = self.decode_times
         arrivals = _counts_at_samples(self.arrival_times, stride, len(t))
-        decoded = _counts_at_samples(d[np.isfinite(d)].astype(np.int64), stride, len(t))
+        decoded = _counts_at_samples(self.decode_times, stride, len(t))
         return {
             "time": t,
             "arrivals_cum": arrivals,
@@ -112,25 +156,77 @@ class SimTrace:
 
 
 def _counts_at_samples(times: np.ndarray, stride: int, n: int) -> np.ndarray:
-    """How many of the integer ``times`` (each >= 1) are at or before each
+    """How many of the finite ``times``, whole numbers, are at or before each
     sample time t_j = 1 + j stride, j < n: a time x is first counted at
-    j = ceil((x - 1) / stride), so the counts are a prefix sum of buckets."""
-    return np.cumsum(np.bincount((times + (stride - 2)) // stride, minlength=n)[:n])
+    j = ceil((x - 1) / stride), or at j = 0 for x <= 1, so the counts are a
+    prefix sum of buckets, tallied a chunk of times at a time."""
+    counts = np.zeros(n, dtype=np.int64)
+    for lo, hi in _chunks(len(times)):
+        part = times[lo:hi]
+        if part.dtype.kind == "f":
+            part = part[np.isfinite(part)].astype(np.int64)
+        buckets = part + (stride - 2)
+        buckets //= stride
+        np.maximum(buckets, 0, out=buckets)
+        first = buckets.min(initial=n)
+        if first < n:
+            buckets -= first
+            tally = np.bincount(buckets)[: n - first]
+            counts[first:first + len(tally)] += tally
+    return np.cumsum(counts, out=counts)
 
 
 def _arrival_times(rate_bits: float, horizon: int) -> np.ndarray:
-    n_guess = int(horizon * rate_bits) + 2
-    a = np.ceil(np.arange(1, n_guess + 1, dtype=np.int64) / rate_bits)
-    # a bit arriving at the last use could never be served within the horizon
-    return a[a < horizon].astype(np.int64)
+    a = np.empty(int(horizon * rate_bits) + 2, dtype=np.int64)
+    for lo, hi in _chunks(len(a)):
+        part = np.ceil(np.arange(lo + 1, hi + 1, dtype=np.int64) / rate_bits)
+        # a bit arriving at the last use could never be served within the
+        # horizon; the times ascend, so the first such bit ends the run
+        stop = lo + int(np.searchsorted(part, horizon))
+        a[lo:stop] = part[: stop - lo]
+        if stop < hi:
+            break
+    return a[:stop]
 
 
 def _erasure_pattern(cfg: BecConfig) -> np.ndarray:
     # both simulators must consume the stream identically for pathwise coupling
-    rng = substream(cfg.seed, 0)
-    z = rng.random(cfg.horizon + 1) < (1.0 - cfg.beta)
+    z = np.empty(cfg.horizon + 1, dtype=bool)
+    for lo, u in _uniform_chunks(substream(cfg.seed, 0), len(z)):
+        np.less(u, 1.0 - cfg.beta, out=z[lo:lo + len(u)])
     z[0] = False
     return z
+
+
+def _successes_by(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The successes of the pattern ``z`` at or before each use of the
+    ascending ``a``, a prefix sum a chunk of uses at a time, in the
+    narrowest type that holds every count."""
+    c = np.empty(len(a), dtype=np.min_scalar_type(len(z) - 1))
+    seen = c.dtype.type(0)
+    for lo, hi in _chunks(len(z)):
+        csum = np.cumsum(z[lo:hi], dtype=c.dtype)
+        i, j = np.searchsorted(a, (lo, hi))
+        np.add(csum[a[i:j] - lo], seen, out=c[i:j])
+        seen += csum[-1]
+    return c
+
+
+def _success_uses(z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The use of success number k_i (from 0, in use order) of the pattern
+    ``z`` for each of the increasing int64 ``k``, +inf past the last success,
+    as float64 written over ``k`` itself: each chunk of uses places the k
+    that fall among its successes, which is never a table of every success."""
+    out = k.view(np.float64)
+    done, first = 0, 0  # k placed so far; index of the chunk's first success
+    for lo, hi in _chunks(len(z)):
+        uses = np.flatnonzero(z[lo:hi]) + lo
+        # the search reads only k not yet overwritten
+        stop = done + int(np.searchsorted(k[done:], first + len(uses)))
+        out[done:stop] = uses[k[done:stop] - first]
+        done, first = stop, first + len(uses)
+    out[done:] = np.inf
+    return out
 
 
 def simulate_fifo(cfg: BecConfig) -> SimTrace:
@@ -141,21 +237,17 @@ def simulate_fifo(cfg: BecConfig) -> SimTrace:
     queue with unit service, bit i arriving after the c_i successes up to a_i.
     """
     z = _erasure_pattern(cfg)
-    st = np.flatnonzero(z)
     a = _arrival_times(cfg.rate_bits, cfg.horizon)
-    n = len(a)
-    # successes at or before a_i, the index of the first after it; the prefix
-    # sum over every use takes the narrowest type that holds the horizon
-    c = np.cumsum(z, dtype=np.min_scalar_type(cfg.horizon))[a]
-    k = fifo_completions(c, np.ones(n, dtype=np.int64)) - 1
-    decoded = k < len(st)
-    dt = np.full(n, np.inf)
-    dt[decoded] = st[k[decoded]]
+    # successes at or before a_i, the index of the first after it
+    c = _successes_by(z, a)
+    k = fifo_completions(c, np.broadcast_to(np.int64(1), len(c)))
+    del c
+    k -= 1
     return SimTrace(
         scheme="bec_fifo",
         horizon=cfg.horizon,
         arrival_times=a,
-        decode_times=dt,
+        decode_times=_success_uses(z, k),
         meta={"beta": cfg.beta, "rate_bits": cfg.rate_bits, "seed": cfg.seed},
     )
 
@@ -174,15 +266,25 @@ def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
     """
     fifo = simulate_fifo(cfg)
     a, d = fifo.arrival_times, fifo.decode_times
-    # the last bit closes the final (possibly unfinished) period; each bit
-    # takes its period's end, repeated over the period's length
-    ends = np.append(np.flatnonzero(a[1:] >= d[:-1]), len(a) - 1)
-    last = np.repeat(ends, np.diff(ends, prepend=-1))
+    # the last bit closes the final (possibly unfinished) period.  FIFO
+    # decode times never decrease, so a bit's period end, the first closing
+    # j >= i, has the least d_j of the closing j >= i: a minimum taken from
+    # the right a chunk at a time, over the FIFO run's own decode times
+    later = np.inf
+    for lo, hi in reversed(_chunks(len(a))):
+        part = d[lo:hi]
+        nxt = a[lo + 1:hi + 1]
+        closes = np.ones(hi - lo, dtype=bool)
+        closes[:len(nxt)] = nxt >= part[:len(nxt)]
+        ends = np.where(closes, part, np.inf)[::-1]
+        np.minimum.accumulate(ends, out=ends)
+        np.minimum(ends[::-1], later, out=part)
+        later = part[0]
     return SimTrace(
         scheme="bec_parity_nofeedback",
         horizon=cfg.horizon,
         arrival_times=a,
-        decode_times=d[last],
+        decode_times=d,
         meta=fifo.meta,
     )
 
@@ -304,8 +406,65 @@ class DelayExponentFit:
 
 
 def _miss_counts(sorted_delays: np.ndarray, d) -> np.ndarray:
-    """Number of delays above each deadline in ``d``, by binary search."""
-    return len(sorted_delays) - np.searchsorted(sorted_delays, d, side="right")
+    """Number of delays above each deadline in ``d``, by binary search.
+
+    Signed integer delays are searched at floor(d), which an integer exceeds
+    exactly when it exceeds d, so numpy does not cast them to float; a
+    deadline past the range of their type has every delay above it or none.
+    """
+    d = np.asarray(d, dtype=float)
+    n = len(sorted_delays)
+    if sorted_delays.dtype.kind != "i":
+        return n - np.searchsorted(sorted_delays, d, side="right")
+    low = float(np.iinfo(sorted_delays.dtype).min)  # -2^63 for int64; -low is 2^63
+    cut = np.floor(d)
+    inside = (low <= cut) & (cut < -low)
+    counts = np.where(cut < low, n, 0)
+    counts[inside] = n - np.searchsorted(sorted_delays, cut[inside].astype(sorted_delays.dtype),
+                                         side="right")
+    return counts
+
+
+def _pieces(segments):
+    """The delays ``ends - starts + shift`` of each (ends, starts, shift)
+    segment in turn, ``ends`` itself where ``starts`` is None, as
+    consecutive arrays of at most ``CHUNK_LENGTH``: a pooled delay sample
+    that is never held whole."""
+    for ends, starts, shift in segments:
+        for lo, hi in _chunks(len(ends)):
+            piece = ends[lo:hi]
+            if starts is not None:
+                piece = piece - starts[lo:hi]
+                piece += shift
+            yield piece
+
+
+def _tally(segments, d: np.ndarray, block: int):
+    """One pass over the delays of ``segments``: their first and last value
+    in ascending order (nan sorting last), their misses at each deadline of
+    ``d``, and, one row per block, the misses of each whole block of
+    ``block`` consecutive delays (no rows for ``block`` 0).  Each piece is
+    cut where a block ends and sorted on its own."""
+    counts = np.zeros(len(d), dtype=np.int64)
+    firsts, lasts, rows = [], [], []
+    row, filled = np.zeros_like(counts), 0
+    for piece in _pieces(segments):
+        while len(piece):
+            cut = block - filled if block else len(piece)
+            part, piece = np.sort(piece[:cut]), piece[cut:]
+            firsts.append(part[0])
+            lasts.append(part[-1])
+            missed = _miss_counts(part, d)
+            counts += missed
+            if block:
+                row += missed
+                filled += len(part)
+                if filled == block:
+                    rows.append(row)
+                    row, filled = np.zeros_like(counts), 0
+    ends = [np.sort(firsts)[0], np.sort(lasts)[-1]] if firsts else []
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(d))
+    return np.array(ends).tolist(), counts, rows
 
 
 def _design(d: np.ndarray) -> np.ndarray:
@@ -319,33 +478,38 @@ def _slope(a: np.ndarray, p: np.ndarray) -> float:
     return sol[0]
 
 
-def _point_fit(sorted_delays: np.ndarray, d_grid, min_misses: int) -> DelayExponentFit:
-    """``fit_delay_exponent`` before its bootstrap, on the delays in ascending
-    order: the deadlines kept, their miss counts and the slope, with the CI
-    NaN.  A caller that needs no CI, or the counts at other deadlines too,
-    sorts the delays once for both."""
-    if sorted_delays.size == 0:
+def _point_fit(segments, d_grid, min_misses: int, block: int = 0):
+    """``fit_delay_exponent`` before its bootstrap, in one ``_tally`` pass
+    over the delays of ``segments``: the fit (the deadlines kept, their miss
+    counts and the slope, with the CI NaN), the miss counts at every
+    deadline of ``d_grid`` in its given order, and the misses of each whole
+    block of ``block`` delays at the deadlines kept."""
+    n = sum(len(ends) for ends, _, _ in segments)
+    if n == 0:
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     check_count(min_misses, "min_misses must be a positive integer, got {}")
-    d_grid = np.asarray(sorted(d_grid), dtype=float)
-    for d in [*sorted_delays[[0, -1]].tolist(), *d_grid.tolist()]:  # nan sorts last
+    given = np.asarray(list(d_grid), dtype=float)
+    order = np.argsort(given, kind="stable")
+    d_grid = given[order]
+    ends, given_counts, block_counts = _tally(segments, given, block)
+    for d in [*ends, *d_grid.tolist()]:  # nan sorts last
         check_real(d, "delays and deadlines must be numbers or +inf, got {}", hi=math.inf,
                    ends="(]")
-    counts = _miss_counts(sorted_delays, d_grid)
-    probs = counts / len(sorted_delays)
+    counts = given_counts[order]
+    probs = counts / n
     if counts.sum() == 0:
-        return DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
-                                counts, unbounded=True)
+        fit = DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
+                               counts, unbounded=True)
+        return fit, given_counts, block_counts[:, order]
     keep = counts >= min_misses
     widened = bool(keep.sum() < 3)
     if keep.sum() < 2:
         keep = counts > 0
     dd, pp = d_grid[keep], probs[keep]
-    if len(dd) < 2:
-        return DelayExponentFit(math.nan, math.nan, math.nan, dd, pp,
-                                counts[keep], widened_ci=True)
-    return DelayExponentFit(float(_slope(_design(dd), pp)), math.nan, math.nan, dd, pp,
-                            counts[keep], widened_ci=widened)
+    slope = float(_slope(_design(dd), pp)) if len(dd) >= 2 else math.nan
+    fit = DelayExponentFit(slope, math.nan, math.nan, dd, pp, counts[keep],
+                           widened_ci=widened or len(dd) < 2)
+    return fit, given_counts, block_counts[:, order][:, keep]
 
 
 def _bootstrap_slopes(pv: np.ndarray, dd: np.ndarray, quantiles) -> np.ndarray:
@@ -414,23 +578,26 @@ def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
     or deadline, and a ``min_misses`` that is not a positive integer raise
     ValueError.
     """
-    delays = np.asarray(delays)
-    fit = _point_fit(np.sort(delays), d_grid, min_misses)
+    return _fit([(np.asarray(delays), None, 0)], d_grid, min_misses)
+
+
+def _fit(segments, d_grid, min_misses: int) -> DelayExponentFit:
+    """``fit_delay_exponent`` of the delays of ``segments`` (see ``_pieces``),
+    pooled in order."""
+    block = max(1000, sum(len(ends) for ends, _, _ in segments) // 200)
+    fit, _, block_counts = _point_fit(segments, d_grid, min_misses, block)
     if fit.unbounded or len(fit.d_values) < 2:
         return fit
     dd = fit.d_values
     rng = substream(*_BOOTSTRAP_STREAM)
-    block = max(1000, len(delays) // 200)
-    n_blocks = len(delays) // block
+    n_blocks = len(block_counts)
     pv = np.empty((0, len(dd)))
     if n_blocks:
-        trimmed = delays[: n_blocks * block].reshape(n_blocks, block)
-        # per-block miss counts once; a resample's counts are then
-        # times_drawn @ block_counts, times_drawn[i, b] counting block b in
-        # resample i.  One call draws the picks of one call per resample:
-        # each pick takes Philox's 32-bit words in turn, and Philox keeps the
-        # unused half of a 64-bit word from one call to the next.
-        block_counts = np.stack([(trimmed > d).sum(axis=1) for d in dd], axis=1)
+        # a resample's miss counts are times_drawn @ block_counts,
+        # times_drawn[i, b] counting block b in resample i.  One call draws
+        # the picks of one call per resample: each pick takes Philox's
+        # 32-bit words in turn, and Philox keeps the unused half of a 64-bit
+        # word from one call to the next.
         picks = rng.integers(0, n_blocks, (_BOOTSTRAP_DRAWS, n_blocks))
         picks += n_blocks * np.arange(_BOOTSTRAP_DRAWS)[:, None]
         times_drawn = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
@@ -453,8 +620,11 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExpone
     if isinstance(traces, SimTrace):
         traces = [traces]
     d_max = float(max(d_grid))
-    chunks = []
+    segments = []
     for t in traces:
-        stop = int(np.searchsorted(t.arrival_times, t.horizon - d_max, side="right"))
-        chunks.append(t.delays()[t.steady_start():stop])
-    return fit_delay_exponent(np.concatenate(chunks), d_grid, min_misses)
+        start = t.steady_start()
+        # the bits with a_i <= horizon - d_max, counted without casting the
+        # arrival times to float
+        stop = len(t.arrival_times) - int(_miss_counts(t.arrival_times, [t.horizon - d_max])[0])
+        segments.append((t.decode_times[start:stop], t.arrival_times[start:stop], 0))
+    return _fit(segments, d_grid, min_misses)

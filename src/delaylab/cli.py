@@ -263,8 +263,9 @@ def cmd_curve(args) -> int:
 # simulations
 # ---------------------------------------------------------------------------
 
-# rows formatted per write: bounds the byte matrix built for them
-TRACE_CHUNK_ROWS = 1 << 16
+# rows formatted per write: bounds the byte matrices built for them, about
+# a hundred bytes a row, near the working buffers of the simulators
+TRACE_CHUNK_ROWS = 1 << 14
 
 
 def _text_field(text: str, rows: int) -> np.ndarray:
@@ -356,7 +357,8 @@ def _sim_bec(fields: dict, seed: int, out: Path) -> dict:
     traces = [one(trial) for trial in range(trials)]
     fit = bec_lab.measure_delay_exponent(traces, d_grid)
     names = ["time", "arrivals_cum", "decoded_cum", "queue_len"]
-    series = (tr.series(stride) for tr in traces)
+    # each trial's series replaces its trace, so the write holds no trace
+    series = [traces.pop(0).series(stride) for _ in range(trials)]
     _write_trace_csv(out / "trace.csv", ["trial"] + names,
                      ([s[n] for n in names] for s in series))
     return {"sim": f"bec_{scheme}", "fit": _fit_payload(fit)}
@@ -388,10 +390,10 @@ def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
         return queue_model.simulate_point_queue(cfg, svc)
 
     traces = [one(trial) for trial in range(trials)]
-    delays = np.sort(np.concatenate([tr.steady_delays() for tr in traces]))
     # the summary writes no CI, and reports every deadline, not only the fitted ones
-    fit = bec_lab._point_fit(delays, d_grid, min_misses=50)
-    counts = bec_lab._miss_counts(delays, np.asarray(d_grid, float))
+    segments = [tr._steady_segment() for tr in traces]
+    fit, counts, _ = bec_lab._point_fit(segments, d_grid, min_misses=50)
+    n_delays = sum(len(ends) for ends, _, _ in segments)
     bound = queue_model.tail_exponent_bound(m, svc) if m > svc.offset else None
     _write_trace_csv(out / "trace.csv", ["trial", "arrival", "completion", "service"],
                      [[tr.arrival_times, tr.completion_times, tr.service_times]
@@ -400,7 +402,7 @@ def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
         "sim": "queue",
         "fit": {"exponent": _finite_or_none(fit.slope),
                 "d_grid": list(map(float, d_grid)),
-                "miss_probs": (counts / len(delays)).tolist(),
+                "miss_probs": (counts / n_delays).tolist(),
                 "miss_counts": counts.tolist()},
         "tail_exponent_bound": bound,
     }

@@ -215,6 +215,15 @@ def check_count(value, message: str, least: int = 1) -> None:
         raise ValueError(message.format(value))
 
 
+def check_seed(value) -> int:
+    """A seed as an int: ``check_count`` with no least value, so nan, +-inf
+    and fractions raise ``ValueError`` naming the seed.  A negative seed
+    passes, for numpy's SeedSequence to reject ("expected non-negative
+    integer") when the run draws."""
+    check_count(value, "seed must be a whole number, got {}", -math.inf)
+    return int(value)
+
+
 def validate_distribution(q, size: int | None = None) -> np.ndarray:
     """Check that ``q`` is a point on the input simplex and return it as an
     array: every entry at least -1e-12, nan and -inf failing that, and a sum

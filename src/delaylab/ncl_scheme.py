@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bec_lab import (DelayExponentFit, _design, _miss_counts, _slope, fifo_completions,
-                      fit_delay_exponent, substream)
-from .dmc import Dmc, check_count, check_real
+from .bec_lab import (DelayExponentFit, _design, _fit, _miss_counts, _slope, fifo_completions,
+                      substream)
+from .dmc import Dmc, check_count, check_real, check_seed
 from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
 
@@ -60,6 +60,8 @@ class NclParams:
 
     def __post_init__(self):
         _check_geometry(self.n, self.c, self.l, self.k)
+        for name in ("n", "c", "l", "k"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         check_real(self.rho, "rho must lie in (0, list size]", 0.0, 2**self.l, "(]")
         check_real(self.e0, "e0 must be a positive finite number, got {}", 0.0)
         check_real(self.rate, "rate must be below E0(rho)/rho (positive slack)", hi=self.ctilde)
@@ -153,7 +155,9 @@ class NclTrace:
         return self.service_starts - self.arrival_times
 
     def end_to_end(self) -> np.ndarray:
-        return self.commit_times - self.arrival_times + self.assembly
+        delays = self.commit_times - self.arrival_times
+        delays += self.assembly
+        return delays
 
     def decomposition_exact(self) -> bool:
         total = (self.assembly + self.queueing() + self.transmission_times
@@ -165,8 +169,9 @@ class NclTrace:
         return self.end_to_end()[WARMUP_BLOCKS:]
 
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
-        """Delay exponent of the ``steady_delays``."""
-        return fit_delay_exponent(self.steady_delays(), d_grid, min_misses)
+        """Delay exponent of the ``steady_delays``, read a chunk at a time."""
+        return _fit([(self.commit_times[WARMUP_BLOCKS:], self.arrival_times[WARMUP_BLOCKS:],
+                      self.assembly)], d_grid, min_misses)
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
@@ -186,15 +191,19 @@ def _ncl_trace(params: NclParams, chunks: np.ndarray, meta: dict) -> NclTrace:
     assembled every n c k uses, and time every block of the run; neither
     mode can commit an error."""
     nck = params.block_period
-    arrivals = nck * np.arange(1, len(chunks) + 1, dtype=np.int64)
-    t_j = chunks * params.ck
-    confirms = fifo_completions(arrivals, t_j)
+    arrivals = np.arange(1, len(chunks) + 1, dtype=np.int64)
+    arrivals *= nck
+    t_j = chunks  # the caller's own array, scaled in place from chunks to uses
+    t_j *= params.ck
+    commits = fifo_completions(arrivals, t_j)
+    starts = commits - t_j
+    # l disambiguation bits ride the next l control slots at spacing k
+    commits += params.l * params.k
     return NclTrace(
         arrival_times=arrivals,
-        service_starts=confirms - t_j,
+        service_starts=starts,
         transmission_times=t_j,
-        # l disambiguation bits ride the next l control slots at spacing k
-        commit_times=confirms + params.l * params.k,
+        commit_times=commits,
         assembly=nck,
         termination=params.l * params.k,
         meta=meta,
@@ -212,6 +221,7 @@ def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
     performance.
     """
     check_count(horizon_blocks, "need a whole number of at least one block, got {}")
+    seed = check_seed(seed)
     law = offset_geometric_service(math.ceil(params.t_tilde), params.beta_eff)
     chunks = law.sample(substream(seed, 1), horizon_blocks)
     return _ncl_trace(params, chunks,
@@ -266,6 +276,7 @@ def simulate_ncl_exact_tiny(p: Dmc, params: NclParams, horizon_blocks: int,
     int64 counts could not hold.
     """
     check_count(horizon_blocks, "need a whole number of at least one block, got {}")
+    seed = check_seed(seed)
     check_count(feedback_lag, "feedback lag must satisfy 1 <= phi < ck")
     check_real(feedback_lag, "feedback lag must satisfy 1 <= phi < ck", hi=params.ck)
     rows = p.rows
@@ -390,6 +401,7 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     delay d is the union bound over splits d = d_f + d_m, on 9 deadlines
     from 2 to 10 message-stream block periods in true channel uses.
     """
+    seed = check_seed(seed)
     psi = split.psi
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
     # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack; the root
@@ -399,7 +411,8 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
         "two-stream back-off root beyond the split's rho")])
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
-    msg_delays = np.sort(trace.steady_delays())
+    msg_delays = trace.steady_delays()  # a view of a fresh array: sorted in place
+    msg_delays.sort()
     if not len(msg_delays):
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     base = params.block_period / (1.0 - psi)

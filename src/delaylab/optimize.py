@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmc import Dmc, ConvergenceError, check_count, check_real, uniform_input
+from .dmc import Dmc, ConvergenceError, check_count, check_real, check_seed, uniform_input
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 500  # golden-section steps of maximize_concave_1d
@@ -719,6 +719,7 @@ def minimize_over_channels(objective, feasible, dims: tuple[int, int],
     """
     nx, ny = dims
     check_count(restarts, "restarts must be a positive integer, got {}")
+    seed = check_seed(seed)
     if nx > 4 or ny > 4:
         raise ValueError("channel minimization supports alphabets up to 4x4")
     if penalty is None:

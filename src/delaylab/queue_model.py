@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bec_lab import DelayExponentFit, fifo_completions, fit_delay_exponent, substream
-from .dmc import LN2, check_count, check_probability
+from .bec_lab import DelayExponentFit, _fit, _uniform_chunks, fifo_completions, substream
+from .dmc import LN2, check_count, check_probability, check_seed
 from .exponents import bec_focusing_exponent_bits
 
 WARMUP_MESSAGES = 100  # messages dropped before a delay tail is measured
@@ -46,8 +46,10 @@ class ServiceTimeModel:
     def __post_init__(self):
         check_probability(self.tail_beta, "tail parameter")
         check_count(self.offset, "offset must be a nonnegative integer, got {}", 0)
+        object.__setattr__(self, "offset", int(self.offset))
         if self.cap is not None:
             check_count(self.cap, "a truncation cap must be a positive integer, got {}")
+            object.__setattr__(self, "cap", int(self.cap))
         # the largest sample is drawn at the largest uniform below 1
         top = int(self._geometric(np.array([np.nextafter(1.0, 0.0)]))[0])
         limit = int(np.iinfo(np.int64).max) - min(top, self.cap or top)
@@ -67,7 +69,11 @@ class ServiceTimeModel:
         return self.offset + geo
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.inverse_cdf(rng.random(size))
+        """``inverse_cdf(rng.random(size))``, drawn and mapped a chunk at a time."""
+        t = np.empty(size, dtype=np.int64)
+        for lo, u in _uniform_chunks(rng, size):
+            t[lo:lo + len(u)] = self.inverse_cdf(u)
+        return t
 
     def check_envelope(self, envelope_beta: float | None = None) -> None:
         """Empirical complementary CDF must stay under beta^k beyond the offset,
@@ -114,6 +120,8 @@ class QueueConfig:
     def __post_init__(self):
         check_count(self.arrival_period, "arrival period must be a positive integer")
         check_count(self.horizon, "need at least one message")
+        self.arrival_period, self.horizon = int(self.arrival_period), int(self.horizon)
+        self.seed = check_seed(self.seed)
 
 
 @dataclass
@@ -132,6 +140,11 @@ class QueueTrace:
         """Delays after the first ``WARMUP_MESSAGES`` messages."""
         return self.delays()[WARMUP_MESSAGES:]
 
+    def _steady_segment(self) -> tuple:
+        """The ``steady_delays`` as a segment for ``bec_lab._pieces``."""
+        return (self.completion_times[WARMUP_MESSAGES:],
+                self.arrival_times[WARMUP_MESSAGES:], 0)
+
 
 def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
     """FIFO D/G/1 queue: message i arrives at i*m and completes at
@@ -148,7 +161,8 @@ def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
         raise ValueError(f"service offset {svc.offset} with arrival_period "
                          f"{cfg.arrival_period} is too long for {cfg.horizon} messages: "
                          "the run's times would not fit in int64")
-    arrivals = cfg.arrival_period * np.arange(1, cfg.horizon + 1, dtype=np.int64)
+    arrivals = np.arange(1, cfg.horizon + 1, dtype=np.int64)
+    arrivals *= cfg.arrival_period
     return QueueTrace(arrival_times=arrivals, completion_times=fifo_completions(arrivals, t),
                       service_times=t)
 
@@ -178,7 +192,7 @@ def tail_exponent_bound(m: int, svc: ServiceTimeModel) -> float:
 def measured_tail_exponent(trace: QueueTrace, d_grid) -> DelayExponentFit:
     """Delay-tail exponent (nats per time unit) of the steady-state delays,
     fitted on the deadlines with at least 50 misses."""
-    return fit_delay_exponent(trace.steady_delays(), d_grid, 50)
+    return _fit([trace._steady_segment()], d_grid, 50)
 
 
 @dataclass

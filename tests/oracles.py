@@ -34,6 +34,13 @@ The delay-exponent fit that solved every bootstrap slope by lstsq, and the
 trace time series counted by binary search, which ``fit_delay_exponent``
 and ``SimTrace.series`` replaced.
 
+The simulators' one-shot forms, over whole arrays, which their chunked
+passes replaced: the FIFO recursion as one prefix-maximum expression, the
+erasure pattern from one draw of every uniform, the FIFO run from a table
+of every success time and its parity run by fancy indexing, and the miss
+counts as one binary search of float deadlines, numpy casting integer delays
+to float.
+
 Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
 over the output law.  For the tilde variant on Z channels, a bisection on
@@ -356,7 +363,7 @@ def fit_delay_exponent_lstsq(delays, d_grid, min_misses):
     if delays.size == 0:
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     d_grid = np.asarray(sorted(d_grid), dtype=float)
-    counts = bl._miss_counts(np.sort(delays), d_grid)
+    counts = miss_counts_float(np.sort(delays), d_grid)
     probs = counts / len(delays)
     if counts.sum() == 0:
         return bl.DelayExponentFit(math.inf, math.inf, math.inf, d_grid, probs,
@@ -669,3 +676,45 @@ def bisect_segment(oracle):
         return ConvexSolution(best_q, best, max(best - lower, 0.0), it)
     raise ConvergenceError("convex simplex search iteration cap exceeded",
                            best - lower if best < math.inf else math.inf)
+
+
+def fifo_completions_oneshot(arrivals, service):
+    """``bec_lab.fifo_completions`` as one expression over the whole arrays."""
+    csum = np.cumsum(service)
+    return csum + np.maximum.accumulate(arrivals - (csum - service))
+
+
+def erasure_pattern_oneshot(cfg):
+    """``bec_lab._erasure_pattern`` from one draw of all horizon + 1 uniforms."""
+    z = bl.substream(cfg.seed, 0).random(cfg.horizon + 1) < (1.0 - cfg.beta)
+    z[0] = False
+    return z
+
+
+def simulate_fifo_oneshot(cfg):
+    """(arrival times, decode times) of ``bec_lab.simulate_fifo``, from the
+    one-shot pattern, arrival times and recursion and a table of every
+    success time."""
+    z = erasure_pattern_oneshot(cfg)
+    st = np.flatnonzero(z)
+    n_guess = int(cfg.horizon * cfg.rate_bits) + 2
+    a = np.ceil(np.arange(1, n_guess + 1, dtype=np.int64) / cfg.rate_bits)
+    a = a[a < cfg.horizon].astype(np.int64)
+    c = np.cumsum(z, dtype=np.min_scalar_type(cfg.horizon))[a]
+    k = fifo_completions_oneshot(c, np.ones(len(a), dtype=np.int64)) - 1
+    decoded = k < len(st)
+    dt = np.full(len(a), np.inf)
+    dt[decoded] = st[k[decoded]]
+    return a, dt
+
+
+def parity_decode_oneshot(a, d):
+    """``simulate_causal_parity_nofeedback``'s decode times from the FIFO
+    run's: each bit takes the decode time of its busy period's last bit."""
+    ends = np.append(np.flatnonzero(a[1:] >= d[:-1]), len(a) - 1)
+    return d[np.repeat(ends, np.diff(ends, prepend=-1))]
+
+
+def miss_counts_float(sorted_delays, d):
+    """``bec_lab._miss_counts`` as one binary search of the float deadlines."""
+    return len(sorted_delays) - np.searchsorted(sorted_delays, d, side="right")

@@ -122,6 +122,24 @@ class TestConfig:
         assert tr.arrival_times.dtype == np.int64
         assert len(tr.arrival_times) == 0
 
+    def test_whole_float_counts_become_ints(self):
+        # a horizon of 100.0 reached numpy's cumsum dtype as a float and raised
+        # TypeError; the seed reached numpy's SeedSequence
+        cfg = bl.BecConfig(0.4, 0.5, 100.0, seed=3.0)
+        assert type(cfg.horizon) is int and type(cfg.seed) is int
+        assert np.array_equal(bl.simulate_fifo(cfg).decode_times,
+                              bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 100, 3)).decode_times)
+
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1.5])
+    def test_bad_seed_named_at_construction(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a whole number, got "):
+            bl.BecConfig(0.4, 0.5, 100, seed)
+
+    def test_negative_seed_raises_numpys_error(self):
+        cfg = bl.BecConfig(0.4, 0.5, 100, -1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            bl.simulate_fifo(cfg)
+
     def test_supercritical_warns_but_runs(self):
         with pytest.warns(UserWarning):
             cfg = bl.BecConfig(beta=0.4, rate_bits=0.75, horizon=10_000)

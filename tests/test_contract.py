@@ -91,18 +91,10 @@ VALID = {
     "zero_error_feedback_capacity": dict(p=BSC, fortify_k=50),
 }
 
-SEED = ("a seed goes to numpy's SeedSequence, which rejects nan, +-inf and fractions "
-        "(TypeError) and negative seeds (ValueError) when the run draws")
 RECORD = "a record of results, whose fields are data: a value may be nan or +inf"
 # (callable, parameter) -> why a bad number there needs no ValueError; a
 # parameter of None exempts every numeric parameter of the callable
 EXEMPT = {
-    ("BecConfig", "seed"): SEED,
-    ("QueueConfig", "seed"): SEED,
-    ("simulate_ncl_bound_driven", "seed"): SEED,
-    ("simulate_ncl_exact_tiny", "seed"): SEED,
-    ("simulate_two_stream", "seed"): SEED,
-    ("minimize_over_channels", "seed"): SEED,
     ("nats_from_bits", None): "a unit conversion: nan and +-inf convert exactly",
     ("bits_from_nats", None): "a unit conversion: nan and +-inf convert exactly",
     ("ConvergenceError", None): "an error report: its residual is +inf where no point is "

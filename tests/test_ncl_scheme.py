@@ -80,6 +80,20 @@ class TestSelectParams:
                                              r"\(positive slack\)$"):
             ncl.NclParams(n=2, c=2, l=1, k=3, rho=1.0, q=q, rate=e0, e0=e0)
 
+    def test_whole_float_geometry_becomes_ints(self, bsc002):
+        e0, q = e0_max(bsc002, 1.0)
+        params = ncl.NclParams(n=2.0, c=2.0, l=1.0, k=3.0, rho=1.0, q=q,
+                               rate=math.log(8) / 12, e0=e0)
+        assert [type(getattr(params, f)) for f in "nclk"] == [int] * 4
+        assert params.block_period == 12 and type(params.block_period) is int
+
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 2.5])
+    def test_bad_seed_named_before_the_run(self, bsc002, tiny_params, seed):
+        for run in (lambda: ncl.simulate_ncl_bound_driven(tiny_params, 10, seed),
+                    lambda: ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 10, seed)):
+            with pytest.raises(ValueError, match="^seed must be a whole number, got "):
+                run()
+
     def test_structural_invariants_enforced(self, bsc002):
         e0, q = e0_max(bsc002, 1.0)
         with pytest.raises(ValueError):

@@ -38,6 +38,23 @@ class TestServiceTimeModel:
             with pytest.raises(ValueError, match="cap"):
                 qm.ServiceTimeModel(offset=0, tail_beta=0.4, cap=cap)
 
+    def test_whole_float_parameters_become_ints(self):
+        # a float offset gave float64 service and completion times
+        svc = qm.ServiceTimeModel(offset=2.0, tail_beta=0.3, cap=4.0)
+        assert type(svc.offset) is int and type(svc.cap) is int
+        cfg = qm.QueueConfig(arrival_period=5.0, horizon=300.0, seed=2.0)
+        assert [type(v) for v in (cfg.arrival_period, cfg.horizon, cfg.seed)] == [int] * 3
+        tr = qm.simulate_point_queue(cfg, svc)
+        assert tr.service_times.dtype == tr.completion_times.dtype == np.int64
+        ref = qm.simulate_point_queue(qm.QueueConfig(5, 300, 2),
+                                      qm.ServiceTimeModel(offset=2, tail_beta=0.3, cap=4))
+        assert np.array_equal(tr.completion_times, ref.completion_times)
+
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 0.5])
+    def test_bad_seed_named_at_construction(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a whole number, got "):
+            qm.QueueConfig(5, 300, seed)
+
     def test_one_law_for_every_model(self):
         # T = offset + min(Geom(beta), cap): the offset is never dropped
         u = qm.substream(3, 1).random(10_000)
