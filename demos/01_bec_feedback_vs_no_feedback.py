@@ -41,7 +41,7 @@ empty_parity = parity.series()["queue_len"] == 0
 print("parity backlog empties exactly when the FIFO queue does: "
       f"{np.array_equal(empty_fifo, empty_parity)}")
 print("no bit decodes earlier without feedback: "
-      f"{bool(np.all(parity.decode_times >= fifo.decode_times))}")
+      f"{bool(np.all(parity.done_times >= fifo.done_times))}")
 
 pi = bl.birth_death_stationary(0.4, kmax=8)
 samples = bl.stationary_queue_samples(fifo)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from delaylab import queue_model as qm
+from delaylab.bec_lab import measure_delay_exponent
 
 print("=== pathwise dominance coupling ===")
 for name, svc in [("geometric(0.4)", qm.geometric_service(0.4)),
@@ -36,7 +37,7 @@ for label, svc, m in cases:
     tr = qm.simulate_point_queue(qm.QueueConfig(m, 2_000_000, seed=5), svc)
     # keep the regression window where misses are countable at this horizon
     top = max(3 * m, int(14 / max(bound, 0.1)))
-    fit = qm.measured_tail_exponent(tr, range(m + 1, top, max(1, m // 2)))
+    fit = measure_delay_exponent(tr, range(m + 1, top, max(1, m // 2)), 50)
     print(f"{label}")
     print(f"    guaranteed {bound:.4f} nats/unit, measured {fit.slope:.4f} "
           f"(CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}])")

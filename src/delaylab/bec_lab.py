@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,19 +49,19 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) of each of the consecutive ranges of at most ``CHUNK_LENGTH``
+def _chunks(n: int, length: int = CHUNK_LENGTH) -> list[tuple[int, int]]:
+    """(lo, hi) of each of the consecutive ranges of at most ``length``
     that cover range(n)."""
-    return [(lo, min(lo + CHUNK_LENGTH, n)) for lo in range(0, n, CHUNK_LENGTH)]
+    return [(lo, min(lo + length, n)) for lo in range(0, n, length)]
 
 
-def _uniform_chunks(rng: np.random.Generator, size: int):
-    """(lo, u) for each chunk (lo, hi) of range(size), u the uniforms
-    ``rng.random(size)[lo:hi]``, drawn in turn into one reused buffer (so u
-    holds until the next chunk is drawn): the same stream of doubles as one
-    draw, never held whole."""
-    buf = np.empty(min(size, CHUNK_LENGTH))
-    for lo, hi in _chunks(size):
+def _uniform_chunks(rng: np.random.Generator, size: int, length: int = CHUNK_LENGTH):
+    """(lo, u) for each chunk (lo, hi) of range(size), of at most ``length``,
+    u the uniforms ``rng.random(size)[lo:hi]``, drawn in turn into one
+    reused buffer (so u holds until the next chunk is drawn): the same
+    stream of doubles as one draw, never held whole."""
+    buf = np.empty(min(size, length))
+    for lo, hi in _chunks(size, length):
         u = buf[: hi - lo]
         rng.random(out=u)
         yield lo, u
@@ -105,7 +105,7 @@ class BecConfig:
         check_probability(self.beta, "erasure probability")
         check_real(self.rate_bits, "rate must be finite, got {}")
         check_real(self.rate_bits, "rate must be positive", 0.0)
-        check_count(self.horizon, "horizon too short", 2)
+        check_count(self.horizon, "horizon must be a whole number of at least 2 uses, got {}", 2)
         self.horizon, self.seed = int(self.horizon), check_seed(self.seed)
         if self.rate_bits >= 1 - self.beta:
             warnings.warn(
@@ -115,44 +115,60 @@ class BecConfig:
             )
 
 
-@dataclass
-class SimTrace:
-    """Decode times plus enough bookkeeping to reconstruct the time series.
+@dataclass(kw_only=True)
+class DelayRun:
+    """One FIFO run: item i arrives at ``arrival_times[i]``, both ascending,
+    and is done (decoded, completed or committed) at ``done_times[i]``, +inf
+    where the run ended first.  Its delay is done minus arrival plus
+    ``shift``.  Items before index ``steady`` are the warm-up, and the run
+    covers uses up to ``horizon``, +inf where every item completes.  These
+    methods are the one warm-up and censoring rule of every measurement."""
 
-    ``decode_times[i]`` is the channel use at which bit i+1 was committed
-    (np.inf when the horizon ended first); ``arrival_times`` are the a_i.
-    ``series(stride)`` materializes (time, arrivals_cum, decoded_cum,
-    queue_len) rows; queue_len counts every arrived undecoded bit, including
-    one mid-service, so arrivals_cum == decoded_cum + queue_len at each step.
-    """
-
-    scheme: str
-    horizon: int
     arrival_times: np.ndarray
-    decode_times: np.ndarray
-    meta: dict = field(default_factory=dict)
+    done_times: np.ndarray
+    steady: int
+    horizon: float = math.inf
+    shift: int = 0
 
     def delays(self) -> np.ndarray:
-        return self.decode_times - self.arrival_times
+        delays = self.done_times - self.arrival_times
+        delays += self.shift
+        return delays
 
-    def steady_start(self) -> int:
-        """Index of the first bit to arrive after ``burn_in_steps``."""
-        return int(np.searchsorted(self.arrival_times, burn_in_steps(self.meta["beta"])))
+    def steady_delays(self) -> np.ndarray:
+        """The delays after the warm-up."""
+        return self.delays()[self.steady:]
+
+    def _segment(self, d_max: float) -> tuple:
+        """The steady items that arrive by horizon - ``d_max``, so that each
+        deadline up to ``d_max`` is decided within the run, as the (done
+        times, arrival times, shift) segment that ``_pieces`` reads.  They
+        are counted without casting the arrival times to float."""
+        stop = len(self.arrival_times) - int(
+            _miss_counts(self.arrival_times, [self.horizon - d_max])[0])
+        return (self.done_times[self.steady:stop], self.arrival_times[self.steady:stop],
+                self.shift)
+
+
+class SimTrace(DelayRun):
+    """An erasure-channel run: ``done_times[i]`` is the channel use at which
+    bit i+1 was decoded.
+
+    ``series(stride)`` materializes (time, arrivals_cum, decoded_cum,
+    queue_len) rows; queue_len counts every arrived undecoded bit, including
+    one mid-service.
+    """
 
     def series(self, stride: int = 1) -> dict[str, np.ndarray]:
         t = np.arange(1, self.horizon + 1, stride, dtype=np.int64)
         arrivals = _counts_at_samples(self.arrival_times, stride, len(t))
-        decoded = _counts_at_samples(self.decode_times, stride, len(t))
+        decoded = _counts_at_samples(self.done_times, stride, len(t))
         return {
             "time": t,
             "arrivals_cum": arrivals,
             "decoded_cum": decoded,
             "queue_len": arrivals - decoded,
         }
-
-    def check_conservation(self, stride: int = 1) -> bool:
-        s = self.series(stride)
-        return bool(np.all(s["arrivals_cum"] == s["decoded_cum"] + s["queue_len"]))
 
 
 def _counts_at_samples(times: np.ndarray, stride: int, n: int) -> np.ndarray:
@@ -243,13 +259,9 @@ def simulate_fifo(cfg: BecConfig) -> SimTrace:
     k = fifo_completions(c, np.broadcast_to(np.int64(1), len(c)))
     del c
     k -= 1
-    return SimTrace(
-        scheme="bec_fifo",
-        horizon=cfg.horizon,
-        arrival_times=a,
-        decode_times=_success_uses(z, k),
-        meta={"beta": cfg.beta, "rate_bits": cfg.rate_bits, "seed": cfg.seed},
-    )
+    # the steady bits arrive from use burn_in_steps(beta) on
+    return SimTrace(arrival_times=a, done_times=_success_uses(z, k),
+                    steady=int(np.searchsorted(a, burn_in_steps(cfg.beta))), horizon=cfg.horizon)
 
 
 def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
@@ -262,10 +274,11 @@ def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
     backlog, so a group resolves exactly when a FIFO busy period ends: bit i
     closes one when bit i+1 arrives no earlier than bit i's FIFO decode time,
     and every bit of the period decodes at the FIFO decode time of its last
-    bit.  The run is derived from the FIFO trace, not re-simulated.
+    bit.  The run is the FIFO run with its decode times overwritten, not
+    re-simulated.
     """
-    fifo = simulate_fifo(cfg)
-    a, d = fifo.arrival_times, fifo.decode_times
+    run = simulate_fifo(cfg)
+    a, d = run.arrival_times, run.done_times
     # the last bit closes the final (possibly unfinished) period.  FIFO
     # decode times never decrease, so a bit's period end, the first closing
     # j >= i, has the least d_j of the closing j >= i: a minimum taken from
@@ -280,26 +293,27 @@ def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
         np.minimum.accumulate(ends, out=ends)
         np.minimum(ends[::-1], later, out=part)
         later = part[0]
-    return SimTrace(
-        scheme="bec_parity_nofeedback",
-        horizon=cfg.horizon,
-        arrival_times=a,
-        decode_times=d,
-        meta=fifo.meta,
-    )
+    return run
 
 
-def queue_seen_by_arrivals(trace: SimTrace) -> np.ndarray:
+def queue_seen_by_arrivals(trace: DelayRun) -> np.ndarray:
     """Backlog in front of each arriving bit: senior bits still undecoded at a_i.
 
     For the rate-1/2 FIFO scheme this is exactly the state of the birth-death
-    chain embedded at arrival epochs.
+    chain embedded at arrival epochs.  The order check and the search run a
+    chunk of bits at a time.
     """
-    d = trace.decode_times
-    if np.any(np.diff(d[np.isfinite(d)]) < 0):
-        raise ValueError("decode times must be FIFO-ordered")
-    done_by_arrival = np.searchsorted(d, trace.arrival_times, side="right")
-    return np.arange(len(d)) - done_by_arrival
+    d, a = trace.done_times, trace.arrival_times
+    q = np.empty(len(a), dtype=np.int64)
+    last = -np.inf  # the last finite decode time before the chunk
+    for lo, hi in _chunks(len(a)):
+        done = d[lo:hi][np.isfinite(d[lo:hi])]
+        if np.any(np.diff(done, prepend=last) < 0):
+            raise ValueError("decode times must be FIFO-ordered")
+        last = done[-1] if len(done) else last
+        q[lo:hi] = np.searchsorted(d, a[lo:hi], side="right")  # decoded by a_i
+        np.subtract(np.arange(lo, hi), q[lo:hi], out=q[lo:hi])
+    return q
 
 
 def birth_death_stationary(beta: float, kmax: int = 64) -> np.ndarray:
@@ -321,10 +335,9 @@ def burn_in_steps(beta: float) -> int:
 def stationary_queue_samples(trace: SimTrace) -> np.ndarray:
     """Arrival-embedded queue samples after the burn-in prefix."""
     q = queue_seen_by_arrivals(trace)
-    start = trace.steady_start()
     # drop the tail where the horizon may truncate decode times
     stop = len(q) - 64 if len(q) > 128 else len(q)
-    return q[start:stop]
+    return q[trace.steady:stop]
 
 
 def queue_law_chisquare(samples: np.ndarray, beta: float) -> tuple[float, float]:
@@ -350,27 +363,33 @@ def queue_law_chisquare(samples: np.ndarray, beta: float) -> tuple[float, float]
     return float(stat), float(pvalue)
 
 
-def miss_probability(trace: SimTrace, d: float) -> tuple[float, float]:
-    """Empirical deadline-miss probability after the burn-in, and its batch-means
-    standard error (up to 100 contiguous batches).
+def miss_probability(trace: DelayRun, d: float) -> tuple[float, float]:
+    """Empirical deadline-miss probability of the steady bits whose deadline
+    lies within the horizon, and its batch-means standard error (up to 100
+    contiguous batches).
 
     Miss indicators of nearby bits are strongly correlated (they share busy
     periods), so the naive binomial error bar would be optimistic; contiguous
-    batch means give an honest one.
+    batch means give an honest one.  The misses are counted a chunk of
+    delays at a time, per batch; a batch's mean is its count over its size.
     """
     check_real(d, "deadline must be finite, got {}")
-    start = trace.steady_start()
-    # bits whose deadline lies beyond the horizon are not yet decidable
-    ok = trace.arrival_times[start:] + d <= trace.horizon
-    miss = (trace.delays()[start:][ok] > d).astype(float)
-    if len(miss) == 0:
+    segment = trace._segment(d)
+    n = len(segment[0])
+    if n == 0:
         return math.nan, math.nan
-    p = float(miss.mean())
-    nb = min(100, max(1, len(miss) // 50))
-    batches = np.array_split(miss, nb)
-    means = np.array([b.mean() for b in batches])
-    se = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else math.nan
-    return p, se
+    nb = min(100, max(1, n // 50))
+    # the batches of np.array_split: the first n % nb hold one more bit
+    edges = np.arange(nb + 1) * (n // nb) + np.minimum(np.arange(nb + 1), n % nb)
+    misses, seen = np.zeros(nb, dtype=np.int64), 0
+    for piece in _pieces([segment]):
+        hits = np.flatnonzero(piece > d)
+        hits += seen
+        misses += np.bincount(np.searchsorted(edges[1:], hits, side="right"), minlength=nb)
+        seen += len(piece)
+    means = misses / np.diff(edges)
+    se = float(means.std(ddof=1) / math.sqrt(nb)) if nb > 1 else math.nan
+    return int(misses.sum()) / n, se
 
 
 def union_bound_exact(beta: float, rate_bits: float, i: int, d: int) -> float:
@@ -612,19 +631,15 @@ def _fit(segments, d_grid, min_misses: int) -> DelayExponentFit:
 
 
 def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExponentFit:
-    """``fit_delay_exponent`` over the steady-state delays of one or more traces.
+    """``fit_delay_exponent`` over the steady-state delays of one run, of
+    any simulator, or of a list of runs.
 
-    Each trace drops its burn-in prefix and censors the bits whose largest
-    deadline lies beyond its horizon; the remaining delays are pooled.
+    Each run drops its warm-up and censors the items whose largest deadline
+    lies beyond its horizon (``DelayRun._segment``); the remaining delays are
+    pooled in order.
     """
-    if isinstance(traces, SimTrace):
+    if isinstance(traces, DelayRun):
         traces = [traces]
+    d_grid = list(d_grid)  # read twice: an iterator would reach the fit empty
     d_max = float(max(d_grid))
-    segments = []
-    for t in traces:
-        start = t.steady_start()
-        # the bits with a_i <= horizon - d_max, counted without casting the
-        # arrival times to float
-        stop = len(t.arrival_times) - int(_miss_counts(t.arrival_times, [t.horizon - d_max])[0])
-        segments.append((t.decode_times[start:stop], t.arrival_times[start:stop], 0))
-    return _fit(segments, d_grid, min_misses)
+    return _fit([run._segment(d_max) for run in traces], d_grid, min_misses)

@@ -391,12 +391,12 @@ def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
 
     traces = [one(trial) for trial in range(trials)]
     # the summary writes no CI, and reports every deadline, not only the fitted ones
-    segments = [tr._steady_segment() for tr in traces]
+    segments = [tr._segment(max(d_grid)) for tr in traces]
     fit, counts, _ = bec_lab._point_fit(segments, d_grid, min_misses=50)
     n_delays = sum(len(ends) for ends, _, _ in segments)
     bound = queue_model.tail_exponent_bound(m, svc) if m > svc.offset else None
     _write_trace_csv(out / "trace.csv", ["trial", "arrival", "completion", "service"],
-                     [[tr.arrival_times, tr.completion_times, tr.service_times]
+                     [[tr.arrival_times, tr.done_times, tr.service_times]
                       for tr in traces])
     return {
         "sim": "queue",
@@ -448,7 +448,7 @@ def _sim_ncl(fields: dict, seed: int, out: Path) -> dict:
     _write_trace_csv(out / "trace.csv",
                      ["trial", "arrival", "service_start", "transmission", "commit"],
                      [[trace.arrival_times, trace.service_starts,
-                       trace.transmission_times, trace.commit_times]])
+                       trace.transmission_times, trace.done_times]])
     return {
         "sim": f"ncl_{mode}",
         "fit": _fit_payload(fit),

@@ -420,7 +420,7 @@ def _random_coding_steps(r: float, list_size: int, climb):
     """``random_coding_list``'s search as a lane (see ``_sphere_packing_steps``)."""
     check_real(r, "rate must be finite, got {}")
     check_real(r, "rate must be nonnegative", 0.0, ends="[)")
-    check_count(list_size, "list size must be at least 1")
+    check_count(list_size, "list size must be a whole number of at least 1, got {}")
     res = yield from climb(0.0, float(list_size), 1e-10)
     return max(0.0, res.value)
 

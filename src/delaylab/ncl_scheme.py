@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bec_lab import (DelayExponentFit, _design, _fit, _miss_counts, _slope, fifo_completions,
+from .bec_lab import (DelayExponentFit, DelayRun, _design, _fit, _slope, _tally, fifo_completions,
                       substream)
 from .dmc import Dmc, check_count, check_real, check_seed
 from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
@@ -135,43 +135,33 @@ def transmission_tail_bound(params: NclParams, t: int) -> float:
     return min(1.0, params.beta_eff ** t)
 
 
-@dataclass
-class NclTrace:
-    """Per-block timing of one scheme run, in channel uses.
+@dataclass(kw_only=True)
+class NclTrace(DelayRun):
+    """Per-block timing of one scheme run, in channel uses: block i+1 is
+    assembled at ``arrival_times[i]``, starts service at
+    ``service_starts[i]``, takes ``transmission_times[i]`` (a multiple of
+    ck) and commits at ``done_times[i]``.
 
-    End-to-end delay decomposes exactly as assembly + queueing + transmission
-    + termination for every block.
+    Its delay, shifted by the assembly time n c k, decomposes exactly as
+    assembly + queueing + transmission + termination for every block.
     """
 
-    arrival_times: np.ndarray       # block fully assembled
     service_starts: np.ndarray
-    transmission_times: np.ndarray  # T_j, multiples of ck
-    commit_times: np.ndarray
-    assembly: int
+    transmission_times: np.ndarray
     termination: int
     meta: dict = field(default_factory=dict)
 
     def queueing(self) -> np.ndarray:
         return self.service_starts - self.arrival_times
 
-    def end_to_end(self) -> np.ndarray:
-        delays = self.commit_times - self.arrival_times
-        delays += self.assembly
-        return delays
-
     def decomposition_exact(self) -> bool:
-        total = (self.assembly + self.queueing() + self.transmission_times
-                 + self.termination)
-        return bool(np.all(total == self.end_to_end()))
-
-    def steady_delays(self) -> np.ndarray:
-        """End-to-end delays after the first ``WARMUP_BLOCKS`` blocks."""
-        return self.end_to_end()[WARMUP_BLOCKS:]
+        total = self.shift + self.queueing() + self.transmission_times + self.termination
+        return bool(np.all(total == self.delays()))
 
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
         """Delay exponent of the ``steady_delays``, read a chunk at a time."""
-        return _fit([(self.commit_times[WARMUP_BLOCKS:], self.arrival_times[WARMUP_BLOCKS:],
-                      self.assembly)], d_grid, min_misses)
+        d_grid = list(d_grid)  # read twice: an iterator would reach the fit empty
+        return _fit([self._segment(max(d_grid))], d_grid, min_misses)
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
@@ -199,15 +189,9 @@ def _ncl_trace(params: NclParams, chunks: np.ndarray, meta: dict) -> NclTrace:
     starts = commits - t_j
     # l disambiguation bits ride the next l control slots at spacing k
     commits += params.l * params.k
-    return NclTrace(
-        arrival_times=arrivals,
-        service_starts=starts,
-        transmission_times=t_j,
-        commit_times=commits,
-        assembly=nck,
-        termination=params.l * params.k,
-        meta=meta,
-    )
+    return NclTrace(arrival_times=arrivals, done_times=commits, steady=WARMUP_BLOCKS, shift=nck,
+                    service_starts=starts, transmission_times=t_j,
+                    termination=params.l * params.k, meta=meta)
 
 
 def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
@@ -411,25 +395,28 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
         "two-stream back-off root beyond the split's rho")])
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
-    msg_delays = trace.steady_delays()  # a view of a fresh array: sorted in place
-    msg_delays.sort()
-    if not len(msg_delays):
-        raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     base = params.block_period / (1.0 - psi)
     d_grid = np.linspace(2 * base, 10 * base, 9)
     punc_exp = psi * split.e0_one
     step = max(1.0, params.ck / (1.0 - psi) / 4.0)
-    probs = []
-    for d in d_grid:
-        df = np.arange(0.0, d + step, step)
-        p_m = _miss_counts(msg_delays, (d - df) * (1.0 - psi)) / len(msg_delays)
+    splits = [np.arange(0.0, d + step, step) for d in d_grid]  # the d_f of each d
+    # every message-stream deadline d_m = d - d_f, in its own uses, counted in one pass
+    cuts = np.concatenate([(d - df) * (1.0 - psi) for d, df in zip(d_grid, splits)])
+    segment = trace._segment(cuts.max())
+    n = len(segment[0])
+    if not n:
+        raise ValueError("no delays left to fit: lengthen the run past its burn-in")
+    p_m = _tally([segment], cuts, 0)[1] / n
+    probs, first = [], 0
+    for df in splits:
         p_f = np.exp(-df * punc_exp)
-        probs.append(min(1.0, float(np.sum(p_m * p_f))))
+        probs.append(min(1.0, float(np.sum(p_m[first:first + len(df)] * p_f))))
+        first += len(df)
     probs = np.array(probs)
     keep = probs > 0
     dd, pp = d_grid[keep], probs[keep]
     fit = DelayExponentFit(float(_slope(_design(dd), pp)), math.nan, math.nan, dd, pp,
-                           (pp * len(msg_delays)).astype(int))
+                           (pp * n).astype(int))
     details = {"params": params, "rho_sim": rho_sim, "rate_margin": TWO_STREAM_RATE_MARGIN,
                "punctuation_exponent": punc_exp}
     return fit, details

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bec_lab import DelayExponentFit, _fit, _uniform_chunks, fifo_completions, substream
+from .bec_lab import CHUNK_LENGTH, DelayRun, _uniform_chunks, fifo_completions, substream
 from .dmc import LN2, check_count, check_probability, check_seed
 from .exponents import bec_focusing_exponent_bits
 
@@ -81,15 +81,23 @@ class ServiceTimeModel:
 
         The envelope defaults to the model's declared beta; passing an
         explicit ``envelope_beta`` turns this into a generic conformance check.
+        The draws are tallied a chunk at a time by their excess over the
+        offset, every excess past the largest k in one count.
         """
         beta_env = self.tail_beta if envelope_beta is None else envelope_beta
         check_probability(beta_env, "envelope parameter")
-        t = self.sample(substream(ENVELOPE_SEED, 77), ENVELOPE_SAMPLES)
-        kmax = int(min(t.max() - self.offset, 2 + 40 / -math.log(beta_env)))
-        for k in (1, 2, 3, 5, 8, 13, 21, 34):
+        ks = (1, 2, 3, 5, 8, 13, 21, 34)
+        # tally[j]: draws of offset + j, the last entry every draw past offset + ks[-1]
+        tally = np.zeros(ks[-1] + 2, dtype=np.int64)
+        for _, u in _uniform_chunks(substream(ENVELOPE_SEED, 77), ENVELOPE_SAMPLES):
+            tally += np.bincount(np.minimum(self.inverse_cdf(u) - self.offset, ks[-1] + 1),
+                                 minlength=len(tally))
+        # the largest excess, capped where no k reads past it
+        kmax = int(min(np.flatnonzero(tally)[-1], 2 + 40 / -math.log(beta_env)))
+        for k in ks:
             if k >= max(2, kmax):
                 break
-            p_hat = float((t > self.offset + k).mean())
+            p_hat = int(tally[k + 1:].sum()) / ENVELOPE_SAMPLES
             bound = beta_env**k
             slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / ENVELOPE_SAMPLES)
             if p_hat > bound + slack:
@@ -119,31 +127,20 @@ class QueueConfig:
 
     def __post_init__(self):
         check_count(self.arrival_period, "arrival period must be a positive integer")
-        check_count(self.horizon, "need at least one message")
+        check_count(self.horizon, "horizon must be a whole number of at least 1 message, got {}")
         self.arrival_period, self.horizon = int(self.arrival_period), int(self.horizon)
         self.seed = check_seed(self.seed)
 
 
-@dataclass
-class QueueTrace:
-    arrival_times: np.ndarray
-    completion_times: np.ndarray
+@dataclass(kw_only=True)
+class QueueTrace(DelayRun):
+    """A point-queue run: message i+1 arrives at ``arrival_times[i]``, takes
+    ``service_times[i]`` and completes at ``done_times[i]``."""
+
     service_times: np.ndarray
 
-    def delays(self) -> np.ndarray:
-        return self.completion_times - self.arrival_times
-
     def waiting_times(self) -> np.ndarray:
-        return self.completion_times - self.service_times - self.arrival_times
-
-    def steady_delays(self) -> np.ndarray:
-        """Delays after the first ``WARMUP_MESSAGES`` messages."""
-        return self.delays()[WARMUP_MESSAGES:]
-
-    def _steady_segment(self) -> tuple:
-        """The ``steady_delays`` as a segment for ``bec_lab._pieces``."""
-        return (self.completion_times[WARMUP_MESSAGES:],
-                self.arrival_times[WARMUP_MESSAGES:], 0)
+        return self.done_times - self.service_times - self.arrival_times
 
 
 def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
@@ -163,8 +160,8 @@ def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
                          "the run's times would not fit in int64")
     arrivals = np.arange(1, cfg.horizon + 1, dtype=np.int64)
     arrivals *= cfg.arrival_period
-    return QueueTrace(arrival_times=arrivals, completion_times=fifo_completions(arrivals, t),
-                      service_times=t)
+    return QueueTrace(arrival_times=arrivals, done_times=fifo_completions(arrivals, t),
+                      service_times=t, steady=WARMUP_MESSAGES)
 
 
 def reduced_rate_exponent(tail_beta: float, slack: int) -> float:
@@ -189,12 +186,6 @@ def tail_exponent_bound(m: int, svc: ServiceTimeModel) -> float:
     return reduced_rate_exponent(svc.tail_beta, m - svc.offset)
 
 
-def measured_tail_exponent(trace: QueueTrace, d_grid) -> DelayExponentFit:
-    """Delay-tail exponent (nats per time unit) of the steady-state delays,
-    fitted on the deadlines with at least 50 misses."""
-    return _fit([trace._steady_segment()], d_grid, 50)
-
-
 @dataclass
 class DominanceReport:
     samples: int
@@ -210,23 +201,23 @@ def coupled_dominance_check(svc: ServiceTimeModel, samples: int = 1_000_000,
                             envelope_beta: float | None = None) -> DominanceReport:
     """Pathwise coupling against the pure geometric envelope.
 
-    Draws common uniforms V_j and maps them through both inverse CDFs; a
-    valid model satisfies T_j <= T'_j for every j, so any excess flags an
-    invalid ServiceTimeModel.  Only offset-0 models compare against the
-    plain geometric; ``envelope_beta`` overrides the claimed tail (useful as
-    a negative control: a heavier-tailed sampler must be caught).
+    Draws common uniforms V_j and maps them through both inverse CDFs, a
+    chunk at a time; a valid model satisfies T_j <= T'_j for every j, so
+    any excess flags an invalid ServiceTimeModel.  Only offset-0 models
+    compare against the plain geometric; ``envelope_beta`` overrides the
+    claimed tail (useful as a negative control: a heavier-tailed sampler
+    must be caught).
     """
     if svc.offset != 0:
         raise ValueError("coupling check applies to offset-0 models")
     check_count(samples, "samples must be a positive integer, got {}")
     beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
     check_probability(beta_env, "envelope parameter")
-    u = substream(DOMINANCE_SEED, 2).random(samples)
-    t = svc.inverse_cdf(u)
-    t_geo = geometric_service(beta_env).inverse_cdf(u)
-    excess = t - t_geo
-    return DominanceReport(
-        samples=samples,
-        violations=int((excess > 0).sum()),
-        max_excess=int(max(0, excess.max())),
-    )
+    envelope = geometric_service(beta_env)
+    violations, max_excess = 0, 0
+    # each uniform is mapped twice: in half chunks both maps fit one map's buffers
+    for _, u in _uniform_chunks(substream(DOMINANCE_SEED, 2), samples, CHUNK_LENGTH // 2):
+        excess = svc.inverse_cdf(u) - envelope.inverse_cdf(u)
+        violations += int(np.count_nonzero(excess > 0))
+        max_excess = max(max_excess, int(excess.max()))
+    return DominanceReport(samples=samples, violations=violations, max_excess=max_excess)

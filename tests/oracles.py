@@ -39,7 +39,9 @@ passes replaced: the FIFO recursion as one prefix-maximum expression, the
 erasure pattern from one draw of every uniform, the FIFO run from a table
 of every success time and its parity run by fancy indexing, and the miss
 counts as one binary search of float deadlines, numpy casting integer delays
-to float.
+to float.  The same for the acceptance statistics: the backlog seen by
+arrivals, the miss probability with its batch means, the coupled dominance
+check and the service envelope check, each over every value at once.
 
 Independent references for the standard Haroutunian exponent: 50-digit
 mpmath values on Z(0.5), and a scipy Nelder-Mead search of its convex form
@@ -63,6 +65,7 @@ import numpy as np
 
 from delaylab import bec_lab as bl
 from delaylab import exponents as ex
+from delaylab import queue_model as qm
 from delaylab.dmc import ConvergenceError, Dmc, _block_is_symmetric
 from delaylab.optimize import (CONVEX_ITER_FACTOR, CONVEX_TOL, EPS, ConvexSolution,
                                decreasing_root, maximize_concave_1d)
@@ -350,7 +353,7 @@ def series_by_search(trace, stride):
     """``SimTrace.series`` counting by binary search in the sorted times."""
     t = np.arange(1, trace.horizon + 1, stride, dtype=np.int64)
     arrivals = np.searchsorted(trace.arrival_times, t, side="right")
-    finite = np.sort(trace.decode_times[np.isfinite(trace.decode_times)])
+    finite = np.sort(trace.done_times[np.isfinite(trace.done_times)])
     decoded = np.searchsorted(finite, t, side="right")
     return {"time": t, "arrivals_cum": arrivals, "decoded_cum": decoded,
             "queue_len": arrivals - decoded}
@@ -718,3 +721,52 @@ def parity_decode_oneshot(a, d):
 def miss_counts_float(sorted_delays, d):
     """``bec_lab._miss_counts`` as one binary search of the float deadlines."""
     return len(sorted_delays) - np.searchsorted(sorted_delays, d, side="right")
+
+
+def queue_seen_by_arrivals_oneshot(trace):
+    """``bec_lab.queue_seen_by_arrivals`` over the whole run at once."""
+    d = trace.done_times
+    if np.any(np.diff(d[np.isfinite(d)]) < 0):
+        raise ValueError("decode times must be FIFO-ordered")
+    return np.arange(len(d)) - np.searchsorted(d, trace.arrival_times, side="right")
+
+
+def miss_probability_oneshot(trace, d):
+    """``bec_lab.miss_probability`` from the 0/1 miss indicators of every
+    steady bit, split into batches by ``np.array_split``."""
+    start = trace.steady
+    ok = trace.arrival_times[start:] + d <= trace.horizon
+    miss = (trace.delays()[start:][ok] > d).astype(float)
+    if len(miss) == 0:
+        return math.nan, math.nan
+    nb = min(100, max(1, len(miss) // 50))
+    means = np.array([b.mean() for b in np.array_split(miss, nb)])
+    se = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else math.nan
+    return float(miss.mean()), se
+
+
+def coupled_dominance_check_oneshot(svc, samples, envelope_beta=None):
+    """(violations, max_excess) of ``queue_model.coupled_dominance_check``
+    from one draw of every uniform."""
+    beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
+    u = bl.substream(qm.DOMINANCE_SEED, 2).random(samples)
+    excess = svc.inverse_cdf(u) - qm.geometric_service(beta_env).inverse_cdf(u)
+    return int((excess > 0).sum()), int(max(0, excess.max()))
+
+
+def check_envelope_oneshot(svc, envelope_beta=None):
+    """``ServiceTimeModel.check_envelope`` over one array of every draw:
+    the message of the ``ValueError`` it raises, or None."""
+    beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
+    t = svc.sample(bl.substream(qm.ENVELOPE_SEED, 77), qm.ENVELOPE_SAMPLES)
+    kmax = int(min(t.max() - svc.offset, 2 + 40 / -math.log(beta_env)))
+    for k in (1, 2, 3, 5, 8, 13, 21, 34):
+        if k >= max(2, kmax):
+            break
+        p_hat = float((t > svc.offset + k).mean())
+        bound = beta_env**k
+        slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / qm.ENVELOPE_SAMPLES)
+        if p_hat > bound + slack:
+            return (f"service tail violates envelope at k={k}: {p_hat:.3e} > "
+                    f"beta^k={bound:.3e} (+3-sigma slack)")
+    return None

@@ -125,7 +125,7 @@ def test_criterion_7_corollary_suite():
     svc = qm.offset_geometric_service(2, 0.25)
     bound = qm.tail_exponent_bound(5, svc)
     tr = qm.simulate_point_queue(qm.QueueConfig(5, 2_000_000, seed=41), svc)
-    fit = qm.measured_tail_exponent(tr, range(6, 40, 3))
+    fit = bl.measure_delay_exponent(tr, range(6, 40, 3), 50)
     ok = (max(violations) == 0 and negative.violations > 0
           and fit.slope >= bound * 0.85)
     report("criterion 7", ok,

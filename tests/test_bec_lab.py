@@ -69,6 +69,14 @@ def quiet_config(beta: float, rate_bits: float, horizon: int, seed: int) -> bl.B
         return bl.BecConfig(beta, rate_bits, horizon, seed)
 
 
+def assert_causal_and_conserving(trace, stride):
+    """No bit decodes before the use after its arrival, and the backlog the
+    series reports is never negative: no bit leaves before it arrives."""
+    delays = trace.delays()
+    assert np.all(delays[np.isfinite(delays)] >= 1)
+    assert trace.series(stride)["queue_len"].min() >= 0
+
+
 @pytest.fixture(scope="module")
 def fifo_run():
     cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=17)
@@ -105,7 +113,8 @@ class TestConfig:
             bl.BecConfig(beta=1.2, rate_bits=0.5, horizon=100)
         with pytest.raises(ValueError):
             bl.BecConfig(beta=0.4, rate_bits=0.0, horizon=100)
-        with pytest.raises(ValueError, match="^horizon too short$"):
+        with pytest.raises(ValueError,
+                           match="^horizon must be a whole number of at least 2 uses, got 1$"):
             bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=1)
 
     @pytest.mark.parametrize("rate", [0.0, -0.5])
@@ -127,8 +136,8 @@ class TestConfig:
         # TypeError; the seed reached numpy's SeedSequence
         cfg = bl.BecConfig(0.4, 0.5, 100.0, seed=3.0)
         assert type(cfg.horizon) is int and type(cfg.seed) is int
-        assert np.array_equal(bl.simulate_fifo(cfg).decode_times,
-                              bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 100, 3)).decode_times)
+        assert np.array_equal(bl.simulate_fifo(cfg).done_times,
+                              bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 100, 3)).done_times)
 
     @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1.5])
     def test_bad_seed_named_at_construction(self, seed):
@@ -157,19 +166,19 @@ class TestFifo:
         assert fit.unbounded
 
     def test_decode_times_fifo_ordered(self, fifo_run):
-        d = fifo_run.decode_times
+        d = fifo_run.done_times
         assert np.all(np.diff(d[np.isfinite(d)]) >= 0)
 
     def test_conservation_every_step(self):
         cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=20_000, seed=3)
         tr = bl.simulate_fifo(cfg)
-        assert tr.check_conservation(stride=1)
+        assert_causal_and_conserving(tr, stride=1)
 
     def test_deterministic_given_seed(self):
         cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=30_000, seed=9)
         a = bl.simulate_fifo(cfg)
         b = bl.simulate_fifo(cfg)
-        assert np.array_equal(a.decode_times, b.decode_times)
+        assert np.array_equal(a.done_times, b.done_times)
 
     def test_matches_literal_queue_loop(self):
         # independent oracle: simulate the queue one use at a time
@@ -187,7 +196,7 @@ class TestFifo:
                 queue.append(t // 2)
         for i in range(1, len(tr.arrival_times) + 1):
             expect = decode.get(i, math.inf)
-            assert tr.decode_times[i - 1] == expect
+            assert tr.done_times[i - 1] == expect
 
     def test_queue_law_matches_birth_death(self, fifo_run):
         samples = bl.stationary_queue_samples(fifo_run)
@@ -219,7 +228,7 @@ class TestFifo:
     def test_general_rational_rate_runs(self):
         cfg = bl.BecConfig(beta=0.25, rate_bits=2 / 3, horizon=200_000, seed=4)
         tr = bl.simulate_fifo(cfg)
-        assert tr.check_conservation(stride=7)
+        assert_causal_and_conserving(tr, stride=7)
         fit = bl.measure_delay_exponent(tr, range(6, 30, 3), min_misses=20)
         assert fit.slope > 0
 
@@ -238,12 +247,12 @@ class TestFifo:
             while nxt < len(arrivals) and arrivals[nxt] == t:
                 nxt += 1
         decode += [math.inf] * (len(arrivals) - len(decode))
-        assert tr.decode_times.tolist() == decode
+        assert tr.done_times.tolist() == decode
 
 
     def test_queue_seen_needs_fifo_decode_times(self):
-        tr = bl.SimTrace(scheme="fifo", horizon=10, arrival_times=np.array([1, 2]),
-                         decode_times=np.array([5.0, 4.0]), meta={"beta": 0.4})
+        tr = bl.SimTrace(arrival_times=np.array([1, 2]), done_times=np.array([5.0, 4.0]),
+                         steady=0, horizon=10)
         with pytest.raises(ValueError, match="^decode times must be FIFO-ordered$"):
             bl.queue_seen_by_arrivals(tr)
 
@@ -277,7 +286,7 @@ class TestSeries:
         # near capacity, so the horizon ends with bits undecoded (decode time inf)
         tr = simulate(bl.BecConfig(0.4, 0.55, horizon, seed=horizon))
         if horizon > 11:
-            assert np.isinf(tr.decode_times).any()
+            assert np.isinf(tr.done_times).any()
         assert stride == 1 or horizon % stride
         got, want = tr.series(stride), series_by_search(tr, stride)
         assert got.keys() == want.keys()
@@ -325,7 +334,7 @@ class TestParityCode:
         dt, deficit = parity_loop(cfg)
         fifo = bl.simulate_fifo(cfg)
         parity = bl.simulate_causal_parity_nofeedback(cfg)
-        assert np.array_equal(parity.decode_times, dt)
+        assert np.array_equal(parity.done_times, dt)
         assert np.array_equal(deficit, fifo.series()["queue_len"])
 
     @pytest.mark.parametrize("beta,rate_bits", [(0.4, 0.5), (0.3, 0.6), (0.2, 0.37),
@@ -335,7 +344,7 @@ class TestParityCode:
         cfg = quiet_config(beta, rate_bits, horizon, seed=23)
         dt, deficit = parity_loop(cfg)
         parity = bl.simulate_causal_parity_nofeedback(cfg)
-        assert np.array_equal(parity.decode_times, dt)
+        assert np.array_equal(parity.done_times, dt)
         # the parity deficit is the FIFO backlog, pathwise
         assert np.array_equal(deficit, bl.simulate_fifo(cfg).series()["queue_len"])
 
@@ -348,7 +357,7 @@ class TestParityCode:
         dt, deficit = parity_loop(cfg)
         fifo = bl.simulate_fifo(cfg)
         parity = bl.simulate_causal_parity_nofeedback(cfg)
-        assert np.array_equal(parity.decode_times, dt)
+        assert np.array_equal(parity.done_times, dt)
         assert np.array_equal(deficit, fifo.series()["queue_len"])
         assert np.array_equal(parity.arrival_times, fifo.arrival_times)
 
@@ -363,7 +372,7 @@ class TestParityCode:
     def test_conservation(self):
         cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=20_000, seed=2)
         tr = bl.simulate_causal_parity_nofeedback(cfg)
-        assert tr.check_conservation()
+        assert_causal_and_conserving(tr, stride=1)
 
 
 class TestUnionBound:

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from delaylab import bec_lab as bl, cli, ncl_scheme as ncl, queue_model as qm
-from oracles import (erasure_pattern_oneshot, fifo_completions_oneshot, fit_delay_exponent_lstsq,
-                     miss_counts_float, parity_decode_oneshot, series_by_search,
-                     simulate_fifo_oneshot)
+from oracles import (check_envelope_oneshot, coupled_dominance_check_oneshot,
+                     erasure_pattern_oneshot, fifo_completions_oneshot, fit_delay_exponent_lstsq,
+                     miss_counts_float, miss_probability_oneshot, parity_decode_oneshot,
+                     queue_seen_by_arrivals_oneshot, series_by_search, simulate_fifo_oneshot)
 
 CHUNK = bl.CHUNK_LENGTH
 LENGTHS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
@@ -58,19 +59,19 @@ class TestBudgets:
                                           bl.simulate_causal_parity_nofeedback])
     def test_fifo_runs(self, simulate):
         trace, peak = traced_peak(lambda: simulate(BEC))
-        kept = nbytes(trace.arrival_times, trace.decode_times)
+        kept = nbytes(trace.arrival_times, trace.done_times)
         assert peak <= kept + fifo_working_bytes(trace) + ALLOWANCE
 
     def test_point_queue(self):
         trace, peak = traced_peak(lambda: qm.simulate_point_queue(QUEUE, SERVICE))
-        kept = nbytes(trace.arrival_times, trace.completion_times, trace.service_times)
+        kept = nbytes(trace.arrival_times, trace.done_times, trace.service_times)
         assert peak <= kept + ALLOWANCE
 
     def test_ncl_bound_driven(self, bsc002):
         params = ncl.select_params(bsc002, 0.2, 0.05, 10, 1.0)
         trace, peak = traced_peak(lambda: ncl.simulate_ncl_bound_driven(params, 280_000, 7))
         kept = nbytes(trace.arrival_times, trace.service_starts, trace.transmission_times,
-                      trace.commit_times)
+                      trace.done_times)
         assert peak <= kept + ALLOWANCE
         grid = ncl.default_delay_grid(params).tolist()
         _, peak = traced_peak(lambda: trace.measure_exponent(grid, 30))
@@ -79,6 +80,22 @@ class TestBudgets:
     def test_fits_hold_no_delay_sample(self):
         trace = bl.simulate_fifo(BEC)
         _, peak = traced_peak(lambda: bl.measure_delay_exponent(trace, range(10, 41, 2)))
+        assert peak <= ALLOWANCE
+
+    @pytest.mark.parametrize("statistic", [
+        lambda trace: bl.miss_probability(trace, 10), bl.queue_seen_by_arrivals,
+        bl.stationary_queue_samples], ids=["miss_probability", "queue_seen_by_arrivals",
+                                           "stationary_queue_samples"])
+    def test_acceptance_statistics(self, statistic):
+        trace = bl.simulate_fifo(BEC)
+        result, peak = traced_peak(lambda: statistic(trace))
+        assert peak <= (result.nbytes if isinstance(result, np.ndarray) else 0) + ALLOWANCE
+
+    @pytest.mark.parametrize("check", [qm.coupled_dominance_check,
+                                       qm.ServiceTimeModel.check_envelope],
+                             ids=["coupled_dominance_check", "check_envelope"])
+    def test_service_checks(self, check):
+        _, peak = traced_peak(lambda: check(qm.truncated_geometric_service(0.4, 3)))
         assert peak <= ALLOWANCE
 
     def test_cli_sim_bec(self, tmp_path):
@@ -90,7 +107,7 @@ class TestBudgets:
         assert code == 0
         trace = bl.simulate_fifo(BEC)
         series = trace.series(BEC.horizon // 100_000)
-        kept = nbytes(trace.arrival_times, trace.decode_times, *series.values())
+        kept = nbytes(trace.arrival_times, trace.done_times, *series.values())
         assert peak <= kept + fifo_working_bytes(trace) + ALLOWANCE
 
     def test_cli_sim_queue(self, tmp_path):
@@ -103,7 +120,7 @@ class TestBudgets:
         code, peak = traced_peak(lambda: cli.main(argv))
         assert code == 0
         trace = qm.simulate_point_queue(QUEUE, SERVICE)
-        kept = nbytes(trace.arrival_times, trace.completion_times, trace.service_times)
+        kept = nbytes(trace.arrival_times, trace.done_times, trace.service_times)
         assert peak <= kept + ALLOWANCE
 
 
@@ -136,9 +153,9 @@ class TestChunkBoundaries:
         fifo = bl.simulate_fifo(cfg)
         assert len(a) == bits
         assert np.array_equal(fifo.arrival_times, a)
-        assert np.array_equal(fifo.decode_times, d)
+        assert np.array_equal(fifo.done_times, d)
         parity = bl.simulate_causal_parity_nofeedback(cfg)
-        assert np.array_equal(parity.decode_times, parity_decode_oneshot(a, d))
+        assert np.array_equal(parity.done_times, parity_decode_oneshot(a, d))
         for stride in (1, 7):
             want = series_by_search(fifo, stride)
             for name, column in fifo.series(stride).items():
@@ -151,9 +168,9 @@ class TestChunkBoundaries:
         a, d = simulate_fifo_oneshot(cfg)
         fifo = bl.simulate_fifo(cfg)
         assert np.isfinite(d).sum() > CHUNK and np.isinf(d).any()
-        assert np.array_equal(fifo.decode_times, d)
+        assert np.array_equal(fifo.done_times, d)
         parity = bl.simulate_causal_parity_nofeedback(cfg)
-        assert np.array_equal(parity.decode_times, parity_decode_oneshot(a, d))
+        assert np.array_equal(parity.done_times, parity_decode_oneshot(a, d))
 
     @pytest.mark.parametrize("size", LENGTHS)
     def test_service_samples(self, size):
@@ -202,25 +219,120 @@ class TestChunkBoundaries:
         for field in ("d_values", "miss_probs", "miss_counts"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
-    def test_traces_pool_in_order(self):
-        traces = [bl.simulate_fifo(bl.BecConfig(0.3, 0.5, 3 * CHUNK + 5, seed))
-                  for seed in (1, 2)]
-        grid = list(range(4, 30, 3))
-        pooled = []
-        for t in traces:
-            stop = np.searchsorted(t.arrival_times, t.horizon - max(grid), side="right")
-            pooled.append(t.delays()[t.steady_start():stop])
-        got = bl.measure_delay_exponent(traces, grid, 20)
-        want = bl.fit_delay_exponent(np.concatenate(pooled), grid, 20)
-        assert (got.slope, got.ci_low, got.ci_high) == (want.slope, want.ci_low, want.ci_high)
-        assert np.array_equal(got.miss_counts, want.miss_counts)
+    @pytest.mark.parametrize("bits", LENGTHS)
+    def test_acceptance_statistics(self, bits):
+        with pytest.warns(UserWarning):  # near capacity: bits left undecoded
+            cfg = bl.BecConfig(beta=0.45, rate_bits=0.55, horizon=2 * bits + 1, seed=bits)
+        trace = bl.simulate_fifo(cfg)
+        backlog = queue_seen_by_arrivals_oneshot(trace)
+        assert np.array_equal(bl.queue_seen_by_arrivals(trace), backlog)
+        stop = len(backlog) - 64 if len(backlog) > 128 else len(backlog)
+        assert np.array_equal(bl.stationary_queue_samples(trace), backlog[trace.steady:stop])
+        for d in (0, 3, 3.5, 7, 1e9, -2.0):
+            got, want = bl.miss_probability(trace, d), miss_probability_oneshot(trace, d)
+            assert [x.hex() for x in got] == [x.hex() for x in want], d
 
-    def test_ncl_fit_reads_the_steady_delays(self, bsc002):
-        params = ncl.select_params(bsc002, 0.2, 0.05, 10, 1.0)
-        trace = ncl.simulate_ncl_bound_driven(params, 3 * CHUNK + 5, 4)
-        grid = ncl.default_delay_grid(params).tolist()
-        got = trace.measure_exponent(grid, 30)
-        want = bl.fit_delay_exponent(trace.steady_delays(), grid, 30)
-        assert (got.slope, got.ci_low, got.ci_high) == (want.slope, want.ci_low, want.ci_high)
-        assert not math.isnan(got.slope)
-        assert np.array_equal(got.miss_counts, want.miss_counts)
+    def test_fifo_order_checked_across_chunks(self):
+        done = np.arange(1.0, 2 * CHUNK + 1)
+        done[[CHUNK - 1, CHUNK]] = done[[CHUNK, CHUNK - 1]]
+        run = bl.SimTrace(arrival_times=np.arange(2 * CHUNK), done_times=done, steady=0,
+                          horizon=2 * CHUNK + 1)
+        with pytest.raises(ValueError, match="^decode times must be FIFO-ordered$"):
+            bl.queue_seen_by_arrivals(run)
+
+    @pytest.mark.parametrize("samples", LENGTHS)
+    def test_coupled_dominance_check(self, samples):
+        for svc, envelope in [(qm.truncated_geometric_service(0.4, 3), None),
+                              (qm.geometric_service(0.5), 0.4), (qm.geometric_service(0.3), 0.3)]:
+            report = qm.coupled_dominance_check(svc, samples, envelope)
+            assert report.samples == samples
+            assert (report.violations, report.max_excess) == \
+                coupled_dominance_check_oneshot(svc, samples, envelope)
+
+    @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK + 1, qm.ENVELOPE_SAMPLES])
+    def test_check_envelope(self, samples, monkeypatch):
+        monkeypatch.setattr(qm, "ENVELOPE_SAMPLES", samples)
+        for svc, envelope in [(qm.geometric_service(0.4), None), (qm.geometric_service(0.5), 0.35),
+                              (qm.offset_geometric_service(2, 0.25), 0.6),
+                              (qm.ServiceTimeModel(3, 0.9, 2), 0.05)]:
+            try:
+                svc.check_envelope(envelope)
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            assert message == check_envelope_oneshot(svc, envelope)
+
+
+def two_runs(kind, channel):
+    """Two runs of ``kind`` on seeds 1 and 2, the FIFO, parity, queue and
+    bound-driven runs each of more than three chunks of items, and the
+    grid and ``min_misses`` to fit them on."""
+    items = 3 * CHUNK + 5
+    params = ncl.select_params(channel, 0.2, 0.05, 10, 1.0)
+
+    def run(seed):
+        if kind in ("fifo", "parity"):
+            # at rate 1/2 the bits arriving before use 2 items + 1 are exactly items
+            cfg = bl.BecConfig(beta=0.3, rate_bits=0.5, horizon=2 * items + 1, seed=seed)
+            simulate = bl.simulate_fifo if kind == "fifo" else bl.simulate_causal_parity_nofeedback
+            return simulate(cfg)
+        if kind == "queue":
+            return qm.simulate_point_queue(qm.QueueConfig(5, items, seed), SERVICE)
+        if kind == "bound_driven":
+            return ncl.simulate_ncl_bound_driven(params, items, seed)
+        return ncl.simulate_ncl_exact_tiny(channel, params, 4_000, seed)
+
+    grid, min_misses = {"fifo": (list(range(4, 30, 3)), 20), "parity": (list(range(4, 30, 3)), 20),
+                        "queue": ([6, 9, 12, 15, 18], 50),
+                        "bound_driven": (ncl.default_delay_grid(params).tolist(), 30),
+                        # most blocks commit after one or two chunks, 50 or 60 uses
+                        "exact_tiny": ([45, 55, 65, 75], 5)}[kind]
+    return [run(1), run(2)], grid, min_misses
+
+
+def fit_bits(fit):
+    return ([float(x).hex() for x in (fit.slope, fit.ci_low, fit.ci_high)],
+            fit.d_values.tobytes(), fit.miss_probs.tobytes(), fit.miss_counts.tobytes(),
+            fit.unbounded, fit.widened_ci)
+
+
+KINDS = ["fifo", "parity", "queue", "bound_driven", "exact_tiny"]
+
+
+class TestOneRecord:
+    """Every simulator returns a ``bec_lab.DelayRun``, and every fit reads
+    its steady delays censored at its horizon less the largest deadline."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fits_read_the_censored_steady_delays(self, bsc002, kind):
+        runs, grid, min_misses = two_runs(kind, bsc002)
+        kept = []
+        for run in runs:
+            # censored by a mask over the arrival times, not by a search
+            arrived = run.arrival_times[run.steady:] <= run.horizon - max(grid)
+            kept.append(run.steady_delays()[arrived])
+            assert 0 < arrived.sum() < len(arrived) or run.horizon == math.inf
+            want = bl.fit_delay_exponent(kept[-1], grid, min_misses)
+            assert not math.isnan(want.slope)
+            assert fit_bits(bl.measure_delay_exponent(run, grid, min_misses)) == fit_bits(want)
+            if isinstance(run, ncl.NclTrace):  # a grid may be any iterable
+                assert fit_bits(run.measure_exponent(iter(grid), min_misses)) == fit_bits(want)
+        # the runs pool in order
+        want = bl.fit_delay_exponent(np.concatenate(kept), grid, min_misses)
+        assert fit_bits(bl.measure_delay_exponent(runs, iter(grid), min_misses)) == fit_bits(want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_steady_is_the_warmup_rule(self, bsc002, kind):
+        runs, _, _ = two_runs(kind, bsc002)
+        for run in runs:
+            assert isinstance(run, bl.DelayRun)
+            if kind in ("fifo", "parity"):
+                # the bits that arrive from use burn_in_steps(beta) on, at beta = 0.3
+                first = int(np.flatnonzero(run.arrival_times >= bl.burn_in_steps(0.3))[0])
+                assert (run.steady, run.horizon, run.shift) == (first, 2 * (3 * CHUNK + 5) + 1, 0)
+            elif kind == "queue":
+                assert (run.steady, run.horizon, run.shift) == (qm.WARMUP_MESSAGES, math.inf, 0)
+            else:
+                params = ncl.select_params(bsc002, 0.2, 0.05, 10, 1.0)
+                assert (run.steady, run.horizon, run.shift) == \
+                    (ncl.WARMUP_BLOCKS, math.inf, params.block_period)

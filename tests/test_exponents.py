@@ -1528,7 +1528,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("call, message", [
         (lambda: ex.sphere_packing(BSC, -0.1), "rate must be nonnegative"),
         (lambda: ex.random_coding_list(BSC, -0.1), "rate must be nonnegative"),
-        (lambda: ex.random_coding_list(BSC, 0.1, 0), "list size must be at least 1"),
+        (lambda: ex.random_coding_list(BSC, 0.1, 0),
+         "list size must be a whole number of at least 1, got 0"),
         (lambda: ex.haroutunian(Z05, 0.1, "other"), "variant must be 'standard' or 'tilde'"),
         (lambda: ex.haroutunian(Z05, -0.1), "rate must be nonnegative"),
         (lambda: ex.focusing_bound(Z05, 0.1, 50),

@@ -226,7 +226,7 @@ class TestExactTiny:
         got = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 500, seed=3,
                                           n_messages=64, feedback_lag=2)
         for field in ("arrival_times", "service_starts", "transmission_times",
-                      "commit_times"):
+                      "done_times"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert got.meta == want.meta
 
@@ -306,7 +306,7 @@ class TestBoundDriven:
         tr = ncl.simulate_ncl_bound_driven(prm, 50_000, seed=3)
         minimum = prm.block_period + (math.ceil(prm.t_tilde) + 1) * prm.ck \
             + prm.l * prm.k
-        delays = tr.end_to_end()
+        delays = tr.delays()
         assert delays.min() == minimum
         assert float((delays == minimum).mean()) > 0.8
         assert float(tr.queueing().mean()) < prm.ck  # queueing vanishes
@@ -329,7 +329,7 @@ class TestBoundDriven:
         tr = ncl.simulate_ncl_bound_driven(prm, 20_000, seed=4)
         grid = ncl.default_delay_grid(prm)
         fit = tr.measure_exponent(grid, min_misses=30)
-        want = fit_delay_exponent(tr.end_to_end()[ncl.WARMUP_BLOCKS:], grid, 30)
+        want = fit_delay_exponent(tr.delays()[ncl.WARMUP_BLOCKS:], grid, 30)
         assert (fit.slope, fit.ci_low, fit.ci_high) == (want.slope, want.ci_low, want.ci_high)
         assert list(fit.miss_counts) == list(want.miss_counts)
 
@@ -355,11 +355,10 @@ class TestBoundDriven:
         ck = prm.ck
         assert np.array_equal(tr.arrival_times, queue.arrival_times * ck)
         assert np.array_equal(tr.service_starts,
-                              (queue.completion_times - queue.service_times) * ck)
+                              (queue.done_times - queue.service_times) * ck)
         assert np.array_equal(tr.transmission_times, queue.service_times * ck)
-        assert np.array_equal(tr.commit_times,
-                              queue.completion_times * ck + prm.l * prm.k)
-        assert (tr.assembly, tr.termination) == (prm.block_period, prm.l * prm.k)
+        assert np.array_equal(tr.done_times, queue.done_times * ck + prm.l * prm.k)
+        assert (tr.shift, tr.termination) == (prm.block_period, prm.l * prm.k)
         assert tr.meta == {"mode": "bound_driven", "beta_eff": law.tail_beta,
                            "seed": seed}
 

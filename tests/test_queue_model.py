@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delaylab import queue_model as qm
+from delaylab.bec_lab import measure_delay_exponent
 from delaylab.dmc import LN2
 from delaylab.exponents import bec_focusing_exponent_bits
 
@@ -45,10 +46,10 @@ class TestServiceTimeModel:
         cfg = qm.QueueConfig(arrival_period=5.0, horizon=300.0, seed=2.0)
         assert [type(v) for v in (cfg.arrival_period, cfg.horizon, cfg.seed)] == [int] * 3
         tr = qm.simulate_point_queue(cfg, svc)
-        assert tr.service_times.dtype == tr.completion_times.dtype == np.int64
+        assert tr.service_times.dtype == tr.done_times.dtype == np.int64
         ref = qm.simulate_point_queue(qm.QueueConfig(5, 300, 2),
                                       qm.ServiceTimeModel(offset=2, tail_beta=0.3, cap=4))
-        assert np.array_equal(tr.completion_times, ref.completion_times)
+        assert np.array_equal(tr.done_times, ref.done_times)
 
     @pytest.mark.parametrize("seed", [math.nan, math.inf, 0.5])
     def test_bad_seed_named_at_construction(self, seed):
@@ -112,7 +113,7 @@ class TestSimulation:
         # min(geometric, 1) is the constant service time 1
         svc = qm.truncated_geometric_service(0.4, 1)
         tr = qm.simulate_point_queue(qm.QueueConfig(2, 5_000, seed=3), svc)
-        assert np.array_equal(tr.completion_times, tr.arrival_times + 1)
+        assert np.array_equal(tr.done_times, tr.arrival_times + 1)
         assert np.all(tr.waiting_times() == 0)
 
     def test_lindley_recursion_identity(self):
@@ -136,13 +137,13 @@ class TestSimulation:
         # same renewal structure as the rate-1/2 erasure FIFO scheme
         svc = qm.geometric_service(0.4)
         tr = qm.simulate_point_queue(qm.QueueConfig(2, 2_000_000, seed=11), svc)
-        fit = qm.measured_tail_exponent(tr, range(10, 41, 2))
+        fit = measure_delay_exponent(tr, range(10, 41, 2), 50)
         assert abs(fit.slope - math.log(1.5)) <= 0.1 * math.log(1.5)
 
 
     @pytest.mark.parametrize("period, horizon, message", [
         (0, 10, "^arrival period must be a positive integer$"),
-        (2, 0, "^need at least one message$"),
+        (2, 0, "^horizon must be a whole number of at least 1 message, got 0$"),
     ])
     def test_config_checks(self, period, horizon, message):
         with pytest.raises(ValueError, match=message):
@@ -192,7 +193,7 @@ class TestMeasuredExponent:
     def test_fit_carries_finite_ci(self):
         svc = qm.offset_geometric_service(2, 0.25)
         tr = qm.simulate_point_queue(qm.QueueConfig(5, 400_000, seed=3), svc)
-        fit = qm.measured_tail_exponent(tr, [6, 9, 12, 15, 18])
+        fit = measure_delay_exponent(tr, [6, 9, 12, 15, 18], 50)
         assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
         assert fit.ci_low <= fit.slope <= fit.ci_high
         assert type(fit.widened_ci) is bool
@@ -200,7 +201,7 @@ class TestMeasuredExponent:
     def test_single_deadline_with_misses_is_undetermined(self):
         svc = qm.offset_geometric_service(2, 0.25)
         tr = qm.simulate_point_queue(qm.QueueConfig(5, 2_000, seed=0), svc)
-        fit = qm.measured_tail_exponent(tr, [6, 9, 12, 15, 18])
+        fit = measure_delay_exponent(tr, [6, 9, 12, 15, 18], 50)
         assert fit.d_values.tolist() == [6.0]
         assert math.isnan(fit.slope) and math.isnan(fit.ci_high)
         assert fit.widened_ci is True
@@ -241,7 +242,7 @@ class TestTailExponentBound:
         svc = qm.offset_geometric_service(2, 0.25)
         bound = qm.tail_exponent_bound(5, svc)
         tr = qm.simulate_point_queue(qm.QueueConfig(5, 2_000_000, seed=13), svc)
-        fit = qm.measured_tail_exponent(tr, range(6, 40, 3))
+        fit = measure_delay_exponent(tr, range(6, 40, 3), 50)
         assert fit.slope >= bound * 0.85
 
     def test_every_shipped_model_respects_bound(self):
@@ -254,5 +255,5 @@ class TestTailExponentBound:
         for svc, m in cases:
             bound = qm.tail_exponent_bound(m, svc)
             tr = qm.simulate_point_queue(qm.QueueConfig(m, 1_000_000, seed=7), svc)
-            fit = qm.measured_tail_exponent(tr, range(2 * m, 24 * m, m))
+            fit = measure_delay_exponent(tr, range(2 * m, 24 * m, m), 50)
             assert fit.slope >= bound * 0.85 - 1e-9
