@@ -44,7 +44,7 @@ print("no bit decodes earlier without feedback: "
       f"{bool(np.all(parity.done_times >= fifo.done_times))}")
 
 pi = bl.birth_death_stationary(0.4, kmax=8)
-samples = bl.stationary_queue_samples(fifo)
+samples = bl.queue_seen_by_arrivals(fifo)[fifo.steady:]
 print("queue law (backlog seen by arrivals) vs birth-death pi_i:")
 for k in range(5):
     print(f"  k={k}: empirical {np.mean(samples == k):.4f}   pi = {pi[k]:.4f}")

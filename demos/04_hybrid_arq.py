@@ -27,7 +27,14 @@ params = ncl.NclParams(n=2, c=2, l=1, k=3, rho=1.0, q=q,
                        rate=math.log(8) / 12, e0=e0)
 trace = ncl.simulate_ncl_exact_tiny(bsc, params, 40_000, seed=7)
 print("blocks: 40000, no committed errors (the control slots are error-free)")
-print(f"four-part delay decomposition exact: {trace.decomposition_exact()}")
+# one FIFO server: a block starts once assembled and once the block before
+# it has left, l k uses before that block commits, and takes whole chunks
+starts, lk = trace.service_starts, params.l * params.k
+one_server = (np.all(starts >= trace.arrival_times)
+              and np.all(starts[1:] >= trace.done_times[:-1] - lk)
+              and np.all(trace.transmission_times > 0)
+              and np.all(trace.transmission_times % params.ck == 0))
+print(f"one FIFO server, whole chunks per block: {bool(one_server)}")
 chunks = trace.transmission_times // params.ck
 offset = math.ceil(params.t_tilde)
 print(f"{'t':>3} {'P(T > (t~+t) ck) emp':>21} {'bound':>10}")

@@ -121,8 +121,9 @@ class DelayRun:
     and is done (decoded, completed or committed) at ``done_times[i]``, +inf
     where the run ended first.  Its delay is done minus arrival plus
     ``shift``.  Items before index ``steady`` are the warm-up, and the run
-    covers uses up to ``horizon``, +inf where every item completes.  These
-    methods are the one warm-up and censoring rule of every measurement."""
+    covers uses up to ``horizon``, +inf where every item completes.
+    ``_segment`` is the one warm-up and censoring rule of every measurement,
+    and the only reader of ``steady``."""
 
     arrival_times: np.ndarray
     done_times: np.ndarray
@@ -134,10 +135,6 @@ class DelayRun:
         delays = self.done_times - self.arrival_times
         delays += self.shift
         return delays
-
-    def steady_delays(self) -> np.ndarray:
-        """The delays after the warm-up."""
-        return self.delays()[self.steady:]
 
     def _segment(self, d_max: float) -> tuple:
         """The steady items that arrive by horizon - ``d_max``, so that each
@@ -160,6 +157,8 @@ class SimTrace(DelayRun):
     """
 
     def series(self, stride: int = 1) -> dict[str, np.ndarray]:
+        check_count(stride, "stride must be a positive integer, got {}")
+        stride = int(stride)
         t = np.arange(1, self.horizon + 1, stride, dtype=np.int64)
         arrivals = _counts_at_samples(self.arrival_times, stride, len(t))
         decoded = _counts_at_samples(self.done_times, stride, len(t))
@@ -332,14 +331,6 @@ def burn_in_steps(beta: float) -> int:
     return int(1e3 / max(1e-6, (1.0 - 2.0 * beta) ** 2))
 
 
-def stationary_queue_samples(trace: SimTrace) -> np.ndarray:
-    """Arrival-embedded queue samples after the burn-in prefix."""
-    q = queue_seen_by_arrivals(trace)
-    # drop the tail where the horizon may truncate decode times
-    stop = len(q) - 64 if len(q) > 128 else len(q)
-    return q[trace.steady:stop]
-
-
 def queue_law_chisquare(samples: np.ndarray, beta: float) -> tuple[float, float]:
     """Chi-squared test of the empirical queue law against the birth-death law.
 
@@ -497,17 +488,17 @@ def _slope(a: np.ndarray, p: np.ndarray) -> float:
     return sol[0]
 
 
-def _point_fit(segments, d_grid, min_misses: int, block: int = 0):
+def _point_fit(segments, d_grid: list, min_misses: int, block: int = 0):
     """``fit_delay_exponent`` before its bootstrap, in one ``_tally`` pass
     over the delays of ``segments``: the fit (the deadlines kept, their miss
     counts and the slope, with the CI NaN), the miss counts at every
-    deadline of ``d_grid`` in its given order, and the misses of each whole
-    block of ``block`` delays at the deadlines kept."""
+    deadline of ``d_grid`` (from ``_deadlines``) in its given order, and the
+    misses of each whole block of ``block`` delays at the deadlines kept."""
     n = sum(len(ends) for ends, _, _ in segments)
     if n == 0:
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
     check_count(min_misses, "min_misses must be a positive integer, got {}")
-    given = np.asarray(list(d_grid), dtype=float)
+    given = np.asarray(d_grid, dtype=float)
     order = np.argsort(given, kind="stable")
     d_grid = given[order]
     ends, given_counts, block_counts = _tally(segments, given, block)
@@ -593,14 +584,14 @@ def fit_delay_exponent(delays, d_grid, min_misses: int) -> DelayExponentFit:
     percentiles read are solved by lstsq (``_bootstrap_slopes``).  Infinite
     delays miss every finite deadline.  With no misses anywhere the exponent
     is unbounded by the data; with misses at a single deadline it is
-    undetermined (slope and CI NaN).  An empty sample, a nan or -inf delay
-    or deadline, and a ``min_misses`` that is not a positive integer raise
-    ValueError.
+    undetermined (slope and CI NaN).  An empty sample or grid, a nan or -inf
+    delay or deadline, and a ``min_misses`` that is not a positive integer
+    raise ValueError.
     """
-    return _fit([(np.asarray(delays), None, 0)], d_grid, min_misses)
+    return _fit([(np.asarray(delays), None, 0)], _deadlines(d_grid), min_misses)
 
 
-def _fit(segments, d_grid, min_misses: int) -> DelayExponentFit:
+def _fit(segments, d_grid: list, min_misses: int) -> DelayExponentFit:
     """``fit_delay_exponent`` of the delays of ``segments`` (see ``_pieces``),
     pooled in order."""
     block = max(1000, sum(len(ends) for ends, _, _ in segments) // 200)
@@ -638,8 +629,24 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExpone
     lies beyond its horizon (``DelayRun._segment``); the remaining delays are
     pooled in order.
     """
-    if isinstance(traces, DelayRun):
-        traces = [traces]
-    d_grid = list(d_grid)  # read twice: an iterator would reach the fit empty
+    return _fit(*_segments(traces, d_grid), min_misses)
+
+
+def _deadlines(d_grid) -> list:
+    """The deadline grid of a fit as a list, which it reads more than once
+    where ``d_grid`` may be an iterator; an empty grid raises ValueError."""
+    d_grid = list(d_grid)
+    if not d_grid:
+        raise ValueError("d_grid must hold at least one deadline")
+    return d_grid
+
+
+def _segments(runs, d_grid) -> tuple[list, list]:
+    """The (ends, starts, shift) segments that a fit on the deadlines
+    ``d_grid`` reads off one run, or off each of a list of runs in order,
+    cut by ``DelayRun._segment`` at the largest deadline, and the grid as
+    ``_deadlines`` returns it: the one reader of a run for every fit."""
+    d_grid = _deadlines(d_grid)
     d_max = float(max(d_grid))
-    return _fit([run._segment(d_max) for run in traces], d_grid, min_misses)
+    runs = [runs] if isinstance(runs, DelayRun) else runs
+    return [run._segment(d_max) for run in runs], d_grid

@@ -391,7 +391,7 @@ def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
 
     traces = [one(trial) for trial in range(trials)]
     # the summary writes no CI, and reports every deadline, not only the fitted ones
-    segments = [tr._segment(max(d_grid)) for tr in traces]
+    segments, d_grid = bec_lab._segments(traces, d_grid)
     fit, counts, _ = bec_lab._point_fit(segments, d_grid, min_misses=50)
     n_delays = sum(len(ends) for ends, _, _ in segments)
     bound = queue_model.tail_exponent_bound(m, svc) if m > svc.offset else None

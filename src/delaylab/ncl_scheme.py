@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bec_lab import (DelayExponentFit, DelayRun, _design, _fit, _slope, _tally, fifo_completions,
-                      substream)
+from .bec_lab import (DelayExponentFit, DelayRun, _design, _fit, _segments, _slope, _tally,
+                      fifo_completions, substream)
 from .dmc import Dmc, check_count, check_real, check_seed
 from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import offset_geometric_service, reduced_rate_exponent
@@ -140,28 +140,22 @@ class NclTrace(DelayRun):
     """Per-block timing of one scheme run, in channel uses: block i+1 is
     assembled at ``arrival_times[i]``, starts service at
     ``service_starts[i]``, takes ``transmission_times[i]`` (a multiple of
-    ck) and commits at ``done_times[i]``.
-
-    Its delay, shifted by the assembly time n c k, decomposes exactly as
-    assembly + queueing + transmission + termination for every block.
+    ck) and commits at ``done_times[i]``, l k uses after its transmission
+    ends, once the l disambiguation bits have ridden the control slots.
+    Its delay is shifted by the assembly time n c k.
     """
 
     service_starts: np.ndarray
     transmission_times: np.ndarray
-    termination: int
     meta: dict = field(default_factory=dict)
 
     def queueing(self) -> np.ndarray:
         return self.service_starts - self.arrival_times
 
-    def decomposition_exact(self) -> bool:
-        total = self.shift + self.queueing() + self.transmission_times + self.termination
-        return bool(np.all(total == self.delays()))
-
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
-        """Delay exponent of the ``steady_delays``, read a chunk at a time."""
-        d_grid = list(d_grid)  # read twice: an iterator would reach the fit empty
-        return _fit([self._segment(max(d_grid))], d_grid, min_misses)
+        """``measure_delay_exponent`` of this run: its steady delays, censored
+        at its horizon, read a chunk at a time."""
+        return _fit(*_segments(self, d_grid), min_misses)
 
 
 def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
@@ -190,8 +184,7 @@ def _ncl_trace(params: NclParams, chunks: np.ndarray, meta: dict) -> NclTrace:
     # l disambiguation bits ride the next l control slots at spacing k
     commits += params.l * params.k
     return NclTrace(arrival_times=arrivals, done_times=commits, steady=WARMUP_BLOCKS, shift=nck,
-                    service_starts=starts, transmission_times=t_j,
-                    termination=params.l * params.k, meta=meta)
+                    service_starts=starts, transmission_times=t_j, meta=meta)
 
 
 def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
@@ -402,11 +395,11 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     splits = [np.arange(0.0, d + step, step) for d in d_grid]  # the d_f of each d
     # every message-stream deadline d_m = d - d_f, in its own uses, counted in one pass
     cuts = np.concatenate([(d - df) * (1.0 - psi) for d, df in zip(d_grid, splits)])
-    segment = trace._segment(cuts.max())
-    n = len(segment[0])
+    segments, _ = _segments(trace, cuts)
+    n = len(segments[0][0])
     if not n:
         raise ValueError("no delays left to fit: lengthen the run past its burn-in")
-    p_m = _tally([segment], cuts, 0)[1] / n
+    p_m = _tally(segments, cuts, 0)[1] / n
     probs, first = [], 0
     for df in splits:
         p_f = np.exp(-df * punc_exp)

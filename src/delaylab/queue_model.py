@@ -70,6 +70,8 @@ class ServiceTimeModel:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``inverse_cdf(rng.random(size))``, drawn and mapped a chunk at a time."""
+        check_count(size, "size must be a nonnegative integer, got {}", 0)
+        size = int(size)
         t = np.empty(size, dtype=np.int64)
         for lo, u in _uniform_chunks(rng, size):
             t[lo:lo + len(u)] = self.inverse_cdf(u)

@@ -85,7 +85,7 @@ def test_criterion_4_symmetric_equality_and_z_gap(bsc002, bec04, z05):
 
 def test_criterion_5_fifo_simulator(fifo_10m):
     # (a) queue law against the birth-death stationary distribution
-    samples = bl.stationary_queue_samples(fifo_10m)
+    samples = bl.queue_seen_by_arrivals(fifo_10m)[fifo_10m.steady:]
     stat, pvalue = bl.queue_law_chisquare(samples, 0.4)
     # (b) miss probability at d=7 against (2/3)^7
     p7, se7 = bl.miss_probability(fifo_10m, 7)

@@ -199,13 +199,13 @@ class TestFifo:
             assert tr.done_times[i - 1] == expect
 
     def test_queue_law_matches_birth_death(self, fifo_run):
-        samples = bl.stationary_queue_samples(fifo_run)
+        samples = bl.queue_seen_by_arrivals(fifo_run)[fifo_run.steady:]
         stat, pvalue = bl.queue_law_chisquare(samples, 0.4)
         assert pvalue > 0.01
 
     def test_queue_tail_geometric(self, fifo_run):
         # P(backlog seen by an arrival >= k) = (beta/(1-beta))^(2k)
-        samples = bl.stationary_queue_samples(fifo_run)
+        samples = bl.queue_seen_by_arrivals(fifo_run)[fifo_run.steady:]
         nb = 100
         batches = np.array_split(samples, nb)
         for k in (1, 2, 3):

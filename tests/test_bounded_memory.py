@@ -83,9 +83,8 @@ class TestBudgets:
         assert peak <= ALLOWANCE
 
     @pytest.mark.parametrize("statistic", [
-        lambda trace: bl.miss_probability(trace, 10), bl.queue_seen_by_arrivals,
-        bl.stationary_queue_samples], ids=["miss_probability", "queue_seen_by_arrivals",
-                                           "stationary_queue_samples"])
+        lambda trace: bl.miss_probability(trace, 10), bl.queue_seen_by_arrivals],
+        ids=["miss_probability", "queue_seen_by_arrivals"])
     def test_acceptance_statistics(self, statistic):
         trace = bl.simulate_fifo(BEC)
         result, peak = traced_peak(lambda: statistic(trace))
@@ -226,8 +225,6 @@ class TestChunkBoundaries:
         trace = bl.simulate_fifo(cfg)
         backlog = queue_seen_by_arrivals_oneshot(trace)
         assert np.array_equal(bl.queue_seen_by_arrivals(trace), backlog)
-        stop = len(backlog) - 64 if len(backlog) > 128 else len(backlog)
-        assert np.array_equal(bl.stationary_queue_samples(trace), backlog[trace.steady:stop])
         for d in (0, 3, 3.5, 7, 1e9, -2.0):
             got, want = bl.miss_probability(trace, d), miss_probability_oneshot(trace, d)
             assert [x.hex() for x in got] == [x.hex() for x in want], d
@@ -310,7 +307,7 @@ class TestOneRecord:
         for run in runs:
             # censored by a mask over the arrival times, not by a search
             arrived = run.arrival_times[run.steady:] <= run.horizon - max(grid)
-            kept.append(run.steady_delays()[arrived])
+            kept.append(run.delays()[run.steady:][arrived])
             assert 0 < arrived.sum() < len(arrived) or run.horizon == math.inf
             want = bl.fit_delay_exponent(kept[-1], grid, min_misses)
             assert not math.isnan(want.slope)

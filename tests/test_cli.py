@@ -155,6 +155,38 @@ class TestImport:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip().splitlines()[-1] == "0 False"
 
+    def test_every_command_leaves_scipy_unloaded(self, tmp_path):
+        # scipy is deferred to the acceptance statistics, which no command runs
+        src = Path(__file__).resolve().parent.parent / "src"
+        bsc002 = {"matrix": [[0.98, 0.02], [0.02, 0.98]]}
+        configs = {
+            "bec": {"beta": 0.4, "rate_bits": 0.5, "horizon": 60_000},
+            "queue": {"service": {"kind": "offset_geometric", "offset": 2, "beta": 0.25},
+                      "arrival_period": 5, "horizon": 5_000},
+            "ncl": {"channel": bsc002, "rate": 0.2, "horizon_blocks": 2_000},
+            "exact_tiny": {"mode": "exact_tiny", "channel": bsc002, "rate": math.log(8) / 12,
+                           "k": 3, "n": 2, "c": 2, "l": 1, "n_messages": 8,
+                           "horizon_blocks": 500},
+            "two_stream": {"mode": "two_stream", "channel": bsc002, "rate": 0.2231435,
+                           "horizon_blocks": 2_000},
+        }
+        requests = [["bounds", str(CHANNELS / "z05.json"), "--rate", "0.1", "--bounds",
+                     ",".join([*exponents.KNOWN_BOUNDS, "er4"])],
+                    ["curve", str(CHANNELS / "bsc002.json"), "--bounds", "esp,focusing",
+                     "--rate-grid", "0.05:0.3:4", "--out", str(tmp_path / "curve.csv")],
+                    ["figure", "9", "--out-dir", str(tmp_path / "figure")]]
+        for name, config in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            kind = name if name in ("bec", "queue") else "ncl"
+            requests.append(["sim", kind, str(path), "--out", str(tmp_path / name)])
+        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import delaylab.cli; "
+                "codes = [delaylab.cli.main(argv) for argv in json.loads(sys.argv[2])]; "
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, str(src), json.dumps(requests)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == f"{[0] * len(requests)} []"
+
 
 class TestBounds:
     def test_table_values(self, capsys):

@@ -31,6 +31,7 @@ TINY = ncl.NclParams(n=2, c=2, l=1, k=3, rho=1.0, q=np.array([0.5, 0.5]),
                      rate=math.log(8) / 12, e0=ex.e0_max(BSC, 1.0)[0])
 SPLIT = ncl.two_stream_split(BSC, 0.1)
 FIFO = bl.simulate_fifo(bl.BecConfig(0.3, 0.5, 20_000))
+NCL_RUN = ncl.simulate_ncl_bound_driven(PARAMS, 200)
 SVC = qm.geometric_service(0.4)
 
 # keyword arguments of one call that succeeds, per public callable with a
@@ -196,13 +197,32 @@ def test_infinite_delays_and_deadlines_are_data():
     (lambda: bl.fit_delay_exponent(np.arange(4000) % 20, [NAN, 2, 3], 10), "deadlines"),
     (lambda: bl.fit_delay_exponent([1.0, NAN, 2.0, 3.0], [1, 2], 1), "delays"),
     (lambda: ex.focusing_parametric_curve(BSC, [1.0, NAN]), "^eta grid must be positive$"),
+    (lambda: bl.fit_delay_exponent(np.array([1, 2, 3, 50]), [], 1), "^d_grid"),
+    (lambda: bl.measure_delay_exponent(FIFO, []), "^d_grid"),
+    (lambda: NCL_RUN.measure_exponent(iter([])), "^d_grid"),
+    (lambda: FIFO.series(0), "^stride must be a positive integer, got 0$"),
+    (lambda: FIFO.series(-1), "^stride must be a positive integer, got -1$"),
+    (lambda: FIFO.series(2.5), "^stride must be a positive integer, got 2.5$"),
+    (lambda: FIFO.series(NAN), "^stride must be a positive integer, got nan$"),
+    (lambda: SVC.sample(bl.substream(0, 1), 2.5), "^size must be a nonnegative integer, got 2.5$"),
+    (lambda: SVC.sample(bl.substream(0, 1), NAN), "^size must be a nonnegative integer, got nan$"),
 ], ids=["focusing_k_nan", "timesharing_k_nan", "curve_k_nan", "esp_k_inf", "focusing_k_frac",
         "select_k_frac", "select_k_nan", "list_size_frac", "list_size_nan", "law_nan",
         "divergence_law_nan", "e0_law_nan", "bec_exponent_rate", "bec_point_eta",
         "bec_floor_r", "bec_config_rate", "ncl_params_rate", "union_beta", "tail_t",
-        "scheme_rate", "divergence_rate_k", "fit_deadline", "fit_delay", "parametric_eta"])
+        "scheme_rate", "divergence_rate_k", "fit_deadline", "fit_delay", "parametric_eta",
+        "fit_empty_grid", "measure_empty_grid", "ncl_measure_empty_grid", "series_stride_0",
+        "series_stride_neg", "series_stride_frac", "series_stride_nan", "sample_size_frac",
+        "sample_size_nan"])
 def test_once_answered_with_a_number(call, message):
     # each of these returned a number, nan included, or raised another
     # error, instead of a ValueError naming the argument
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_whole_floats_count_as_their_ints():
+    # the record methods take a whole number of any numeric type, as check_count does
+    for name, column in FIFO.series(2.0).items():
+        assert np.array_equal(column, FIFO.series(2)[name]), name
+    assert np.array_equal(SVC.sample(bl.substream(0, 1), 3.0), SVC.sample(bl.substream(0, 1), 3))

@@ -12,6 +12,16 @@ from oracles import codebook_ncl_chunks
 E0_BSC_RHO1 = 0.4462871026284195  # ln2 - ln(1 + 2 sqrt(0.02 * 0.98))
 
 
+def assert_one_fifo_server(tr, params):
+    """Every block starts service once it is assembled and once the block
+    before it has left the one server, l k uses before that block commits,
+    and takes a positive whole number of chunks."""
+    assert np.all(tr.service_starts >= tr.arrival_times)
+    assert np.all(tr.service_starts[1:] >= tr.done_times[:-1] - params.l * params.k)
+    assert np.all(tr.transmission_times > 0)
+    assert np.all(tr.transmission_times % params.ck == 0)
+
+
 @pytest.fixture(scope="module")
 def tiny_params(bsc002):
     e0, q = e0_max(bsc002, 1.0)
@@ -120,9 +130,9 @@ class TestTransmissionTailBound:
 
 
 class TestExactTiny:
-    def test_decomposition_exact(self, bsc002, tiny_params):
+    def test_one_fifo_server(self, bsc002, tiny_params):
         tr = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 20_000, seed=4)
-        assert tr.decomposition_exact()
+        assert_one_fifo_server(tr, tiny_params)
 
     def test_empirical_tails_below_bound(self, bsc002, tiny_params):
         tr = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 30_000, seed=8)
@@ -144,11 +154,11 @@ class TestExactTiny:
 
     def test_feedback_lag_keeps_correctness(self, bsc002, tiny_params):
         # discarding the last output of each chunk leaves fewer outputs to
-        # decide on, so blocks take more chunks; the timing stays exact
+        # decide on, so blocks take more chunks on the same one-server schedule
         lagged = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 5_000, seed=6,
                                              feedback_lag=2)
         plain = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 5_000, seed=6)
-        assert lagged.decomposition_exact()
+        assert_one_fifo_server(lagged, tiny_params)
         assert lagged.meta["feedback_lag"] == 2
         assert lagged.transmission_times.mean() > plain.transmission_times.mean()
 
@@ -358,7 +368,7 @@ class TestBoundDriven:
                               (queue.done_times - queue.service_times) * ck)
         assert np.array_equal(tr.transmission_times, queue.service_times * ck)
         assert np.array_equal(tr.done_times, queue.done_times * ck + prm.l * prm.k)
-        assert (tr.shift, tr.termination) == (prm.block_period, prm.l * prm.k)
+        assert tr.shift == prm.block_period
         assert tr.meta == {"mode": "bound_driven", "beta_eff": law.tail_beta,
                            "seed": seed}
 
@@ -370,10 +380,10 @@ class TestBoundDriven:
         with pytest.raises(ValueError, match="at least one block"):
             ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, blocks)
 
-    def test_decomposition_exact(self, bsc002):
+    def test_one_fifo_server(self, bsc002):
         prm = ncl.select_params(bsc002, rate=0.3, delta=0.05, k=10, rho=1.0)
         tr = ncl.simulate_ncl_bound_driven(prm, 20_000, seed=1)
-        assert tr.decomposition_exact()
+        assert_one_fifo_server(tr, prm)
 
 
 class TestDelayedFeedback:

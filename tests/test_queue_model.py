@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delaylab import queue_model as qm
-from delaylab.bec_lab import measure_delay_exponent
+from delaylab.bec_lab import fit_delay_exponent, measure_delay_exponent
 from delaylab.dmc import LN2
 from delaylab.exponents import bec_focusing_exponent_bits
 
@@ -130,8 +130,11 @@ class TestSimulation:
     def test_steady_delays_drop_the_warmup(self):
         tr = qm.simulate_point_queue(qm.QueueConfig(5, 300, seed=2),
                                      qm.offset_geometric_service(2, 0.25))
-        assert np.array_equal(tr.steady_delays(), tr.delays()[qm.WARMUP_MESSAGES:])
-        assert len(tr.steady_delays()) == 300 - qm.WARMUP_MESSAGES
+        steady = tr.delays()[qm.WARMUP_MESSAGES:]
+        got = measure_delay_exponent(tr, [3, 4, 5], 1)
+        want = fit_delay_exponent(steady, [3, 4, 5], 1)
+        assert (got.slope, got.miss_probs.tolist()) == (want.slope, want.miss_probs.tolist())
+        assert np.array_equal(got.miss_counts / (300 - qm.WARMUP_MESSAGES), got.miss_probs)
 
     def test_geometric_matches_bec_fifo_exponent(self):
         # same renewal structure as the rate-1/2 erasure FIFO scheme
