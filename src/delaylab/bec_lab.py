@@ -158,7 +158,8 @@ class SimTrace(DelayRun):
 
     def series(self, stride: int = 1) -> dict[str, np.ndarray]:
         check_count(stride, "stride must be a positive integer, got {}")
-        stride = int(stride)
+        # every stride of at least the horizon samples t = 1 alone
+        stride = min(int(stride), self.horizon)
         t = np.arange(1, self.horizon + 1, stride, dtype=np.int64)
         arrivals = _counts_at_samples(self.arrival_times, stride, len(t))
         decoded = _counts_at_samples(self.done_times, stride, len(t))
@@ -338,10 +339,14 @@ def queue_law_chisquare(samples: np.ndarray, beta: float) -> tuple[float, float]
     (consecutive arrivals see strongly correlated queues) before forming the
     statistic.  Bins are {0}, {1}, ..., {B-1} plus the folded tail {>= B},
     with B chosen so every expected count is at least 5.  Returns
-    (statistic, p_value).
+    (statistic, p_value).  An empty sample, and a ``beta`` outside (0, 1/2),
+    raise ValueError.
     """
+    check_real(beta, "chain is positive recurrent only for beta < 1/2", 0.0, 0.5)
     s = np.asarray(samples)[::100]
     n = len(s)
+    if not n:
+        raise ValueError("samples must hold at least one queue length")
     x = (beta / (1.0 - beta)) ** 2
     kappa = 1.0 - x
     b = 1
@@ -627,7 +632,7 @@ def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExpone
 
     Each run drops its warm-up and censors the items whose largest deadline
     lies beyond its horizon (``DelayRun._segment``); the remaining delays are
-    pooled in order.
+    pooled in order.  An empty list of runs raises ValueError.
     """
     return _fit(*_segments(traces, d_grid), min_misses)
 
@@ -645,8 +650,11 @@ def _segments(runs, d_grid) -> tuple[list, list]:
     """The (ends, starts, shift) segments that a fit on the deadlines
     ``d_grid`` reads off one run, or off each of a list of runs in order,
     cut by ``DelayRun._segment`` at the largest deadline, and the grid as
-    ``_deadlines`` returns it: the one reader of a run for every fit."""
+    ``_deadlines`` returns it: the one reader of a run for every fit.  An
+    empty list of runs raises ValueError."""
     d_grid = _deadlines(d_grid)
     d_max = float(max(d_grid))
-    runs = [runs] if isinstance(runs, DelayRun) else runs
+    runs = [runs] if isinstance(runs, DelayRun) else list(runs)
+    if not runs:
+        raise ValueError("traces must hold at least one run")
     return [run._segment(d_max) for run in runs], d_grid

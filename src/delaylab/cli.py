@@ -476,13 +476,22 @@ def cmd_sim(args) -> int:
 # figure data
 # ---------------------------------------------------------------------------
 
+def _bound_figure(out: Path, file: str, channel_label: str, ch: Dmc, rates: np.ndarray,
+                  names: tuple[str, ...], extra: dict | None = None, **manifest) -> dict:
+    """Write ``out / file``: the ``bound_curve`` of each of ``names`` on
+    ``rates``, then the precomputed ``extra`` columns in order; return the
+    manifest that names the channel and the columns, plus ``manifest``."""
+    cols = {name: bound_curve(ch, name, rates) for name in names}
+    cols.update(extra or {})
+    _write_curve_csv(out / file, rates, cols)
+    return {"channel": channel_label, "curves": list(cols), **manifest}
+
+
 def _figure_4(out: Path) -> dict:
-    ch = z_channel(0.5)
     rates = np.linspace(0.02, 0.21, 20)
-    _write_curve_csv(out / "zchannel_bounds.csv", rates,
-                     {name: bound_curve(ch, name, rates) for name in ("esp", "haroutunian")})
-    return {"channel": "Z(0.5)", "curves": ["esp", "haroutunian"],
-            "rate_grid_nats": [float(rates[0]), float(rates[-1]), len(rates)]}
+    return _bound_figure(out, "zchannel_bounds.csv", "Z(0.5)", z_channel(0.5), rates,
+                         ("esp", "haroutunian"),
+                         rate_grid_nats=[float(rates[0]), float(rates[-1]), len(rates)])
 
 
 def _bsc_rate_grid(ch: Dmc) -> np.ndarray:
@@ -493,76 +502,58 @@ def _bsc_rate_grid(ch: Dmc) -> np.ndarray:
 def _figure_6(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
-    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing", "burnashev")}
-    for lam in (1 / 8, 1 / 2, 7 / 8):
-        cols[f"envelope_lambda_{lam:g}"] = [
-            e / (1 - lam) for e in bound_curve(ch, "esp", lam * rates)
-        ]
-    _write_curve_csv(out / "bsc002_focusing_family.csv", rates, cols)
-    return {"channel": "BSC(0.02)", "curves": list(cols),
-            "lambdas": [1 / 8, 1 / 2, 7 / 8]}
+    lambdas = [1 / 8, 1 / 2, 7 / 8]
+    envelopes = {f"envelope_lambda_{lam:g}":
+                 [e / (1 - lam) for e in bound_curve(ch, "esp", lam * rates)]
+                 for lam in lambdas}
+    return _bound_figure(out, "bsc002_focusing_family.csv", "BSC(0.02)", ch, rates,
+                         ("esp", "focusing", "burnashev"), envelopes, lambdas=lambdas)
 
 
 def _figure_7(out: Path) -> dict:
     ch = bsc(0.003)
     cap = ch.capacity_solution[0]
-    rates = np.linspace(0.55 * cap, 0.995 * cap, 40)
-    cols = {name: bound_curve(ch, name, rates) for name in ("focusing", "burnashev")}
-    _write_curve_csv(out / "bsc0003_focusing_vs_burnashev.csv", rates, cols)
-    return {"channel": "BSC(0.003)", "curves": list(cols),
-            "note": "high-rate regime; the curves cross"}
+    return _bound_figure(out, "bsc0003_focusing_vs_burnashev.csv", "BSC(0.003)", ch,
+                         np.linspace(0.55 * cap, 0.995 * cap, 40), ("focusing", "burnashev"),
+                         note="high-rate regime; the curves cross")
 
 
 def _figure_8(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
-    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing", "timesharing")}
-    cols["random_coding"] = bound_curve(ch, "er", rates)
-    _write_curve_csv(out / "bsc002_delay_bounds.csv", rates, cols)
-    return {"channel": "BSC(0.02)", "curves": list(cols),
-            "capacity_slopes": {
-                "focusing": capacity_slope_focusing(ch),
-                "timesharing": capacity_slope_timesharing(ch),
-            }}
+    return _bound_figure(out, "bsc002_delay_bounds.csv", "BSC(0.02)", ch, rates,
+                         ("esp", "focusing", "timesharing"),
+                         {"random_coding": bound_curve(ch, "er", rates)},
+                         capacity_slopes={"focusing": capacity_slope_focusing(ch),
+                                          "timesharing": capacity_slope_timesharing(ch)})
 
 
 def _figure_9(out: Path) -> dict:
-    ch = bec(0.4)
-    rates = np.linspace(0.02, 0.41, 40)
-    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing")}
-    _write_curve_csv(out / "bec04_bounds.csv", rates, cols)
-    return {"channel": "BEC(0.4)", "curves": list(cols),
-            "ultimate_limit_nats": -math.log(0.4)}
+    return _bound_figure(out, "bec04_bounds.csv", "BEC(0.4)", bec(0.4),
+                         np.linspace(0.02, 0.41, 40), ("esp", "focusing"),
+                         ultimate_limit_nats=-math.log(0.4))
 
 
 def _figure_12(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     e0_one = e0_max(ch, 1.0)[0]
-    cols = {name: bound_curve(ch, name, rates) for name in ("esp", "focusing")}
-    cols["list1_tangent"] = [max(0.0, e0_one - float(r)) for r in rates]
-    _write_curve_csv(out / "bsc002_slack.csv", rates, cols)
-    return {"channel": "BSC(0.02)", "curves": list(cols),
-            "anchor": {"rate_nats": 0.37, "achievable_exponent": e0_one},
-            "note": "list-size-1 operation: exponent E0(1) sustained at any rate "
-                    "below E0(1), slack fraction = 1 - rate/E0(1)"}
-
-
-def _lambda_ratio_curve(ch: Dmc, fortify_k, etas) -> tuple[list, list]:
-    pts = focusing_parametric_curve(ch, etas, fortify_k)
-    rates, ratio_db = [], []
-    for pt in pts:
-        lam = min(max(pt.lambda_star, 1e-12), 1 - 1e-12)
-        rates.append(pt.rate)
-        ratio_db.append(10.0 * math.log10((1 - lam) / lam))
-    return rates, ratio_db
+    return _bound_figure(out, "bsc002_slack.csv", "BSC(0.02)", ch, rates, ("esp", "focusing"),
+                         {"list1_tangent": [max(0.0, e0_one - float(r)) for r in rates]},
+                         anchor={"rate_nats": 0.37, "achievable_exponent": e0_one},
+                         note="list-size-1 operation: exponent E0(1) sustained at any rate "
+                              "below E0(1), slack fraction = 1 - rate/E0(1)")
 
 
 def _figure_13(out: Path) -> dict:
     ch = bsc(0.02)
     etas = np.geomspace(0.02, 30.0, 60)
     for label, k in (("plain", None), ("fortified_k50", 50)):
-        rates, db = _lambda_ratio_curve(ch, k, etas)
+        rates, db = [], []
+        for pt in focusing_parametric_curve(ch, etas, k):
+            lam = min(max(pt.lambda_star, 1e-12), 1 - 1e-12)
+            rates.append(pt.rate)
+            db.append(10.0 * math.log10((1 - lam) / lam))
         _write_curve_csv(out / f"bsc002_past_future_{label}.csv", rates,
                          {"future_past_ratio_db": db})
     return {"channel": "BSC(0.02)", "files": ["plain", "fortified_k50"],
@@ -572,12 +563,11 @@ def _figure_13(out: Path) -> dict:
 def _figure_14(out: Path) -> dict:
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.60, 60)
-    cols = {}
-    for label, k in (("plain", None), ("fortified_k50", 50)):
-        cols[f"esp_{label}"] = bound_curve(ch, "esp", rates, k)
-        cols[f"focusing_{label}"] = bound_curve(ch, "focusing", rates, k)
-    _write_curve_csv(out / "bsc002_fortified_bounds.csv", rates, cols)
-    return {"channel": "BSC(0.02) and 1/50-fortified", "curves": list(cols)}
+    cols = {f"{name}_{label}": bound_curve(ch, name, rates, k)
+            for label, k in (("plain", None), ("fortified_k50", 50))
+            for name in ("esp", "focusing")}
+    return _bound_figure(out, "bsc002_fortified_bounds.csv", "BSC(0.02) and 1/50-fortified",
+                         ch, rates, (), cols)
 
 
 def _figure_16(out: Path) -> dict:

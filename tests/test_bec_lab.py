@@ -294,6 +294,17 @@ class TestSeries:
             assert got[name].dtype == want[name].dtype
             assert np.array_equal(got[name], want[name])
 
+    @pytest.mark.parametrize("stride", [12_347, 12_348, 10**30, 1e300])
+    def test_stride_past_the_horizon_samples_t_1(self, stride):
+        # every stride of at least the horizon, past int64 too, gives the one
+        # row at t = 1
+        tr = bl.simulate_fifo(bl.BecConfig(0.4, 0.55, 12_347, seed=5))
+        got, want = tr.series(stride), series_by_search(tr, tr.horizon)
+        assert list(got["time"]) == [1]
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert np.array_equal(got[name], want[name])
+
 
 class TestBirthDeath:
     def test_pi0(self):
@@ -320,6 +331,20 @@ class TestBirthDeath:
     def test_transient_chain_rejected(self):
         with pytest.raises(ValueError):
             bl.birth_death_stationary(0.5)
+
+    def test_chisquare_rejects_an_empty_sample(self):
+        # a run no longer than its burn-in leaves no steady arrival
+        tr = bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 1000, seed=3))
+        samples = bl.queue_seen_by_arrivals(tr)[tr.steady:]
+        assert len(samples) == 0
+        with pytest.raises(ValueError, match="^samples must hold at least one queue length$"):
+            bl.queue_law_chisquare(samples, 0.4)
+
+    @pytest.mark.parametrize("beta", [0.7, -0.1, math.nan, 0.5, 0.0, math.inf])
+    def test_chisquare_rejects_beta_outside_the_recurrent_range(self, beta):
+        # the chain's stationary law exists for beta in (0, 1/2) only
+        with pytest.raises(ValueError, match="^chain is positive recurrent only for beta < 1/2$"):
+            bl.queue_law_chisquare(np.zeros(1000, dtype=np.int64), beta)
 
 
 class TestParityCode:

@@ -659,6 +659,16 @@ class TestSim:
         assert (tmp_path / "a/trace.csv").read_bytes() == \
                (tmp_path / "b/trace.csv").read_bytes()
 
+    def test_bec_stride_past_int64_writes_the_row_at_t_1(self, tmp_path):
+        # every stride of at least the horizon, past int64 too, samples t = 1
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4, "rate_bits": 0.5,
+                                   "horizon": 50_000, "d_grid": [8, 12, 16],
+                                   "trace_stride": 10**30}))
+        assert run(["sim", "bec", cfg, "--out", tmp_path / "s"]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "s/trace.csv")))
+        assert [(r["trial"], r["time"]) for r in rows] == [("0", "1")]
+
     def test_summary_flags_are_json_booleans(self, tmp_path):
         cfg = tmp_path / "f.json"
         cfg.write_text(json.dumps({"scheme": "fifo", "beta": 0.4,
@@ -1440,22 +1450,58 @@ class TestFigures:
         assert manifest["figure"] == 4
         assert schema_mismatches(manifest, MANIFEST_SCHEMAS[4]) == []
 
-    # sha256 of figure outputs recorded before figure 13 wrote through
-    # _write_curve_csv and the scheme curves through reduced_rate_exponent;
-    # figure 16's esp column re-recorded when sphere packing began its
-    # search at rho = 1 (each value checked against 50-digit mpmath)
+    # sha256 of every file each figure writes.  Figure 13's and 16's CSV
+    # digests were recorded before figure 13 wrote through _write_curve_csv
+    # and the scheme curves through reduced_rate_exponent; figure 16's esp
+    # column re-recorded when sphere packing began its search at rho = 1
+    # (each value checked against 50-digit mpmath).  The other figures'
+    # digests, and every MANIFEST.json, were recorded before the bound
+    # figures shared one builder, ``_bound_figure``.
     FIGURE_DIGESTS = {
+        4: {"zchannel_bounds.csv":
+            "be2ad1a44b8ea58843a66b496e7a8e1fff2f0ce31615c59cd531a2950f141315",
+            "MANIFEST.json":
+            "379c386bb46553a556ef3bf91bb195a2ab82f724fb34af2b519a1c9ba86a0aae"},
+        6: {"bsc002_focusing_family.csv":
+            "544b02698ab91050f95ba4fd511cc4c3cfe7a88014cc44a5ea06f1fa436c7239",
+            "MANIFEST.json":
+            "175d6489b1d6088da93d4bb5a3b221c02073326c42893eed0944cbeba03d6821"},
+        7: {"bsc0003_focusing_vs_burnashev.csv":
+            "2a6fb1e3bd1f0c80b747e80370b3ff9edb8c79ed890d4dd4c9099458d16963b9",
+            "MANIFEST.json":
+            "8e0b33ebd159d41a4fef4bb42a0d4192fb7125a763f09c76b3e09a3325d0c56d"},
+        8: {"bsc002_delay_bounds.csv":
+            "b4124a71bf4da74094ce0ac0bc5c3a30f63c26aa5dac4a0290d1ea0633d7b172",
+            "MANIFEST.json":
+            "9b6ac17342a13e5275dc08c874b7632eb7836ad9a9ff4b473c8d616b02ae294a"},
+        9: {"bec04_bounds.csv":
+            "81ba0864a700fb8ee44f05ea026d0f602efc0115f27e00909007e74efb1c87b2",
+            "MANIFEST.json":
+            "c2bbe9542e225a135f61754aea46b911700825dcfe4b4e99d19943c4777aa61e"},
+        12: {"bsc002_slack.csv":
+             "2f04b7a42b09771093590aae829d02d084827d331240ba3f8710e38b1c2956ad",
+             "MANIFEST.json":
+             "53b2504174ab786685b8d0a65e7575044dfaf1f2d26fde9d38c1731aa3e1b754"},
         13: {"bsc002_past_future_plain.csv":
              "7635b734c1d1c0487e4d8d458212062ee29b36867b18b38b0f3d8eec0c636512",
              "bsc002_past_future_fortified_k50.csv":
-             "47ec9d6ae2b62d8682ee7b7f9c1a59c51c572956367d517fe5bea426eea9ba1a"},
+             "47ec9d6ae2b62d8682ee7b7f9c1a59c51c572956367d517fe5bea426eea9ba1a",
+             "MANIFEST.json":
+             "4df8a67f9f444ae3172fd1a3b98fd0c38539e5165de89b17b332d26060e1b697"},
+        14: {"bsc002_fortified_bounds.csv":
+             "87de46581cf0d78d4d5cd7a9b6c0c8732f9f063da35b7693d8f5156c319d98f7",
+             "MANIFEST.json":
+             "fe9ba003c3f982b807f790c3564bada6fcda5d0b2249a81d9565554f4ffdeab2"},
         16: {"bsc002_ncl_schemes.csv":
-             "fdf6749b76ba5f6dfc21df7b17d06d54c54ae3e1d54cbd9da4776a344845675d"},
+             "fdf6749b76ba5f6dfc21df7b17d06d54c54ae3e1d54cbd9da4776a344845675d",
+             "MANIFEST.json":
+             "90fba15d2966b22856a6b4cbc3f81004ec5b5f1a3f2e28cbc2d1bd2ac139cb9a"},
     }
 
     @pytest.mark.parametrize("fig", sorted(FIGURE_DIGESTS))
     def test_figure_bytes_are_pinned(self, tmp_path, fig):
         assert run(["figure", fig, "--out-dir", tmp_path]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.FIGURE_DIGESTS[fig])
         for name, digest in self.FIGURE_DIGESTS[fig].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 

@@ -200,6 +200,7 @@ def test_infinite_delays_and_deadlines_are_data():
     (lambda: bl.fit_delay_exponent(np.array([1, 2, 3, 50]), [], 1), "^d_grid"),
     (lambda: bl.measure_delay_exponent(FIFO, []), "^d_grid"),
     (lambda: NCL_RUN.measure_exponent(iter([])), "^d_grid"),
+    (lambda: bl.measure_delay_exponent([], [2, 4, 6]), "^traces must hold at least one run$"),
     (lambda: FIFO.series(0), "^stride must be a positive integer, got 0$"),
     (lambda: FIFO.series(-1), "^stride must be a positive integer, got -1$"),
     (lambda: FIFO.series(2.5), "^stride must be a positive integer, got 2.5$"),
@@ -211,9 +212,9 @@ def test_infinite_delays_and_deadlines_are_data():
         "divergence_law_nan", "e0_law_nan", "bec_exponent_rate", "bec_point_eta",
         "bec_floor_r", "bec_config_rate", "ncl_params_rate", "union_beta", "tail_t",
         "scheme_rate", "divergence_rate_k", "fit_deadline", "fit_delay", "parametric_eta",
-        "fit_empty_grid", "measure_empty_grid", "ncl_measure_empty_grid", "series_stride_0",
-        "series_stride_neg", "series_stride_frac", "series_stride_nan", "sample_size_frac",
-        "sample_size_nan"])
+        "fit_empty_grid", "measure_empty_grid", "ncl_measure_empty_grid", "measure_no_runs",
+        "series_stride_0", "series_stride_neg", "series_stride_frac", "series_stride_nan",
+        "sample_size_frac", "sample_size_nan"])
 def test_once_answered_with_a_number(call, message):
     # each of these returned a number, nan included, or raised another
     # error, instead of a ValueError naming the argument
