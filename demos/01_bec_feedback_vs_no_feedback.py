@@ -30,9 +30,9 @@ print(f"fixed-delay exponent with feedback:       {foc:.6f} nats/delay"
       f"  (= ln 1.5, ratio {foc / esp:.1f}x)")
 
 print("\n=== simulation, shared erasure pattern ===")
-cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=11)
-fifo = bl.simulate_fifo(cfg)
-parity = bl.simulate_causal_parity_nofeedback(cfg)
+run = dict(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=11)
+fifo = bl.simulate_fifo(**run)
+parity = bl.simulate_causal_parity_nofeedback(**run)
 
 # the parity decoder frees its whole group exactly when the FIFO backlog
 # empties, so both backlogs vanish at the same instants

@@ -29,13 +29,14 @@ trace = ncl.simulate_ncl_exact_tiny(bsc, params, 40_000, seed=7)
 print("blocks: 40000, no committed errors (the control slots are error-free)")
 # one FIFO server: a block starts once assembled and once the block before
 # it has left, l k uses before that block commits, and takes whole chunks
-starts, lk = trace.service_starts, params.l * params.k
+lk = params.l * params.k
+starts = trace.done_times - trace.service_times - lk
 one_server = (np.all(starts >= trace.arrival_times)
               and np.all(starts[1:] >= trace.done_times[:-1] - lk)
-              and np.all(trace.transmission_times > 0)
-              and np.all(trace.transmission_times % params.ck == 0))
+              and np.all(trace.service_times > 0)
+              and np.all(trace.service_times % params.ck == 0))
 print(f"one FIFO server, whole chunks per block: {bool(one_server)}")
-chunks = trace.transmission_times // params.ck
+chunks = trace.service_times // params.ck
 offset = math.ceil(params.t_tilde)
 print(f"{'t':>3} {'P(T > (t~+t) ck) emp':>21} {'bound':>10}")
 for t in (1, 2, 3):
@@ -44,7 +45,7 @@ for t in (1, 2, 3):
 
 lagged = ncl.simulate_ncl_exact_tiny(bsc, params, 10_000, seed=8, feedback_lag=2)
 print(f"with feedback delayed by 2 uses: mean chunks per block = "
-      f"{(lagged.transmission_times // params.ck).mean():.4f} (only timing changes)")
+      f"{(lagged.service_times // params.ck).mean():.4f} (only timing changes)")
 
 print("\n=== bound-driven run at rate 0.37 nats ===")
 prm = ncl.select_params(bsc, rate=0.37, delta=0.05, k=10, rho=1.0)

@@ -59,7 +59,6 @@ from .exponents import (
     bound_curve,
 )
 from .bec_lab import (
-    BecConfig,
     SimTrace,
     DelayExponentFit,
     simulate_fifo,
@@ -73,10 +72,6 @@ from .bec_lab import (
 )
 from .queue_model import (
     ServiceTimeModel,
-    QueueConfig,
-    geometric_service,
-    offset_geometric_service,
-    truncated_geometric_service,
     simulate_point_queue,
     tail_exponent_bound,
     coupled_dominance_check,

@@ -94,34 +94,15 @@ def fifo_completions(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class BecConfig:
-    beta: float
-    rate_bits: float
-    horizon: int
-    seed: int = 0
-
-    def __post_init__(self):
-        check_probability(self.beta, "erasure probability")
-        check_real(self.rate_bits, "rate must be finite, got {}")
-        check_real(self.rate_bits, "rate must be positive", 0.0)
-        check_count(self.horizon, "horizon must be a whole number of at least 2 uses, got {}", 2)
-        self.horizon, self.seed = int(self.horizon), check_seed(self.seed)
-        if self.rate_bits >= 1 - self.beta:
-            warnings.warn(
-                f"rate {self.rate_bits} >= capacity {1 - self.beta}: queue is "
-                "unstable; run is legal but miss probabilities will not decay",
-                stacklevel=2,
-            )
-
-
 @dataclass(kw_only=True)
 class DelayRun:
     """One FIFO run: item i arrives at ``arrival_times[i]``, both ascending,
     and is done (decoded, completed or committed) at ``done_times[i]``, +inf
     where the run ended first.  Its delay is done minus arrival plus
     ``shift``.  Items before index ``steady`` are the warm-up, and the run
-    covers uses up to ``horizon``, +inf where every item completes.
+    covers uses up to ``horizon``, +inf where every item completes.  An item
+    that the run served takes ``service_times[i]`` uses; the erasure runs
+    draw an erasure pattern, not service times, and leave it None.
     ``_segment`` is the one warm-up and censoring rule of every measurement,
     and the only reader of ``steady``."""
 
@@ -130,6 +111,7 @@ class DelayRun:
     steady: int
     horizon: float = math.inf
     shift: int = 0
+    service_times: np.ndarray | None = None
 
     def delays(self) -> np.ndarray:
         delays = self.done_times - self.arrival_times
@@ -205,11 +187,11 @@ def _arrival_times(rate_bits: float, horizon: int) -> np.ndarray:
     return a[:stop]
 
 
-def _erasure_pattern(cfg: BecConfig) -> np.ndarray:
+def _erasure_pattern(beta: float, horizon: int, seed: int) -> np.ndarray:
     # both simulators must consume the stream identically for pathwise coupling
-    z = np.empty(cfg.horizon + 1, dtype=bool)
-    for lo, u in _uniform_chunks(substream(cfg.seed, 0), len(z)):
-        np.less(u, 1.0 - cfg.beta, out=z[lo:lo + len(u)])
+    z = np.empty(horizon + 1, dtype=bool)
+    for lo, u in _uniform_chunks(substream(seed, 0), len(z)):
+        np.less(u, 1.0 - beta, out=z[lo:lo + len(u)])
     z[0] = False
     return z
 
@@ -245,15 +227,32 @@ def _success_uses(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_fifo(cfg: BecConfig) -> SimTrace:
-    """Repeat-until-received FIFO scheme over the BEC with noiseless feedback.
+def simulate_fifo(beta: float, rate_bits: float, horizon: int, seed: int = 0) -> SimTrace:
+    """Repeat-until-received FIFO scheme over the BEC with noiseless feedback,
+    bits arriving at ``rate_bits`` per use for ``horizon`` uses, the erasures
+    drawn on ``substream(seed, 0)``.
 
     Exact and fully vectorized: with success times ST, decode times obey
     D_i = first success after max(a_i, D_{i-1}): counted in successes, a FIFO
     queue with unit service, bit i arriving after the c_i successes up to a_i.
+    A rate at or above capacity 1 - beta is legal, and warned about.
     """
-    z = _erasure_pattern(cfg)
-    a = _arrival_times(cfg.rate_bits, cfg.horizon)
+    return _fifo(beta, rate_bits, horizon, seed)
+
+
+def _fifo(beta: float, rate_bits: float, horizon: int, seed: int) -> SimTrace:
+    """``simulate_fifo``, its arguments checked here, with the warning of an
+    unstable rate naming the line that called the public simulator."""
+    check_probability(beta, "erasure probability")
+    check_real(rate_bits, "rate must be finite, got {}")
+    check_real(rate_bits, "rate must be positive", 0.0)
+    check_count(horizon, "horizon must be a whole number of at least 2 uses, got {}", 2)
+    horizon, seed = int(horizon), check_seed(seed)
+    if rate_bits >= 1 - beta:
+        warnings.warn(f"rate {rate_bits} >= capacity {1 - beta}: queue is unstable; run is "
+                      "legal but miss probabilities will not decay", stacklevel=3)
+    z = _erasure_pattern(beta, horizon, seed)
+    a = _arrival_times(rate_bits, horizon)
     # successes at or before a_i, the index of the first after it
     c = _successes_by(z, a)
     k = fifo_completions(c, np.broadcast_to(np.int64(1), len(c)))
@@ -261,10 +260,11 @@ def simulate_fifo(cfg: BecConfig) -> SimTrace:
     k -= 1
     # the steady bits arrive from use burn_in_steps(beta) on
     return SimTrace(arrival_times=a, done_times=_success_uses(z, k),
-                    steady=int(np.searchsorted(a, burn_in_steps(cfg.beta))), horizon=cfg.horizon)
+                    steady=int(np.searchsorted(a, burn_in_steps(beta))), horizon=horizon)
 
 
-def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
+def simulate_causal_parity_nofeedback(beta: float, rate_bits: float, horizon: int,
+                                      seed: int = 0) -> SimTrace:
     """Idealized feedback-free causal parity code over the BEC.
 
     The encoder streams parities of everything it has seen; the decoder
@@ -277,7 +277,7 @@ def simulate_causal_parity_nofeedback(cfg: BecConfig) -> SimTrace:
     bit.  The run is the FIFO run with its decode times overwritten, not
     re-simulated.
     """
-    run = simulate_fifo(cfg)
+    run = _fifo(beta, rate_bits, horizon, seed)
     a, d = run.arrival_times, run.done_times
     # the last bit closes the final (possibly unfinished) period.  FIFO
     # decode times never decrease, so a bit's period end, the first closing
@@ -319,9 +319,10 @@ def queue_seen_by_arrivals(trace: DelayRun) -> np.ndarray:
 def birth_death_stationary(beta: float, kmax: int = 64) -> np.ndarray:
     """Stationary law pi_i = kappa (beta/(1-beta))^{2i} of the rate-1/2 queue.
 
-    Requires beta < 1/2 (positive recurrence).
+    Requires 0 < beta < 1/2 (positive recurrence).
     """
-    check_real(beta, "chain is positive recurrent only for beta < 1/2", 0.0, 0.5)
+    check_real(beta, "beta must lie in (0, 1/2), where the chain is positive recurrent, "
+               "got {}", 0.0, 0.5)
     check_count(kmax, "kmax must be a nonnegative integer, got {}", 0)
     x = (beta / (1.0 - beta)) ** 2
     return (1.0 - x) * x ** np.arange(kmax + 1)
@@ -342,7 +343,8 @@ def queue_law_chisquare(samples: np.ndarray, beta: float) -> tuple[float, float]
     (statistic, p_value).  An empty sample, and a ``beta`` outside (0, 1/2),
     raise ValueError.
     """
-    check_real(beta, "chain is positive recurrent only for beta < 1/2", 0.0, 0.5)
+    check_real(beta, "beta must lie in (0, 1/2), where the chain is positive recurrent, "
+               "got {}", 0.0, 0.5)
     s = np.asarray(samples)[::100]
     n = len(s)
     if not n:

@@ -8,8 +8,8 @@ naming it.  Exit codes: 0 ok, 2 parse failure or a file that cannot be
 read or written (an ``OSError``, such as an output path under a missing
 directory or a regular file), 3 infeasible rate, 4 unknown target, 5 a
 solver hit its iteration cap or missed its certificate (message has the
-residual).  All diagnostics go to stderr, one line each; stdout carries only
-requested tables.
+residual).  All diagnostics go to stderr, one line each, a warning as
+"delaylab: warning: <message>"; stdout carries only requested tables.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -347,14 +348,9 @@ def _sim_bec(fields: dict, seed: int, out: Path) -> dict:
     beta, rate_bits = _take(fields, "beta", read=_real), _take(fields, "rate_bits", read=_real)
     _done(fields, f"bec {scheme} config")
 
-    def one(trial):
-        cfg = bec_lab.BecConfig(beta=beta, rate_bits=rate_bits, horizon=horizon,
-                                seed=seed + trial)
-        if scheme == "fifo":
-            return bec_lab.simulate_fifo(cfg)
-        return bec_lab.simulate_causal_parity_nofeedback(cfg)
-
-    traces = [one(trial) for trial in range(trials)]
+    simulate = (bec_lab.simulate_fifo if scheme == "fifo"
+                else bec_lab.simulate_causal_parity_nofeedback)
+    traces = [simulate(beta, rate_bits, horizon, seed + trial) for trial in range(trials)]
     fit = bec_lab.measure_delay_exponent(traces, d_grid)
     names = ["time", "arrivals_cum", "decoded_cum", "queue_len"]
     # each trial's series replaces its trace, so the write holds no trace
@@ -385,11 +381,8 @@ def _sim_queue(fields: dict, seed: int, out: Path) -> dict:
     d_grid = _take(fields, "d_grid", list(range(2 * m, 20 * m, m)), _grid)
     _done(fields, "queue config")
 
-    def one(trial):
-        cfg = queue_model.QueueConfig(arrival_period=m, horizon=horizon, seed=seed + trial)
-        return queue_model.simulate_point_queue(cfg, svc)
-
-    traces = [one(trial) for trial in range(trials)]
+    traces = [queue_model.simulate_point_queue(svc, m, horizon, seed + trial)
+              for trial in range(trials)]
     # the summary writes no CI, and reports every deadline, not only the fitted ones
     segments, d_grid = bec_lab._segments(traces, d_grid)
     fit, counts, _ = bec_lab._point_fit(segments, d_grid, min_misses=50)
@@ -445,10 +438,11 @@ def _sim_ncl(fields: dict, seed: int, out: Path) -> dict:
                                                    feedback_lag=feedback_lag)
     fit = trace.measure_exponent(d_grid or ncl_scheme.default_delay_grid(params).tolist(),
                                  min_misses=min_misses)
+    starts = trace.done_times - trace.service_times
+    starts -= params.l * params.k
     _write_trace_csv(out / "trace.csv",
                      ["trial", "arrival", "service_start", "transmission", "commit"],
-                     [[trace.arrival_times, trace.service_starts,
-                       trace.transmission_times, trace.done_times]])
+                     [[trace.arrival_times, starts, trace.service_times, trace.done_times]])
     return {
         "sim": f"ncl_{mode}",
         "fit": _fit_payload(fit),
@@ -638,22 +632,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning as one diagnostic line."""
+    print(f"delaylab: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"delaylab: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, OverflowError) as exc:
-        print(f"delaylab: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConvergenceError as exc:
-        print(f"delaylab: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"delaylab: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    # every UserWarning (an unstable sim rate) prints as one line at each
+    # occurrence, in a fresh interpreter as in one that has run the line
+    # before; other categories keep the caller's filters
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = _show_warning
+        try:
+            return args.fn(args)
+        except CliError as exc:
+            print(f"delaylab: {exc}", file=sys.stderr)
+            return exc.code
+        except (ValueError, OverflowError) as exc:
+            print(f"delaylab: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except ConvergenceError as exc:
+            print(f"delaylab: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        except OSError as exc:
+            print(f"delaylab: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .bec_lab import (DelayExponentFit, DelayRun, _design, _fit, _segments, _slo
                       fifo_completions, substream)
 from .dmc import Dmc, check_count, check_real, check_seed
 from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
-from .queue_model import offset_geometric_service, reduced_rate_exponent
+from .queue_model import ServiceTimeModel, reduced_rate_exponent
 
 EXACT_SPREAD_BINS = 1 << 14  # histogram bins per multinomial draw; bounds its memory
 EXACT_GROUP_BLOCKS = 1 << 10  # blocks an exact run decodes together; bounds its histograms
@@ -138,19 +138,14 @@ def transmission_tail_bound(params: NclParams, t: int) -> float:
 @dataclass(kw_only=True)
 class NclTrace(DelayRun):
     """Per-block timing of one scheme run, in channel uses: block i+1 is
-    assembled at ``arrival_times[i]``, starts service at
-    ``service_starts[i]``, takes ``transmission_times[i]`` (a multiple of
-    ck) and commits at ``done_times[i]``, l k uses after its transmission
-    ends, once the l disambiguation bits have ridden the control slots.
-    Its delay is shifted by the assembly time n c k.
+    assembled at ``arrival_times[i]``, takes ``service_times[i]`` (a
+    multiple of ck) and commits at ``done_times[i]``, l k uses after its
+    transmission ends, once the l disambiguation bits have ridden the
+    control slots; so its service starts at done - service - l k.  Its
+    delay is shifted by the assembly time n c k.
     """
 
-    service_starts: np.ndarray
-    transmission_times: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def queueing(self) -> np.ndarray:
-        return self.service_starts - self.arrival_times
 
     def measure_exponent(self, d_grid, min_misses: int = 50) -> DelayExponentFit:
         """``measure_delay_exponent`` of this run: its steady delays, censored
@@ -164,7 +159,9 @@ def default_delay_grid(params: NclParams, points: int = 8) -> np.ndarray:
     block takes at least ceil(t~) + 1 chunks; decayed tails are only
     resolvable on this spacing.  Blocks of ``simulate_ncl_exact_tiny``, which
     runs the real list decoder, can commit after a single chunk, so their
-    delays can fall below the start."""
+    delays can fall below the start.  ``points`` must be a positive whole
+    number."""
+    check_count(points, "points must be a positive integer, got {}")
     base = (params.block_period + (math.ceil(params.t_tilde) + 1) * params.ck
             + params.l * params.k)
     return base + params.ck * np.arange(points, dtype=np.int64)
@@ -180,11 +177,10 @@ def _ncl_trace(params: NclParams, chunks: np.ndarray, meta: dict) -> NclTrace:
     t_j = chunks  # the caller's own array, scaled in place from chunks to uses
     t_j *= params.ck
     commits = fifo_completions(arrivals, t_j)
-    starts = commits - t_j
     # l disambiguation bits ride the next l control slots at spacing k
     commits += params.l * params.k
     return NclTrace(arrival_times=arrivals, done_times=commits, steady=WARMUP_BLOCKS, shift=nck,
-                    service_starts=starts, transmission_times=t_j, meta=meta)
+                    service_times=t_j, meta=meta)
 
 
 def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
@@ -199,7 +195,7 @@ def simulate_ncl_bound_driven(params: NclParams, horizon_blocks: int,
     """
     check_count(horizon_blocks, "need a whole number of at least one block, got {}")
     seed = check_seed(seed)
-    law = offset_geometric_service(math.ceil(params.t_tilde), params.beta_eff)
+    law = ServiceTimeModel(offset=math.ceil(params.t_tilde), tail_beta=params.beta_eff)
     chunks = law.sample(substream(seed, 1), horizon_blocks)
     return _ncl_trace(params, chunks,
                       {"mode": "bound_driven", "beta_eff": params.beta_eff, "seed": seed})

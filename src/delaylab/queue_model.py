@@ -32,9 +32,9 @@ class ServiceTimeModel:
     certified geometric tail envelope.
 
     Geom(beta) has support 1, 2, ... and P(Geom > k) = beta^k; ``cap`` None
-    leaves it untruncated.  The shipped samplers are the factories below:
-    geometric (offset 0), offset geometric, and truncated geometric
-    (offset 0, a cap).  Each meets P(T > offset + k) <= beta^k by
+    leaves it untruncated: the geometric (offset 0), offset geometric and
+    truncated geometric (offset 0, a cap) samplers of the ``sim queue``
+    config are its cases.  Each meets P(T > offset + k) <= beta^k by
     construction of ``inverse_cdf``, so construction draws nothing;
     ``check_envelope`` is the explicit Monte Carlo conformance check.
     """
@@ -109,67 +109,38 @@ class ServiceTimeModel:
                 )
 
 
-def geometric_service(beta: float) -> ServiceTimeModel:
-    return ServiceTimeModel(offset=0, tail_beta=beta)
-
-
-def offset_geometric_service(offset: int, beta: float) -> ServiceTimeModel:
-    return ServiceTimeModel(offset=offset, tail_beta=beta)
-
-
-def truncated_geometric_service(beta: float, cap: int) -> ServiceTimeModel:
-    return ServiceTimeModel(offset=0, tail_beta=beta, cap=cap)
-
-
-@dataclass
-class QueueConfig:
-    arrival_period: int  # m time units between point messages
-    horizon: int         # number of messages
-    seed: int = 0
-
-    def __post_init__(self):
-        check_count(self.arrival_period, "arrival period must be a positive integer")
-        check_count(self.horizon, "horizon must be a whole number of at least 1 message, got {}")
-        self.arrival_period, self.horizon = int(self.arrival_period), int(self.horizon)
-        self.seed = check_seed(self.seed)
-
-
-@dataclass(kw_only=True)
-class QueueTrace(DelayRun):
-    """A point-queue run: message i+1 arrives at ``arrival_times[i]``, takes
-    ``service_times[i]`` and completes at ``done_times[i]``."""
-
-    service_times: np.ndarray
-
-    def waiting_times(self) -> np.ndarray:
-        return self.done_times - self.service_times - self.arrival_times
-
-
-def simulate_point_queue(cfg: QueueConfig, svc: ServiceTimeModel) -> QueueTrace:
-    """FIFO D/G/1 queue: message i arrives at i*m and completes at
-    C_i = max(arrival_i, C_{i-1}) + T_i.  Every time is at most the last
-    arrival plus the total service; a run where that passes the int64
-    range raises ``ValueError`` naming ``arrival_period`` when the last
-    arrival alone does, and the service's ``offset`` with it otherwise."""
-    t = svc.sample(substream(cfg.seed, 1), cfg.horizon)
-    last, top = cfg.arrival_period * cfg.horizon, np.iinfo(np.int64).max
+def simulate_point_queue(svc: ServiceTimeModel, arrival_period: int, horizon: int,
+                         seed: int = 0) -> DelayRun:
+    """FIFO D/G/1 queue of ``horizon`` messages: message i arrives at i*m, m
+    the ``arrival_period``, takes ``service_times[i]`` drawn on
+    ``substream(seed, 1)`` and completes at C_i = max(arrival_i, C_{i-1}) +
+    T_i.  Every time is at most the last arrival plus the total service; a
+    run where that passes the int64 range raises ``ValueError`` naming
+    ``arrival_period`` when the last arrival alone does, and the service's
+    ``offset`` with it otherwise."""
+    check_count(arrival_period, "arrival period must be a positive integer")
+    check_count(horizon, "horizon must be a whole number of at least 1 message, got {}")
+    m, horizon, seed = int(arrival_period), int(horizon), check_seed(seed)
+    t = svc.sample(substream(seed, 1), horizon)
+    last, top = m * horizon, np.iinfo(np.int64).max
     if last > top:
-        raise ValueError(f"arrival_period {cfg.arrival_period} is too long for "
-                         f"{cfg.horizon} messages: the run's times would not fit in int64")
+        raise ValueError(f"arrival_period {m} is too long for {horizon} messages: the run's "
+                         "times would not fit in int64")
     if last + float(t.sum(dtype=float)) > top:
-        raise ValueError(f"service offset {svc.offset} with arrival_period "
-                         f"{cfg.arrival_period} is too long for {cfg.horizon} messages: "
-                         "the run's times would not fit in int64")
-    arrivals = np.arange(1, cfg.horizon + 1, dtype=np.int64)
-    arrivals *= cfg.arrival_period
-    return QueueTrace(arrival_times=arrivals, done_times=fifo_completions(arrivals, t),
-                      service_times=t, steady=WARMUP_MESSAGES)
+        raise ValueError(f"service offset {svc.offset} with arrival_period {m} is too long "
+                         f"for {horizon} messages: the run's times would not fit in int64")
+    arrivals = np.arange(1, horizon + 1, dtype=np.int64)
+    arrivals *= m
+    return DelayRun(arrival_times=arrivals, done_times=fifo_completions(arrivals, t),
+                    service_times=t, steady=WARMUP_MESSAGES)
 
 
 def reduced_rate_exponent(tail_beta: float, slack: int) -> float:
     """E_a^bec(R'') ln 2 [nats per time unit] at reduced rate R'' = 1/slack,
     where the arrival period exceeds the service offset by ``slack``; zero
-    without slack or once R'' reaches the unit-capacity boundary 1 - beta."""
+    without slack or once R'' reaches the unit-capacity boundary 1 - beta.
+    A ``tail_beta`` outside (0, 1) raises ``ValueError``."""
+    check_probability(tail_beta, "tail parameter")
     if slack < 1:
         return 0.0
     r2 = 1.0 / slack
@@ -215,7 +186,7 @@ def coupled_dominance_check(svc: ServiceTimeModel, samples: int = 1_000_000,
     check_count(samples, "samples must be a positive integer, got {}")
     beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
     check_probability(beta_env, "envelope parameter")
-    envelope = geometric_service(beta_env)
+    envelope = ServiceTimeModel(offset=0, tail_beta=beta_env)
     violations, max_excess = 0, 0
     # each uniform is mapped twice: in half chunks both maps fit one map's buffers
     for _, u in _uniform_chunks(substream(DOMINANCE_SEED, 2), samples, CHUNK_LENGTH // 2):

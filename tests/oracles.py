@@ -687,23 +687,23 @@ def fifo_completions_oneshot(arrivals, service):
     return csum + np.maximum.accumulate(arrivals - (csum - service))
 
 
-def erasure_pattern_oneshot(cfg):
+def erasure_pattern_oneshot(beta, horizon, seed):
     """``bec_lab._erasure_pattern`` from one draw of all horizon + 1 uniforms."""
-    z = bl.substream(cfg.seed, 0).random(cfg.horizon + 1) < (1.0 - cfg.beta)
+    z = bl.substream(seed, 0).random(horizon + 1) < (1.0 - beta)
     z[0] = False
     return z
 
 
-def simulate_fifo_oneshot(cfg):
+def simulate_fifo_oneshot(beta, rate_bits, horizon, seed):
     """(arrival times, decode times) of ``bec_lab.simulate_fifo``, from the
     one-shot pattern, arrival times and recursion and a table of every
     success time."""
-    z = erasure_pattern_oneshot(cfg)
+    z = erasure_pattern_oneshot(beta, horizon, seed)
     st = np.flatnonzero(z)
-    n_guess = int(cfg.horizon * cfg.rate_bits) + 2
-    a = np.ceil(np.arange(1, n_guess + 1, dtype=np.int64) / cfg.rate_bits)
-    a = a[a < cfg.horizon].astype(np.int64)
-    c = np.cumsum(z, dtype=np.min_scalar_type(cfg.horizon))[a]
+    n_guess = int(horizon * rate_bits) + 2
+    a = np.ceil(np.arange(1, n_guess + 1, dtype=np.int64) / rate_bits)
+    a = a[a < horizon].astype(np.int64)
+    c = np.cumsum(z, dtype=np.min_scalar_type(horizon))[a]
     k = fifo_completions_oneshot(c, np.ones(len(a), dtype=np.int64)) - 1
     decoded = k < len(st)
     dt = np.full(len(a), np.inf)
@@ -750,7 +750,7 @@ def coupled_dominance_check_oneshot(svc, samples, envelope_beta=None):
     from one draw of every uniform."""
     beta_env = svc.tail_beta if envelope_beta is None else envelope_beta
     u = bl.substream(qm.DOMINANCE_SEED, 2).random(samples)
-    excess = svc.inverse_cdf(u) - qm.geometric_service(beta_env).inverse_cdf(u)
+    excess = svc.inverse_cdf(u) - qm.ServiceTimeModel(0, beta_env).inverse_cdf(u)
     return int((excess > 0).sum()), int(max(0, excess.max()))
 
 

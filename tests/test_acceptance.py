@@ -30,8 +30,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def fifo_10m():
-    cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=10_000_000, seed=2027)
-    return bl.simulate_fifo(cfg)
+    return bl.simulate_fifo(beta=0.4, rate_bits=0.5, horizon=10_000_000, seed=2027)
 
 
 def test_criterion_1_bec_closed_forms(bec04):
@@ -117,14 +116,14 @@ def test_criterion_6_union_bound(fifo_10m):
 
 
 def test_criterion_7_corollary_suite():
-    clean = [qm.geometric_service(0.4), qm.truncated_geometric_service(0.4, 3)]
+    clean = [qm.ServiceTimeModel(0, 0.4), qm.ServiceTimeModel(0, 0.4, cap=3)]
     violations = [qm.coupled_dominance_check(s, samples=1_000_000).violations
                   for s in clean]
-    negative = qm.coupled_dominance_check(qm.geometric_service(0.5),
+    negative = qm.coupled_dominance_check(qm.ServiceTimeModel(0, 0.5),
                                           samples=200_000, envelope_beta=0.4)
-    svc = qm.offset_geometric_service(2, 0.25)
+    svc = qm.ServiceTimeModel(2, 0.25)
     bound = qm.tail_exponent_bound(5, svc)
-    tr = qm.simulate_point_queue(qm.QueueConfig(5, 2_000_000, seed=41), svc)
+    tr = qm.simulate_point_queue(svc, 5, 2_000_000, seed=41)
     fit = bl.measure_delay_exponent(tr, range(6, 40, 3), 50)
     ok = (max(violations) == 0 and negative.violations > 0
           and fit.slope >= bound * 0.85)
@@ -139,7 +138,7 @@ def test_criterion_8_exact_tiny(bsc002):
     params = ncl.NclParams(n=2, c=2, l=1, k=3, rho=1.0, q=q,
                            rate=math.log(8) / 12, e0=e0)
     trace = ncl.simulate_ncl_exact_tiny(bsc002, params, 100_000, seed=77)
-    chunks = trace.transmission_times // params.ck
+    chunks = trace.service_times // params.ck
     offset = math.ceil(params.t_tilde)
     tails_ok = True
     details = []

@@ -33,24 +33,25 @@ def birth_death_numeric(beta: float, kmax: int = 400, sweeps: int = 200_000,
     return v
 
 
-def parity_loop(cfg: bl.BecConfig) -> tuple[np.ndarray, np.ndarray]:
+def parity_loop(beta: float, rate_bits: float, horizon: int,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The causal parity decoder one channel use at a time.
 
     Returns the decode times and the parity deficit (undecoded symbols minus
     unerased parities held against them) after each use.
     """
-    z = bl._erasure_pattern(cfg)
-    a = bl._arrival_times(cfg.rate_bits, cfg.horizon)
-    arrival_mark = np.zeros(cfg.horizon + 1, dtype=np.int32)
+    z = bl._erasure_pattern(beta, horizon, seed)
+    a = bl._arrival_times(rate_bits, horizon)
+    arrival_mark = np.zeros(horizon + 1, dtype=np.int32)
     np.add.at(arrival_mark, a, 1)
     dt = np.full(len(a), np.inf)
-    deficit = np.zeros(cfg.horizon + 1, dtype=np.int32)
+    deficit = np.zeros(horizon + 1, dtype=np.int32)
     u = 0        # symbols in the current ambiguous group
     credit = 0   # unerased parities held against that group
     g0 = 0       # index of the first undecoded bit
     zl = z.tolist()
     al = arrival_mark.tolist()
-    for t in range(1, cfg.horizon + 1):
+    for t in range(1, horizon + 1):
         if u - credit > 0 and zl[t]:
             credit += 1
             if credit == u:
@@ -63,10 +64,12 @@ def parity_loop(cfg: bl.BecConfig) -> tuple[np.ndarray, np.ndarray]:
     return dt, deficit[1:]
 
 
-def quiet_config(beta: float, rate_bits: float, horizon: int, seed: int) -> bl.BecConfig:
+def quiet(simulate, *args) -> bl.SimTrace:
+    """``simulate(*args)``, silent about a rate at or above capacity, which
+    is legal here."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # rates at or above capacity are legal here
-        return bl.BecConfig(beta, rate_bits, horizon, seed)
+        warnings.simplefilter("ignore", UserWarning)
+        return simulate(*args)
 
 
 def assert_causal_and_conserving(trace, stride):
@@ -79,8 +82,7 @@ def assert_causal_and_conserving(trace, stride):
 
 @pytest.fixture(scope="module")
 def fifo_run():
-    cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=17)
-    return bl.simulate_fifo(cfg)
+    return bl.simulate_fifo(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=17)
 
 
 class TestSubstreamUniforms:
@@ -110,55 +112,56 @@ class TestSubstreamUniforms:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            bl.BecConfig(beta=1.2, rate_bits=0.5, horizon=100)
+            bl.simulate_fifo(beta=1.2, rate_bits=0.5, horizon=100)
         with pytest.raises(ValueError):
-            bl.BecConfig(beta=0.4, rate_bits=0.0, horizon=100)
+            bl.simulate_fifo(beta=0.4, rate_bits=0.0, horizon=100)
         with pytest.raises(ValueError,
                            match="^horizon must be a whole number of at least 2 uses, got 1$"):
-            bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=1)
+            bl.simulate_fifo(beta=0.4, rate_bits=0.5, horizon=1)
 
     @pytest.mark.parametrize("rate", [0.0, -0.5])
     def test_nonpositive_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="^rate must be positive$"):
-            bl.BecConfig(beta=0.4, rate_bits=rate, horizon=100)
+            bl.simulate_fifo(beta=0.4, rate_bits=rate, horizon=100)
 
     def test_arrivals_past_the_horizon_are_never_built(self):
         # ceil(i / 1e-300) was cast to int64 before the horizon cut: the
         # trace held INT64_MIN arrival times, with an invalid-cast warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr = bl.simulate_fifo(bl.BecConfig(beta=0.4, rate_bits=1e-300, horizon=5000))
+            tr = bl.simulate_fifo(beta=0.4, rate_bits=1e-300, horizon=5000)
         assert tr.arrival_times.dtype == np.int64
         assert len(tr.arrival_times) == 0
 
     def test_whole_float_counts_become_ints(self):
         # a horizon of 100.0 reached numpy's cumsum dtype as a float and raised
         # TypeError; the seed reached numpy's SeedSequence
-        cfg = bl.BecConfig(0.4, 0.5, 100.0, seed=3.0)
-        assert type(cfg.horizon) is int and type(cfg.seed) is int
-        assert np.array_equal(bl.simulate_fifo(cfg).done_times,
-                              bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 100, 3)).done_times)
+        tr = bl.simulate_fifo(0.4, 0.5, 100.0, seed=3.0)
+        assert type(tr.horizon) is int
+        assert np.array_equal(tr.done_times, bl.simulate_fifo(0.4, 0.5, 100, 3).done_times)
 
     @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1.5])
     def test_bad_seed_named_at_construction(self, seed):
         with pytest.raises(ValueError, match="^seed must be a whole number, got "):
-            bl.BecConfig(0.4, 0.5, 100, seed)
+            bl.simulate_fifo(0.4, 0.5, 100, seed)
 
     def test_negative_seed_raises_numpys_error(self):
-        cfg = bl.BecConfig(0.4, 0.5, 100, -1)
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            bl.simulate_fifo(cfg)
+            bl.simulate_fifo(0.4, 0.5, 100, -1)
 
     def test_supercritical_warns_but_runs(self):
-        with pytest.warns(UserWarning):
-            cfg = bl.BecConfig(beta=0.4, rate_bits=0.75, horizon=10_000)
-        bl.simulate_fifo(cfg)
+        # the warning names the caller's line, also where the parity run
+        # reads the FIFO run
+        for simulate in (bl.simulate_fifo, bl.simulate_causal_parity_nofeedback):
+            with pytest.warns(UserWarning, match="^rate 0.75 >= capacity 0.6: queue is "
+                                                 "unstable;") as record:
+                simulate(beta=0.4, rate_bits=0.75, horizon=10_000)
+            assert [w.filename for w in record] == [__file__]
 
 
 class TestFifo:
     def test_noiseless_channel_immediate_decode(self):
-        cfg = bl.BecConfig(beta=1e-12, rate_bits=0.5, horizon=50_000, seed=1)
-        tr = bl.simulate_fifo(cfg)
+        tr = bl.simulate_fifo(beta=1e-12, rate_bits=0.5, horizon=50_000, seed=1)
         # every bit is served successfully at its first opportunity
         assert np.all(tr.delays() == 1)
         assert tr.series()["queue_len"].max() <= 1
@@ -170,26 +173,25 @@ class TestFifo:
         assert np.all(np.diff(d[np.isfinite(d)]) >= 0)
 
     def test_conservation_every_step(self):
-        cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=20_000, seed=3)
-        tr = bl.simulate_fifo(cfg)
+        tr = bl.simulate_fifo(beta=0.4, rate_bits=0.5, horizon=20_000, seed=3)
         assert_causal_and_conserving(tr, stride=1)
 
     def test_deterministic_given_seed(self):
-        cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=30_000, seed=9)
-        a = bl.simulate_fifo(cfg)
-        b = bl.simulate_fifo(cfg)
+        cfg = dict(beta=0.4, rate_bits=0.5, horizon=30_000, seed=9)
+        a = bl.simulate_fifo(**cfg)
+        b = bl.simulate_fifo(**cfg)
         assert np.array_equal(a.done_times, b.done_times)
 
     def test_matches_literal_queue_loop(self):
         # independent oracle: simulate the queue one use at a time
-        cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=40_000, seed=5)
-        tr = bl.simulate_fifo(cfg)
-        rng = bl.substream(cfg.seed, 0)
-        z = rng.random(cfg.horizon + 1) < 0.6
+        cfg = dict(beta=0.4, rate_bits=0.5, horizon=40_000, seed=5)
+        tr = bl.simulate_fifo(**cfg)
+        rng = bl.substream(cfg["seed"], 0)
+        z = rng.random(cfg["horizon"] + 1) < 0.6
         z[0] = False
         from collections import deque
         queue, decode, nxt = deque(), {}, 1
-        for t in range(1, cfg.horizon + 1):
+        for t in range(1, cfg["horizon"] + 1):
             if queue and z[t]:
                 decode[queue.popleft()] = t
             if t % 2 == 0:
@@ -221,13 +223,12 @@ class TestFifo:
 
     def test_miss_probability_inside_burn_in_is_undetermined(self):
         # beta = 0.45 burns in 100,000 uses, longer than the whole run
-        tr = bl.simulate_fifo(bl.BecConfig(beta=0.45, rate_bits=0.5, horizon=5_000, seed=1))
+        tr = bl.simulate_fifo(beta=0.45, rate_bits=0.5, horizon=5_000, seed=1)
         p, se = bl.miss_probability(tr, 5)
         assert math.isnan(p) and math.isnan(se)
 
     def test_general_rational_rate_runs(self):
-        cfg = bl.BecConfig(beta=0.25, rate_bits=2 / 3, horizon=200_000, seed=4)
-        tr = bl.simulate_fifo(cfg)
+        tr = bl.simulate_fifo(beta=0.25, rate_bits=2 / 3, horizon=200_000, seed=4)
         assert_causal_and_conserving(tr, stride=7)
         fit = bl.measure_delay_exponent(tr, range(6, 30, 3), min_misses=20)
         assert fit.slope > 0
@@ -236,12 +237,12 @@ class TestFifo:
     @pytest.mark.parametrize("rate_bits,beta", [(0.37, 0.5), (2 / 3, 0.25), (0.9, 0.05)])
     def test_general_rate_matches_literal_queue_loop(self, rate_bits, beta):
         # the unit-service FIFO in success-index time against one use at a time
-        cfg = bl.BecConfig(beta=beta, rate_bits=rate_bits, horizon=20_000, seed=6)
-        tr = bl.simulate_fifo(cfg)
-        z = bl._erasure_pattern(cfg)
+        horizon, seed = 20_000, 6
+        tr = bl.simulate_fifo(beta, rate_bits, horizon, seed)
+        z = bl._erasure_pattern(beta, horizon, seed)
         arrivals = tr.arrival_times.tolist()
         decode, nxt = [], 0  # decode times of bits 1..len(decode); bits 1..nxt arrived
-        for t in range(1, cfg.horizon + 1):
+        for t in range(1, horizon + 1):
             if len(decode) < nxt and z[t]:
                 decode.append(t)
             while nxt < len(arrivals) and arrivals[nxt] == t:
@@ -284,7 +285,7 @@ class TestSeries:
     @pytest.mark.parametrize("horizon", [2, 11, 12_347, 100_003])
     def test_bucket_counts_match_binary_search(self, simulate, stride, horizon):
         # near capacity, so the horizon ends with bits undecoded (decode time inf)
-        tr = simulate(bl.BecConfig(0.4, 0.55, horizon, seed=horizon))
+        tr = simulate(0.4, 0.55, horizon, seed=horizon)
         if horizon > 11:
             assert np.isinf(tr.done_times).any()
         assert stride == 1 or horizon % stride
@@ -298,7 +299,7 @@ class TestSeries:
     def test_stride_past_the_horizon_samples_t_1(self, stride):
         # every stride of at least the horizon, past int64 too, gives the one
         # row at t = 1
-        tr = bl.simulate_fifo(bl.BecConfig(0.4, 0.55, 12_347, seed=5))
+        tr = bl.simulate_fifo(0.4, 0.55, 12_347, seed=5)
         got, want = tr.series(stride), series_by_search(tr, tr.horizon)
         assert list(got["time"]) == [1]
         for name in want:
@@ -329,12 +330,15 @@ class TestBirthDeath:
         assert np.allclose(pi[:20], num[:20], atol=1e-10)
 
     def test_transient_chain_rejected(self):
-        with pytest.raises(ValueError):
-            bl.birth_death_stationary(0.5)
+        # beta <= 0 was rejected as if it were too large
+        for beta in (0.5, 0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1/2\), where the "
+                                                 f"chain is positive recurrent, got {beta}$"):
+                bl.birth_death_stationary(beta)
 
     def test_chisquare_rejects_an_empty_sample(self):
         # a run no longer than its burn-in leaves no steady arrival
-        tr = bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 1000, seed=3))
+        tr = bl.simulate_fifo(0.4, 0.5, 1000, seed=3)
         samples = bl.queue_seen_by_arrivals(tr)[tr.steady:]
         assert len(samples) == 0
         with pytest.raises(ValueError, match="^samples must hold at least one queue length$"):
@@ -343,22 +347,23 @@ class TestBirthDeath:
     @pytest.mark.parametrize("beta", [0.7, -0.1, math.nan, 0.5, 0.0, math.inf])
     def test_chisquare_rejects_beta_outside_the_recurrent_range(self, beta):
         # the chain's stationary law exists for beta in (0, 1/2) only
-        with pytest.raises(ValueError, match="^chain is positive recurrent only for beta < 1/2$"):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1/2\), where the chain is "
+                                             f"positive recurrent, got {beta}$"):
             bl.queue_law_chisquare(np.zeros(1000, dtype=np.int64), beta)
 
 
 class TestParityCode:
     def test_noiseless_decodes_immediately(self):
-        cfg = bl.BecConfig(beta=1e-12, rate_bits=0.5, horizon=20_000, seed=2)
-        tr = bl.simulate_causal_parity_nofeedback(cfg)
+        cfg = dict(beta=1e-12, rate_bits=0.5, horizon=20_000, seed=2)
+        tr = bl.simulate_causal_parity_nofeedback(**cfg)
         assert np.all(tr.delays() == 1)
         assert tr.series()["queue_len"].max() <= 1
 
     def test_deficit_equals_fifo_queue_pathwise(self):
-        cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=500_000, seed=23)
-        dt, deficit = parity_loop(cfg)
-        fifo = bl.simulate_fifo(cfg)
-        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        cfg = dict(beta=0.4, rate_bits=0.5, horizon=500_000, seed=23)
+        dt, deficit = parity_loop(**cfg)
+        fifo = bl.simulate_fifo(**cfg)
+        parity = bl.simulate_causal_parity_nofeedback(**cfg)
         assert np.array_equal(parity.done_times, dt)
         assert np.array_equal(deficit, fifo.series()["queue_len"])
 
@@ -366,37 +371,36 @@ class TestParityCode:
                                                 (0.4, 0.75)])
     @pytest.mark.parametrize("horizon", [2, 3, 17, 1000, 200_003])
     def test_matches_loop_oracle(self, beta, rate_bits, horizon):
-        cfg = quiet_config(beta, rate_bits, horizon, seed=23)
-        dt, deficit = parity_loop(cfg)
-        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        cfg = beta, rate_bits, horizon, 23
+        dt, deficit = parity_loop(*cfg)
+        parity = quiet(bl.simulate_causal_parity_nofeedback, *cfg)
         assert np.array_equal(parity.done_times, dt)
         # the parity deficit is the FIFO backlog, pathwise
-        assert np.array_equal(deficit, bl.simulate_fifo(cfg).series()["queue_len"])
+        assert np.array_equal(deficit, quiet(bl.simulate_fifo, *cfg).series()["queue_len"])
 
     @settings(max_examples=60)
     @given(beta=st.floats(0.02, 0.95), rate_bits=st.floats(0.05, 1.5),
            horizon=st.integers(2, 3000), seed=st.integers(0, 2**31 - 1))
     def test_parity_fifo_identity(self, beta, rate_bits, horizon, seed):
         # rates up to 1.5 bits per use run well above capacity 1 - beta
-        cfg = quiet_config(beta, rate_bits, horizon, seed)
-        dt, deficit = parity_loop(cfg)
-        fifo = bl.simulate_fifo(cfg)
-        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        cfg = beta, rate_bits, horizon, seed
+        dt, deficit = parity_loop(*cfg)
+        fifo = quiet(bl.simulate_fifo, *cfg)
+        parity = quiet(bl.simulate_causal_parity_nofeedback, *cfg)
         assert np.array_equal(parity.done_times, dt)
         assert np.array_equal(deficit, fifo.series()["queue_len"])
         assert np.array_equal(parity.arrival_times, fifo.arrival_times)
 
     def test_feedback_free_miss_rate_worse(self):
-        cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=29)
-        fifo = bl.simulate_fifo(cfg)
-        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        cfg = dict(beta=0.4, rate_bits=0.5, horizon=2_000_000, seed=29)
+        fifo = bl.simulate_fifo(**cfg)
+        parity = bl.simulate_causal_parity_nofeedback(**cfg)
         m_fifo, _ = bl.miss_probability(fifo, 12)
         m_par, _ = bl.miss_probability(parity, 12)
         assert m_par > m_fifo
 
     def test_conservation(self):
-        cfg = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=20_000, seed=2)
-        tr = bl.simulate_causal_parity_nofeedback(cfg)
+        tr = bl.simulate_causal_parity_nofeedback(beta=0.4, rate_bits=0.5, horizon=20_000, seed=2)
         assert_causal_and_conserving(tr, stride=1)
 
 
@@ -431,18 +435,14 @@ class TestDelayExponent:
         assert fit.ci_low <= fit.slope <= fit.ci_high
 
     def test_supercritical_slope_near_zero(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = bl.BecConfig(beta=0.4, rate_bits=0.75, horizon=1_000_000, seed=31)
-        tr = bl.simulate_fifo(cfg)
+        tr = quiet(bl.simulate_fifo, 0.4, 0.75, 1_000_000, 31)
         fit = bl.measure_delay_exponent(tr, range(10, 41, 5))
         # rate above capacity: the focusing bound is zero and so is the slope
         assert abs(fit.slope) <= 0.06
 
     def test_zero_misses_reported_unbounded(self):
-        cfg = bl.BecConfig(beta=1e-12, rate_bits=0.5, horizon=100_000, seed=2)
-        fit = bl.measure_delay_exponent(bl.simulate_fifo(cfg), [5, 10, 15])
+        tr = bl.simulate_fifo(beta=1e-12, rate_bits=0.5, horizon=100_000, seed=2)
+        fit = bl.measure_delay_exponent(tr, [5, 10, 15])
         assert fit.unbounded
         assert fit.slope == math.inf
 
@@ -457,7 +457,7 @@ class TestFitDelayExponent:
         assert counts.tolist() == [int((delays > d).sum()) for d in grid]
 
     def test_single_deadline_with_misses_is_undetermined(self):
-        fifo = bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 200_000, 1))
+        fifo = bl.simulate_fifo(0.4, 0.5, 200_000, 1)
         fit = bl.measure_delay_exponent(fifo, [20, 28, 33, 43])
         assert len(fit.d_values) == 1
         assert math.isnan(fit.slope)
@@ -542,7 +542,7 @@ class TestExactBootstrap:
         calls = []
         slope = bl._slope
         monkeypatch.setattr(bl, "_slope", lambda a, p: calls.append(1) or slope(a, p))
-        tr = bl.simulate_fifo(bl.BecConfig(0.4, 0.5, 1_000_000, seed=7))
+        tr = bl.simulate_fifo(0.4, 0.5, 1_000_000, seed=7)
         fit = bl.measure_delay_exponent(tr, range(10, 41, 2))
         assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
         assert len(calls) == 5

@@ -44,9 +44,9 @@ def nbytes(*arrays) -> int:
     return sum(a.nbytes for a in arrays)
 
 
-BEC = bl.BecConfig(beta=0.4, rate_bits=0.5, horizon=1_000_000, seed=7)
-QUEUE = qm.QueueConfig(arrival_period=5, horizon=500_000, seed=7)
-SERVICE = qm.offset_geometric_service(2, 0.25)
+BEC = dict(beta=0.4, rate_bits=0.5, horizon=1_000_000, seed=7)
+SERVICE = qm.ServiceTimeModel(2, 0.25)
+QUEUE = dict(svc=SERVICE, arrival_period=5, horizon=500_000, seed=7)
 
 
 def fifo_working_bytes(trace) -> int:
@@ -58,27 +58,26 @@ class TestBudgets:
     @pytest.mark.parametrize("simulate", [bl.simulate_fifo,
                                           bl.simulate_causal_parity_nofeedback])
     def test_fifo_runs(self, simulate):
-        trace, peak = traced_peak(lambda: simulate(BEC))
+        trace, peak = traced_peak(lambda: simulate(**BEC))
         kept = nbytes(trace.arrival_times, trace.done_times)
         assert peak <= kept + fifo_working_bytes(trace) + ALLOWANCE
 
     def test_point_queue(self):
-        trace, peak = traced_peak(lambda: qm.simulate_point_queue(QUEUE, SERVICE))
+        trace, peak = traced_peak(lambda: qm.simulate_point_queue(**QUEUE))
         kept = nbytes(trace.arrival_times, trace.done_times, trace.service_times)
         assert peak <= kept + ALLOWANCE
 
     def test_ncl_bound_driven(self, bsc002):
         params = ncl.select_params(bsc002, 0.2, 0.05, 10, 1.0)
         trace, peak = traced_peak(lambda: ncl.simulate_ncl_bound_driven(params, 280_000, 7))
-        kept = nbytes(trace.arrival_times, trace.service_starts, trace.transmission_times,
-                      trace.done_times)
+        kept = nbytes(trace.arrival_times, trace.service_times, trace.done_times)
         assert peak <= kept + ALLOWANCE
         grid = ncl.default_delay_grid(params).tolist()
         _, peak = traced_peak(lambda: trace.measure_exponent(grid, 30))
         assert peak <= ALLOWANCE
 
     def test_fits_hold_no_delay_sample(self):
-        trace = bl.simulate_fifo(BEC)
+        trace = bl.simulate_fifo(**BEC)
         _, peak = traced_peak(lambda: bl.measure_delay_exponent(trace, range(10, 41, 2)))
         assert peak <= ALLOWANCE
 
@@ -86,7 +85,7 @@ class TestBudgets:
         lambda trace: bl.miss_probability(trace, 10), bl.queue_seen_by_arrivals],
         ids=["miss_probability", "queue_seen_by_arrivals"])
     def test_acceptance_statistics(self, statistic):
-        trace = bl.simulate_fifo(BEC)
+        trace = bl.simulate_fifo(**BEC)
         result, peak = traced_peak(lambda: statistic(trace))
         assert peak <= (result.nbytes if isinstance(result, np.ndarray) else 0) + ALLOWANCE
 
@@ -94,18 +93,18 @@ class TestBudgets:
                                        qm.ServiceTimeModel.check_envelope],
                              ids=["coupled_dominance_check", "check_envelope"])
     def test_service_checks(self, check):
-        _, peak = traced_peak(lambda: check(qm.truncated_geometric_service(0.4, 3)))
+        _, peak = traced_peak(lambda: check(qm.ServiceTimeModel(0, 0.4, cap=3)))
         assert peak <= ALLOWANCE
 
     def test_cli_sim_bec(self, tmp_path):
         cfg = tmp_path / "bec.json"
-        cfg.write_text(json.dumps({"beta": BEC.beta, "rate_bits": BEC.rate_bits,
-                                   "horizon": BEC.horizon}))
+        cfg.write_text(json.dumps({"beta": BEC["beta"], "rate_bits": BEC["rate_bits"],
+                                   "horizon": BEC["horizon"]}))
         argv = ["sim", "bec", str(cfg), "--seed", "7", "--out", str(tmp_path / "out")]
         code, peak = traced_peak(lambda: cli.main(argv))
         assert code == 0
-        trace = bl.simulate_fifo(BEC)
-        series = trace.series(BEC.horizon // 100_000)
+        trace = bl.simulate_fifo(**BEC)
+        series = trace.series(BEC["horizon"] // 100_000)
         kept = nbytes(trace.arrival_times, trace.done_times, *series.values())
         assert peak <= kept + fifo_working_bytes(trace) + ALLOWANCE
 
@@ -113,12 +112,12 @@ class TestBudgets:
         cfg = tmp_path / "queue.json"
         cfg.write_text(json.dumps({"service": {"kind": "offset_geometric", "offset": 2,
                                                "beta": 0.25},
-                                   "arrival_period": 5, "horizon": QUEUE.horizon,
+                                   "arrival_period": 5, "horizon": QUEUE["horizon"],
                                    "d_grid": [6, 9, 12, 15, 18]}))
         argv = ["sim", "queue", str(cfg), "--seed", "7", "--out", str(tmp_path / "out")]
         code, peak = traced_peak(lambda: cli.main(argv))
         assert code == 0
-        trace = qm.simulate_point_queue(QUEUE, SERVICE)
+        trace = qm.simulate_point_queue(**QUEUE)
         kept = nbytes(trace.arrival_times, trace.done_times, trace.service_times)
         assert peak <= kept + ALLOWANCE
 
@@ -141,19 +140,19 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("uses", [3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     def test_erasure_pattern(self, uses):
-        cfg = bl.BecConfig(beta=0.3, rate_bits=0.5, horizon=uses - 1, seed=uses)
-        assert np.array_equal(bl._erasure_pattern(cfg), erasure_pattern_oneshot(cfg))
+        assert np.array_equal(bl._erasure_pattern(0.3, uses - 1, uses),
+                              erasure_pattern_oneshot(0.3, uses - 1, uses))
 
     @pytest.mark.parametrize("bits", LENGTHS)
     def test_fifo_and_parity_runs(self, bits):
         # at rate 1/2 the bits arriving before use 2 bits + 1 are exactly bits
-        cfg = bl.BecConfig(beta=0.3, rate_bits=0.5, horizon=2 * bits + 1, seed=bits)
-        a, d = simulate_fifo_oneshot(cfg)
-        fifo = bl.simulate_fifo(cfg)
+        cfg = dict(beta=0.3, rate_bits=0.5, horizon=2 * bits + 1, seed=bits)
+        a, d = simulate_fifo_oneshot(**cfg)
+        fifo = bl.simulate_fifo(**cfg)
         assert len(a) == bits
         assert np.array_equal(fifo.arrival_times, a)
         assert np.array_equal(fifo.done_times, d)
-        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        parity = bl.simulate_causal_parity_nofeedback(**cfg)
         assert np.array_equal(parity.done_times, parity_decode_oneshot(a, d))
         for stride in (1, 7):
             want = series_by_search(fifo, stride)
@@ -162,18 +161,19 @@ class TestChunkBoundaries:
 
     def test_fifo_run_with_undecoded_bits(self):
         # a rate above capacity leaves a backlog past the horizon
+        cfg = dict(beta=0.5, rate_bits=0.75, horizon=3 * CHUNK + 5, seed=2)
+        a, d = simulate_fifo_oneshot(**cfg)
         with pytest.warns(UserWarning):
-            cfg = bl.BecConfig(beta=0.5, rate_bits=0.75, horizon=3 * CHUNK + 5, seed=2)
-        a, d = simulate_fifo_oneshot(cfg)
-        fifo = bl.simulate_fifo(cfg)
+            fifo = bl.simulate_fifo(**cfg)
         assert np.isfinite(d).sum() > CHUNK and np.isinf(d).any()
         assert np.array_equal(fifo.done_times, d)
-        parity = bl.simulate_causal_parity_nofeedback(cfg)
+        with pytest.warns(UserWarning):
+            parity = bl.simulate_causal_parity_nofeedback(**cfg)
         assert np.array_equal(parity.done_times, parity_decode_oneshot(a, d))
 
     @pytest.mark.parametrize("size", LENGTHS)
     def test_service_samples(self, size):
-        for svc in (SERVICE, qm.truncated_geometric_service(0.6, 3)):
+        for svc in (SERVICE, qm.ServiceTimeModel(0, 0.6, cap=3)):
             got = svc.sample(bl.substream(size, 1), size)
             want = svc.inverse_cdf(bl.substream(size, 1).random(size))
             assert got.dtype == np.int64
@@ -221,8 +221,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("bits", LENGTHS)
     def test_acceptance_statistics(self, bits):
         with pytest.warns(UserWarning):  # near capacity: bits left undecoded
-            cfg = bl.BecConfig(beta=0.45, rate_bits=0.55, horizon=2 * bits + 1, seed=bits)
-        trace = bl.simulate_fifo(cfg)
+            trace = bl.simulate_fifo(beta=0.45, rate_bits=0.55, horizon=2 * bits + 1, seed=bits)
         backlog = queue_seen_by_arrivals_oneshot(trace)
         assert np.array_equal(bl.queue_seen_by_arrivals(trace), backlog)
         for d in (0, 3, 3.5, 7, 1e9, -2.0):
@@ -239,8 +238,9 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("samples", LENGTHS)
     def test_coupled_dominance_check(self, samples):
-        for svc, envelope in [(qm.truncated_geometric_service(0.4, 3), None),
-                              (qm.geometric_service(0.5), 0.4), (qm.geometric_service(0.3), 0.3)]:
+        for svc, envelope in [(qm.ServiceTimeModel(0, 0.4, cap=3), None),
+                              (qm.ServiceTimeModel(0, 0.5), 0.4),
+                              (qm.ServiceTimeModel(0, 0.3), 0.3)]:
             report = qm.coupled_dominance_check(svc, samples, envelope)
             assert report.samples == samples
             assert (report.violations, report.max_excess) == \
@@ -249,8 +249,9 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK + 1, qm.ENVELOPE_SAMPLES])
     def test_check_envelope(self, samples, monkeypatch):
         monkeypatch.setattr(qm, "ENVELOPE_SAMPLES", samples)
-        for svc, envelope in [(qm.geometric_service(0.4), None), (qm.geometric_service(0.5), 0.35),
-                              (qm.offset_geometric_service(2, 0.25), 0.6),
+        for svc, envelope in [(qm.ServiceTimeModel(0, 0.4), None),
+                              (qm.ServiceTimeModel(0, 0.5), 0.35),
+                              (qm.ServiceTimeModel(2, 0.25), 0.6),
                               (qm.ServiceTimeModel(3, 0.9, 2), 0.05)]:
             try:
                 svc.check_envelope(envelope)
@@ -270,11 +271,10 @@ def two_runs(kind, channel):
     def run(seed):
         if kind in ("fifo", "parity"):
             # at rate 1/2 the bits arriving before use 2 items + 1 are exactly items
-            cfg = bl.BecConfig(beta=0.3, rate_bits=0.5, horizon=2 * items + 1, seed=seed)
             simulate = bl.simulate_fifo if kind == "fifo" else bl.simulate_causal_parity_nofeedback
-            return simulate(cfg)
+            return simulate(beta=0.3, rate_bits=0.5, horizon=2 * items + 1, seed=seed)
         if kind == "queue":
-            return qm.simulate_point_queue(qm.QueueConfig(5, items, seed), SERVICE)
+            return qm.simulate_point_queue(SERVICE, 5, items, seed)
         if kind == "bound_driven":
             return ncl.simulate_ncl_bound_driven(params, items, seed)
         return ncl.simulate_ncl_exact_tiny(channel, params, 4_000, seed)

@@ -740,6 +740,24 @@ class TestSim:
         assert run(["sim", "queue", cfg, "--out", tmp_path / "q"]) == 3
         assert capsys.readouterr().err.startswith(message)
 
+    def test_unstable_bec_rate_warns_in_one_line_per_run(self, tmp_path, capsys):
+        # the warning printed as "<string>:7: UserWarning: ...", a location
+        # inside a generated __init__, and once per process, not per run
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps({"scheme": "parity", "beta": 0.4, "rate_bits": 0.75,
+                                   "horizon": 60_000, "trials": 2}))
+        line = ("delaylab: warning: rate 0.75 >= capacity 0.6: queue is unstable; run is "
+                "legal but miss probabilities will not decay\n")
+        for out in ("a", "b"):
+            assert run(["sim", "bec", cfg, "--out", tmp_path / out]) == 0
+            assert capsys.readouterr() == ("", 2 * line)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        alone = subprocess.run([sys.executable, "-m", "delaylab.cli", "sim", "bec", str(cfg),
+                                "--out", str(tmp_path / "c")],
+                               capture_output=True, text=True, env=env)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (0, "", 2 * line)
+        assert files(tmp_path / "a") == files(tmp_path / "c")
+
     def test_bec_rate_with_no_arrival_in_the_horizon(self, tmp_path, capsys):
         # the arrivals were once cast to int64 before the horizon cut, with
         # an invalid-cast warning and INT64_MIN arrival times

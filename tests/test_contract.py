@@ -30,17 +30,15 @@ PARAMS = ncl.select_params(BSC, 0.1, 0.05, 10, 1.0)
 TINY = ncl.NclParams(n=2, c=2, l=1, k=3, rho=1.0, q=np.array([0.5, 0.5]),
                      rate=math.log(8) / 12, e0=ex.e0_max(BSC, 1.0)[0])
 SPLIT = ncl.two_stream_split(BSC, 0.1)
-FIFO = bl.simulate_fifo(bl.BecConfig(0.3, 0.5, 20_000))
+FIFO = bl.simulate_fifo(0.3, 0.5, 20_000)
 NCL_RUN = ncl.simulate_ncl_bound_driven(PARAMS, 200)
-SVC = qm.geometric_service(0.4)
+SVC = qm.ServiceTimeModel(offset=0, tail_beta=0.4)
 
 # keyword arguments of one call that succeeds, per public callable with a
 # numeric parameter
 VALID = {
-    "BecConfig": dict(beta=0.4, rate_bits=0.5, horizon=100, seed=0),
     "FocusingPoint": dict(eta=1.0, rate=0.2, exponent=0.2, lambda_star=0.5),
     "NclParams": {field.name: getattr(PARAMS, field.name) for field in dataclasses.fields(PARAMS)},
-    "QueueConfig": dict(arrival_period=3, horizon=10, seed=0),
     "ServiceTimeModel": dict(offset=1, tail_beta=0.4, cap=5),
     "TwoStreamSplit": {field.name: getattr(SPLIT, field.name) for field in dataclasses.fields(SPLIT)},
     "bec": dict(beta=0.4),
@@ -61,7 +59,6 @@ VALID = {
     "focusing_bound": dict(p=BSC, r=0.3, fortify_k=50),
     "focusing_parametric_curve": dict(p=BSC, eta_grid=[0.5, 1.0], fortify_k=50),
     "gallager_e0": dict(p=BSC, rho=0.7, q=[0.5, 0.5], fortify_k=50),
-    "geometric_service": dict(beta=0.4),
     "haroutunian": dict(p=BSC, r=0.3, variant="standard"),
     "identity_channel": dict(size=3),
     "maximize_concave_1d": dict(f=lambda x: -(x - 1.0) ** 2, lo=0.0, hi=3.0, tol=1e-9),
@@ -72,12 +69,14 @@ VALID = {
     "minimize_over_channels": dict(objective=lambda g: float(g.rows[0, 0]),
                                    feasible=lambda g: True, dims=(2, 2), restarts=1),
     "miss_probability": dict(trace=FIFO, d=4.0),
-    "offset_geometric_service": dict(offset=2, beta=0.4),
     "random_coding_list": dict(p=BSC, r=0.3, list_size=2, fortify_k=50),
     "select_params": dict(p=BSC, rate=0.1, delta=0.05, k=10, rho=1.0),
+    "simulate_causal_parity_nofeedback": dict(beta=0.4, rate_bits=0.5, horizon=100, seed=0),
+    "simulate_fifo": dict(beta=0.4, rate_bits=0.5, horizon=100, seed=0),
     "simulate_ncl_bound_driven": dict(params=PARAMS, horizon_blocks=20, seed=0),
     "simulate_ncl_exact_tiny": dict(p=BSC, params=TINY, horizon_blocks=5, seed=0,
                                     n_messages=8, feedback_lag=1),
+    "simulate_point_queue": dict(svc=SVC, arrival_period=3, horizon=10, seed=0),
     "simulate_two_stream": dict(p=BSC, split=SPLIT, horizon_blocks=200, seed=0, k=10,
                                 delta=0.05),
     "sphere_packing": dict(p=BSC, r=0.3, fortify_k=50),
@@ -85,7 +84,6 @@ VALID = {
     "timesharing_curve": dict(p=BSC, rho_grid=[0.5, 2.0], fortify_k=50),
     "timesharing_exponent": dict(p=BSC, rho=0.7, fortify_k=50),
     "transmission_tail_bound": dict(params=PARAMS, t=2),
-    "truncated_geometric_service": dict(beta=0.4, cap=3),
     "two_stream_split": dict(p=BSC, rate=0.1),
     "union_bound_exact": dict(beta=0.3, rate_bits=0.5, i=5, d=4),
     "z_channel": dict(nulling=0.5),
@@ -105,7 +103,7 @@ EXEMPT = {
     ("Search1DResult", None): RECORD,
     ("DelayExponentFit", None): RECORD + " (an unbounded fit has slope +inf, an "
                                 "undetermined one nan)",
-    ("SimTrace", None): RECORD + "; the simulators build it from a checked config",
+    ("SimTrace", None): RECORD + "; the simulators build it from checked arguments",
 }
 
 NUMERIC = re.compile(r"(int|float)( \| None)?")
@@ -144,7 +142,7 @@ def test_every_public_callable_with_a_number_is_covered():
 
 def test_the_annotations_are_read():
     assert numeric_parameters(delaylab.sphere_packing) == {"r": "float", "fortify_k": "int"}
-    assert numeric_parameters(delaylab.QueueConfig) == {
+    assert numeric_parameters(delaylab.simulate_point_queue) == {
         "arrival_period": "int", "horizon": "int", "seed": "int"}
 
 
@@ -188,7 +186,7 @@ def test_infinite_delays_and_deadlines_are_data():
     (lambda: ex.bec_focusing_exponent_bits(0.4, NAN), "^rate must be finite, got nan$"),
     (lambda: ex.bec_focusing_point_bits(0.4, NAN), "^eta must be finite, got nan$"),
     (lambda: ex.bec_lowrate_floor(0.4, NAN), "^r must be finite, got nan$"),
-    (lambda: bl.BecConfig(0.4, NAN, 100), "^rate must be finite, got nan$"),
+    (lambda: bl.simulate_fifo(0.4, NAN, 100), "^rate must be finite, got nan$"),
     (lambda: ncl.NclParams(**{**VALID["NclParams"], "rate": NAN}), "^rate must be below"),
     (lambda: bl.union_bound_exact(NAN, 0.5, 5, 5), "^erasure probability"),
     (lambda: ncl.transmission_tail_bound(PARAMS, NAN), "^t must be a positive integer"),
@@ -210,7 +208,7 @@ def test_infinite_delays_and_deadlines_are_data():
 ], ids=["focusing_k_nan", "timesharing_k_nan", "curve_k_nan", "esp_k_inf", "focusing_k_frac",
         "select_k_frac", "select_k_nan", "list_size_frac", "list_size_nan", "law_nan",
         "divergence_law_nan", "e0_law_nan", "bec_exponent_rate", "bec_point_eta",
-        "bec_floor_r", "bec_config_rate", "ncl_params_rate", "union_beta", "tail_t",
+        "bec_floor_r", "fifo_rate", "ncl_params_rate", "union_beta", "tail_t",
         "scheme_rate", "divergence_rate_k", "fit_deadline", "fit_delay", "parametric_eta",
         "fit_empty_grid", "measure_empty_grid", "ncl_measure_empty_grid", "measure_no_runs",
         "series_stride_0", "series_stride_neg", "series_stride_frac", "series_stride_nan",

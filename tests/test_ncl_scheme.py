@@ -16,10 +16,11 @@ def assert_one_fifo_server(tr, params):
     """Every block starts service once it is assembled and once the block
     before it has left the one server, l k uses before that block commits,
     and takes a positive whole number of chunks."""
-    assert np.all(tr.service_starts >= tr.arrival_times)
-    assert np.all(tr.service_starts[1:] >= tr.done_times[:-1] - params.l * params.k)
-    assert np.all(tr.transmission_times > 0)
-    assert np.all(tr.transmission_times % params.ck == 0)
+    starts = tr.done_times - tr.service_times - params.l * params.k
+    assert np.all(starts >= tr.arrival_times)
+    assert np.all(starts[1:] >= tr.done_times[:-1] - params.l * params.k)
+    assert np.all(tr.service_times > 0)
+    assert np.all(tr.service_times % params.ck == 0)
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +137,7 @@ class TestExactTiny:
 
     def test_empirical_tails_below_bound(self, bsc002, tiny_params):
         tr = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 30_000, seed=8)
-        chunks = tr.transmission_times // tiny_params.ck
+        chunks = tr.service_times // tiny_params.ck
         offset = math.ceil(tiny_params.t_tilde)
         for t in (1, 2, 3):
             emp = float((chunks > offset + t).mean())
@@ -150,7 +151,7 @@ class TestExactTiny:
         clean = dmc.Dmc(np.array([[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]))
         tr = ncl.simulate_ncl_exact_tiny(clean, tiny_params, 2_000, seed=5)
         first_chunk = math.ceil(tiny_params.t_tilde) * tiny_params.ck
-        assert float((tr.transmission_times == first_chunk).mean()) > 0.97
+        assert float((tr.service_times == first_chunk).mean()) > 0.97
 
     def test_feedback_lag_keeps_correctness(self, bsc002, tiny_params):
         # discarding the last output of each chunk leaves fewer outputs to
@@ -160,7 +161,7 @@ class TestExactTiny:
         plain = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 5_000, seed=6)
         assert_one_fifo_server(lagged, tiny_params)
         assert lagged.meta["feedback_lag"] == 2
-        assert lagged.transmission_times.mean() > plain.transmission_times.mean()
+        assert lagged.service_times.mean() > plain.service_times.mean()
 
     def test_feedback_lag_below_the_chunk(self, bsc002, tiny_params):
         with pytest.raises(ValueError, match="^feedback lag must satisfy 1 <= phi < ck$"):
@@ -201,12 +202,12 @@ class TestExactTiny:
         flipped = dmc.Dmc(np.array([[0.02, 0.98], [0.98, 0.02]]))
         a = ncl.simulate_ncl_exact_tiny(flipped, tiny_params, 3_000, seed=2)
         b = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 3_000, seed=2)
-        assert np.array_equal(a.transmission_times, b.transmission_times)
+        assert np.array_equal(a.service_times, b.service_times)
 
     def test_reproducible(self, bsc002, tiny_params):
         a = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 2_000, seed=11)
         b = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 2_000, seed=11)
-        assert np.array_equal(a.transmission_times, b.transmission_times)
+        assert np.array_equal(a.service_times, b.service_times)
 
     def test_prefix_stable(self, bsc002, tiny_params):
         # block j reads only the seed and blocks 0..j: a longer run keeps
@@ -215,7 +216,7 @@ class TestExactTiny:
                                             n_messages=256)
         long = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 6_000, seed=9,
                                            n_messages=256)
-        assert np.array_equal(short.transmission_times, long.transmission_times[:3_000])
+        assert np.array_equal(short.service_times, long.service_times[:3_000])
 
     @pytest.mark.parametrize("bins", [5, 1000])
     def test_slice_bound_changes_no_output(self, bsc002, tiny_params, monkeypatch, bins):
@@ -224,7 +225,7 @@ class TestExactTiny:
         monkeypatch.setattr(ncl, "EXACT_SPREAD_BINS", bins)
         got = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 500, seed=3,
                                           n_messages=64, feedback_lag=2)
-        assert np.array_equal(got.transmission_times, want.transmission_times)
+        assert np.array_equal(got.service_times, want.service_times)
 
     @pytest.mark.parametrize("group", [1, 7])
     def test_block_groups_change_no_output(self, bsc002, tiny_params, monkeypatch, group):
@@ -235,8 +236,7 @@ class TestExactTiny:
         monkeypatch.setattr(ncl, "EXACT_GROUP_BLOCKS", group)
         got = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 500, seed=3,
                                           n_messages=64, feedback_lag=2)
-        for field in ("arrival_times", "service_starts", "transmission_times",
-                      "done_times"):
+        for field in ("arrival_times", "service_times", "done_times"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert got.meta == want.meta
 
@@ -247,13 +247,13 @@ class TestExactTiny:
         assert (prm.n, prm.c, prm.l, prm.k) == (4, 1, 0, 10)
         tr = ncl.simulate_ncl_exact_tiny(bsc002, prm, 2_000, seed=1)
         assert tr.meta["n_messages"] == 2981
-        law = np.bincount(tr.transmission_times // prm.ck, minlength=6)[1:] / 2_000
+        law = np.bincount(tr.service_times // prm.ck, minlength=6)[1:] / 2_000
         assert law[1] > 0.6 and law[0] > 0.2 and law[3:].sum() < 0.01
 
     def test_runs_beyond_2_to_the_40(self, bsc002, tiny_params):
         tr = ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, 200, seed=4,
                                          n_messages=2**40 + 1)
-        chunks = tr.transmission_times // tiny_params.ck
+        chunks = tr.service_times // tiny_params.ck
         # 40 bits over 0.86 bit per use need about 47 outputs: 8 chunks of 6
         assert 6 <= np.median(chunks) <= 10
 
@@ -307,7 +307,7 @@ class TestExactTinyMatchesCodebook:
         codebook = codebook_ncl_chunks(bsc002, params, 20_000, 1, m, lag)
         sampled = ncl.simulate_ncl_exact_tiny(bsc002, params, 20_000, seed=1,
                                               n_messages=m, feedback_lag=lag)
-        assert homogeneity_p_value(codebook, sampled.transmission_times // params.ck) > 0.01
+        assert homogeneity_p_value(codebook, sampled.service_times // params.ck) > 0.01
 
 
 class TestBoundDriven:
@@ -319,7 +319,8 @@ class TestBoundDriven:
         delays = tr.delays()
         assert delays.min() == minimum
         assert float((delays == minimum).mean()) > 0.8
-        assert float(tr.queueing().mean()) < prm.ck  # queueing vanishes
+        queueing = tr.done_times - tr.service_times - prm.l * prm.k - tr.arrival_times
+        assert float(queueing.mean()) < prm.ck  # queueing vanishes
 
     def test_exponent_near_e0_with_generous_slack(self, bsc002):
         prm = ncl.select_params(bsc002, rate=0.1, delta=1e-4, k=10, rho=1.0)
@@ -359,14 +360,11 @@ class TestBoundDriven:
         # units on the offset-geometric law, scaled by ck, l k on commits
         prm = ncl.select_params(bsc002, rate=rate, delta=0.05, k=k, rho=rho)
         tr = ncl.simulate_ncl_bound_driven(prm, 4_000, seed=seed)
-        law = qm.offset_geometric_service(math.ceil(prm.t_tilde),
-                                          math.exp(-prm.ck * prm.e0))
-        queue = qm.simulate_point_queue(qm.QueueConfig(prm.n, 4_000, seed), law)
+        law = qm.ServiceTimeModel(math.ceil(prm.t_tilde), math.exp(-prm.ck * prm.e0))
+        queue = qm.simulate_point_queue(law, prm.n, 4_000, seed)
         ck = prm.ck
         assert np.array_equal(tr.arrival_times, queue.arrival_times * ck)
-        assert np.array_equal(tr.service_starts,
-                              (queue.done_times - queue.service_times) * ck)
-        assert np.array_equal(tr.transmission_times, queue.service_times * ck)
+        assert np.array_equal(tr.service_times, queue.service_times * ck)
         assert np.array_equal(tr.done_times, queue.done_times * ck + prm.l * prm.k)
         assert tr.shift == prm.block_period
         assert tr.meta == {"mode": "bound_driven", "beta_eff": law.tail_beta,
@@ -379,6 +377,19 @@ class TestBoundDriven:
             ncl.simulate_ncl_bound_driven(prm, blocks)
         with pytest.raises(ValueError, match="at least one block"):
             ncl.simulate_ncl_exact_tiny(bsc002, tiny_params, blocks)
+
+    @pytest.mark.parametrize("points", [0, -1, 2.5, math.nan, math.inf])
+    def test_delay_grid_needs_a_positive_whole_count(self, tiny_params, points):
+        # 0 and -1 gave an empty grid, which the fit then blamed on its
+        # caller, and 2.5 gave 3 deadlines
+        with pytest.raises(ValueError, match=f"^points must be a positive integer, got {points}$"):
+            ncl.default_delay_grid(tiny_params, points)
+
+    def test_delay_grid_takes_a_whole_float_count(self, tiny_params):
+        grid = ncl.default_delay_grid(tiny_params, 3.0)
+        assert grid.dtype == np.int64
+        assert np.array_equal(grid, ncl.default_delay_grid(tiny_params, 3))
+        assert len(ncl.default_delay_grid(tiny_params, 1)) == 1
 
     def test_one_fifo_server(self, bsc002):
         prm = ncl.select_params(bsc002, rate=0.3, delta=0.05, k=10, rho=1.0)
@@ -456,8 +467,7 @@ class TestQueueingExponentBound:
                                         rate=float(frac) * e0 / rho, e0=e0)
                     got = ncl.queueing_exponent_bound(prm)
                     if prm.slack_chunks >= 1:
-                        law = qm.offset_geometric_service(math.ceil(prm.t_tilde),
-                                                          math.exp(-prm.ck * e0))
+                        law = qm.ServiceTimeModel(math.ceil(prm.t_tilde), math.exp(-prm.ck * e0))
                         assert got == qm.tail_exponent_bound(n, law) / prm.ck
                         seen.add("slack" if got > 0 else "boundary")
                     else:
