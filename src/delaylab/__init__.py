@@ -57,6 +57,7 @@ from .exponents import (
     bec_lowrate_floor,
     bound_at_rate,
     bound_curve,
+    bound_curves,
 )
 from .bec_lab import (
     SimTrace,

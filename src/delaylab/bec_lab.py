@@ -531,8 +531,8 @@ def _point_fit(segments, d_grid: list, min_misses: int, block: int = 0):
 
 def _bootstrap_slopes(pv: np.ndarray, dd: np.ndarray, quantiles) -> np.ndarray:
     """Least-squares slopes of -ln p against ``dd`` for the rows p of ``pv``,
-    exactly ``_slope``'s (lstsq's) wherever ``np.percentile(slopes,
-    quantiles)`` reads them, without running lstsq on every row.
+    exactly ``_slope``'s (lstsq's) wherever the percentiles ``quantiles``
+    (``_percentiles``) read them, without running lstsq on every row.
 
     Every row first gets the closed-form slope, sum (d - dbar)(y - ybar) /
     sum (d - dbar)^2 with y = -ln p.  To first order it and the lstsq slope
@@ -550,8 +550,8 @@ def _bootstrap_slopes(pv: np.ndarray, dd: np.ndarray, quantiles) -> np.ndarray:
       percentiles read, those order statistics, and the percentiles, are
       bit for bit those of the all-lstsq slopes.
 
-    ``np.percentile`` reads the order statistics next to its index (n - 1) q
-    / 100, which it rounds its own way; every k within 1 of it is taken.
+    The percentiles read the order statistics next to the index (n - 1) q
+    / 100, rounded as numpy's linear rule does; every k within 1 of it is taken.
     Where lstsq would truncate the rank (kappa near 1 / u), eps exceeds every
     slope, so every row runs lstsq.  So does one distinct deadline
     (duplicate grid entries), where the slope is undetermined: the closed
@@ -622,10 +622,30 @@ def _fit(segments, d_grid: list, min_misses: int) -> DelayExponentFit:
         pv = pv[np.all(pv > 0, axis=1)]
     if len(pv):
         q = (2.5, 97.5)
-        fit.ci_low, fit.ci_high = map(float, np.percentile(_bootstrap_slopes(pv, dd, q), q))
+        fit.ci_low, fit.ci_high = _percentiles(np.sort(_bootstrap_slopes(pv, dd, q)), q)
     else:
         fit.widened_ci = True
     return fit
+
+
+def _percentiles(ranked: np.ndarray, percents) -> list[float]:
+    """``np.percentile(ranked, percents)`` of the sorted ``ranked``, bit for
+    bit: numpy's linear rule, which reads the order statistics on either
+    side of the index (n - 1) p / 100 and interpolates between them as its
+    ``_lerp`` does.  ``np.percentile`` itself reaches them through
+    ``np.unique``, which imports ``numpy.ma`` on its first call in a process
+    (about 25 ms and 1.25 MB)."""
+    top = len(ranked) - 1
+    out = []
+    for pct in percents:
+        index = top * (pct / 100)
+        if index >= top:
+            out.append(float(ranked[-1]))
+            continue
+        below = math.floor(index)
+        a, b, t = float(ranked[below]), float(ranked[below + 1]), index - below
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def measure_delay_exponent(traces, d_grid, min_misses: int = 100) -> DelayExponentFit:

@@ -30,9 +30,10 @@ from .dmc import (LN2, ConvergenceError, Dmc, bec, bits_from_nats, bsc, nats_fro
                   z_channel)
 from .exponents import (
     KNOWN_BOUNDS,
+    CurveError,
     _list_size,
     bound_at_rate,
-    bound_curve,
+    bound_curves,
     capacity_slope_focusing,
     capacity_slope_timesharing,
     e0_max,
@@ -171,21 +172,45 @@ def _bound_names(text: str) -> list[str]:
     return names
 
 
-def _solve_once(channel: Dmc, fortify_k: int | None, names: list[str], solve,
-                sep: str) -> list[tuple[str, object]]:
-    """(name, solve(s)) for every name, s the bound ``solved_as`` names, each
-    distinct s solved once.  A ``ValueError`` exits 3 with the message
-    "<name><sep><error>", naming the bound that was asked for."""
+def _solve_once(channel: Dmc, fortify_k: int | None, names: list[str],
+                rate: float) -> list[tuple[str, float]]:
+    """(name, bound_at_rate(s)) for every name, s the bound ``solved_as``
+    names, each distinct s solved once.  A ``ValueError`` exits 3 with the
+    message "<name>: <error>", naming the bound that was asked for."""
     rows, solved = [], {}
     for name in names:
         try:
             same = solved_as(channel, name, fortify_k)
             if same not in solved:
-                solved[same] = solve(same)
+                solved[same] = bound_at_rate(channel, same, rate, fortify_k)
         except ValueError as exc:
-            raise CliError(EXIT_INFEASIBLE, f"{name}{sep}{exc}")
+            raise CliError(EXIT_INFEASIBLE, f"{name}: {exc}")
         rows.append((name, solved[same]))
     return rows
+
+
+def _curve_columns(channel: Dmc, fortify_k: int | None, names: list[str],
+                   rates) -> dict[str, list[float]]:
+    """The curve on ``rates`` of every name, all the distinct bounds that
+    ``solved_as`` names in one ``bound_curves`` run.  A ``ValueError`` exits
+    3 with the message "<name> <error>", naming the first bound asked for,
+    in the order asked, whose solve fails, as solving them one by one
+    would."""
+    firsts, failed = {}, None  # each distinct solve: the first name asking for it
+    for name in names:
+        try:
+            firsts.setdefault(solved_as(channel, name, fortify_k), name)
+        except ValueError as exc:
+            failed = CliError(EXIT_INFEASIBLE, f"{name} {exc}")
+            break
+    try:
+        curves = bound_curves(channel, [(same, rates, fortify_k) for same in firsts])
+    except CurveError as exc:
+        raise CliError(EXIT_INFEASIBLE, f"{[*firsts.values()][exc.column]} {exc}")
+    if failed:
+        raise failed
+    solved = dict(zip(firsts, curves))
+    return {name: solved[solved_as(channel, name, fortify_k)] for name in names}
 
 
 def cmd_bounds(args) -> int:
@@ -195,8 +220,7 @@ def cmd_bounds(args) -> int:
     if rate_nats < 0:
         raise CliError(EXIT_INFEASIBLE, "rate must be nonnegative")
     names = _bound_names(args.bounds)
-    rows = _solve_once(channel, fortify_k, names,
-                       lambda name: bound_at_rate(channel, name, rate_nats, fortify_k), ": ")
+    rows = _solve_once(channel, fortify_k, names, rate_nats)
     print("bound,rate_nats,rate_bits,value_nats,value_bits")
     for name, val in rows:
         print(f"{name},{_fmt(rate_nats)},{_fmt(bits_from_nats(rate_nats))},"
@@ -244,8 +268,7 @@ def cmd_curve(args) -> int:
     if args.eta_grid:
         rates = np.array([e0_max(channel, eta, fortify_k)[0] / eta
                           for eta in sorted(etas, reverse=True)])
-    columns = dict(_solve_once(channel, fortify_k, names,
-                               lambda name: bound_curve(channel, name, rates, fortify_k), " "))
+    columns = _curve_columns(channel, fortify_k, names, rates)
     if args.format == "json":
         payload = {
             "channel": channel.name,
@@ -470,21 +493,30 @@ def cmd_sim(args) -> int:
 # figure data
 # ---------------------------------------------------------------------------
 
-def _bound_figure(out: Path, file: str, channel_label: str, ch: Dmc, rates: np.ndarray,
-                  names: tuple[str, ...], extra: dict | None = None, **manifest) -> dict:
-    """Write ``out / file``: the ``bound_curve`` of each of ``names`` on
-    ``rates``, then the precomputed ``extra`` columns in order; return the
+def _curves(ch: Dmc, columns: dict[str, tuple]) -> dict[str, list[float]]:
+    """The curve of every column of ``columns``, which maps its label to
+    (bound name, rates, fortify_k), all solved in one ``bound_curves`` run."""
+    return dict(zip(columns, bound_curves(ch, list(columns.values()))))
+
+
+def _named(names: tuple[str, ...], rates: np.ndarray) -> dict:
+    """The unfortified ``_curves`` columns of ``names`` on ``rates``, each
+    labelled by its own name."""
+    return {name: (name, rates, None) for name in names}
+
+
+def _bound_figure(out: Path, file: str, channel_label: str, rates: np.ndarray,
+                  cols: dict[str, list[float]], **manifest) -> dict:
+    """Write the columns ``cols`` on ``rates`` to ``out / file``; return the
     manifest that names the channel and the columns, plus ``manifest``."""
-    cols = {name: bound_curve(ch, name, rates) for name in names}
-    cols.update(extra or {})
     _write_curve_csv(out / file, rates, cols)
     return {"channel": channel_label, "curves": list(cols), **manifest}
 
 
 def _figure_4(out: Path) -> dict:
     rates = np.linspace(0.02, 0.21, 20)
-    return _bound_figure(out, "zchannel_bounds.csv", "Z(0.5)", z_channel(0.5), rates,
-                         ("esp", "haroutunian"),
+    return _bound_figure(out, "zchannel_bounds.csv", "Z(0.5)", rates,
+                         _curves(z_channel(0.5), _named(("esp", "haroutunian"), rates)),
                          rate_grid_nats=[float(rates[0]), float(rates[-1]), len(rates)])
 
 
@@ -497,34 +529,37 @@ def _figure_6(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     lambdas = [1 / 8, 1 / 2, 7 / 8]
-    envelopes = {f"envelope_lambda_{lam:g}":
-                 [e / (1 - lam) for e in bound_curve(ch, "esp", lam * rates)]
-                 for lam in lambdas}
-    return _bound_figure(out, "bsc002_focusing_family.csv", "BSC(0.02)", ch, rates,
-                         ("esp", "focusing", "burnashev"), envelopes, lambdas=lambdas)
+    envelopes = {f"envelope_lambda_{lam:g}": ("esp", lam * rates, None) for lam in lambdas}
+    cols = _curves(ch, _named(("esp", "focusing", "burnashev"), rates) | envelopes)
+    for lam, label in zip(lambdas, envelopes):  # E_sp(lambda R) / (1 - lambda)
+        cols[label] = [e / (1 - lam) for e in cols[label]]
+    return _bound_figure(out, "bsc002_focusing_family.csv", "BSC(0.02)", rates, cols,
+                         lambdas=lambdas)
 
 
 def _figure_7(out: Path) -> dict:
     ch = bsc(0.003)
     cap = ch.capacity_solution[0]
-    return _bound_figure(out, "bsc0003_focusing_vs_burnashev.csv", "BSC(0.003)", ch,
-                         np.linspace(0.55 * cap, 0.995 * cap, 40), ("focusing", "burnashev"),
+    rates = np.linspace(0.55 * cap, 0.995 * cap, 40)
+    return _bound_figure(out, "bsc0003_focusing_vs_burnashev.csv", "BSC(0.003)", rates,
+                         _curves(ch, _named(("focusing", "burnashev"), rates)),
                          note="high-rate regime; the curves cross")
 
 
 def _figure_8(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
-    return _bound_figure(out, "bsc002_delay_bounds.csv", "BSC(0.02)", ch, rates,
-                         ("esp", "focusing", "timesharing"),
-                         {"random_coding": bound_curve(ch, "er", rates)},
+    return _bound_figure(out, "bsc002_delay_bounds.csv", "BSC(0.02)", rates,
+                         _curves(ch, _named(("esp", "focusing", "timesharing"), rates)
+                                 | {"random_coding": ("er", rates, None)}),
                          capacity_slopes={"focusing": capacity_slope_focusing(ch),
                                           "timesharing": capacity_slope_timesharing(ch)})
 
 
 def _figure_9(out: Path) -> dict:
-    return _bound_figure(out, "bec04_bounds.csv", "BEC(0.4)", bec(0.4),
-                         np.linspace(0.02, 0.41, 40), ("esp", "focusing"),
+    rates = np.linspace(0.02, 0.41, 40)
+    return _bound_figure(out, "bec04_bounds.csv", "BEC(0.4)", rates,
+                         _curves(bec(0.4), _named(("esp", "focusing"), rates)),
                          ultimate_limit_nats=-math.log(0.4))
 
 
@@ -532,8 +567,9 @@ def _figure_12(out: Path) -> dict:
     ch = bsc(0.02)
     rates = _bsc_rate_grid(ch)
     e0_one = e0_max(ch, 1.0)[0]
-    return _bound_figure(out, "bsc002_slack.csv", "BSC(0.02)", ch, rates, ("esp", "focusing"),
-                         {"list1_tangent": [max(0.0, e0_one - float(r)) for r in rates]},
+    return _bound_figure(out, "bsc002_slack.csv", "BSC(0.02)", rates,
+                         _curves(ch, _named(("esp", "focusing"), rates))
+                         | {"list1_tangent": [max(0.0, e0_one - float(r)) for r in rates]},
                          anchor={"rate_nats": 0.37, "achievable_exponent": e0_one},
                          note="list-size-1 operation: exponent E0(1) sustained at any rate "
                               "below E0(1), slack fraction = 1 - rate/E0(1)")
@@ -557,19 +593,19 @@ def _figure_13(out: Path) -> dict:
 def _figure_14(out: Path) -> dict:
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.60, 60)
-    cols = {f"{name}_{label}": bound_curve(ch, name, rates, k)
-            for label, k in (("plain", None), ("fortified_k50", 50))
-            for name in ("esp", "focusing")}
     return _bound_figure(out, "bsc002_fortified_bounds.csv", "BSC(0.02) and 1/50-fortified",
-                         ch, rates, (), cols)
+                         rates, _curves(ch, {f"{name}_{label}": (name, rates, k)
+                                             for label, k in (("plain", None),
+                                                              ("fortified_k50", 50))
+                                             for name in ("esp", "focusing")}))
 
 
 def _figure_16(out: Path) -> dict:
     ch = bsc(0.02)
     rates = np.linspace(0.02, 0.43, 22)
     schemes = [(10, 3, 2), (20, 4, 3), (50, 8, 6)]
-    cols = {"esp": bound_curve(ch, "esp", rates),
-            "focusing_fortified": bound_curve(ch, "focusing", rates, 50)}
+    cols = _curves(ch, {"esp": ("esp", rates, None),
+                        "focusing_fortified": ("focusing", rates, 50)})
     for n, c, l in schemes:
         curve = ncl_scheme.scheme_exponent_curve(ch, n, c, l, 50, rates)
         cols[f"scheme_{n}_{c}_{l}"] = [e for _, e in curve]

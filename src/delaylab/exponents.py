@@ -1,10 +1,10 @@
 """Reliability bounds for DMCs: block-length exponents and fixed-delay exponents.
 
-Every bound is exposed both as a scalar function of (channel, rate) and as a
-sampled curve (``bound_curve``, which runs the searches along rho of all its
-rates in lockstep).  Rates and exponents are in nats per channel use
-throughout; the two erasure-channel helpers that the source formulas state
-in bits are explicitly suffixed ``_bits``.
+Every bound is exposed both as a scalar function of (channel, rate) and as
+sampled curves (``bound_curves``, which runs the searches along rho of all
+the rates of all its curves in lockstep).  Rates and exponents are in nats
+per channel use throughout; the two erasure-channel helpers that the source
+formulas state in bits are explicitly suffixed ``_bits``.
 
 A channel may optionally be "fortified": one error-free bit rides along with
 every k-th channel use.  At the level of the Gallager function this adds
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -288,53 +288,59 @@ def sphere_packing(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     fortification, R = 0 takes that limit in closed form instead.  The
     search is ``_sphere_packing_steps``, a lane of ``_run_lanes``.
     """
-    return _run_lanes(p, fortify_k, [_sphere_packing_steps(
-        p, r, fortify_k, _alone_climb(p, r, fortify_k))])[0]
+    return _run_lanes(p, [(_sphere_packing_steps(
+        p, r, fortify_k, _alone_climb(p, r, fortify_k)), fortify_k)])[0]
 
 
-def _run_lanes(p: Dmc, fortify_k: int | None, lanes: list) -> list:
-    """Run the lanes together to their results, every E0 read from the
-    channel's store by ``_e0_point``, fortified by ``fortify_k``, which is
-    checked once, here.
+def _run_lanes(p: Dmc, lanes: list) -> list:
+    """Run the lanes, (lane, fortify_k) pairs, together to their results,
+    every E0 read from the channel's store by ``_e0_point``, fortified by
+    the lane's own ``fortify_k``, which is checked once, here.  The store
+    holds E0 without fortification, so lanes of any fortification share
+    its points.
 
     A lane is a generator over rho: it yields the rho it needs and receives
     (E0(rho), dE0/drho) there.  Every search along rho is written once, as
-    a lane, and this runs them all, one rate's bound, a curve's, or the
-    one-step lanes ``_at`` of a fixed grid.  Every lane, one run alone
-    included, advances through the same rounds; a lone lane asks for the
-    same rho in the same order as ``run_steps`` over ``_e0_point`` would.
+    a lane, and this runs them all, one rate's bound, every column of a
+    curve or figure request (``bound_curves``), or the one-step lanes
+    ``_at`` of a fixed grid.  Every lane, one run alone included, advances
+    through the same rounds; a lone lane asks for the same rho in the same
+    order as ``run_steps`` over ``_e0_point`` would.
 
     Two paths inside a round stay, each for a measured reason.  A rho in
     the store is answered at once, so a search that comes back to a rho,
     or asks for one that another lane or an earlier run solved on the
     channel, waits for no round: without that, the ``curves_symmetric``
-    benchmark workload took 0.288 s against 0.234 s (+23%; medians of 8
-    alternating pairs on 2 shared cores).  Each round then solves the
+    benchmark workload took 0.198 s against 0.173 s (+14%, higher in 6 of
+    8 alternating pairs on 2 shared cores).  Each round then solves the
     distinct rho the waiting lanes ask for together: several on an
     output-symmetric channel by one ``_e0_lanes`` call, which is the only
     one, and the rest by ``_e0_point`` as it answers the lanes in the order
     asked, so no rho is solved twice; without the batch call that workload
-    took 0.564 s against 0.221 s (2.55x).  Any error, a lane's or an E0
-    solve's, ends the run.
+    took 0.571 s against 0.211 s (2.71x, higher in 8 of 8).  Any error, a
+    lane's or an E0 solve's, ends the run.
     """
     store = p.e0_points
-    _fortification_rate(fortify_k)  # checked once for every read of the run
+    for _, fortify_k in lanes:  # checked once for every read of the run
+        _fortification_rate(fortify_k)
     results = [None] * len(lanes)
     order, points_sent = range(len(lanes)), repeat(None)
     while order:
         waiting, asked = [], []
         for i, point in zip(order, points_sent):
+            lane, fortify_k = lanes[i]
             try:
-                rho = lanes[i].send(point)
+                rho = lane.send(point)
                 while rho in store:
-                    rho = lanes[i].send(_e0_point(p, rho, fortify_k))
+                    rho = lane.send(_e0_point(p, rho, fortify_k))
                 waiting.append(i)
                 asked.append(rho)
             except StopIteration as stop:
                 results[i] = stop.value
         if len(new := set(asked)) > 1 and p.symmetric:
             _e0_lanes(p, [*new])
-        order, points_sent = waiting, [_e0_point(p, rho, fortify_k) for rho in asked]
+        order, points_sent = waiting, [_e0_point(p, rho, lanes[i][1])
+                                       for i, rho in zip(waiting, asked)]
     return results
 
 
@@ -342,6 +348,11 @@ def _at(rho: float):
     """The one-step lane of a fixed rho grid: it receives (E0(rho),
     dE0/drho) and returns it."""
     return (yield rho)
+
+
+def _at_each(rhos, fortify_k: int | None = None) -> list:
+    """The ``_run_lanes`` lanes ``_at`` of every rho of ``rhos``."""
+    return [(_at(rho), fortify_k) for rho in rhos]
 
 
 def _tilt(r: float):
@@ -412,8 +423,8 @@ def random_coding_list(p: Dmc, r: float, list_size: int = 1,
 
     ``list_size`` is the cap L on rho; L = 1 is ordinary random coding.
     """
-    return _run_lanes(p, fortify_k, [_random_coding_steps(
-        r, list_size, _alone_climb(p, r, fortify_k))])[0]
+    return _run_lanes(p, [(_random_coding_steps(
+        r, list_size, _alone_climb(p, r, fortify_k)), fortify_k)])[0]
 
 
 def _random_coding_steps(r: float, list_size: int, climb):
@@ -923,7 +934,7 @@ def focusing_bound(p: Dmc, r: float, fortify_k: int | None = None) -> float:
     1e-12 being R_inf's accuracy: no lambda < 1 then brings lambda R above
     R_inf.
     """
-    return _run_lanes(p, fortify_k, [_focusing_steps(p, r, fortify_k)])[0]
+    return _run_lanes(p, [(_focusing_steps(p, r, fortify_k), fortify_k)])[0]
 
 
 def _focusing_steps(p: Dmc, r: float, fortify_k: int | None):
@@ -986,7 +997,7 @@ def focusing_parametric_curve(p: Dmc, eta_grid, fortify_k: int | None = None) ->
     for eta in etas:  # +inf is left to the E0 read, which rejects it
         check_real(eta, "eta grid must be positive", 0.0, math.inf, "(]")
     pts = []
-    for eta, (e0, slope) in zip(etas, _run_lanes(p, fortify_k, list(map(_at, etas)))):
+    for eta, (e0, slope) in zip(etas, _run_lanes(p, _at_each(etas, fortify_k))):
         rate = e0 / eta
         lam = min(max(slope / rate, 0.0), 1.0 - 1e-15)
         pts.append(FocusingPoint(eta=eta, rate=rate, exponent=e0, lambda_star=lam))
@@ -1084,7 +1095,7 @@ def capacity_slope_timesharing(p: Dmc, fortify_k: int | None = None) -> float:
 def timesharing_curve(p: Dmc, rho_grid, fortify_k: int | None = None) -> list[tuple[float, float]]:
     """(R, E') of ``timesharing_exponent`` at each rho of ``rho_grid``, by increasing R."""
     rhos = sorted(rho_grid, reverse=True)
-    (e_one, _), *points = _run_lanes(p, fortify_k, list(map(_at, [1.0, *rhos])))
+    (e_one, _), *points = _run_lanes(p, _at_each([1.0, *rhos], fortify_k))
     return [_timesharing_point(e0, e_one, rho) for rho, (e0, _) in zip(rhos, points)]
 
 
@@ -1187,8 +1198,8 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     (L >= 1), haroutunian, tilde, burnashev, focusing, viterbi, timesharing.
     A name is evaluated as the bound ``solved_as`` names.  Both Haroutunian
     exponents are esp or certified programs over output laws (see
-    ``haroutunian``); no bound depends on a seed.  ``bound_curve`` gives
-    the same values for many rates at once."""
+    ``haroutunian``); no bound depends on a seed.  ``bound_curves`` gives
+    the same values for many rates and bounds at once."""
     name = solved_as(p, name, fortify_k)
     if name == "esp":
         return sphere_packing(p, r, fortify_k)
@@ -1201,7 +1212,7 @@ def bound_at_rate(p: Dmc, name: str, r: float, fortify_k: int | None = None) -> 
     if name == "focusing":
         return focusing_bound(p, r, fortify_k)
     if name == "timesharing":  # the two-stream curve inverted at one rate
-        return _run_lanes(p, fortify_k, [_timesharing_steps(p, r, fortify_k)])[0]
+        return _run_lanes(p, [(_timesharing_steps(p, r, fortify_k), fortify_k)])[0]
     raise KeyError(f"unknown bound name: {name}")
 
 
@@ -1239,28 +1250,51 @@ def _list_size(name: str) -> int | None:
 
 
 def bound_curve(p: Dmc, name: str, rates, fortify_k: int | None = None) -> list[float]:
-    """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit.
+    """``bound_at_rate`` at every rate of ``rates``, equal to it bit for bit:
+    the one column (name, rates, fortify_k) of ``bound_curves``."""
+    return bound_curves(p, [(name, rates, fortify_k)])[0]
 
-    Every rate is a lane of one ``_run_lanes`` run, which reads E0 from
-    the channel's store: each round solves the new rho the unfinished lanes
-    wait on, together, and no rho is solved twice, so a curve costs at
-    most as many rounds as its longest search along rho has E0
-    evaluations.  A bound with no such search (haroutunian and tilde
+
+class CurveError(ValueError):
+    """The ``ValueError`` of ``bound_curves``, naming the rate that raised
+    it; ``column`` is the index of that rate's column."""
+
+    def __init__(self, message: str, column: int):
+        super().__init__(message)
+        self.column = column
+
+
+def bound_curves(p: Dmc, columns) -> list[list[float]]:
+    """The curve of every column (name, rates, fortify_k) of ``columns``:
+    ``bound_at_rate`` at each of its rates, equal to it bit for bit.
+
+    Every rate of every column is a lane of one ``_run_lanes`` run, whatever
+    the columns' bounds, rate grids and fortification, and every lane reads
+    E0 from the channel's one store: each round solves the new rho the
+    unfinished lanes wait on, together, and no rho is solved twice, so a
+    request costs at most as many rounds as its longest search along rho
+    has E0 evaluations.  A bound with no such search (haroutunian and tilde
     without output symmetry, burnashev, the general focusing program) is a
     lane that ends at once.  When the lanes raise, ``bound_at_rate`` runs
-    over the rates in order and raises the first error, so a curve fails
-    as a loop over its rates would; a ``ValueError`` names that rate.
+    over the columns in order and the rates of each in order, and raises
+    the first error, so the run fails as a loop over its columns and rates
+    would; a ``ValueError`` becomes a ``CurveError`` that names that rate.
     """
-    rates = [float(r) for r in rates]
+    columns = [(name, [float(r) for r in rates], k) for name, rates, k in columns]
+    lanes = [(_bound_steps(p, name, r, k), k) for name, rates, k in columns for r in rates]
     try:
-        return _run_lanes(p, fortify_k, [_bound_steps(p, name, r, fortify_k) for r in rates])
+        for _, _, k in columns:  # also where a column has no rate
+            _fortification_rate(k)
+        values = iter(_run_lanes(p, lanes))
     except Exception:
-        for r in rates:
-            try:
-                bound_at_rate(p, name, r, fortify_k)
-            except ValueError as exc:
-                raise ValueError(f"at rate {r}: {exc}") from exc
+        for column, (name, rates, k) in enumerate(columns):
+            for r in rates:
+                try:
+                    bound_at_rate(p, name, r, k)
+                except ValueError as exc:
+                    raise CurveError(f"at rate {r}: {exc}", column) from exc
         raise
+    return [list(islice(values, len(rates))) for _, rates, _ in columns]
 
 
 def _bound_steps(p: Dmc, name: str, r: float, fortify_k: int | None):

@@ -22,6 +22,7 @@ messages M, and any M below 2^62 runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .bec_lab import (DelayExponentFit, DelayRun, _design, _fit, _segments, _slope, _tally,
                       fifo_completions, substream)
 from .dmc import Dmc, check_count, check_real, check_seed
-from .exponents import _at, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
+from .exponents import _at_each, _crossing_steps, _run_lanes, _two_stream_steps, e0_max
 from .queue_model import ServiceTimeModel, reduced_rate_exponent
 
 EXACT_SPREAD_BINS = 1 << 14  # histogram bins per multinomial draw; bounds its memory
@@ -46,7 +47,10 @@ class NclParams:
     n: block length in chunks; c: control bits per chunk; l: log2 list size;
     rho: list-decoding parameter in (0, 2^l]; q: codeword input distribution;
     rate: message rate in nats per channel use; e0: E0(rho, q) on the target
-    channel.
+    channel.  The queue bound and the bound-driven run both read the chunk's
+    erasure probability exp(-ck E0) (``beta_eff``), which must be a normal
+    double: past ck E0 = 708.4 it loses digits, and past about 745 it is
+    0.0, so a larger ck E0 raises ``ValueError`` naming k and ck E0.
     """
 
     n: int
@@ -65,6 +69,10 @@ class NclParams:
         check_real(self.rho, "rho must lie in (0, list size]", 0.0, 2**self.l, "(]")
         check_real(self.e0, "e0 must be a positive finite number, got {}", 0.0)
         check_real(self.rate, "rate must be below E0(rho)/rho (positive slack)", hi=self.ctilde)
+        if self.beta_eff < sys.float_info.min:
+            raise ValueError(f"the chunk erasure probability exp(-ck E0) underflows at "
+                             f"k = {self.k}: ck E0 = {self.ck * self.e0:.6g}, above "
+                             f"{-math.log(sys.float_info.min):.4g}")
 
     @property
     def ck(self) -> int:
@@ -353,7 +361,7 @@ class TwoStreamSplit:
 
 def two_stream_split(p: Dmc, rate: float) -> TwoStreamSplit:
     """Solve R = E'(rho)/rho for rho, then split per psi = E0(rho)/(E0(1)+E0(rho))."""
-    [(rho, e0_one, e0_rho)] = _run_lanes(p, None, [_two_stream_steps(rate)])
+    [(rho, e0_one, e0_rho)] = _run_lanes(p, [(_two_stream_steps(rate), None)])
     psi = e0_rho / (e0_one + e0_rho)
     return TwoStreamSplit(psi=psi, rho=rho, e_prime=psi * e0_one,
                           e0_rho=e0_rho, e0_one=e0_one)
@@ -379,9 +387,9 @@ def simulate_two_stream(p: Dmc, split: TwoStreamSplit, horizon_blocks: int,
     rate_msg = split.e_prime / split.rho / (1.0 - psi)  # = E0(rho)/rho at the split
     # largest rho that leaves a TWO_STREAM_RATE_MARGIN of slack; the root
     # lies below the split's rho, where the rate is 1 - margin of this one
-    [(rho_sim, _)] = _run_lanes(p, None, [_crossing_steps(
+    [(rho_sim, _)] = _run_lanes(p, [(_crossing_steps(
         rate_msg / (1.0 - TWO_STREAM_RATE_MARGIN), 1e-9, split.rho, split.rho,
-        "two-stream back-off root beyond the split's rho")])
+        "two-stream back-off root beyond the split's rho"), None)])
     params = select_params(p, rate_msg, delta, k, rho_sim)
     trace = simulate_ncl_bound_driven(params, horizon_blocks, seed)
     base = params.block_period / (1.0 - psi)
@@ -418,25 +426,31 @@ def scheme_exponent_curve(p: Dmc, n: int, c: int, l: int, k: int,
     For each rate, maximizes the Corollary-driven end-to-end exponent over
     ``SCHEME_RHO_POINTS`` geometrically spaced values of the operating
     parameter rho in [1e-2, 2^l]; zero where no rho leaves slack.  The
-    exponent depends on the rate only through the slack, so each distinct
-    (rho, slack) is solved, and its ``NclParams`` built, once.  Raises ``ValueError`` for a geometry no
-    scheme can run (c < l + 1 or n <= l).
+    exponent depends on the rate only through the slack s, and at a fixed
+    s it grows with rho (E0(rho), and with it the chunk's reliability,
+    grows), while s never grows with rho (E0(rho)/rho falls).  So for each
+    rate only the largest rho of each slack can give the maximum, and only
+    that one is solved, each distinct (rho, slack) once, with its
+    ``NclParams``.  Raises ``ValueError`` for a geometry no scheme can run
+    (c < l + 1 or n <= l).
     """
     _check_geometry(n, c, l, k)
     rhos = np.geomspace(1e-2, 2**l, SCHEME_RHO_POINTS).tolist()
     table = [(rho, e0, p.e0_points[rho][2])
-             for rho, (e0, _) in zip(rhos, _run_lanes(p, None, list(map(_at, rhos))))]
+             for rho, (e0, _) in zip(rhos, _run_lanes(p, _at_each(rhos)))]
     solved = {}  # (rho, slack) -> queueing_exponent_bound
     out = []
     for rate in map(float, sorted(rate_grid)):
         check_real(rate, "rate must be finite, got {}")
-        best = 0.0
-        for rho, e0, q in table:
+        largest = {}  # slack -> its largest rho's table entry
+        for rho, e0, q in table:  # by increasing rho
             if rate < e0 / rho:
-                key = rho, n - math.ceil(rate * n / (e0 / rho))  # ``NclParams.slack_chunks``
-                if key not in solved:
-                    solved[key] = queueing_exponent_bound(
-                        NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q, rate=rate, e0=e0))
-                best = max(best, solved[key])
+                largest[n - math.ceil(rate * n / (e0 / rho))] = rho, e0, q  # ``slack_chunks``
+        best = 0.0
+        for slack, (rho, e0, q) in largest.items():
+            if (rho, slack) not in solved:
+                solved[rho, slack] = queueing_exponent_bound(
+                    NclParams(n=n, c=c, l=l, k=k, rho=rho, q=q, rate=rate, e0=e0))
+            best = max(best, solved[rho, slack])
         out.append((rate, best))
     return out

@@ -536,6 +536,20 @@ class TestExactBootstrap:
         # every kind of sample is covered, each by 10 or more fits with a CI
         assert min(cases.values()) >= 10, cases
 
+    def test_percentiles_are_numpys_linear_rule(self):
+        # the CI reads its percentiles off the sorted slopes by numpy's rule,
+        # bit for bit, without np.percentile and the numpy.ma it imports
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 3, 7, 40, 199, 200, 201):
+            for _ in range(25):
+                sample = np.sort(rng.standard_normal(n) * rng.uniform(0.01, 100.0))
+                for pcts in ((2.5, 97.5), (0.0, 50.0, 100.0), tuple(rng.uniform(0, 100, 4))):
+                    got = bl._percentiles(sample, pcts)
+                    want = np.percentile(sample, pcts).tolist()
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (n, pcts)
+        ties = np.sort(rng.integers(0, 3, 200).astype(float))
+        assert bl._percentiles(ties, (2.5, 97.5)) == np.percentile(ties, (2.5, 97.5)).tolist()
+
     def test_slope_calls_pinned(self, monkeypatch):
         # one lstsq for the fit and one for each of the four order statistics
         # that the percentiles read, against 201 when every resample ran it

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaylab import cli, exponents, ncl_scheme
+from delaylab import cli, exponents, ncl_scheme, queue_model
 from delaylab.dmc import LN2, ConvergenceError, bsc
 from oracles import row_loop_trace_csv
 
@@ -154,6 +154,21 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code, str(src), str(CHANNELS / "z05.json")],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+    def test_sim_bec_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.percentile imported numpy.ma (through np.unique) on the first
+        # fit of a process
+        src = Path(__file__).resolve().parent.parent / "src"
+        config = tmp_path / "bec.json"
+        config.write_text(json.dumps({"beta": 0.4, "rate_bits": 0.5, "horizon": 60_000}))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import delaylab.cli; "
+                "status = delaylab.cli.main(['sim', 'bec', sys.argv[2], '--out', sys.argv[3]]); "
+                "print(status, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(src), str(config),
+                              str(tmp_path / "out")], capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 False"
+        ci = json.loads((tmp_path / "out" / "summary.json").read_text())["fit"]["ci"]
+        assert all(math.isfinite(x) for x in ci)
 
     def test_every_command_leaves_scipy_unloaded(self, tmp_path):
         # scipy is deferred to the acceptance statistics, which no command runs
@@ -423,8 +438,10 @@ class TestCurve:
     def test_output_bytes_are_pinned(self, tmp_path, capsys, stem):
         # tests/data/curve_<stem>.csv was written by this same command before
         # the E0 kernel was shared between E0 and its slope, and its esp
-        # column again when sphere packing began its search at rho = 1: any
-        # byte that moves is a change of the behaviour contract
+        # column again when sphere packing began its search at rho = 1, and
+        # when ``root_steps`` began to keep its last secant (esp at 0.0455
+        # moved 5e-16, nearer its 50-digit value): any byte that moves is a
+        # change of the behaviour contract
         out = tmp_path / f"curve_{stem}.csv"
         assert run(["curve", CHANNELS / f"{stem}.json", "--bounds",
                     "esp,er,focusing,timesharing", "--rate-grid", "1e-4:0.5:12",
@@ -433,19 +450,20 @@ class TestCurve:
         assert out.read_bytes() == (GOLDEN / f"curve_{stem}.csv").read_bytes()
 
     def test_viterbi_is_the_focusing_column_solved_once(self, tmp_path, monkeypatch):
+        # every column of the request is one run; viterbi is no column of it
         solved = []
-        curve = cli.bound_curve
+        curves = cli.bound_curves
 
-        def counted(channel, name, rates, fortify_k=None):
-            solved.append(name)
-            return curve(channel, name, rates, fortify_k)
+        def counted(channel, columns):
+            solved.append([name for name, _, _ in columns])
+            return curves(channel, columns)
 
-        monkeypatch.setattr(cli, "bound_curve", counted)
+        monkeypatch.setattr(cli, "bound_curves", counted)
         out = tmp_path / "c.csv"
         assert run(["curve", CHANNELS / "bsc002.json", "--bounds",
                     "focusing,viterbi,timesharing", "--rate-grid", "1e-4:0.5:12",
                     "--out", out]) == 0
-        assert solved == ["focusing", "timesharing"]
+        assert solved == [["focusing", "timesharing"]]
         rows = list(csv.DictReader(open(out)))
         assert [r["viterbi"] for r in rows] == [r["focusing"] for r in rows]
         ch, _ = cli.load_channel(CHANNELS / "bsc002.json")
@@ -505,6 +523,38 @@ class TestCurve:
                     f"--rate-grid={grid}", "--out", out]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("stem, bounds, grid, code, message", [
+        ("bsc002", "focusing,timesharing", "0:0.5:3", cli.EXIT_INFEASIBLE,
+         "focusing at rate 0.0: rate must be positive"),
+        ("bsc002", "viterbi,focusing,esp", "0:0.5:3", cli.EXIT_INFEASIBLE,
+         "viterbi at rate 0.0: rate must be positive"),
+        ("bsc002", "esp,viterbi,timesharing", "0:0.5:3", cli.EXIT_INFEASIBLE,
+         "viterbi at rate 0.0: rate must be positive"),
+        ("z05_k50", "focusing,haroutunian", "0.1:0.2:2", cli.EXIT_INFEASIBLE,
+         "focusing at rate 0.1: fortified bounds require an output-symmetric base channel"),
+        ("z05_k50", "esp,haroutunian,focusing", "0.1:0.2:2", cli.EXIT_INFEASIBLE,
+         "haroutunian under fortification: the Haroutunian exponents are known only on "
+         "output-symmetric channels, where they are sphere packing"),
+        ("bsc0003", "esp,focusing,timesharing", "0:0.3:4", cli.EXIT_INFEASIBLE,
+         "focusing at rate 0.0: rate must be positive"),
+        ("bsc0003", "esp,focusing", "1e-10:0.3:4", cli.EXIT_SOLVER,
+         "focusing rate root beyond eta = 1e8 (residual 8.144e-09)"),
+    ], ids=["two_fail", "viterbi_first", "viterbi_second", "column_before_solved_as",
+            "solved_as_after_columns", "esp_passes", "convergence"])
+    def test_first_failing_bound_in_order_is_named(self, tmp_path, capsys, stem, bounds, grid,
+                                                    code, message):
+        # the columns run as one; the error is the one solving the bounds
+        # one after another, in the order asked, would meet first (each
+        # message recorded while every column ran its own lanes)
+        path = CHANNELS / f"{stem}.json"
+        if stem == "z05_k50":
+            path = tmp_path / "z05_k50.json"
+            path.write_text(json.dumps({"matrix": [[1, 0], [0.5, 0.5]], "k": 50}))
+        assert run(["curve", path, "--bounds", bounds, "--rate-grid", grid,
+                    "--out", tmp_path / "c.csv"]) == code
+        assert capsys.readouterr().err == f"delaylab: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
 
     def test_rate_that_fails_is_named(self, tmp_path, capsys):
         assert run(["curve", CHANNELS / "bsc002.json", "--bounds", "esp,timesharing",
@@ -596,7 +646,7 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("grid", [["--rate-grid", "0.05:0.3:10"], ["--eta-grid", "0.5:4:5"]])
     def test_curve_fails_before_solving(self, tmp_path, capsys, monkeypatch, grid):
         solves = []
-        for name in ("bound_curve", "e0_max"):
+        for name in ("bound_curves", "e0_max"):
             solve = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, solve=solve, **k:
                                 solves.append(1) or solve(*a, **k))
@@ -612,8 +662,8 @@ class TestUnwritableOutput:
 
     def test_curve_failure_after_the_check_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def infeasible(*args):
-            raise ValueError("infeasible")
-        monkeypatch.setattr(cli, "bound_curve", infeasible)
+            raise exponents.CurveError("infeasible", 0)  # as its first column fails
+        monkeypatch.setattr(cli, "bound_curves", infeasible)
         curve = ["curve", CHANNELS / "bsc002.json", "--bounds", "esp",
                  "--rate-grid", "0.1:0.2:2", "--out"]
         assert run(curve + [tmp_path / "new.csv"]) == cli.EXIT_INFEASIBLE
@@ -1376,6 +1426,14 @@ class TestFieldReader:
         assert captured.out == "" and message in captured.err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_chunk_erasure_underflow_exits_3(self, tmp_path, capsys):
+        # exited 3 naming a "tail parameter" no config field sets
+        config = {**VALID_SIMS["ncl_bound_driven"][1], "k": 2000}
+        assert run_input("ncl", config, tmp_path) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "delaylab: the chunk erasure probability exp(-ck E0) underflows at k = 2000: "
+            "ck E0 = 892.574, above 708.4\n")
+
     def test_rho_zero_exits_3(self, tmp_path, capsys):
         # select_params divided by zero (exit 1)
         config = {**VALID_SIMS["ncl_bound_driven"][1], "rho": 0}
@@ -1408,6 +1466,37 @@ class TestShippedInputs:
     @pytest.mark.parametrize("path", sorted(CHANNELS.glob("*.json")), ids=lambda p: p.stem)
     def test_channel_files_are_accepted(self, path, capsys):
         assert run(["bounds", path, "--rate", "0.1", "--bounds", "esp"]) == 0
+
+
+class TestBenchmarkWorkCounters:
+    def test_curves_symmetric_e0_and_root_work(self, tmp_path, benchmark_workloads,
+                                               monkeypatch):
+        # the curves_symmetric request lists of seeds 3 and 7, as the
+        # benchmark sizes them.  Every column of a curve or figure request is
+        # a lane of one run, and no converged rho search bisects back: 727
+        # _e0_lanes calls, against 1,663 when each column ran its own lanes
+        # and a roundoff secant could send a lane back across its bracket.
+        # Figure 16 solves only the (rho, slack) that can win: 556 BEC
+        # focusing roots, against 1,816
+        run_seconds = json.loads((CHANNELS.parent / "BENCHMARK.json").read_text())["run_seconds"]
+        batches, lanes = [], exponents._e0_lanes
+        monkeypatch.setattr(exponents, "_e0_lanes",
+                            lambda *args: batches.append(1) or lanes(*args))
+        roots, solve = [], queue_model.bec_focusing_exponent_bits
+        monkeypatch.setattr(queue_model, "bec_focusing_exponent_bits",
+                            lambda *args: roots.append(args) or solve(*args))
+        figure_16_roots = []
+        for seed in (3, 7):
+            for req in benchmark_workloads.build("curves_symmetric", seed, run_seconds,
+                                                 tmp_path / str(seed), CHANNELS):
+                roots.clear()
+                assert cli.main(req.argv) == 0
+                if req.argv[:2] == ["figure", "16"]:
+                    figure_16_roots.append(len(set(roots)))
+        print(f"[counter curves_symmetric seeds 3 and 7: {len(batches)} _e0_lanes calls, "
+              f"figure 16 {figure_16_roots} distinct BEC focusing roots]")
+        assert len(batches) <= 800
+        assert figure_16_roots == [556, 556]
 
 
 # The MANIFEST.json of every figure: each key's JSON type; a dict schema
@@ -1468,20 +1557,21 @@ class TestFigures:
         assert manifest["figure"] == 4
         assert schema_mismatches(manifest, MANIFEST_SCHEMAS[4]) == []
 
-    # sha256 of every file each figure writes.  Figure 13's and 16's CSV
-    # digests were recorded before figure 13 wrote through _write_curve_csv
-    # and the scheme curves through reduced_rate_exponent; figure 16's esp
-    # column re-recorded when sphere packing began its search at rho = 1
-    # (each value checked against 50-digit mpmath).  The other figures'
-    # digests, and every MANIFEST.json, were recorded before the bound
-    # figures shared one builder, ``_bound_figure``.
+    # sha256 of every file each figure writes.  Figure 13's CSV digests were
+    # recorded before figure 13 wrote through _write_curve_csv, figure 7's
+    # and every MANIFEST.json before the bound figures shared one builder,
+    # ``_bound_figure``.  The CSVs of figures 4, 6, 8, 9, 12, 14 and 16 were
+    # re-recorded when ``root_steps`` began to keep its last secant: esp and
+    # er values moved by at most 1.4e-15 absolute, and lie within 8.5e-16 of
+    # 50-digit mpmath values (1.1e-15 before); figure 16's scheme columns
+    # did not move when only the largest rho of each slack was solved.
     FIGURE_DIGESTS = {
         4: {"zchannel_bounds.csv":
-            "be2ad1a44b8ea58843a66b496e7a8e1fff2f0ce31615c59cd531a2950f141315",
+            "78f9a14ede151166efa63e8aea47c595cb7bf23c66f1770fe34c37482d9e72c2",
             "MANIFEST.json":
             "379c386bb46553a556ef3bf91bb195a2ab82f724fb34af2b519a1c9ba86a0aae"},
         6: {"bsc002_focusing_family.csv":
-            "544b02698ab91050f95ba4fd511cc4c3cfe7a88014cc44a5ea06f1fa436c7239",
+            "3706ee6811a0e3b53aeadfe00c325980fcd5f3607d74acb048565e6875972065",
             "MANIFEST.json":
             "175d6489b1d6088da93d4bb5a3b221c02073326c42893eed0944cbeba03d6821"},
         7: {"bsc0003_focusing_vs_burnashev.csv":
@@ -1489,15 +1579,15 @@ class TestFigures:
             "MANIFEST.json":
             "8e0b33ebd159d41a4fef4bb42a0d4192fb7125a763f09c76b3e09a3325d0c56d"},
         8: {"bsc002_delay_bounds.csv":
-            "b4124a71bf4da74094ce0ac0bc5c3a30f63c26aa5dac4a0290d1ea0633d7b172",
+            "3c508d37b94bf698958451cc7b5747daed317c0f21ded3f57856c725cbd7307e",
             "MANIFEST.json":
             "9b6ac17342a13e5275dc08c874b7632eb7836ad9a9ff4b473c8d616b02ae294a"},
         9: {"bec04_bounds.csv":
-            "81ba0864a700fb8ee44f05ea026d0f602efc0115f27e00909007e74efb1c87b2",
+            "0f00a4c771084586653df75d74eb5dc47bf22d747d28a28958efffc222edf47a",
             "MANIFEST.json":
             "c2bbe9542e225a135f61754aea46b911700825dcfe4b4e99d19943c4777aa61e"},
         12: {"bsc002_slack.csv":
-             "2f04b7a42b09771093590aae829d02d084827d331240ba3f8710e38b1c2956ad",
+             "b7fc38b111330548fb73d901278712fd6dbb28dc0e6b9c7906c08ad199ba3ae0",
              "MANIFEST.json":
              "53b2504174ab786685b8d0a65e7575044dfaf1f2d26fde9d38c1731aa3e1b754"},
         13: {"bsc002_past_future_plain.csv":
@@ -1507,11 +1597,11 @@ class TestFigures:
              "MANIFEST.json":
              "4df8a67f9f444ae3172fd1a3b98fd0c38539e5165de89b17b332d26060e1b697"},
         14: {"bsc002_fortified_bounds.csv":
-             "87de46581cf0d78d4d5cd7a9b6c0c8732f9f063da35b7693d8f5156c319d98f7",
+             "6f7df592727245cd60fa7a0313901c613b1ef47803a4b51d820ad17b2d1e0fd4",
              "MANIFEST.json":
              "fe9ba003c3f982b807f790c3564bada6fcda5d0b2249a81d9565554f4ffdeab2"},
         16: {"bsc002_ncl_schemes.csv":
-             "fdf6749b76ba5f6dfc21df7b17d06d54c54ae3e1d54cbd9da4776a344845675d",
+             "403aa15de7b26887f61406a699b8175e897932aa7df496454bcf16d9249570be",
              "MANIFEST.json":
              "90fba15d2966b22856a6b4cbc3f81004ec5b5f1a3f2e28cbc2d1bd2ac139cb9a"},
     }

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -475,6 +476,22 @@ class TestQueueingExponentBound:
                         seen.add("none")
         assert seen == {"slack", "boundary", "none"}
 
+    def test_chunk_erasure_that_underflows_is_rejected(self, bsc002):
+        # at k = 2000 exp(-ck E0) was 0.0, and the queue bound and the
+        # bound-driven run raised "tail parameter must lie in (0, 1)", a
+        # parameter the caller never passed; ck E0 = 892.6 here
+        with pytest.raises(ValueError, match=r"^the chunk erasure probability exp\(-ck E0\) "
+                                             r"underflows at k = 2000: ck E0 = 892\.574, "
+                                             r"above 708\.4$"):
+            ncl.select_params(bsc002, 0.2, 0.05, 2000, 1.0)
+        # below the smallest normal double it keeps too few digits (k = 1590)
+        with pytest.raises(ValueError, match="^the chunk erasure probability"):
+            ncl.select_params(bsc002, 0.2, 0.05, 1590, 1.0)
+        prm = ncl.select_params(bsc002, 0.2, 0.05, 1580, 1.0)
+        assert prm.beta_eff >= sys.float_info.min
+        assert ncl.queueing_exponent_bound(prm) > 0
+        assert len(ncl.simulate_ncl_bound_driven(prm, 100).service_times) == 100
+
     def test_beta_eff_is_the_chunk_erasure(self, tiny_params):
         assert tiny_params.beta_eff == math.exp(-tiny_params.ck * tiny_params.e0)
         assert ncl.transmission_tail_bound(tiny_params, 2) == tiny_params.beta_eff ** 2
@@ -505,14 +522,16 @@ class TestSchemeCurve:
         # the exponent depends on the rate only through the slack, so each
         # distinct (rho, slack) is solved once: figure 16's three schemes
         # made 2,578 BEC focusing inversions when each (rate, rho) solved its
-        # own, for 1,816 distinct arguments
+        # own, for 1,816 distinct arguments.  Only the largest rho of each
+        # slack can win, and only those 556 are solved
         calls, solve = [], qm.bec_focusing_exponent_bits
         monkeypatch.setattr(qm, "bec_focusing_exponent_bits",
                             lambda *args: calls.append(args) or solve(*args))
         rates = np.linspace(0.02, 0.43, 22)
         schemes = ((10, 3, 2), (20, 4, 3), (50, 8, 6))
         curves = [ncl.scheme_exponent_curve(bsc002, n, c, l, 50, rates) for n, c, l in schemes]
-        assert len(calls) == len(set(calls)) == 1816
+        print(f"[counter figure 16 scheme curves: {len(calls)} BEC focusing root solves]")
+        assert len(calls) == len(set(calls)) == 556
         for (n, c, l), got in zip(schemes, curves):
             # the curve of the loop that solved every (rate, rho)
             want = []

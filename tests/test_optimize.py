@@ -182,6 +182,16 @@ class TestDecreasingRoot:
         assert lo <= math.sqrt(2.0) <= hi and hi - lo <= 4.0 * math.ulp(hi)
         assert len(calls) <= 20  # secant steps; bisection alone takes over 50
 
+    def test_converged_secant_search_does_not_bisect_back(self):
+        # the rho search of random coding at this rate closes in on its root
+        # from one side; there the secant through two points a few ulps
+        # apart is roundoff, 0 or positive.  Bisecting on it walked back
+        # across the whole bracket: 41 E0 points on a fresh channel, against
+        # 13 when the search keeps its last secant
+        ch = dmc.bsc(0.02)
+        ex.random_coding_list(ch, 0.576180533573951)
+        assert len(ch.e0_points) <= 15
+
     def test_tolerance_stops_at_a_wider_bracket(self):
         calls = []
 
